@@ -24,8 +24,9 @@
 //! correctness pin.
 
 use rda_bench::hotbench::{
-    admission_batch_ops, admission_ops, calibration_ops, churn_ops, compare_reports, measure,
-    sweep_cell, sweep_grid, BenchResult, CALIBRATION, SWEEP_GRID_CELLS,
+    admission_ops, admission_slow_ops, admission_throughput_ops, calibration_ops, churn_ops,
+    compare_reports, compromise_contended, measure, sweep_cell, sweep_grid, BenchResult,
+    CALIBRATION, COMPROMISE_FACTORS, SWEEP_GRID_CELLS,
 };
 use rda_metrics::Json;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -121,8 +122,11 @@ fn main() -> ExitCode {
     results.push(measure("pp_admission_pair", 10_000, warm, n_fast, probe, || {
         admission_ops(10_000)
     }));
+    results.push(measure("pp_admission_pair_slow", 10_000, warm, n_fast, probe, || {
+        admission_slow_ops(10_000)
+    }));
     results.push(measure("admission_throughput", 64_000, warm, n_fast, probe, || {
-        admission_batch_ops(64_000)
+        admission_throughput_ops(64_000)
     }));
     results.push(measure("waitlist_churn_round", 2_000, warm, n_fast, probe, || {
         churn_ops(2_000)
@@ -133,6 +137,12 @@ fn main() -> ExitCode {
     results.push(measure("sweep_cell_ocean_cp_traced", 1, warm, n_cell, probe, || {
         sweep_cell(true)
     }));
+    for factor in COMPROMISE_FACTORS {
+        let name = format!("compromise_x{factor:.1}_contended");
+        results.push(measure(&name, 1, warm, n_fast, probe, || {
+            compromise_contended(factor)
+        }));
+    }
     results.push(measure(
         "sweep_grid_24_cells",
         SWEEP_GRID_CELLS as u64,

@@ -20,10 +20,8 @@
 use rda_bench::cli::{parse_sweep_args, SWEEP_USAGE};
 use rda_core::{mb, BreakerConfig, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
-use rda_sim::{FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
+use rda_sim::{run_pool, FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
 use rda_simcore::{Fnv1a64, SplitMix64};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One point on the degradation curve.
 #[derive(Debug, Clone, Copy)]
@@ -133,24 +131,20 @@ fn main() {
         sim.run(SplitMix64::derive_stream(opts.root_seed, index as u64))
     };
 
-    // Indexed slots + an atomic cursor: results land by grid index, so
-    // the digest (and the table) are independent of worker count and
-    // completion order.
-    let slots: Vec<Mutex<Option<TrafficResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = if opts.threads == 0 { auto } else { opts.threads }.clamp(1, cells.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run_cell(i));
-            });
+    // Results come back by grid index, so the digest (and the table)
+    // are independent of worker count and completion order.
+    let results: Vec<TrafficResult> = match run_pool(cells.len(), opts.threads, run_cell)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.map_err(|msg| format!("cell {i}: {msg}")))
+        .collect()
+    {
+        Ok(results) => results,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(1);
         }
-    });
+    };
 
     println!(
         "Overload sweep — {} arrival rates × {} shed policies × {} fault rates ({}s windows{})",
@@ -168,8 +162,7 @@ fn main() {
     );
     let to_ms = |cycles: u64| cycles as f64 / machine.freq_hz * 1e3;
     let mut digest = Fnv1a64::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let r = slot.into_inner().unwrap().expect("unexecuted cell");
+    for (i, r) in results.into_iter().enumerate() {
         let cell = cells[i];
         digest.write_usize(i).write_u64(r.digest());
         println!(

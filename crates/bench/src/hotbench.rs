@@ -1,6 +1,5 @@
 //! Hot-path benchmark kernels and a tiny deterministic measurement
-//! harness, shared by the Criterion suite (`benches/hotpath.rs`) and
-//! the `bench_report` binary.
+//! harness, used by the `bench_report` binary.
 //!
 //! Every kernel is a pure function of fixed seeds and constants, so the
 //! *work* is bit-identical across runs and machines — only wall-clock
@@ -9,14 +8,12 @@
 //! elide the work, and so two runs can assert they simulated the same
 //! thing.
 //!
-//! The measurement harness is deliberately simpler than Criterion's:
-//! fixed warmup, fixed sample count, fixed batch size per sample —
-//! no adaptive iteration search, which would make the sample layout
-//! (and the allocation counts per sample) depend on machine speed.
+//! The measurement harness is deliberately simple: fixed warmup, fixed
+//! sample count, fixed batch size per sample — no adaptive iteration
+//! search, which would make the sample layout (and the allocation
+//! counts per sample) depend on machine speed.
 
-use rda_core::{
-    mb, BeginOutcome, BeginRequest, PolicyKind, PpDemand, RdaConfig, RdaExtension, SiteId,
-};
+use rda_core::{mb, BeginOutcome, PolicyKind, PpDemand, RdaConfig, RdaExtension, RdaStats, SiteId};
 use rda_machine::{MachineConfig, ReuseLevel};
 use rda_metrics::Json;
 use rda_sched::ProcessId;
@@ -24,19 +21,23 @@ use rda_sim::runner::RunnerOptions;
 use rda_sim::{SimConfig, SystemSim};
 use rda_simcore::SimTime;
 use rda_workloads::spec::all_workloads;
-use rda_workloads::WorkloadSpec;
+use rda_workloads::{Phase, ProcessProgram, WorkloadSpec};
 use std::time::Instant;
 
-/// One pp_begin/pp_end admission pair per "op": the fits-and-runs fast
-/// path that every tracked phase boundary pays. Returns a checksum over
-/// the extension's counters.
-pub fn admission_ops(pairs: usize) -> u64 {
+fn admission_checksum(s: RdaStats) -> u64 {
+    s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34)
+}
+
+/// `pairs` pp_begin/pp_end pairs from 4 processes over 3 call sites,
+/// `gap` cycles apart, each 2 MB period ending before the next begins.
+/// Returns a checksum over the extension's counters.
+fn admission_pairs(pairs: usize, gap: u64) -> u64 {
     let cfg = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict);
     let mut ext = RdaExtension::new(cfg);
     let demand = PpDemand::llc(mb(2.0), ReuseLevel::High);
     let mut t = 0u64;
     for i in 0..pairs {
-        t += 100;
+        t += gap;
         let out = ext
             .pp_begin(
                 ProcessId((i % 4) as u32),
@@ -46,49 +47,60 @@ pub fn admission_ops(pairs: usize) -> u64 {
             )
             .expect("2 MB always fits a 15 MB LLC");
         let pp = match out {
-            rda_core::BeginOutcome::Run { pp, .. } => pp,
+            BeginOutcome::Run { pp, .. } => pp,
             other => panic!("expected Run, got {other:?}"),
         };
-        t += 100;
+        t += gap;
         ext.pp_end(pp, SimTime::from_cycles(t))
             .expect("period is live");
     }
-    let s = ext.stats();
-    s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34)
+    admission_checksum(ext.stats())
 }
 
-/// Batched admission throughput: `pairs` pp_begin/pp_end lifecycles
-/// driven through [`RdaExtension::pp_begin_batch`] in same-tick batches
-/// of 64, so one load-table read (and one memo probe per distinct call
-/// site) serves a whole batch. This is the kernel behind the
-/// million-lifecycles-per-second target; by the batch–serial
-/// equivalence contract its checksum is exactly what the same pairs
-/// issued one at a time would produce.
-pub fn admission_batch_ops(pairs: usize) -> u64 {
-    const BATCH: usize = 64;
+/// One pp_begin/pp_end admission pair per "op": the fits-and-runs fast
+/// path that every tracked phase boundary pays. Returns a checksum over
+/// the extension's counters.
+pub fn admission_ops(pairs: usize) -> u64 {
+    admission_pairs(pairs, 100)
+}
+
+/// The fast path's ablation: the pairs of [`admission_ops`], spaced a
+/// full fast-path freshness horizon apart, so every begin and every
+/// end misses the memoised decision and runs Algorithm 1 in full.
+pub fn admission_slow_ops(pairs: usize) -> u64 {
+    let horizon = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict)
+        .min_eval_interval_cycles;
+    admission_pairs(pairs, horizon)
+}
+
+/// Admission throughput: `pairs` pp_begin/pp_end lifecycles in
+/// same-tick bursts of 64 — every begin of a burst at one tick, one
+/// `pp_begin` call each, then every end at the next tick. This is the
+/// kernel behind the million-lifecycles-per-second target.
+pub fn admission_throughput_ops(pairs: usize) -> u64 {
+    const BURST: usize = 64;
     let cfg = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict);
     let mut ext = RdaExtension::new(cfg);
-    // 64 × 0.2 MB = 12.8 MB: a full batch always fits the 15 MB LLC,
-    // so every outcome is Run and every pair exercises the fast path.
+    // 64 × 0.2 MB = 12.8 MB: a full burst always fits the 15 MB LLC,
+    // so every outcome is Run.
     let demand = PpDemand::llc(mb(0.2), ReuseLevel::High);
-    let mut reqs: Vec<BeginRequest> = Vec::with_capacity(BATCH);
-    let mut live = Vec::with_capacity(BATCH);
+    let mut live = Vec::with_capacity(BURST);
     let mut t = 0u64;
     let mut done = 0usize;
     while done < pairs {
-        let n = BATCH.min(pairs - done);
+        let n = BURST.min(pairs - done);
         t += 100;
-        reqs.clear();
-        for i in 0..n {
-            reqs.push(BeginRequest {
-                process: ProcessId((i % 8) as u32),
-                site: SiteId((i % 3) as u32),
-                demand,
-            });
-        }
         live.clear();
-        for out in ext.pp_begin_batch(&reqs, SimTime::from_cycles(t)) {
-            match out.expect("audited demand always fits") {
+        for i in 0..n {
+            let out = ext
+                .pp_begin(
+                    ProcessId((i % 8) as u32),
+                    SiteId((i % 3) as u32),
+                    demand,
+                    SimTime::from_cycles(t),
+                )
+                .expect("audited demand always fits");
+            match out {
                 BeginOutcome::Run { pp, .. } => live.push(pp),
                 other => panic!("expected Run, got {other:?}"),
             }
@@ -100,8 +112,7 @@ pub fn admission_batch_ops(pairs: usize) -> u64 {
         }
         done += n;
     }
-    let s = ext.stats();
-    s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34)
+    admission_checksum(ext.stats())
 }
 
 /// Waitlist churn under pressure: the LLC is kept saturated so a
@@ -154,8 +165,10 @@ pub fn churn_ops(rounds: usize) -> u64 {
         ^ s.reclaimed.rotate_left(47)
 }
 
-/// The named workload a single-cell benchmark runs (the heaviest of the
-/// paper's eight).
+/// The named workload a single-cell benchmark runs. Not the heaviest
+/// cell: the end-to-end benchmark measured Raytrace × DefaultOnly at
+/// about 280 ms against about 55 ms for Ocean_cp × Strict. The cell is
+/// kept so reports stay comparable with the committed baselines.
 pub const SWEEP_CELL_WORKLOAD: &str = "Ocean_cp";
 
 fn workload(name: &str) -> WorkloadSpec {
@@ -165,9 +178,9 @@ fn workload(name: &str) -> WorkloadSpec {
         .unwrap_or_else(|| panic!("workload {name} not in the paper set"))
 }
 
-/// One full simulation of the heaviest headline cell (Ocean_cp ×
-/// Strict), optionally with the observability trace layer enabled.
-/// Returns the run digest — bit-identical across machines.
+/// One full simulation of the Ocean_cp × Strict headline cell,
+/// optionally with the observability trace layer enabled. Returns the
+/// run digest — bit-identical across machines.
 pub fn sweep_cell(trace: bool) -> u64 {
     sweep_cell_named(SWEEP_CELL_WORKLOAD, trace)
 }
@@ -191,6 +204,40 @@ pub fn sweep_grid() -> u64 {
 
 /// Number of cells [`sweep_grid`] simulates.
 pub const SWEEP_GRID_CELLS: usize = 24;
+
+/// Oversubscription factors of the Compromise ablation: the paper fixes
+/// `x = 2`, and §3.3 leaves the factor configurable.
+pub const COMPROMISE_FACTORS: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
+
+/// Ten two-thread processes, each one 4 MB high-reuse period: 40 MB of
+/// demand against a 15 MB LLC, so the factor decides how many co-run.
+fn contended_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        name: "contended".into(),
+        processes: (0..10)
+            .map(|_| ProcessProgram {
+                threads: 2,
+                phases: vec![Phase::tracked(
+                    "hot",
+                    6_000_000,
+                    mb(4.0),
+                    ReuseLevel::High,
+                    SiteId(0),
+                )],
+            })
+            .collect(),
+    }
+}
+
+/// One simulation of the contended workload under Compromise with
+/// oversubscription factor `factor`. Returns the run digest.
+pub fn compromise_contended(factor: f64) -> u64 {
+    let cfg = SimConfig::paper_default(PolicyKind::Compromise { factor });
+    SystemSim::new(cfg, &contended_spec())
+        .run()
+        .expect("cell runs")
+        .digest()
+}
 
 /// Fixed CPU-bound calibration loop (integer mixing, no allocation, no
 /// simulation): measures raw machine speed so a baseline recorded on
@@ -373,51 +420,25 @@ mod tests {
     #[test]
     fn kernels_are_deterministic() {
         assert_eq!(admission_ops(500), admission_ops(500));
-        assert_eq!(admission_batch_ops(500), admission_batch_ops(500));
+        assert_eq!(admission_slow_ops(500), admission_slow_ops(500));
+        assert_eq!(admission_throughput_ops(500), admission_throughput_ops(500));
         assert_eq!(churn_ops(200), churn_ops(200));
         assert_eq!(calibration_ops(1_000), calibration_ops(1_000));
     }
 
     #[test]
-    fn batched_kernel_is_serial_equivalent() {
-        // Re-drive the batch kernel's exact request stream through the
-        // one-at-a-time pp_begin and demand the same stats checksum
-        // (including the fast-begin count the memo cache produces).
-        const BATCH: usize = 64;
-        let pairs = 640;
-        let cfg = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict);
-        let mut ext = RdaExtension::new(cfg);
-        let demand = PpDemand::llc(mb(0.2), ReuseLevel::High);
-        let mut live = Vec::new();
-        let mut t = 0u64;
-        let mut done = 0usize;
-        while done < pairs {
-            let n = BATCH.min(pairs - done);
-            t += 100;
-            live.clear();
-            for i in 0..n {
-                let out = ext
-                    .pp_begin(
-                        ProcessId((i % 8) as u32),
-                        SiteId((i % 3) as u32),
-                        demand,
-                        SimTime::from_cycles(t),
-                    )
-                    .expect("fits");
-                match out {
-                    BeginOutcome::Run { pp, .. } => live.push(pp),
-                    other => panic!("expected Run, got {other:?}"),
-                }
-            }
-            t += 100;
-            for &pp in &live {
-                ext.pp_end(pp, SimTime::from_cycles(t)).expect("live");
-            }
-            done += n;
-        }
-        let s = ext.stats();
-        let serial = s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34);
-        assert_eq!(admission_batch_ops(pairs), serial);
+    fn slow_pair_kernel_never_takes_the_fast_path() {
+        // The checksum of 300 begins and 300 ends with no fast begin.
+        let no_fast_begins = 300 ^ 300u64.rotate_left(17);
+        assert_eq!(admission_slow_ops(300), no_fast_begins);
+        assert_ne!(admission_ops(300), no_fast_begins);
+    }
+
+    #[test]
+    fn compromise_factor_changes_the_contended_run() {
+        let x3 = compromise_contended(3.0);
+        assert_eq!(compromise_contended(3.0), x3);
+        assert_ne!(compromise_contended(1.0), x3);
     }
 
     #[test]

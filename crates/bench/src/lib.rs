@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one runnable binary per table/figure of the
 //! paper's evaluation section (`cargo run -p rda-bench --bin exp_…`)
-//! and Criterion benchmarks (`cargo bench -p rda-bench`).
+//! and the hot-path and ablation kernels of `bench_report`
+//! ([`hotbench`]).
 //!
 //! | Target | Reproduces |
 //! |---|---|

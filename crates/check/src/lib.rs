@@ -41,10 +41,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod diff;
 pub mod explore;
 pub mod gen;
+pub mod headscan;
 pub mod model;
 pub mod topo_diff;
 pub mod topo_explore;
@@ -52,10 +52,10 @@ pub mod topo_model;
 pub mod topo_trace;
 pub mod trace;
 
-pub use batch::{check_batch_equivalence, check_headscan_property, headscan_prediction, quantize_ticks};
 pub use diff::{replay, Divergence, Oracle, ReplayReport};
 pub use explore::{explore, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
+pub use headscan::{check_headscan_property, headscan_prediction};
 pub use model::{Effect, RefModel};
 pub use topo_diff::{
     describe_topo_snapshot_diff, replay_lifted, replay_topo, TopoDivergence, TopoOracle,

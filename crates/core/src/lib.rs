@@ -60,7 +60,7 @@ pub mod waitlist;
 pub use api::{mb, PpDemand, PpId, Resource, SiteId};
 pub use config::{BreakerConfig, DemandAudit, OverloadConfig, RdaConfig, ShedPolicy};
 pub use error::{InvariantKind, RdaError};
-pub use extension::{AgeOutcome, BeginOutcome, BeginRequest, EndOutcome, RdaExtension, RdaStats};
+pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats};
 pub use layer::{LayerId, LayerSet, LayerSpec};
 pub use policy::PolicyKind;
 pub use predicate::Decision;

@@ -35,8 +35,8 @@ pub use config::SimConfig;
 pub use faults::{FaultConfig, FaultPlan, PhaseFault};
 pub use experiment::{run_workload, PolicyRun};
 pub use runner::{
-    run_sweep, run_sweep_configured, RunConfig, RunError, RunRecord, RunnerOptions, Shard,
-    SweepGrid, SweepResult,
+    run_pool, run_sweep, run_sweep_configured, RunConfig, RunError, RunRecord, RunnerOptions,
+    Shard, SweepGrid, SweepResult,
 };
 pub use system::SystemSim;
 pub use topo_traffic::{

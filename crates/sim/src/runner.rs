@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation is a sweep: every workload × policy (×
 //! replicate) cell is one independent [`SystemSim`] execution. This
-//! module shards that grid across a work-stealing thread pool while
-//! guaranteeing that **the sweep's results are a pure function of
-//! (grid, root seed)** — never of thread count, scheduling order, or
-//! completion order:
+//! module spreads that grid over a thread pool ([`run_pool`], shared
+//! by every sweep in the workspace) while guaranteeing that **the
+//! sweep's results are a pure function of (grid, root seed)** — never
+//! of thread count, scheduling order, or completion order:
 //!
 //! * each cell's RNG stream is derived from the root seed and the
 //!   cell's *grid index* via [`SplitMix64::derive_stream`] — no RNG
@@ -26,9 +26,9 @@ use crate::system::{RunResult, SystemSim};
 use rda_core::PolicyKind;
 use rda_simcore::{Fnv1a64, SplitMix64};
 use rda_workloads::WorkloadSpec;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One cell of the sweep grid.
 #[derive(Debug, Clone)]
@@ -156,12 +156,6 @@ impl RunnerOptions {
             ..Self::default()
         }
     }
-
-    fn worker_count(&self, cells: usize) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let n = if self.threads == 0 { auto } else { self.threads };
-        n.clamp(1, cells.max(1))
-    }
 }
 
 /// One successfully executed cell.
@@ -284,95 +278,83 @@ where
     let mine: Vec<usize> = (0..grid.len())
         .filter(|&i| opts.shard.is_none_or(|s| s.covers(i)))
         .collect();
-    let workers = opts.worker_count(mine.len());
-
-    // One slot per executed cell, filled by whichever worker runs it.
-    let slots: Vec<Mutex<Option<Result<RunRecord, RunError>>>> =
-        mine.iter().map(|_| Mutex::new(None)).collect();
-
-    // Work-stealing deques: each worker owns a contiguous chunk of the
-    // cell list and steals from the back of the busiest victim when its
-    // own deque drains. `queues[w]` holds positions into `mine`.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                (0..mine.len())
-                    .filter(|p| p * workers / mine.len().max(1) == w)
-                    .collect(),
-            )
-        })
-        .collect();
-
-    let run_cell = |pos: usize| {
+    let outcomes = run_pool(mine.len(), opts.threads, |pos| {
         let global = mine[pos];
         let cell = &grid.cells()[global];
         let jitter_seed = SplitMix64::derive_stream(opts.root_seed, global as u64);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let cfg = configure(cell).with_jitter_seed(jitter_seed);
-            SystemSim::new(cfg, &cell.workload).run()
-        }));
-        let record = match outcome {
-            Ok(Ok(result)) => {
-                let digest = result.digest();
-                Ok(RunRecord {
+        let cfg = configure(cell).with_jitter_seed(jitter_seed);
+        SystemSim::new(cfg, &cell.workload).run().map(|result| {
+            let digest = result.digest();
+            RunRecord {
+                index: global,
+                workload: cell.workload.name.clone(),
+                policy: cell.policy,
+                replicate: cell.replicate,
+                jitter_seed,
+                result,
+                digest,
+            }
+        })
+    });
+
+    let mut result = SweepResult::default();
+    for (&global, outcome) in mine.iter().zip(outcomes) {
+        match outcome.and_then(|run| run) {
+            Ok(rec) => result.records.push(rec),
+            Err(message) => {
+                let cell = &grid.cells()[global];
+                result.errors.push(RunError {
                     index: global,
                     workload: cell.workload.name.clone(),
                     policy: cell.policy,
                     replicate: cell.replicate,
-                    jitter_seed,
-                    result,
-                    digest,
-                })
+                    message,
+                });
             }
-            Ok(Err(message)) => Err(message),
-            Err(payload) => Err(panic_message(payload.as_ref())),
-        }
-        .map_err(|message| RunError {
-            index: global,
-            workload: cell.workload.name.clone(),
-            policy: cell.policy,
-            replicate: cell.replicate,
-            message,
-        });
-        *slots[pos].lock().unwrap() = Some(record);
-    };
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let run_cell = &run_cell;
-            scope.spawn(move || loop {
-                // Drain own deque from the front…
-                let own = queues[w].lock().unwrap().pop_front();
-                if let Some(pos) = own {
-                    run_cell(pos);
-                    continue;
-                }
-                // …then steal from the back of the fullest victim.
-                let victim = (0..queues.len())
-                    .filter(|&v| v != w)
-                    .max_by_key(|&v| queues[v].lock().unwrap().len());
-                let stolen = victim.and_then(|v| queues[v].lock().unwrap().pop_back());
-                match stolen {
-                    Some(pos) => run_cell(pos),
-                    None => break,
-                }
-            });
-        }
-    });
-
-    let mut result = SweepResult::default();
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap()
-            .expect("worker pool exited with an unexecuted cell")
-        {
-            Ok(rec) => result.records.push(rec),
-            Err(err) => result.errors.push(err),
         }
     }
     result
+}
+
+/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped
+/// workers (`0` = all available cores) and return the results in index
+/// order. Workers claim indices from a shared cursor and write each
+/// result into that index's own slot, so the output never depends on
+/// the worker count or on completion order. A job that panics yields
+/// `Err` with the panic message; the other jobs still run.
+pub fn run_pool<T, F>(n: usize, threads: usize, job: F) -> Vec<Result<T, String>>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = (if threads == 0 { auto } else { threads }).clamp(1, n.max(1));
+    let slots: Vec<OnceLock<Result<T, String>>> = (0..n).map(|_| OnceLock::new()).collect();
+    // The cursor only hands out distinct indices; results are published
+    // by the slots and the scope's join, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    break;
+                };
+                let out = catch_unwind(AssertUnwindSafe(|| job(i)))
+                    .map_err(|payload| panic_message(payload.as_ref()));
+                // Index `i` was claimed by this worker alone, so the
+                // slot is still empty.
+                let _ = slot.set(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("the cursor hands every index to exactly one worker")
+        })
+        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -339,10 +339,6 @@ pub struct SystemSim {
     /// Threads that completed their phase quota this interval, in
     /// `running` order; drained right after the advance loop.
     scratch_done: Vec<TaskId>,
-    /// Per-running-thread advance results for the current interval, in
-    /// `running` order. Filled by the (optionally sharded) compute
-    /// pass, consumed by the serial apply pass.
-    scratch_steps: Vec<AdvanceStep>,
     /// Dense per-proc mirrors of the *current phase's* working-set
     /// bytes and dedup profile id, refreshed in `enter_phase`. The
     /// co-run key rebuild reads these instead of chasing
@@ -351,11 +347,8 @@ pub struct SystemSim {
     phase_tag: Vec<u32>,
 }
 
-/// One running thread's advance over an interval, computed from the
-/// pre-interval state alone. Because the computation reads nothing
-/// another thread's step writes, steps can be evaluated in any order
-/// (or concurrently, see [`SimConfig::interior_shards`]) and then
-/// applied serially in `running` order with bit-identical results.
+/// One running thread's advance over an interval, computed from that
+/// thread's pre-interval state alone.
 #[derive(Debug, Clone, Copy, Default)]
 struct AdvanceStep {
     new_overhead: u64,
@@ -370,8 +363,7 @@ struct AdvanceStep {
 }
 
 /// Advance one thread by `dt` cycles: burn context-switch overhead
-/// first, then retire instructions at the co-run-degraded CPI. Pure —
-/// the single source of truth for both the serial and sharded paths.
+/// first, then retire instructions at the co-run-degraded CPI. Pure.
 fn advance_step(
     overhead: u64,
     remaining: u64,
@@ -506,7 +498,6 @@ impl SystemSim {
             corun_gen_key: 0,
             checked_books_epoch: u64::MAX,
             scratch_done: Vec::new(),
-            scratch_steps: Vec::new(),
             phase_ws: vec![0; n_procs],
             phase_tag: vec![0; n_procs],
             cfg,
@@ -994,55 +985,22 @@ impl SystemSim {
             // min-vruntime, so every charge must land first.
             self.scratch_done.clear();
             let mut delta = PerfCounters::new();
-            // Compute pass: each step reads only pre-interval state, so
-            // the order of evaluation is irrelevant. With
-            // `interior_shards > 1` the index range is chunked across
-            // scoped OS threads; the arithmetic is the same pure
-            // function either way, so the results — and therefore every
-            // digest downstream — are bit-identical for any shard count.
-            let mut steps = std::mem::take(&mut self.scratch_steps);
-            steps.clear();
-            steps.resize(running.len(), AdvanceStep::default());
-            {
-                let threads = &self.threads;
-                let procs = &self.procs;
-                let rates = &self.corun_rates;
-                let running = &running[..];
-                let compute = |offset: usize, out: &mut [AdvanceStep]| {
-                    for (k, slot) in out.iter_mut().enumerate() {
-                        let i = offset + k;
-                        let th = &threads[running[i].1 .0 as usize];
-                        let p = th.proc;
-                        let prof = procs[p].program.phases[procs[p].phase].profile;
-                        *slot = advance_step(
-                            th.overhead,
-                            th.remaining,
-                            prof.flop_frac,
-                            prof.mem_frac,
-                            rates[i],
-                            dt,
-                        );
-                    }
-                };
-                let shards = self.cfg.interior_shards.max(1).min(running.len().max(1));
-                if shards > 1 {
-                    let chunk = running.len().div_ceil(shards);
-                    std::thread::scope(|s| {
-                        for (ci, out) in steps.chunks_mut(chunk).enumerate() {
-                            let compute = &compute;
-                            s.spawn(move || compute(ci * chunk, out));
-                        }
-                    });
-                } else {
-                    compute(0, &mut steps);
-                }
-            }
-            // Apply pass: strictly serial, in `running` order — the
-            // scheduler charge and done-replay order are part of the
-            // deterministic contract.
+            // Each step reads only its own thread's pre-interval state,
+            // and is applied in `running` order: the scheduler charge
+            // and done-replay order are part of the deterministic
+            // contract.
             for (i, &(core, tid)) in running.iter().enumerate() {
-                let st = steps[i];
                 let th = &mut self.threads[tid.0 as usize];
+                let proc = &self.procs[th.proc];
+                let prof = proc.program.phases[proc.phase].profile;
+                let st = advance_step(
+                    th.overhead,
+                    th.remaining,
+                    prof.flop_frac,
+                    prof.mem_frac,
+                    self.corun_rates[i],
+                    dt,
+                );
                 th.overhead = st.new_overhead;
                 th.remaining = st.new_remaining;
                 delta.instructions += st.instr;
@@ -1057,7 +1015,6 @@ impl SystemSim {
                     self.scratch_done.push(tid);
                 }
             }
-            self.scratch_steps = steps;
             let wall = dt as f64 / freq;
             let busy = running.len() as f64 * wall;
             self.energy += self.cfg.energy.interval_energy(wall, busy, &delta);
@@ -1220,26 +1177,6 @@ mod tests {
             comp.rda.paused,
             strict.rda.paused
         );
-    }
-
-    #[test]
-    fn interior_sharding_is_bit_identical() {
-        // The advance compute is a pure per-thread function, so any
-        // shard count must reproduce the serial run exactly — digest
-        // equality over counters, energy, wall-clock, RDA stats, finish
-        // times and the sampled timeline.
-        let spec = tiny_workload(6, 2, 5.0, 15_000_000);
-        let cfg = || SimConfig::paper_default(rda_core::PolicyKind::Strict).with_sampling_ms(5.0);
-        let base = SystemSim::new(cfg(), &spec)
-            .run()
-            .expect("serial run completes");
-        for shards in [2, 3, 7, 64] {
-            let r = SystemSim::new(cfg().with_interior_shards(shards), &spec)
-                .run()
-                .expect("sharded run completes");
-            assert_eq!(base.digest(), r.digest(), "digest drift at shards={shards}");
-            assert_eq!(base.measurement.counters, r.measurement.counters);
-        }
     }
 
     #[test]

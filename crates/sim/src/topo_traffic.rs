@@ -18,17 +18,17 @@
 //! [`rda_trace::TraceSink`] and samples **per-node** occupancy counter
 //! tracks on every control tick.
 //!
-//! [`run_topo_cells`] shards a grid of such runs across scoped threads
-//! with per-cell derived seeds and grid-order aggregation, so sweep
-//! digests are bit-identical at any thread count — the property the
-//! integration suite pins serial vs 8 threads.
+//! [`run_topo_cells`] spreads a grid of such runs over the sweep pool
+//! ([`crate::runner::run_pool`]) with per-cell derived seeds and
+//! grid-order aggregation, so sweep digests are bit-identical at any
+//! thread count — the property the integration suite pins serial vs 8
+//! threads.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use crate::faults::{FaultConfig, FaultPlan};
+use crate::runner::run_pool;
 use crate::traffic::{ArrivalPattern, TrafficConfig, TrafficPlan};
 use rda_core::{
     BeginOutcome, Demand, LayerId, NodeId, PpId, RdaStats, ResourceKind, TopoConfig, TopoError,
@@ -750,50 +750,31 @@ pub struct TopoCellRecord {
     pub result: Result<TopoTrafficResult, String>,
 }
 
-/// Execute a grid of topology traffic cells across `threads` scoped
+/// Execute a grid of topology traffic cells across `threads` pool
 /// workers (`0` = all cores). Each cell's seed is derived from
 /// `root_seed` and its grid index; records come back in grid order, so
 /// the fold below — and [`topo_sweep_digest`] — is a pure function of
 /// `(cells, root_seed)` regardless of thread count.
 pub fn run_topo_cells(cells: &[TopoCell], threads: usize, root_seed: u64) -> Vec<TopoCellRecord> {
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = (if threads == 0 { auto } else { threads }).clamp(1, cells.len().max(1));
-    let slots: Vec<Mutex<Option<TopoCellRecord>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            scope.spawn(move || {
-                for (i, cell) in cells.iter().enumerate() {
-                    if i % workers != w {
-                        continue;
-                    }
-                    let seed = SplitMix64::derive_stream(root_seed, i as u64);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut sim = TopoTrafficSim::new(cell.traffic.clone(), cell.topo.clone());
-                        if let Some(fc) = cell.faults {
-                            sim = sim.with_faults(fc);
-                        }
-                        sim.run(seed)
-                    }))
-                    .map_err(|p| {
-                        p.downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "panic".to_string())
-                    });
-                    *slots[i].lock().unwrap() = Some(TopoCellRecord {
-                        index: i,
-                        label: cell.label.clone(),
-                        seed,
-                        result: outcome,
-                    });
-                }
-            });
+    let seed = |i: usize| SplitMix64::derive_stream(root_seed, i as u64);
+    let results = run_pool(cells.len(), threads, |i| {
+        let cell = &cells[i];
+        let mut sim = TopoTrafficSim::new(cell.traffic.clone(), cell.topo.clone());
+        if let Some(fc) = cell.faults {
+            sim = sim.with_faults(fc);
         }
+        sim.run(seed(i))
     });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every cell has a record"))
+    cells
+        .iter()
+        .zip(results)
+        .enumerate()
+        .map(|(i, (cell, result))| TopoCellRecord {
+            index: i,
+            label: cell.label.clone(),
+            seed: seed(i),
+            result,
+        })
         .collect()
 }
 

@@ -45,9 +45,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::system::RdaCall;
-use rda_core::{
-    mb, BeginOutcome, BeginRequest, PpDemand, RdaConfig, RdaError, RdaExtension, RdaStats, SiteId,
-};
+use rda_core::{mb, BeginOutcome, PpDemand, RdaConfig, RdaError, RdaExtension, RdaStats, SiteId};
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime, SplitMix64};
@@ -561,31 +559,7 @@ impl Engine<'_> {
                 match e.ev {
                     Ev::Arrival { req } => {
                         self.pending -= 1;
-                        // Kill-at-waitlist faults exit the process in
-                        // the middle of outcome handling, so they form
-                        // batch barriers; everything else in a maximal
-                        // same-tick arrival run admits in one batch.
-                        if self.faults.kill_at(req) == Some(0) {
-                            self.attempt(req);
-                        } else {
-                            let mut batch = vec![req];
-                            while let Some(top) = self.heap.peek() {
-                                let Ev::Arrival { req: r2 } = top.ev else {
-                                    break;
-                                };
-                                if top.t != e.t || self.faults.kill_at(r2) == Some(0) {
-                                    break;
-                                }
-                                self.heap.pop();
-                                self.pending -= 1;
-                                batch.push(r2);
-                            }
-                            if batch.len() == 1 {
-                                self.attempt(req);
-                            } else {
-                                self.attempt_batch(&batch);
-                            }
-                        }
+                        self.attempt(req);
                     }
                     Ev::Retry { req } => {
                         self.pending -= 1;
@@ -658,22 +632,18 @@ impl Engine<'_> {
         }
     }
 
-    /// The fault-adjusted demand, site, and service time of a
-    /// request's next admission try.
-    fn begin_args(&self, req: usize) -> (PpDemand, SiteId, u64) {
+    /// One admission try (first arrival or a retry), with the
+    /// request's fault-adjusted demand.
+    fn attempt(&mut self, req: usize) {
         let r = &self.plan.requests[req];
+        let (site, service) = (SiteId(r.site), r.service);
         let fault = self.faults.phase(req, 0);
         let declared = if fault.demand_factor != 1.0 {
             (r.demand as f64 * fault.demand_factor) as u64
         } else {
             r.demand
         };
-        (PpDemand::llc(declared, ReuseLevel::High), SiteId(r.site), r.service)
-    }
-
-    /// One admission try (first arrival or a retry).
-    fn attempt(&mut self, req: usize) {
-        let (demand, site, service) = self.begin_args(req);
+        let demand = PpDemand::llc(declared, ReuseLevel::High);
         self.record(RdaCall::Begin {
             now: self.now,
             process: Self::pid(req),
@@ -681,46 +651,6 @@ impl Engine<'_> {
             demand,
         });
         let out = self.ext.pp_begin(Self::pid(req), site, demand, self.now);
-        self.finish_attempt(req, service, out);
-    }
-
-    /// Admit a maximal same-tick run of arrivals through
-    /// [`RdaExtension::pp_begin_batch`]: one load-table read decides
-    /// the whole run, with outcomes equal to serial order by the
-    /// batch API's contract (enforced bit-for-bit by the rda-check
-    /// batch oracle). Callers must exclude requests whose outcome
-    /// handling mutates the extension mid-run (kill-at-waitlist
-    /// faults), so handling can be replayed after the batch.
-    fn attempt_batch(&mut self, reqs: &[usize]) {
-        let mut batch = Vec::with_capacity(reqs.len());
-        for &req in reqs {
-            let (demand, site, _) = self.begin_args(req);
-            self.record(RdaCall::Begin {
-                now: self.now,
-                process: Self::pid(req),
-                site,
-                demand,
-            });
-            batch.push(BeginRequest {
-                process: Self::pid(req),
-                site,
-                demand,
-            });
-        }
-        let outs = self.ext.pp_begin_batch(&batch, self.now);
-        for (&req, out) in reqs.iter().zip(outs) {
-            let (_, _, service) = self.begin_args(req);
-            self.finish_attempt(req, service, out);
-        }
-    }
-
-    /// Apply the outcome of one admission try.
-    fn finish_attempt(
-        &mut self,
-        req: usize,
-        service: u64,
-        out: Result<BeginOutcome, RdaError>,
-    ) {
         match out {
             Ok(BeginOutcome::Run { pp, .. }) => {
                 let t = self.now.cycles().saturating_add(service);
@@ -1016,5 +946,25 @@ mod tests {
         }
         digests.dedup();
         assert_eq!(digests.len(), 3, "policies must be observably different");
+    }
+
+    #[test]
+    fn same_tick_arrivals_keep_their_digests() {
+        // A plan dense enough that many requests share an arrival
+        // cycle, run without overload control so nothing but the
+        // predicate decides who waits. Pinned: the run order of
+        // same-tick arrivals is part of the admission contract.
+        let traffic = TrafficConfig::web_default(5e8, 4e-6);
+        let plan = TrafficPlan::generate(&traffic, 7);
+        let same_tick = plan
+            .requests
+            .windows(2)
+            .filter(|w| w[0].arrival == w[1].arrival)
+            .count();
+        assert_eq!((plan.len(), same_tick), (2_106, 280));
+        let sim = TrafficSim::new(traffic, rda_cfg());
+        assert_eq!(sim.run(7).digest(), 0xb797_2df8_35a2_19df);
+        let faulty = sim.with_faults(FaultConfig::uniform(0.05));
+        assert_eq!(faulty.run(7).digest(), 0x3c89_e1b8_83c4_b1fe);
     }
 }
