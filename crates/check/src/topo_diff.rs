@@ -225,7 +225,7 @@ pub fn describe_topo_snapshot_diff(model: &TopoSnapshot, ext: &TopoSnapshot) -> 
     }
     for n in 0..model.usage.len() {
         for k in ResourceKind::ALL {
-            let i = rda_core::ResourceSpace::index(k);
+            let i = k.index();
             if model.usage[n][i] != ext.usage[n][i] {
                 return Some(format!(
                     "usage[node{n}][{k}]: model {} vs implementation {}",

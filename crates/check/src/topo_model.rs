@@ -23,7 +23,7 @@
 
 use rda_core::{
     Demand, DemandAudit, KIND_COUNT, LayerId, NodeId, PolicyKind, PpId, RdaStats, ResourceKind,
-    ResourceSpace, ShedPolicy, TopoConfig, TopoError, TopoPpSnap, TopoSnapshot, TopoWaitSnap,
+    ShedPolicy, TopoConfig, TopoError, TopoPpSnap, TopoSnapshot, TopoWaitSnap,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;

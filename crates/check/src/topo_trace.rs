@@ -443,7 +443,7 @@ impl TopoDoc {
                     let _ = writeln!(
                         out,
                         "retry {t} {process} {site} {}",
-                        rda_core::ResourceSpace::label(kind)
+                        kind.label()
                     );
                 }
             }

@@ -441,7 +441,7 @@ impl RdaExtension {
         // Saturation circuit breaker: while open, shed the configured
         // demand class before it can touch the predicate or waitlist.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker_open[Self::resource_index(resource)] && audited >= b.shed_min_demand {
+            if self.breaker_open[resource.index()] && audited >= b.shed_min_demand {
                 self.stats.shed += 1;
                 ev.kind = EventKind::Shed;
                 ev.reject = RejectKind::BreakerOpen;
@@ -743,7 +743,7 @@ impl RdaExtension {
                 self.stats.desyncs += 1;
                 continue;
             };
-            touched[Self::resource_index(rec.demand.resource)] = true;
+            touched[rec.demand.resource.index()] = true;
             if rec.admitted {
                 self.release(&rec);
             } else {
@@ -761,7 +761,7 @@ impl RdaExtension {
         }
         let mut resumed = Vec::new();
         for r in Resource::ALL {
-            if touched[Self::resource_index(r)] || self.has_expired_waiter(r, now) {
+            if touched[r.index()] || self.has_expired_waiter(r, now) {
                 resumed.extend(self.drain_waitlist(r, now));
             }
         }
@@ -796,7 +796,7 @@ impl RdaExtension {
                     match self.registry.complete(entry.pp) {
                         Some(rec) => {
                             self.stats.expired += 1;
-                            expired_touched[Self::resource_index(r)] = true;
+                            expired_touched[r.index()] = true;
                             let mut ev = TraceEvent::at(now.cycles(), EventKind::Expire);
                             ev.process = rec.process.0;
                             ev.site = rec.site.0;
@@ -818,7 +818,7 @@ impl RdaExtension {
             // with neither a deadline removal nor an aged-past-timeout
             // waiter cannot admit anyone: skip it. The aging probe is
             // O(1) via the waitlist's cached minimum enqueue time.
-            if expired_touched[Self::resource_index(r)] || self.has_expired_waiter(r, now) {
+            if expired_touched[r.index()] || self.has_expired_waiter(r, now) {
                 out.resumed.extend(self.drain_waitlist(r, now));
             }
         }
@@ -837,7 +837,7 @@ impl RdaExtension {
             return;
         };
         for r in Resource::ALL {
-            let i = Self::resource_index(r);
+            let i = r.index();
             let occupancy = self.monitor.usage(r).saturating_add(self.monitor.overflow(r));
             if self.breaker_open[i] {
                 if occupancy < b.low_water {
@@ -872,7 +872,7 @@ impl RdaExtension {
 
     /// Whether the saturation breaker is currently open for `r`.
     pub fn breaker_is_open(&self, r: Resource) -> bool {
-        self.breaker_open[Self::resource_index(r)]
+        self.breaker_open[r.index()]
     }
 
     /// Record a client-side retry of a previously shed or expired
@@ -905,15 +905,6 @@ impl RdaExtension {
         match self.waitlist.oldest(r) {
             Some(oldest) => now.since(oldest).cycles() >= timeout,
             None => false,
-        }
-    }
-
-    /// Stable index of a resource into per-resource scratch arrays
-    /// (matches the order of [`Resource::ALL`]).
-    fn resource_index(r: Resource) -> usize {
-        match r {
-            Resource::Llc => 0,
-            Resource::MemBandwidth => 1,
         }
     }
 
@@ -1048,7 +1039,7 @@ impl RdaExtension {
         // every simulation step when paranoid checking is on).
         let sums = self.registry.audit_sums();
         for r in Resource::ALL {
-            let i = Self::resource_index(r);
+            let i = r.index();
             let checks = [
                 (
                     InvariantKind::UsageMismatch,

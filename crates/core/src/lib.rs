@@ -68,4 +68,4 @@ pub use snapshot::{PpSnap, Snapshot, WaitSnap};
 pub use topo::{
     TopoConfig, TopoError, TopoExtension, TopoPpSnap, TopoRecord, TopoSnapshot, TopoWaitSnap,
 };
-pub use topology::{Demand, NodeId, ResourceKind, ResourceSpace, SpecError, TopoSpec, KIND_COUNT};
+pub use topology::{Demand, NodeId, ResourceKind, SpecError, TopoSpec, KIND_COUNT};

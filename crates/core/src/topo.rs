@@ -50,7 +50,7 @@ use crate::config::{DemandAudit, OverloadConfig, ShedPolicy};
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet};
 use crate::policy::PolicyKind;
-use crate::topology::{Demand, NodeId, ResourceKind, ResourceSpace, TopoSpec, KIND_COUNT};
+use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime};
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};

@@ -7,9 +7,6 @@
 //!
 //! * [`ResourceKind`] — the three constrained resources of a NUMA node:
 //!   LLC footprint, memory bandwidth, DRAM capacity;
-//! * [`ResourceSpace`] — the trait abstracting "an indexable, fixed
-//!   set of resources", implemented both by the legacy scalar
-//!   [`crate::api::Resource`] pair and by [`ResourceKind`];
 //! * [`Demand`] — a demand *vector*: one amount per resource kind, the
 //!   multi-resource successor of the scalar [`crate::api::PpDemand`];
 //! * [`NodeId`] / [`TopoSpec`] — per-node capacity tables built from an
@@ -37,43 +34,9 @@ impl ResourceKind {
     /// Every kind, in stable index order.
     pub const ALL: [ResourceKind; KIND_COUNT] =
         [ResourceKind::Llc, ResourceKind::MemBw, ResourceKind::DramCap];
-}
 
-impl fmt::Display for ResourceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(ResourceSpace::label(*self))
-    }
-}
-
-/// A fixed, indexable space of resources.
-///
-/// Everything the bookkeeping machinery needs from "a resource": how
-/// many there are, a dense index, and a stable label. The legacy scalar
-/// extension implements it for [`crate::api::Resource`] (two entries);
-/// the topology engine for [`ResourceKind`] (three per node). Code
-/// generic over `ResourceSpace` (snapshot digests, invariant sweeps)
-/// works for both.
-pub trait ResourceSpace: Copy + Eq {
-    /// Number of resources in the space.
-    const COUNT: usize;
-
-    /// Dense index in `0..COUNT`.
-    fn index(self) -> usize;
-
-    /// Inverse of [`ResourceSpace::index`].
-    ///
-    /// # Panics
-    /// If `i >= COUNT`.
-    fn from_index(i: usize) -> Self;
-
-    /// Stable lowercase label (used by trace formats).
-    fn label(self) -> &'static str;
-}
-
-impl ResourceSpace for ResourceKind {
-    const COUNT: usize = KIND_COUNT;
-
-    fn index(self) -> usize {
+    /// Dense index in `0..KIND_COUNT`, matching [`Self::ALL`].
+    pub const fn index(self) -> usize {
         match self {
             ResourceKind::Llc => 0,
             ResourceKind::MemBw => 1,
@@ -81,11 +44,8 @@ impl ResourceSpace for ResourceKind {
         }
     }
 
-    fn from_index(i: usize) -> Self {
-        ResourceKind::ALL[i]
-    }
-
-    fn label(self) -> &'static str {
+    /// Stable lowercase label (used by trace formats).
+    pub const fn label(self) -> &'static str {
         match self {
             ResourceKind::Llc => "llc",
             ResourceKind::MemBw => "membw",
@@ -94,25 +54,9 @@ impl ResourceSpace for ResourceKind {
     }
 }
 
-impl ResourceSpace for crate::api::Resource {
-    const COUNT: usize = 2;
-
-    fn index(self) -> usize {
-        match self {
-            crate::api::Resource::Llc => 0,
-            crate::api::Resource::MemBandwidth => 1,
-        }
-    }
-
-    fn from_index(i: usize) -> Self {
-        crate::api::Resource::ALL[i]
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            crate::api::Resource::Llc => "llc",
-            crate::api::Resource::MemBandwidth => "membw",
-        }
+impl fmt::Display for ResourceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -300,24 +244,14 @@ impl TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Resource;
 
     #[test]
     fn kind_indexing_roundtrips() {
         for k in ResourceKind::ALL {
-            assert_eq!(ResourceKind::from_index(k.index()), k);
+            assert_eq!(ResourceKind::ALL[k.index()], k);
         }
         assert_eq!(ResourceKind::Llc.to_string(), "llc");
         assert_eq!(ResourceKind::DramCap.to_string(), "dram");
-    }
-
-    #[test]
-    fn legacy_resource_implements_the_space() {
-        assert_eq!(<Resource as ResourceSpace>::COUNT, 2);
-        for r in Resource::ALL {
-            assert_eq!(Resource::from_index(ResourceSpace::index(r)), r);
-        }
-        assert_eq!(ResourceSpace::label(Resource::MemBandwidth), "membw");
     }
 
     #[test]

@@ -21,12 +21,9 @@
 //!
 //! # Representation
 //!
-//! Each per-resource queue stores its first [`INLINE_CAP`] entries in a
-//! fixed inline array (`SmallVec`-style) and spills to a `VecDeque`
-//! only beyond that, so short queues — the overwhelmingly common case —
-//! never touch the heap. Each queue also caches the minimum enqueue
-//! time of its entries, making [`Waitlist::oldest`] (polled by the
-//! simulator's aging-deadline computation every interval) O(1); the
+//! Each per-resource queue is a `VecDeque` plus the cached minimum
+//! enqueue time of its entries, making [`Waitlist::oldest`] (polled by
+//! the simulator's aging-deadline computation every interval) O(1); the
 //! cache is refreshed by an O(n) rescan only when the entry holding the
 //! minimum is removed.
 
@@ -46,117 +43,10 @@ pub struct WaitEntry {
     pub enqueued_at: SimTime,
 }
 
-/// Entries held inline per resource before spilling to the heap.
-const INLINE_CAP: usize = 16;
-
-const DUMMY: WaitEntry = WaitEntry {
-    pp: PpId(0),
-    accounted: 0,
-    enqueued_at: SimTime::ZERO,
-};
-
-/// FIFO storage: a fixed inline buffer that promotes itself to a
-/// `VecDeque` the first time it overflows (and never demotes — a queue
-/// that spilled once is likely to spill again).
-// The size imbalance is the point: the large variant IS the inline
-// buffer that keeps short queues off the heap, and there are exactly
-// two queues per extension.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Fifo {
-    Inline { len: u8, slots: [WaitEntry; INLINE_CAP] },
-    Heap(VecDeque<WaitEntry>),
-}
-
-impl Default for Fifo {
-    fn default() -> Self {
-        Fifo::Inline {
-            len: 0,
-            slots: [DUMMY; INLINE_CAP],
-        }
-    }
-}
-
-impl Fifo {
-    fn len(&self) -> usize {
-        match self {
-            Fifo::Inline { len, .. } => *len as usize,
-            Fifo::Heap(q) => q.len(),
-        }
-    }
-
-    fn iter(&self) -> FifoIter<'_> {
-        match self {
-            Fifo::Inline { len, slots } => FifoIter::Inline(slots[..*len as usize].iter()),
-            Fifo::Heap(q) => FifoIter::Heap(q.iter()),
-        }
-    }
-
-    fn front(&self) -> Option<&WaitEntry> {
-        match self {
-            Fifo::Inline { len: 0, .. } => None,
-            Fifo::Inline { slots, .. } => Some(&slots[0]),
-            Fifo::Heap(q) => q.front(),
-        }
-    }
-
-    fn push_back(&mut self, entry: WaitEntry) {
-        match self {
-            Fifo::Inline { len, slots } => {
-                if (*len as usize) < INLINE_CAP {
-                    slots[*len as usize] = entry;
-                    *len += 1;
-                } else {
-                    let mut q: VecDeque<WaitEntry> = slots.iter().copied().collect();
-                    q.push_back(entry);
-                    *self = Fifo::Heap(q);
-                }
-            }
-            Fifo::Heap(q) => q.push_back(entry),
-        }
-    }
-
-    /// Remove and return the entry at queue position `pos`, preserving
-    /// the relative order of the rest (FIFO semantics require it).
-    fn remove(&mut self, pos: usize) -> Option<WaitEntry> {
-        match self {
-            Fifo::Inline { len, slots } => {
-                let n = *len as usize;
-                if pos >= n {
-                    return None;
-                }
-                let entry = slots[pos];
-                slots.copy_within(pos + 1..n, pos);
-                *len -= 1;
-                Some(entry)
-            }
-            Fifo::Heap(q) => q.remove(pos),
-        }
-    }
-
-}
-
-/// Borrowing iterator over a queue's entries, front to back.
-enum FifoIter<'a> {
-    Inline(std::slice::Iter<'a, WaitEntry>),
-    Heap(std::collections::vec_deque::Iter<'a, WaitEntry>),
-}
-
-impl<'a> Iterator for FifoIter<'a> {
-    type Item = &'a WaitEntry;
-
-    fn next(&mut self) -> Option<&'a WaitEntry> {
-        match self {
-            FifoIter::Inline(it) => it.next(),
-            FifoIter::Heap(it) => it.next(),
-        }
-    }
-}
-
 /// One resource's queue plus its cached minimum enqueue time.
 #[derive(Debug, Clone, Default)]
 struct Queue {
-    fifo: Fifo,
+    fifo: VecDeque<WaitEntry>,
     /// `min(entry.enqueued_at)` over the queue, `None` when empty.
     /// Maintained incrementally; recomputed by scan only when the
     /// minimal entry leaves the queue.
@@ -282,7 +172,7 @@ impl Waitlist {
 
     /// True when nothing waits on any resource.
     pub fn is_empty(&self) -> bool {
-        self.llc.fifo.len() == 0 && self.membw.fifo.len() == 0
+        self.llc.fifo.is_empty() && self.membw.fifo.is_empty()
     }
 
     /// Iterate a resource's waiters front-to-back, by reference — the
@@ -455,81 +345,20 @@ mod tests {
     }
 
     #[test]
-    fn promotion_boundary_is_pinned_at_exactly_inline_cap() {
+    fn long_queue_keeps_order_through_cancel_and_drain() {
         let mut w = Waitlist::new();
-        for i in 0..INLINE_CAP as u64 {
-            w.push(Resource::Llc, e_at(i, 10, 100 + i)).unwrap();
-        }
-        // Exactly 16 entries still live in the inline buffer.
-        assert_eq!(w.len(Resource::Llc), INLINE_CAP);
-        assert!(
-            matches!(w.llc.fifo, Fifo::Inline { len: 16, .. }),
-            "16 entries stay inline"
-        );
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(100)));
-        // The 17th promotes the queue to the heap — with an
-        // older-than-minimum stamp, so the cached min must follow it
-        // across the promotion.
-        w.push(Resource::Llc, e_at(16, 10, 50)).unwrap();
-        assert!(matches!(w.llc.fifo, Fifo::Heap(_)), "17th entry promotes");
-        assert_eq!(w.len(Resource::Llc), INLINE_CAP + 1);
-        let order: Vec<u64> = w.iter(Resource::Llc).map(|x| x.pp.0).collect();
-        assert_eq!(order, (0..17).collect::<Vec<_>>(), "promotion keeps order");
-        assert_eq!(
-            w.oldest(Resource::Llc),
-            Some(SimTime::from_cycles(50)),
-            "cached minimum survives promotion"
-        );
-    }
-
-    #[test]
-    fn drained_back_below_the_boundary_the_queue_stays_promoted() {
-        let mut w = Waitlist::new();
-        for i in 0..=INLINE_CAP as u64 {
-            w.push(Resource::Llc, e_at(i, 10, 100 + i)).unwrap();
-        }
-        assert!(matches!(w.llc.fifo, Fifo::Heap(_)));
-        // Drain well below the inline capacity: spilled queues never
-        // demote (one spill predicts another), and the cached minimum
-        // rescans correctly as each minimal entry leaves.
-        for i in 0..10u64 {
-            assert_eq!(w.pop(Resource::Llc).unwrap().pp, PpId(i));
-            assert_eq!(
-                w.oldest(Resource::Llc),
-                Some(SimTime::from_cycles(100 + i + 1))
-            );
-        }
-        assert_eq!(w.len(Resource::Llc), INLINE_CAP + 1 - 10);
-        assert!(
-            matches!(w.llc.fifo, Fifo::Heap(_)),
-            "spilled queues never demote"
-        );
-        // Duplicate detection and FIFO order still hold after the
-        // round trip across the boundary.
-        assert!(w.push(Resource::Llc, e_at(12, 1, 0)).is_err());
-        for i in 17..30u64 {
-            w.push(Resource::Llc, e_at(i, 10, 100 + i)).unwrap();
-        }
-        let order: Vec<u64> = w.iter(Resource::Llc).map(|x| x.pp.0).collect();
-        assert_eq!(order, (10..30).collect::<Vec<_>>());
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(110)));
-    }
-
-    #[test]
-    fn queue_spills_past_the_inline_capacity_and_keeps_order() {
-        let mut w = Waitlist::new();
-        let n = (INLINE_CAP + 9) as u64;
+        let n = 25u64;
         for i in 0..n {
             w.push(Resource::Llc, e_at(i, 10 + i, i)).unwrap();
         }
         assert_eq!(w.len(Resource::Llc), n as usize);
         assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(0)));
-        // Duplicate detection still works after the spill.
+        // Duplicate detection holds anywhere in a long queue.
         assert!(w.push(Resource::Llc, e_at(3, 1, 1)).is_err());
-        // Mid-queue cancellation across the spill boundary.
-        assert!(w.cancel(Resource::Llc, PpId(INLINE_CAP as u64)));
+        // Mid-queue cancellation keeps the relative order of the rest.
+        assert!(w.cancel(Resource::Llc, PpId(16)));
         let order: Vec<u64> = w.iter(Resource::Llc).map(|x| x.pp.0).collect();
-        let expected: Vec<u64> = (0..n).filter(|&i| i != INLINE_CAP as u64).collect();
+        let expected: Vec<u64> = (0..n).filter(|&i| i != 16).collect();
         assert_eq!(order, expected);
         // Drain fully in FIFO order.
         for &i in &expected {

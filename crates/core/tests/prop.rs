@@ -211,10 +211,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The waitlist agrees with a naive Vec model through arbitrary
-    /// push/pop/cancel/expiry sequences whose lengths cross the
-    /// inline-buffer promotion boundary (16 → 17 → back below 16) in
-    /// both directions: FIFO order, expiry selection, and the cached
-    /// minimum enqueue time all stay exact.
+    /// push/pop/cancel/expiry sequences whose queue lengths grow past
+    /// 16 entries and shrink back below: FIFO order, expiry selection,
+    /// and the cached minimum enqueue time all stay exact.
     #[test]
     fn waitlist_matches_model_across_the_promotion_boundary(
         ops in prop::collection::vec(arb_wl_op(), 1..120)

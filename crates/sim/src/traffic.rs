@@ -18,14 +18,16 @@
 //!   run, is bit-identical regardless of threading or call order,
 //!   exactly like [`crate::faults::FaultPlan`].
 //! * [`TrafficSim::run`] replays the plan through a discrete-event
-//!   loop: admitted requests complete after their service time, paused
-//!   ones wait (bounded by the overload gate), shed or breaker-rejected
-//!   ones retry with exponential backoff and pre-drawn jitter, expired
-//!   ones fail their deadline permanently. Fault injection composes:
-//!   a [`crate::faults::FaultConfig`] is expanded over a synthetic
-//!   one-phase-per-request workload, so requests can lie about demand,
-//!   leak or double their `pp_end`, or die holding periods — chaos
-//!   *under* overload, which is where control planes actually break.
+//!   loop, the one [`crate::topo_traffic`] runs too, generic over the
+//!   admission engine: admitted requests complete after their service
+//!   time, paused ones wait (bounded by the overload gate), shed or
+//!   breaker-rejected ones retry with exponential backoff and
+//!   pre-drawn jitter, expired ones fail their deadline permanently.
+//!   Fault injection composes: a [`crate::faults::FaultConfig`] is
+//!   expanded over a synthetic one-phase-per-request workload, so
+//!   requests can lie about demand, leak or double their `pp_end`, or
+//!   die holding periods — chaos *under* overload, which is where
+//!   control planes actually break.
 //! * [`TrafficResult`] carries goodput, a log-2 sojourn histogram
 //!   (p50/p95/p99 end-to-end latency including queueing and retries),
 //!   every [`rda_core::RdaStats`] counter, and an FNV digest for
@@ -45,7 +47,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::system::RdaCall;
-use rda_core::{mb, BeginOutcome, PpDemand, RdaConfig, RdaError, RdaExtension, RdaStats, SiteId};
+use rda_core::{
+    mb, AgeOutcome, BeginOutcome, EndOutcome, OverloadConfig, PpDemand, PpId, RdaConfig, RdaError,
+    RdaExtension, RdaStats, SiteId,
+};
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime, SplitMix64};
@@ -362,6 +367,242 @@ pub struct TrafficSim {
     faults: Option<FaultConfig>,
 }
 
+impl TrafficSim {
+    /// A traffic run over the given arrival shape and scheduler
+    /// configuration (put overload control in
+    /// [`RdaConfig::with_overload`]).
+    pub fn new(traffic: TrafficConfig, rda: RdaConfig) -> Self {
+        TrafficSim {
+            traffic,
+            rda,
+            faults: None,
+        }
+    }
+
+    /// Inject faults per the given configuration (expanded over the
+    /// synthetic per-request workload; see [`TrafficPlan::fault_spec`]).
+    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Execute the run for `seed`. Deterministic: the same
+    /// `(config, seed)` produces the same [`TrafficResult::digest`] on
+    /// any machine and any sweep thread count.
+    pub fn run(&self, seed: u64) -> TrafficResult {
+        let plan = TrafficPlan::generate(&self.traffic, seed);
+        let classes: Vec<PpDemand> = self
+            .traffic
+            .demand_classes
+            .iter()
+            .map(|&(bytes, _)| PpDemand::llc(bytes, ReuseLevel::High))
+            .collect();
+        let ext = RdaExtension::new(self.rda.clone());
+        let eng = run_plan(
+            &self.traffic,
+            &plan,
+            &classes,
+            self.faults.as_ref(),
+            seed,
+            ext,
+        );
+        TrafficResult {
+            arrivals: plan.len() as u64,
+            completed: eng.completed,
+            failed: eng.failed,
+            expired: eng.expired,
+            killed: eng.killed,
+            stranded: eng.stranded,
+            retries: eng.retries,
+            rda: eng.ext.stats(),
+            sojourn: eng.sojourn,
+            goodput_per_sec: eng.completed as f64 / self.traffic.duration_secs,
+            calls: eng.calls.0,
+        }
+    }
+}
+
+/// What the traffic loop needs from an admission engine: only what
+/// differs between [`RdaExtension`] and [`rda_core::TopoExtension`].
+/// Each call that the replayable log must hold records itself in the
+/// given [`CallLog`].
+pub(crate) trait Admission {
+    /// One request's declared demand.
+    type Demand: Copy;
+    /// One replayable call record.
+    type Call;
+    /// The engine's typed error.
+    type Error: std::fmt::Debug;
+
+    /// `demand` as declared by a client lying by `factor`.
+    fn scale(demand: Self::Demand, factor: f64) -> Self::Demand;
+
+    /// The aging timeout and overload control the engine runs with.
+    fn controls(&self) -> (Option<u64>, Option<&OverloadConfig>);
+
+    /// `pp_begin`.
+    fn begin(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: Self::Demand,
+        now: SimTime,
+        log: &mut CallLog<Self::Call>,
+    ) -> Result<BeginOutcome, Self::Error>;
+
+    /// Whether a `pp_begin` error shed the arrival (overload gate or
+    /// breaker) rather than the auditor refusing to track it.
+    fn sheds(err: &Self::Error) -> bool;
+
+    /// `pp_end`.
+    fn end(
+        &mut self,
+        pp: PpId,
+        now: SimTime,
+        log: &mut CallLog<Self::Call>,
+    ) -> Result<EndOutcome, Self::Error>;
+
+    /// Whether a `pp_end` error is the double-end rejection.
+    fn is_double_end(err: &Self::Error) -> bool;
+
+    /// `process_exit`: the periods it woke.
+    fn exit(
+        &mut self,
+        process: ProcessId,
+        now: SimTime,
+        log: &mut CallLog<Self::Call>,
+    ) -> Vec<(PpId, ProcessId)>;
+
+    /// `age_waitlist`, logged when `log_idle` is set or the tick
+    /// admitted something.
+    fn age(&mut self, now: SimTime, log_idle: bool, log: &mut CallLog<Self::Call>) -> AgeOutcome;
+
+    /// `note_retry` for a request whose class declares `demand`.
+    fn retry(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: Self::Demand,
+        now: SimTime,
+        log: &mut CallLog<Self::Call>,
+    );
+
+    /// Runs first on every control tick, with the number of non-tick
+    /// events in flight.
+    fn tick(&mut self, _now: SimTime, _in_flight: usize) {}
+
+    /// `check_invariants`.
+    fn check(&self) -> Result<(), Self::Error>;
+}
+
+impl Admission for RdaExtension {
+    type Demand = PpDemand;
+    type Call = RdaCall;
+    type Error = RdaError;
+
+    fn scale(demand: PpDemand, factor: f64) -> PpDemand {
+        PpDemand {
+            amount: (demand.amount as f64 * factor) as u64,
+            ..demand
+        }
+    }
+
+    fn controls(&self) -> (Option<u64>, Option<&OverloadConfig>) {
+        let cfg = self.config();
+        (cfg.waitlist_timeout_cycles, cfg.overload.as_ref())
+    }
+
+    fn begin(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: PpDemand,
+        now: SimTime,
+        log: &mut CallLog<RdaCall>,
+    ) -> Result<BeginOutcome, RdaError> {
+        log.push(RdaCall::Begin {
+            now,
+            process,
+            site,
+            demand,
+        });
+        self.pp_begin(process, site, demand, now)
+    }
+
+    fn sheds(err: &RdaError) -> bool {
+        matches!(
+            err,
+            RdaError::WaitlistFull { .. } | RdaError::BreakerOpen { .. }
+        )
+    }
+
+    fn end(
+        &mut self,
+        pp: PpId,
+        now: SimTime,
+        log: &mut CallLog<RdaCall>,
+    ) -> Result<EndOutcome, RdaError> {
+        log.push(RdaCall::End { now, pp });
+        self.pp_end(pp, now)
+    }
+
+    fn is_double_end(err: &RdaError) -> bool {
+        matches!(err, RdaError::DoubleEnd(_))
+    }
+
+    fn exit(
+        &mut self,
+        process: ProcessId,
+        now: SimTime,
+        log: &mut CallLog<RdaCall>,
+    ) -> Vec<(PpId, ProcessId)> {
+        log.push(RdaCall::Exit { now, process });
+        self.process_exit(process, now)
+    }
+
+    fn age(&mut self, now: SimTime, log_idle: bool, log: &mut CallLog<RdaCall>) -> AgeOutcome {
+        let out = self.age_waitlist(now);
+        if log_idle || !out.resumed.is_empty() {
+            log.push(RdaCall::Age { now });
+        }
+        out
+    }
+
+    fn retry(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: PpDemand,
+        now: SimTime,
+        log: &mut CallLog<RdaCall>,
+    ) {
+        let resource = demand.resource;
+        log.push(RdaCall::Retry {
+            now,
+            process,
+            site,
+            resource,
+        });
+        self.note_retry(process, site, resource, now);
+    }
+
+    fn check(&self) -> Result<(), RdaError> {
+        self.check_invariants()
+    }
+}
+
+/// The replayable call log, kept only when
+/// [`TrafficConfig::record_calls`] is set.
+pub(crate) struct CallLog<C>(pub(crate) Option<Vec<C>>);
+
+impl<C> CallLog<C> {
+    pub(crate) fn push(&mut self, call: C) {
+        if let Some(calls) = &mut self.0 {
+            calls.push(call);
+        }
+    }
+}
+
 /// Heap entry: strict `(time, sequence)` order makes pops — and
 /// therefore the whole run — deterministic even among simultaneous
 /// events.
@@ -398,16 +639,19 @@ enum Ev {
     Retry { req: usize },
     /// An admitted request finishing its service (`pp` is `None` for
     /// untracked fallbacks, e.g. auditor-refused demands).
-    Complete { req: usize, pp: Option<rda_core::PpId> },
+    Complete { req: usize, pp: Option<PpId> },
     /// The aging/deadline/breaker control tick.
     Tick,
 }
 
-struct Engine<'a> {
+/// The open-system event loop, over either admission engine.
+pub(crate) struct Engine<'a, E: Admission> {
     cfg: &'a TrafficConfig,
     plan: &'a TrafficPlan,
+    /// Honest declared demand per class (a request's site).
+    classes: &'a [E::Demand],
     faults: FaultPlan,
-    ext: RdaExtension,
+    pub(crate) ext: E,
     heap: BinaryHeap<QEntry>,
     /// Waitlisted requests by period id; a `BTreeMap` so stranding
     /// order is deterministic.
@@ -419,102 +663,76 @@ struct Engine<'a> {
     pending: usize,
     seq: u64,
     now: SimTime,
-    completed: u64,
-    failed: u64,
-    expired: u64,
-    killed: u64,
-    stranded: u64,
-    retries: u64,
-    sojourn: Log2Hist,
-    calls: Option<Vec<RdaCall>>,
+    pub(crate) completed: u64,
+    pub(crate) failed: u64,
+    pub(crate) expired: u64,
+    pub(crate) killed: u64,
+    pub(crate) stranded: u64,
+    pub(crate) retries: u64,
+    pub(crate) sojourn: Log2Hist,
+    pub(crate) calls: CallLog<E::Call>,
 }
 
-impl TrafficSim {
-    /// A traffic run over the given arrival shape and scheduler
-    /// configuration (put overload control in
-    /// [`RdaConfig::with_overload`]).
-    pub fn new(traffic: TrafficConfig, rda: RdaConfig) -> Self {
-        TrafficSim {
-            traffic,
-            rda,
-            faults: None,
-        }
+/// Replay `plan` through `ext` until every request has reached exactly
+/// one terminal state, with faults drawn from `faults` for `seed`.
+/// `classes[site]` is the honest demand of each class. Both traffic
+/// engines run this one loop.
+pub(crate) fn run_plan<'a, E: Admission>(
+    cfg: &'a TrafficConfig,
+    plan: &'a TrafficPlan,
+    classes: &'a [E::Demand],
+    faults: Option<&FaultConfig>,
+    seed: u64,
+    ext: E,
+) -> Engine<'a, E> {
+    let faults = match faults {
+        Some(fc) => FaultPlan::generate(&plan.fault_spec(), fc, seed),
+        None => FaultPlan::none(),
+    };
+    let mut eng = Engine {
+        cfg,
+        plan,
+        classes,
+        faults,
+        ext,
+        heap: BinaryHeap::with_capacity(plan.len() * 2 + 4),
+        waiting: BTreeMap::new(),
+        attempts: vec![0; plan.len()],
+        pending: 0,
+        seq: 0,
+        now: SimTime::ZERO,
+        completed: 0,
+        failed: 0,
+        expired: 0,
+        killed: 0,
+        stranded: 0,
+        retries: 0,
+        sojourn: Log2Hist::new(),
+        calls: CallLog(cfg.record_calls.then(Vec::new)),
+    };
+    for (i, r) in plan.requests.iter().enumerate() {
+        eng.push(r.arrival, Ev::Arrival { req: i });
     }
-
-    /// Inject faults per the given configuration (expanded over the
-    /// synthetic per-request workload; see [`TrafficPlan::fault_spec`]).
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
+    if cfg.age_tick_cycles > 0 {
+        eng.push(cfg.age_tick_cycles, Ev::Tick);
     }
-
-    /// Execute the run for `seed`. Deterministic: the same
-    /// `(config, seed)` produces the same [`TrafficResult::digest`] on
-    /// any machine and any sweep thread count.
-    pub fn run(&self, seed: u64) -> TrafficResult {
-        let plan = TrafficPlan::generate(&self.traffic, seed);
-        let fault_plan = match &self.faults {
-            Some(fc) => FaultPlan::generate(&plan.fault_spec(), fc, seed),
-            None => FaultPlan::none(),
-        };
-        let mut eng = Engine {
-            cfg: &self.traffic,
-            plan: &plan,
-            faults: fault_plan,
-            ext: RdaExtension::new(self.rda.clone()),
-            heap: BinaryHeap::with_capacity(plan.len() * 2 + 4),
-            waiting: BTreeMap::new(),
-            attempts: vec![0; plan.len()],
-            pending: 0,
-            seq: 0,
-            now: SimTime::ZERO,
-            completed: 0,
-            failed: 0,
-            expired: 0,
-            killed: 0,
-            stranded: 0,
-            retries: 0,
-            sojourn: Log2Hist::new(),
-            calls: if self.traffic.record_calls {
-                Some(Vec::new())
-            } else {
-                None
-            },
-        };
-        for (i, r) in plan.requests.iter().enumerate() {
-            eng.push(r.arrival, Ev::Arrival { req: i });
-        }
-        if self.traffic.age_tick_cycles > 0 {
-            eng.push_tick(self.traffic.age_tick_cycles);
-        }
-        eng.drive(&self.rda);
-        let rda = eng.ext.stats();
-        eng.ext
-            .check_invariants()
-            .expect("traffic run left the extension inconsistent");
-        let arrivals = plan.len() as u64;
-        debug_assert_eq!(
-            eng.completed + eng.failed + eng.expired + eng.killed + eng.stranded,
-            arrivals,
-            "every request must reach exactly one terminal state"
-        );
-        TrafficResult {
-            arrivals,
-            completed: eng.completed,
-            failed: eng.failed,
-            expired: eng.expired,
-            killed: eng.killed,
-            stranded: eng.stranded,
-            retries: eng.retries,
-            rda,
-            sojourn: eng.sojourn,
-            goodput_per_sec: eng.completed as f64 / self.traffic.duration_secs,
-            calls: eng.calls,
-        }
-    }
+    eng.drive();
+    eng.ext
+        .check()
+        .expect("traffic run left the extension inconsistent");
+    debug_assert_eq!(
+        eng.completed + eng.failed + eng.expired + eng.killed + eng.stranded,
+        plan.len() as u64,
+        "every request must reach exactly one terminal state"
+    );
+    eng
 }
 
-impl Engine<'_> {
+fn pid(req: usize) -> ProcessId {
+    ProcessId(req as u32)
+}
+
+impl<E: Admission> Engine<'_, E> {
     fn push(&mut self, t: u64, ev: Ev) {
         if !matches!(ev, Ev::Tick) {
             self.pending += 1;
@@ -527,32 +745,14 @@ impl Engine<'_> {
         self.seq += 1;
     }
 
-    fn push_tick(&mut self, t: u64) {
-        self.heap.push(QEntry {
-            t,
-            seq: self.seq,
-            ev: Ev::Tick,
-        });
-        self.seq += 1;
-    }
-
-    fn record(&mut self, call: RdaCall) {
-        if let Some(calls) = &mut self.calls {
-            calls.push(call);
-        }
-    }
-
-    fn pid(req: usize) -> ProcessId {
-        ProcessId(req as u32)
-    }
-
-    fn drive(&mut self, rda: &RdaConfig) {
+    fn drive(&mut self) {
         // A tick can only unstick a waiter when something ages it out
         // (force-admit) or expires it (deadline); without either, a
         // waitlist with no completions in flight is permanently stuck.
-        let can_unstick = rda.waitlist_timeout_cycles.is_some()
-            || rda.overload.as_ref().is_some_and(|o| o.deadline_cycles.is_some());
-        let overload_on = rda.overload.is_some();
+        let (timeout, overload) = self.ext.controls();
+        let can_unstick =
+            timeout.is_some() || overload.is_some_and(|o| o.deadline_cycles.is_some());
+        let overload_on = overload.is_some();
         loop {
             while let Some(e) = self.heap.pop() {
                 self.now = SimTime::from_cycles(e.t);
@@ -563,16 +763,11 @@ impl Engine<'_> {
                     }
                     Ev::Retry { req } => {
                         self.pending -= 1;
-                        let r = &self.plan.requests[req];
-                        let (site, resource) = (SiteId(r.site), rda_core::Resource::Llc);
+                        let site = self.plan.requests[req].site;
+                        let demand = self.classes[site as usize];
+                        let log = &mut self.calls;
                         self.ext
-                            .note_retry(Self::pid(req), site, resource, self.now);
-                        self.record(RdaCall::Retry {
-                            now: self.now,
-                            process: Self::pid(req),
-                            site,
-                            resource,
-                        });
+                            .retry(pid(req), SiteId(site), demand, self.now, log);
                         self.retries += 1;
                         self.attempt(req);
                     }
@@ -581,30 +776,25 @@ impl Engine<'_> {
                         self.complete(req, pp);
                     }
                     Ev::Tick => {
-                        let now = self.now;
-                        let out = self.ext.age_waitlist(now);
+                        self.ext.tick(self.now, self.pending);
                         // Under overload control every tick advances
                         // breaker hysteresis, so every tick must be in
                         // the replayable call log; otherwise only ticks
                         // that admitted something are observable.
-                        if overload_on || !out.resumed.is_empty() {
-                            self.record(RdaCall::Age { now });
-                        }
+                        let out = self.ext.age(self.now, overload_on, &mut self.calls);
                         for (pp, _) in out.resumed {
                             self.wake(pp);
                         }
                         for (pp, _) in out.expired {
-                            let req = self
-                                .waiting
+                            self.waiting
                                 .remove(&pp.0)
                                 .expect("expired period not waitlisted");
-                            debug_assert!(self.attempts[req] < u32::MAX);
                             // A missed deadline is an end-to-end SLO
                             // failure: no retry.
                             self.expired += 1;
                         }
                         if self.pending > 0 || (!self.waiting.is_empty() && can_unstick) {
-                            self.push_tick(e.t + self.cfg.age_tick_cycles);
+                            self.push(e.t + self.cfg.age_tick_cycles, Ev::Tick);
                         }
                     }
                 }
@@ -619,15 +809,8 @@ impl Engine<'_> {
                 if self.waiting.remove(&ppid).is_none() {
                     continue; // resumed by an earlier reclaim this round
                 }
-                self.record(RdaCall::Exit {
-                    now: self.now,
-                    process: Self::pid(req),
-                });
-                let resumed = self.ext.process_exit(Self::pid(req), self.now);
                 self.stranded += 1;
-                for (pp, _) in resumed {
-                    self.wake(pp);
-                }
+                self.exit(req);
             }
         }
     }
@@ -636,30 +819,19 @@ impl Engine<'_> {
     /// request's fault-adjusted demand.
     fn attempt(&mut self, req: usize) {
         let r = &self.plan.requests[req];
-        let (site, service) = (SiteId(r.site), r.service);
-        let fault = self.faults.phase(req, 0);
-        let declared = if fault.demand_factor != 1.0 {
-            (r.demand as f64 * fault.demand_factor) as u64
+        let (site, done) = (SiteId(r.site), self.now.cycles().saturating_add(r.service));
+        let base = self.classes[r.site as usize];
+        let factor = self.faults.phase(req, 0).demand_factor;
+        let demand = if factor == 1.0 {
+            base
         } else {
-            r.demand
+            E::scale(base, factor)
         };
-        let demand = PpDemand::llc(declared, ReuseLevel::High);
-        self.record(RdaCall::Begin {
-            now: self.now,
-            process: Self::pid(req),
-            site,
-            demand,
-        });
-        let out = self.ext.pp_begin(Self::pid(req), site, demand, self.now);
+        let out = self
+            .ext
+            .begin(pid(req), site, demand, self.now, &mut self.calls);
         match out {
-            Ok(BeginOutcome::Run { pp, .. }) => {
-                let t = self.now.cycles().saturating_add(service);
-                self.push(t, Ev::Complete { req, pp: Some(pp) });
-            }
-            Ok(BeginOutcome::Bypass) => {
-                let t = self.now.cycles().saturating_add(service);
-                self.push(t, Ev::Complete { req, pp: None });
-            }
+            Ok(BeginOutcome::Run { pp, .. }) => self.push(done, Ev::Complete { req, pp: Some(pp) }),
             Ok(BeginOutcome::Pause { pp, shed }) => {
                 if let Some(victim) = shed {
                     // RejectOldest evicted the longest waiter to make
@@ -673,34 +845,31 @@ impl Engine<'_> {
                 if self.faults.kill_at(req) == Some(0) {
                     // Fault-killed while waitlisted: the process dies
                     // holding its queued period; exit reclaims it.
-                    self.record(RdaCall::Exit {
-                        now: self.now,
-                        process: Self::pid(req),
-                    });
-                    let resumed = self.ext.process_exit(Self::pid(req), self.now);
                     self.killed += 1;
-                    for (woken, _) in resumed {
-                        self.wake(woken);
-                    }
+                    self.exit(req);
                 } else {
                     self.waiting.insert(pp.0, req);
                 }
             }
-            Err(RdaError::WaitlistFull { .. }) | Err(RdaError::BreakerOpen { .. }) => {
-                self.retry_or_fail(req);
-            }
-            Err(_) => {
-                // Auditor refusal (demand overflow): per the API
-                // contract the caller falls back to untracked
-                // scheduling, so the request still completes.
-                let t = self.now.cycles().saturating_add(service);
-                self.push(t, Ev::Complete { req, pp: None });
-            }
+            Err(e) if E::sheds(&e) => self.retry_or_fail(req),
+            // Untracked: the policy bypasses admission, or the auditor
+            // refused the demand (per the API contract the caller then
+            // falls back to untracked scheduling), so the request
+            // still completes.
+            Ok(BeginOutcome::Bypass) | Err(_) => self.push(done, Ev::Complete { req, pp: None }),
+        }
+    }
+
+    /// `process_exit` for a request's process, waking whatever its
+    /// periods freed.
+    fn exit(&mut self, req: usize) {
+        for (woken, _) in self.ext.exit(pid(req), self.now, &mut self.calls) {
+            self.wake(woken);
         }
     }
 
     /// Schedule the service completion of a just-admitted waiter.
-    fn wake(&mut self, pp: rda_core::PpId) {
+    fn wake(&mut self, pp: PpId) {
         let req = self
             .waiting
             .remove(&pp.0)
@@ -735,57 +904,38 @@ impl Engine<'_> {
     }
 
     /// A request finished its service.
-    fn complete(&mut self, req: usize, pp: Option<rda_core::PpId>) {
+    fn complete(&mut self, req: usize, pp: Option<PpId>) {
         let sojourn = self
             .now
             .cycles()
             .saturating_sub(self.plan.requests[req].arrival);
-        let Some(pp) = pp else {
-            self.completed += 1;
-            self.sojourn.record(sojourn);
-            return;
-        };
-        let fault = self.faults.phase(req, 0);
-        if self.faults.kill_at(req) == Some(0) {
-            // Died at phase completion holding the open period.
-            self.record(RdaCall::Exit {
-                now: self.now,
-                process: Self::pid(req),
-            });
-            let resumed = self.ext.process_exit(Self::pid(req), self.now);
-            self.killed += 1;
-            for (woken, _) in resumed {
-                self.wake(woken);
+        if let Some(pp) = pp {
+            if self.faults.kill_at(req) == Some(0) {
+                // Died at phase completion holding the open period.
+                self.killed += 1;
+                self.exit(req);
+                return;
             }
-            return;
-        }
-        if fault.leak_end {
-            // The work finished but `pp_end` never came; process exit
-            // reclaims the leaked period.
-            self.record(RdaCall::Exit {
-                now: self.now,
-                process: Self::pid(req),
-            });
-            let resumed = self.ext.process_exit(Self::pid(req), self.now);
-            for (woken, _) in resumed {
-                self.wake(woken);
-            }
-        } else {
-            self.record(RdaCall::End { now: self.now, pp });
-            let out = self
-                .ext
-                .pp_end(pp, self.now)
-                .expect("first pp_end of a running period cannot fail");
-            for (woken, _) in out.resumed {
-                self.wake(woken);
-            }
-            if fault.double_end {
-                self.record(RdaCall::End { now: self.now, pp });
-                let second = self.ext.pp_end(pp, self.now);
-                debug_assert!(
-                    matches!(second, Err(RdaError::DoubleEnd(_))),
-                    "second pp_end must be rejected as a double end"
-                );
+            let fault = self.faults.phase(req, 0);
+            if fault.leak_end {
+                // The work finished but `pp_end` never came; process
+                // exit reclaims the leaked period.
+                self.exit(req);
+            } else {
+                let out = self
+                    .ext
+                    .end(pp, self.now, &mut self.calls)
+                    .expect("first pp_end of a running period cannot fail");
+                for (woken, _) in out.resumed {
+                    self.wake(woken);
+                }
+                if fault.double_end {
+                    let second = self.ext.end(pp, self.now, &mut self.calls);
+                    debug_assert!(
+                        matches!(second, Err(ref e) if E::is_double_end(e)),
+                        "second pp_end must be rejected as a double end"
+                    );
+                }
             }
         }
         self.completed += 1;
@@ -908,7 +1058,11 @@ mod tests {
         assert!(r.rda.shed > 0, "10x overload must shed: {r:?}");
         assert!(r.retries > 0, "sheds must drive retries");
         assert!(r.completed > 0, "overload control must preserve goodput");
-        assert!(r.calls.as_ref().is_some_and(|c| !c.is_empty()));
+        // Pinned: the shed, deadline, breaker and fault paths of the
+        // shared traffic loop, driven through the scalar engine.
+        assert_eq!(r.digest(), 0x1199_6ba0_26bb_9ea4);
+        assert_eq!(r.arrivals, 2_080);
+        assert_eq!(r.calls.as_ref().map(Vec::len), Some(6_637));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 use proptest::prelude::*;
 use rda_check::{replay, replay_lifted, topo_doc_from_calls, GenParams, TopoEffect};
 use rda_core::{
-    BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, ResourceKind,
-    ShedPolicy, TopoConfig, TopoSpec,
+    mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, RdaConfig,
+    RdaStats, ResourceKind, ShedPolicy, TopoConfig, TopoSpec,
 };
+use rda_machine::MachineConfig;
 use rda_sim::{
     run_topo_cells, topo_sweep_digest, FaultConfig, TopoCall, TopoCell, TopoClass,
-    TopoTrafficConfig, TopoTrafficSim,
+    TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim, TrafficConfig, TrafficResult, TrafficSim,
 };
 
 const SHED_POLICIES: [ShedPolicy; 3] = [
@@ -212,4 +213,128 @@ proptest! {
             "final overflow books must match"
         );
     }
+}
+
+/// One `web_default` plan (seed 3) through the scalar traffic engine,
+/// and through the topology engine on `TopoConfig::compat` with each
+/// class lifted to an LLC-only vector on layer 0.
+fn both_engines(rda: RdaConfig, rate: f64, faults: f64) -> (TrafficResult, TopoTrafficResult) {
+    let traffic = TrafficConfig::web_default(rate, 0.1);
+    let lifted = TopoTrafficConfig {
+        pattern: traffic.pattern,
+        duration_secs: traffic.duration_secs,
+        cycles_per_sec: traffic.cycles_per_sec,
+        classes: traffic
+            .demand_classes
+            .iter()
+            .map(|&(bytes, weight)| TopoClass {
+                demand: Demand::llc(bytes),
+                weight,
+                layer: LayerId(0),
+            })
+            .collect(),
+        mean_service_cycles: traffic.mean_service_cycles,
+        max_attempts: traffic.max_attempts,
+        backoff_base_cycles: traffic.backoff_base_cycles,
+        age_tick_cycles: traffic.age_tick_cycles,
+        record_calls: false,
+        sample_occupancy: false,
+    };
+    let compat = TopoConfig::compat(&rda);
+    let mut scalar = TrafficSim::new(traffic, rda);
+    let mut topo = TopoTrafficSim::new(lifted, compat);
+    if faults > 0.0 {
+        scalar = scalar.with_faults(FaultConfig::uniform(faults));
+        topo = topo.with_faults(FaultConfig::uniform(faults));
+    }
+    (scalar.run(3), topo.run(3))
+}
+
+/// Both traffic engines share one event loop; on the compat shape they
+/// must also decide every request alike, across policy × overload
+/// control × aging × rate × faults.
+#[test]
+fn scalar_and_compat_topology_traffic_agree() {
+    let policies = [
+        PolicyKind::Strict,
+        PolicyKind::Compromise { factor: 2.0 },
+        PolicyKind::Partitioned { quota_frac: 0.5 },
+        PolicyKind::DefaultOnly,
+    ];
+    let mut overloads = vec![None];
+    overloads.extend(SHED_POLICIES.map(|shed_policy| {
+        Some(OverloadConfig {
+            waitlist_cap: 16,
+            shed_policy,
+            deadline_cycles: Some(40_000_000),
+            breaker: Some(BreakerConfig {
+                high_water: mb(14.0),
+                low_water: mb(8.0),
+                trip_after: 4,
+                recover_after: 4,
+                shed_min_demand: mb(1.0),
+            }),
+        })
+    }));
+    let mut cells = Vec::new();
+    for policy in policies {
+        for &overload in &overloads {
+            for aging in [None, Some(20_000_000)] {
+                for rate in [4_000.0, 20_000.0] {
+                    for faults in [0.0, 0.05, 0.3] {
+                        cells.push((policy, overload, aging, rate, faults));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cells.len(), 192);
+    // The topology engine has no memoised fast path, so its fast-path
+    // counters stay zero while the scalar engine's count memo hits;
+    // they are the one place the two engines' books may differ.
+    let decided = |mut stats: RdaStats| {
+        stats.fast_begins = 0;
+        stats.fast_ends = 0;
+        stats
+    };
+    let mut exercised = [0u64; 5];
+    for (policy, overload, aging, rate, faults) in cells {
+        let mut rda = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), policy);
+        rda.overload = overload;
+        rda.waitlist_timeout_cycles = aging;
+        let (s, t) = both_engines(rda, rate, faults);
+        let cell = format!(
+            "{policy:?}, {:?}, aging {aging:?}, {rate} req/s, faults {faults}",
+            overload.map(|o| o.shed_policy)
+        );
+        assert_eq!(
+            (s.arrivals, s.completed, s.failed, s.retries),
+            (t.arrivals, t.completed, t.failed, t.retries),
+            "arrivals, completions, failures, retries: {cell}"
+        );
+        assert_eq!(
+            (s.expired, s.killed, s.stranded),
+            (t.expired, t.killed, t.stranded),
+            "expiries, kills, strandings: {cell}"
+        );
+        assert_eq!(
+            (s.sojourn.nonzero_buckets(), s.sojourn.max()),
+            (t.sojourn.nonzero_buckets(), t.sojourn.max()),
+            "sojourn: {cell}"
+        );
+        assert_eq!((t.rda.fast_begins, t.rda.fast_ends), (0, 0), "{cell}");
+        assert_eq!(decided(s.rda), decided(t.rda), "RdaStats: {cell}");
+        let paths = [
+            s.rda.shed,
+            s.rda.expired,
+            s.rda.breaker_trips,
+            s.rda.aged_admissions,
+            s.killed,
+        ];
+        for (n, p) in exercised.iter_mut().zip(paths) {
+            *n += p;
+        }
+    }
+    // The shed, expiry, breaker, aging and kill paths all ran.
+    assert!(exercised.iter().all(|&n| n > 0), "{exercised:?}");
 }
