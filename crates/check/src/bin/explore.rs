@@ -1,14 +1,16 @@
 //! CI entry point for the bounded model checker.
 //!
 //! Exhaustively explores every interleaving of the built-in scenario
-//! templates under both gating policies, printing the covered volume
-//! (distinct states, pruned transitions, completed interleavings) per
-//! run. Exits non-zero — printing the replayable counterexample trace —
-//! on the first divergence between `rda-core` and the reference model.
+//! templates — the scalar ones under both gating policies, the topology
+//! ones under every shed policy — printing the covered volume (distinct
+//! states, pruned transitions, completed interleavings) per run. Exits
+//! non-zero — printing the replayable counterexample trace — on the
+//! first divergence between `rda-core` and a reference model.
 
-use rda_check::{explore, Template};
-use rda_core::{DemandAudit, PolicyKind, RdaConfig};
-use std::time::Instant;
+use rda_check::{explore, explore_topo, Exploration, Template, TopoDoc, TopoMutation, TraceDoc};
+use rda_core::{DemandAudit, PolicyKind, RdaConfig, ShedPolicy};
+use std::fmt::Display;
+use std::time::{Duration, Instant};
 
 /// Small capacity keeps the state space rich (every admission class is
 /// reachable) while the aggressive timeout/interval exercise aging and
@@ -25,6 +27,30 @@ fn check_cfg(policy: PolicyKind) -> RdaConfig {
     cfg
 }
 
+/// Print one space's covered volume and, on a divergence, its
+/// replayable counterexample. Returns whether the space diverged.
+fn report<Doc, Div: Display>(
+    name: &str,
+    label: &str,
+    ex: Exploration<Doc, Div>,
+    elapsed: Duration,
+    to_text: fn(&Doc) -> String,
+) -> bool {
+    println!(
+        "{name:<26} {label:<16} states={:<8} pruned={:<8} interleavings={:<8} {elapsed:>8.2?}",
+        ex.states, ex.pruned, ex.completed
+    );
+    let Some((trace, div)) = ex.divergence else {
+        return false;
+    };
+    eprintln!("\nDIVERGENCE in {name} under {label}:\n  {div}");
+    eprintln!(
+        "--- replayable counterexample trace ---\n{}",
+        to_text(&trace)
+    );
+    true
+}
+
 fn main() {
     let policies = [PolicyKind::Strict, PolicyKind::compromise_default()];
     let templates = [
@@ -32,6 +58,14 @@ fn main() {
         Template::faulty_ops(LLC_CAPACITY),
         Template::oversized_pair(LLC_CAPACITY),
     ];
+    let mut topo = vec![("strict layers".to_string(), Template::two_node_two_layer())];
+    for shed in [
+        ShedPolicy::RejectNewest,
+        ShedPolicy::RejectOldest,
+        ShedPolicy::DegradeToOverflow,
+    ] {
+        topo.push((format!("{shed:?}"), Template::two_node_overload(shed)));
+    }
 
     let mut failed = false;
     let wall = Instant::now();
@@ -40,17 +74,14 @@ fn main() {
         for tpl in &templates {
             let started = Instant::now();
             let ex = explore(&cfg, tpl);
-            let elapsed = started.elapsed();
-            println!(
-                "{:<26} {:<16} states={:<8} pruned={:<8} interleavings={:<8} {:>8.2?}",
-                tpl.name, policy, ex.states, ex.pruned, ex.completed, elapsed
-            );
-            if let Some((trace, div)) = ex.divergence {
-                failed = true;
-                eprintln!("\nDIVERGENCE in {} under {policy}:\n  {div}", tpl.name);
-                eprintln!("--- replayable counterexample trace ---\n{}", trace.to_text());
-            }
+            let label = policy.to_string();
+            failed |= report(&tpl.name, &label, ex, started.elapsed(), TraceDoc::to_text);
         }
+    }
+    for (label, (cfg, tpl)) in &topo {
+        let started = Instant::now();
+        let ex = explore_topo(cfg, tpl, TopoMutation::None);
+        failed |= report(&tpl.name, label, ex, started.elapsed(), TopoDoc::to_text);
     }
     println!("total: {:.2?}", wall.elapsed());
     if failed {

@@ -14,10 +14,11 @@
 //!   `.trace` file, recorded simulation, random scenario) is applied to
 //!   both machines with full observable-state equality demanded after
 //!   every single event.
-//! * **Bounded exhaustive exploration** ([`explore`]) — every
+//! * **Bounded exhaustive exploration** ([`mod@explore`]) — every
 //!   interleaving of small multi-process scenario templates is
 //!   enumerated by DFS with state-hash pruning, so concurrency-order
-//!   bugs cannot hide behind one lucky schedule.
+//!   bugs cannot hide behind one lucky schedule. One DFS serves both
+//!   engines.
 //! * **Random scenarios with shrinking** ([`gen`]) — large seeded
 //!   traces replayed through the oracle; failures are shrunk to minimal
 //!   repros ready to commit under `tests/corpus/`.
@@ -29,15 +30,17 @@
 //! ## Topology checking
 //!
 //! The multi-resource NUMA topology engine (`rda_core::TopoExtension`)
-//! has its own parallel stack: a recompute-by-summation reference model
+//! has its own recompute-by-summation reference model
 //! ([`topo_model::TopoRefModel`]) whose books are re-derived from live
-//! periods on every call, a vector-aware trace dialect
-//! ([`topo_trace::TopoDoc`]), a lock-step oracle ([`topo_diff`]), and a
-//! bounded explorer over 2-node × 2-layer templates ([`topo_explore`]).
-//! Legacy scalar traces replay through the topology oracle unchanged
-//! via [`topo_trace::lift`], and the explorer permanently proves its
-//! own sensitivity by catching an injected exact-fit off-by-one
-//! ([`topo_model::TopoMutation::StrictOffByOne`]).
+//! periods on every call, and its own lock-step oracle ([`topo_diff`]).
+//! The rest of the stack is shared with the scalar engine: its trace
+//! dialect ([`topo_trace::TopoDoc`]) adds vector demands and a machine
+//! header to the scalar format's line reader and header directives,
+//! and [`explore_topo`] runs 2-node × 2-layer templates through the
+//! same DFS as [`explore()`]. Legacy scalar traces replay through the
+//! topology oracle unchanged via [`topo_trace::lift`], and the explorer
+//! permanently proves its own sensitivity by catching an injected
+//! exact-fit off-by-one ([`topo_model::TopoMutation::StrictOffByOne`]).
 
 #![warn(missing_docs)]
 
@@ -47,13 +50,12 @@ pub mod gen;
 pub mod headscan;
 pub mod model;
 pub mod topo_diff;
-pub mod topo_explore;
 pub mod topo_model;
 pub mod topo_trace;
 pub mod trace;
 
 pub use diff::{replay, Divergence, Oracle, ReplayReport};
-pub use explore::{explore, Exploration, Op, Template};
+pub use explore::{explore, explore_topo, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
 pub use headscan::{check_headscan_property, headscan_prediction};
 pub use model::{Effect, RefModel};
@@ -61,7 +63,6 @@ pub use topo_diff::{
     describe_topo_snapshot_diff, replay_lifted, replay_topo, TopoDivergence, TopoOracle,
     TopoReplayReport,
 };
-pub use topo_explore::{explore_topo, TopoExploration, TopoOp, TopoTemplate};
 pub use topo_model::{TopoEffect, TopoMutation, TopoRefModel};
 pub use topo_trace::{default_topo_config, lift, lift_kind, TopoDoc, TopoEvent};
 pub use trace::{TraceDoc, TraceEvent};

@@ -16,8 +16,8 @@
 //! The model also carries a [`TopoMutation`] knob: a deliberately
 //! injected predicate off-by-one (`>=` weakened to `>`) used by the
 //! bounded explorer's self-test to prove the oracle *would* catch such
-//! a bug (see `topo_explore`). Production checks run with
-//! [`TopoMutation::None`].
+//! a bug (see the explorer's `topo_mutated_model_is_caught_by_the_space`).
+//! Production checks run with [`TopoMutation::None`].
 
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 

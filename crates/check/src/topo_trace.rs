@@ -27,8 +27,8 @@
 //!   appends one layer (policy spelled as in the scalar format); the
 //!   first `layer` line replaces the default single layer
 //! * `assign <process> <layer>` — pins a process to a layer by index
-//! * `audit`, `timeout`, `overload`, `deadline`, `breaker` — exactly as
-//!   in the scalar format
+//! * `audit`, `timeout`, `overload`, `deadline`, `breaker` — as in the
+//!   scalar format, read and written by its code
 //!
 //! Events (amounts accept raw bytes or a decimal `mb` suffix):
 //!
@@ -43,10 +43,12 @@
 //! corpus through the topology oracle (DESIGN.md §9's compatibility
 //! argument, checked event by event).
 
-use crate::trace::{parse_amount, TraceDoc, TraceEvent};
+use crate::trace::{
+    parse_amount, parse_policy, parse_shared_header, policy_words, read_lines, write_shared_header,
+    TraceDoc, TraceEvent,
+};
 use rda_core::{
-    BreakerConfig, Demand, DemandAudit, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind,
-    Resource, ResourceKind, ShedPolicy, TopoConfig, TopoSpec,
+    Demand, LayerId, LayerSet, LayerSpec, Resource, ResourceKind, TopoConfig, TopoSpec,
 };
 use std::fmt::Write as _;
 
@@ -111,35 +113,12 @@ pub fn default_topo_config() -> TopoConfig {
     TopoConfig::compat(&crate::trace::default_config())
 }
 
-fn parse_kind(word: &str) -> Option<ResourceKind> {
+fn parse_kind(word: &str, fail: &dyn Fn(&str) -> String) -> Result<ResourceKind, String> {
     match word {
-        "llc" => Some(ResourceKind::Llc),
-        "membw" => Some(ResourceKind::MemBw),
-        "dram" => Some(ResourceKind::DramCap),
-        _ => None,
-    }
-}
-
-fn parse_policy(
-    fields: &[&str],
-    fail: &dyn Fn(&str) -> String,
-) -> Result<(PolicyKind, usize), String> {
-    match fields {
-        ["default", ..] => Ok((PolicyKind::DefaultOnly, 1)),
-        ["strict", ..] => Ok((PolicyKind::Strict, 1)),
-        ["compromise", f, ..] => Ok((
-            PolicyKind::Compromise {
-                factor: f.parse().map_err(|_| fail("bad factor"))?,
-            },
-            2,
-        )),
-        ["partitioned", f, ..] => Ok((
-            PolicyKind::Partitioned {
-                quota_frac: f.parse().map_err(|_| fail("bad quota"))?,
-            },
-            2,
-        )),
-        _ => Err(fail("unknown policy")),
+        "llc" => Ok(ResourceKind::Llc),
+        "membw" => Ok(ResourceKind::MemBw),
+        "dram" => Ok(ResourceKind::DramCap),
+        _ => Err(fail("resource must be llc|membw|dram")),
     }
 }
 
@@ -170,30 +149,22 @@ impl TopoDoc {
         let mut layers: Vec<LayerSpec> = Vec::new();
         let mut assigns: Vec<(u32, u32)> = Vec::new();
         let mut events = Vec::new();
-        for (no, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let no = no + 1;
-            let mut words = line.split_whitespace();
-            let key = words.next().expect("non-empty line has a first word");
-            let fields: Vec<&str> = words.collect();
-            let fail = |msg: &str| format!("line {no}: {msg}: `{raw}`");
-            let is_event = matches!(key, "vbegin" | "begin" | "end" | "exit" | "age" | "retry");
-            if !is_event && !events.is_empty() {
-                return Err(fail("header line after the first event"));
+        let event_keys = ["vbegin", "begin", "end", "exit", "age", "retry"];
+        read_lines(text, &event_keys, |key, fields, fail| {
+            let (audit, timeout) = (&mut cfg.demand_audit, &mut cfg.waitlist_timeout_cycles);
+            if parse_shared_header(key, fields, fail, audit, timeout, &mut cfg.overload)? {
+                return Ok(());
             }
             match key {
-                "node" => caps.push(parse_vector(&fields, &fail)?.amounts),
-                "layer" => match fields.as_slice() {
+                "node" => caps.push(parse_vector(fields, fail)?.amounts),
+                "layer" => match fields {
                     [name, rest @ ..] if !rest.is_empty() => {
-                        let (policy, used) = parse_policy(rest, &fail)?;
+                        let (policy, used) = parse_policy(rest, fail)?;
                         let mut spec = LayerSpec::new(*name, policy);
                         match &rest[used..] {
                             [] => {}
                             ["guarantee", g @ ..] => {
-                                spec = spec.with_guarantee(parse_vector(g, &fail)?);
+                                spec = spec.with_guarantee(parse_vector(g, fail)?);
                             }
                             _ => return Err(fail("trailing words after layer policy")),
                         }
@@ -201,137 +172,69 @@ impl TopoDoc {
                     }
                     _ => return Err(fail("expected `layer <name> <policy...>`")),
                 },
-                "assign" => match fields.as_slice() {
+                "assign" => match fields {
                     [process, layer] => assigns.push((
                         process.parse().map_err(|_| fail("bad process"))?,
                         layer.parse().map_err(|_| fail("bad layer index"))?,
                     )),
                     _ => return Err(fail("expected `assign <process> <layer>`")),
                 },
-                "audit" => {
-                    cfg.demand_audit = match fields.as_slice() {
-                        ["trust"] => DemandAudit::Trust,
-                        ["clamp"] => DemandAudit::Clamp,
-                        ["reject"] => DemandAudit::Reject,
-                        _ => return Err(fail("unknown audit mode")),
-                    }
-                }
-                "timeout" => {
-                    cfg.waitlist_timeout_cycles = match fields.as_slice() {
-                        ["none"] => None,
-                        [n] => Some(n.parse().map_err(|_| fail("bad timeout"))?),
-                        _ => return Err(fail("expected `timeout none|<cycles>`")),
-                    }
-                }
-                "overload" => {
-                    cfg.overload = match fields.as_slice() {
-                        [cap, policy] => Some(OverloadConfig {
-                            waitlist_cap: cap.parse().map_err(|_| fail("bad waitlist cap"))?,
-                            shed_policy: match *policy {
-                                "reject_newest" => ShedPolicy::RejectNewest,
-                                "reject_oldest" => ShedPolicy::RejectOldest,
-                                "degrade" => ShedPolicy::DegradeToOverflow,
-                                _ => {
-                                    return Err(fail(
-                                        "shed policy must be reject_newest|reject_oldest|degrade",
-                                    ))
-                                }
-                            },
-                            deadline_cycles: None,
-                            breaker: None,
-                        }),
-                        _ => return Err(fail("expected `overload <cap> <policy>`")),
-                    }
-                }
-                "deadline" => {
-                    let ov = cfg
-                        .overload
-                        .as_mut()
-                        .ok_or_else(|| fail("deadline requires a preceding overload line"))?;
-                    ov.deadline_cycles = match fields.as_slice() {
-                        [n] => Some(n.parse().map_err(|_| fail("bad deadline"))?),
-                        _ => return Err(fail("expected `deadline <cycles>`")),
-                    }
-                }
-                "breaker" => {
-                    let breaker = match fields.as_slice() {
-                        [high, low, trip, recover, min] => BreakerConfig {
-                            high_water: parse_amount(Some(high), &fail)?,
-                            low_water: parse_amount(Some(low), &fail)?,
-                            trip_after: trip.parse().map_err(|_| fail("bad trip count"))?,
-                            recover_after: recover
-                                .parse()
-                                .map_err(|_| fail("bad recover count"))?,
-                            shed_min_demand: parse_amount(Some(min), &fail)?,
-                        },
-                        _ => {
-                            return Err(fail(
-                                "expected `breaker <high> <low> <trip> <recover> <min>`",
-                            ))
-                        }
-                    };
-                    cfg.overload
-                        .as_mut()
-                        .ok_or_else(|| fail("breaker requires a preceding overload line"))?
-                        .breaker = Some(breaker);
-                }
-                "vbegin" => match fields.as_slice() {
+                "vbegin" => match fields {
                     [t, process, site, v @ ..] => events.push(TopoEvent::Begin {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                         site: site.parse().map_err(|_| fail("bad site"))?,
-                        demand: parse_vector(v, &fail)?,
+                        demand: parse_vector(v, fail)?,
                     }),
-                    _ => return Err(fail(
-                        "expected `vbegin <t> <proc> <site> <llc> <membw> <dram>`",
-                    )),
-                },
-                "begin" => match fields.as_slice() {
-                    [t, process, site, kind, amount] => {
-                        let k = parse_kind(kind)
-                            .ok_or_else(|| fail("resource must be llc|membw|dram"))?;
-                        events.push(TopoEvent::Begin {
-                            t: t.parse().map_err(|_| fail("bad time"))?,
-                            process: process.parse().map_err(|_| fail("bad process"))?,
-                            site: site.parse().map_err(|_| fail("bad site"))?,
-                            demand: Demand::ZERO.with(k, parse_amount(Some(amount), &fail)?),
-                        });
+                    _ => {
+                        return Err(fail(
+                            "expected `vbegin <t> <proc> <site> <llc> <membw> <dram>`",
+                        ))
                     }
+                },
+                "begin" => match fields {
+                    [t, process, site, kind, amount] => events.push(TopoEvent::Begin {
+                        t: t.parse().map_err(|_| fail("bad time"))?,
+                        process: process.parse().map_err(|_| fail("bad process"))?,
+                        site: site.parse().map_err(|_| fail("bad site"))?,
+                        demand: Demand::ZERO
+                            .with(parse_kind(kind, fail)?, parse_amount(Some(amount), fail)?),
+                    }),
                     _ => return Err(fail("expected `begin <t> <proc> <site> <res> <amount>`")),
                 },
-                "end" => match fields.as_slice() {
+                "end" => match fields {
                     [t, pp] => events.push(TopoEvent::End {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         pp: pp.parse().map_err(|_| fail("bad pp id"))?,
                     }),
                     _ => return Err(fail("expected `end <t> <pp>`")),
                 },
-                "exit" => match fields.as_slice() {
+                "exit" => match fields {
                     [t, process] => events.push(TopoEvent::Exit {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                     }),
                     _ => return Err(fail("expected `exit <t> <process>`")),
                 },
-                "age" => match fields.as_slice() {
+                "age" => match fields {
                     [t] => events.push(TopoEvent::Age {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                     }),
                     _ => return Err(fail("expected `age <t>`")),
                 },
-                "retry" => match fields.as_slice() {
+                "retry" => match fields {
                     [t, process, site, kind] => events.push(TopoEvent::Retry {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                         site: site.parse().map_err(|_| fail("bad site"))?,
-                        kind: parse_kind(kind)
-                            .ok_or_else(|| fail("resource must be llc|membw|dram"))?,
+                        kind: parse_kind(kind, fail)?,
                     }),
                     _ => return Err(fail("expected `retry <t> <proc> <site> <res>`")),
                 },
                 _ => return Err(fail("unknown directive")),
             }
-        }
+            Ok(())
+        })?;
         if !caps.is_empty() {
             cfg.spec = TopoSpec { caps };
         }
@@ -362,13 +265,7 @@ impl TopoDoc {
             let _ = writeln!(out, "node {} {} {}", cap[0], cap[1], cap[2]);
         }
         for spec in &c.layers.layers {
-            let policy = match spec.policy {
-                PolicyKind::DefaultOnly => "default".to_string(),
-                PolicyKind::Strict => "strict".to_string(),
-                PolicyKind::Compromise { factor } => format!("compromise {factor}"),
-                PolicyKind::Partitioned { quota_frac } => format!("partitioned {quota_frac}"),
-            };
-            let _ = write!(out, "layer {} {policy}", spec.name);
+            let _ = write!(out, "layer {} {}", spec.name, policy_words(spec.policy));
             if let Some(g) = spec.guarantee {
                 let _ = write!(
                     out,
@@ -381,72 +278,33 @@ impl TopoDoc {
         for &(process, layer) in c.layers.assignments() {
             let _ = writeln!(out, "assign {process} {layer}");
         }
-        let audit = match c.demand_audit {
-            DemandAudit::Trust => "trust",
-            DemandAudit::Clamp => "clamp",
-            DemandAudit::Reject => "reject",
-        };
-        let _ = writeln!(out, "audit {audit}");
-        match c.waitlist_timeout_cycles {
-            None => out.push_str("timeout none\n"),
-            Some(t) => {
-                let _ = writeln!(out, "timeout {t}");
-            }
-        }
-        if let Some(ov) = c.overload {
-            let policy = match ov.shed_policy {
-                ShedPolicy::RejectNewest => "reject_newest",
-                ShedPolicy::RejectOldest => "reject_oldest",
-                ShedPolicy::DegradeToOverflow => "degrade",
-            };
-            let _ = writeln!(out, "overload {} {policy}", ov.waitlist_cap);
-            if let Some(d) = ov.deadline_cycles {
-                let _ = writeln!(out, "deadline {d}");
-            }
-            if let Some(b) = ov.breaker {
-                let _ = writeln!(
-                    out,
-                    "breaker {} {} {} {} {}",
-                    b.high_water, b.low_water, b.trip_after, b.recover_after, b.shed_min_demand
-                );
-            }
-        }
+        write_shared_header(
+            &mut out,
+            c.demand_audit,
+            c.waitlist_timeout_cycles,
+            c.overload,
+        );
         for ev in &self.events {
-            match *ev {
+            let _ = match *ev {
                 TopoEvent::Begin {
                     t,
                     process,
                     site,
                     demand,
                 } => {
-                    let _ = writeln!(
-                        out,
-                        "vbegin {t} {process} {site} {} {} {}",
-                        demand.amounts[0], demand.amounts[1], demand.amounts[2]
-                    );
+                    let [llc, membw, dram] = demand.amounts;
+                    writeln!(out, "vbegin {t} {process} {site} {llc} {membw} {dram}")
                 }
-                TopoEvent::End { t, pp } => {
-                    let _ = writeln!(out, "end {t} {pp}");
-                }
-                TopoEvent::Exit { t, process } => {
-                    let _ = writeln!(out, "exit {t} {process}");
-                }
-                TopoEvent::Age { t } => {
-                    let _ = writeln!(out, "age {t}");
-                }
+                TopoEvent::End { t, pp } => writeln!(out, "end {t} {pp}"),
+                TopoEvent::Exit { t, process } => writeln!(out, "exit {t} {process}"),
+                TopoEvent::Age { t } => writeln!(out, "age {t}"),
                 TopoEvent::Retry {
                     t,
                     process,
                     site,
                     kind,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "retry {t} {process} {site} {}",
-                        kind.label()
-                    );
-                }
-            }
+                } => writeln!(out, "retry {t} {process} {site} {}", kind.label()),
+            };
         }
         out
     }
@@ -507,6 +365,7 @@ pub fn lift_kind(r: Resource) -> ResourceKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rda_core::DemandAudit;
 
     #[test]
     fn parses_topology_header_and_vector_events() {

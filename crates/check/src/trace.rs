@@ -45,8 +45,15 @@
 //!
 //! Shrunk counterexamples from the random generator are written in this
 //! format under `tests/corpus/` and replayed by CI forever after.
+//!
+//! The topology dialect ([`crate::topo_trace`]) reads its lines with the
+//! same reader, and parses and writes the `audit`, `timeout`,
+//! `overload`, `deadline` and `breaker` directives and the policy
+//! spelling with the same code.
 
-use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, RdaConfig, Resource, ShedPolicy};
+use rda_core::{
+    BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, RdaConfig, Resource, ShedPolicy,
+};
 use rda_machine::MachineConfig;
 use std::fmt::Write as _;
 
@@ -125,159 +132,70 @@ impl TraceDoc {
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = default_config();
         let mut events = Vec::new();
-        for (no, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let no = no + 1;
-            let mut words = line.split_whitespace();
-            let key = words.next().expect("non-empty line has a first word");
-            let fields: Vec<&str> = words.collect();
-            let fail = |msg: &str| format!("line {no}: {msg}: `{raw}`");
-            let is_event = matches!(key, "begin" | "end" | "exit" | "age" | "retry");
-            if !is_event && !events.is_empty() {
-                return Err(fail("header line after the first event"));
+        let event_keys = ["begin", "end", "exit", "age", "retry"];
+        read_lines(text, &event_keys, |key, fields, fail| {
+            let (audit, timeout) = (&mut cfg.demand_audit, &mut cfg.waitlist_timeout_cycles);
+            if parse_shared_header(key, fields, fail, audit, timeout, &mut cfg.overload)? {
+                return Ok(());
             }
             match key {
                 "policy" => {
-                    cfg.policy = match fields.as_slice() {
-                        ["default"] => PolicyKind::DefaultOnly,
-                        ["strict"] => PolicyKind::Strict,
-                        ["compromise", f] => PolicyKind::Compromise {
-                            factor: f.parse().map_err(|_| fail("bad factor"))?,
-                        },
-                        ["partitioned", f] => PolicyKind::Partitioned {
-                            quota_frac: f.parse().map_err(|_| fail("bad quota"))?,
-                        },
-                        _ => return Err(fail("unknown policy")),
+                    cfg.policy = match parse_policy(fields, fail)? {
+                        (policy, used) if used == fields.len() => policy,
+                        _ => return Err(fail("trailing words after policy")),
                     }
                 }
-                "llc" => cfg.llc_capacity = parse_amount(fields.first(), &fail)?,
-                "membw" => cfg.membw_capacity = parse_amount(fields.first(), &fail)?,
-                "audit" => {
-                    cfg.demand_audit = match fields.as_slice() {
-                        ["trust"] => DemandAudit::Trust,
-                        ["clamp"] => DemandAudit::Clamp,
-                        ["reject"] => DemandAudit::Reject,
-                        _ => return Err(fail("unknown audit mode")),
-                    }
-                }
-                "timeout" => {
-                    cfg.waitlist_timeout_cycles = match fields.as_slice() {
-                        ["none"] => None,
-                        [n] => Some(n.parse().map_err(|_| fail("bad timeout"))?),
-                        _ => return Err(fail("expected `timeout none|<cycles>`")),
-                    }
-                }
+                "llc" => cfg.llc_capacity = parse_amount(fields.first(), fail)?,
+                "membw" => cfg.membw_capacity = parse_amount(fields.first(), fail)?,
                 "interval" => {
-                    cfg.min_eval_interval_cycles = match fields.as_slice() {
+                    cfg.min_eval_interval_cycles = match fields {
                         [n] => n.parse().map_err(|_| fail("bad interval"))?,
                         _ => return Err(fail("expected `interval <cycles>`")),
                     }
                 }
-                "overload" => {
-                    cfg.overload = match fields.as_slice() {
-                        [cap, policy] => Some(OverloadConfig {
-                            waitlist_cap: cap.parse().map_err(|_| fail("bad waitlist cap"))?,
-                            shed_policy: match *policy {
-                                "reject_newest" => ShedPolicy::RejectNewest,
-                                "reject_oldest" => ShedPolicy::RejectOldest,
-                                "degrade" => ShedPolicy::DegradeToOverflow,
-                                _ => {
-                                    return Err(fail(
-                                        "shed policy must be reject_newest|reject_oldest|degrade",
-                                    ))
-                                }
-                            },
-                            deadline_cycles: None,
-                            breaker: None,
-                        }),
-                        _ => return Err(fail("expected `overload <cap> <policy>`")),
-                    }
-                }
-                "deadline" => {
-                    let ov = cfg
-                        .overload
-                        .as_mut()
-                        .ok_or_else(|| fail("deadline requires a preceding overload line"))?;
-                    ov.deadline_cycles = match fields.as_slice() {
-                        [n] => Some(n.parse().map_err(|_| fail("bad deadline"))?),
-                        _ => return Err(fail("expected `deadline <cycles>`")),
-                    }
-                }
-                "breaker" => {
-                    let breaker = match fields.as_slice() {
-                        [high, low, trip, recover, min] => BreakerConfig {
-                            high_water: parse_amount(Some(high), &fail)?,
-                            low_water: parse_amount(Some(low), &fail)?,
-                            trip_after: trip.parse().map_err(|_| fail("bad trip count"))?,
-                            recover_after: recover
-                                .parse()
-                                .map_err(|_| fail("bad recover count"))?,
-                            shed_min_demand: parse_amount(Some(min), &fail)?,
-                        },
-                        _ => {
-                            return Err(fail(
-                                "expected `breaker <high> <low> <trip> <recover> <min>`",
-                            ))
-                        }
-                    };
-                    cfg.overload
-                        .as_mut()
-                        .ok_or_else(|| fail("breaker requires a preceding overload line"))?
-                        .breaker = Some(breaker);
-                }
-                "begin" => match fields.as_slice() {
+                "begin" => match fields {
                     [t, process, site, resource, amount] => events.push(TraceEvent::Begin {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                         site: site.parse().map_err(|_| fail("bad site"))?,
-                        resource: match *resource {
-                            "llc" => Resource::Llc,
-                            "membw" => Resource::MemBandwidth,
-                            _ => return Err(fail("resource must be llc|membw")),
-                        },
-                        amount: parse_amount(Some(amount), &fail)?,
+                        resource: parse_resource(resource, fail)?,
+                        amount: parse_amount(Some(amount), fail)?,
                     }),
                     _ => return Err(fail("expected `begin <t> <proc> <site> <res> <amount>`")),
                 },
-                "end" => match fields.as_slice() {
+                "end" => match fields {
                     [t, pp] => events.push(TraceEvent::End {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         pp: pp.parse().map_err(|_| fail("bad pp id"))?,
                     }),
                     _ => return Err(fail("expected `end <t> <pp>`")),
                 },
-                "exit" => match fields.as_slice() {
+                "exit" => match fields {
                     [t, process] => events.push(TraceEvent::Exit {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                     }),
                     _ => return Err(fail("expected `exit <t> <process>`")),
                 },
-                "age" => match fields.as_slice() {
+                "age" => match fields {
                     [t] => events.push(TraceEvent::Age {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                     }),
                     _ => return Err(fail("expected `age <t>`")),
                 },
-                "retry" => match fields.as_slice() {
+                "retry" => match fields {
                     [t, process, site, resource] => events.push(TraceEvent::Retry {
                         t: t.parse().map_err(|_| fail("bad time"))?,
                         process: process.parse().map_err(|_| fail("bad process"))?,
                         site: site.parse().map_err(|_| fail("bad site"))?,
-                        resource: match *resource {
-                            "llc" => Resource::Llc,
-                            "membw" => Resource::MemBandwidth,
-                            _ => return Err(fail("resource must be llc|membw")),
-                        },
+                        resource: parse_resource(resource, fail)?,
                     }),
                     _ => return Err(fail("expected `retry <t> <proc> <site> <res>`")),
                 },
                 _ => return Err(fail("unknown directive")),
             }
-        }
+            Ok(())
+        })?;
         Ok(TraceDoc { cfg, events })
     }
 
@@ -286,51 +204,18 @@ impl TraceDoc {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let c = &self.cfg;
-        match c.policy {
-            PolicyKind::DefaultOnly => out.push_str("policy default\n"),
-            PolicyKind::Strict => out.push_str("policy strict\n"),
-            PolicyKind::Compromise { factor } => {
-                let _ = writeln!(out, "policy compromise {factor}");
-            }
-            PolicyKind::Partitioned { quota_frac } => {
-                let _ = writeln!(out, "policy partitioned {quota_frac}");
-            }
-        }
+        let _ = writeln!(out, "policy {}", policy_words(c.policy));
         let _ = writeln!(out, "llc {}", c.llc_capacity);
         let _ = writeln!(out, "membw {}", c.membw_capacity);
-        let audit = match c.demand_audit {
-            DemandAudit::Trust => "trust",
-            DemandAudit::Clamp => "clamp",
-            DemandAudit::Reject => "reject",
-        };
-        let _ = writeln!(out, "audit {audit}");
-        match c.waitlist_timeout_cycles {
-            None => out.push_str("timeout none\n"),
-            Some(t) => {
-                let _ = writeln!(out, "timeout {t}");
-            }
-        }
         let _ = writeln!(out, "interval {}", c.min_eval_interval_cycles);
-        if let Some(ov) = c.overload {
-            let policy = match ov.shed_policy {
-                ShedPolicy::RejectNewest => "reject_newest",
-                ShedPolicy::RejectOldest => "reject_oldest",
-                ShedPolicy::DegradeToOverflow => "degrade",
-            };
-            let _ = writeln!(out, "overload {} {policy}", ov.waitlist_cap);
-            if let Some(d) = ov.deadline_cycles {
-                let _ = writeln!(out, "deadline {d}");
-            }
-            if let Some(b) = ov.breaker {
-                let _ = writeln!(
-                    out,
-                    "breaker {} {} {} {} {}",
-                    b.high_water, b.low_water, b.trip_after, b.recover_after, b.shed_min_demand
-                );
-            }
-        }
+        write_shared_header(
+            &mut out,
+            c.demand_audit,
+            c.waitlist_timeout_cycles,
+            c.overload,
+        );
         for ev in &self.events {
-            match *ev {
+            let _ = match *ev {
                 TraceEvent::Begin {
                     t,
                     process,
@@ -338,36 +223,225 @@ impl TraceDoc {
                     resource,
                     amount,
                 } => {
-                    let r = match resource {
-                        Resource::Llc => "llc",
-                        Resource::MemBandwidth => "membw",
-                    };
-                    let _ = writeln!(out, "begin {t} {process} {site} {r} {amount}");
+                    let r = resource_word(resource);
+                    writeln!(out, "begin {t} {process} {site} {r} {amount}")
                 }
-                TraceEvent::End { t, pp } => {
-                    let _ = writeln!(out, "end {t} {pp}");
-                }
-                TraceEvent::Exit { t, process } => {
-                    let _ = writeln!(out, "exit {t} {process}");
-                }
-                TraceEvent::Age { t } => {
-                    let _ = writeln!(out, "age {t}");
-                }
+                TraceEvent::End { t, pp } => writeln!(out, "end {t} {pp}"),
+                TraceEvent::Exit { t, process } => writeln!(out, "exit {t} {process}"),
+                TraceEvent::Age { t } => writeln!(out, "age {t}"),
                 TraceEvent::Retry {
                     t,
                     process,
                     site,
                     resource,
                 } => {
-                    let r = match resource {
-                        Resource::Llc => "llc",
-                        Resource::MemBandwidth => "membw",
-                    };
-                    let _ = writeln!(out, "retry {t} {process} {site} {r}");
+                    let r = resource_word(resource);
+                    writeln!(out, "retry {t} {process} {site} {r}")
                 }
-            }
+            };
         }
         out
+    }
+}
+
+fn parse_resource(word: &str, fail: &dyn Fn(&str) -> String) -> Result<Resource, String> {
+    match word {
+        "llc" => Ok(Resource::Llc),
+        "membw" => Ok(Resource::MemBandwidth),
+        _ => Err(fail("resource must be llc|membw")),
+    }
+}
+
+fn resource_word(r: Resource) -> &'static str {
+    match r {
+        Resource::Llc => "llc",
+        Resource::MemBandwidth => "membw",
+    }
+}
+
+/// The line reader both dialects share. Skips blank lines and `#`
+/// comments, splits each line into its first word (the key) and the
+/// remaining fields, rejects a header line after the first event (a
+/// key in `event_keys`), and hands each line to `line` with a `fail`
+/// that formats an error carrying the 1-based line number.
+pub(crate) fn read_lines(
+    text: &str,
+    event_keys: &[&str],
+    mut line: impl FnMut(&str, &[&str], &dyn Fn(&str) -> String) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut in_events = false;
+    for (no, raw) in text.lines().enumerate() {
+        let content = raw.split('#').next().unwrap_or_default();
+        let mut words = content.split_whitespace();
+        let Some(key) = words.next() else {
+            continue;
+        };
+        let fields: Vec<&str> = words.collect();
+        let fail = |msg: &str| format!("line {}: {msg}: `{raw}`", no + 1);
+        let is_event = event_keys.contains(&key);
+        if in_events && !is_event {
+            return Err(fail("header line after the first event"));
+        }
+        in_events |= is_event;
+        line(key, &fields, &fail)?;
+    }
+    Ok(())
+}
+
+/// Parse one of the header directives both dialects share into the
+/// configuration fields they set: `audit`, `timeout`, `overload`,
+/// `deadline` and `breaker`. Returns `false` when `key` is none of
+/// them.
+pub(crate) fn parse_shared_header(
+    key: &str,
+    fields: &[&str],
+    fail: &dyn Fn(&str) -> String,
+    audit: &mut DemandAudit,
+    timeout: &mut Option<u64>,
+    overload: &mut Option<OverloadConfig>,
+) -> Result<bool, String> {
+    match key {
+        "audit" => {
+            *audit = match fields {
+                ["trust"] => DemandAudit::Trust,
+                ["clamp"] => DemandAudit::Clamp,
+                ["reject"] => DemandAudit::Reject,
+                _ => return Err(fail("unknown audit mode")),
+            }
+        }
+        "timeout" => {
+            *timeout = match fields {
+                ["none"] => None,
+                [n] => Some(n.parse().map_err(|_| fail("bad timeout"))?),
+                _ => return Err(fail("expected `timeout none|<cycles>`")),
+            }
+        }
+        "overload" => {
+            *overload = match fields {
+                [cap, policy] => Some(OverloadConfig {
+                    waitlist_cap: cap.parse().map_err(|_| fail("bad waitlist cap"))?,
+                    shed_policy: match *policy {
+                        "reject_newest" => ShedPolicy::RejectNewest,
+                        "reject_oldest" => ShedPolicy::RejectOldest,
+                        "degrade" => ShedPolicy::DegradeToOverflow,
+                        _ => {
+                            return Err(fail(
+                                "shed policy must be reject_newest|reject_oldest|degrade",
+                            ))
+                        }
+                    },
+                    deadline_cycles: None,
+                    breaker: None,
+                }),
+                _ => return Err(fail("expected `overload <cap> <policy>`")),
+            }
+        }
+        "deadline" => {
+            let ov = overload
+                .as_mut()
+                .ok_or_else(|| fail("deadline requires a preceding overload line"))?;
+            ov.deadline_cycles = match fields {
+                [n] => Some(n.parse().map_err(|_| fail("bad deadline"))?),
+                _ => return Err(fail("expected `deadline <cycles>`")),
+            }
+        }
+        "breaker" => {
+            let breaker = match fields {
+                [high, low, trip, recover, min] => BreakerConfig {
+                    high_water: parse_amount(Some(high), fail)?,
+                    low_water: parse_amount(Some(low), fail)?,
+                    trip_after: trip.parse().map_err(|_| fail("bad trip count"))?,
+                    recover_after: recover.parse().map_err(|_| fail("bad recover count"))?,
+                    shed_min_demand: parse_amount(Some(min), fail)?,
+                },
+                _ => {
+                    return Err(fail(
+                        "expected `breaker <high> <low> <trip> <recover> <min>`",
+                    ))
+                }
+            };
+            overload
+                .as_mut()
+                .ok_or_else(|| fail("breaker requires a preceding overload line"))?
+                .breaker = Some(breaker);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Write the header directives both dialects share, as
+/// [`parse_shared_header`] reads them.
+pub(crate) fn write_shared_header(
+    out: &mut String,
+    audit: DemandAudit,
+    timeout: Option<u64>,
+    overload: Option<OverloadConfig>,
+) {
+    let audit = match audit {
+        DemandAudit::Trust => "trust",
+        DemandAudit::Clamp => "clamp",
+        DemandAudit::Reject => "reject",
+    };
+    let _ = writeln!(out, "audit {audit}");
+    match timeout {
+        None => out.push_str("timeout none\n"),
+        Some(t) => {
+            let _ = writeln!(out, "timeout {t}");
+        }
+    }
+    if let Some(ov) = overload {
+        let policy = match ov.shed_policy {
+            ShedPolicy::RejectNewest => "reject_newest",
+            ShedPolicy::RejectOldest => "reject_oldest",
+            ShedPolicy::DegradeToOverflow => "degrade",
+        };
+        let _ = writeln!(out, "overload {} {policy}", ov.waitlist_cap);
+        if let Some(d) = ov.deadline_cycles {
+            let _ = writeln!(out, "deadline {d}");
+        }
+        if let Some(b) = ov.breaker {
+            let _ = writeln!(
+                out,
+                "breaker {} {} {} {} {}",
+                b.high_water, b.low_water, b.trip_after, b.recover_after, b.shed_min_demand
+            );
+        }
+    }
+}
+
+/// Parse a policy spelling from the front of `fields`; returns the
+/// policy and the number of words it took.
+pub(crate) fn parse_policy(
+    fields: &[&str],
+    fail: &dyn Fn(&str) -> String,
+) -> Result<(PolicyKind, usize), String> {
+    match fields {
+        ["default", ..] => Ok((PolicyKind::DefaultOnly, 1)),
+        ["strict", ..] => Ok((PolicyKind::Strict, 1)),
+        ["compromise", f, ..] => Ok((
+            PolicyKind::Compromise {
+                factor: f.parse().map_err(|_| fail("bad factor"))?,
+            },
+            2,
+        )),
+        ["partitioned", f, ..] => Ok((
+            PolicyKind::Partitioned {
+                quota_frac: f.parse().map_err(|_| fail("bad quota"))?,
+            },
+            2,
+        )),
+        _ => Err(fail("unknown policy")),
+    }
+}
+
+/// The spelling [`parse_policy`] reads back as `policy`.
+pub(crate) fn policy_words(policy: PolicyKind) -> String {
+    match policy {
+        PolicyKind::DefaultOnly => "default".to_string(),
+        PolicyKind::Strict => "strict".to_string(),
+        PolicyKind::Compromise { factor } => format!("compromise {factor}"),
+        PolicyKind::Partitioned { quota_frac } => format!("partitioned {quota_frac}"),
     }
 }
 

@@ -3,7 +3,7 @@
 //! Foundation of the RDA reproduction: a small, deterministic
 //! discrete-event simulation core.
 //!
-//! The crate provides four building blocks used by every higher layer:
+//! The crate provides the building blocks used by every higher layer:
 //!
 //! * [`SimTime`] / [`SimDuration`] — simulated time measured in CPU
 //!   cycles, convertible to wall-clock seconds at a given frequency.
@@ -12,8 +12,6 @@
 //!   reproducible run-to-run.
 //! * [`rng::SplitMix64`] / [`rng::Xoshiro256`] — tiny, seedable PRNGs for
 //!   workload generation that do not depend on platform entropy.
-//! * [`stats`] — streaming statistics (Welford mean/variance, min/max,
-//!   histograms) used by the measurement layer.
 //!
 //! Everything here is intentionally free of I/O and OS dependencies: the
 //! same engine drives unit tests, property tests, and the full-system
@@ -24,11 +22,9 @@
 pub mod event;
 pub mod hash;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::Fnv1a64;
 pub use rng::{SplitMix64, Xoshiro256};
-pub use stats::{Histogram, RunningStats};
 pub use time::{SimDuration, SimTime};

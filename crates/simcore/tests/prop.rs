@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation core.
 
 use proptest::prelude::*;
-use rda_simcore::{EventQueue, Histogram, RunningStats, SimDuration, SimTime, Xoshiro256};
+use rda_simcore::{EventQueue, SimDuration, SimTime, Xoshiro256};
 
 proptest! {
     /// Events always pop in non-decreasing time order, and equal-time
@@ -23,41 +23,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
             }
         }
-    }
-
-    /// Welford merge is equivalent to pushing all samples into one
-    /// accumulator, at any split point.
-    #[test]
-    fn stats_merge_associative(
-        data in prop::collection::vec(-1e6f64..1e6, 2..100),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((data.len() as f64) * split_frac) as usize;
-        let mut whole = RunningStats::new();
-        for &x in &data { whole.push(x); }
-
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..split] { a.push(x); }
-        for &x in &data[split..] { b.push(x); }
-        a.merge(&b);
-
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-4 * (1.0 + whole.variance()));
-    }
-
-    /// Histogram count/sum invariants hold for arbitrary inputs.
-    #[test]
-    fn histogram_conserves_mass(values in prop::collection::vec(0u64..u64::MAX / 2, 1..500)) {
-        let mut h = Histogram::new();
-        for &v in &values { h.record(v); }
-        prop_assert_eq!(h.count(), values.len() as u64);
-        let expected_mean = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
-        prop_assert!((h.mean() - expected_mean).abs() < 1e-3 * (1.0 + expected_mean));
-        // Every value is <= the p=1.0 bucket upper bound.
-        let ub = h.quantile_upper_bound(1.0);
-        prop_assert!(values.iter().all(|&v| v <= ub));
     }
 
     /// Time arithmetic: (t + d) - d == t and since() inverts addition.
