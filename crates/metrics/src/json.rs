@@ -349,11 +349,24 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar, sized by its leading
+                    // byte. Validating only those bytes keeps the scan
+                    // linear in document size; the input came in as a
+                    // `&str`, so the error arm is only a backstop.
+                    let width = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xf7 => 4,
+                        _ => 0,
+                    };
+                    let c = rest
+                        .get(..width)
+                        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -490,6 +503,35 @@ mod tests {
         let v = Json::Str(s.into());
         let back = Json::parse(&v.to_string_compact()).unwrap();
         assert_eq!(back.as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn multibyte_strings_next_to_escapes_roundtrip() {
+        // Two- to four-byte scalars, each directly before and after an
+        // escape, in keys and values, through the pretty printer.
+        let s = "é\n€\t🦀\"é\\🦀\u{1}€";
+        let v = Json::obj([
+            ("é\"€", Json::Str(s.into())),
+            (
+                "🦀",
+                Json::Arr(vec![Json::Str("\n🦀\n".into()), Json::Str("€".into())]),
+            ),
+        ]);
+        let pretty = v.to_string_pretty();
+        assert_eq!(Json::parse(&pretty).unwrap(), v);
+        assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+        // Every scalar kept its bytes, not only its count.
+        let back = Json::parse(&Json::Str(s.into()).to_string_compact()).unwrap();
+        assert_eq!(back.as_str().unwrap().as_bytes(), s.as_bytes());
+        // A string cut inside the document still reports where it ended.
+        let cut = "\"é€🦀";
+        assert_eq!(
+            Json::parse_checked(cut).unwrap_err(),
+            JsonError {
+                offset: cut.len(),
+                message: "unterminated string".into()
+            }
+        );
     }
 
     #[test]

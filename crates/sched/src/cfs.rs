@@ -182,6 +182,7 @@ impl CfsScheduler {
     }
 
     /// The task currently running on `core`.
+    #[inline]
     pub fn running_on(&self, core: usize) -> Option<TaskId> {
         self.running[core]
     }
@@ -337,6 +338,7 @@ impl CfsScheduler {
 
     /// Charge `cycles` of execution to the task running on `core` and
     /// advance the queue's vruntime floor.
+    #[inline]
     pub fn charge(&mut self, core: usize, cycles: u64) {
         let id = self.running[core].expect("charging an idle core");
         let idx = id.0 as usize;
@@ -351,6 +353,7 @@ impl CfsScheduler {
 
     /// The timeslice the task running on `core` should receive:
     /// `sched_latency / nr_tasks`, floored at the minimum granularity.
+    #[inline]
     pub fn timeslice(&self, core: usize) -> u64 {
         let n = self.queues[core].len() + usize::from(self.running[core].is_some());
         let n = n.max(1) as u64;
@@ -402,6 +405,7 @@ impl CfsScheduler {
     }
 
     /// Number of tasks queued (not running) on one core.
+    #[inline]
     pub fn queue_len(&self, core: usize) -> usize {
         self.queues[core].len()
     }

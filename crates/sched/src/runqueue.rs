@@ -1,17 +1,20 @@
 //! Per-core runqueue ordered by virtual runtime.
 //!
 //! Linux's CFS keeps runnable tasks in a red-black tree keyed by
-//! vruntime and always runs the leftmost. A `BTreeSet<(vruntime, id)>`
-//! gives the same ordering guarantees (O(log n) insert/remove, ordered
-//! minimum) with far less code.
+//! vruntime and always runs the leftmost. A per-core queue holds a
+//! handful of tasks, so a vector kept sorted *descending* by
+//! `(vruntime, id)` gives the same ordering guarantees more cheaply:
+//! the leftmost task is the last element, so the per-interval peek and
+//! the pick are O(1), and an insert or removal shifts a few entries.
 
 use crate::task::TaskId;
-use std::collections::BTreeSet;
 
 /// One core's queue of runnable tasks, ordered by `(vruntime, TaskId)`.
 #[derive(Debug, Clone, Default)]
 pub struct RunQueue {
-    tree: BTreeSet<(u64, TaskId)>,
+    /// Queued `(vruntime, id)` pairs, sorted descending: the leftmost
+    /// (smallest) entry is `last()`.
+    entries: Vec<(u64, TaskId)>,
     /// Monotone floor for entry vruntimes; newly woken tasks are placed
     /// at `max(own vruntime, min_vruntime)` so sleepers cannot starve
     /// the queue when they return (CFS's `min_vruntime` rule).
@@ -25,69 +28,93 @@ impl RunQueue {
     }
 
     /// Number of queued (runnable, not running) tasks.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.entries.len()
     }
 
     /// True when no task is queued.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.entries.is_empty()
     }
 
     /// The queue's vruntime floor.
+    #[inline]
     pub fn min_vruntime(&self) -> u64 {
         self.min_vruntime
     }
 
     /// Clamp a vruntime for enqueueing on this queue: a woken task may
     /// not undercut the queue floor.
+    #[inline]
     pub fn place_vruntime(&self, vruntime: u64) -> u64 {
         vruntime.max(self.min_vruntime)
     }
 
+    /// Index of the first entry not greater than `entry` (where
+    /// `entry` sits, or would be inserted, in descending order).
+    fn position(&self, entry: (u64, TaskId)) -> usize {
+        self.entries.partition_point(|&e| e > entry)
+    }
+
     /// Insert a task with the given (already placed) vruntime.
     pub fn enqueue(&mut self, id: TaskId, vruntime: u64) {
-        let inserted = self.tree.insert((vruntime, id));
-        debug_assert!(inserted, "task {id} double-enqueued");
+        let entry = (vruntime, id);
+        let i = self.position(entry);
+        debug_assert!(
+            self.entries.get(i) != Some(&entry),
+            "task {id} double-enqueued"
+        );
+        self.entries.insert(i, entry);
     }
 
     /// Remove and return the leftmost (smallest vruntime) task.
+    #[inline]
     pub fn pop_leftmost(&mut self) -> Option<(u64, TaskId)> {
-        let entry = *self.tree.iter().next()?;
-        self.tree.remove(&entry);
+        let entry = self.entries.pop()?;
         self.min_vruntime = self.min_vruntime.max(entry.0);
         Some(entry)
     }
 
     /// Leftmost entry without removing it.
+    #[inline]
     pub fn peek_leftmost(&self) -> Option<(u64, TaskId)> {
-        self.tree.iter().next().copied()
+        self.entries.last().copied()
     }
 
     /// Remove and return the *rightmost* (largest vruntime) task — load
     /// balancing steals from the far end so the victim queue's
     /// near-term schedule is undisturbed.
     pub fn pop_rightmost(&mut self) -> Option<(u64, TaskId)> {
-        let entry = *self.tree.iter().next_back()?;
-        self.tree.remove(&entry);
-        Some(entry)
+        if self.entries.is_empty() {
+            return None;
+        }
+        Some(self.entries.remove(0))
     }
 
     /// Remove a specific task (by its queued vruntime). Returns true if
     /// it was present.
     pub fn remove(&mut self, id: TaskId, vruntime: u64) -> bool {
-        self.tree.remove(&(vruntime, id))
+        let entry = (vruntime, id);
+        let i = self.position(entry);
+        if self.entries.get(i) != Some(&entry) {
+            return false;
+        }
+        self.entries.remove(i);
+        true
     }
 
     /// Advance the vruntime floor to at least `v` (called when the
     /// running task's vruntime moves past queued ones).
+    #[inline]
     pub fn advance_min_vruntime(&mut self, v: u64) {
         self.min_vruntime = self.min_vruntime.max(v);
     }
 
     /// Iterate over queued `(vruntime, TaskId)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, TaskId)> + '_ {
-        self.tree.iter().copied()
+        self.entries.iter().rev().copied()
     }
 }
 

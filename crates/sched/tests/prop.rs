@@ -1,9 +1,12 @@
 //! Property-based tests for the CFS substrate: scheduler invariants
 //! hold through arbitrary interleavings of wake / block / pick /
-//! charge / yield / rebalance operations.
+//! charge / yield / rebalance operations, and the runqueue matches an
+//! ordered-set reference call for call.
 
 use proptest::prelude::*;
+use rda_sched::runqueue::RunQueue;
 use rda_sched::{CfsScheduler, ProcessId, SchedConfig, TaskId, TaskState};
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -146,5 +149,118 @@ proptest! {
         let min = *times.iter().min().unwrap() as f64;
         prop_assert!(min > 0.0, "a task starved entirely: {times:?}");
         prop_assert!(max / min < 1.2, "unfair split {times:?}");
+    }
+}
+
+/// One operation on a lone [`RunQueue`], mirrored on the reference.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Enqueue(u8, u64),
+    PopLeftmost,
+    PopRightmost,
+    /// Remove a task; `true` asks for a wrong vruntime (a miss).
+    Remove(u8, bool),
+    PeekLeftmost,
+    AdvanceMinVruntime(u64),
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    // A narrow vruntime range makes equal-vruntime ties common, so the
+    // `TaskId` tie-break is exercised, not just the vruntime order.
+    prop_oneof![
+        5 => (0u8..10, 0u64..24).prop_map(|(t, v)| QueueOp::Enqueue(t, v)),
+        2 => Just(QueueOp::PopLeftmost),
+        1 => Just(QueueOp::PopRightmost),
+        2 => (0u8..10, any::<bool>()).prop_map(|(t, miss)| QueueOp::Remove(t, miss)),
+        1 => Just(QueueOp::PeekLeftmost),
+        1 => (0u64..30).prop_map(QueueOp::AdvanceMinVruntime),
+    ]
+}
+
+/// A `RunQueue` as an ordered `BTreeSet`: the representation the
+/// sorted vector replaced, kept here as the reference it must match.
+#[derive(Default)]
+struct SetQueue {
+    tree: BTreeSet<(u64, TaskId)>,
+    min_vruntime: u64,
+}
+
+impl SetQueue {
+    fn pop_leftmost(&mut self) -> Option<(u64, TaskId)> {
+        let entry = *self.tree.iter().next()?;
+        self.tree.remove(&entry);
+        self.min_vruntime = self.min_vruntime.max(entry.0);
+        Some(entry)
+    }
+
+    fn pop_rightmost(&mut self) -> Option<(u64, TaskId)> {
+        let entry = *self.tree.iter().next_back()?;
+        self.tree.remove(&entry);
+        Some(entry)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted-vector runqueue answers every call exactly as the
+    /// ordered-set reference does, and holds the same entries in the
+    /// same order after every step.
+    #[test]
+    fn runqueue_matches_the_ordered_set_reference(
+        ops in prop::collection::vec(arb_queue_op(), 1..120),
+    ) {
+        let mut q = RunQueue::new();
+        let mut reference = SetQueue::default();
+        // Queued vruntime per task, so enqueues stay distinct and a
+        // removal can name the entry exactly.
+        let mut queued: [Option<u64>; 10] = [None; 10];
+        for op in ops {
+            match op {
+                QueueOp::Enqueue(t, v) => {
+                    if queued[t as usize].is_none() {
+                        queued[t as usize] = Some(v);
+                        q.enqueue(TaskId(t as u32), v);
+                        reference.tree.insert((v, TaskId(t as u32)));
+                    }
+                }
+                QueueOp::PopLeftmost => {
+                    let got = q.pop_leftmost();
+                    prop_assert_eq!(got, reference.pop_leftmost());
+                    if let Some((_, id)) = got {
+                        queued[id.0 as usize] = None;
+                    }
+                }
+                QueueOp::PopRightmost => {
+                    let got = q.pop_rightmost();
+                    prop_assert_eq!(got, reference.pop_rightmost());
+                    if let Some((_, id)) = got {
+                        queued[id.0 as usize] = None;
+                    }
+                }
+                QueueOp::Remove(t, miss) => {
+                    let v = queued[t as usize].unwrap_or(7) + u64::from(miss);
+                    let id = TaskId(t as u32);
+                    let got = q.remove(id, v);
+                    prop_assert_eq!(got, reference.tree.remove(&(v, id)));
+                    if got {
+                        queued[t as usize] = None;
+                    }
+                }
+                QueueOp::PeekLeftmost => {
+                    prop_assert_eq!(q.peek_leftmost(), reference.tree.iter().next().copied());
+                }
+                QueueOp::AdvanceMinVruntime(v) => {
+                    q.advance_min_vruntime(v);
+                    reference.min_vruntime = reference.min_vruntime.max(v);
+                }
+            }
+            prop_assert_eq!(q.len(), reference.tree.len());
+            prop_assert_eq!(q.is_empty(), reference.tree.is_empty());
+            prop_assert_eq!(q.min_vruntime(), reference.min_vruntime);
+            let order: Vec<(u64, TaskId)> = q.iter().collect();
+            let want: Vec<(u64, TaskId)> = reference.tree.iter().copied().collect();
+            prop_assert_eq!(order, want, "after {:?}", op);
+        }
     }
 }

@@ -241,34 +241,53 @@ struct Thread {
     remaining: u64,
 }
 
-/// FNV-1a over the written bytes. The co-run memo keys are short
-/// `Vec<u64>` tag lists hashed on every cache probe in the simulator's
-/// hottest loop; SipHash's per-probe setup cost is measurable there and
-/// DoS resistance buys nothing against our own deterministic keys.
+/// FNV-1a-style mixing, one round per 8-byte word. The co-run memo
+/// keys are short `Vec<u64>` tag lists hashed on every cache probe in
+/// the simulator's hottest loop; SipHash's per-probe setup cost is
+/// measurable there and DoS resistance buys nothing against our own
+/// deterministic keys. The cache is only probed, never iterated, so
+/// the hash values themselves are free to change.
 #[derive(Default, Clone)]
 struct FnvHasher(u64);
+
+impl FnvHasher {
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        let h = if self.0 == 0 {
+            0xcbf2_9ce4_8422_2325
+        } else {
+            self.0
+        };
+        self.0 = (h ^ x).wrapping_mul(0x1000_0000_01b3);
+    }
+}
 
 impl std::hash::Hasher for FnvHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+    // `[u64]`'s `Hash` hands the whole slice to one `write` call as
+    // bytes (after a `write_usize` length prefix), so this is where a
+    // key is hashed: one mix per word instead of eight byte rounds.
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            self.mix(u64::from_le_bytes(b));
         }
-        self.0 = h;
+        for &b in words.remainder() {
+            self.mix(b as u64);
+        }
     }
-    // Whole-word rounds: the keys are `Vec<u64>`, whose `Hash` feeds
-    // the hasher one element (plus one length prefix) at a time — one
-    // mix per word instead of eight byte rounds.
+    #[inline]
     fn write_u64(&mut self, x: u64) {
-        let h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        self.0 = (h ^ x).wrapping_mul(0x1000_0000_01b3);
+        self.mix(x);
     }
+    #[inline]
     fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
+        self.mix(x as u64);
     }
 }
 
@@ -306,7 +325,6 @@ pub struct SystemSim {
     /// Scratch buffers reused across simulation intervals so the event
     /// loop performs no per-interval heap allocation once warm.
     scratch_running: Vec<(usize, TaskId)>,
-    scratch_procs: Vec<usize>,
     scratch_entries: Vec<(rda_machine::AccessProfile, u64)>,
     corun_rates: Vec<rda_machine::SegmentRates>,
     /// Packed `(proc << 32 | phase)` tag of each running thread, in
@@ -339,12 +357,17 @@ pub struct SystemSim {
     /// Threads that completed their phase quota this interval, in
     /// `running` order; drained right after the advance loop.
     scratch_done: Vec<TaskId>,
-    /// Dense per-proc mirrors of the *current phase's* working-set
-    /// bytes and dedup profile id, refreshed in `enter_phase`. The
-    /// co-run key rebuild reads these instead of chasing
+    /// Dense per-proc copies of the *current phase's* access profile
+    /// and dedup profile id, refreshed in `enter_phase`. The key
+    /// rebuild, the solve entries, the advance loop and the switch-in
+    /// warm-up read these instead of chasing
     /// `procs[p].program.phases[phase]` pointers per running thread.
-    phase_ws: Vec<u64>,
+    phase_profile: Vec<rda_machine::AccessProfile>,
     phase_tag: Vec<u32>,
+    /// Per-proc mark: equal to `corun_gen_key` once the process's
+    /// working set has been counted in the current key rebuild, so
+    /// each distinct process on-CPU is summed once in O(1).
+    proc_stamp: Vec<u64>,
 }
 
 /// One running thread's advance over an interval, computed from that
@@ -360,6 +383,78 @@ struct AdvanceStep {
     l1_misses: u64,
     llc_accesses: u64,
     llc_misses: u64,
+}
+
+// Exact u64 <-> f64 conversions for the per-interval loops. The
+// baseline x86-64 target has no unsigned 64-bit conversion instruction,
+// so a plain `u as f64` or `x as u64` compiles to a branchy sequence of
+// 5-10 instructions, and `f64::ceil` to a call into a software routine
+// (no SSE4.1). Each helper below returns exactly what the plain cast
+// returns for *every* input, NaN, negatives, values >= 2^63 and
+// infinities included. Inside the signed range it takes the signed
+// conversion: one instruction, plus for `f64 -> i64` a branch-free
+// saturation fix-up that never fires there (dropping it with the
+// unsafe `to_int_unchecked` measured no faster). Every other input
+// goes to a cold, never-inlined fallback that does the plain cast; an
+// inline `else` arm lets the compiler evaluate both arms up front,
+// which measured slower than this form.
+
+/// Bit pattern of 2^63. For an `f64` whose bits compare below it, the
+/// sign bit is clear and the value is in `[+0.0, 2^63)`; negatives,
+/// -0.0, NaN and +inf all compare above it.
+const TWO_POW_63_BITS: u64 = 0x43e0_0000_0000_0000;
+
+/// `u as f64`, exactly.
+#[inline]
+fn u64_to_f64(u: u64) -> f64 {
+    if (u as i64) >= 0 {
+        // Same integer, same round-to-nearest-even: same bits.
+        u as i64 as f64
+    } else {
+        u64_to_f64_cold(u)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn u64_to_f64_cold(u: u64) -> f64 {
+    u as f64
+}
+
+/// `x as u64`, exactly (truncating, saturating, NaN to 0).
+#[inline]
+fn f64_to_u64(x: f64) -> u64 {
+    if x.to_bits() < TWO_POW_63_BITS {
+        x as i64 as u64
+    } else {
+        f64_to_u64_cold(x)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn f64_to_u64_cold(x: f64) -> u64 {
+    x as u64
+}
+
+/// `x.ceil() as u64`, exactly.
+#[inline]
+fn ceil_to_u64(x: f64) -> u64 {
+    if x.to_bits() < TWO_POW_63_BITS {
+        let t = x as i64;
+        // Below 2^52, `t` converts back exactly and `x` is fractional
+        // iff it exceeds `t`; from 2^52 up every `f64` is an integer,
+        // `t == x`, and the comparison is false.
+        (t + ((t as f64) < x) as i64) as u64
+    } else {
+        ceil_to_u64_cold(x)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn ceil_to_u64_cold(x: f64) -> u64 {
+    x.ceil() as u64
 }
 
 /// Advance one thread by `dt` cycles: burn context-switch overhead
@@ -379,15 +474,16 @@ fn advance_step(
     cyc -= burned;
     st.new_remaining = remaining;
     if cyc > 0 {
-        let instr = ((cyc as f64 / r.cpi) as u64).min(remaining);
+        let instr = f64_to_u64(u64_to_f64(cyc) / r.cpi).min(remaining);
         st.new_remaining = remaining - instr;
         st.done = remaining == instr;
         st.instr = instr;
-        st.flops = (instr as f64 * flop_frac) as u64;
-        st.mem_ops = (instr as f64 * mem_frac) as u64;
-        st.l1_misses = (instr as f64 * r.l1_mpi) as u64;
-        st.llc_accesses = (instr as f64 * r.llc_api) as u64;
-        st.llc_misses = (instr as f64 * r.llc_mpi) as u64;
+        let instr_f = u64_to_f64(instr);
+        st.flops = f64_to_u64(instr_f * flop_frac);
+        st.mem_ops = f64_to_u64(instr_f * mem_frac);
+        st.l1_misses = f64_to_u64(instr_f * r.l1_mpi);
+        st.llc_accesses = f64_to_u64(instr_f * r.llc_api);
+        st.llc_misses = f64_to_u64(instr_f * r.llc_mpi);
     } else {
         st.done = st.new_overhead == 0 && remaining == 0;
     }
@@ -488,7 +584,6 @@ impl SystemSim {
             faults,
             rda_calls: Vec::new(),
             scratch_running: Vec::new(),
-            scratch_procs: Vec::new(),
             scratch_entries: Vec::new(),
             corun_rates: Vec::new(),
             corun_tags: Vec::new(),
@@ -498,8 +593,14 @@ impl SystemSim {
             corun_gen_key: 0,
             checked_books_epoch: u64::MAX,
             scratch_done: Vec::new(),
-            phase_ws: vec![0; n_procs],
+            // Placeholders: `enter_phase` below copies each process's
+            // first phase in before anything reads them.
+            phase_profile: vec![
+                rda_machine::AccessProfile::typical(0, rda_machine::ReuseLevel::Low);
+                n_procs
+            ],
             phase_tag: vec![0; n_procs],
+            proc_stamp: vec![0; n_procs],
             cfg,
         };
         for p in 0..sim.procs.len() {
@@ -552,17 +653,18 @@ impl SystemSim {
             self.finish_proc(p);
             return;
         }
-        let phase = self.procs[p].program.phases[self.procs[p].phase].clone();
+        let k = self.procs[p].phase;
+        let phase = &self.procs[p].program.phases[k];
+        let (instr_per_thread, profile, pp) = (phase.instr_per_thread, phase.profile, phase.pp);
         for i in 0..self.procs[p].tasks.len() {
             let tid = self.procs[p].tasks[i];
-            self.threads[tid.0 as usize].remaining = phase.instr_per_thread;
+            self.threads[tid.0 as usize].remaining = instr_per_thread;
         }
         self.procs[p].done_threads = 0;
-        self.phase_ws[p] = phase.profile.ws_bytes;
-        self.phase_tag[p] = self.procs[p].profile_ids[self.procs[p].phase];
+        self.phase_profile[p] = profile;
+        self.phase_tag[p] = self.procs[p].profile_ids[k];
 
-        let k = self.procs[p].phase;
-        match &phase.pp {
+        match pp {
             Some(pp) if self.cfg.policy.is_gating() => {
                 let t0 = self.procs[p].tasks[0].0 as usize;
                 // Demand lie: the declaration is scaled, the actual
@@ -709,10 +811,6 @@ impl SystemSim {
         }
     }
 
-    fn current_profile(&self, p: usize) -> rda_machine::AccessProfile {
-        self.procs[p].program.phases[self.procs[p].phase].profile
-    }
-
     fn fill_cores(&mut self) {
         let cores = self.cfg.machine.cores;
         for core in 0..cores {
@@ -742,7 +840,7 @@ impl SystemSim {
         if self.last_on_core[core] != Some(tid) {
             self.counters.context_switches += 1;
             let p = self.threads[tid.0 as usize].proc;
-            let ws = self.current_profile(p).ws_bytes;
+            let ws = self.phase_profile[p].ws_bytes;
             self.threads[tid.0 as usize].overhead += self.cfg.machine.context_switch_cycles
                 + self.perf.switch_warmup_cycles(ws);
         }
@@ -810,7 +908,7 @@ impl SystemSim {
             let p = self.threads[tid.0 as usize].proc;
             if !self.procs[p].finished && !seen.contains(&p) {
                 seen.push(p);
-                pressure += self.current_profile(p).ws_bytes;
+                pressure += self.phase_profile[p].ws_bytes;
             }
         }
         self.timeline.push(TimelineSample {
@@ -884,16 +982,18 @@ impl SystemSim {
             if self.corun_gen != self.corun_gen_key {
                 self.corun_gen_key = self.corun_gen;
                 // LLC pressure: distinct processes with at least one
-                // thread on-CPU compete for capacity.
-                self.scratch_procs.clear();
+                // thread on-CPU compete for capacity. The generation
+                // key is fresh for every rebuild, so a stamp equal to
+                // it marks a process already counted.
+                let stamp = self.corun_gen_key;
                 self.scratch_tags.clear();
                 let mut total_ws: u64 = 0;
                 for &(_, tid) in &running {
                     let p = self.threads[tid.0 as usize].proc;
                     self.scratch_tags.push(self.phase_tag[p] as u64);
-                    if !self.scratch_procs.contains(&p) {
-                        self.scratch_procs.push(p);
-                        total_ws += self.phase_ws[p];
+                    if self.proc_stamp[p] != stamp {
+                        self.proc_stamp[p] = stamp;
+                        total_ws += self.phase_profile[p].ws_bytes;
                     }
                 }
                 self.scratch_tags.push(total_ws);
@@ -905,7 +1005,7 @@ impl SystemSim {
                         self.scratch_entries.clear();
                         for &(_, tid) in &running {
                             let p = self.threads[tid.0 as usize].proc;
-                            let prof = self.current_profile(p);
+                            let prof = self.phase_profile[p];
                             let share = self.perf.llc_share(prof.ws_bytes, total_ws);
                             self.scratch_entries.push((prof, share));
                         }
@@ -919,24 +1019,27 @@ impl SystemSim {
             }
             #[cfg(debug_assertions)]
             {
-                // Soundness backstop for the tag memo and generation
-                // skip: re-derive the entries from first principles and
-                // demand a fresh solve agree bit-for-bit with whatever
-                // the fast levels left in `corun_rates`.
+                // Soundness backstop for the tag memo, the generation
+                // skip and the per-proc profile copies: re-derive the
+                // entries from the programs themselves and demand a
+                // fresh solve agree bit-for-bit with whatever the fast
+                // levels left in `corun_rates`.
+                let program_profile =
+                    |p: usize| self.procs[p].program.phases[self.procs[p].phase].profile;
                 let mut total_ws: u64 = 0;
                 let mut seen: Vec<usize> = Vec::new();
                 for &(_, tid) in &running {
                     let p = self.threads[tid.0 as usize].proc;
                     if !seen.contains(&p) {
                         seen.push(p);
-                        total_ws += self.current_profile(p).ws_bytes;
+                        total_ws += program_profile(p).ws_bytes;
                     }
                 }
                 let entries: Vec<(rda_machine::AccessProfile, u64)> = running
                     .iter()
                     .map(|&(_, tid)| {
                         let p = self.threads[tid.0 as usize].proc;
-                        let prof = self.current_profile(p);
+                        let prof = program_profile(p);
                         let share = self.perf.llc_share(prof.ws_bytes, total_ws);
                         (prof, share)
                     })
@@ -971,7 +1074,8 @@ impl SystemSim {
             let mut min_slice = SimTime::MAX;
             for (i, &(core, tid)) in running.iter().enumerate() {
                 let th = &self.threads[tid.0 as usize];
-                let finish = th.overhead + (th.remaining as f64 * self.corun_rates[i].cpi).ceil() as u64;
+                let finish =
+                    th.overhead + ceil_to_u64(u64_to_f64(th.remaining) * self.corun_rates[i].cpi);
                 dt = dt.min(finish.max(1));
                 dt = dt.min(self.slice_end[core].since(self.now).cycles().max(1));
                 min_slice = min_slice.min(self.slice_end[core]);
@@ -991,8 +1095,7 @@ impl SystemSim {
             // contract.
             for (i, &(core, tid)) in running.iter().enumerate() {
                 let th = &mut self.threads[tid.0 as usize];
-                let proc = &self.procs[th.proc];
-                let prof = proc.program.phases[proc.phase].profile;
+                let prof = &self.phase_profile[th.proc];
                 let st = advance_step(
                     th.overhead,
                     th.remaining,
@@ -1015,7 +1118,7 @@ impl SystemSim {
                     self.scratch_done.push(tid);
                 }
             }
-            let wall = dt as f64 / freq;
+            let wall = u64_to_f64(dt) / freq;
             let busy = running.len() as f64 * wall;
             self.energy += self.cfg.energy.interval_energy(wall, busy, &delta);
             self.counters += delta;
@@ -1291,6 +1394,110 @@ mod tests {
         let r = run(rda_core::PolicyKind::Strict, &spec);
         assert_eq!(r.rda.oversized_admits, 2);
         assert!(r.measurement.wall_secs > 0.0);
+    }
+
+    // --- exact conversions ---
+
+    /// The boundary and special values every conversion helper must
+    /// map exactly as the plain cast does.
+    fn conversion_table() -> Vec<f64> {
+        let two_53 = 9_007_199_254_740_992.0_f64;
+        let two_63 = 9_223_372_036_854_775_808.0_f64;
+        vec![
+            0.0,
+            1.0,
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            two_63 - 1024.0,
+            two_63,
+            2.0 * two_63,
+            -0.0,
+            -0.5,
+            -1.0,
+            0.5,
+            1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ]
+    }
+
+    fn assert_f64_helpers_exact(x: f64) {
+        assert_eq!(f64_to_u64(x), x as u64, "f64_to_u64({x:e}) [{:#x}]", x.to_bits());
+        assert_eq!(
+            ceil_to_u64(x),
+            x.ceil() as u64,
+            "ceil_to_u64({x:e}) [{:#x}]",
+            x.to_bits()
+        );
+    }
+
+    fn assert_u64_helper_exact(u: u64) {
+        assert_eq!(u64_to_f64(u).to_bits(), (u as f64).to_bits(), "u64_to_f64({u})");
+    }
+
+    #[test]
+    fn conversion_helpers_match_plain_casts_on_boundary_values() {
+        for x in conversion_table() {
+            assert_f64_helpers_exact(x);
+            // The neighbours of each value straddle every range check.
+            if x.is_finite() {
+                assert_f64_helpers_exact(f64::from_bits(x.to_bits() + 1));
+                if x.to_bits() & !(1 << 63) != 0 {
+                    assert_f64_helpers_exact(f64::from_bits(x.to_bits() - 1));
+                }
+            }
+        }
+        let two_53 = 1u64 << 53;
+        let two_63 = 1u64 << 63;
+        for u in [
+            0,
+            1,
+            two_53 - 1,
+            two_53,
+            two_53 + 1,
+            two_63 - 1024,
+            two_63 - 1,
+            two_63,
+            two_63 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_u64_helper_exact(u);
+        }
+        // Spot values, so a helper that agreed with a wrong cast would
+        // still fail here.
+        assert_eq!(f64_to_u64(-1.0), 0);
+        assert_eq!(f64_to_u64(f64::NAN), 0);
+        assert_eq!(f64_to_u64(f64::INFINITY), u64::MAX);
+        assert_eq!(ceil_to_u64(0.5), 1);
+        assert_eq!(ceil_to_u64(1.5), 2);
+        assert_eq!(ceil_to_u64(-0.5), 0);
+        assert_eq!(ceil_to_u64(f64::from_bits(1)), 1);
+        assert_eq!(u64_to_f64(u64::MAX), 18_446_744_073_709_551_616.0);
+    }
+
+    #[test]
+    fn conversion_helpers_match_plain_casts_on_random_inputs() {
+        let mut rng = SplitMix64::new(0x6361_7374_735f_6578);
+        for _ in 0..200_000 {
+            let bits = rng.next_u64();
+            // Every bit pattern: NaNs, infinities, subnormals, negatives.
+            assert_f64_helpers_exact(f64::from_bits(bits));
+            // Integers of every magnitude, and the fractional values
+            // the simulator actually converts (counts times rates).
+            let u = bits >> (rng.next_u64() % 64);
+            assert_u64_helper_exact(u);
+            assert_u64_helper_exact(bits);
+            let scaled = u as f64 * rng.next_f64();
+            assert_f64_helpers_exact(scaled);
+            assert_f64_helpers_exact(-scaled);
+        }
     }
 
     // --- fault model ---
