@@ -6,8 +6,9 @@
 //! deterministic reimplementation instead. Semantics:
 //!
 //! * Every `#[test]` inside [`proptest!`] runs `Config::cases` times
-//!   with values drawn from a [`TestRng`] seeded by the *test name*, so
-//!   failures reproduce exactly on every run and every machine.
+//!   with values drawn from a [`TestRng`](test_runner::TestRng) seeded
+//!   by the *test name*, so failures reproduce exactly on every run and
+//!   every machine.
 //! * `prop_assert*` are plain `assert*` — a failing case panics with the
 //!   case number in the test RNG state rather than shrinking. The
 //!   deterministic seed makes shrinking unnecessary for debugging: rerun

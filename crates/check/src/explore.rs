@@ -42,16 +42,16 @@ use crate::topo_trace::{TopoDoc, TopoEvent};
 use crate::trace::{TraceDoc, TraceEvent};
 use rda_core::{
     BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, RdaConfig,
-    Resource, ShedPolicy, TopoConfig, TopoSpec,
+    ShedPolicy, TopoConfig, TopoSpec,
 };
 use rda_simcore::Fnv1a64;
 use std::collections::HashSet;
 
-/// One step of a process's program. `D` is the engine's demand: a
-/// `(resource, amount)` pair for the scalar engine, a [`Demand`] vector
-/// for the topology engine.
+/// One step of a process's program. `D` is the engine's demand: LLC
+/// bytes for the scalar engine, a [`Demand`] vector for the topology
+/// engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op<D = (Resource, u64)> {
+pub enum Op<D = u64> {
     /// `pp_begin` at the given site.
     Begin {
         /// Static call site.
@@ -76,7 +76,7 @@ pub enum Op<D = (Resource, u64)> {
 
 /// A bounded scenario: per-process programs plus free aging ticks.
 #[derive(Debug, Clone)]
-pub struct Template<D = (Resource, u64)> {
+pub struct Template<D = u64> {
     /// Template name, for reports.
     pub name: String,
     /// One program per process; process id = index.
@@ -147,17 +147,16 @@ pub(crate) trait Explorable: Clone {
 }
 
 impl Explorable for Oracle {
-    type Demand = (Resource, u64);
+    type Demand = u64;
     type Event = TraceEvent;
     type Doc = TraceDoc;
     type Divergence = Divergence;
 
-    fn begin(t: u64, process: u32, site: u32, (resource, amount): (Resource, u64)) -> TraceEvent {
+    fn begin(t: u64, process: u32, site: u32, amount: u64) -> TraceEvent {
         TraceEvent::Begin {
             t,
             process,
             site,
-            resource,
             amount,
         }
     }
@@ -377,7 +376,7 @@ impl Template {
         let cap = llc_capacity;
         let b = |site, frac_num: u64| Op::Begin {
             site,
-            demand: (Resource::Llc, cap * frac_num / 16),
+            demand: cap * frac_num / 16,
         };
         Template {
             name: "three-process-contention".into(),
@@ -401,7 +400,7 @@ impl Template {
         let cap = llc_capacity;
         let b = |site, frac_num: u64| Op::Begin {
             site,
-            demand: (Resource::Llc, cap * frac_num / 16),
+            demand: cap * frac_num / 16,
         };
         Template {
             name: "faulty-ops".into(),
@@ -425,10 +424,7 @@ impl Template {
     /// fitting third, under aging.
     pub fn oversized_pair(llc_capacity: u64) -> Template {
         let cap = llc_capacity;
-        let b = |site, amount| Op::Begin {
-            site,
-            demand: (Resource::Llc, amount),
-        };
+        let b = |site, demand| Op::Begin { site, demand };
         Template {
             name: "oversized-pair".into(),
             procs: vec![
@@ -612,10 +608,7 @@ mod tests {
                     shed_min_demand: 0,
                 }),
             });
-            let b = |site, amount| Op::Begin {
-                site,
-                demand: (Resource::Llc, amount),
-            };
+            let b = |site, demand| Op::Begin { site, demand };
             // Three 9/16-capacity demands: any two overflow a 16 000
             // LLC, so every interleaving exercises the bounded gate,
             // the deadline (900 < 3 steps), aging (1 200), and the

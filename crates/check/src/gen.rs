@@ -17,7 +17,7 @@
 
 use crate::diff::{replay, Divergence};
 use crate::trace::{default_config, TraceDoc, TraceEvent};
-use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, Resource, ShedPolicy};
+use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, ShedPolicy};
 use rda_simcore::SplitMix64;
 
 /// Shape knobs for [`random_doc`].
@@ -112,11 +112,6 @@ pub fn random_doc(seed: u64, params: &GenParams) -> TraceDoc {
                     t,
                     process: rng.next_below(params.procs as u64) as u32,
                     site: rng.next_below(params.sites as u64) as u32,
-                    resource: if rng.next_below(5) == 0 {
-                        Resource::MemBandwidth
-                    } else {
-                        Resource::Llc
-                    },
                     // Up to 1.5× capacity: fits, contends, or trips the
                     // audit / oversized guard.
                     amount: rng.next_below(cfg.llc_capacity * 3 / 2),
@@ -136,7 +131,6 @@ pub fn random_doc(seed: u64, params: &GenParams) -> TraceDoc {
                 t,
                 process: rng.next_below(params.procs as u64) as u32,
                 site: rng.next_below(params.sites as u64) as u32,
-                resource: Resource::Llc,
             },
             _ => TraceEvent::Age { t },
         };
@@ -276,7 +270,6 @@ mod tests {
             t: 0,
             process: 0,
             site: 0,
-            resource: Resource::Llc,
             amount: 123_457,
         }]);
         // Failure only requires *some* begin to be present.

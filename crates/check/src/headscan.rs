@@ -29,16 +29,13 @@ pub fn headscan_prediction(ext: &RdaExtension, cfg: &RdaConfig, pp: PpId) -> Opt
     if !rec.admitted {
         return None;
     }
-    let (ri, capacity) = match rec.resource {
-        Resource::Llc => (0, cfg.llc_capacity),
-        Resource::MemBandwidth => (1, cfg.membw_capacity),
-    };
-    let mut usage = snap.usage[ri];
+    let capacity = cfg.llc_capacity;
+    let mut usage = snap.usage;
     if !rec.overflow {
         usage -= rec.accounted;
     }
     let mut woken = Vec::new();
-    for e in &snap.waitlists[ri] {
+    for e in &snap.waitlist {
         let remaining = capacity as i128 - usage as i128;
         match decide(e.accounted, capacity, remaining, &cfg.policy) {
             Decision::Run => {
@@ -62,14 +59,9 @@ pub fn check_headscan_property(doc: &TraceDoc) -> Result<(), String> {
                 t,
                 process,
                 site,
-                resource,
                 amount,
             } => {
-                let demand = PpDemand {
-                    resource,
-                    amount,
-                    reuse: ReuseLevel::High,
-                };
+                let demand = PpDemand::llc(amount, ReuseLevel::High);
                 let _ = ext.pp_begin(
                     ProcessId(process),
                     SiteId(site),
@@ -95,16 +87,11 @@ pub fn check_headscan_property(doc: &TraceDoc) -> Result<(), String> {
             TraceEvent::Age { t } => {
                 ext.age_waitlist(SimTime::from_cycles(t));
             }
-            TraceEvent::Retry {
-                t,
-                process,
-                site,
-                resource,
-            } => {
+            TraceEvent::Retry { t, process, site } => {
                 ext.note_retry(
                     ProcessId(process),
                     SiteId(site),
-                    resource,
+                    Resource::Llc,
                     SimTime::from_cycles(t),
                 );
             }

@@ -37,10 +37,13 @@
 //! dialect ([`topo_trace::TopoDoc`]) adds vector demands and a machine
 //! header to the scalar format's line reader and header directives,
 //! and [`explore_topo`] runs 2-node × 2-layer templates through the
-//! same DFS as [`explore()`]. Legacy scalar traces replay through the
-//! topology oracle unchanged via [`topo_trace::lift`], and the explorer
-//! permanently proves its own sensitivity by catching an injected
-//! exact-fit off-by-one ([`topo_model::TopoMutation::StrictOffByOne`]).
+//! same DFS as [`explore()`]. Scalar traces (LLC-only by construction:
+//! the scalar dialect knows no other resource) replay through the
+//! topology oracle unchanged via [`topo_trace::lift`], where both
+//! engines agree call for call except on the differences DESIGN.md §9
+//! lists; and the explorer permanently proves its own sensitivity by
+//! catching an injected exact-fit off-by-one
+//! ([`topo_model::TopoMutation::StrictOffByOne`]).
 
 #![warn(missing_docs)]
 
@@ -64,7 +67,7 @@ pub use topo_diff::{
     TopoReplayReport,
 };
 pub use topo_model::{TopoEffect, TopoMutation, TopoRefModel};
-pub use topo_trace::{default_topo_config, lift, lift_kind, TopoDoc, TopoEvent};
+pub use topo_trace::{default_topo_config, lift, TopoDoc, TopoEvent};
 pub use trace::{TraceDoc, TraceEvent};
 
 use rda_sim::system::RdaCall;
@@ -86,7 +89,6 @@ pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
                 t: now.cycles(),
                 process: process.0,
                 site: site.0,
-                resource: demand.resource,
                 amount: demand.amount,
             },
             RdaCall::End { now, pp } => TraceEvent::End {
@@ -99,15 +101,11 @@ pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
             },
             RdaCall::Age { now } => TraceEvent::Age { t: now.cycles() },
             RdaCall::Retry {
-                now,
-                process,
-                site,
-                resource,
+                now, process, site, ..
             } => TraceEvent::Retry {
                 t: now.cycles(),
                 process: process.0,
                 site: site.0,
-                resource,
             },
         })
         .collect();

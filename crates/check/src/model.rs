@@ -19,8 +19,8 @@
 //! memoised decision cache — is reproduced exactly.
 
 use rda_core::{
-    DemandAudit, PolicyKind, PpId, PpSnap, RdaConfig, RdaError, RdaStats, Resource, ShedPolicy,
-    Snapshot, WaitSnap,
+    DemandAudit, PolicyKind, PpId, PpSnap, RdaConfig, RdaError, RdaStats, ShedPolicy, Snapshot,
+    WaitSnap,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
@@ -75,7 +75,6 @@ pub enum Effect {
 struct Period {
     process: ProcessId,
     site: u32,
-    resource: Resource,
     declared: u64,
     accounted: u64,
     admitted: bool,
@@ -93,7 +92,6 @@ struct Waiter {
 /// One memoised admission decision for a (process, site) pair.
 #[derive(Debug, Clone, Copy)]
 struct Cached {
-    resource: Resource,
     amount: u64,
     threshold: u64,
     refreshed: u64,
@@ -106,21 +104,14 @@ pub struct RefModel {
     cfg: RdaConfig,
     next_id: u64,
     periods: BTreeMap<u64, Period>,
-    waiters: [Vec<Waiter>; 2],
-    usage: [u64; 2],
-    overflow: [u64; 2],
+    waiters: Vec<Waiter>,
+    usage: u64,
+    overflow: u64,
     cache: BTreeMap<(u32, u32), Cached>,
     stats: RdaStats,
-    breaker_open: [bool; 2],
-    breaker_above: [u32; 2],
-    breaker_below: [u32; 2],
-}
-
-fn idx(r: Resource) -> usize {
-    match r {
-        Resource::Llc => 0,
-        Resource::MemBandwidth => 1,
-    }
+    breaker_open: bool,
+    breaker_above: u32,
+    breaker_below: u32,
 }
 
 /// The usage ceiling a policy enforces on a resource of `capacity`.
@@ -144,15 +135,18 @@ fn effective(policy: PolicyKind, demand: u64, capacity: u64) -> u64 {
 /// accounted`, admitted when the policy accepts the outcome. Includes
 /// the oversized-demand deadlock guard (a demand that can never pass
 /// is admitted immediately rather than waitlisted forever).
+/// Compromise's slack is `limit − capacity`, from the one rounding of
+/// x·capacity the guard uses too.
 fn runnable(policy: PolicyKind, capacity: u64, usage: u64, accounted: u64) -> bool {
-    if accounted > usage_limit(policy, capacity) {
+    let limit = usage_limit(policy, capacity);
+    if accounted > limit {
         return true;
     }
     let outcome = capacity as i128 - usage as i128 - accounted as i128;
     match policy {
         PolicyKind::DefaultOnly => true,
         PolicyKind::Strict | PolicyKind::Partitioned { .. } => outcome >= 0,
-        PolicyKind::Compromise { factor } => outcome >= -((capacity as f64 * (factor - 1.0)) as i128),
+        PolicyKind::Compromise { .. } => outcome >= capacity as i128 - limit as i128,
     }
 }
 
@@ -163,14 +157,14 @@ impl RefModel {
             cfg,
             next_id: 0,
             periods: BTreeMap::new(),
-            waiters: [Vec::new(), Vec::new()],
-            usage: [0, 0],
-            overflow: [0, 0],
+            waiters: Vec::new(),
+            usage: 0,
+            overflow: 0,
             cache: BTreeMap::new(),
             stats: RdaStats::default(),
-            breaker_open: [false; 2],
-            breaker_above: [0; 2],
-            breaker_below: [0; 2],
+            breaker_open: false,
+            breaker_above: 0,
+            breaker_below: 0,
         }
     }
 
@@ -179,18 +173,10 @@ impl RefModel {
         &self.cfg
     }
 
-    fn capacity(&self, r: Resource) -> u64 {
-        match r {
-            Resource::Llc => self.cfg.llc_capacity,
-            Resource::MemBandwidth => self.cfg.membw_capacity,
-        }
-    }
-
     fn alloc(
         &mut self,
         process: ProcessId,
         site: u32,
-        resource: Resource,
         declared: u64,
         accounted: u64,
         admitted: bool,
@@ -202,7 +188,6 @@ impl RefModel {
             Period {
                 process,
                 site,
-                resource,
                 declared,
                 accounted,
                 admitted,
@@ -213,25 +198,17 @@ impl RefModel {
     }
 
     /// The memoised fast-path check: hit when a cached decision for
-    /// this (process, site) is fresh, matches resource and demand, and
-    /// current usage still satisfies the threshold. A hit refreshes the
-    /// entry; a demand/resource mismatch evicts it.
-    fn cache_admit(
-        &mut self,
-        process: ProcessId,
-        site: u32,
-        resource: Resource,
-        amount: u64,
-        usage: u64,
-        now: u64,
-    ) -> bool {
+    /// this (process, site) is fresh, matches the demand, and current
+    /// usage still satisfies the threshold. A hit refreshes the entry;
+    /// a demand mismatch evicts it.
+    fn cache_admit(&mut self, process: ProcessId, site: u32, amount: u64, now: u64) -> bool {
         let key = (process.0, site);
         let Some(c) = self.cache.get_mut(&key) else {
             return false;
         };
         let fresh = now.saturating_sub(c.refreshed) < self.cfg.min_eval_interval_cycles;
-        let matches = c.resource == resource && c.amount == amount;
-        if fresh && matches && usage <= c.threshold {
+        let matches = c.amount == amount;
+        if fresh && matches && self.usage <= c.threshold {
             c.refreshed = now;
             true
         } else {
@@ -242,20 +219,13 @@ impl RefModel {
         }
     }
 
-    /// Model of `pp_begin`.
-    pub fn pp_begin(
-        &mut self,
-        process: ProcessId,
-        site: u32,
-        resource: Resource,
-        declared: u64,
-        now: u64,
-    ) -> Effect {
+    /// Model of `pp_begin` for an LLC demand of `declared` bytes.
+    pub fn pp_begin(&mut self, process: ProcessId, site: u32, declared: u64, now: u64) -> Effect {
         if matches!(self.cfg.policy, PolicyKind::DefaultOnly) {
             return Effect::Bypass;
         }
         self.stats.begins += 1;
-        let capacity = self.capacity(resource);
+        let capacity = self.cfg.llc_capacity;
 
         // Demand audit.
         let audited = match self.cfg.demand_audit {
@@ -271,22 +241,16 @@ impl RefModel {
             DemandAudit::Reject => {
                 if declared > capacity {
                     self.stats.clamped += 1;
-                    return Effect::Rejected(RdaError::DemandOverflow {
-                        resource,
-                        declared,
-                        capacity,
-                    });
+                    return Effect::Rejected(RdaError::DemandOverflow { declared, capacity });
                 }
                 declared
             }
         };
         let accounted = effective(self.cfg.policy, audited, capacity);
-        let i = idx(resource);
         // 64-bit load-table overflow guard; reports the audited amount.
-        if self.usage[i].checked_add(accounted).is_none() {
+        if self.usage.checked_add(accounted).is_none() {
             self.stats.clamped += 1;
             return Effect::Rejected(RdaError::DemandOverflow {
-                resource,
                 declared: audited,
                 capacity,
             });
@@ -295,19 +259,17 @@ impl RefModel {
         // Saturation circuit breaker: while open, the configured demand
         // class is shed before touching the predicate or waitlist.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker_open[i] && audited >= b.shed_min_demand {
+            if self.breaker_open && audited >= b.shed_min_demand {
                 self.stats.shed += 1;
-                return Effect::Rejected(RdaError::BreakerOpen { resource });
+                return Effect::Rejected(RdaError::BreakerOpen);
             }
         }
 
-        // Fast path: only consulted while nothing waits on the resource
-        // (so a repeat admission cannot jump ahead of a waiter).
-        if self.waiters[i].is_empty()
-            && self.cache_admit(process, site, resource, audited, self.usage[i], now)
-        {
-            self.usage[i] += accounted;
-            let pp = self.alloc(process, site, resource, audited, accounted, true);
+        // Fast path: only consulted while nothing waits (so a repeat
+        // admission cannot jump ahead of a waiter).
+        if self.waiters.is_empty() && self.cache_admit(process, site, audited, now) {
+            self.usage += accounted;
+            let pp = self.alloc(process, site, audited, accounted, true);
             self.stats.admitted += 1;
             self.stats.fast_begins += 1;
             return Effect::Run {
@@ -318,17 +280,16 @@ impl RefModel {
 
         // Slow path: Algorithm 1.
         let limit = usage_limit(self.cfg.policy, capacity);
-        if runnable(self.cfg.policy, capacity, self.usage[i], accounted) {
+        if runnable(self.cfg.policy, capacity, self.usage, accounted) {
             if accounted > limit {
                 self.stats.oversized_admits += 1;
             }
-            self.usage[i] += accounted;
-            let pp = self.alloc(process, site, resource, audited, accounted, true);
+            self.usage += accounted;
+            let pp = self.alloc(process, site, audited, accounted, true);
             self.stats.admitted += 1;
             self.cache.insert(
                 (process.0, site),
                 Cached {
-                    resource,
                     amount: audited,
                     threshold: limit.saturating_sub(accounted),
                     refreshed: now,
@@ -343,12 +304,12 @@ impl RefModel {
             // the queue is shed per the configured policy.
             let mut shed = None;
             if let Some(ov) = self.cfg.overload {
-                if self.waiters[i].len() >= ov.waitlist_cap {
+                if self.waiters.len() >= ov.waitlist_cap {
                     match ov.shed_policy {
-                        ShedPolicy::RejectOldest if !self.waiters[i].is_empty() => {
+                        ShedPolicy::RejectOldest if !self.waiters.is_empty() => {
                             // Head drop: the longest-queued waiter is
                             // evicted and its period completed.
-                            let victim = self.waiters[i].remove(0);
+                            let victim = self.waiters.remove(0);
                             self.periods.remove(&victim.pp);
                             self.stats.shed += 1;
                             shed = Some(PpId(victim.pp));
@@ -357,10 +318,9 @@ impl RefModel {
                             // Degraded admit straight into the overflow
                             // bucket, like an aged force-admission;
                             // counted as shed, not admitted.
-                            let pp =
-                                self.alloc(process, site, resource, audited, accounted, true);
+                            let pp = self.alloc(process, site, audited, accounted, true);
                             self.periods.get_mut(&pp).expect("just inserted").overflow = true;
-                            self.overflow[i] += accounted;
+                            self.overflow += accounted;
                             self.stats.shed += 1;
                             return Effect::Run {
                                 pp: PpId(pp),
@@ -371,19 +331,19 @@ impl RefModel {
                             // Tail drop (RejectNewest, or RejectOldest
                             // with nothing to evict): no id allocated.
                             self.stats.shed += 1;
-                            return Effect::Rejected(RdaError::WaitlistFull { resource });
+                            return Effect::Rejected(RdaError::WaitlistFull);
                         }
                     }
                 }
             }
-            let pp = self.alloc(process, site, resource, audited, accounted, false);
-            self.waiters[i].push(Waiter {
+            let pp = self.alloc(process, site, audited, accounted, false);
+            self.waiters.push(Waiter {
                 pp,
                 accounted,
                 enqueued: now,
             });
             self.stats.paused += 1;
-            self.stats.max_waitlist = self.stats.max_waitlist.max(self.waiters[i].len() as u64);
+            self.stats.max_waitlist = self.stats.max_waitlist.max(self.waiters.len() as u64);
             Effect::Pause { pp: PpId(pp), shed }
         }
     }
@@ -404,14 +364,13 @@ impl RefModel {
             return Effect::Rejected(RdaError::EndWhileWaitlisted(pp));
         }
         let rec = self.periods.remove(&pp.0).expect("checked live above");
-        let i = idx(rec.resource);
         if rec.overflow {
-            self.overflow[i] -= rec.accounted;
+            self.overflow -= rec.accounted;
         } else {
-            self.usage[i] -= rec.accounted;
+            self.usage -= rec.accounted;
         }
 
-        if self.waiters[i].is_empty() {
+        if self.waiters.is_empty() {
             // Fast completion: no one to wake and the site's decision is
             // still fresh (freshness is read, not refreshed, here).
             let fresh = self
@@ -426,7 +385,7 @@ impl RefModel {
                 resumed: Vec::new(),
             };
         }
-        let resumed = self.drain(rec.resource, now);
+        let resumed = self.drain(now);
         Effect::End {
             fast: false,
             resumed,
@@ -435,7 +394,7 @@ impl RefModel {
 
     /// Model of `process_exit`: reclaim every live period of `process`
     /// (release admitted demand, cancel waiters), drop its memoised
-    /// decisions, then re-walk the waitlists if anything was reclaimed.
+    /// decisions, then re-walk the waitlist if anything was reclaimed.
     pub fn process_exit(&mut self, process: ProcessId, now: u64) -> Effect {
         let live: Vec<u64> = self
             .periods
@@ -444,37 +403,21 @@ impl RefModel {
             .map(|(&id, _)| id)
             .collect();
         let had_any = !live.is_empty();
-        let mut touched = [false; 2];
         for id in live {
             let rec = self.periods.remove(&id).expect("collected above");
-            let i = idx(rec.resource);
-            touched[i] = true;
             if rec.admitted {
                 if rec.overflow {
-                    self.overflow[i] -= rec.accounted;
+                    self.overflow -= rec.accounted;
                 } else {
-                    self.usage[i] -= rec.accounted;
+                    self.usage -= rec.accounted;
                 }
             } else {
-                self.waiters[i].retain(|w| w.pp != id);
+                self.waiters.retain(|w| w.pp != id);
             }
             self.stats.reclaimed += 1;
         }
         self.cache.retain(|&(p, _), _| p != process.0);
-        if !had_any {
-            return Effect::Woken {
-                resumed: Vec::new(),
-                expired: Vec::new(),
-            };
-        }
-        // Only queues this exit touched (or queues holding an
-        // aged-past-timeout waiter) can admit anyone.
-        let mut resumed = Vec::new();
-        for r in Resource::ALL {
-            if touched[idx(r)] || self.has_expired_waiter(r, now) {
-                resumed.extend(self.drain(r, now));
-            }
-        }
+        let resumed = if had_any { self.drain(now) } else { Vec::new() };
         Effect::Woken {
             resumed,
             expired: Vec::new(),
@@ -495,34 +438,29 @@ impl RefModel {
         // minimal enqueue time (first in queue order among equals) while
         // it has waited past the deadline, completing its period.
         let mut expired = Vec::new();
-        let mut expired_touched = [false; 2];
         if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
-            for r in Resource::ALL {
-                let i = idx(r);
-                while let Some(pos) = self.waiters[i]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.enqueued)
-                    .filter(|(_, w)| now.saturating_sub(w.enqueued) >= deadline)
-                    .map(|(p, _)| p)
-                {
-                    let w = self.waiters[i].remove(pos);
-                    let rec = self.periods.remove(&w.pp).expect("waiter is live");
-                    self.stats.expired += 1;
-                    expired_touched[i] = true;
-                    expired.push((PpId(w.pp), rec.process));
-                }
+            while let Some(pos) = self
+                .waiters
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| w.enqueued)
+                .filter(|(_, w)| now.saturating_sub(w.enqueued) >= deadline)
+                .map(|(p, _)| p)
+            {
+                let w = self.waiters.remove(pos);
+                let rec = self.periods.remove(&w.pp).expect("waiter is live");
+                self.stats.expired += 1;
+                expired.push((PpId(w.pp), rec.process));
             }
         }
-        // No capacity was released since the last drain, so only queues
-        // an expiry touched (which may have exposed a fitting entry) or
-        // queues holding an aged-past-timeout waiter can admit anyone.
-        let mut resumed = Vec::new();
-        for r in Resource::ALL {
-            if expired_touched[idx(r)] || self.has_expired_waiter(r, now) {
-                resumed.extend(self.drain(r, now));
-            }
-        }
+        // No capacity was released since the last drain, so only an
+        // expiry (which may have exposed a fitting entry) or an
+        // aged-past-timeout waiter can admit anyone.
+        let resumed = if !expired.is_empty() || self.has_expired_waiter(now) {
+            self.drain(now)
+        } else {
+            Vec::new()
+        };
         self.evaluate_breaker();
         Effect::Woken { resumed, expired }
     }
@@ -533,12 +471,12 @@ impl RefModel {
         Effect::Retried
     }
 
-    /// True when resource `r` holds a waiter past the aging timeout.
-    fn has_expired_waiter(&self, r: Resource, now: u64) -> bool {
+    /// True when some waiter is past the aging timeout.
+    fn has_expired_waiter(&self, now: u64) -> bool {
         let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
             return false;
         };
-        self.waiters[idx(r)]
+        self.waiters
             .iter()
             .map(|w| w.enqueued)
             .min()
@@ -554,55 +492,51 @@ impl RefModel {
         let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
             return;
         };
-        for i in 0..2 {
-            let occupancy = self.usage[i].saturating_add(self.overflow[i]);
-            if self.breaker_open[i] {
-                if occupancy < b.low_water {
-                    self.breaker_below[i] += 1;
-                    if self.breaker_below[i] >= b.recover_after {
-                        self.breaker_open[i] = false;
-                        self.breaker_below[i] = 0;
-                    }
-                } else {
-                    self.breaker_below[i] = 0;
-                }
-            } else if occupancy >= b.high_water {
-                self.breaker_above[i] += 1;
-                if self.breaker_above[i] >= b.trip_after {
-                    self.breaker_open[i] = true;
-                    self.breaker_above[i] = 0;
-                    self.stats.breaker_trips += 1;
+        let occupancy = self.usage.saturating_add(self.overflow);
+        if self.breaker_open {
+            if occupancy < b.low_water {
+                self.breaker_below += 1;
+                if self.breaker_below >= b.recover_after {
+                    self.breaker_open = false;
+                    self.breaker_below = 0;
                 }
             } else {
-                self.breaker_above[i] = 0;
+                self.breaker_below = 0;
             }
+        } else if occupancy >= b.high_water {
+            self.breaker_above += 1;
+            if self.breaker_above >= b.trip_after {
+                self.breaker_open = true;
+                self.breaker_above = 0;
+                self.stats.breaker_trips += 1;
+            }
+        } else {
+            self.breaker_above = 0;
         }
     }
 
-    /// Walk one resource's FIFO: admit nominally while the head fits,
-    /// then force-admit the *oldest* expired waiter into the overflow
-    /// bucket and re-walk (removing a blocker can unblock queued
-    /// periods behind it).
-    fn drain(&mut self, resource: Resource, now: u64) -> Vec<(PpId, ProcessId)> {
-        let i = idx(resource);
-        let capacity = self.capacity(resource);
+    /// Walk the FIFO: admit nominally while the head fits, then
+    /// force-admit the *oldest* expired waiter into the overflow bucket
+    /// and re-walk (removing a blocker can unblock queued periods
+    /// behind it).
+    fn drain(&mut self, now: u64) -> Vec<(PpId, ProcessId)> {
+        let capacity = self.cfg.llc_capacity;
         let limit = usage_limit(self.cfg.policy, capacity);
         let mut resumed = Vec::new();
         loop {
-            while let Some(&head) = self.waiters[i].first() {
+            while let Some(&head) = self.waiters.first() {
                 let accounted = self.periods[&head.pp].accounted;
-                if !runnable(self.cfg.policy, capacity, self.usage[i], accounted) {
+                if !runnable(self.cfg.policy, capacity, self.usage, accounted) {
                     break;
                 }
-                self.waiters[i].remove(0);
-                self.usage[i] += head.accounted;
+                self.waiters.remove(0);
+                self.usage += head.accounted;
                 let rec = self.periods.get_mut(&head.pp).expect("waiter is live");
                 rec.admitted = true;
                 let (process, site, amount) = (rec.process, rec.site, rec.declared);
                 self.cache.insert(
                     (process.0, site),
                     Cached {
-                        resource,
                         amount,
                         threshold: limit.saturating_sub(head.accounted),
                         refreshed: now,
@@ -615,7 +549,8 @@ impl RefModel {
                 break;
             };
             // Oldest expired waiter, by enqueue time (not queue position).
-            let Some(pos) = self.waiters[i]
+            let Some(pos) = self
+                .waiters
                 .iter()
                 .enumerate()
                 .filter(|(_, w)| now.saturating_sub(w.enqueued) >= timeout)
@@ -624,12 +559,12 @@ impl RefModel {
             else {
                 break;
             };
-            let aged = self.waiters[i].remove(pos);
+            let aged = self.waiters.remove(pos);
             let rec = self.periods.get_mut(&aged.pp).expect("waiter is live");
             rec.admitted = true;
             rec.overflow = true;
             let process = rec.process;
-            self.overflow[i] += aged.accounted;
+            self.overflow += aged.accounted;
             self.stats.aged_admissions += 1;
             resumed.push((PpId(aged.pp), process));
         }
@@ -639,20 +574,18 @@ impl RefModel {
     /// The model's observable state in the implementation's
     /// [`Snapshot`] vocabulary, for direct comparison.
     pub fn snapshot(&self) -> Snapshot {
-        let waitlists = [0, 1].map(|i: usize| {
-            self.waiters[i]
+        Snapshot {
+            usage: self.usage,
+            overflow: self.overflow,
+            waitlist: self
+                .waiters
                 .iter()
                 .map(|w| WaitSnap {
                     pp: PpId(w.pp),
                     accounted: w.accounted,
                     enqueued_cycles: w.enqueued,
                 })
-                .collect()
-        });
-        Snapshot {
-            usage: self.usage,
-            overflow: self.overflow,
-            waitlists,
+                .collect(),
             periods: self
                 .periods
                 .iter()
@@ -660,7 +593,6 @@ impl RefModel {
                     id: PpId(id),
                     process: r.process,
                     site: rda_core::SiteId(r.site),
-                    resource: r.resource,
                     declared: r.declared,
                     accounted: r.accounted,
                     admitted: r.admitted,
@@ -682,7 +614,6 @@ impl RefModel {
             let mut h = Fnv1a64::new();
             h.write_u64(process as u64)
                 .write_u64(site as u64)
-                .write_u64(idx(c.resource) as u64)
                 .write_u64(c.amount)
                 .write_u64(c.threshold)
                 .write_u64(c.refreshed);
@@ -698,11 +629,9 @@ impl RefModel {
     /// breaker streaks must not share a subtree.
     pub fn breaker_digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
-        for i in 0..2 {
-            h.write_u64(self.breaker_open[i] as u64)
-                .write_u64(self.breaker_above[i] as u64)
-                .write_u64(self.breaker_below[i] as u64);
-        }
+        h.write_u64(self.breaker_open as u64)
+            .write_u64(self.breaker_above as u64)
+            .write_u64(self.breaker_below as u64);
         h.finish()
     }
 }
@@ -724,11 +653,11 @@ mod tests {
     fn strict_pauses_when_full_and_resumes_on_end() {
         let mut m = RefModel::new(cfg(PolicyKind::Strict));
         let p = ProcessId(0);
-        let a = match m.pp_begin(p, 0, Resource::Llc, mb(10.0), 0) {
+        let a = match m.pp_begin(p, 0, mb(10.0), 0) {
             Effect::Run { pp, fast: false } => pp,
             other => panic!("expected slow Run, got {other:?}"),
         };
-        let b = match m.pp_begin(ProcessId(1), 1, Resource::Llc, mb(10.0), 10) {
+        let b = match m.pp_begin(ProcessId(1), 1, mb(10.0), 10) {
             Effect::Pause { pp, .. } => pp,
             other => panic!("expected Pause, got {other:?}"),
         };
@@ -739,7 +668,7 @@ mod tests {
             other => panic!("expected slow End, got {other:?}"),
         }
         let s = m.snapshot();
-        assert_eq!(s.usage[0], mb(10.0));
+        assert_eq!(s.usage, mb(10.0));
         assert_eq!(s.stats.resumed, 1);
     }
 
@@ -747,13 +676,13 @@ mod tests {
     fn repeat_site_hits_the_fast_path() {
         let mut m = RefModel::new(cfg(PolicyKind::Strict));
         let p = ProcessId(0);
-        let a = match m.pp_begin(p, 7, Resource::Llc, mb(2.0), 0) {
+        let a = match m.pp_begin(p, 7, mb(2.0), 0) {
             Effect::Run { pp, fast: false } => pp,
             other => panic!("{other:?}"),
         };
         assert!(matches!(m.pp_end(a, 100), Effect::End { fast: true, .. }));
         assert!(matches!(
-            m.pp_begin(p, 7, Resource::Llc, mb(2.0), 200),
+            m.pp_begin(p, 7, mb(2.0), 200),
             Effect::Run { fast: true, .. }
         ));
         assert_eq!(m.snapshot().stats.fast_begins, 1);
@@ -771,10 +700,28 @@ mod tests {
         assert_eq!(m.snapshot().stats.rejected_ends, 1);
     }
 
+    /// Compromise admits exactly up to ⌊capacity·x⌋ — the bound the
+    /// deadlock guard and the fast-path threshold use — even where
+    /// `x − 1` is inexact in f64 (x = 1.2 on the Xeon LLC).
+    #[test]
+    fn compromise_admits_its_usage_limit_on_an_idle_cache() {
+        let mut m = RefModel::new(cfg(PolicyKind::Compromise { factor: 1.2 }));
+        let limit = 18_874_368; // ⌊15 728 640 · 1.2⌋
+        assert!(matches!(
+            m.pp_begin(ProcessId(0), 0, limit, 0),
+            Effect::Run { fast: false, .. }
+        ));
+        assert!(matches!(
+            m.pp_begin(ProcessId(1), 1, 1, 10),
+            Effect::Pause { .. }
+        ));
+        assert_eq!(m.snapshot().stats.oversized_admits, 0);
+    }
+
     #[test]
     fn default_only_bypasses_everything() {
         let mut m = RefModel::new(cfg(PolicyKind::DefaultOnly));
-        assert_eq!(m.pp_begin(ProcessId(0), 0, Resource::Llc, mb(99.0), 0), Effect::Bypass);
+        assert_eq!(m.pp_begin(ProcessId(0), 0, mb(99.0), 0), Effect::Bypass);
         assert!(m.snapshot().is_idle());
         assert_eq!(m.snapshot().stats, RdaStats::default());
     }

@@ -535,18 +535,12 @@ impl TopoRefModel {
         let mut expired_touched = vec![false; self.nodes()];
         if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
             for n in 0..self.nodes() {
-                // Enqueue times are monotone per queue: expired waiters
-                // form a prefix.
-                while let Some(&front) = self.waitlists[n].first() {
-                    let enq = self.periods[&front].begun;
-                    if now.saturating_sub(enq) < deadline {
-                        break;
-                    }
-                    self.waitlists[n].remove(0);
-                    let rec = self.periods.remove(&front).expect("waiter is live");
+                while let Some(pos) = self.oldest_expired(n, now, deadline) {
+                    let pp = self.waitlists[n].remove(pos);
+                    let rec = self.periods.remove(&pp).expect("waiter is live");
                     self.stats.expired += 1;
                     expired_touched[n] = true;
-                    expired.push((PpId(front), rec.process));
+                    expired.push((PpId(pp), rec.process));
                 }
             }
         }
@@ -568,14 +562,23 @@ impl TopoRefModel {
 
     /// True when node `n` holds a waiter past the aging timeout.
     fn has_expired_waiter(&self, n: usize, now: u64) -> bool {
-        let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
-            return false;
-        };
+        self.cfg
+            .waitlist_timeout_cycles
+            .is_some_and(|timeout| self.oldest_expired(n, now, timeout).is_some())
+    }
+
+    /// Queue position of node `n`'s oldest waiter — earliest begin
+    /// time, first in queue order among equals — when it has waited
+    /// `timeout` cycles or longer by `now`. Aging and deadlines take
+    /// waiters oldest-first by this rule, whatever their queue
+    /// position (a caller's clock may step backward).
+    fn oldest_expired(&self, n: usize, now: u64, timeout: u64) -> Option<usize> {
         self.waitlists[n]
             .iter()
-            .map(|pp| self.periods[pp].begun)
-            .min()
-            .is_some_and(|oldest| now.saturating_sub(oldest) >= timeout)
+            .enumerate()
+            .min_by_key(|(_, pp)| self.periods[pp].begun)
+            .filter(|(_, pp)| now.saturating_sub(self.periods[pp].begun) >= timeout)
+            .map(|(pos, _)| pos)
     }
 
     /// Per-node, per-kind breaker hysteresis over summed occupancy.
@@ -619,8 +622,8 @@ impl TopoRefModel {
     }
 
     /// Walk one node's FIFO: admit while the head fits (every demanded
-    /// component re-checked), then force-admit a timed-out head into
-    /// the overflow bucket and re-walk.
+    /// component re-checked), then force-admit the oldest timed-out
+    /// waiter into the overflow bucket and re-walk.
     fn drain(&mut self, n: usize, now: u64) -> Vec<(PpId, ProcessId)> {
         let mut resumed = Vec::new();
         loop {
@@ -642,19 +645,16 @@ impl TopoRefModel {
             let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
                 break;
             };
-            let Some(&head) = self.waitlists[n].first() else {
+            let Some(pos) = self.oldest_expired(n, now, timeout) else {
                 break;
             };
-            if now.saturating_sub(self.periods[&head].begun) < timeout {
-                break;
-            }
-            self.waitlists[n].remove(0);
-            let rec = self.periods.get_mut(&head).expect("waiter is live");
+            let aged = self.waitlists[n].remove(pos);
+            let rec = self.periods.get_mut(&aged).expect("waiter is live");
             rec.admitted = true;
             rec.overflow = true;
             let process = rec.process;
             self.stats.aged_admissions += 1;
-            resumed.push((PpId(head), process));
+            resumed.push((PpId(aged), process));
         }
         resumed
     }

@@ -47,9 +47,7 @@ use crate::trace::{
     parse_amount, parse_policy, parse_shared_header, policy_words, read_lines, write_shared_header,
     TraceDoc, TraceEvent,
 };
-use rda_core::{
-    Demand, LayerId, LayerSet, LayerSpec, Resource, ResourceKind, TopoConfig, TopoSpec,
-};
+use rda_core::{Demand, LayerId, LayerSet, LayerSpec, ResourceKind, TopoConfig, TopoSpec};
 use std::fmt::Write as _;
 
 /// One replayable topology-engine call.
@@ -311,8 +309,8 @@ impl TopoDoc {
 }
 
 /// Lift a scalar trace into the topology vocabulary: the configuration
-/// through [`TopoConfig::compat`] and every scalar demand as a
-/// single-component vector. Replaying the lifted document through the
+/// through [`TopoConfig::compat`] and every scalar demand as an
+/// LLC-only vector. Replaying the lifted document through the
 /// topology oracle is the executable form of DESIGN.md §9's
 /// compatibility argument.
 pub fn lift(doc: &TraceDoc) -> TopoDoc {
@@ -324,41 +322,27 @@ pub fn lift(doc: &TraceDoc) -> TopoDoc {
                 t,
                 process,
                 site,
-                resource,
                 amount,
             } => TopoEvent::Begin {
                 t,
                 process,
                 site,
-                demand: Demand::ZERO.with(lift_kind(resource), amount),
+                demand: Demand::llc(amount),
             },
             TraceEvent::End { t, pp } => TopoEvent::End { t, pp },
             TraceEvent::Exit { t, process } => TopoEvent::Exit { t, process },
             TraceEvent::Age { t } => TopoEvent::Age { t },
-            TraceEvent::Retry {
+            TraceEvent::Retry { t, process, site } => TopoEvent::Retry {
                 t,
                 process,
                 site,
-                resource,
-            } => TopoEvent::Retry {
-                t,
-                process,
-                site,
-                kind: lift_kind(resource),
+                kind: ResourceKind::Llc,
             },
         })
         .collect();
     TopoDoc {
         cfg: TopoConfig::compat(&doc.cfg),
         events,
-    }
-}
-
-/// The topology kind a scalar resource lifts to.
-pub fn lift_kind(r: Resource) -> ResourceKind {
-    match r {
-        Resource::Llc => ResourceKind::Llc,
-        Resource::MemBandwidth => ResourceKind::MemBw,
     }
 }
 
@@ -459,7 +443,7 @@ mod tests {
     fn lifting_preserves_the_scalar_configuration_shape() {
         let scalar = TraceDoc::parse(
             "policy strict\nllc 1000\naudit clamp\ntimeout 500\n\
-             begin 0 0 0 llc 600\nbegin 10 1 1 membw 5mb\nend 20 0\nretry 30 1 1 membw\n",
+             begin 0 0 0 llc 600\nbegin 10 1 1 llc 5mb\nend 20 0\nretry 30 1 1 llc\n",
         )
         .unwrap();
         let lifted = lift(&scalar);
@@ -473,7 +457,16 @@ mod tests {
                 t: 10,
                 process: 1,
                 site: 1,
-                demand: Demand::new(0, rda_core::mb(5.0), 0),
+                demand: Demand::llc(rda_core::mb(5.0)),
+            }
+        );
+        assert_eq!(
+            lifted.events[3],
+            TopoEvent::Retry {
+                t: 30,
+                process: 1,
+                site: 1,
+                kind: ResourceKind::Llc,
             }
         );
         // Lifted docs roundtrip through the topology text format too.

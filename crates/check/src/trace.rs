@@ -19,7 +19,7 @@
 //! under `policy strict`, `audit trust`, no aging):
 //!
 //! * `policy default | strict | compromise <factor> | partitioned <frac>`
-//! * `llc <bytes>` / `membw <bytes>` — resource capacities
+//! * `llc <bytes>` — LLC capacity
 //! * `audit trust | clamp | reject`
 //! * `timeout none | <cycles>` — waitlist aging timeout
 //! * `interval <cycles>` — fast-path re-evaluation interval
@@ -35,13 +35,14 @@
 //! Events (all times in cycles; amounts accept a raw byte count or a
 //! decimal with an `mb` suffix):
 //!
-//! * `begin <t> <process> <site> <llc|membw> <amount>`
+//! * `begin <t> <process> <site> llc <amount>` — the scalar engine
+//!   tracks one resource, so the resource word is always `llc`
 //! * `end <t> <pp>` — pp ids are allocated sequentially from 0 in
 //!   begin order, so traces reference them by index
 //! * `exit <t> <process>`
 //! * `age <t>`
-//! * `retry <t> <process> <site> <llc|membw>` — a client-side retry of
-//!   a shed or expired arrival
+//! * `retry <t> <process> <site> llc` — a client-side retry of a shed
+//!   or expired arrival
 //!
 //! Shrunk counterexamples from the random generator are written in this
 //! format under `tests/corpus/` and replayed by CI forever after.
@@ -51,16 +52,14 @@
 //! `overload`, `deadline` and `breaker` directives and the policy
 //! spelling with the same code.
 
-use rda_core::{
-    BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, RdaConfig, Resource, ShedPolicy,
-};
+use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
 use std::fmt::Write as _;
 
 /// One replayable extension call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// `pp_begin(process, site, {resource, amount})` at cycle `t`.
+    /// `pp_begin(process, site, {LLC, amount})` at cycle `t`.
     Begin {
         /// Call time, cycles.
         t: u64,
@@ -68,9 +67,7 @@ pub enum TraceEvent {
         process: u32,
         /// Static call site.
         site: u32,
-        /// Targeted resource.
-        resource: Resource,
-        /// Declared demand (pre-audit), bytes.
+        /// Declared LLC demand (pre-audit), bytes.
         amount: u64,
     },
     /// `pp_end(pp)` at cycle `t`.
@@ -92,7 +89,7 @@ pub enum TraceEvent {
         /// Call time, cycles.
         t: u64,
     },
-    /// `note_retry(process, site, resource)` at cycle `t`.
+    /// `note_retry(process, site, LLC)` at cycle `t`.
     Retry {
         /// Call time, cycles.
         t: u64,
@@ -100,8 +97,6 @@ pub enum TraceEvent {
         process: u32,
         /// Static call site of the retried demand.
         site: u32,
-        /// The resource the retried demand targets.
-        resource: Resource,
     },
 }
 
@@ -146,7 +141,6 @@ impl TraceDoc {
                     }
                 }
                 "llc" => cfg.llc_capacity = parse_amount(fields.first(), fail)?,
-                "membw" => cfg.membw_capacity = parse_amount(fields.first(), fail)?,
                 "interval" => {
                     cfg.min_eval_interval_cycles = match fields {
                         [n] => n.parse().map_err(|_| fail("bad interval"))?,
@@ -154,14 +148,16 @@ impl TraceDoc {
                     }
                 }
                 "begin" => match fields {
-                    [t, process, site, resource, amount] => events.push(TraceEvent::Begin {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                        site: site.parse().map_err(|_| fail("bad site"))?,
-                        resource: parse_resource(resource, fail)?,
-                        amount: parse_amount(Some(amount), fail)?,
-                    }),
-                    _ => return Err(fail("expected `begin <t> <proc> <site> <res> <amount>`")),
+                    [t, process, site, resource, amount] => {
+                        expect_llc(resource, fail)?;
+                        events.push(TraceEvent::Begin {
+                            t: t.parse().map_err(|_| fail("bad time"))?,
+                            process: process.parse().map_err(|_| fail("bad process"))?,
+                            site: site.parse().map_err(|_| fail("bad site"))?,
+                            amount: parse_amount(Some(amount), fail)?,
+                        })
+                    }
+                    _ => return Err(fail("expected `begin <t> <proc> <site> llc <amount>`")),
                 },
                 "end" => match fields {
                     [t, pp] => events.push(TraceEvent::End {
@@ -184,13 +180,15 @@ impl TraceDoc {
                     _ => return Err(fail("expected `age <t>`")),
                 },
                 "retry" => match fields {
-                    [t, process, site, resource] => events.push(TraceEvent::Retry {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                        site: site.parse().map_err(|_| fail("bad site"))?,
-                        resource: parse_resource(resource, fail)?,
-                    }),
-                    _ => return Err(fail("expected `retry <t> <proc> <site> <res>`")),
+                    [t, process, site, resource] => {
+                        expect_llc(resource, fail)?;
+                        events.push(TraceEvent::Retry {
+                            t: t.parse().map_err(|_| fail("bad time"))?,
+                            process: process.parse().map_err(|_| fail("bad process"))?,
+                            site: site.parse().map_err(|_| fail("bad site"))?,
+                        })
+                    }
+                    _ => return Err(fail("expected `retry <t> <proc> <site> llc`")),
                 },
                 _ => return Err(fail("unknown directive")),
             }
@@ -206,7 +204,6 @@ impl TraceDoc {
         let c = &self.cfg;
         let _ = writeln!(out, "policy {}", policy_words(c.policy));
         let _ = writeln!(out, "llc {}", c.llc_capacity);
-        let _ = writeln!(out, "membw {}", c.membw_capacity);
         let _ = writeln!(out, "interval {}", c.min_eval_interval_cycles);
         write_shared_header(
             &mut out,
@@ -220,23 +217,13 @@ impl TraceDoc {
                     t,
                     process,
                     site,
-                    resource,
                     amount,
-                } => {
-                    let r = resource_word(resource);
-                    writeln!(out, "begin {t} {process} {site} {r} {amount}")
-                }
+                } => writeln!(out, "begin {t} {process} {site} llc {amount}"),
                 TraceEvent::End { t, pp } => writeln!(out, "end {t} {pp}"),
                 TraceEvent::Exit { t, process } => writeln!(out, "exit {t} {process}"),
                 TraceEvent::Age { t } => writeln!(out, "age {t}"),
-                TraceEvent::Retry {
-                    t,
-                    process,
-                    site,
-                    resource,
-                } => {
-                    let r = resource_word(resource);
-                    writeln!(out, "retry {t} {process} {site} {r}")
+                TraceEvent::Retry { t, process, site } => {
+                    writeln!(out, "retry {t} {process} {site} llc")
                 }
             };
         }
@@ -244,18 +231,13 @@ impl TraceDoc {
     }
 }
 
-fn parse_resource(word: &str, fail: &dyn Fn(&str) -> String) -> Result<Resource, String> {
+/// The scalar engine tracks the LLC only; any other resource word is
+/// a parse error (memory bandwidth and DRAM belong to the topology
+/// dialect).
+fn expect_llc(word: &str, fail: &dyn Fn(&str) -> String) -> Result<(), String> {
     match word {
-        "llc" => Ok(Resource::Llc),
-        "membw" => Ok(Resource::MemBandwidth),
-        _ => Err(fail("resource must be llc|membw")),
-    }
-}
-
-fn resource_word(r: Resource) -> &'static str {
-    match r {
-        Resource::Llc => "llc",
-        Resource::MemBandwidth => "membw",
+        "llc" => Ok(()),
+        _ => Err(fail("the scalar engine tracks only `llc`")),
     }
 }
 
@@ -471,7 +453,7 @@ mod tests {
     fn parses_header_and_events() {
         let doc = TraceDoc::parse(
             "# demo\npolicy compromise 2\nllc 1000\naudit clamp\ntimeout 500\n\
-             begin 0 0 0 llc 600\nbegin 10 1 1 membw 5mb\nend 20 0\nexit 30 1\nage 40\n",
+             begin 0 0 0 llc 600\nbegin 10 1 1 llc 5mb\nend 20 0\nexit 30 1\nage 40\n",
         )
         .unwrap();
         assert_eq!(doc.cfg.policy, PolicyKind::Compromise { factor: 2.0 });
@@ -485,7 +467,6 @@ mod tests {
                 t: 10,
                 process: 1,
                 site: 1,
-                resource: Resource::MemBandwidth,
                 amount: rda_core::mb(5.0),
             }
         );
@@ -498,7 +479,6 @@ mod tests {
                 t: 0,
                 process: 0,
                 site: 3,
-                resource: Resource::Llc,
                 amount: 123_456,
             },
             TraceEvent::Age { t: 7 },
@@ -508,7 +488,6 @@ mod tests {
                 t: 13,
                 process: 2,
                 site: 1,
-                resource: Resource::MemBandwidth,
             },
         ]);
         doc.cfg.policy = PolicyKind::Partitioned { quota_frac: 0.25 };
@@ -553,12 +532,17 @@ mod tests {
             ("policy sloppy", "unknown policy"),
             ("end 0 0\npolicy strict", "header line after the first event"),
             ("frobnicate 1 2 3", "unknown directive"),
-            ("begin 0 0 0 disk 10", "llc|membw"),
+            ("begin 0 0 0 disk 10", "tracks only `llc`"),
+            (
+                "age 0\nbegin 1 0 0 membw 10",
+                "line 2: the scalar engine tracks only `llc`",
+            ),
+            ("membw 1000", "line 1: unknown directive"),
             ("deadline 500", "requires a preceding overload"),
             ("breaker 1 2 3 4 5", "requires a preceding overload"),
             ("overload 4 sloppy", "reject_newest|reject_oldest|degrade"),
             ("overload 4 degrade\nbreaker 1 2 3", "expected `breaker"),
-            ("retry 0 0 0 disk", "llc|membw"),
+            ("retry 0 0 0 membw", "tracks only `llc`"),
         ] {
             let err = TraceDoc::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` gave `{err}`");

@@ -10,38 +10,21 @@
 use rda_machine::ReuseLevel;
 use std::fmt;
 
-/// Hardware resources the scheduler can track. The paper's prototype
-/// targets the shared last-level cache; the design is "configurable to
-/// allow multiple hardware resources to be targeted", so memory
-/// bandwidth is included as the natural second resource.
+/// The hardware resource the scalar scheduler tracks: the shared
+/// last-level cache, the one resource the paper's prototype and
+/// Algorithm 1 gate. Demand vectors over several resources (memory
+/// bandwidth, DRAM capacity) belong to the topology engine
+/// ([`crate::topo::TopoExtension`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// The shared last-level cache; demands are working-set bytes.
     Llc,
-    /// DRAM bandwidth; demands are bytes per second.
-    MemBandwidth,
-}
-
-impl Resource {
-    /// Every supported resource.
-    pub const ALL: [Resource; 2] = [Resource::Llc, Resource::MemBandwidth];
-
-    /// Stable index of this resource into per-resource arrays, matching
-    /// the order of [`Resource::ALL`] (and the load table's columns).
-    #[inline]
-    pub const fn index(self) -> usize {
-        match self {
-            Resource::Llc => 0,
-            Resource::MemBandwidth => 1,
-        }
-    }
 }
 
 impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Resource::Llc => write!(f, "LLC"),
-            Resource::MemBandwidth => write!(f, "MemBW"),
         }
     }
 }
@@ -121,7 +104,6 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Resource::Llc.to_string(), "LLC");
-        assert_eq!(Resource::MemBandwidth.to_string(), "MemBW");
         assert_eq!(PpId(12).to_string(), "pp#12");
         assert_eq!(SiteId(4).to_string(), "site4");
     }

@@ -27,7 +27,7 @@ pub enum DemandAudit {
 }
 
 /// What the bounded-waitlist admission gate does with an arrival that
-/// would push a resource's waitlist past
+/// would push a waitlist past
 /// [`OverloadConfig::waitlist_cap`] (open-system overload control; the
 /// paper's closed-system batch model never needed one — its waitlist
 /// depth is bounded by the process count).
@@ -50,8 +50,8 @@ pub enum ShedPolicy {
     DegradeToOverflow,
 }
 
-/// Saturation circuit breaker: when a resource's total occupancy
-/// (nominal + overflow buckets) stays above `high_water` for
+/// Saturation circuit breaker: when the total occupancy (nominal +
+/// overflow buckets) stays above `high_water` for
 /// `trip_after` consecutive evaluation ticks, the breaker opens and
 /// `pp_begin` sheds every arrival whose audited demand is at least
 /// `shed_min_demand` with [`crate::error::RdaError::BreakerOpen`].
@@ -83,7 +83,8 @@ pub struct BreakerConfig {
 /// the paper's unbounded, deadline-free behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadConfig {
-    /// Maximum entries per resource waitlist before the gate sheds.
+    /// Maximum waitlist entries (per node in the topology engine)
+    /// before the gate sheds.
     pub waitlist_cap: usize,
     /// What to shed when the cap is hit.
     pub shed_policy: ShedPolicy,
@@ -103,8 +104,6 @@ pub struct RdaConfig {
     pub policy: PolicyKind,
     /// LLC capacity the resource monitor manages, bytes.
     pub llc_capacity: u64,
-    /// Memory-bandwidth capacity, bytes/second (extension resource).
-    pub membw_capacity: u64,
     /// Cost of a full (slow-path) `pp_begin`/`pp_end` call: syscall,
     /// registry update, predicate evaluation, possible waitlist scan —
     /// in cycles.
@@ -131,8 +130,8 @@ pub struct RdaConfig {
 }
 
 impl RdaConfig {
-    /// Defaults bound to a machine: capacity from the machine's LLC and
-    /// peak DRAM bandwidth; call costs calibrated against Figure 11
+    /// Defaults bound to a machine: capacity from the machine's LLC;
+    /// call costs calibrated against Figure 11
     /// (≈ 50 µs slow path — syscall + registry + predicate + possible
     /// waitlist scan and reschedule — ≈ 0.55 µs fast path, 250 µs
     /// re-evaluation interval at 1.9 GHz).
@@ -141,7 +140,6 @@ impl RdaConfig {
         RdaConfig {
             policy,
             llc_capacity: m.llc_bytes,
-            membw_capacity: m.dram_peak_bw as u64,
             slow_call_cycles: us(50.0),
             fast_call_cycles: us(0.55),
             min_eval_interval_cycles: us(250.0),
@@ -168,29 +166,17 @@ impl RdaConfig {
         self.overload = Some(overload);
         self
     }
-
-    /// Capacity of a resource under this configuration.
-    pub fn capacity(&self, resource: crate::api::Resource) -> u64 {
-        match resource {
-            crate::api::Resource::Llc => self.llc_capacity,
-            crate::api::Resource::MemBandwidth => self.membw_capacity,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Resource;
 
     #[test]
     fn defaults_follow_machine() {
         let m = MachineConfig::xeon_e5_2420();
         let c = RdaConfig::for_machine(&m, PolicyKind::Strict);
         assert_eq!(c.llc_capacity, m.llc_bytes);
-        assert_eq!(c.capacity(Resource::Llc), m.llc_bytes);
-        assert_eq!(c.capacity(Resource::MemBandwidth), m.dram_peak_bw as u64);
-        
         assert_eq!(c.slow_call_cycles, 95_000); // 50 us at 1.9 GHz
         assert!(c.fast_call_cycles < c.slow_call_cycles / 50);
         // The paper's trusting, aging-free behaviour is the default.

@@ -9,7 +9,7 @@
 //! [`RdaError`] is that vocabulary: every protocol violation the
 //! extension can detect, with enough structure for fault accounting.
 
-use crate::api::{PpId, Resource};
+use crate::api::PpId;
 use std::fmt;
 
 /// Which internal consistency check an [`RdaError::InvariantViolation`]
@@ -27,7 +27,7 @@ pub enum InvariantKind {
     /// A waitlisted period is marked admitted in the registry.
     WaitlistAdmitted,
     /// Waitlist length differs from the registry's count of
-    /// non-admitted periods on that resource.
+    /// non-admitted periods.
     WaitlistCountMismatch,
 }
 
@@ -66,15 +66,13 @@ pub enum RdaError {
     /// A period was enqueued on a waitlist it already occupies; honoring
     /// it would double-release the demand on admission.
     DoubleWaitlist(PpId),
-    /// A declared demand the auditor refused: larger than the resource
+    /// A declared demand the auditor refused: larger than the LLC
     /// itself (with [`crate::config::DemandAudit::Reject`]) or large
     /// enough to overflow the 64-bit load table.
     DemandOverflow {
-        /// The resource the demand targeted.
-        resource: Resource,
         /// The declared amount.
         declared: u64,
-        /// The resource's nominal capacity.
+        /// The LLC's nominal capacity.
         capacity: u64,
     },
     /// A waitlisted period outlived its configured deadline
@@ -82,23 +80,16 @@ pub enum RdaError {
     /// expired on an aging tick instead of ever being admitted.
     DeadlineExceeded(PpId),
     /// The bounded admission gate shed an arrival because the
-    /// resource's waitlist is at
-    /// [`crate::config::OverloadConfig::waitlist_cap`] (under
-    /// [`crate::config::ShedPolicy::RejectNewest`], or
+    /// waitlist is at [`crate::config::OverloadConfig::waitlist_cap`]
+    /// (under [`crate::config::ShedPolicy::RejectNewest`], or
     /// `RejectOldest` with an empty queue). No period id was
     /// allocated; the caller may back off and retry.
-    WaitlistFull {
-        /// The resource whose waitlist is full.
-        resource: Resource,
-    },
-    /// The saturation circuit breaker is open for this resource and the
-    /// arrival's audited demand is at or above the configured shed
-    /// class ([`crate::config::BreakerConfig::shed_min_demand`]). No
-    /// period id was allocated; the caller may back off and retry.
-    BreakerOpen {
-        /// The resource whose breaker is open.
-        resource: Resource,
-    },
+    WaitlistFull,
+    /// The saturation circuit breaker is open and the arrival's
+    /// audited demand is at or above the configured shed class
+    /// ([`crate::config::BreakerConfig::shed_min_demand`]). No period
+    /// id was allocated; the caller may back off and retry.
+    BreakerOpen,
     /// The registry and another internal structure disagreed about a
     /// period's existence (e.g. a record vanished between a liveness
     /// check and its removal) — a scheduler bug, not an application
@@ -109,8 +100,6 @@ pub enum RdaError {
     /// An internal consistency check failed — a scheduler bug, not an
     /// application bug.
     InvariantViolation {
-        /// The resource whose books disagree.
-        resource: Resource,
         /// Which check tripped.
         kind: InvariantKind,
         /// The value the registry implies.
@@ -134,29 +123,19 @@ impl fmt::Display for RdaError {
             RdaError::DeadlineExceeded(pp) => {
                 write!(f, "{pp} deadline exceeded while waitlisted")
             }
-            RdaError::WaitlistFull { resource } => {
-                write!(f, "{resource} waitlist full — arrival shed")
-            }
-            RdaError::BreakerOpen { resource } => {
-                write!(f, "{resource} circuit breaker open — arrival shed")
-            }
+            RdaError::WaitlistFull => write!(f, "waitlist full — arrival shed"),
+            RdaError::BreakerOpen => write!(f, "circuit breaker open — arrival shed"),
             RdaError::RegistryDesync(pp) => {
                 write!(f, "{pp} registry record desynchronized — scheduler bug")
             }
-            RdaError::DemandOverflow {
-                resource,
-                declared,
-                capacity,
-            } => write!(f, "{resource} demand {declared} rejected (capacity {capacity})"),
+            RdaError::DemandOverflow { declared, capacity } => {
+                write!(f, "LLC demand {declared} rejected (capacity {capacity})")
+            }
             RdaError::InvariantViolation {
-                resource,
                 kind,
                 expected,
                 actual,
-            } => write!(
-                f,
-                "{resource}: {kind} — expected {expected}, actual {actual}"
-            ),
+            } => write!(f, "LLC: {kind} — expected {expected}, actual {actual}"),
         }
     }
 }
@@ -190,27 +169,19 @@ mod tests {
             "pp#4 deadline exceeded while waitlisted"
         );
         assert_eq!(
-            RdaError::WaitlistFull {
-                resource: Resource::Llc
-            }
-            .to_string(),
-            "LLC waitlist full — arrival shed"
+            RdaError::WaitlistFull.to_string(),
+            "waitlist full — arrival shed"
         );
         assert_eq!(
-            RdaError::BreakerOpen {
-                resource: Resource::MemBandwidth
-            }
-            .to_string(),
-            "MemBW circuit breaker open — arrival shed"
+            RdaError::BreakerOpen.to_string(),
+            "circuit breaker open — arrival shed"
         );
         let e = RdaError::DemandOverflow {
-            resource: Resource::Llc,
             declared: 100,
             capacity: 10,
         };
         assert_eq!(e.to_string(), "LLC demand 100 rejected (capacity 10)");
         let v = RdaError::InvariantViolation {
-            resource: Resource::Llc,
             kind: InvariantKind::UsageMismatch,
             expected: 5,
             actual: 6,

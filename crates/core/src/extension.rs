@@ -55,7 +55,7 @@ use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
 use crate::waitlist::{WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
-use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink};
+use rda_trace::{EventKind, RejectKind, TraceEvent, TraceSink};
 
 /// Activity counters of the extension.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,12 +172,11 @@ pub struct RdaExtension {
     /// feed back into scheduling decisions, so run digests are
     /// byte-identical with tracing on or off.
     sink: Option<TraceSink>,
-    /// Saturation-breaker state per resource (order of
-    /// [`Resource::ALL`]): open flag plus the consecutive-tick
+    /// Saturation-breaker state: open flag plus the consecutive-tick
     /// hysteresis counters. All zero unless a breaker is configured.
-    breaker_open: [bool; 2],
-    breaker_above: [u32; 2],
-    breaker_below: [u32; 2],
+    breaker_open: bool,
+    breaker_above: u32,
+    breaker_below: u32,
     /// Bumped by every call that can mutate the books (registry,
     /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
@@ -192,15 +191,15 @@ impl RdaExtension {
     /// Build an extension with the given configuration.
     pub fn new(cfg: RdaConfig) -> Self {
         RdaExtension {
-            monitor: ResourceMonitor::new(cfg.llc_capacity, cfg.membw_capacity),
+            monitor: ResourceMonitor::new(cfg.llc_capacity),
             registry: PpRegistry::new(),
             waitlist: Waitlist::new(),
             fastpath: FastPathCache::new(),
             stats: RdaStats::default(),
             sink: None,
-            breaker_open: [false; 2],
-            breaker_above: [0; 2],
-            breaker_below: [0; 2],
+            breaker_open: false,
+            breaker_above: 0,
+            breaker_below: 0,
             books_epoch: 0,
             cfg,
         }
@@ -228,13 +227,6 @@ impl RdaExtension {
         self.sink.take()
     }
 
-    fn trace_resource(r: Resource) -> TraceResource {
-        match r {
-            Resource::Llc => TraceResource::Llc,
-            Resource::MemBandwidth => TraceResource::MemBandwidth,
-        }
-    }
-
     #[inline]
     fn emit(&mut self, ev: TraceEvent) {
         if let Some(sink) = self.sink.as_mut() {
@@ -257,15 +249,15 @@ impl RdaExtension {
         self.stats
     }
 
-    /// Current nominally tracked usage of a resource (what the
-    /// predicate sees; excludes the overflow bucket).
-    pub fn usage(&self, r: Resource) -> u64 {
-        self.monitor.usage(r)
+    /// Current nominally tracked LLC usage (what the predicate sees;
+    /// excludes the overflow bucket).
+    pub fn usage(&self) -> u64 {
+        self.monitor.usage()
     }
 
     /// Demand held by aged (overflow-admitted) periods.
-    pub fn overflow_usage(&self, r: Resource) -> u64 {
-        self.monitor.overflow(r)
+    pub fn overflow_usage(&self) -> u64 {
+        self.monitor.overflow()
     }
 
     /// Number of live periods (admitted + waitlisted) in the registry.
@@ -273,49 +265,36 @@ impl RdaExtension {
         self.registry.len()
     }
 
-    /// Iterate the admitted (running) periods.
-    pub fn iter_admitted(&self) -> impl Iterator<Item = &crate::registry::PpRecord> {
-        self.registry.iter().filter(|r| r.admitted)
+    /// Number of waitlisted periods.
+    pub fn waitlist_len(&self) -> usize {
+        self.waitlist.len()
     }
 
-    /// Number of periods waiting on a resource.
-    pub fn waitlist_len(&self, r: Resource) -> usize {
-        self.waitlist.len(r)
-    }
-
-    /// Enqueue time of the longest-waiting period on a resource — the
-    /// next to be force-admitted when aging is enabled.
-    pub fn oldest_wait(&self, r: Resource) -> Option<SimTime> {
-        self.waitlist.oldest(r)
+    /// Enqueue time of the longest-waiting period — the next to be
+    /// force-admitted when aging is enabled.
+    pub fn oldest_wait(&self) -> Option<SimTime> {
+        self.waitlist.oldest()
     }
 
     /// A complete, comparable snapshot of the observable state: both
-    /// accounting buckets per resource, the waitlists in queue order,
-    /// every live period, the activity counters, and the id-allocator
-    /// position. O(live periods); used by the differential oracle in
-    /// `rda-check` after every replayed event, and cheap enough for
-    /// assertions in ordinary tests.
+    /// accounting buckets, the waitlist in queue order, every live
+    /// period, the activity counters, and the id-allocator position.
+    /// O(live periods); used by the differential oracle in `rda-check`
+    /// after every replayed event, and cheap enough for assertions in
+    /// ordinary tests.
     pub fn snapshot(&self) -> Snapshot {
-        let mut usage = [0u64; 2];
-        let mut overflow = [0u64; 2];
-        let mut waitlists: [Vec<WaitSnap>; 2] = [Vec::new(), Vec::new()];
-        for (i, r) in Resource::ALL.into_iter().enumerate() {
-            usage[i] = self.monitor.usage(r);
-            overflow[i] = self.monitor.overflow(r);
-            waitlists[i] = self
+        Snapshot {
+            usage: self.monitor.usage(),
+            overflow: self.monitor.overflow(),
+            waitlist: self
                 .waitlist
-                .iter(r)
+                .iter()
                 .map(|e| WaitSnap {
                     pp: e.pp,
                     accounted: e.accounted,
                     enqueued_cycles: e.enqueued_at.cycles(),
                 })
-                .collect();
-        }
-        Snapshot {
-            usage,
-            overflow,
-            waitlists,
+                .collect(),
             periods: self
                 .registry
                 .iter()
@@ -323,7 +302,6 @@ impl RdaExtension {
                     id: r.id,
                     process: r.process,
                     site: r.site,
-                    resource: r.demand.resource,
                     declared: r.demand.amount,
                     accounted: r.accounted,
                     admitted: r.admitted,
@@ -353,10 +331,10 @@ impl RdaExtension {
         }
     }
 
-    /// Audit a declared demand amount against the resource's nominal
+    /// Audit a declared demand amount against the LLC's nominal
     /// capacity. Returns the amount to account, or a typed rejection.
-    fn audit_demand(&mut self, resource: Resource, declared: u64) -> Result<u64, RdaError> {
-        let capacity = self.monitor.capacity(resource);
+    fn audit_demand(&mut self, declared: u64) -> Result<u64, RdaError> {
+        let capacity = self.monitor.capacity();
         match self.cfg.demand_audit {
             DemandAudit::Trust => Ok(declared),
             DemandAudit::Clamp => {
@@ -370,11 +348,7 @@ impl RdaExtension {
             DemandAudit::Reject => {
                 if declared > capacity {
                     self.stats.clamped += 1;
-                    Err(RdaError::DemandOverflow {
-                        resource,
-                        declared,
-                        capacity,
-                    })
+                    Err(RdaError::DemandOverflow { declared, capacity })
                 } else {
                     Ok(declared)
                 }
@@ -399,18 +373,16 @@ impl RdaExtension {
             return Ok(BeginOutcome::Bypass);
         }
         self.stats.begins += 1;
-        let resource = demand.resource;
-        let capacity = self.monitor.capacity(resource);
+        let capacity = self.monitor.capacity();
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Begin);
         ev.process = process.0;
         ev.site = site.0;
-        ev.resource = Self::trace_resource(resource);
         ev.amount = demand.amount;
         self.emit(ev);
 
         // Demand audit: a lying process must not be able to poison the
         // load table with an impossible declaration.
-        let audited = match self.audit_demand(resource, demand.amount) {
+        let audited = match self.audit_demand(demand.amount) {
             Ok(amount) => amount,
             Err(err) => {
                 ev.kind = EventKind::Reject;
@@ -426,13 +398,12 @@ impl RdaExtension {
         let accounted = self.cfg.policy.effective_demand(audited, capacity);
         // 64-bit load-table overflow guard (audit-mode independent):
         // accounting this demand must not wrap the usage word.
-        if self.monitor.usage(resource).checked_add(accounted).is_none() {
+        if self.monitor.usage().checked_add(accounted).is_none() {
             self.stats.clamped += 1;
             ev.kind = EventKind::Reject;
             ev.reject = RejectKind::DemandOverflow;
             self.emit(ev);
             return Err(RdaError::DemandOverflow {
-                resource,
                 declared: demand.amount,
                 capacity,
             });
@@ -441,29 +412,28 @@ impl RdaExtension {
         // Saturation circuit breaker: while open, shed the configured
         // demand class before it can touch the predicate or waitlist.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker_open[resource.index()] && audited >= b.shed_min_demand {
+            if self.breaker_open && audited >= b.shed_min_demand {
                 self.stats.shed += 1;
                 ev.kind = EventKind::Shed;
                 ev.reject = RejectKind::BreakerOpen;
                 self.emit(ev);
-                return Err(RdaError::BreakerOpen { resource });
+                return Err(RdaError::BreakerOpen);
             }
         }
 
         // Fast path: repeat entry of a recently validated site while no
         // one is waitlisted ahead of us.
-        if self.waitlist.len(resource) == 0
+        if self.waitlist.is_empty()
             && self.fastpath.try_admit(
                 process,
                 site,
-                resource,
                 audited,
-                self.monitor.usage(resource),
+                self.monitor.usage(),
                 now,
                 self.cfg.min_eval_interval_cycles,
             )
         {
-            self.monitor.increment_load(resource, accounted);
+            self.monitor.increment_load(accounted);
             let pp = self
                 .registry
                 .register(process, site, demand, accounted, true, now);
@@ -480,22 +450,23 @@ impl RdaExtension {
         // Slow path: full Algorithm 1.
         match predicate::try_schedule(&demand, &self.monitor, &self.cfg.policy) {
             Decision::Run => {
-                if accounted > self.cfg.policy.usage_limit(capacity) {
+                let limit = self.cfg.policy.usage_limit(capacity);
+                if accounted > limit {
                     self.stats.oversized_admits += 1;
                 }
-                self.monitor.increment_load(resource, accounted);
+                self.monitor.increment_load(accounted);
                 let pp = self
                     .registry
                     .register(process, site, demand, accounted, true, now);
                 self.stats.admitted += 1;
                 // Cache the verdict for repeats of this site.
-                let threshold = self
-                    .cfg
-                    .policy
-                    .usage_limit(capacity)
-                    .saturating_sub(accounted);
-                self.fastpath
-                    .store_run(process, site, resource, audited, threshold, now);
+                self.fastpath.store_run(
+                    process,
+                    site,
+                    audited,
+                    limit.saturating_sub(accounted),
+                    now,
+                );
                 ev.kind = EventKind::Admit;
                 ev.pp = pp.0;
                 ev.amount = accounted;
@@ -508,18 +479,22 @@ impl RdaExtension {
                 // the queue is shed per the configured policy.
                 let mut shed_victim = None;
                 if let Some(ov) = self.cfg.overload {
-                    if self.waitlist.len(resource) >= ov.waitlist_cap {
+                    if self.waitlist.len() >= ov.waitlist_cap {
                         match ov.shed_policy {
-                            ShedPolicy::RejectOldest if self.waitlist.len(resource) > 0 => {
+                            ShedPolicy::RejectOldest if !self.waitlist.is_empty() => {
                                 // Head drop: evict the longest-queued
                                 // waiter — it has the least chance of
                                 // meeting any deadline — and queue the
                                 // arrival in its place.
-                                let victim =
-                                    self.waitlist.pop(resource).expect("non-empty checked above");
+                                let Some(victim) = self.waitlist.pop() else {
+                                    // Queue emptied between the guard
+                                    // and the pop — a books desync;
+                                    // fall back to the tail drop below.
+                                    self.stats.desyncs += 1;
+                                    return Err(self.shed_arrival(ev));
+                                };
                                 let mut sv = TraceEvent::at(now.cycles(), EventKind::Shed);
                                 sv.pp = victim.pp.0;
-                                sv.resource = Self::trace_resource(resource);
                                 sv.amount = victim.accounted;
                                 sv.reject = RejectKind::WaitlistFull;
                                 sv.wait_cycles =
@@ -548,7 +523,7 @@ impl RdaExtension {
                                     Some(rec) => rec.overflow = true,
                                     None => self.stats.desyncs += 1,
                                 }
-                                self.monitor.increment_overflow(resource, accounted);
+                                self.monitor.increment_overflow(accounted);
                                 self.stats.shed += 1;
                                 ev.kind = EventKind::Shed;
                                 ev.pp = pp.0;
@@ -556,31 +531,20 @@ impl RdaExtension {
                                 self.emit(ev);
                                 return Ok(BeginOutcome::Run { pp, fast: false });
                             }
-                            _ => {
-                                // Tail drop (RejectNewest, or
-                                // RejectOldest with nothing to evict):
-                                // shed the arrival itself, allocating
-                                // no id.
-                                self.stats.shed += 1;
-                                ev.kind = EventKind::Shed;
-                                ev.reject = RejectKind::WaitlistFull;
-                                self.emit(ev);
-                                return Err(RdaError::WaitlistFull { resource });
-                            }
+                            // Tail drop (RejectNewest, or RejectOldest
+                            // with nothing to evict).
+                            _ => return Err(self.shed_arrival(ev)),
                         }
                     }
                 }
                 let pp = self
                     .registry
                     .register(process, site, demand, accounted, false, now);
-                if let Err(e) = self.waitlist.push(
-                    resource,
-                    WaitEntry {
-                        pp,
-                        accounted,
-                        enqueued_at: now,
-                    },
-                ) {
+                if let Err(e) = self.waitlist.push(WaitEntry {
+                    pp,
+                    accounted,
+                    enqueued_at: now,
+                }) {
                     // A freshly allocated id cannot already be
                     // waitlisted; if it is, the waitlist and registry
                     // have desynchronized. Roll the registration back
@@ -591,10 +555,7 @@ impl RdaExtension {
                     return Err(e);
                 }
                 self.stats.paused += 1;
-                self.stats.max_waitlist = self
-                    .stats
-                    .max_waitlist
-                    .max(self.waitlist.len(resource) as u64);
+                self.stats.max_waitlist = self.stats.max_waitlist.max(self.waitlist.len() as u64);
                 ev.kind = EventKind::Pause;
                 ev.pp = pp.0;
                 ev.amount = accounted;
@@ -605,6 +566,16 @@ impl RdaExtension {
                 })
             }
         }
+    }
+
+    /// Shed the arriving period at the full waitlist gate (tail drop),
+    /// allocating no id.
+    fn shed_arrival(&mut self, mut ev: TraceEvent) -> RdaError {
+        self.stats.shed += 1;
+        ev.kind = EventKind::Shed;
+        ev.reject = RejectKind::WaitlistFull;
+        self.emit(ev);
+        RdaError::WaitlistFull
     }
 
     /// Process a `pp_end` for a period previously returned by
@@ -654,14 +625,12 @@ impl RdaExtension {
             self.stats.desyncs += 1;
             return Err(RdaError::RegistryDesync(pp));
         };
-        let resource = record.demand.resource;
         self.release(&record);
         ev.process = record.process.0;
         ev.site = record.site.0;
-        ev.resource = Self::trace_resource(resource);
         ev.amount = record.accounted;
 
-        let no_waiters = self.waitlist.len(resource) == 0;
+        let no_waiters = self.waitlist.is_empty();
         // Fast path: nothing can be woken (no waiters) *and* the site
         // was validated recently, so the release is a shared-page
         // decrement with deferred registry cleanup.
@@ -690,7 +659,7 @@ impl RdaExtension {
             });
         }
 
-        let resumed = self.drain_waitlist(resource, now);
+        let resumed = self.drain_waitlist(now);
         Ok(EndOutcome {
             fast: false,
             resumed,
@@ -700,11 +669,10 @@ impl RdaExtension {
     /// Release a completed or reclaimed record's demand from the
     /// matching accounting bucket.
     fn release(&mut self, record: &crate::registry::PpRecord) {
-        let resource = record.demand.resource;
         if record.overflow {
-            self.monitor.decrement_overflow(resource, record.accounted);
+            self.monitor.decrement_overflow(record.accounted);
         } else {
-            self.monitor.decrement_load(resource, record.accounted);
+            self.monitor.decrement_load(record.accounted);
         }
     }
 
@@ -727,14 +695,8 @@ impl RdaExtension {
             .filter(|r| r.process == process)
             .map(|r| r.id)
             .collect();
-        let had_any = !live.is_empty();
         let reclaimed = live.len() as u64;
-        // Which resources this exit actually touched: released admitted
-        // capacity, or removed a waitlist entry (which can expose a
-        // fitting head behind the cancelled one). Only those queues can
-        // admit anyone, so only those need re-walking below.
-        let mut touched = [false; Resource::ALL.len()];
-        for pp in live {
+        for &pp in &live {
             // Ids were collected from the registry in this same
             // critical section, so `complete` cannot fail; tolerate a
             // desynchronized registry by skipping the id instead of
@@ -743,11 +705,10 @@ impl RdaExtension {
                 self.stats.desyncs += 1;
                 continue;
             };
-            touched[rec.demand.resource.index()] = true;
             if rec.admitted {
                 self.release(&rec);
             } else {
-                self.waitlist.cancel(rec.demand.resource, pp);
+                self.waitlist.cancel(pp);
             }
             self.stats.reclaimed += 1;
         }
@@ -756,16 +717,13 @@ impl RdaExtension {
         ev.process = process.0;
         ev.amount = reclaimed;
         self.emit(ev);
-        if !had_any {
+        // Reclaiming released capacity or removed a waitlist entry
+        // (which can expose a fitting head behind the cancelled one),
+        // so the queue is re-walked.
+        if live.is_empty() {
             return Vec::new();
         }
-        let mut resumed = Vec::new();
-        for r in Resource::ALL {
-            if touched[r.index()] || self.has_expired_waiter(r, now) {
-                resumed.extend(self.drain_waitlist(r, now));
-            }
-        }
-        resumed
+        self.drain_waitlist(now)
     }
 
     /// Apply waitlist aging at `now`: expire every waiter past its
@@ -785,42 +743,34 @@ impl RdaExtension {
         if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
             return out;
         }
-        // Deadline expiry first: a waiter past its deadline can no
-        // longer usefully be admitted, and removing a blocking head may
-        // expose fitting entries queued behind it.
-        let deadline = self.cfg.overload.and_then(|o| o.deadline_cycles);
-        let mut expired_touched = [false; Resource::ALL.len()];
-        if let Some(deadline) = deadline {
-            for r in Resource::ALL {
-                while let Some(entry) = self.waitlist.pop_expired(r, now, deadline) {
-                    match self.registry.complete(entry.pp) {
-                        Some(rec) => {
-                            self.stats.expired += 1;
-                            expired_touched[r.index()] = true;
-                            let mut ev = TraceEvent::at(now.cycles(), EventKind::Expire);
-                            ev.process = rec.process.0;
-                            ev.site = rec.site.0;
-                            ev.pp = entry.pp.0;
-                            ev.resource = Self::trace_resource(r);
-                            ev.amount = entry.accounted;
-                            ev.wait_cycles =
-                                now.cycles().saturating_sub(entry.enqueued_at.cycles());
-                            self.emit(ev);
-                            out.expired.push((entry.pp, rec.process));
-                        }
-                        None => self.stats.desyncs += 1,
+        // Deadline expiry first, oldest-first by enqueue time: a waiter
+        // past its deadline can no longer usefully be admitted, and
+        // removing a blocking head may expose fitting entries queued
+        // behind it.
+        if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
+            while let Some(entry) = self.waitlist.pop_expired(now, deadline) {
+                match self.registry.complete(entry.pp) {
+                    Some(rec) => {
+                        self.stats.expired += 1;
+                        let mut ev = TraceEvent::at(now.cycles(), EventKind::Expire);
+                        ev.process = rec.process.0;
+                        ev.site = rec.site.0;
+                        ev.pp = entry.pp.0;
+                        ev.amount = entry.accounted;
+                        ev.wait_cycles = now.cycles().saturating_sub(entry.enqueued_at.cycles());
+                        self.emit(ev);
+                        out.expired.push((entry.pp, rec.process));
                     }
+                    None => self.stats.desyncs += 1,
                 }
             }
         }
-        for r in Resource::ALL {
-            // No capacity was released since the last drain, so a queue
-            // with neither a deadline removal nor an aged-past-timeout
-            // waiter cannot admit anyone: skip it. The aging probe is
-            // O(1) via the waitlist's cached minimum enqueue time.
-            if expired_touched[r.index()] || self.has_expired_waiter(r, now) {
-                out.resumed.extend(self.drain_waitlist(r, now));
-            }
+        // No capacity was released since the last drain, so a queue
+        // with neither a deadline removal nor an aged-past-timeout
+        // waiter cannot admit anyone: skip it. The aging probe is O(1)
+        // via the waitlist's cached minimum enqueue time.
+        if !out.expired.is_empty() || self.has_expired_waiter(now) {
+            out.resumed = self.drain_waitlist(now);
         }
         self.evaluate_breaker(now);
         out
@@ -836,86 +786,78 @@ impl RdaExtension {
         let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
             return;
         };
-        for r in Resource::ALL {
-            let i = r.index();
-            let occupancy = self.monitor.usage(r).saturating_add(self.monitor.overflow(r));
-            if self.breaker_open[i] {
-                if occupancy < b.low_water {
-                    self.breaker_below[i] += 1;
-                    if self.breaker_below[i] >= b.recover_after {
-                        self.breaker_open[i] = false;
-                        self.breaker_below[i] = 0;
-                        let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerReset);
-                        ev.resource = Self::trace_resource(r);
-                        ev.amount = occupancy;
-                        self.emit(ev);
-                    }
-                } else {
-                    self.breaker_below[i] = 0;
-                }
-            } else if occupancy >= b.high_water {
-                self.breaker_above[i] += 1;
-                if self.breaker_above[i] >= b.trip_after {
-                    self.breaker_open[i] = true;
-                    self.breaker_above[i] = 0;
-                    self.stats.breaker_trips += 1;
-                    let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerTrip);
-                    ev.resource = Self::trace_resource(r);
+        let occupancy = self.monitor.usage().saturating_add(self.monitor.overflow());
+        if self.breaker_open {
+            if occupancy < b.low_water {
+                self.breaker_below += 1;
+                if self.breaker_below >= b.recover_after {
+                    self.breaker_open = false;
+                    self.breaker_below = 0;
+                    let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerReset);
                     ev.amount = occupancy;
                     self.emit(ev);
                 }
             } else {
-                self.breaker_above[i] = 0;
+                self.breaker_below = 0;
             }
+        } else if occupancy >= b.high_water {
+            self.breaker_above += 1;
+            if self.breaker_above >= b.trip_after {
+                self.breaker_open = true;
+                self.breaker_above = 0;
+                self.stats.breaker_trips += 1;
+                let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerTrip);
+                ev.amount = occupancy;
+                self.emit(ev);
+            }
+        } else {
+            self.breaker_above = 0;
         }
     }
 
-    /// Whether the saturation breaker is currently open for `r`.
-    pub fn breaker_is_open(&self, r: Resource) -> bool {
-        self.breaker_open[r.index()]
+    /// Whether the saturation breaker is currently open.
+    pub fn breaker_is_open(&self) -> bool {
+        self.breaker_open
     }
 
     /// Record a client-side retry of a previously shed or expired
     /// arrival. The extension never schedules retries itself — the
     /// caller owns the backoff clock — but counting them here puts the
     /// retry stream into the stats digest and the trace, where the
-    /// reference model can check it.
+    /// reference model can check it. The retried demand's resource is
+    /// always the LLC, the scalar engine's one resource.
     pub fn note_retry(
         &mut self,
         process: ProcessId,
         site: SiteId,
-        resource: Resource,
+        _resource: Resource,
         now: SimTime,
     ) {
         self.stats.retried += 1;
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Retry);
         ev.process = process.0;
         ev.site = site.0;
-        ev.resource = Self::trace_resource(resource);
         self.emit(ev);
     }
 
-    /// True when resource `r` has at least one waiter past the aging
-    /// timeout at `now`. O(1): compares the queue's cached minimum
-    /// enqueue time. Always false when aging is disabled.
-    fn has_expired_waiter(&self, r: Resource, now: SimTime) -> bool {
-        let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
-            return false;
-        };
-        match self.waitlist.oldest(r) {
-            Some(oldest) => now.since(oldest).cycles() >= timeout,
-            None => false,
-        }
+    /// True when a waiter has waited past the aging timeout at `now`.
+    /// O(1) via the waitlist's cached minimum enqueue time. Always
+    /// false when aging is disabled.
+    fn has_expired_waiter(&self, now: SimTime) -> bool {
+        self.cfg
+            .waitlist_timeout_cycles
+            .is_some_and(|timeout| self.waitlist.has_expired(now, timeout))
     }
 
     /// Walk the FIFO admitting while the head fits (Figure 6: "attempt
     /// to schedule any waiting threads previously blocked due to
-    /// resource constraints"), interleaved with aging: when the
-    /// non-fitting head has waited past the timeout it is force-admitted
-    /// under the overflow bucket, which can unblock fitting periods
-    /// queued behind it.
-    fn drain_waitlist(&mut self, resource: Resource, now: SimTime) -> Vec<(PpId, ProcessId)> {
+    /// resource constraints"), interleaved with aging: once the
+    /// non-fitting head blocks, the oldest waiter past the timeout is
+    /// force-admitted under the overflow bucket, which can unblock
+    /// fitting periods queued behind it.
+    fn drain_waitlist(&mut self, now: SimTime) -> Vec<(PpId, ProcessId)> {
         let mut resumed = Vec::new();
+        let capacity = self.monitor.capacity();
         // Aging-order assertion: successive force-admissions within one
         // drain must be strictly oldest-first by enqueue time.
         let mut last_aged: Option<SimTime> = None;
@@ -927,11 +869,11 @@ impl RdaExtension {
             // on that accounted value (they were derived from each other
             // at begin time), so the verdict is bit-identical to the
             // full `try_schedule` walk the head-scan used to pay for.
-            while let Some(head) = self.waitlist.front(resource) {
+            while let Some(head) = self.waitlist.front() {
                 let decision = predicate::decide(
                     head.accounted,
-                    self.monitor.capacity(resource),
-                    self.monitor.remaining_signed(resource),
+                    capacity,
+                    self.monitor.remaining_signed(),
                     &self.cfg.policy,
                 );
                 #[cfg(debug_assertions)]
@@ -945,16 +887,16 @@ impl RdaExtension {
                 if decision != Decision::Run {
                     break;
                 }
-                let Some(head) = self.waitlist.pop(resource) else {
+                let Some(head) = self.waitlist.pop() else {
                     break; // front() returned Some above; defensive
                 };
-                self.monitor.increment_load(resource, head.accounted);
+                self.monitor.increment_load(head.accounted);
                 // A waitlist entry without a registry record means the
                 // books have desynchronized: roll the increment back,
                 // drop the orphan entry, and count it instead of
                 // admitting garbage (or panicking).
                 let Some(rec) = self.registry.get_mut(head.pp) else {
-                    self.monitor.decrement_load(resource, head.accounted);
+                    self.monitor.decrement_load(head.accounted);
                     self.stats.desyncs += 1;
                     continue;
                 };
@@ -965,27 +907,27 @@ impl RdaExtension {
                 let threshold = self
                     .cfg
                     .policy
-                    .usage_limit(self.monitor.capacity(resource))
+                    .usage_limit(capacity)
                     .saturating_sub(head.accounted);
                 self.fastpath
-                    .store_run(process, site, resource, amount, threshold, now);
+                    .store_run(process, site, amount, threshold, now);
                 self.stats.resumed += 1;
                 let mut ev = TraceEvent::at(now.cycles(), EventKind::Resume);
                 ev.process = process.0;
                 ev.site = site.0;
                 ev.pp = head.pp.0;
-                ev.resource = Self::trace_resource(resource);
                 ev.amount = head.accounted;
                 ev.wait_cycles = now.cycles().saturating_sub(head.enqueued_at.cycles());
                 self.emit(ev);
                 resumed.push((head.pp, process));
             }
-            // The head (if any) does not fit. Aging: force-admit it
-            // into the overflow bucket once it has waited long enough.
+            // The head (if any) does not fit. Aging: force-admit the
+            // oldest waiter into the overflow bucket once it has waited
+            // long enough.
             let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
                 break;
             };
-            let Some(aged) = self.waitlist.pop_expired(resource, now, timeout) else {
+            let Some(aged) = self.waitlist.pop_expired(now, timeout) else {
                 break;
             };
             debug_assert!(
@@ -1004,13 +946,12 @@ impl RdaExtension {
             rec.overflow = true;
             let process = rec.process;
             let site = rec.site;
-            self.monitor.increment_overflow(resource, aged.accounted);
+            self.monitor.increment_overflow(aged.accounted);
             self.stats.aged_admissions += 1;
             let mut ev = TraceEvent::at(now.cycles(), EventKind::Age);
             ev.process = process.0;
             ev.site = site.0;
             ev.pp = aged.pp.0;
-            ev.resource = Self::trace_resource(resource);
             ev.amount = aged.accounted;
             ev.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
             self.emit(ev);
@@ -1035,64 +976,50 @@ impl RdaExtension {
     /// never an application bug — reported as a typed
     /// [`RdaError::InvariantViolation`].
     pub fn check_invariants(&self) -> Result<(), RdaError> {
-        // One pass over the registry instead of six (this runs after
-        // every simulation step when paranoid checking is on).
+        // One pass over the registry (this runs after every simulation
+        // step when paranoid checking is on).
         let sums = self.registry.audit_sums();
-        for r in Resource::ALL {
-            let i = r.index();
-            let checks = [
-                (
-                    InvariantKind::UsageMismatch,
-                    sums.accounted[i],
-                    self.monitor.usage(r),
-                ),
-                (
-                    InvariantKind::OverflowMismatch,
-                    sums.overflow[i],
-                    self.monitor.overflow(r),
-                ),
-            ];
-            for (kind, expected, actual) in checks {
-                if expected != actual {
-                    return Err(RdaError::InvariantViolation {
-                        resource: r,
-                        kind,
-                        expected,
-                        actual,
-                    });
+        let violation = |kind, expected, actual| RdaError::InvariantViolation {
+            kind,
+            expected,
+            actual,
+        };
+        if sums.accounted != self.monitor.usage() {
+            return Err(violation(
+                InvariantKind::UsageMismatch,
+                sums.accounted,
+                self.monitor.usage(),
+            ));
+        }
+        if sums.overflow != self.monitor.overflow() {
+            return Err(violation(
+                InvariantKind::OverflowMismatch,
+                sums.overflow,
+                self.monitor.overflow(),
+            ));
+        }
+        for entry in self.waitlist.iter() {
+            match self.registry.get(entry.pp) {
+                None => {
+                    return Err(violation(
+                        InvariantKind::WaitlistRecordMissing,
+                        entry.pp.0,
+                        0,
+                    ))
                 }
-            }
-            for entry in self.waitlist.iter(r) {
-                match self.registry.get(entry.pp) {
-                    None => {
-                        return Err(RdaError::InvariantViolation {
-                            resource: r,
-                            kind: InvariantKind::WaitlistRecordMissing,
-                            expected: entry.pp.0,
-                            actual: 0,
-                        })
-                    }
-                    Some(rec) if rec.admitted => {
-                        return Err(RdaError::InvariantViolation {
-                            resource: r,
-                            kind: InvariantKind::WaitlistAdmitted,
-                            expected: 0,
-                            actual: entry.pp.0,
-                        })
-                    }
-                    Some(_) => {}
+                Some(rec) if rec.admitted => {
+                    return Err(violation(InvariantKind::WaitlistAdmitted, 0, entry.pp.0))
                 }
+                Some(_) => {}
             }
-            let expected = sums.waiting[i];
-            let actual = self.waitlist.len(r) as u64;
-            if expected != actual {
-                return Err(RdaError::InvariantViolation {
-                    resource: r,
-                    kind: InvariantKind::WaitlistCountMismatch,
-                    expected,
-                    actual,
-                });
-            }
+        }
+        let queued = self.waitlist.len() as u64;
+        if sums.waiting != queued {
+            return Err(violation(
+                InvariantKind::WaitlistCountMismatch,
+                sums.waiting,
+                queued,
+            ));
         }
         Ok(())
     }
@@ -1144,7 +1071,7 @@ mod tests {
         let out = begin(&mut e, 0, 0, demand(100.0), t(0));
         assert_eq!(out, BeginOutcome::Bypass);
         assert_eq!(e.stats().begins, 0);
-        assert_eq!(e.usage(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
     }
 
     #[test]
@@ -1159,14 +1086,14 @@ mod tests {
             BeginOutcome::Pause { pp, .. } => pp,
             other => panic!("expected Pause, got {other:?}"),
         };
-        assert_eq!(e.waitlist_len(Resource::Llc), 1);
+        assert_eq!(e.waitlist_len(), 1);
         e.check_invariants().unwrap();
 
         // Ending one admitted period resumes the waiter.
         let out = e.pp_end(pps[0], t(10)).unwrap();
         assert!(!out.fast);
         assert_eq!(out.resumed, vec![(paused, ProcessId(3))]);
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
+        assert_eq!(e.waitlist_len(), 0);
         e.check_invariants().unwrap();
     }
 
@@ -1185,6 +1112,26 @@ mod tests {
             begin(&mut e, 5, 0, demand(6.0), t(5)),
             BeginOutcome::Pause { .. }
         ));
+    }
+
+    /// Compromise at x = 1.2 on the Xeon LLC: a period of exactly
+    /// ⌊capacity·x⌋ bytes fits an idle cache. `1.2 − 1.0` rounds below
+    /// 0.2 in f64, so a slack computed from it refused the period while
+    /// the deadlock guard (which uses ⌊capacity·x⌋) did not fire: it
+    /// paused on an idle cache and, without aging, waited forever.
+    #[test]
+    fn compromise_admits_its_usage_limit_on_an_idle_cache() {
+        let mut e = ext(PolicyKind::Compromise { factor: 1.2 });
+        let limit = e.policy().usage_limit(e.config().llc_capacity);
+        assert_eq!(limit, 18_874_368);
+        let d = PpDemand::llc(limit, ReuseLevel::High);
+        assert!(matches!(
+            begin(&mut e, 0, 0, d, t(0)),
+            BeginOutcome::Run { .. }
+        ));
+        assert_eq!(e.stats().oversized_admits, 0);
+        assert_eq!(e.usage(), limit);
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -1286,7 +1233,7 @@ mod tests {
         let out = e.pp_end(a, t(3)).unwrap();
         assert_eq!(out.resumed.len(), 1);
         assert_eq!(out.resumed[0].1, ProcessId(1));
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
+        assert_eq!(e.waitlist_len(), 0);
     }
 
     #[test]
@@ -1308,7 +1255,7 @@ mod tests {
         // the 2 MB waiter behind it stays queued even though it fits.
         let out = e.pp_end(b, t(4)).unwrap();
         assert!(out.resumed.is_empty());
-        assert_eq!(e.waitlist_len(Resource::Llc), 2);
+        assert_eq!(e.waitlist_len(), 2);
         let _ = a;
     }
 
@@ -1352,8 +1299,8 @@ mod tests {
         for pp in small {
             e.pp_end(pp, t(30)).unwrap();
         }
-        assert_eq!(e.usage(Resource::Llc), 0);
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
+        assert_eq!(e.waitlist_len(), 0);
         e.check_invariants().unwrap();
     }
 
@@ -1371,7 +1318,7 @@ mod tests {
         let resumed = e.process_exit(ProcessId(0), t(2));
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].1, ProcessId(1));
-        assert_eq!(e.usage(Resource::Llc), mb(5.0));
+        assert_eq!(e.usage(), mb(5.0));
         assert_eq!(e.stats().reclaimed, 1);
         e.check_invariants().unwrap();
     }
@@ -1388,12 +1335,12 @@ mod tests {
         // entry must not outlive it.
         let resumed = e.process_exit(ProcessId(1), t(2));
         assert!(resumed.is_empty());
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
+        assert_eq!(e.waitlist_len(), 0);
         assert_eq!(e.live_periods(), 1);
         assert_eq!(e.stats().reclaimed, 1);
         e.check_invariants().unwrap();
         e.pp_end(a, t(3)).unwrap();
-        assert_eq!(e.usage(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
     }
 
     #[test]
@@ -1402,10 +1349,10 @@ mod tests {
         // Two periods begun, neither ever ended (leaked pp_ends).
         must_run(&mut e, 7, 0, demand(6.0), t(0));
         must_run(&mut e, 7, 1, demand(4.0), t(1));
-        assert_eq!(e.usage(Resource::Llc), mb(10.0));
+        assert_eq!(e.usage(), mb(10.0));
         let resumed = e.process_exit(ProcessId(7), t(100));
         assert!(resumed.is_empty());
-        assert_eq!(e.usage(Resource::Llc), 0, "all leaked demand reclaimed");
+        assert_eq!(e.usage(), 0, "all leaked demand reclaimed");
         assert_eq!(e.live_periods(), 0);
         assert_eq!(e.stats().reclaimed, 2);
         e.check_invariants().unwrap();
@@ -1417,7 +1364,7 @@ mod tests {
         let pp = must_run(&mut e, 0, 0, demand(2.0), t(0));
         assert!(e.process_exit(ProcessId(42), t(1)).is_empty());
         assert_eq!(e.stats().reclaimed, 0);
-        assert_eq!(e.usage(Resource::Llc), mb(2.0));
+        assert_eq!(e.usage(), mb(2.0));
         e.pp_end(pp, t(2)).unwrap();
     }
 
@@ -1435,7 +1382,7 @@ mod tests {
         assert_eq!(e.pp_end(pp, t(2)), Err(RdaError::DoubleEnd(pp)));
         assert_eq!(e.stats().rejected_ends, 2);
         // The books are untouched by the rejections.
-        assert_eq!(e.usage(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
         e.check_invariants().unwrap();
     }
 
@@ -1469,10 +1416,10 @@ mod tests {
         let pp = must_run(&mut e, 0, 0, lie, t(0));
         assert_eq!(e.stats().clamped, 1);
         assert_eq!(e.stats().oversized_admits, 0);
-        assert_eq!(e.usage(Resource::Llc), capacity);
+        assert_eq!(e.usage(), capacity);
         e.check_invariants().unwrap();
         e.pp_end(pp, t(1)).unwrap();
-        assert_eq!(e.usage(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
     }
 
     #[test]
@@ -1485,7 +1432,6 @@ mod tests {
         assert_eq!(
             err,
             RdaError::DemandOverflow {
-                resource: Resource::Llc,
                 declared: capacity + 1,
                 capacity,
             }
@@ -1511,21 +1457,21 @@ mod tests {
         };
         // Before the timeout, nothing moves.
         assert_eq!(e.age_waitlist(t(500)), AgeOutcome::default());
-        assert_eq!(e.waitlist_len(Resource::Llc), 1);
+        assert_eq!(e.waitlist_len(), 1);
         // After it, the waiter is force-admitted into the overflow
         // bucket — the nominal books are untouched.
         let out = e.age_waitlist(t(1_010));
         assert_eq!(out.resumed, vec![(starved, ProcessId(1))]);
         assert!(out.expired.is_empty(), "no deadlines configured");
         assert_eq!(e.stats().aged_admissions, 1);
-        assert_eq!(e.usage(Resource::Llc), mb(14.0));
-        assert_eq!(e.overflow_usage(Resource::Llc), mb(10.0));
+        assert_eq!(e.usage(), mb(14.0));
+        assert_eq!(e.overflow_usage(), mb(10.0));
         e.check_invariants().unwrap();
         // Both paths drain their own bucket.
         e.pp_end(starved, t(2_000)).unwrap();
-        assert_eq!(e.overflow_usage(Resource::Llc), 0);
+        assert_eq!(e.overflow_usage(), 0);
         e.pp_end(hog, t(2_001)).unwrap();
-        assert_eq!(e.usage(Resource::Llc), 0);
+        assert_eq!(e.usage(), 0);
         e.check_invariants().unwrap();
     }
 
@@ -1550,7 +1496,7 @@ mod tests {
         // At t=1200 only the t=100 entry has waited ≥ 1000 cycles.
         let out = e.age_waitlist(t(1_200));
         assert_eq!(out.resumed, vec![(old, ProcessId(2))], "oldest-first");
-        assert_eq!(e.waitlist_len(Resource::Llc), 1);
+        assert_eq!(e.waitlist_len(), 1);
         // The younger entry ages out later, in its own turn.
         let out = e.age_waitlist(t(1_600));
         assert_eq!(out.resumed, vec![(young, ProcessId(1))]);
@@ -1568,14 +1514,14 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let s = e.snapshot();
-        assert_eq!(s.usage[0], mb(14.0));
-        assert_eq!(s.overflow, [0, 0]);
+        assert_eq!(s.usage, mb(14.0));
+        assert_eq!(s.overflow, 0);
         assert_eq!(s.allocated, 2);
         assert_eq!(s.periods.len(), 2);
         assert!(s.periods[0].admitted && !s.periods[1].admitted);
-        assert_eq!(s.waitlists[0].len(), 1);
-        assert_eq!(s.waitlists[0][0].pp, waiting);
-        assert_eq!(s.waitlists[0][0].enqueued_cycles, 7);
+        assert_eq!(s.waitlist.len(), 1);
+        assert_eq!(s.waitlist[0].pp, waiting);
+        assert_eq!(s.waitlist[0].enqueued_cycles, 7);
         assert_eq!(s.stats, e.stats());
         assert!(!s.is_idle());
         // Snapshots are pure reads: identical back-to-back.
@@ -1612,8 +1558,8 @@ mod tests {
         assert_eq!(out.resumed, vec![(head, ProcessId(2)), (small, ProcessId(3))]);
         assert_eq!(e.stats().aged_admissions, 1, "only the head was aged");
         assert_eq!(e.stats().resumed, 1, "the small entry fit nominally");
-        assert_eq!(e.usage(Resource::Llc), mb(13.0));
-        assert_eq!(e.overflow_usage(Resource::Llc), mb(12.0));
+        assert_eq!(e.usage(), mb(13.0));
+        assert_eq!(e.overflow_usage(), mb(12.0));
         e.check_invariants().unwrap();
     }
 
@@ -1638,47 +1584,8 @@ mod tests {
         e.check_invariants().unwrap();
         e.pp_end(big, t(6_000)).unwrap();
         e.pp_end(b, t(6_001)).unwrap();
-        assert_eq!(e.usage(Resource::Llc), 0);
-        assert_eq!(e.overflow_usage(Resource::Llc), 0);
-    }
-
-    #[test]
-    fn resources_are_gated_independently() {
-        // §3.3: "configurable to allow multiple hardware resources to
-        // be targeted". A bandwidth-heavy period must not consume LLC
-        // budget, and vice versa.
-        let mut e = ext(PolicyKind::Strict);
-        let bw_cap = e.config().membw_capacity;
-        // Fill the LLC completely.
-        let llc_pp = must_run(&mut e, 0, 0, demand(15.0), t(0));
-        // A bandwidth demand still runs: different load-table row.
-        let bw = PpDemand {
-            resource: Resource::MemBandwidth,
-            amount: bw_cap / 2,
-            reuse: ReuseLevel::Low,
-        };
-        let bw_pp = must_run(&mut e, 1, 1, bw, t(1));
-        assert_eq!(e.usage(Resource::MemBandwidth), bw_cap / 2);
-        // Exceeding the bandwidth budget pauses on ITS waitlist only.
-        let bw2 = PpDemand {
-            resource: Resource::MemBandwidth,
-            amount: bw_cap,
-            reuse: ReuseLevel::Low,
-        };
-        assert!(matches!(
-            begin(&mut e, 2, 2, bw2, t(2)),
-            BeginOutcome::Pause { .. }
-        ));
-        assert_eq!(e.waitlist_len(Resource::MemBandwidth), 1);
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
-        // Releasing the LLC wakes nobody on the bandwidth list…
-        let out = e.pp_end(llc_pp, t(3)).unwrap();
-        assert!(out.resumed.is_empty());
-        // …but releasing bandwidth does.
-        let out = e.pp_end(bw_pp, t(4)).unwrap();
-        assert_eq!(out.resumed.len(), 1);
-        assert_eq!(out.resumed[0].1, ProcessId(2));
-        e.check_invariants().unwrap();
+        assert_eq!(e.usage(), 0);
+        assert_eq!(e.overflow_usage(), 0);
     }
 
     #[test]
@@ -1766,16 +1673,13 @@ mod tests {
         // the queue with it, simulating a desynchronized waitlist.
         let next = PpId(e.snapshot().allocated);
         e.waitlist
-            .push(
-                Resource::Llc,
-                WaitEntry {
-                    pp: next,
-                    accounted: 1,
-                    enqueued_at: t(0),
-                },
-            )
+            .push(WaitEntry {
+                pp: next,
+                accounted: 1,
+                enqueued_at: t(0),
+            })
             .unwrap();
-        let before = e.monitor.usage(Resource::Llc);
+        let before = e.monitor.usage();
         let err = e
             .pp_begin(ProcessId(9), SiteId(7), demand(5.0), t(10))
             .unwrap_err();
@@ -1786,11 +1690,8 @@ mod tests {
         // not duplicated.
         assert!(e.registry.was_allocated(next));
         assert!(e.registry.get(next).is_none());
-        assert_eq!(e.monitor.usage(Resource::Llc), before);
-        assert_eq!(
-            e.waitlist.iter(Resource::Llc).filter(|w| w.pp == next).count(),
-            1
-        );
+        assert_eq!(e.monitor.usage(), before);
+        assert_eq!(e.waitlist.iter().filter(|w| w.pp == next).count(), 1);
         // The extension stays serviceable: an honest begin still works
         // (and pauses, since the cache is still full).
         assert!(matches!(
@@ -1841,12 +1742,10 @@ mod tests {
         let allocated_before = e.snapshot().allocated;
         assert_eq!(
             e.pp_begin(ProcessId(2), SiteId(0), demand(10.0), t(2)),
-            Err(RdaError::WaitlistFull {
-                resource: Resource::Llc
-            })
+            Err(RdaError::WaitlistFull)
         );
         assert_eq!(e.stats().shed, 1);
-        assert_eq!(e.waitlist_len(Resource::Llc), 1, "queue stays at the cap");
+        assert_eq!(e.waitlist_len(), 1, "queue stays at the cap");
         assert_eq!(
             e.snapshot().allocated,
             allocated_before,
@@ -1872,7 +1771,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(e.stats().shed, 1);
-        assert_eq!(e.waitlist_len(Resource::Llc), 1);
+        assert_eq!(e.waitlist_len(), 1);
         // The victim's period is gone for good; its end is a DoubleEnd.
         assert_eq!(e.pp_end(victim, t(3)), Err(RdaError::DoubleEnd(victim)));
         e.check_invariants().unwrap();
@@ -1894,13 +1793,13 @@ mod tests {
             }
             other => panic!("expected degraded Run, got {other:?}"),
         };
-        assert_eq!(e.overflow_usage(Resource::Llc), mb(10.0));
-        assert_eq!(e.usage(Resource::Llc), mb(14.0), "nominal books untouched");
+        assert_eq!(e.overflow_usage(), mb(10.0));
+        assert_eq!(e.usage(), mb(14.0), "nominal books untouched");
         assert_eq!(e.stats().shed, 1);
         assert_eq!(e.stats().admitted, 1, "only the hog counts as admitted");
         e.check_invariants().unwrap();
         e.pp_end(pp, t(2)).unwrap();
-        assert_eq!(e.overflow_usage(Resource::Llc), 0);
+        assert_eq!(e.overflow_usage(), 0);
         e.check_invariants().unwrap();
     }
 
@@ -1922,9 +1821,9 @@ mod tests {
         assert_eq!(out.expired, vec![(starved, ProcessId(1))]);
         assert!(out.resumed.is_empty());
         assert_eq!(e.stats().expired, 1);
-        assert_eq!(e.waitlist_len(Resource::Llc), 0);
-        assert_eq!(e.usage(Resource::Llc), mb(14.0));
-        assert_eq!(e.overflow_usage(Resource::Llc), 0);
+        assert_eq!(e.waitlist_len(), 0);
+        assert_eq!(e.usage(), mb(14.0));
+        assert_eq!(e.overflow_usage(), 0);
         // Its id is burned: a late end is the usual DoubleEnd.
         assert_eq!(e.pp_end(starved, t(1_100)), Err(RdaError::DoubleEnd(starved)));
         e.check_invariants().unwrap();
@@ -1950,13 +1849,13 @@ mod tests {
         // Freeing 4 MB is not enough for the 10 MB head, so the drain
         // stalls on it and the fitting 4 MB entry stays queued behind.
         assert!(e.pp_end(hog_b, t(100)).unwrap().resumed.is_empty());
-        assert_eq!(e.waitlist_len(Resource::Llc), 2);
+        assert_eq!(e.waitlist_len(), 2);
         // Expiring the blocking head (enqueued t=10, deadline 1000)
         // lets the entry behind it (t=20, not yet expired) through.
         let out = e.age_waitlist(t(1_015));
         assert_eq!(out.expired, vec![(head, ProcessId(2))]);
         assert_eq!(out.resumed, vec![(small, ProcessId(3))]);
-        assert_eq!(e.usage(Resource::Llc), mb(14.0));
+        assert_eq!(e.usage(), mb(14.0));
         e.check_invariants().unwrap();
     }
 
@@ -1975,16 +1874,14 @@ mod tests {
         let hog = must_run(&mut e, 0, 0, demand(14.0), t(0));
         // One tick above high water is not enough to trip.
         e.age_waitlist(t(100));
-        assert!(!e.breaker_is_open(Resource::Llc));
+        assert!(!e.breaker_is_open());
         e.age_waitlist(t(200));
-        assert!(e.breaker_is_open(Resource::Llc), "trips on the 2nd tick");
+        assert!(e.breaker_is_open(), "trips on the 2nd tick");
         assert_eq!(e.stats().breaker_trips, 1);
         // The expensive class is shed; small requests still pass.
         assert_eq!(
             e.pp_begin(ProcessId(1), SiteId(0), demand(6.0), t(210)),
-            Err(RdaError::BreakerOpen {
-                resource: Resource::Llc
-            })
+            Err(RdaError::BreakerOpen)
         );
         assert_eq!(e.stats().shed, 1);
         let small = must_run(&mut e, 2, 1, demand(0.5), t(220));
@@ -1992,15 +1889,13 @@ mod tests {
         e.pp_end(hog, t(300)).unwrap();
         e.pp_end(small, t(301)).unwrap();
         e.age_waitlist(t(400));
-        assert!(e.breaker_is_open(Resource::Llc), "one low tick is not enough");
+        assert!(e.breaker_is_open(), "one low tick is not enough");
         assert_eq!(
             e.pp_begin(ProcessId(3), SiteId(0), demand(6.0), t(410)),
-            Err(RdaError::BreakerOpen {
-                resource: Resource::Llc
-            })
+            Err(RdaError::BreakerOpen)
         );
         e.age_waitlist(t(500));
-        assert!(!e.breaker_is_open(Resource::Llc), "resets after hysteresis");
+        assert!(!e.breaker_is_open(), "resets after hysteresis");
         let _ = must_run(&mut e, 4, 0, demand(6.0), t(510));
         assert_eq!(e.stats().breaker_trips, 1, "no re-trip while drained");
         e.check_invariants().unwrap();

@@ -10,8 +10,9 @@
 //! Each *(process, site)* pair caches the outcome of its last full
 //! predicate evaluation together with a **usage threshold**: the
 //! admission test for policies Strict/Compromise/Partitioned is exactly
-//! `usage + accounted ≤ limit`, so a cached `threshold = limit −
-//! accounted` lets a repeat entry of the same site be admitted with one
+//! `usage + accounted ≤ limit` (with `limit` the policy's
+//! [`crate::policy::PolicyKind::usage_limit`]), so a cached `threshold =
+//! limit − accounted` lets a repeat entry of the same site be admitted with one
 //! comparison against the resource monitor's usage word (a shared-page
 //! read in a real kernel — no syscall, no locks). The cached decision
 //! expires after `min_eval_interval` without a fresh full evaluation, so
@@ -24,14 +25,13 @@
 //! ever caches `Run` verdicts (a denied period must always take the
 //! slow path so it can be waitlisted and later resumed).
 
-use crate::api::{Resource, SiteId};
+use crate::api::SiteId;
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 struct CachedRun {
-    resource: Resource,
     demand_amount: u64,
     /// Admit while `usage ≤ threshold`.
     usage_threshold: u64,
@@ -58,7 +58,6 @@ impl FastPathCache {
         &mut self,
         process: ProcessId,
         site: SiteId,
-        resource: Resource,
         demand_amount: u64,
         usage_threshold: u64,
         now: SimTime,
@@ -66,7 +65,6 @@ impl FastPathCache {
         self.entries.insert(
             (process, site),
             CachedRun {
-                resource,
                 demand_amount,
                 usage_threshold,
                 refreshed_at: now,
@@ -76,15 +74,13 @@ impl FastPathCache {
 
     /// Attempt a fast-path admission for a repeat entry of `site`.
     ///
-    /// Hits when a cached `Run` exists for the same resource and demand,
-    /// it was refreshed within `max_age` cycles, and the current usage
-    /// still satisfies the threshold. On a hit the entry is refreshed.
-    #[allow(clippy::too_many_arguments)]
+    /// Hits when a cached `Run` exists for the same demand, it was
+    /// refreshed within `max_age` cycles, and the current usage still
+    /// satisfies the threshold. On a hit the entry is refreshed.
     pub fn try_admit(
         &mut self,
         process: ProcessId,
         site: SiteId,
-        resource: Resource,
         demand_amount: u64,
         current_usage: u64,
         now: SimTime,
@@ -94,7 +90,7 @@ impl FastPathCache {
             return false;
         };
         let fresh = now.since(entry.refreshed_at).cycles() < max_age_cycles;
-        let matches = entry.resource == resource && entry.demand_amount == demand_amount;
+        let matches = entry.demand_amount == demand_amount;
         let admissible = current_usage <= entry.usage_threshold;
         if fresh && matches && admissible {
             entry.refreshed_at = now;
@@ -144,10 +140,6 @@ impl FastPathCache {
             let mut h = Fnv1a64::new();
             h.write_u64(process.0 as u64)
                 .write_u64(site.0 as u64)
-                .write_u64(match e.resource {
-                    Resource::Llc => 0,
-                    Resource::MemBandwidth => 1,
-                })
                 .write_u64(e.demand_amount)
                 .write_u64(e.usage_threshold)
                 .write_u64(e.refreshed_at.cycles());
@@ -175,14 +167,7 @@ mod tests {
 
     fn cache_with_entry() -> FastPathCache {
         let mut c = FastPathCache::new();
-        c.store_run(
-            ProcessId(1),
-            SiteId(7),
-            Resource::Llc,
-            100,
-            900,
-            SimTime::from_cycles(0),
-        );
+        c.store_run(ProcessId(1), SiteId(7), 100, 900, SimTime::from_cycles(0));
         c
     }
 
@@ -192,7 +177,6 @@ mod tests {
         assert!(c.try_admit(
             ProcessId(1),
             SiteId(7),
-            Resource::Llc,
             100,
             900,
             SimTime::from_cycles(500),
@@ -206,7 +190,6 @@ mod tests {
         assert!(!c.try_admit(
             ProcessId(1),
             SiteId(7),
-            Resource::Llc,
             100,
             0,
             SimTime::from_cycles(1000),
@@ -223,7 +206,6 @@ mod tests {
                 c.try_admit(
                     ProcessId(1),
                     SiteId(7),
-                    Resource::Llc,
                     100,
                     0,
                     SimTime::from_cycles(k * 600),
@@ -240,7 +222,6 @@ mod tests {
         assert!(!c.try_admit(
             ProcessId(1),
             SiteId(7),
-            Resource::Llc,
             100,
             901,
             SimTime::from_cycles(1),
@@ -254,7 +235,6 @@ mod tests {
         assert!(!c.try_admit(
             ProcessId(1),
             SiteId(7),
-            Resource::Llc,
             200, // different demand
             0,
             SimTime::from_cycles(1),
@@ -269,7 +249,6 @@ mod tests {
         assert!(!c.try_admit(
             ProcessId(2),
             SiteId(7),
-            Resource::Llc,
             100,
             0,
             SimTime::from_cycles(1),
@@ -278,7 +257,6 @@ mod tests {
         assert!(!c.try_admit(
             ProcessId(1),
             SiteId(8),
-            Resource::Llc,
             100,
             0,
             SimTime::from_cycles(1),
@@ -289,20 +267,12 @@ mod tests {
     #[test]
     fn invalidate_process_clears_its_entries() {
         let mut c = cache_with_entry();
-        c.store_run(
-            ProcessId(2),
-            SiteId(1),
-            Resource::Llc,
-            50,
-            950,
-            SimTime::from_cycles(0),
-        );
+        c.store_run(ProcessId(2), SiteId(1), 50, 950, SimTime::from_cycles(0));
         c.invalidate_process(ProcessId(1));
         assert_eq!(c.len(), 1);
         assert!(!c.try_admit(
             ProcessId(1),
             SiteId(7),
-            Resource::Llc,
             100,
             0,
             SimTime::from_cycles(1),

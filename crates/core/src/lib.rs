@@ -21,8 +21,9 @@
 //!   [`registry::PpRegistry`] + [`waitlist::Waitlist`]) — tracks PP
 //!   begin/end events, keeps the registry of active periods, and
 //!   re-attempts waitlisted threads whenever a period completes;
-//! * the **resource monitor** ([`monitor::ResourceMonitor`]) — a load
-//!   table holding the summed demand per hardware resource;
+//! * the **resource monitor** ([`monitor::ResourceMonitor`]) — the load
+//!   table row holding the summed demand on the LLC, the one resource
+//!   Algorithm 1 gates;
 //! * the **scheduling predicate** ([`predicate`]) — Algorithm 1, which
 //!   decides run-or-pause from remaining capacity, the new demand, and a
 //!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise).
@@ -33,12 +34,14 @@
 //! [`policy::PolicyKind::Partitioned`] prototypes the cache-partitioning
 //! extension the paper lists as future work.
 //!
-//! The scalar extension manages one load table. [`topology`], [`layer`]
-//! and [`topo`] generalize it to a machine *topology* — demand vectors
-//! over per-NUMA-node resources, layered policies with capacity
-//! guarantees, and deterministic node placement ([`topo::TopoExtension`],
-//! DESIGN.md §9) — while the scalar engine keeps serving the paper's
-//! single-socket experiments unchanged.
+//! The scalar extension manages one resource, the LLC. [`topology`],
+//! [`layer`] and [`topo`] generalize it to a machine *topology* — demand
+//! vectors over per-NUMA-node LLC, memory bandwidth and DRAM, layered
+//! policies with capacity guarantees, and deterministic node placement
+//! ([`topo::TopoExtension`], DESIGN.md §9) — while the scalar engine
+//! keeps serving the paper's single-socket experiments unchanged. Both
+//! engines queue on the one [`waitlist::Waitlist`] type, so on
+//! [`topo::TopoConfig::compat`] they age and expire waiters alike.
 
 #![warn(missing_docs)]
 

@@ -64,10 +64,14 @@ impl PolicyKind {
         match *self {
             PolicyKind::DefaultOnly => true,
             PolicyKind::Strict => outcome >= 0,
-            PolicyKind::Compromise { factor } => {
-                // usage + demand <= factor * capacity
-                //  ⇔ outcome >= capacity - factor*capacity
-                let slack = (capacity as f64 * (factor - 1.0)) as i128;
+            PolicyKind::Compromise { .. } => {
+                // usage + demand <= usage_limit
+                //  ⇔ outcome >= capacity - usage_limit
+                // The slack derives from the same single rounding of
+                // x·capacity as the deadlock guard and the fast-path
+                // threshold: `capacity * (x - 1)` rounds differently
+                // (1.2 - 1.0 is 0.19999999999999996 in f64).
+                let slack = self.usage_limit(capacity) as i128 - capacity as i128;
                 outcome >= -slack
             }
             // Partitioned admits everything; clamping happens in the
@@ -136,6 +140,25 @@ mod tests {
         let s = PolicyKind::Strict;
         for outcome in [-2000i128, -1, 0, 1, 500] {
             assert_eq!(c.apply(outcome, CAP), s.apply(outcome, CAP), "outcome {outcome}");
+        }
+    }
+
+    /// `apply` admits exactly up to `usage_limit` for factors whose
+    /// `x - 1` is inexact in f64: `usage + demand == usage_limit` runs,
+    /// one byte more pauses.
+    #[test]
+    fn compromise_admits_exactly_to_its_usage_limit() {
+        for factor in [1.2, 1.7, 1.9] {
+            let p = PolicyKind::Compromise { factor };
+            for capacity in 1..=200_000u64 {
+                let limit = p.usage_limit(capacity) as i128;
+                let at_limit = capacity as i128 - limit;
+                assert!(p.apply(at_limit, capacity), "x={factor} cap={capacity}");
+                assert!(
+                    !p.apply(at_limit - 1, capacity),
+                    "x={factor} cap={capacity}"
+                );
+            }
         }
     }
 

@@ -38,9 +38,9 @@ pub enum Decision {
 /// to the paper's stated scope ("individually, their working sets fit
 /// within the capacity of the available caches").
 pub fn try_schedule(demand: &PpDemand, monitor: &ResourceMonitor, policy: &PolicyKind) -> Decision {
-    let capacity = monitor.capacity(demand.resource);
+    let capacity = monitor.capacity();
     let accounted = policy.effective_demand(demand.amount, capacity);
-    let remaining = monitor.remaining_signed(demand.resource);
+    let remaining = monitor.remaining_signed();
     decide(accounted, capacity, remaining, policy)
 }
 
@@ -68,13 +68,13 @@ pub fn decide(accounted: u64, capacity: u64, remaining: i128, policy: &PolicyKin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{mb, PpDemand, Resource};
+    use crate::api::{mb, PpDemand};
     use rda_machine::ReuseLevel;
 
     fn monitor_with_usage(capacity: u64, usage: u64) -> ResourceMonitor {
-        let mut m = ResourceMonitor::new(capacity, u64::MAX / 2);
+        let mut m = ResourceMonitor::new(capacity);
         if usage > 0 {
-            m.increment_load(Resource::Llc, usage);
+            m.increment_load(usage);
         }
         m
     }

@@ -174,73 +174,38 @@ impl PpRegistry {
             .map(move |id| &self.slots[self.slot_of[id.0 as usize] as usize])
     }
 
-    /// The live *admitted* periods of one process.
-    pub fn admitted_of_process(&self, p: ProcessId) -> impl Iterator<Item = &PpRecord> {
-        self.iter().filter(move |r| r.process == p && r.admitted)
-    }
-
-    /// Sum of accounted demand across nominally admitted periods — must
-    /// equal the resource monitor's usage (checked by the extension's
-    /// invariant test).
-    pub fn total_accounted(&self, resource: crate::api::Resource) -> u64 {
-        self.iter()
-            .filter(|r| r.admitted && !r.overflow && r.demand.resource == resource)
-            .map(|r| r.accounted)
-            .sum()
-    }
-
-    /// Sum of accounted demand across aged (overflow-admitted) periods —
-    /// must equal the resource monitor's overflow bucket.
-    pub fn total_overflow(&self, resource: crate::api::Resource) -> u64 {
-        self.iter()
-            .filter(|r| r.admitted && r.overflow && r.demand.resource == resource)
-            .map(|r| r.accounted)
-            .sum()
-    }
-
-    /// Number of live periods waiting (not admitted) on a resource —
-    /// must equal that resource's waitlist length.
-    pub fn waiting_on(&self, resource: crate::api::Resource) -> usize {
-        self.iter()
-            .filter(|r| !r.admitted && r.demand.resource == resource)
-            .count()
-    }
-
-    /// All three per-resource audit aggregates — nominal accounted sum,
+    /// The three audit aggregates — nominal accounted sum,
     /// overflow-bucket sum, and waiting count — computed in one pass
-    /// over the live records. Equivalent to calling
-    /// [`Self::total_accounted`], [`Self::total_overflow`], and
-    /// [`Self::waiting_on`] per resource, but six times cheaper; the
-    /// per-step paranoid invariant sweep runs on this.
+    /// over the live records. The extension's invariant check compares
+    /// them with the resource monitor and the waitlist; the per-step
+    /// paranoid sweep runs on this.
     pub fn audit_sums(&self) -> AuditSums {
         let mut sums = AuditSums::default();
         for r in self.iter() {
-            let i = match r.demand.resource {
-                crate::api::Resource::Llc => 0,
-                crate::api::Resource::MemBandwidth => 1,
-            };
             if !r.admitted {
-                sums.waiting[i] += 1;
+                sums.waiting += 1;
             } else if r.overflow {
-                sums.overflow[i] += r.accounted;
+                sums.overflow += r.accounted;
             } else {
-                sums.accounted[i] += r.accounted;
+                sums.accounted += r.accounted;
             }
         }
         sums
     }
 }
 
-/// Per-resource registry aggregates (indexed by
-/// [`crate::api::Resource::ALL`] order) from [`PpRegistry::audit_sums`].
+/// Registry aggregates from [`PpRegistry::audit_sums`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditSums {
-    /// Sum of accounted demand over admitted, non-overflow periods.
-    pub accounted: [u64; 2],
-    /// Sum of accounted demand over aged (overflow-admitted) periods.
-    pub overflow: [u64; 2],
-    /// Count of live periods not admitted (waitlisted).
-    pub waiting: [u64; 2],
+    /// Sum of accounted demand over admitted, non-overflow periods —
+    /// must equal the resource monitor's usage.
+    pub accounted: u64,
+    /// Sum of accounted demand over aged (overflow-admitted) periods —
+    /// must equal the resource monitor's overflow bucket.
+    pub overflow: u64,
+    /// Count of live periods not admitted — must equal the waitlist
+    /// length.
+    pub waiting: u64,
 }
 
 /// The previous `BTreeMap`-backed registry, kept verbatim as the
@@ -338,7 +303,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{mb, Resource};
+    use crate::api::mb;
     use rda_machine::ReuseLevel;
 
     fn demand() -> PpDemand {
@@ -365,25 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn per_process_filtering() {
-        let mut r = PpRegistry::new();
-        r.register(ProcessId(1), SiteId(0), demand(), mb(1.0), true, SimTime::ZERO);
-        r.register(ProcessId(1), SiteId(1), demand(), mb(1.0), false, SimTime::ZERO);
-        r.register(ProcessId(2), SiteId(0), demand(), mb(1.0), true, SimTime::ZERO);
-        assert_eq!(r.admitted_of_process(ProcessId(1)).count(), 1);
-        assert_eq!(r.admitted_of_process(ProcessId(2)).count(), 1);
-        assert_eq!(r.admitted_of_process(ProcessId(9)).count(), 0);
-    }
-
-    #[test]
     fn total_accounted_counts_only_admitted() {
         let mut r = PpRegistry::new();
         r.register(ProcessId(1), SiteId(0), demand(), 100, true, SimTime::ZERO);
         r.register(ProcessId(2), SiteId(0), demand(), 200, false, SimTime::ZERO);
         r.register(ProcessId(3), SiteId(0), demand(), 300, true, SimTime::ZERO);
-        assert_eq!(r.total_accounted(Resource::Llc), 400);
-        assert_eq!(r.total_accounted(Resource::MemBandwidth), 0);
-        assert_eq!(r.waiting_on(Resource::Llc), 1);
+        let sums = r.audit_sums();
+        assert_eq!(sums.accounted, 400);
+        assert_eq!(sums.overflow, 0);
+        assert_eq!(sums.waiting, 1);
     }
 
     #[test]
@@ -392,8 +347,9 @@ mod tests {
         let a = r.register(ProcessId(1), SiteId(0), demand(), 100, true, SimTime::ZERO);
         r.register(ProcessId(2), SiteId(0), demand(), 200, true, SimTime::ZERO);
         r.get_mut(a).unwrap().overflow = true;
-        assert_eq!(r.total_accounted(Resource::Llc), 200);
-        assert_eq!(r.total_overflow(Resource::Llc), 100);
+        let sums = r.audit_sums();
+        assert_eq!(sums.accounted, 200);
+        assert_eq!(sums.overflow, 100);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! both [`crate::extension::RdaExtension`] and an independent reference
 //! model of Algorithm 1, and asserts *observable-state equivalence*
 //! after every event. [`Snapshot`] defines exactly what "observable"
-//! means: the two accounting buckets of every resource, the waitlist
-//! contents in queue order (including enqueue times, which drive
+//! means: the two LLC accounting buckets, the waitlist contents in
+//! queue order (including enqueue times, which drive
 //! aging), every live period record, the activity counters, and the id
 //! allocator position. Anything not captured here — the fast-path
 //! cache's internals, call-cost tunables — is implementation detail
@@ -17,7 +17,7 @@
 //! `rda_simcore::Fnv1a64`), which is what the bounded model checker
 //! uses for state-space pruning.
 
-use crate::api::{PpId, Resource, SiteId};
+use crate::api::{PpId, SiteId};
 use crate::extension::RdaStats;
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
@@ -31,8 +31,6 @@ pub struct PpSnap {
     pub process: ProcessId,
     /// Static site.
     pub site: SiteId,
-    /// Targeted resource.
-    pub resource: Resource,
     /// Declared (post-audit) demand amount.
     pub declared: u64,
     /// Amount actually accounted in the monitor.
@@ -61,13 +59,12 @@ pub struct WaitSnap {
 /// equal.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
-    /// Nominal usage per resource, in [`Resource::ALL`] order.
-    pub usage: [u64; 2],
-    /// Overflow-bucket usage per resource, in [`Resource::ALL`] order.
-    pub overflow: [u64; 2],
-    /// Waitlist contents front-to-back per resource, in
-    /// [`Resource::ALL`] order.
-    pub waitlists: [Vec<WaitSnap>; 2],
+    /// Nominal LLC usage.
+    pub usage: u64,
+    /// Overflow-bucket LLC usage.
+    pub overflow: u64,
+    /// Waitlist contents front-to-back.
+    pub waitlist: Vec<WaitSnap>,
     /// Every live period, in id order.
     pub periods: Vec<PpSnap>,
     /// Activity counters.
@@ -82,24 +79,18 @@ impl Snapshot {
     /// pruning in the bounded model checker.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
-        for i in 0..2 {
-            h.write_u64(self.usage[i]).write_u64(self.overflow[i]);
-            h.write_usize(self.waitlists[i].len());
-            for w in &self.waitlists[i] {
-                h.write_u64(w.pp.0)
-                    .write_u64(w.accounted)
-                    .write_u64(w.enqueued_cycles);
-            }
+        h.write_u64(self.usage).write_u64(self.overflow);
+        h.write_usize(self.waitlist.len());
+        for w in &self.waitlist {
+            h.write_u64(w.pp.0)
+                .write_u64(w.accounted)
+                .write_u64(w.enqueued_cycles);
         }
         h.write_usize(self.periods.len());
         for p in &self.periods {
             h.write_u64(p.id.0)
                 .write_u64(p.process.0 as u64)
                 .write_u64(p.site.0 as u64)
-                .write_u64(match p.resource {
-                    Resource::Llc => 0,
-                    Resource::MemBandwidth => 1,
-                })
                 .write_u64(p.declared)
                 .write_u64(p.accounted)
                 .write_u64(p.admitted as u64)
@@ -149,10 +140,7 @@ impl Snapshot {
     /// period is live — the drained-to-idle end state every recovery
     /// property expects.
     pub fn is_idle(&self) -> bool {
-        self.usage == [0, 0]
-            && self.overflow == [0, 0]
-            && self.waitlists.iter().all(|w| w.is_empty())
-            && self.periods.is_empty()
+        self.usage == 0 && self.overflow == 0 && self.waitlist.is_empty() && self.periods.is_empty()
     }
 }
 
@@ -171,11 +159,11 @@ mod tests {
     fn digest_is_sensitive_to_every_bucket() {
         let base = Snapshot::default();
         let mut usage = base.clone();
-        usage.usage[0] = 1;
+        usage.usage = 1;
         let mut overflow = base.clone();
-        overflow.overflow[1] = 1;
+        overflow.overflow = 1;
         let mut wait = base.clone();
-        wait.waitlists[0].push(WaitSnap {
+        wait.waitlist.push(WaitSnap {
             pp: PpId(0),
             accounted: 5,
             enqueued_cycles: 9,
@@ -202,9 +190,9 @@ mod tests {
     fn without_stats_zeroes_only_counters() {
         let mut s = Snapshot::default();
         s.stats.begins = 7;
-        s.usage[0] = 42;
+        s.usage = 42;
         let bare = s.without_stats();
         assert_eq!(bare.stats, RdaStats::default());
-        assert_eq!(bare.usage[0], 42);
+        assert_eq!(bare.usage, 42);
     }
 }

@@ -18,23 +18,25 @@
 //!
 //! # Compatibility with the scalar engine
 //!
-//! On a 1-node topology with a trivial single layer and a
-//! single-component demand stream, every rule above degenerates to the
-//! paper's Algorithm 1: one node means placement is the identity, one
-//! layer without guarantee means the reservation term is zero, and one
-//! component means the vector predicate is the scalar predicate. The
-//! differences that remain are deliberate and invisible to the
-//! scheduling outcome: this engine has no memoised fast path (its
-//! `fast_begins`/`fast_ends` counters stay zero) and keeps one mixed
-//! FIFO per *node* rather than one per *resource* — identical queue
-//! orders when only one resource is ever demanded.
+//! On a 1-node topology with a trivial single layer and an LLC-only
+//! demand stream, every rule above degenerates to the paper's
+//! Algorithm 1: one node means placement is the identity, one layer
+//! without guarantee means the reservation term is zero, and one
+//! component means the vector predicate is the scalar predicate. Both
+//! engines queue on the same [`Waitlist`] type, so they also age and
+//! expire waiters alike. What remains different (DESIGN.md §9): this
+//! engine has no memoised fast path (its `fast_begins`/`fast_ends`
+//! counters stay zero), it admits a zero-byte demand unconditionally (a
+//! zero component is unconstrained), and it counts `oversized_admits`
+//! on every admission the scalar fast path would have served.
 //!
 //! # Waitlists, aging, overload
 //!
 //! Waiters are pinned to the node chosen at enqueue time (least
-//! occupied at that moment); each node owns one FIFO. The bounded
-//! admission gate, deadlines, aging, and the saturation breaker all
-//! operate per node — the breaker per node *and* resource kind.
+//! occupied at that moment); each node owns one [`Waitlist`] of demand
+//! vectors. The bounded admission gate, deadlines, aging (oldest-first
+//! by enqueue time), and the saturation breaker all operate per node —
+//! the breaker per node *and* resource kind.
 //!
 //! A released demand vector can span several resources, so every drain
 //! is **node-granular**: reclaiming a record marks its node touched,
@@ -51,10 +53,11 @@ use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet};
 use crate::policy::PolicyKind;
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
+use crate::waitlist::{WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime};
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Typed errors of the topology engine — the multi-node analogue of
@@ -174,21 +177,20 @@ impl TopoConfig {
 
     /// [`Self::new`], but rejecting malformed capacity tables (zero
     /// capacity for a constrained kind, empty topologies) with a typed
-    /// [`SpecError`] instead of letting the engine silently skip the
-    /// kind in placement scoring.
+    /// [`SpecError`](crate::topology::SpecError) instead of letting the
+    /// engine silently skip the kind in placement scoring.
     pub fn validated(spec: TopoSpec, layers: LayerSet) -> Result<Self, crate::topology::SpecError> {
         spec.validate()?;
         Ok(Self::new(spec, layers))
     }
 
     /// The single-node, single-layer shape equivalent to a scalar
-    /// [`crate::config::RdaConfig`]: same LLC and bandwidth
-    /// capacities, an effectively unconstrained DRAM pool (the scalar
-    /// engine does not track DRAM), and the same audit/aging/overload
-    /// knobs.
+    /// [`crate::config::RdaConfig`]: the same LLC capacity, effectively
+    /// unconstrained memory bandwidth and DRAM (the scalar engine
+    /// tracks neither), and the same audit/aging/overload knobs.
     pub fn compat(cfg: &crate::config::RdaConfig) -> Self {
         TopoConfig {
-            spec: TopoSpec::single(cfg.llc_capacity, cfg.membw_capacity, u64::MAX / 4),
+            spec: TopoSpec::single(cfg.llc_capacity, u64::MAX / 4, u64::MAX / 4),
             layers: LayerSet::single(cfg.policy),
             demand_audit: cfg.demand_audit,
             waitlist_timeout_cycles: cfg.waitlist_timeout_cycles,
@@ -238,14 +240,6 @@ pub struct TopoRecord {
     pub overflow: bool,
     /// When `pp_begin` processed the period.
     pub begun_at: SimTime,
-}
-
-/// One waitlist entry (per-node FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TopoWaitEntry {
-    pp: PpId,
-    accounted: Demand,
-    enqueued_at: SimTime,
 }
 
 /// One live period, as observable in a [`TopoSnapshot`].
@@ -392,8 +386,8 @@ pub struct TopoExtension {
     /// Live periods by id (BTreeMap: snapshots iterate in id order).
     records: BTreeMap<u64, TopoRecord>,
     next_id: u64,
-    /// One FIFO per node; entries hold mixed demand vectors.
-    waitlists: Vec<VecDeque<TopoWaitEntry>>,
+    /// One waitlist per node; entries hold demand vectors.
+    waitlists: Vec<Waitlist<Demand>>,
     stats: RdaStats,
     sink: Option<TraceSink>,
     breaker_open: Vec<[bool; KIND_COUNT]>,
@@ -413,7 +407,7 @@ impl TopoExtension {
             layer_usage: vec![vec![[0; KIND_COUNT]; nodes]; layers],
             records: BTreeMap::new(),
             next_id: 0,
-            waitlists: vec![VecDeque::new(); nodes],
+            waitlists: vec![Waitlist::new(); nodes],
             stats: RdaStats::default(),
             sink: None,
             breaker_open: vec![[false; KIND_COUNT]; nodes],
@@ -887,7 +881,7 @@ impl TopoExtension {
             if self.waitlists[target].len() >= ov.waitlist_cap {
                 match ov.shed_policy {
                     ShedPolicy::RejectOldest if !self.waitlists[target].is_empty() => {
-                        let Some(victim) = self.waitlists[target].pop_front() else {
+                        let Some(victim) = self.waitlists[target].pop() else {
                             // Queue emptied between the guard and the
                             // pop — a books desync; fall back to the
                             // tail-drop behaviour of the `_` arm.
@@ -978,11 +972,28 @@ impl TopoExtension {
             false,
             now,
         );
-        self.waitlists[target].push_back(TopoWaitEntry {
-            pp,
-            accounted: acc,
-            enqueued_at: now,
-        });
+        if self.waitlists[target]
+            .push(WaitEntry {
+                pp,
+                accounted: acc,
+                enqueued_at: now,
+            })
+            .is_err()
+        {
+            // A freshly allocated id cannot already be waitlisted; if
+            // it is, the waitlist and the record store have
+            // desynchronized. Roll the registration back so the books
+            // stay balanced, and fail the call instead of panicking.
+            self.records.remove(&pp.0);
+            self.stats.desyncs += 1;
+            return Err(TopoError::InvariantViolation {
+                node: NodeId(target as u32),
+                kind: acc.touched().next().unwrap_or(ResourceKind::Llc),
+                what: "period waitlisted twice",
+                expected: 0,
+                actual: pp.0,
+            });
+        }
         self.stats.paused += 1;
         self.stats.max_waitlist = self
             .stats
@@ -1071,10 +1082,7 @@ impl TopoExtension {
             if rec.admitted {
                 self.release(&rec);
             } else {
-                let q = &mut self.waitlists[n];
-                if let Some(pos) = q.iter().position(|e| e.pp.0 == id) {
-                    q.remove(pos);
-                }
+                self.waitlists[n].cancel(rec.id);
             }
             self.stats.reclaimed += 1;
         }
@@ -1108,14 +1116,10 @@ impl TopoExtension {
         let mut expired_touched = vec![false; nodes];
         if let Some(deadline) = deadline {
             for n in 0..nodes {
-                // Enqueue times are monotone per queue, so expired
-                // waiters form a prefix: oldest-first by construction.
-                while let Some(&front) = self.waitlists[n].front() {
-                    if now.since(front.enqueued_at).cycles() < deadline {
-                        break;
-                    }
-                    self.waitlists[n].pop_front();
-                    match self.records.remove(&front.pp.0) {
+                // Oldest-first by enqueue time, whatever the queue
+                // position.
+                while let Some(entry) = self.waitlists[n].pop_expired(now, deadline) {
+                    match self.records.remove(&entry.pp.0) {
                         Some(rec) => {
                             self.stats.expired += 1;
                             expired_touched[n] = true;
@@ -1123,14 +1127,14 @@ impl TopoExtension {
                             ev.node = n as u32;
                             ev.process = rec.process.0;
                             ev.site = rec.site.0;
-                            ev.pp = front.pp.0;
-                            let (r, a) = Self::primary(&front.accounted);
+                            ev.pp = entry.pp.0;
+                            let (r, a) = Self::primary(&entry.accounted);
                             ev.resource = r;
                             ev.amount = a;
                             ev.wait_cycles =
-                                now.cycles().saturating_sub(front.enqueued_at.cycles());
+                                now.cycles().saturating_sub(entry.enqueued_at.cycles());
                             self.emit(ev);
-                            out.expired.push((front.pp, rec.process));
+                            out.expired.push((entry.pp, rec.process));
                         }
                         None => self.stats.desyncs += 1,
                     }
@@ -1158,16 +1162,12 @@ impl TopoExtension {
         self.emit(ev);
     }
 
-    /// True when node `n` has a waiter past the aging timeout. O(1):
-    /// enqueue times are monotone, so the front is the oldest.
+    /// True when node `n` has a waiter past the aging timeout. O(1)
+    /// via the waitlist's cached minimum enqueue time.
     fn has_expired_waiter(&self, n: usize, now: SimTime) -> bool {
-        let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
-            return false;
-        };
-        match self.waitlists[n].front() {
-            Some(e) => now.since(e.enqueued_at).cycles() >= timeout,
-            None => false,
-        }
+        self.cfg
+            .waitlist_timeout_cycles
+            .is_some_and(|timeout| self.waitlists[n].has_expired(now, timeout))
     }
 
     /// Per-node, per-kind breaker hysteresis (same thresholds on every
@@ -1215,16 +1215,17 @@ impl TopoExtension {
     }
 
     /// Walk node `n`'s FIFO admitting while the head fits (every
-    /// component re-evaluated), interleaved with aging force-admission
-    /// of timed-out heads into the overflow bucket.
+    /// component re-evaluated), interleaved with aging: once the head
+    /// blocks, the oldest waiter past the timeout is force-admitted
+    /// into the overflow bucket.
     fn drain_node(&mut self, n: usize, now: SimTime) -> Vec<(PpId, ProcessId)> {
         let mut resumed = Vec::new();
         loop {
-            while let Some(&head) = self.waitlists[n].front() {
+            while let Some(head) = self.waitlists[n].front() {
                 let Some(&rec) = self.records.get(&head.pp.0) else {
                     // Orphaned waitlist entry (its record vanished):
                     // drop it, count the desync, keep draining behind.
-                    self.waitlists[n].pop_front();
+                    self.waitlists[n].pop();
                     self.stats.desyncs += 1;
                     continue;
                 };
@@ -1237,7 +1238,7 @@ impl TopoExtension {
                     // (checked) overflow bucket.
                     break;
                 }
-                self.waitlists[n].pop_front();
+                self.waitlists[n].pop();
                 if let Some(r) = self.records.get_mut(&head.pp.0) {
                     r.admitted = true;
                 }
@@ -1254,37 +1255,34 @@ impl TopoExtension {
                 self.emit(ev);
                 resumed.push((head.pp, rec.process));
             }
-            // The head (if any) does not fit. Aging: force-admit it
-            // once it has waited past the timeout; removing it may let
-            // queued periods behind it fit nominally.
+            // The head (if any) does not fit. Aging: force-admit the
+            // oldest waiter once it has waited past the timeout;
+            // removing it may let queued periods behind the head fit
+            // nominally.
             let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
                 break;
             };
-            let Some(&head) = self.waitlists[n].front() else {
+            let Some(aged) = self.waitlists[n].pop_expired(now, timeout) else {
                 break;
             };
-            if now.since(head.enqueued_at).cycles() < timeout {
-                break;
-            }
-            self.waitlists[n].pop_front();
-            if !self.records.contains_key(&head.pp.0) {
-                // Orphaned aged head: drop it and keep draining.
+            if !self.records.contains_key(&aged.pp.0) {
+                // Orphaned aged entry: drop it and keep draining.
                 self.stats.desyncs += 1;
                 continue;
             }
-            if self.account_overflow(n, &head.accounted).is_err() {
-                // The overflow bucket would wrap: the head can neither
+            if self.account_overflow(n, &aged.accounted).is_err() {
+                // The overflow bucket would wrap: the waiter can neither
                 // run nominally nor degrade. Shed it outright rather
-                // than wedge the queue behind it forever.
+                // than wedge the queue forever.
                 let mut sv = TraceEvent::at(now.cycles(), EventKind::Shed);
                 sv.node = n as u32;
-                sv.pp = head.pp.0;
+                sv.pp = aged.pp.0;
                 sv.reject = RejectKind::DemandOverflow;
-                let (r, a) = Self::primary(&head.accounted);
+                let (r, a) = Self::primary(&aged.accounted);
                 sv.resource = r;
                 sv.amount = a;
-                sv.wait_cycles = now.cycles().saturating_sub(head.enqueued_at.cycles());
-                if let Some(rec) = self.records.remove(&head.pp.0) {
+                sv.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
+                if let Some(rec) = self.records.remove(&aged.pp.0) {
                     sv.process = rec.process.0;
                     sv.site = rec.site.0;
                 }
@@ -1293,7 +1291,7 @@ impl TopoExtension {
                 self.emit(sv);
                 continue;
             }
-            let Some(rec) = self.records.get_mut(&head.pp.0) else {
+            let Some(rec) = self.records.get_mut(&aged.pp.0) else {
                 self.stats.desyncs += 1;
                 continue;
             };
@@ -1305,13 +1303,13 @@ impl TopoExtension {
             ev.node = n as u32;
             ev.process = process.0;
             ev.site = site.0;
-            ev.pp = head.pp.0;
-            let (r, a) = Self::primary(&head.accounted);
+            ev.pp = aged.pp.0;
+            let (r, a) = Self::primary(&aged.accounted);
             ev.resource = r;
             ev.amount = a;
-            ev.wait_cycles = now.cycles().saturating_sub(head.enqueued_at.cycles());
+            ev.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
             self.emit(ev);
-            resumed.push((head.pp, process));
+            resumed.push((aged.pp, process));
         }
         resumed
     }
@@ -1418,7 +1416,7 @@ impl TopoExtension {
         }
         for n in 0..nodes {
             let node = NodeId(n as u32);
-            for e in &self.waitlists[n] {
+            for e in self.waitlists[n].iter() {
                 match self.records.get(&e.pp.0) {
                     None => {
                         return Err(TopoError::InvariantViolation {
@@ -1685,9 +1683,15 @@ mod tests {
             cfg.spec.capacity(NodeId(0), ResourceKind::Llc),
             scalar.llc_capacity
         );
+        // The scalar engine gates the LLC only: bandwidth and DRAM
+        // are left unconstrained.
         assert_eq!(
             cfg.spec.capacity(NodeId(0), ResourceKind::MemBw),
-            scalar.membw_capacity
+            u64::MAX / 4
+        );
+        assert_eq!(
+            cfg.spec.capacity(NodeId(0), ResourceKind::DramCap),
+            u64::MAX / 4
         );
     }
 
@@ -1719,6 +1723,39 @@ mod tests {
         assert_eq!(out.resumed, vec![(behind, ProcessId(2))]);
         assert!(e.snapshot().waitlists[0].is_empty());
         e.check_invariants().unwrap();
+    }
+
+    /// A waitlist that already (impossibly) holds the id about to be
+    /// allocated: the push is rejected, the desync counted and the
+    /// registration rolled back — as in the scalar engine.
+    #[test]
+    fn poisoned_waitlist_push_rolls_back_the_registration() {
+        let mut e = TopoExtension::new(TopoConfig::new(
+            TopoSpec::single(100, 50, 1000),
+            LayerSet::single(PolicyKind::Strict),
+        ));
+        run(&mut e, 0, 0, Demand::llc(100), t(0));
+        let next = PpId(e.snapshot().allocated);
+        e.waitlists[0]
+            .push(WaitEntry {
+                pp: next,
+                accounted: Demand::llc(1),
+                enqueued_at: t(0),
+            })
+            .unwrap();
+        let err = e
+            .pp_begin(ProcessId(1), SiteId(0), Demand::llc(40), t(1))
+            .unwrap_err();
+        assert!(matches!(err, TopoError::InvariantViolation { actual, .. } if actual == next.0));
+        assert_eq!(e.stats().desyncs, 1);
+        assert_eq!(e.stats().paused, 0);
+        assert!(e.snapshot().periods.iter().all(|p| p.id != next));
+        assert_eq!(e.waitlist_len(NodeId(0)), 1, "the duplicate was not queued");
+        // The engine stays serviceable: the next arrival queues.
+        let out = e
+            .pp_begin(ProcessId(2), SiteId(0), Demand::llc(40), t(2))
+            .unwrap();
+        assert!(matches!(out, BeginOutcome::Pause { .. }), "got {out:?}");
     }
 
     #[test]

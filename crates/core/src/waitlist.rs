@@ -3,183 +3,161 @@
 //! Processes whose progress periods are denied are *"placed on a
 //! resource waitlist so they may be rescheduled later when another
 //! progress period completes and releases sufficient resources"*. The
-//! waitlist is FIFO per resource: the longest-waiting period is
-//! re-evaluated first, which bounds waiting time and keeps admission
-//! order deterministic.
+//! waitlist is FIFO: the longest-waiting period is re-evaluated first,
+//! which bounds waiting time and keeps admission order deterministic.
+//!
+//! Both admission engines queue on this one type. It is generic over
+//! the accounted demand an entry stores: the scalar
+//! [`crate::extension::RdaExtension`] holds one `Waitlist<u64>` (LLC
+//! bytes), the topology [`crate::topo::TopoExtension`] one
+//! `Waitlist<Demand>` per NUMA node.
 //!
 //! Two robustness mechanisms live here beyond the paper:
 //!
 //! * [`Waitlist::push`] rejects a period that is already enqueued with
-//!   a typed [`RdaError::DoubleWaitlist`] instead of a `debug_assert!`
-//!   — in release builds the old path silently enqueued the period
-//!   twice, and its demand was double-released on admission;
+//!   a typed [`RdaError::DoubleWaitlist`] instead of enqueueing it
+//!   twice, which would double-release its demand on admission;
 //! * every entry records *when* it was enqueued, so
-//!   [`Waitlist::pop_expired`] can implement **aging**: entries older
-//!   than a configurable timeout are force-admitted by the extension
-//!   under a degraded overflow accounting bucket, making starvation
-//!   impossible by construction.
+//!   [`Waitlist::pop_expired`] can implement **aging** and deadlines:
+//!   entries older than a timeout leave strictly oldest-first by
+//!   enqueue time, whatever their queue position.
 //!
 //! # Representation
 //!
-//! Each per-resource queue is a `VecDeque` plus the cached minimum
-//! enqueue time of its entries, making [`Waitlist::oldest`] (polled by
-//! the simulator's aging-deadline computation every interval) O(1); the
+//! A `VecDeque` plus the cached minimum enqueue time of its entries,
+//! making [`Waitlist::oldest`] (polled on every aging check and by the
+//! simulator's aging-deadline computation every interval) O(1); the
 //! cache is refreshed by an O(n) rescan only when the entry holding the
 //! minimum is removed.
 
-use crate::api::{PpId, Resource};
+use crate::api::PpId;
 use crate::error::RdaError;
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
 
 /// One waitlisted period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitEntry {
+pub struct WaitEntry<A = u64> {
     /// The denied period.
     pub pp: PpId,
     /// Its accounted demand (for quick re-evaluation).
-    pub accounted: u64,
+    pub accounted: A,
     /// When the period was enqueued (for aging).
     pub enqueued_at: SimTime,
 }
 
-/// One resource's queue plus its cached minimum enqueue time.
-#[derive(Debug, Clone, Default)]
-struct Queue {
-    fifo: VecDeque<WaitEntry>,
+/// A FIFO of denied periods with a cached oldest enqueue time.
+#[derive(Debug, Clone)]
+pub struct Waitlist<A = u64> {
+    fifo: VecDeque<WaitEntry<A>>,
     /// `min(entry.enqueued_at)` over the queue, `None` when empty.
     /// Maintained incrementally; recomputed by scan only when the
     /// minimal entry leaves the queue.
     oldest: Option<SimTime>,
 }
 
-impl Queue {
-    fn push(&mut self, entry: WaitEntry) {
-        self.oldest = Some(match self.oldest {
-            Some(t) => t.min(entry.enqueued_at),
-            None => entry.enqueued_at,
-        });
-        self.fifo.push_back(entry);
-    }
-
-    fn note_removed(&mut self, removed: &WaitEntry) {
-        if Some(removed.enqueued_at) == self.oldest {
-            self.oldest = self.fifo.iter().map(|e| e.enqueued_at).min();
+impl<A> Default for Waitlist<A> {
+    fn default() -> Self {
+        Waitlist {
+            fifo: VecDeque::new(),
+            oldest: None,
         }
     }
-
-    fn remove(&mut self, pos: usize) -> Option<WaitEntry> {
-        let entry = self.fifo.remove(pos)?;
-        self.note_removed(&entry);
-        Some(entry)
-    }
 }
 
-/// FIFO waitlists, one per resource.
-#[derive(Debug, Clone, Default)]
-pub struct Waitlist {
-    llc: Queue,
-    membw: Queue,
-}
-
-impl Waitlist {
+impl<A: Copy> Waitlist<A> {
     /// Empty waitlist.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn queue(&self, r: Resource) -> &Queue {
-        match r {
-            Resource::Llc => &self.llc,
-            Resource::MemBandwidth => &self.membw,
-        }
-    }
-
-    fn queue_mut(&mut self, r: Resource) -> &mut Queue {
-        match r {
-            Resource::Llc => &mut self.llc,
-            Resource::MemBandwidth => &mut self.membw,
-        }
-    }
-
     /// Append a denied period. Rejects a period that is already
     /// enqueued — admitting the duplicate would double-release its
     /// demand later.
-    pub fn push(&mut self, r: Resource, entry: WaitEntry) -> Result<(), RdaError> {
-        if self.queue(r).fifo.iter().any(|e| e.pp == entry.pp) {
+    pub fn push(&mut self, entry: WaitEntry<A>) -> Result<(), RdaError> {
+        if self.fifo.iter().any(|e| e.pp == entry.pp) {
             return Err(RdaError::DoubleWaitlist(entry.pp));
         }
-        self.queue_mut(r).push(entry);
+        self.oldest = Some(match self.oldest {
+            Some(t) => t.min(entry.enqueued_at),
+            None => entry.enqueued_at,
+        });
+        self.fifo.push_back(entry);
         Ok(())
     }
 
-    /// The longest-waiting period, without removing it.
-    pub fn front(&self, r: Resource) -> Option<WaitEntry> {
-        self.queue(r).fifo.front().copied()
+    /// The longest-queued period, without removing it.
+    pub fn front(&self) -> Option<WaitEntry<A>> {
+        self.fifo.front().copied()
     }
 
-    /// Remove and return the longest-waiting period.
-    pub fn pop(&mut self, r: Resource) -> Option<WaitEntry> {
-        self.queue_mut(r).remove(0)
+    /// Remove and return the longest-queued period.
+    pub fn pop(&mut self) -> Option<WaitEntry<A>> {
+        self.remove(0)
+    }
+
+    fn remove(&mut self, pos: usize) -> Option<WaitEntry<A>> {
+        let entry = self.fifo.remove(pos)?;
+        if Some(entry.enqueued_at) == self.oldest {
+            self.oldest = self.fifo.iter().map(|e| e.enqueued_at).min();
+        }
+        Some(entry)
+    }
+
+    /// True when some entry has waited `timeout` cycles or longer by
+    /// `now`. O(1) via the cached minimum: the oldest entry expires
+    /// first, so an unexpired minimum proves the whole queue unexpired.
+    pub fn has_expired(&self, now: SimTime, timeout: u64) -> bool {
+        self.oldest
+            .is_some_and(|oldest| now.since(oldest).cycles() >= timeout)
     }
 
     /// Remove and return the *oldest* expired period: the entry with
     /// the earliest enqueue time among those that have waited `timeout`
-    /// cycles or longer by `now`. Repeated calls therefore force-admit
-    /// strictly oldest-first per resource — even when a caller enqueued
-    /// with non-monotonic timestamps (trace replay, direct API use) and
-    /// queue position no longer matches wait time.
-    ///
-    /// O(1) when nothing has expired (the common case, via the cached
-    /// minimum): the oldest entry expires first, so an unexpired
-    /// minimum proves the whole queue is unexpired.
-    pub fn pop_expired(&mut self, r: Resource, now: SimTime, timeout: u64) -> Option<WaitEntry> {
-        let q = self.queue_mut(r);
-        let oldest = q.oldest?;
-        if now.since(oldest).cycles() < timeout {
+    /// cycles or longer by `now` (the first in queue order among equal
+    /// stamps). Repeated calls therefore leave strictly oldest-first —
+    /// even when a caller enqueued with non-monotonic timestamps (trace
+    /// replay, direct API use) and queue position no longer matches
+    /// wait time. O(1) when nothing has expired (the common case).
+    pub fn pop_expired(&mut self, now: SimTime, timeout: u64) -> Option<WaitEntry<A>> {
+        if !self.has_expired(now, timeout) {
             return None;
         }
-        // The cached minimum is expired; it is by definition the oldest
-        // expired entry. `min_by_key` kept the *first* of equals, so
-        // match that: take the first entry holding the minimal stamp.
-        let pos = q.fifo.iter().position(|e| e.enqueued_at == oldest)?;
-        q.remove(pos)
+        let oldest = self.oldest?;
+        let pos = self.fifo.iter().position(|e| e.enqueued_at == oldest)?;
+        self.remove(pos)
     }
 
     /// Enqueue time of the longest-waiting period (the next to expire).
-    /// O(1) via the cached per-queue minimum, which tracks true wait
-    /// time rather than queue position (callers may enqueue with
-    /// non-monotonic timestamps — trace replay, direct API use).
-    pub fn oldest(&self, r: Resource) -> Option<SimTime> {
-        self.queue(r).oldest
+    /// O(1) via the cached minimum, which tracks true wait time rather
+    /// than queue position.
+    pub fn oldest(&self) -> Option<SimTime> {
+        self.oldest
     }
 
     /// Remove a specific period (e.g. its process was killed).
-    pub fn cancel(&mut self, r: Resource, pp: PpId) -> bool {
-        let q = self.queue_mut(r);
-        if let Some(pos) = q.fifo.iter().position(|e| e.pp == pp) {
-            q.remove(pos);
-            true
-        } else {
-            false
+    pub fn cancel(&mut self, pp: PpId) -> bool {
+        match self.fifo.iter().position(|e| e.pp == pp) {
+            Some(pos) => self.remove(pos).is_some(),
+            None => false,
         }
     }
 
-    /// Number of periods waiting on a resource.
-    pub fn len(&self, r: Resource) -> usize {
-        self.queue(r).fifo.len()
+    /// Number of waiting periods.
+    pub fn len(&self) -> usize {
+        self.fifo.len()
     }
 
-    /// True when nothing waits on any resource.
+    /// True when nothing waits.
     pub fn is_empty(&self) -> bool {
-        self.llc.fifo.is_empty() && self.membw.fifo.is_empty()
+        self.fifo.is_empty()
     }
 
-    /// Iterate a resource's waiters front-to-back, by reference — the
+    /// Iterate the waiters front-to-back, by reference — the
     /// per-admission paths (snapshotting, invariant checks) must not
     /// copy the queue to walk it.
-    pub fn iter(&self, r: Resource) -> impl Iterator<Item = &WaitEntry> {
-        self.queue(r).fifo.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &WaitEntry<A>> {
+        self.fifo.iter()
     }
 }
 
@@ -200,74 +178,76 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order_per_resource() {
+    fn fifo_order_and_emptiness() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e(1, 10)).unwrap();
-        w.push(Resource::Llc, e(2, 20)).unwrap();
-        w.push(Resource::MemBandwidth, e(3, 30)).unwrap();
-        assert_eq!(w.pop(Resource::Llc).unwrap().pp, PpId(1));
-        assert_eq!(w.pop(Resource::Llc).unwrap().pp, PpId(2));
-        assert_eq!(w.pop(Resource::Llc), None);
-        assert_eq!(w.pop(Resource::MemBandwidth).unwrap().pp, PpId(3));
+        assert!(w.is_empty());
+        w.push(e(1, 10)).unwrap();
+        w.push(e(2, 20)).unwrap();
+        assert!(!w.is_empty());
+        assert_eq!(w.pop().unwrap().pp, PpId(1));
+        assert_eq!(w.pop().unwrap().pp, PpId(2));
+        assert_eq!(w.pop(), None);
+        assert!(w.is_empty());
     }
 
     #[test]
     fn double_push_is_a_typed_error() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e(1, 10)).unwrap();
-        assert_eq!(
-            w.push(Resource::Llc, e(1, 10)),
-            Err(RdaError::DoubleWaitlist(PpId(1)))
-        );
+        w.push(e(1, 10)).unwrap();
+        assert_eq!(w.push(e(1, 10)), Err(RdaError::DoubleWaitlist(PpId(1))));
         // The rejected duplicate must not have been enqueued.
-        assert_eq!(w.len(Resource::Llc), 1);
-        // The same id on the *other* resource is a distinct queue.
-        w.push(Resource::MemBandwidth, e(1, 10)).unwrap();
+        assert_eq!(w.len(), 1);
     }
 
     #[test]
     fn front_does_not_remove() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e(1, 10)).unwrap();
-        assert_eq!(w.front(Resource::Llc).unwrap().pp, PpId(1));
-        assert_eq!(w.len(Resource::Llc), 1);
+        w.push(e(1, 10)).unwrap();
+        assert_eq!(w.front().unwrap().pp, PpId(1));
+        assert_eq!(w.len(), 1);
     }
 
     #[test]
     fn cancel_mid_queue() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e(1, 10)).unwrap();
-        w.push(Resource::Llc, e(2, 20)).unwrap();
-        w.push(Resource::Llc, e(3, 30)).unwrap();
-        assert!(w.cancel(Resource::Llc, PpId(2)));
-        assert!(!w.cancel(Resource::Llc, PpId(2)));
-        let order: Vec<PpId> = w.iter(Resource::Llc).map(|x| x.pp).collect();
+        w.push(e(1, 10)).unwrap();
+        w.push(e(2, 20)).unwrap();
+        w.push(e(3, 30)).unwrap();
+        assert!(w.cancel(PpId(2)));
+        assert!(!w.cancel(PpId(2)));
+        let order: Vec<PpId> = w.iter().map(|x| x.pp).collect();
         assert_eq!(order, vec![PpId(1), PpId(3)]);
     }
 
     #[test]
-    fn emptiness_spans_resources() {
-        let mut w = Waitlist::new();
-        assert!(w.is_empty());
-        w.push(Resource::MemBandwidth, e(9, 1)).unwrap();
-        assert!(!w.is_empty());
-        w.pop(Resource::MemBandwidth);
+    fn entries_carry_any_accounted_demand() {
+        // The topology engine queues demand vectors on the same type.
+        let mut w: Waitlist<[u64; 3]> = Waitlist::new();
+        let entry = WaitEntry {
+            pp: PpId(4),
+            accounted: [1, 2, 3],
+            enqueued_at: SimTime::from_cycles(5),
+        };
+        w.push(entry).unwrap();
+        assert_eq!(w.pop_expired(SimTime::from_cycles(9), 4), Some(entry));
         assert!(w.is_empty());
     }
 
     #[test]
     fn expiry_drains_only_the_aged_prefix() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 0)).unwrap();
-        w.push(Resource::Llc, e_at(2, 10, 500)).unwrap();
-        w.push(Resource::Llc, e_at(3, 10, 900)).unwrap();
+        w.push(e_at(1, 10, 0)).unwrap();
+        w.push(e_at(2, 10, 500)).unwrap();
+        w.push(e_at(3, 10, 900)).unwrap();
         let now = SimTime::from_cycles(1000);
         // Timeout 400: entries enqueued at 0 and 500 have expired.
-        assert_eq!(w.pop_expired(Resource::Llc, now, 400).unwrap().pp, PpId(1));
-        assert_eq!(w.pop_expired(Resource::Llc, now, 400).unwrap().pp, PpId(2));
-        assert_eq!(w.pop_expired(Resource::Llc, now, 400), None);
-        assert_eq!(w.len(Resource::Llc), 1);
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(900)));
+        assert!(w.has_expired(now, 400));
+        assert_eq!(w.pop_expired(now, 400).unwrap().pp, PpId(1));
+        assert_eq!(w.pop_expired(now, 400).unwrap().pp, PpId(2));
+        assert_eq!(w.pop_expired(now, 400), None);
+        assert!(!w.has_expired(now, 400));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(900)));
     }
 
     #[test]
@@ -277,71 +257,63 @@ mod tests {
         // force-admit strictly oldest-first (by enqueue time, i.e.
         // longest wait), not queue-position-first.
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 500)).unwrap();
-        w.push(Resource::Llc, e_at(2, 10, 100)).unwrap();
+        w.push(e_at(1, 10, 500)).unwrap();
+        w.push(e_at(2, 10, 100)).unwrap();
         let now = SimTime::from_cycles(1_200);
         // Timeout 1000: only the entry enqueued at 100 (waited 1100)
         // has expired; the queue head (enqueued 500, waited 700) has
         // not — it must NOT block the expired one behind it.
-        assert_eq!(
-            w.pop_expired(Resource::Llc, now, 1000).unwrap().pp,
-            PpId(2)
-        );
-        assert_eq!(w.pop_expired(Resource::Llc, now, 1000), None);
+        assert_eq!(w.pop_expired(now, 1000).unwrap().pp, PpId(2));
+        assert_eq!(w.pop_expired(now, 1000), None);
         // Once both have expired, the remaining (older-positioned but
         // younger-stamped) entry drains too.
         let later = SimTime::from_cycles(1_600);
-        assert_eq!(
-            w.pop_expired(Resource::Llc, later, 1000).unwrap().pp,
-            PpId(1)
-        );
+        assert_eq!(w.pop_expired(later, 1000).unwrap().pp, PpId(1));
     }
 
     #[test]
     fn oldest_reports_minimum_enqueue_time_not_queue_head() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 500)).unwrap();
-        w.push(Resource::Llc, e_at(2, 10, 100)).unwrap();
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(100)));
+        w.push(e_at(1, 10, 500)).unwrap();
+        w.push(e_at(2, 10, 100)).unwrap();
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(100)));
     }
 
     #[test]
     fn oldest_cache_survives_removal_of_the_minimum() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 300)).unwrap();
-        w.push(Resource::Llc, e_at(2, 10, 100)).unwrap();
-        w.push(Resource::Llc, e_at(3, 10, 200)).unwrap();
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(100)));
+        w.push(e_at(1, 10, 300)).unwrap();
+        w.push(e_at(2, 10, 100)).unwrap();
+        w.push(e_at(3, 10, 200)).unwrap();
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(100)));
         // Removing the minimal entry forces a rescan: 200 is next.
-        assert!(w.cancel(Resource::Llc, PpId(2)));
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(200)));
+        assert!(w.cancel(PpId(2)));
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(200)));
         // Removing a non-minimal entry leaves the cache untouched.
-        assert!(w.cancel(Resource::Llc, PpId(1)));
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(200)));
-        w.pop(Resource::Llc);
-        assert_eq!(w.oldest(Resource::Llc), None);
+        assert!(w.cancel(PpId(1)));
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(200)));
+        w.pop();
+        assert_eq!(w.oldest(), None);
     }
 
     #[test]
     fn ties_on_the_minimum_stamp_pop_in_queue_order() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 100)).unwrap();
-        w.push(Resource::Llc, e_at(2, 10, 100)).unwrap();
-        w.push(Resource::Llc, e_at(3, 10, 100)).unwrap();
+        w.push(e_at(1, 10, 100)).unwrap();
+        w.push(e_at(2, 10, 100)).unwrap();
+        w.push(e_at(3, 10, 100)).unwrap();
         let now = SimTime::from_cycles(500);
-        assert_eq!(w.pop_expired(Resource::Llc, now, 100).unwrap().pp, PpId(1));
-        assert_eq!(w.pop_expired(Resource::Llc, now, 100).unwrap().pp, PpId(2));
-        assert_eq!(w.pop_expired(Resource::Llc, now, 100).unwrap().pp, PpId(3));
+        assert_eq!(w.pop_expired(now, 100).unwrap().pp, PpId(1));
+        assert_eq!(w.pop_expired(now, 100).unwrap().pp, PpId(2));
+        assert_eq!(w.pop_expired(now, 100).unwrap().pp, PpId(3));
     }
 
     #[test]
     fn expiry_boundary_is_inclusive() {
         let mut w = Waitlist::new();
-        w.push(Resource::Llc, e_at(1, 10, 100)).unwrap();
+        w.push(e_at(1, 10, 100)).unwrap();
         // Exactly `timeout` cycles of waiting counts as expired.
-        assert!(w
-            .pop_expired(Resource::Llc, SimTime::from_cycles(300), 200)
-            .is_some());
+        assert!(w.pop_expired(SimTime::from_cycles(300), 200).is_some());
     }
 
     #[test]
@@ -349,20 +321,20 @@ mod tests {
         let mut w = Waitlist::new();
         let n = 25u64;
         for i in 0..n {
-            w.push(Resource::Llc, e_at(i, 10 + i, i)).unwrap();
+            w.push(e_at(i, 10 + i, i)).unwrap();
         }
-        assert_eq!(w.len(Resource::Llc), n as usize);
-        assert_eq!(w.oldest(Resource::Llc), Some(SimTime::from_cycles(0)));
+        assert_eq!(w.len(), n as usize);
+        assert_eq!(w.oldest(), Some(SimTime::from_cycles(0)));
         // Duplicate detection holds anywhere in a long queue.
-        assert!(w.push(Resource::Llc, e_at(3, 1, 1)).is_err());
+        assert!(w.push(e_at(3, 1, 1)).is_err());
         // Mid-queue cancellation keeps the relative order of the rest.
-        assert!(w.cancel(Resource::Llc, PpId(16)));
-        let order: Vec<u64> = w.iter(Resource::Llc).map(|x| x.pp.0).collect();
+        assert!(w.cancel(PpId(16)));
+        let order: Vec<u64> = w.iter().map(|x| x.pp.0).collect();
         let expected: Vec<u64> = (0..n).filter(|&i| i != 16).collect();
         assert_eq!(order, expected);
         // Drain fully in FIFO order.
         for &i in &expected {
-            assert_eq!(w.pop(Resource::Llc).unwrap().pp, PpId(i));
+            assert_eq!(w.pop().unwrap().pp, PpId(i));
         }
         assert!(w.is_empty());
     }

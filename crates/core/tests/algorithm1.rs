@@ -12,9 +12,7 @@
 //! these properties are about the predicate proper.
 
 use proptest::prelude::*;
-use rda_core::{
-    mb, BeginOutcome, PolicyKind, PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId,
-};
+use rda_core::{mb, BeginOutcome, PolicyKind, PpDemand, PpId, RdaConfig, RdaExtension, SiteId};
 use rda_machine::{MachineConfig, ReuseLevel};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -114,9 +112,9 @@ proptest! {
         .llc_capacity;
         drive(PolicyKind::Strict, &ops, |ext, _, _| {
             prop_assert!(
-                ext.usage(Resource::Llc) <= capacity,
+                ext.usage() <= capacity,
                 "usage {} exceeds capacity {capacity}",
-                ext.usage(Resource::Llc)
+                ext.usage()
             );
         });
     }
@@ -138,9 +136,9 @@ proptest! {
         let limit = policy.usage_limit(capacity);
         drive(policy, &ops, |ext, _, _| {
             prop_assert!(
-                ext.usage(Resource::Llc) <= limit,
+                ext.usage() <= limit,
                 "usage {} exceeds {factor} x capacity = {limit}",
-                ext.usage(Resource::Llc)
+                ext.usage()
             );
         });
     }
@@ -165,7 +163,7 @@ proptest! {
                     return;
                 }
                 if let Some(&(pp, demand)) = waiting.first() {
-                    let free = limit - ext.usage(Resource::Llc);
+                    let free = limit - ext.usage();
                     prop_assert!(
                         demand > free,
                         "{policy}: head {pp} ({demand} B) fits in {free} B free \

@@ -3,9 +3,7 @@
 //! policies are never violated, and the waitlist drains.
 
 use proptest::prelude::*;
-use rda_core::{
-    mb, BeginOutcome, PolicyKind, PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId,
-};
+use rda_core::{mb, BeginOutcome, PolicyKind, PpDemand, PpId, RdaConfig, RdaExtension, SiteId};
 use rda_machine::{MachineConfig, ReuseLevel};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -86,9 +84,9 @@ proptest! {
                                 // deadlock guard.
                                 if accounted <= limit {
                                     prop_assert!(
-                                        ext.usage(Resource::Llc) <= limit,
+                                        ext.usage() <= limit,
                                         "{policy}: usage {} over limit {limit}",
-                                        ext.usage(Resource::Llc)
+                                        ext.usage()
                                     );
                                 }
                             }
@@ -122,8 +120,8 @@ proptest! {
                     .expect("ending a live admitted period");
                 admitted.extend(out.resumed.iter().map(|&(pp, _)| pp));
             }
-            prop_assert_eq!(ext.usage(Resource::Llc), 0, "{}", policy);
-            prop_assert_eq!(ext.waitlist_len(Resource::Llc), 0, "{}", policy);
+            prop_assert_eq!(ext.usage(), 0, "{}", policy);
+            prop_assert_eq!(ext.waitlist_len(), 0, "{}", policy);
             let s = ext.stats();
             prop_assert_eq!(s.begins, s.ends);
             prop_assert_eq!(s.paused, s.resumed);
@@ -226,20 +224,17 @@ proptest! {
             match op {
                 WlOp::Push(stamp) => {
                     let stamp = stamp as u64;
-                    w.push(
-                        Resource::Llc,
-                        WaitEntry {
-                            pp: PpId(next),
-                            accounted: 1,
-                            enqueued_at: SimTime::from_cycles(stamp),
-                        },
-                    )
+                    w.push(WaitEntry {
+                        pp: PpId(next),
+                        accounted: 1,
+                        enqueued_at: SimTime::from_cycles(stamp),
+                    })
                     .expect("fresh ids never collide");
                     model.push((next, stamp));
                     next += 1;
                 }
                 WlOp::Pop => {
-                    let got = w.pop(Resource::Llc).map(|e| e.pp.0);
+                    let got = w.pop().map(|e| e.pp.0);
                     let want = if model.is_empty() {
                         None
                     } else {
@@ -249,11 +244,11 @@ proptest! {
                 }
                 WlOp::Cancel(i) => {
                     if model.is_empty() {
-                        prop_assert!(!w.cancel(Resource::Llc, PpId(next)));
+                        prop_assert!(!w.cancel(PpId(next)));
                     } else {
                         let i = i as usize % model.len();
                         let (pp, _) = model.remove(i);
-                        prop_assert!(w.cancel(Resource::Llc, PpId(pp)));
+                        prop_assert!(w.cancel(PpId(pp)));
                     }
                 }
                 WlOp::PopExpired(timeout) => {
@@ -262,7 +257,7 @@ proptest! {
                     let now = 2_000u64;
                     let timeout = timeout as u64;
                     let got = w
-                        .pop_expired(Resource::Llc, SimTime::from_cycles(now), timeout)
+                        .pop_expired(SimTime::from_cycles(now), timeout)
                         .map(|e| e.pp.0);
                     // Model: the first entry holding the minimal stamp,
                     // if it has waited long enough.
@@ -276,10 +271,10 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
             }
-            let order: Vec<u64> = w.iter(Resource::Llc).map(|e| e.pp.0).collect();
+            let order: Vec<u64> = w.iter().map(|e| e.pp.0).collect();
             let expect: Vec<u64> = model.iter().map(|&(pp, _)| pp).collect();
             prop_assert_eq!(order, expect, "queue order diverged from model");
-            let oldest = w.oldest(Resource::Llc).map(|t| t.cycles());
+            let oldest = w.oldest().map(|t| t.cycles());
             prop_assert_eq!(oldest, model.iter().map(|&(_, s)| s).min());
         }
     }

@@ -851,14 +851,7 @@ impl SystemSim {
     /// when aging is configured and something is waiting).
     fn aging_deadline(&self) -> Option<SimTime> {
         let timeout = self.cfg.waitlist_timeout?;
-        let mut best: Option<SimTime> = None;
-        for r in rda_core::Resource::ALL {
-            if let Some(enqueued) = self.rda.oldest_wait(r) {
-                let deadline = enqueued + timeout;
-                best = Some(best.map_or(deadline, |b: SimTime| b.min(deadline)));
-            }
-        }
-        best
+        Some(self.rda.oldest_wait()? + timeout)
     }
 
     /// Force-admit expired waitlist entries and wake their processes.
@@ -890,9 +883,9 @@ impl SystemSim {
         let sample = rda_trace::OccupancySample {
             t_cycles: self.now.cycles(),
             node: 0,
-            usage: self.rda.usage(rda_core::Resource::Llc),
-            overflow: self.rda.overflow_usage(rda_core::Resource::Llc),
-            waitlisted: self.rda.waitlist_len(rda_core::Resource::Llc) as u32,
+            usage: self.rda.usage(),
+            overflow: self.rda.overflow_usage(),
+            waitlisted: self.rda.waitlist_len() as u32,
             busy_cores: busy_cores as u32,
         };
         if let Some(sink) = self.rda.trace_mut() {
@@ -916,8 +909,8 @@ impl SystemSim {
             busy_cores: running.len(),
             active_threads: self.sched.active_tasks().count(),
             running_pressure_bytes: pressure,
-            admitted_demand_bytes: self.rda.usage(rda_core::Resource::Llc),
-            waitlisted: self.rda.waitlist_len(rda_core::Resource::Llc),
+            admitted_demand_bytes: self.rda.usage(),
+            waitlisted: self.rda.waitlist_len(),
         });
     }
 
@@ -1512,17 +1505,14 @@ mod tests {
     }
 
     /// Run a faulty workload and assert full recovery: the run
-    /// completes, and at the end both accounting buckets are empty on
-    /// both resources, the waitlists are empty, and no period outlives
-    /// its process.
+    /// completes, and at the end both accounting buckets and the
+    /// waitlist are empty, and no period outlives its process.
     fn assert_recovers(cfg: SimConfig, spec: &WorkloadSpec) -> RunResult {
         let mut sim = SystemSim::new(cfg, spec);
         let r = sim.run().expect("faulty run must still complete");
-        for res in rda_core::Resource::ALL {
-            assert_eq!(sim.rda().usage(res), 0, "{res}: nominal demand leaked");
-            assert_eq!(sim.rda().overflow_usage(res), 0, "{res}: overflow leaked");
-            assert_eq!(sim.rda().waitlist_len(res), 0, "{res}: waiter leaked");
-        }
+        assert_eq!(sim.rda().usage(), 0, "nominal demand leaked");
+        assert_eq!(sim.rda().overflow_usage(), 0, "overflow leaked");
+        assert_eq!(sim.rda().waitlist_len(), 0, "waiter leaked");
         assert_eq!(sim.rda().live_periods(), 0, "period outlived its process");
         r
     }
@@ -1664,8 +1654,8 @@ mod tests {
             "the waiter was rescued by aging"
         );
         assert_eq!(sim.rda().live_periods(), 0);
-        assert_eq!(sim.rda().usage(rda_core::Resource::Llc), 0);
-        assert_eq!(sim.rda().overflow_usage(rda_core::Resource::Llc), 0);
+        assert_eq!(sim.rda().usage(), 0);
+        assert_eq!(sim.rda().overflow_usage(), 0);
     }
 
     #[test]

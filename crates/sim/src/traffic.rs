@@ -530,10 +530,7 @@ impl Admission for RdaExtension {
     }
 
     fn sheds(err: &RdaError) -> bool {
-        matches!(
-            err,
-            RdaError::WaitlistFull { .. } | RdaError::BreakerOpen { .. }
-        )
+        matches!(err, RdaError::WaitlistFull | RdaError::BreakerOpen)
     }
 
     fn end(

@@ -69,12 +69,12 @@ impl EventKind {
 
 /// Mirror of the core crate's resource enums, kept here so `rda-core`
 /// can depend on this crate without a cycle. Covers both the scalar
-/// extension's resource pair and the topology engine's per-node kinds.
+/// extension's LLC and the topology engine's per-node kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceResource {
     /// Last-level cache capacity (bytes).
     Llc,
-    /// Memory bandwidth (bytes/second).
+    /// Memory bandwidth (bytes/second; topology engine only).
     MemBandwidth,
     /// DRAM capacity (bytes; topology engine only).
     DramCap,

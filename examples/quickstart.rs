@@ -9,7 +9,7 @@
 //! cargo run -p rda-examples --bin quickstart
 //! ```
 
-use rda_core::{mb, BeginOutcome, PolicyKind, PpDemand, RdaConfig, RdaExtension, Resource, SiteId};
+use rda_core::{mb, BeginOutcome, PolicyKind, PpDemand, RdaConfig, RdaExtension, SiteId};
 use rda_machine::{MachineConfig, ReuseLevel};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -33,7 +33,7 @@ fn main() {
         }
         other => panic!("an idle cache must admit: {other:?}"),
     };
-    println!("    LLC load is now {:.1} MB", rda.usage(Resource::Llc) as f64 / 1e6 * 0.95367);
+    println!("    LLC load is now {:.1} MB", rda.usage() as f64 / 1e6 * 0.95367);
 
     // A second process wants 7 MB — still fits (6.3 + 7 < 15).
     let p1 = match rda.pp_begin(ProcessId(1), SiteId(0), PpDemand::llc(mb(7.0), ReuseLevel::High), t(10)).unwrap() {

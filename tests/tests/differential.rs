@@ -15,7 +15,7 @@
 
 use rda_check::{doc_from_calls, replay, Effect, Oracle, TraceEvent};
 use rda_core::waitlist::{WaitEntry, Waitlist};
-use rda_core::{mb, DemandAudit, PolicyKind, PpId, RdaError, Resource};
+use rda_core::{mb, DemandAudit, PolicyKind, PpId, RdaError};
 use rda_sim::{FaultConfig, SimConfig, SystemSim};
 use rda_simcore::SimTime;
 use rda_workloads::spec::all_workloads;
@@ -79,7 +79,6 @@ fn contended_oracle(audit: DemandAudit) -> Oracle {
         t,
         process,
         site: process,
-        resource: Resource::Llc,
         amount,
     };
     oracle.apply(&begin(0, 0, mb(10.0))).unwrap();
@@ -153,11 +152,9 @@ fn demand_overflow_rejection_is_pure() {
             t: 20,
             process: 2,
             site: 2,
-            resource: Resource::Llc,
             amount: mb(99.0),
         },
         RdaError::DemandOverflow {
-            resource: Resource::Llc,
             declared: mb(99.0),
             capacity: mb(15.0),
         },
@@ -176,19 +173,16 @@ fn double_waitlist_rejection_is_pure() {
         accounted: 123,
         enqueued_at: SimTime::from_cycles(5),
     };
-    wl.push(Resource::Llc, entry).unwrap();
+    wl.push(entry).unwrap();
     assert_eq!(
-        wl.push(
-            Resource::Llc,
-            WaitEntry {
-                accounted: 456, // even with different metadata
-                ..entry
-            }
-        ),
+        wl.push(WaitEntry {
+            accounted: 456, // even with different metadata
+            ..entry
+        }),
         Err(RdaError::DoubleWaitlist(PpId(7)))
     );
-    assert_eq!(wl.len(Resource::Llc), 1);
-    assert_eq!(wl.front(Resource::Llc), Some(entry));
+    assert_eq!(wl.len(), 1);
+    assert_eq!(wl.front(), Some(entry));
 }
 
 /// Satellite: `process_exit` composes with waitlist aging. A process
@@ -207,7 +201,6 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
         t,
         process,
         site,
-        resource: Resource::Llc,
         amount,
     };
     // pp 0 (proc 0, 8k) and pp 1 (proc 1, 7k) admit nominally.
@@ -236,9 +229,9 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
         other => panic!("{other:?}"),
     }
     let mid = oracle.snapshot();
-    assert_eq!(mid.usage[0], 15_000);
-    assert_eq!(mid.overflow[0], 12_000);
-    assert_eq!(mid.waitlists[0].len(), 1);
+    assert_eq!(mid.usage, 15_000);
+    assert_eq!(mid.overflow, 12_000);
+    assert_eq!(mid.waitlist.len(), 1);
     // Process 0 dies holding all three kinds of period.
     oracle
         .apply(&TraceEvent::Exit {
@@ -247,9 +240,9 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
         })
         .unwrap();
     let after = oracle.snapshot();
-    assert_eq!(after.usage[0], 7_000, "only the survivor's demand remains");
-    assert_eq!(after.overflow[0], 0, "force-admitted period reclaimed");
-    assert!(after.waitlists[0].is_empty(), "waitlisted period cancelled");
+    assert_eq!(after.usage, 7_000, "only the survivor's demand remains");
+    assert_eq!(after.overflow, 0, "force-admitted period reclaimed");
+    assert!(after.waitlist.is_empty(), "waitlisted period cancelled");
     assert_eq!(after.stats.reclaimed, 3);
     // The survivor ends; everything is zero again.
     oracle.apply(&TraceEvent::End { t: 1_300, pp: 1 }).unwrap();
@@ -268,7 +261,6 @@ fn invariants_hold_after_heavy_traffic() {
             t: 20 + t * 13,
             process: (t % 5) as u32,
             site: (t % 3) as u32,
-            resource: Resource::Llc,
             amount: mb(1.0) * (t % 7),
         });
         let _ = oracle.apply(&TraceEvent::End {
@@ -290,7 +282,7 @@ fn invariants_hold_after_heavy_traffic() {
 mod registry_differential {
     use proptest::prelude::*;
     use rda_core::registry::{reference::BTreeRegistry, PpRegistry};
-    use rda_core::{mb, PpDemand, PpId, Resource, SiteId};
+    use rda_core::{mb, PpDemand, PpId, SiteId};
     use rda_machine::ReuseLevel;
     use rda_sched::ProcessId;
     use rda_simcore::SimTime;
@@ -304,7 +296,7 @@ mod registry_differential {
         Register {
             process: u32,
             site: u32,
-            llc: bool,
+            high_reuse: bool,
             ws_tenth_mb: u64,
             accounted: u64,
             admitted: bool,
@@ -331,8 +323,8 @@ mod registry_differential {
         prop_oneof![
             4 => ((0u32..6, 0u32..4, any::<bool>(), 1u64..200),
                   (0u64..50_000_000, any::<bool>(), 0u64..1_000_000))
-                .prop_map(|((process, site, llc, ws_tenth_mb), (accounted, admitted, at))| {
-                    Op::Register { process, site, llc, ws_tenth_mb, accounted, admitted, at }
+                .prop_map(|((process, site, high_reuse, ws_tenth_mb), (accounted, admitted, at))| {
+                    Op::Register { process, site, high_reuse, ws_tenth_mb, accounted, admitted, at }
                 }),
             3 => (0usize..64).prop_map(|pick| Op::Complete { pick }),
             2 => (0usize..64, any::<bool>(), any::<bool>())
@@ -368,17 +360,10 @@ mod registry_differential {
             let mut model = BTreeRegistry::new();
             for op in &ops {
                 match *op {
-                    Op::Register { process, site, llc, ws_tenth_mb, accounted, admitted, at } => {
+                    Op::Register { process, site, high_reuse, ws_tenth_mb, accounted, admitted, at } => {
                         let ws = mb(ws_tenth_mb as f64 / 10.0);
-                        let demand = if llc {
-                            PpDemand::llc(ws, ReuseLevel::High)
-                        } else {
-                            PpDemand {
-                                resource: Resource::MemBandwidth,
-                                amount: ws,
-                                reuse: ReuseLevel::Low,
-                            }
-                        };
+                        let reuse = if high_reuse { ReuseLevel::High } else { ReuseLevel::Low };
+                        let demand = PpDemand::llc(ws, reuse);
                         let now = SimTime::from_cycles(at);
                         let a = arena.register(
                             ProcessId(process), SiteId(site), demand, accounted, admitted, now);

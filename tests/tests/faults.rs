@@ -5,7 +5,7 @@
 //! stay bit-identical across seeds and thread counts.
 
 use proptest::prelude::*;
-use rda_core::{mb, DemandAudit, PolicyKind, Resource, SiteId};
+use rda_core::{mb, DemandAudit, PolicyKind, SiteId};
 use rda_machine::ReuseLevel;
 use rda_sim::runner::{run_sweep_configured, RunnerOptions, SweepGrid};
 use rda_sim::{FaultConfig, SimConfig, SystemSim};
@@ -88,14 +88,11 @@ proptest! {
         for policy in [PolicyKind::Strict, PolicyKind::compromise_default()] {
             let mut sim = SystemSim::new(faulty_cfg(policy, rate, seed), &spec);
             let r = sim.run().unwrap_or_else(|e| panic!("{policy}: {e}"));
-            for res in Resource::ALL {
-                prop_assert_eq!(sim.rda().usage(res), 0,
-                    "{}/{}: nominal demand leaked", policy, res);
-                prop_assert_eq!(sim.rda().overflow_usage(res), 0,
-                    "{}/{}: overflow demand leaked", policy, res);
-                prop_assert_eq!(sim.rda().waitlist_len(res), 0,
-                    "{}/{}: a WaitEntry outlived its process", policy, res);
-            }
+            prop_assert_eq!(sim.rda().usage(), 0, "{}: nominal demand leaked", policy);
+            prop_assert_eq!(sim.rda().overflow_usage(), 0,
+                "{}: overflow demand leaked", policy);
+            prop_assert_eq!(sim.rda().waitlist_len(), 0,
+                "{}: a WaitEntry outlived its process", policy);
             prop_assert_eq!(sim.rda().live_periods(), 0,
                 "{}: a period outlived its process", policy);
             // Every opened period was closed exactly once: by an honest

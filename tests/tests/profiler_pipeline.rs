@@ -90,7 +90,7 @@ fn profiled_annotation_round_trips_through_the_scheduler() {
         .expect("default Trust audit never rejects");
     match outcome {
         BeginOutcome::Run { pp, .. } => {
-            assert_eq!(rda.usage(rda_core::Resource::Llc), ann.ws_bytes);
+            assert_eq!(rda.usage(), ann.ws_bytes);
             let out = rda
                 .pp_end(pp, SimTime::from_cycles(100))
                 .expect("ending a live admitted period");

@@ -5,10 +5,13 @@
 //! cross-engine compatibility argument (scalar vs 1-node topology).
 
 use proptest::prelude::*;
-use rda_check::{replay, replay_lifted, topo_doc_from_calls, GenParams, TopoEffect};
+use rda_check::{
+    replay, replay_lifted, topo_doc_from_calls, Effect, GenParams, TopoEffect, TraceDoc,
+};
 use rda_core::{
-    mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, RdaConfig,
-    RdaStats, ResourceKind, ShedPolicy, TopoConfig, TopoSpec,
+    mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
+    PpSnap, RdaConfig, RdaError, RdaStats, ShedPolicy, Snapshot, TopoConfig, TopoError,
+    TopoSnapshot, TopoSpec, WaitSnap,
 };
 use rda_machine::MachineConfig;
 use rda_sim::{
@@ -177,42 +180,140 @@ proptest! {
         let eight = topo_sweep_digest(&run_topo_cells(&cells, 8, root_seed));
         prop_assert_eq!(serial, eight);
     }
+}
 
-    /// The cross-engine compatibility argument on random schedules: a
-    /// scalar trace and its 1-node/1-resource lift agree on every
-    /// lifecycle counter (fast-path counters excluded — the topology
-    /// engine has no memoised fast path) and on the final LLC books.
-    #[test]
-    fn random_scalar_schedules_agree_with_their_topology_lift(seed in 0u64..1_000_000) {
-        let mut doc = rda_check::random_doc(seed, &GenParams::default());
-        // Compromise/Partitioned round their slack differently between
-        // the i128 scalar predicate and the u64 vector predicate;
-        // Strict is the exactly-shared subset.
-        doc.cfg.policy = PolicyKind::Strict;
-        let scalar = replay(&doc).unwrap_or_else(|d| panic!("scalar diverged: {d}"));
-        let lifted = replay_lifted(&doc).unwrap_or_else(|d| panic!("lift diverged: {d}"));
-        let (s, t) = (scalar.final_snapshot.stats, lifted.final_snapshot.stats);
-        prop_assert_eq!(
-            (s.begins, s.admitted, s.paused, s.resumed, s.ends, s.reclaimed),
-            (t.begins, t.admitted, t.paused, t.resumed, t.ends, t.reclaimed)
-        );
-        prop_assert_eq!(
-            (s.shed, s.expired, s.aged_admissions, s.rejected_ends, s.clamped),
-            (t.shed, t.expired, t.aged_admissions, t.rejected_ends, t.clamped)
-        );
-        let llc = rda_core::Resource::Llc as usize;
-        let topo_llc = ResourceKind::Llc as usize;
-        prop_assert_eq!(
-            scalar.final_snapshot.usage[llc],
-            lifted.final_snapshot.usage[0][topo_llc],
-            "final LLC books must match"
-        );
-        prop_assert_eq!(
-            scalar.final_snapshot.overflow[llc],
-            lifted.final_snapshot.overflow[0][topo_llc],
-            "final overflow books must match"
-        );
+/// A topology call effect in the scalar vocabulary, fast-path flags
+/// false (the topology engine has no fast path).
+fn as_scalar(effect: &TopoEffect) -> Effect {
+    match effect.clone() {
+        TopoEffect::Bypass => Effect::Bypass,
+        TopoEffect::Run { pp } => Effect::Run { pp, fast: false },
+        TopoEffect::Pause { pp, shed } => Effect::Pause { pp, shed },
+        TopoEffect::End { resumed } => Effect::End {
+            fast: false,
+            resumed,
+        },
+        TopoEffect::Woken { resumed, expired } => Effect::Woken { resumed, expired },
+        TopoEffect::Retried => Effect::Retried,
+        TopoEffect::Rejected(e) => Effect::Rejected(match e {
+            TopoError::UnknownPp(pp) => RdaError::UnknownPp(pp),
+            TopoError::DoubleEnd(pp) => RdaError::DoubleEnd(pp),
+            TopoError::EndWhileWaitlisted(pp) => RdaError::EndWhileWaitlisted(pp),
+            TopoError::DemandOverflow {
+                declared, capacity, ..
+            } => RdaError::DemandOverflow { declared, capacity },
+            TopoError::WaitlistFull { .. } => RdaError::WaitlistFull,
+            TopoError::BreakerOpen { .. } => RdaError::BreakerOpen,
+            e @ TopoError::InvariantViolation { .. } => panic!("topology engine bug: {e}"),
+        }),
     }
+}
+
+/// A scalar call effect with its fast-path flag cleared.
+fn without_fast(effect: &Effect) -> Effect {
+    match effect.clone() {
+        Effect::Run { pp, .. } => Effect::Run { pp, fast: false },
+        Effect::End { resumed, .. } => Effect::End {
+            fast: false,
+            resumed,
+        },
+        other => other,
+    }
+}
+
+/// Counters with the fast-path ones zeroed: the topology engine has no
+/// memoised fast path, so its fast-path counters stay zero while the
+/// scalar engine's count memo hits.
+fn decided(mut stats: RdaStats) -> RdaStats {
+    stats.fast_begins = 0;
+    stats.fast_ends = 0;
+    stats
+}
+
+/// A compat-shape topology snapshot in the scalar vocabulary, with the
+/// fast-path counters zeroed. Every vector must be LLC-only.
+fn scalar_view(t: &TopoSnapshot) -> Snapshot {
+    let llc = |amounts: [u64; 3]| {
+        assert_eq!(amounts[1..], [0, 0], "not LLC-only");
+        amounts[0]
+    };
+    Snapshot {
+        usage: llc(t.usage[0]),
+        overflow: llc(t.overflow[0]),
+        waitlist: t.waitlists[0]
+            .iter()
+            .map(|w| WaitSnap {
+                pp: w.pp,
+                accounted: llc(w.accounted.amounts),
+                enqueued_cycles: w.enqueued_cycles,
+            })
+            .collect(),
+        periods: t
+            .periods
+            .iter()
+            .map(|p| PpSnap {
+                id: p.id,
+                process: p.process,
+                site: p.site,
+                declared: llc(p.declared.amounts),
+                accounted: llc(p.accounted.amounts),
+                admitted: p.admitted,
+                overflow: p.overflow,
+            })
+            .collect(),
+        stats: decided(t.stats),
+        allocated: t.allocated,
+    }
+}
+
+/// DESIGN.md §9's compatibility argument, exact: a scalar schedule and
+/// its lift onto `TopoConfig::compat` agree call for call — outcome,
+/// period id, shed victim, resumed and expired lists in order, error
+/// variant — under every policy, audit mode, overload gate, deadline,
+/// breaker and aging setting `random_doc` draws, backward clock steps
+/// included. At the end they hold equal counters (fast-path counters
+/// aside), books, live periods and waitlist.
+#[test]
+fn random_scalar_schedules_agree_with_their_topology_lift() {
+    for seed in 0..256 {
+        let doc = rda_check::random_doc(seed, &GenParams::default());
+        let scalar = replay(&doc).unwrap_or_else(|d| panic!("seed {seed}: scalar diverged: {d}"));
+        let lifted =
+            replay_lifted(&doc).unwrap_or_else(|d| panic!("seed {seed}: lift diverged: {d}"));
+        for (step, (s, t)) in scalar.effects.iter().zip(&lifted.effects).enumerate() {
+            let event = &doc.events[step];
+            assert_eq!(
+                without_fast(s),
+                as_scalar(t),
+                "seed {seed}, step {step}: {event:?}"
+            );
+        }
+        let mut want = scalar.final_snapshot;
+        want.stats = decided(want.stats);
+        assert_eq!(want, scalar_view(&lifted.final_snapshot), "seed {seed}");
+    }
+}
+
+/// The one scalar/topology difference left on the compat shape, pinned
+/// until the engines collapse (ROADMAP item 2) and one rule is chosen:
+/// a zero-byte period on an oversubscribed LLC. Algorithm 1 pauses it
+/// in the scalar engine (`remaining − 0 < 0` once the deadlock guard
+/// has admitted a 2 000-byte period into a 1 000-byte cache); the
+/// topology engine runs it, because a zero component is unconstrained.
+#[test]
+fn zero_byte_period_on_an_oversubscribed_llc_is_the_known_difference() {
+    let doc = TraceDoc::parse("policy strict\nllc 1000\nbegin 0 0 0 llc 2000\nbegin 1 1 1 llc 0\n")
+        .unwrap();
+    let scalar = replay(&doc).unwrap();
+    let lifted = replay_lifted(&doc).unwrap();
+    assert_eq!(
+        scalar.effects[1],
+        Effect::Pause {
+            pp: PpId(1),
+            shed: None
+        }
+    );
+    assert_eq!(lifted.effects[1], TopoEffect::Run { pp: PpId(1) });
 }
 
 /// One `web_default` plan (seed 3) through the scalar traffic engine,
@@ -289,14 +390,8 @@ fn scalar_and_compat_topology_traffic_agree() {
         }
     }
     assert_eq!(cells.len(), 192);
-    // The topology engine has no memoised fast path, so its fast-path
-    // counters stay zero while the scalar engine's count memo hits;
-    // they are the one place the two engines' books may differ.
-    let decided = |mut stats: RdaStats| {
-        stats.fast_begins = 0;
-        stats.fast_ends = 0;
-        stats
-    };
+    // The fast-path counters are the one place the two engines' books
+    // may differ.
     let mut exercised = [0u64; 5];
     for (policy, overload, aging, rate, faults) in cells {
         let mut rda = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), policy);
