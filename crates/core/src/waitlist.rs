@@ -178,15 +178,34 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order_and_emptiness() {
-        let mut w = Waitlist::new();
+    fn fifo_order_per_resource() {
+        // An engine holds one queue per gated resource (or per node);
+        // each keeps its own FIFO order.
+        let mut llc = Waitlist::new();
+        let mut other = Waitlist::new();
+        llc.push(e(1, 10)).unwrap();
+        llc.push(e(2, 20)).unwrap();
+        other.push(e(3, 30)).unwrap();
+        assert_eq!(llc.pop().unwrap().pp, PpId(1));
+        assert_eq!(llc.pop().unwrap().pp, PpId(2));
+        assert_eq!(llc.pop(), None);
+        assert_eq!(other.pop().unwrap().pp, PpId(3));
+    }
+
+    #[test]
+    fn emptiness_spans_resources() {
+        // An entry whose demand lies on any resource of the vector
+        // makes the queue non-empty.
+        let mut w: Waitlist<[u64; 3]> = Waitlist::new();
         assert!(w.is_empty());
-        w.push(e(1, 10)).unwrap();
-        w.push(e(2, 20)).unwrap();
+        w.push(WaitEntry {
+            pp: PpId(9),
+            accounted: [0, 1, 0],
+            enqueued_at: SimTime::from_cycles(0),
+        })
+        .unwrap();
         assert!(!w.is_empty());
-        assert_eq!(w.pop().unwrap().pp, PpId(1));
-        assert_eq!(w.pop().unwrap().pp, PpId(2));
-        assert_eq!(w.pop(), None);
+        w.pop();
         assert!(w.is_empty());
     }
 
