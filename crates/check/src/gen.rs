@@ -3,9 +3,10 @@
 //! The explorer covers *small* spaces exhaustively; this module covers
 //! *large* ones probabilistically. [`random_doc`] derives a whole trace
 //! (configuration and events) deterministically from one seed —
-//! contended demands, protocol violations, process exits, aging ticks,
-//! occasionally non-monotonic clocks — and [`fuzz`] replays a seed
-//! range through the differential oracle.
+//! contended demands, near-`u64::MAX` declarations, protocol
+//! violations, process exits, aging ticks, occasionally non-monotonic
+//! clocks — and [`fuzz`] replays a seed range through the differential
+//! oracle.
 //!
 //! When a seed fails, [`shrink`] reduces the trace to a locally minimal
 //! repro: greedy single-event deletion to a fixpoint (ddmin's core
@@ -113,8 +114,14 @@ pub fn random_doc(seed: u64, params: &GenParams) -> TraceDoc {
                     process: rng.next_below(params.procs as u64) as u32,
                     site: rng.next_below(params.sites as u64) as u32,
                     // Up to 1.5× capacity: fits, contends, or trips the
-                    // audit / oversized guard.
-                    amount: rng.next_below(cfg.llc_capacity * 3 / 2),
+                    // audit / oversized guard. One begin in 32 declares
+                    // nearly `u64::MAX`, so accounting it can wrap the
+                    // books and reach the wrap guard.
+                    amount: if rng.next_below(32) == 0 {
+                        u64::MAX - rng.next_below(cfg.llc_capacity)
+                    } else {
+                        rng.next_below(cfg.llc_capacity * 3 / 2)
+                    },
                 }
             }
             55..=81 => TraceEvent::End {

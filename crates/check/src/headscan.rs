@@ -1,17 +1,26 @@
 //! The waitlist drain's head-scan property.
 //!
-//! The waitlist drain in `rda-core` gates on each entry's *stored
-//! accounted demand* instead of a registry lookup per probe.
-//! [`check_headscan_property`] re-implements the classical head scan
-//! from snapshot data alone and demands the drain wake exactly the
-//! entries it predicts, in the same order.
+//! The scalar engine's side of the shared waitlist drain gates on each
+//! entry's *stored accounted demand* instead of re-deriving it from the
+//! registry record. [`check_headscan_property`] re-implements the
+//! classical head scan from snapshot data alone, with its own statement
+//! of Algorithm 1, and demands the drain wake exactly the entries it
+//! predicts, in the same order.
 
 use crate::trace::{TraceDoc, TraceEvent};
-use rda_core::predicate::{decide, Decision};
-use rda_core::{PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId};
+use rda_core::{PolicyKind, PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId};
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
+
+/// Algorithm 1 for an accounted demand against the cache's usage,
+/// restated so the scan shares no code with the engine: a zero-byte
+/// demand and one above the policy's usage limit always run; otherwise
+/// the demand must fit under that limit.
+fn runs(policy: PolicyKind, capacity: u64, usage: u64, accounted: u64) -> bool {
+    let limit = policy.usage_limit(capacity) as u128;
+    accounted == 0 || accounted as u128 > limit || usage as u128 + accounted as u128 <= limit
+}
 
 /// Predict, by the classical head scan, which waiters `pp_end(pp)`
 /// would wake: release the period's accounted demand, then admit from
@@ -36,14 +45,11 @@ pub fn headscan_prediction(ext: &RdaExtension, cfg: &RdaConfig, pp: PpId) -> Opt
     }
     let mut woken = Vec::new();
     for e in &snap.waitlist {
-        let remaining = capacity as i128 - usage as i128;
-        match decide(e.accounted, capacity, remaining, &cfg.policy) {
-            Decision::Run => {
-                usage += e.accounted;
-                woken.push(e.pp);
-            }
-            Decision::Pause => break,
+        if !runs(cfg.policy, capacity, usage, e.accounted) {
+            break;
         }
+        usage += e.accounted;
+        woken.push(e.pp);
     }
     Some(woken)
 }

@@ -4,13 +4,14 @@
 //! waitlist, aging, demand-audit, fast-path-memoisation, and
 //! process-exit semantics, written from DESIGN.md and the paper —
 //! **deliberately sharing no logic with `rda-core`**. Where the
-//! implementation routes a decision through `predicate::try_schedule`,
-//! `PolicyKind::apply`, or `FastPathCache::try_admit`, the model
-//! re-derives the same rule from flat arithmetic over plain vectors and
-//! maps. The differential oracle ([`crate::diff`]) replays identical
-//! event sequences through both and demands bit-identical observable
-//! state after every event, so a bug must be introduced *twice,
-//! identically, through two unrelated code paths* before it can hide.
+//! implementation routes a decision through the shared rulebook
+//! (`rules::{fits, audit, gate, Breaker}`, the waitlist drain protocol)
+//! or `FastPathCache::try_admit`, the model re-derives the same rule
+//! from flat arithmetic over plain vectors and maps. The differential
+//! oracle ([`crate::diff`]) replays identical event sequences through
+//! both and demands bit-identical observable state after every event,
+//! so a bug must be introduced *twice, identically, through two
+//! unrelated code paths* before it can hide.
 //!
 //! The model values obviousness over speed: `Vec` scans instead of
 //! queues, recomputed limits instead of cached ones, one flat function
@@ -132,14 +133,15 @@ fn effective(policy: PolicyKind, demand: u64, capacity: u64) -> u64 {
 }
 
 /// Algorithm 1 as flat arithmetic: `outcome = (capacity − usage) −
-/// accounted`, admitted when the policy accepts the outcome. Includes
-/// the oversized-demand deadlock guard (a demand that can never pass
-/// is admitted immediately rather than waitlisted forever).
-/// Compromise's slack is `limit − capacity`, from the one rounding of
-/// x·capacity the guard uses too.
+/// accounted`, admitted when the policy accepts the outcome. Two rules
+/// come first: a zero-byte period is unconstrained and runs even on an
+/// oversubscribed cache, and the oversized-demand deadlock guard admits
+/// a demand that can never pass immediately rather than waitlisting it
+/// forever. Compromise's slack is `limit − capacity`, from the one
+/// rounding of x·capacity the guard uses too.
 fn runnable(policy: PolicyKind, capacity: u64, usage: u64, accounted: u64) -> bool {
     let limit = usage_limit(policy, capacity);
-    if accounted > limit {
+    if accounted == 0 || accounted > limit {
         return true;
     }
     let outcome = capacity as i128 - usage as i128 - accounted as i128;
@@ -246,6 +248,17 @@ impl RefModel {
                 declared
             }
         };
+
+        // Saturation circuit breaker: while open, the configured demand
+        // class is shed before anything is accounted — even a demand
+        // that would wrap the books.
+        if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
+            if self.breaker_open && audited >= b.shed_min_demand {
+                self.stats.shed += 1;
+                return Effect::Rejected(RdaError::BreakerOpen);
+            }
+        }
+
         let accounted = effective(self.cfg.policy, audited, capacity);
         // 64-bit load-table overflow guard; reports the audited amount.
         if self.usage.checked_add(accounted).is_none() {
@@ -254,15 +267,6 @@ impl RefModel {
                 declared: audited,
                 capacity,
             });
-        }
-
-        // Saturation circuit breaker: while open, the configured demand
-        // class is shed before touching the predicate or waitlist.
-        if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker_open && audited >= b.shed_min_demand {
-                self.stats.shed += 1;
-                return Effect::Rejected(RdaError::BreakerOpen);
-            }
         }
 
         // Fast path: only consulted while nothing waits (so a repeat
@@ -317,10 +321,18 @@ impl RefModel {
                         ShedPolicy::DegradeToOverflow => {
                             // Degraded admit straight into the overflow
                             // bucket, like an aged force-admission;
-                            // counted as shed, not admitted.
+                            // counted as shed, not admitted. A bucket
+                            // that would wrap refuses the demand.
+                            let Some(sum) = self.overflow.checked_add(accounted) else {
+                                self.stats.clamped += 1;
+                                return Effect::Rejected(RdaError::DemandOverflow {
+                                    declared: accounted,
+                                    capacity,
+                                });
+                            };
+                            self.overflow = sum;
                             let pp = self.alloc(process, site, audited, accounted, true);
                             self.periods.get_mut(&pp).expect("just inserted").overflow = true;
-                            self.overflow += accounted;
                             self.stats.shed += 1;
                             return Effect::Run {
                                 pp: PpId(pp),
@@ -560,11 +572,19 @@ impl RefModel {
                 break;
             };
             let aged = self.waiters.remove(pos);
+            // An overflow bucket that would wrap cannot take the aged
+            // waiter either: it is shed, its period completed.
+            let Some(sum) = self.overflow.checked_add(aged.accounted) else {
+                self.periods.remove(&aged.pp);
+                self.stats.clamped += 1;
+                self.stats.shed += 1;
+                continue;
+            };
+            self.overflow = sum;
             let rec = self.periods.get_mut(&aged.pp).expect("waiter is live");
             rec.admitted = true;
             rec.overflow = true;
             let process = rec.process;
-            self.overflow += aged.accounted;
             self.stats.aged_admissions += 1;
             resumed.push((PpId(aged.pp), process));
         }

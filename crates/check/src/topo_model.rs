@@ -234,20 +234,21 @@ impl TopoRefModel {
 
     /// Whether node `n` can admit `acc` nominally for `layer` — every
     /// demanded component must fit below the policy limit net of
-    /// guarantee reservations. `Err(kind)` flags a 64-bit book wrap;
+    /// guarantee reservations. `Err(kind)` flags a 64-bit book wrap on
+    /// any component, checked before any fit; zero components and
     /// components above the limit are skipped (deadlock guard). The
     /// [`TopoMutation::StrictOffByOne`] knob tightens `<=` to `<` here.
     fn fits(&self, n: usize, layer: u32, acc: &Demand) -> Result<bool, ResourceKind> {
+        if let Some(k) = acc
+            .touched()
+            .find(|&k| self.usage_of(n, k).checked_add(acc.get(k)).is_none())
+        {
+            return Err(k);
+        }
         let policy = self.cfg.layers.spec(LayerId(layer)).policy;
-        for k in ResourceKind::ALL {
+        for k in acc.touched() {
             let a = acc.get(k);
-            if a == 0 {
-                continue;
-            }
             let used = self.usage_of(n, k);
-            if used.checked_add(a).is_none() {
-                return Err(k);
-            }
             let lim = usage_limit(policy, self.cap(n, k));
             if a > lim {
                 continue;
@@ -262,6 +263,13 @@ impl TopoRefModel {
             }
         }
         Ok(true)
+    }
+
+    /// The first kind whose overflow bucket on node `n` would wrap if
+    /// `acc` were added to it.
+    fn overflow_wrap(&self, n: usize, acc: &Demand) -> Option<ResourceKind> {
+        acc.touched()
+            .find(|&k| self.overflow_of(n, k).checked_add(acc.get(k)).is_none())
     }
 
     /// Placement score: the worst relative occupancy over the demanded
@@ -440,6 +448,16 @@ impl TopoRefModel {
                         shed = Some(PpId(victim));
                     }
                     ShedPolicy::DegradeToOverflow => {
+                        // A degrade that would wrap the node's overflow
+                        // bucket is refused like any wrapping demand.
+                        if let Some(k) = self.overflow_wrap(target, &acc) {
+                            self.stats.clamped += 1;
+                            return TopoEffect::Rejected(TopoError::DemandOverflow {
+                                kind: k,
+                                declared: acc.get(k),
+                                capacity: self.cfg.spec.max_capacity(k),
+                            });
+                        }
                         let pp =
                             self.alloc(process, site, layer, target, audited, acc, true, true, now);
                         self.stats.shed += 1;
@@ -649,6 +667,17 @@ impl TopoRefModel {
                 break;
             };
             let aged = self.waitlists[n].remove(pos);
+            // A waiter that can neither run nominally nor degrade
+            // without wrapping the overflow bucket is shed.
+            if self
+                .overflow_wrap(n, &self.periods[&aged].accounted)
+                .is_some()
+            {
+                self.periods.remove(&aged);
+                self.stats.clamped += 1;
+                self.stats.shed += 1;
+                continue;
+            }
             let rec = self.periods.get_mut(&aged).expect("waiter is live");
             rec.admitted = true;
             rec.overflow = true;

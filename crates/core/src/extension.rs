@@ -5,9 +5,9 @@
 //! and fast-path cache, and implements the two workflows of Figures 5
 //! and 6:
 //!
-//! * **`pp_begin`** — allocate a period id, evaluate the scheduling
-//!   predicate (Algorithm 1), and either account the demand and let the
-//!   process run, or waitlist it (the caller pauses the process's
+//! * **`pp_begin`** — allocate a period id, run Algorithm 1
+//!   ([`crate::rules::fits`]), and either account the demand and let
+//!   the process run, or waitlist it (the caller pauses the process's
 //!   threads on the OS wait queue).
 //! * **`pp_end`** — remove the period from the registry, release its
 //!   demand from the resource monitor, then walk the waitlist FIFO
@@ -40,19 +40,25 @@
 //! [`crate::config::RdaConfig::waitlist_timeout_cycles`] is set) bounds
 //! worst-case wait by construction: a period that has waited past the
 //! timeout is force-admitted under the monitor's degraded overflow
-//! bucket ([`RdaStats::aged_admissions`]), which the predicate does not
+//! bucket ([`RdaStats::aged_admissions`]), which Algorithm 1 does not
 //! see — so degraded admissions can never wedge the nominal books shut.
+//!
+//! Every one of these rules — the fit test, the audit, the breaker, the
+//! bounded gate, the drain with its aging and deadline passes — is the
+//! topology engine's rule too, stated once in [`crate::rules`] and
+//! [`crate::waitlist`]. This engine keeps only its books (one LLC row)
+//! and the memoised fast path.
 
 use crate::api::{PpDemand, PpId, Resource, SiteId};
-use crate::config::{DemandAudit, RdaConfig, ShedPolicy};
+use crate::config::RdaConfig;
 use crate::error::{InvariantKind, RdaError};
 use crate::fastpath::FastPathCache;
 use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
-use crate::predicate::{self, Decision};
-use crate::registry::PpRegistry;
+use crate::registry::{PpRecord, PpRegistry};
+use crate::rules::{self, Breaker, Gate};
 use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
-use crate::waitlist::{WaitEntry, Waitlist};
+use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceSink};
@@ -68,7 +74,7 @@ pub struct RdaStats {
     pub admitted: u64,
     /// Periods paused (waitlisted) at `pp_begin`.
     pub paused: u64,
-    /// Periods later admitted from the waitlist by the predicate.
+    /// Periods later admitted from the waitlist by Algorithm 1.
     pub resumed: u64,
     /// `pp_begin` calls served by the fast path.
     pub fast_begins: u64,
@@ -81,7 +87,8 @@ pub struct RdaStats {
     /// Periods reclaimed by [`RdaExtension::process_exit`] (open or
     /// waitlisted periods of a dying process).
     pub reclaimed: u64,
-    /// Declared demands the auditor clamped or rejected.
+    /// Declared demands the auditor clamped or rejected, and demands
+    /// refused because accounting them would wrap a 64-bit book.
     pub clamped: u64,
     /// Periods force-admitted by waitlist aging into the overflow
     /// bucket.
@@ -90,8 +97,8 @@ pub struct RdaStats {
     /// end, or end of a waitlisted period).
     pub rejected_ends: u64,
     /// Arrivals shed by overload control: bounded-gate drops (either
-    /// end of the queue), breaker sheds, and degraded
-    /// direct-to-overflow admissions.
+    /// end of the queue), breaker sheds, degraded direct-to-overflow
+    /// admissions, and aged waiters whose overflow bucket would wrap.
     pub shed: u64,
     /// Waitlisted periods expired past their configured deadline.
     pub expired: u64,
@@ -126,7 +133,7 @@ pub enum BeginOutcome {
     Pause {
         /// The allocated (waitlisted) period id.
         pp: PpId,
-        /// Under [`ShedPolicy::RejectOldest`], the longest-queued
+        /// Under [`crate::config::ShedPolicy::RejectOldest`], the longest-queued
         /// waiter the gate evicted to make room for this arrival. The
         /// victim's period is already completed; the caller must fail
         /// its request. `None` when nothing was evicted.
@@ -172,11 +179,11 @@ pub struct RdaExtension {
     /// feed back into scheduling decisions, so run digests are
     /// byte-identical with tracing on or off.
     sink: Option<TraceSink>,
-    /// Saturation-breaker state: open flag plus the consecutive-tick
-    /// hysteresis counters. All zero unless a breaker is configured.
-    breaker_open: bool,
-    breaker_above: u32,
-    breaker_below: u32,
+    /// The saturation breaker's hysteresis (idle unless configured).
+    breaker: Breaker,
+    /// The policy's usage limit on the LLC, computed once so the hot
+    /// path does no float arithmetic (DESIGN.md §10).
+    limit: u64,
     /// Bumped by every call that can mutate the books (registry,
     /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
@@ -185,6 +192,25 @@ pub struct RdaExtension {
     /// function of the books, so an unchanged epoch implies an
     /// unchanged verdict.
     books_epoch: u64,
+}
+
+/// A trace event about waitlist entry `w` leaving the queue at `now`,
+/// attributed to its owner when the record is known.
+fn waiter_event(
+    kind: EventKind,
+    w: &WaitEntry,
+    rec: Option<&PpRecord>,
+    now: SimTime,
+) -> TraceEvent {
+    let mut ev = TraceEvent::at(now.cycles(), kind);
+    if let Some(rec) = rec {
+        ev.process = rec.process.0;
+        ev.site = rec.site.0;
+    }
+    ev.pp = w.pp.0;
+    ev.amount = w.accounted;
+    ev.wait_cycles = now.cycles().saturating_sub(w.enqueued_at.cycles());
+    ev
 }
 
 impl RdaExtension {
@@ -197,9 +223,8 @@ impl RdaExtension {
             fastpath: FastPathCache::new(),
             stats: RdaStats::default(),
             sink: None,
-            breaker_open: false,
-            breaker_above: 0,
-            breaker_below: 0,
+            breaker: Breaker::default(),
+            limit: cfg.policy.usage_limit(cfg.llc_capacity),
             books_epoch: 0,
             cfg,
         }
@@ -249,7 +274,7 @@ impl RdaExtension {
         self.stats
     }
 
-    /// Current nominally tracked LLC usage (what the predicate sees;
+    /// Current nominally tracked LLC usage (what Algorithm 1 sees;
     /// excludes the overflow bucket).
     pub fn usage(&self) -> u64 {
         self.monitor.usage()
@@ -331,36 +356,25 @@ impl RdaExtension {
         }
     }
 
-    /// Audit a declared demand amount against the LLC's nominal
-    /// capacity. Returns the amount to account, or a typed rejection.
-    fn audit_demand(&mut self, declared: u64) -> Result<u64, RdaError> {
-        let capacity = self.monitor.capacity();
-        match self.cfg.demand_audit {
-            DemandAudit::Trust => Ok(declared),
-            DemandAudit::Clamp => {
-                if declared > capacity {
-                    self.stats.clamped += 1;
-                    Ok(capacity)
-                } else {
-                    Ok(declared)
-                }
-            }
-            DemandAudit::Reject => {
-                if declared > capacity {
-                    self.stats.clamped += 1;
-                    Err(RdaError::DemandOverflow { declared, capacity })
-                } else {
-                    Ok(declared)
-                }
-            }
+    /// Reject the begin `ev` describes with
+    /// [`RdaError::DemandOverflow`], reporting `declared`.
+    fn reject_overflow(&mut self, mut ev: TraceEvent, declared: u64) -> RdaError {
+        ev.kind = EventKind::Reject;
+        ev.reject = RejectKind::DemandOverflow;
+        self.emit(ev);
+        RdaError::DemandOverflow {
+            declared,
+            capacity: self.monitor.capacity(),
         }
     }
 
     /// Process a `pp_begin` from `process` at static site `site`.
     ///
-    /// `Err` means the demand auditor refused to track the period
-    /// ([`RdaError::DemandOverflow`]): the caller should schedule the
-    /// process directly on the OS, exactly as for untracked processes.
+    /// `Err` means the period is not tracked: the demand auditor or the
+    /// wrap guard refused it ([`RdaError::DemandOverflow`]) — the caller
+    /// should schedule the process directly on the OS, exactly as for
+    /// untracked processes — or overload control shed it
+    /// ([`RdaError::BreakerOpen`], [`RdaError::WaitlistFull`]).
     pub fn pp_begin(
         &mut self,
         process: ProcessId,
@@ -369,7 +383,8 @@ impl RdaExtension {
         now: SimTime,
     ) -> Result<BeginOutcome, RdaError> {
         self.books_epoch += 1;
-        if !self.cfg.policy.is_gating() {
+        let policy = self.cfg.policy;
+        if !policy.is_gating() {
             return Ok(BeginOutcome::Bypass);
         }
         self.stats.begins += 1;
@@ -382,37 +397,17 @@ impl RdaExtension {
 
         // Demand audit: a lying process must not be able to poison the
         // load table with an impossible declaration.
-        let audited = match self.audit_demand(demand.amount) {
-            Ok(amount) => amount,
-            Err(err) => {
-                ev.kind = EventKind::Reject;
-                ev.reject = RejectKind::DemandOverflow;
-                self.emit(ev);
-                return Err(err);
-            }
-        };
-        let demand = PpDemand {
-            amount: audited,
-            ..demand
-        };
-        let accounted = self.cfg.policy.effective_demand(audited, capacity);
-        // 64-bit load-table overflow guard (audit-mode independent):
-        // accounting this demand must not wrap the usage word.
-        if self.monitor.usage().checked_add(accounted).is_none() {
+        let Some(audited) = rules::audit(self.cfg.demand_audit, demand.amount, capacity) else {
             self.stats.clamped += 1;
-            ev.kind = EventKind::Reject;
-            ev.reject = RejectKind::DemandOverflow;
-            self.emit(ev);
-            return Err(RdaError::DemandOverflow {
-                declared: demand.amount,
-                capacity,
-            });
+            return Err(self.reject_overflow(ev, demand.amount));
+        };
+        if audited != demand.amount {
+            self.stats.clamped += 1;
         }
-
-        // Saturation circuit breaker: while open, shed the configured
-        // demand class before it can touch the predicate or waitlist.
+        // Saturation breaker: while open, shed the configured demand
+        // class before it can touch the books.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker_open && audited >= b.shed_min_demand {
+            if self.breaker.sheds(&b, audited) {
                 self.stats.shed += 1;
                 ev.kind = EventKind::Shed;
                 ev.reject = RejectKind::BreakerOpen;
@@ -420,6 +415,17 @@ impl RdaExtension {
                 return Err(RdaError::BreakerOpen);
             }
         }
+        let accounted = policy.effective_demand(audited, capacity);
+        // Wrap guard: accounting this demand must not wrap the usage
+        // word.
+        if self.monitor.usage().checked_add(accounted).is_none() {
+            self.stats.clamped += 1;
+            return Err(self.reject_overflow(ev, audited));
+        }
+        let demand = PpDemand {
+            amount: audited,
+            ..demand
+        };
 
         // Fast path: repeat entry of a recently validated site while no
         // one is waitlisted ahead of us.
@@ -447,135 +453,98 @@ impl RdaExtension {
             return Ok(BeginOutcome::Run { pp, fast: true });
         }
 
-        // Slow path: full Algorithm 1.
-        match predicate::try_schedule(&demand, &self.monitor, &self.cfg.policy) {
-            Decision::Run => {
-                let limit = self.cfg.policy.usage_limit(capacity);
-                if accounted > limit {
-                    self.stats.oversized_admits += 1;
+        // Slow path: Algorithm 1.
+        if rules::fits(self.limit, 0, self.monitor.usage(), accounted) {
+            if accounted > self.limit {
+                self.stats.oversized_admits += 1;
+            }
+            self.monitor.increment_load(accounted);
+            let pp = self
+                .registry
+                .register(process, site, demand, accounted, true, now);
+            self.stats.admitted += 1;
+            // Cache the verdict for repeats of this site.
+            self.fastpath.store_run(
+                process,
+                site,
+                audited,
+                self.limit.saturating_sub(accounted),
+                now,
+            );
+            ev.kind = EventKind::Admit;
+            ev.pp = pp.0;
+            ev.amount = accounted;
+            self.emit(ev);
+            return Ok(BeginOutcome::Run { pp, fast: false });
+        }
+
+        // The bounded waitlist gate.
+        let shed = match rules::gate(self.cfg.overload, &mut self.waitlist) {
+            Gate::Queue => None,
+            Gate::Evict(victim) => {
+                let rec = self.registry.complete(victim.pp);
+                if rec.is_none() {
+                    self.stats.desyncs += 1;
                 }
-                self.monitor.increment_load(accounted);
+                let mut sv = waiter_event(EventKind::Shed, &victim, rec.as_ref(), now);
+                sv.reject = RejectKind::WaitlistFull;
+                self.stats.shed += 1;
+                self.emit(sv);
+                Some(victim.pp)
+            }
+            Gate::Degrade => {
+                // Straight into the overflow bucket, like an aged
+                // force-admission: invisible to Algorithm 1, so the
+                // nominal books stay balanced.
+                if !self.monitor.increment_overflow(accounted) {
+                    self.stats.clamped += 1;
+                    return Err(self.reject_overflow(ev, accounted));
+                }
                 let pp = self
                     .registry
                     .register(process, site, demand, accounted, true, now);
-                self.stats.admitted += 1;
-                // Cache the verdict for repeats of this site.
-                self.fastpath.store_run(
-                    process,
-                    site,
-                    audited,
-                    limit.saturating_sub(accounted),
-                    now,
-                );
-                ev.kind = EventKind::Admit;
+                match self.registry.get_mut(pp) {
+                    Some(rec) => rec.overflow = true,
+                    None => self.stats.desyncs += 1,
+                }
+                self.stats.shed += 1;
+                ev.kind = EventKind::Shed;
                 ev.pp = pp.0;
                 ev.amount = accounted;
                 self.emit(ev);
-                Ok(BeginOutcome::Run { pp, fast: false })
+                return Ok(BeginOutcome::Run { pp, fast: false });
             }
-            Decision::Pause => {
-                // Bounded-waitlist admission gate: an open system must
-                // not queue without bound, so at the cap one side of
-                // the queue is shed per the configured policy.
-                let mut shed_victim = None;
-                if let Some(ov) = self.cfg.overload {
-                    if self.waitlist.len() >= ov.waitlist_cap {
-                        match ov.shed_policy {
-                            ShedPolicy::RejectOldest if !self.waitlist.is_empty() => {
-                                // Head drop: evict the longest-queued
-                                // waiter — it has the least chance of
-                                // meeting any deadline — and queue the
-                                // arrival in its place.
-                                let Some(victim) = self.waitlist.pop() else {
-                                    // Queue emptied between the guard
-                                    // and the pop — a books desync;
-                                    // fall back to the tail drop below.
-                                    self.stats.desyncs += 1;
-                                    return Err(self.shed_arrival(ev));
-                                };
-                                let mut sv = TraceEvent::at(now.cycles(), EventKind::Shed);
-                                sv.pp = victim.pp.0;
-                                sv.amount = victim.accounted;
-                                sv.reject = RejectKind::WaitlistFull;
-                                sv.wait_cycles =
-                                    now.cycles().saturating_sub(victim.enqueued_at.cycles());
-                                match self.registry.complete(victim.pp) {
-                                    Some(rec) => {
-                                        sv.process = rec.process.0;
-                                        sv.site = rec.site.0;
-                                    }
-                                    None => self.stats.desyncs += 1,
-                                }
-                                self.stats.shed += 1;
-                                self.emit(sv);
-                                shed_victim = Some(victim.pp);
-                            }
-                            ShedPolicy::DegradeToOverflow => {
-                                // Degraded admit: straight into the
-                                // overflow bucket like an aged
-                                // force-admission — invisible to the
-                                // predicate, so the nominal books stay
-                                // balanced.
-                                let pp = self
-                                    .registry
-                                    .register(process, site, demand, accounted, true, now);
-                                match self.registry.get_mut(pp) {
-                                    Some(rec) => rec.overflow = true,
-                                    None => self.stats.desyncs += 1,
-                                }
-                                self.monitor.increment_overflow(accounted);
-                                self.stats.shed += 1;
-                                ev.kind = EventKind::Shed;
-                                ev.pp = pp.0;
-                                ev.amount = accounted;
-                                self.emit(ev);
-                                return Ok(BeginOutcome::Run { pp, fast: false });
-                            }
-                            // Tail drop (RejectNewest, or RejectOldest
-                            // with nothing to evict).
-                            _ => return Err(self.shed_arrival(ev)),
-                        }
-                    }
-                }
-                let pp = self
-                    .registry
-                    .register(process, site, demand, accounted, false, now);
-                if let Err(e) = self.waitlist.push(WaitEntry {
-                    pp,
-                    accounted,
-                    enqueued_at: now,
-                }) {
-                    // A freshly allocated id cannot already be
-                    // waitlisted; if it is, the waitlist and registry
-                    // have desynchronized. Roll the registration back
-                    // so the books stay balanced, and surface the
-                    // typed error instead of panicking.
-                    self.registry.complete(pp);
-                    self.stats.desyncs += 1;
-                    return Err(e);
-                }
-                self.stats.paused += 1;
-                self.stats.max_waitlist = self.stats.max_waitlist.max(self.waitlist.len() as u64);
-                ev.kind = EventKind::Pause;
-                ev.pp = pp.0;
-                ev.amount = accounted;
+            Gate::Drop => {
+                self.stats.shed += 1;
+                ev.kind = EventKind::Shed;
+                ev.reject = RejectKind::WaitlistFull;
                 self.emit(ev);
-                Ok(BeginOutcome::Pause {
-                    pp,
-                    shed: shed_victim,
-                })
+                return Err(RdaError::WaitlistFull);
             }
+        };
+        let pp = self
+            .registry
+            .register(process, site, demand, accounted, false, now);
+        if let Err(e) = self.waitlist.push(WaitEntry {
+            pp,
+            accounted,
+            enqueued_at: now,
+        }) {
+            // A freshly allocated id cannot already be waitlisted; if
+            // it is, the waitlist and registry have desynchronized. Roll
+            // the registration back so the books stay balanced, and
+            // surface the typed error instead of panicking.
+            self.registry.complete(pp);
+            self.stats.desyncs += 1;
+            return Err(e);
         }
-    }
-
-    /// Shed the arriving period at the full waitlist gate (tail drop),
-    /// allocating no id.
-    fn shed_arrival(&mut self, mut ev: TraceEvent) -> RdaError {
-        self.stats.shed += 1;
-        ev.kind = EventKind::Shed;
-        ev.reject = RejectKind::WaitlistFull;
+        self.stats.paused += 1;
+        self.stats.max_waitlist = self.stats.max_waitlist.max(self.waitlist.len() as u64);
+        ev.kind = EventKind::Pause;
+        ev.pp = pp.0;
+        ev.amount = accounted;
         self.emit(ev);
-        RdaError::WaitlistFull
+        Ok(BeginOutcome::Pause { pp, shed })
     }
 
     /// Process a `pp_end` for a period previously returned by
@@ -668,7 +637,7 @@ impl RdaExtension {
 
     /// Release a completed or reclaimed record's demand from the
     /// matching accounting bucket.
-    fn release(&mut self, record: &crate::registry::PpRecord) {
+    fn release(&mut self, record: &PpRecord) {
         if record.overflow {
             self.monitor.decrement_overflow(record.accounted);
         } else {
@@ -743,81 +712,32 @@ impl RdaExtension {
         if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
             return out;
         }
-        // Deadline expiry first, oldest-first by enqueue time: a waiter
-        // past its deadline can no longer usefully be admitted, and
-        // removing a blocking head may expose fitting entries queued
-        // behind it.
         if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
-            while let Some(entry) = self.waitlist.pop_expired(now, deadline) {
-                match self.registry.complete(entry.pp) {
-                    Some(rec) => {
-                        self.stats.expired += 1;
-                        let mut ev = TraceEvent::at(now.cycles(), EventKind::Expire);
-                        ev.process = rec.process.0;
-                        ev.site = rec.site.0;
-                        ev.pp = entry.pp.0;
-                        ev.amount = entry.accounted;
-                        ev.wait_cycles = now.cycles().saturating_sub(entry.enqueued_at.cycles());
-                        self.emit(ev);
-                        out.expired.push((entry.pp, rec.process));
-                    }
-                    None => self.stats.desyncs += 1,
-                }
-            }
+            ScalarDrain(self).expire_past(deadline, now, &mut out.expired);
         }
         // No capacity was released since the last drain, so a queue
         // with neither a deadline removal nor an aged-past-timeout
         // waiter cannot admit anyone: skip it. The aging probe is O(1)
         // via the waitlist's cached minimum enqueue time.
-        if !out.expired.is_empty() || self.has_expired_waiter(now) {
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        if !out.expired.is_empty() || self.waitlist.has_expired(now, timeout) {
             out.resumed = self.drain_waitlist(now);
         }
-        self.evaluate_breaker(now);
-        out
-    }
-
-    /// Evaluate the saturation circuit breaker on an aging tick: trip
-    /// after [`crate::config::BreakerConfig::trip_after`] consecutive
-    /// ticks at or above the high-water occupancy (nominal + overflow),
-    /// reset after `recover_after` consecutive ticks strictly below the
-    /// low-water mark. Any tick off the streak resets its counter —
-    /// that is the hysteresis that keeps the breaker from flapping.
-    fn evaluate_breaker(&mut self, now: SimTime) {
-        let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
-            return;
-        };
-        let occupancy = self.monitor.usage().saturating_add(self.monitor.overflow());
-        if self.breaker_open {
-            if occupancy < b.low_water {
-                self.breaker_below += 1;
-                if self.breaker_below >= b.recover_after {
-                    self.breaker_open = false;
-                    self.breaker_below = 0;
-                    let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerReset);
-                    ev.amount = occupancy;
-                    self.emit(ev);
-                }
-            } else {
-                self.breaker_below = 0;
-            }
-        } else if occupancy >= b.high_water {
-            self.breaker_above += 1;
-            if self.breaker_above >= b.trip_after {
-                self.breaker_open = true;
-                self.breaker_above = 0;
-                self.stats.breaker_trips += 1;
-                let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerTrip);
+        if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
+            let occupancy = self.monitor.usage().saturating_add(self.monitor.overflow());
+            if let Some(kind) = self.breaker.tick(&b, occupancy) {
+                self.stats.breaker_trips += u64::from(kind == EventKind::BreakerTrip);
+                let mut ev = TraceEvent::at(now.cycles(), kind);
                 ev.amount = occupancy;
                 self.emit(ev);
             }
-        } else {
-            self.breaker_above = 0;
         }
+        out
     }
 
     /// Whether the saturation breaker is currently open.
     pub fn breaker_is_open(&self) -> bool {
-        self.breaker_open
+        self.breaker.is_open()
     }
 
     /// Record a client-side retry of a previously shed or expired
@@ -840,126 +760,11 @@ impl RdaExtension {
         self.emit(ev);
     }
 
-    /// True when a waiter has waited past the aging timeout at `now`.
-    /// O(1) via the waitlist's cached minimum enqueue time. Always
-    /// false when aging is disabled.
-    fn has_expired_waiter(&self, now: SimTime) -> bool {
-        self.cfg
-            .waitlist_timeout_cycles
-            .is_some_and(|timeout| self.waitlist.has_expired(now, timeout))
-    }
-
-    /// Walk the FIFO admitting while the head fits (Figure 6: "attempt
-    /// to schedule any waiting threads previously blocked due to
-    /// resource constraints"), interleaved with aging: once the
-    /// non-fitting head blocks, the oldest waiter past the timeout is
-    /// force-admitted under the overflow bucket, which can unblock
-    /// fitting periods queued behind it.
+    /// The shared drain protocol ([`Drain::drain`]) over this engine's
+    /// one queue.
     fn drain_waitlist(&mut self, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let mut resumed = Vec::new();
-        let capacity = self.monitor.capacity();
-        // Aging-order assertion: successive force-admissions within one
-        // drain must be strictly oldest-first by enqueue time.
-        let mut last_aged: Option<SimTime> = None;
-        loop {
-            // Admit while the head fits nominally. The probe needs no
-            // registry lookup: a waitlist entry stores its *accounted*
-            // demand, and for a fixed capacity and policy the predicate
-            // on the original declaration reduces to [`predicate::decide`]
-            // on that accounted value (they were derived from each other
-            // at begin time), so the verdict is bit-identical to the
-            // full `try_schedule` walk the head-scan used to pay for.
-            while let Some(head) = self.waitlist.front() {
-                let decision = predicate::decide(
-                    head.accounted,
-                    capacity,
-                    self.monitor.remaining_signed(),
-                    &self.cfg.policy,
-                );
-                #[cfg(debug_assertions)]
-                if let Some(rec) = self.registry.get(head.pp) {
-                    debug_assert_eq!(
-                        decision,
-                        predicate::try_schedule(&rec.demand, &self.monitor, &self.cfg.policy),
-                        "accounted-gate verdict diverged from the registry walk"
-                    );
-                }
-                if decision != Decision::Run {
-                    break;
-                }
-                let Some(head) = self.waitlist.pop() else {
-                    break; // front() returned Some above; defensive
-                };
-                self.monitor.increment_load(head.accounted);
-                // A waitlist entry without a registry record means the
-                // books have desynchronized: roll the increment back,
-                // drop the orphan entry, and count it instead of
-                // admitting garbage (or panicking).
-                let Some(rec) = self.registry.get_mut(head.pp) else {
-                    self.monitor.decrement_load(head.accounted);
-                    self.stats.desyncs += 1;
-                    continue;
-                };
-                rec.admitted = true;
-                let process = rec.process;
-                let site = rec.site;
-                let amount = rec.demand.amount;
-                let threshold = self
-                    .cfg
-                    .policy
-                    .usage_limit(capacity)
-                    .saturating_sub(head.accounted);
-                self.fastpath
-                    .store_run(process, site, amount, threshold, now);
-                self.stats.resumed += 1;
-                let mut ev = TraceEvent::at(now.cycles(), EventKind::Resume);
-                ev.process = process.0;
-                ev.site = site.0;
-                ev.pp = head.pp.0;
-                ev.amount = head.accounted;
-                ev.wait_cycles = now.cycles().saturating_sub(head.enqueued_at.cycles());
-                self.emit(ev);
-                resumed.push((head.pp, process));
-            }
-            // The head (if any) does not fit. Aging: force-admit the
-            // oldest waiter into the overflow bucket once it has waited
-            // long enough.
-            let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
-                break;
-            };
-            let Some(aged) = self.waitlist.pop_expired(now, timeout) else {
-                break;
-            };
-            debug_assert!(
-                last_aged.is_none_or(|t| t <= aged.enqueued_at),
-                "aging force-admitted out of oldest-first order"
-            );
-            last_aged = Some(aged.enqueued_at);
-            // Same desync tolerance as the nominal path: an aged entry
-            // without a registry record is dropped and counted, not
-            // force-admitted into thin air.
-            let Some(rec) = self.registry.get_mut(aged.pp) else {
-                self.stats.desyncs += 1;
-                continue;
-            };
-            rec.admitted = true;
-            rec.overflow = true;
-            let process = rec.process;
-            let site = rec.site;
-            self.monitor.increment_overflow(aged.accounted);
-            self.stats.aged_admissions += 1;
-            let mut ev = TraceEvent::at(now.cycles(), EventKind::Age);
-            ev.process = process.0;
-            ev.site = site.0;
-            ev.pp = aged.pp.0;
-            ev.amount = aged.accounted;
-            ev.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
-            self.emit(ev);
-            resumed.push((aged.pp, process));
-            // Re-walk: removing the blocking head may let queued
-            // periods fit nominally now.
-        }
-        resumed
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        ScalarDrain(self).drain(timeout, now)
     }
 
     /// Monotonic counter of book mutations (see the field doc). An
@@ -1025,10 +830,81 @@ impl RdaExtension {
     }
 }
 
+/// The scalar engine's actions in the drain protocol; Algorithm 1 reads
+/// the accounted demand each entry stores.
+struct ScalarDrain<'a>(&'a mut RdaExtension);
+
+impl Drain<u64> for ScalarDrain<'_> {
+    type Rec = PpRecord;
+
+    fn queue(&mut self) -> &mut Waitlist {
+        &mut self.0.waitlist
+    }
+
+    fn record(&self, pp: PpId) -> Option<PpRecord> {
+        self.0.registry.get(pp).copied()
+    }
+
+    fn fits(&self, entry: &WaitEntry, _rec: &PpRecord) -> bool {
+        rules::fits(self.0.limit, 0, self.0.monitor.usage(), entry.accounted)
+    }
+
+    fn admit(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
+        let e = &mut *self.0;
+        e.monitor.increment_load(entry.accounted);
+        if let Some(r) = e.registry.get_mut(entry.pp) {
+            r.admitted = true;
+        }
+        let threshold = e.limit.saturating_sub(entry.accounted);
+        e.fastpath
+            .store_run(rec.process, rec.site, rec.demand.amount, threshold, now);
+        e.stats.resumed += 1;
+        e.emit(waiter_event(EventKind::Resume, entry, Some(&rec), now));
+        Some(rec.process)
+    }
+
+    fn age(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
+        let e = &mut *self.0;
+        if !e.monitor.increment_overflow(entry.accounted) {
+            return None;
+        }
+        if let Some(r) = e.registry.get_mut(entry.pp) {
+            r.admitted = true;
+            r.overflow = true;
+        }
+        e.stats.aged_admissions += 1;
+        e.emit(waiter_event(EventKind::Age, entry, Some(&rec), now));
+        Some(rec.process)
+    }
+
+    fn shed(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) {
+        let e = &mut *self.0;
+        e.registry.complete(entry.pp);
+        e.stats.clamped += 1;
+        e.stats.shed += 1;
+        let mut ev = waiter_event(EventKind::Shed, entry, Some(&rec), now);
+        ev.reject = RejectKind::DemandOverflow;
+        e.emit(ev);
+    }
+
+    fn expire(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> ProcessId {
+        let e = &mut *self.0;
+        e.registry.complete(entry.pp);
+        e.stats.expired += 1;
+        e.emit(waiter_event(EventKind::Expire, entry, Some(&rec), now));
+        rec.process
+    }
+
+    fn desync(&mut self) {
+        self.0.stats.desyncs += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::mb;
+    use crate::config::{DemandAudit, ShedPolicy};
     use rda_machine::{MachineConfig, ReuseLevel};
 
     fn ext(policy: PolicyKind) -> RdaExtension {

@@ -9,7 +9,7 @@
 //!
 //! Each *(process, site)* pair caches the outcome of its last full
 //! predicate evaluation together with a **usage threshold**: the
-//! admission test for policies Strict/Compromise/Partitioned is exactly
+//! admission test for policies Strict/Compromise/Partitioned is
 //! `usage + accounted ≤ limit` (with `limit` the policy's
 //! [`crate::policy::PolicyKind::usage_limit`]), so a cached `threshold =
 //! limit − accounted` lets a repeat entry of the same site be admitted with one
@@ -19,11 +19,14 @@
 //! coarse-grained periods always take the slow path and the system
 //! periodically re-validates.
 //!
-//! The fast path is *exact*: it admits precisely when Algorithm 1
-//! would. It is also conservative: it is only used when the waitlist is
-//! empty (so admission cannot jump ahead of a waiting period) and only
-//! ever caches `Run` verdicts (a denied period must always take the
-//! slow path so it can be waitlisted and later resumed).
+//! The fast path is *sound*: it admits only when Algorithm 1
+//! ([`crate::rules::fits`]) would. It may miss where Algorithm 1
+//! admits unconditionally — a zero-byte or oversized period on a busy
+//! cache — and those calls take the slow path. It is also
+//! conservative: it is only used when the waitlist is empty (so
+//! admission cannot jump ahead of a waiting period) and only ever
+//! caches `Run` verdicts (a denied period must always take the slow
+//! path so it can be waitlisted and later resumed).
 
 use crate::api::SiteId;
 use rda_sched::ProcessId;

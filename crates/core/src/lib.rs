@@ -24,9 +24,13 @@
 //! * the **resource monitor** ([`monitor::ResourceMonitor`]) — the load
 //!   table row holding the summed demand on the LLC, the one resource
 //!   Algorithm 1 gates;
-//! * the **scheduling predicate** ([`predicate`]) — Algorithm 1, which
-//!   decides run-or-pause from remaining capacity, the new demand, and a
-//!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise).
+//! * the **scheduling predicate** — Algorithm 1, which decides
+//!   run-or-pause from the resource's usage, the new demand, and a
+//!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise). It is the
+//!   fit test [`rules::fits`], applied per demanded component; the rest
+//!   of [`rules`] holds the admission rules built around it (demand
+//!   audit, saturation breaker, bounded waitlist gate), and
+//!   [`waitlist::Drain`] the drain that re-admits waiters.
 //!
 //! Beyond the paper's prose, [`fastpath`] implements the decision
 //! memoisation that keeps fine-grained period tracking cheap (the
@@ -40,8 +44,9 @@
 //! policies with capacity guarantees, and deterministic node placement
 //! ([`topo::TopoExtension`], DESIGN.md §9) — while the scalar engine
 //! keeps serving the paper's single-socket experiments unchanged. Both
-//! engines queue on the one [`waitlist::Waitlist`] type, so on
-//! [`topo::TopoConfig::compat`] they age and expire waiters alike.
+//! engines queue on the one [`waitlist::Waitlist`] type and decide by
+//! the one rulebook, so on [`topo::TopoConfig::compat`] they differ only
+//! in the scalar engine's fast path.
 
 #![warn(missing_docs)]
 
@@ -53,8 +58,8 @@ pub mod fastpath;
 pub mod layer;
 pub mod monitor;
 pub mod policy;
-pub mod predicate;
 pub mod registry;
+pub mod rules;
 pub mod snapshot;
 pub mod topo;
 pub mod topology;
@@ -66,7 +71,6 @@ pub use error::{InvariantKind, RdaError};
 pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats};
 pub use layer::{LayerId, LayerSet, LayerSpec};
 pub use policy::PolicyKind;
-pub use predicate::Decision;
 pub use snapshot::{PpSnap, Snapshot, WaitSnap};
 pub use topo::{
     TopoConfig, TopoError, TopoExtension, TopoPpSnap, TopoRecord, TopoSnapshot, TopoWaitSnap,

@@ -5,13 +5,13 @@
 //! current usage level."* The scalar engine tracks one resource, the
 //! LLC, so [`ResourceMonitor`] is that table's one row: the nominal
 //! capacity and the summed demand of all active progress periods,
-//! updated on every period entry/exit, answering the free-space query
-//! the predicate needs.
+//! updated on every period entry/exit, holding the usage Algorithm 1's
+//! fit test ([`crate::rules::fits`]) reads.
 
 //! Beyond the paper, the row carries a second, **overflow** bucket: the
 //! summed demand of periods force-admitted by waitlist aging. It is
 //! deliberately excluded from [`ResourceMonitor::usage`] (and therefore
-//! from the scheduling predicate) — degraded admissions must not be
+//! from the fit test) — degraded admissions must not be
 //! able to wedge the nominal books shut for well-behaved periods.
 
 /// Real-time estimation of LLC usage.
@@ -20,7 +20,7 @@ pub struct ResourceMonitor {
     capacity: u64,
     usage: u64,
     /// Demand admitted under degraded (aged / force-admitted)
-    /// accounting; tracked separately so it never blocks the predicate.
+    /// accounting; tracked separately so it never blocks admission.
     overflow: u64,
 }
 
@@ -51,12 +51,6 @@ impl ResourceMonitor {
         self.overflow
     }
 
-    /// Signed remaining capacity — negative when policies have allowed
-    /// oversubscription.
-    pub fn remaining_signed(&self) -> i128 {
-        self.capacity as i128 - self.usage as i128
-    }
-
     /// Account a newly admitted period's demand.
     pub fn increment_load(&mut self, demand: u64) {
         self.usage += demand;
@@ -75,10 +69,18 @@ impl ResourceMonitor {
         self.usage -= demand;
     }
 
-    /// Account a period force-admitted by waitlist aging in the
-    /// degraded overflow bucket.
-    pub fn increment_overflow(&mut self, demand: u64) {
-        self.overflow += demand;
+    /// Account a period force-admitted by waitlist aging, or degraded
+    /// at the waitlist gate, in the overflow bucket. Returns `false`,
+    /// with nothing accounted, when the bucket would wrap.
+    #[must_use]
+    pub fn increment_overflow(&mut self, demand: u64) -> bool {
+        match self.overflow.checked_add(demand) {
+            Some(sum) => {
+                self.overflow = sum;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Release a completed overflow-admitted period's demand.
@@ -110,7 +112,6 @@ mod tests {
         assert_eq!(m.usage(), 0);
         assert_eq!(m.overflow(), 0);
         assert_eq!(m.capacity(), 1000);
-        assert_eq!(m.remaining_signed(), 1000);
     }
 
     #[test]
@@ -119,7 +120,6 @@ mod tests {
         m.increment_load(400);
         m.increment_load(300);
         assert_eq!(m.usage(), 700);
-        assert_eq!(m.remaining_signed(), 300);
         m.decrement_load(400);
         assert_eq!(m.usage(), 300);
     }
@@ -128,7 +128,9 @@ mod tests {
     fn oversubscription_makes_remaining_negative() {
         let mut m = mon();
         m.increment_load(1500);
-        assert_eq!(m.remaining_signed(), -500);
+        // Capacity minus usage is -500: the row holds usage above
+        // capacity, where only zero and oversized components fit.
+        assert_eq!(m.usage() - m.capacity(), 500);
     }
 
     #[test]
@@ -143,10 +145,9 @@ mod tests {
     fn overflow_bucket_is_invisible_to_the_predicate_view() {
         let mut m = mon();
         m.increment_load(300);
-        m.increment_overflow(900);
+        assert!(m.increment_overflow(900));
         // Nominal accounting is untouched by degraded admissions…
         assert_eq!(m.usage(), 300);
-        assert_eq!(m.remaining_signed(), 700);
         // …but the degraded bucket is visible for reporting.
         assert_eq!(m.overflow(), 900);
         m.decrement_overflow(900);
@@ -158,7 +159,7 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_double_release_is_a_bug() {
         let mut m = mon();
-        m.increment_overflow(10);
+        assert!(m.increment_overflow(10));
         m.decrement_overflow(11);
     }
 }

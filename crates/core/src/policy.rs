@@ -1,12 +1,12 @@
 //! Reconfigurable scheduling policies (§3.3).
 //!
-//! The predicate's verdict is delegated to a policy that interprets the
-//! *outcome* value of Algorithm 1 (`remaining - demand`, which is
-//! negative when admitting the period would exceed nominal capacity):
+//! Algorithm 1's verdict is delegated to a policy that sets the usage
+//! ceiling a period's demand must fit under (the fit test itself is
+//! [`crate::rules::fits`]):
 //!
-//! * **RDA: Strict** — never oversubscribe: admit only when
-//!   `outcome ≥ 0`. Maximum resource efficiency, possibly reduced
-//!   concurrency.
+//! * **RDA: Strict** — never oversubscribe: admit only while usage
+//!   stays within capacity. Maximum resource efficiency, possibly
+//!   reduced concurrency.
 //! * **RDA: Compromise** — admit while total usage stays within
 //!   `x ×` capacity (the paper configures the oversubscription factor
 //!   `x = 2`). Balances efficiency against concurrency.
@@ -58,28 +58,6 @@ impl PolicyKind {
         }
     }
 
-    /// Apply the policy to Algorithm 1's `outcome = remaining - demand`
-    /// (may be negative). `capacity` is the resource's nominal size.
-    pub fn apply(&self, outcome: i128, capacity: u64) -> bool {
-        match *self {
-            PolicyKind::DefaultOnly => true,
-            PolicyKind::Strict => outcome >= 0,
-            PolicyKind::Compromise { .. } => {
-                // usage + demand <= usage_limit
-                //  ⇔ outcome >= capacity - usage_limit
-                // The slack derives from the same single rounding of
-                // x·capacity as the deadlock guard and the fast-path
-                // threshold: `capacity * (x - 1)` rounds differently
-                // (1.2 - 1.0 is 0.19999999999999996 in f64).
-                let slack = self.usage_limit(capacity) as i128 - capacity as i128;
-                outcome >= -slack
-            }
-            // Partitioned admits everything; clamping happens in the
-            // accounting (see `effective_demand`).
-            PolicyKind::Partitioned { .. } => outcome >= 0,
-        }
-    }
-
     /// The demand that should be *accounted* for a period requesting
     /// `demand` bytes: the Partitioned policy clamps to its quota, the
     /// others account in full.
@@ -117,33 +95,39 @@ mod tests {
 
     const CAP: u64 = 1000;
 
+    /// Algorithm 1's fit test under `p` on a resource of [`CAP`] bytes
+    /// holding `usage`, for an accounted demand `a`.
+    fn fits(p: PolicyKind, usage: u64, a: u64) -> bool {
+        crate::rules::fits(p.usage_limit(CAP), 0, usage, a)
+    }
+
     #[test]
     fn strict_admits_only_within_capacity() {
         let p = PolicyKind::Strict;
-        assert!(p.apply(0, CAP));
-        assert!(p.apply(500, CAP));
-        assert!(!p.apply(-1, CAP));
+        assert!(fits(p, 500, 500));
+        assert!(fits(p, 0, 500));
+        assert!(!fits(p, 501, 500));
     }
 
     #[test]
     fn compromise_allows_bounded_oversubscription() {
         let p = PolicyKind::compromise_default();
         // With x = 2, up to one extra capacity of deficit is allowed.
-        assert!(p.apply(0, CAP));
-        assert!(p.apply(-1000, CAP));
-        assert!(!p.apply(-1001, CAP));
+        assert!(fits(p, 500, 500));
+        assert!(fits(p, 1500, 500));
+        assert!(!fits(p, 1501, 500));
     }
 
     #[test]
     fn compromise_factor_one_equals_strict() {
         let c = PolicyKind::Compromise { factor: 1.0 };
         let s = PolicyKind::Strict;
-        for outcome in [-2000i128, -1, 0, 1, 500] {
-            assert_eq!(c.apply(outcome, CAP), s.apply(outcome, CAP), "outcome {outcome}");
+        for usage in [0, 499, 500, 501, 1000, 2500] {
+            assert_eq!(fits(c, usage, 500), fits(s, usage, 500), "usage {usage}");
         }
     }
 
-    /// `apply` admits exactly up to `usage_limit` for factors whose
+    /// The fit test admits exactly up to `usage_limit` for factors whose
     /// `x - 1` is inexact in f64: `usage + demand == usage_limit` runs,
     /// one byte more pauses.
     #[test]
@@ -151,13 +135,10 @@ mod tests {
         for factor in [1.2, 1.7, 1.9] {
             let p = PolicyKind::Compromise { factor };
             for capacity in 1..=200_000u64 {
-                let limit = p.usage_limit(capacity) as i128;
-                let at_limit = capacity as i128 - limit;
-                assert!(p.apply(at_limit, capacity), "x={factor} cap={capacity}");
-                assert!(
-                    !p.apply(at_limit - 1, capacity),
-                    "x={factor} cap={capacity}"
-                );
+                let limit = p.usage_limit(capacity);
+                let run = |usage| crate::rules::fits(limit, 0, usage, 1);
+                assert!(run(limit - 1), "x={factor} cap={capacity}");
+                assert!(!run(limit), "x={factor} cap={capacity}");
             }
         }
     }
@@ -165,7 +146,7 @@ mod tests {
     #[test]
     fn default_only_admits_everything() {
         let p = PolicyKind::DefaultOnly;
-        assert!(p.apply(i128::MIN / 2, CAP));
+        assert!(fits(p, u64::MAX / 2, u64::MAX / 4));
         assert!(!p.is_gating());
         assert_eq!(p.usage_limit(CAP), u64::MAX);
     }

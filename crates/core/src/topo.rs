@@ -23,12 +23,13 @@
 //! Algorithm 1: one node means placement is the identity, one layer
 //! without guarantee means the reservation term is zero, and one
 //! component means the vector predicate is the scalar predicate. Both
-//! engines queue on the same [`Waitlist`] type, so they also age and
-//! expire waiters alike. What remains different (DESIGN.md §9): this
-//! engine has no memoised fast path (its `fast_begins`/`fast_ends`
-//! counters stay zero), it admits a zero-byte demand unconditionally (a
-//! zero component is unconstrained), and it counts `oversized_admits`
-//! on every admission the scalar fast path would have served.
+//! engines decide by the same rules ([`crate::rules`]) and queue and
+//! drain on the same [`Waitlist`] protocol, so they also age, expire
+//! and shed waiters alike. What remains different (DESIGN.md §9) is the
+//! scalar engine's memoised fast path: this engine's
+//! `fast_begins`/`fast_ends` counters stay zero, and it counts
+//! `oversized_admits` on every admission the scalar fast path would
+//! have served.
 //!
 //! # Waitlists, aging, overload
 //!
@@ -48,12 +49,13 @@
 #![allow(clippy::needless_range_loop)] // node/layer loops index several per-node books at once
 
 use crate::api::{PpId, SiteId};
-use crate::config::{DemandAudit, OverloadConfig, ShedPolicy};
+use crate::config::{DemandAudit, OverloadConfig};
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
-use crate::layer::{LayerId, LayerSet};
+use crate::layer::{LayerId, LayerSet, LayerSpec};
 use crate::policy::PolicyKind;
+use crate::rules::{self, Breaker, Gate};
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
-use crate::waitlist::{WaitEntry, Waitlist};
+use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime};
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};
@@ -390,9 +392,12 @@ pub struct TopoExtension {
     waitlists: Vec<Waitlist<Demand>>,
     stats: RdaStats,
     sink: Option<TraceSink>,
-    breaker_open: Vec<[bool; KIND_COUNT]>,
-    breaker_above: Vec<[u32; KIND_COUNT]>,
-    breaker_below: Vec<[u32; KIND_COUNT]>,
+    /// One saturation breaker per node per kind.
+    breakers: Vec<[Breaker; KIND_COUNT]>,
+    /// Each layer's policy usage limit per kind, node by node within a
+    /// layer, computed once so the hot path does no float arithmetic
+    /// (DESIGN.md §10).
+    limits: Vec<[u64; KIND_COUNT]>,
 }
 
 impl TopoExtension {
@@ -401,6 +406,7 @@ impl TopoExtension {
         let nodes = cfg.spec.node_count();
         assert!(nodes >= 1, "a topology needs at least one node");
         let layers = cfg.layers.len();
+        let limit = |l: &LayerSpec, c: u64| l.policy.usage_limit(c);
         TopoExtension {
             usage: vec![[0; KIND_COUNT]; nodes],
             overflow: vec![[0; KIND_COUNT]; nodes],
@@ -410,9 +416,10 @@ impl TopoExtension {
             waitlists: vec![Waitlist::new(); nodes],
             stats: RdaStats::default(),
             sink: None,
-            breaker_open: vec![[false; KIND_COUNT]; nodes],
-            breaker_above: vec![[0; KIND_COUNT]; nodes],
-            breaker_below: vec![[0; KIND_COUNT]; nodes],
+            breakers: vec![[Breaker::default(); KIND_COUNT]; nodes],
+            limits: (cfg.layers.layers.iter())
+                .flat_map(|l| cfg.spec.caps.iter().map(|caps| caps.map(|c| limit(l, c))))
+                .collect(),
             cfg,
         }
     }
@@ -459,7 +466,7 @@ impl TopoExtension {
 
     /// Whether the saturation breaker is open for a kind on a node.
     pub fn breaker_is_open(&self, node: NodeId, k: ResourceKind) -> bool {
-        self.breaker_open[node.0 as usize][k.index()]
+        self.breakers[node.0 as usize][k.index()].is_open()
     }
 
     /// Attach a trace sink; subsequent calls emit events into it.
@@ -506,17 +513,20 @@ impl TopoExtension {
         }
     }
 
-    /// Capacity other layers' guarantees reserve away from `layer` for
-    /// kind `k` on node `n` (see the formula in [`crate::layer`]).
-    fn reserved_by_others(&self, n: usize, k: ResourceKind, layer: LayerId) -> u64 {
-        let mut reserved = 0u64;
+    /// Capacity other layers' guarantees reserve away from `layer` on
+    /// node `n`, per kind (see the formula in [`crate::layer`]).
+    fn reserved_by_others(&self, n: usize, layer: LayerId) -> [u64; KIND_COUNT] {
+        let mut reserved = [0u64; KIND_COUNT];
         for (li, spec) in self.cfg.layers.layers.iter().enumerate() {
             if li as u32 == layer.0 {
                 continue;
             }
             if let Some(g) = spec.guarantee {
-                let unused = g.get(k).saturating_sub(self.layer_usage[li][n][k.index()]);
-                reserved = reserved.saturating_add(unused);
+                for k in ResourceKind::ALL {
+                    let i = k.index();
+                    let unused = g.get(k).saturating_sub(self.layer_usage[li][n][i]);
+                    reserved[i] = reserved[i].saturating_add(unused);
+                }
             }
         }
         reserved
@@ -534,32 +544,20 @@ impl TopoExtension {
     }
 
     /// Whether node `n` can admit `acc` nominally for `layer` right
-    /// now. `Err(kind)` reports that accounting the component would
-    /// wrap the 64-bit book (the node is disqualified, not merely
-    /// busy). A component above the policy's usage limit can never fit
-    /// and is skipped — the same deadlock guard as the scalar
-    /// predicate, per component.
+    /// now: the wrap guard, then Algorithm 1 ([`rules::fits`]) on every
+    /// component, net of other layers' reservations. `Err(kind)`
+    /// reports that accounting the component would wrap the 64-bit
+    /// book (the node is disqualified, not merely busy).
     fn node_admittable(&self, n: usize, layer: LayerId, acc: &Demand) -> Result<bool, ResourceKind> {
-        let policy = self.cfg.layers.spec(layer).policy;
-        for k in ResourceKind::ALL {
-            let a = acc.get(k);
-            if a == 0 {
-                continue;
-            }
-            let i = k.index();
-            if self.usage[n][i].checked_add(a).is_none() {
-                return Err(k);
-            }
-            let lim = policy.usage_limit(self.cfg.spec.caps[n][i]);
-            if a > lim {
-                continue;
-            }
-            let limit = lim.saturating_sub(self.reserved_by_others(n, k, layer));
-            if self.usage[n][i] + a > limit {
-                return Ok(false);
-            }
+        if let Some(k) = wraps(&self.usage[n], acc) {
+            return Err(k);
         }
-        Ok(true)
+        let limits = &self.limits[layer.0 as usize * self.node_count() + n];
+        let reserved = self.reserved_by_others(n, layer);
+        Ok(ResourceKind::ALL.into_iter().all(|k| {
+            let i = k.index();
+            rules::fits(limits[i], reserved[i], self.usage[n][i], acc.get(k))
+        }))
     }
 
     /// Placement score of node `n` for a demand: the worst relative
@@ -580,36 +578,11 @@ impl TopoExtension {
         score
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &mut self,
-        process: ProcessId,
-        site: SiteId,
-        layer: LayerId,
-        node: NodeId,
-        declared: Demand,
-        accounted: Demand,
-        admitted: bool,
-        overflow: bool,
-        now: SimTime,
-    ) -> PpId {
+    /// Store `rec` under the next period id, returning the id.
+    fn register(&mut self, rec: TopoRecord) -> PpId {
         let id = PpId(self.next_id);
         self.next_id += 1;
-        self.records.insert(
-            id.0,
-            TopoRecord {
-                id,
-                process,
-                site,
-                layer,
-                node,
-                declared,
-                accounted,
-                admitted,
-                overflow,
-                begun_at: now,
-            },
-        );
+        self.records.insert(id.0, TopoRecord { id, ..rec });
         id
     }
 
@@ -620,14 +593,8 @@ impl TopoExtension {
     /// [`TopoError::DemandOverflow`] rejection.
     fn account_nominal(&mut self, n: usize, layer: LayerId, acc: &Demand) -> Result<(), ResourceKind> {
         let li = layer.0 as usize;
-        for k in ResourceKind::ALL {
-            let i = k.index();
-            let a = acc.get(k);
-            if self.usage[n][i].checked_add(a).is_none()
-                || self.layer_usage[li][n][i].checked_add(a).is_none()
-            {
-                return Err(k);
-            }
+        if let Some(k) = wraps(&self.usage[n], acc).or(wraps(&self.layer_usage[li][n], acc)) {
+            return Err(k);
         }
         for k in ResourceKind::ALL {
             let i = k.index();
@@ -642,10 +609,8 @@ impl TopoExtension {
     /// from the predicate, so it is the one book that can genuinely
     /// approach `u64::MAX` under sustained degraded admission.
     fn account_overflow(&mut self, n: usize, acc: &Demand) -> Result<(), ResourceKind> {
-        for k in ResourceKind::ALL {
-            if self.overflow[n][k.index()].checked_add(acc.get(k)).is_none() {
-                return Err(k);
-            }
+        if let Some(k) = wraps(&self.overflow[n], acc) {
+            return Err(k);
         }
         for k in ResourceKind::ALL {
             self.overflow[n][k.index()] += acc.get(k);
@@ -689,81 +654,56 @@ impl TopoExtension {
             return Ok(BeginOutcome::Bypass);
         }
         self.stats.begins += 1;
-        let (pres, pamt) = Self::primary(&demand);
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Begin);
         ev.node = NO_NODE;
         ev.process = process.0;
         ev.site = site.0;
-        ev.resource = pres;
-        ev.amount = pamt;
+        (ev.resource, ev.amount) = Self::primary(&demand);
         self.emit(ev);
 
         // Demand audit, per component, against the machine-wide
         // maximum capacity of the kind: a demand no node could ever
         // hold nominally is impossible, whatever the placement.
         let mut audited = demand;
-        let mut clamped = false;
         for k in ResourceKind::ALL {
-            let a = demand.get(k);
             let capmax = self.cfg.spec.max_capacity(k);
-            if a <= capmax {
-                continue;
-            }
-            match self.cfg.demand_audit {
-                DemandAudit::Trust => {}
-                DemandAudit::Clamp => {
-                    audited = audited.with(k, capmax);
-                    clamped = true;
-                }
-                DemandAudit::Reject => {
-                    self.stats.clamped += 1;
-                    ev.kind = EventKind::Reject;
-                    ev.reject = RejectKind::DemandOverflow;
-                    self.emit(ev);
-                    return Err(TopoError::DemandOverflow {
-                        kind: k,
-                        declared: a,
-                        capacity: capmax,
-                    });
-                }
-            }
+            let Some(a) = rules::audit(self.cfg.demand_audit, demand.get(k), capmax) else {
+                self.stats.clamped += 1;
+                return Err(self.reject_overflow(ev, k, demand.get(k)));
+            };
+            audited = audited.with(k, a);
         }
-        if clamped {
+        if audited != demand {
             self.stats.clamped += 1;
         }
+        // The record every outcome below registers, once placed.
+        let proto = TopoRecord {
+            id: PpId(self.next_id),
+            process,
+            site,
+            layer,
+            node: NodeId(0),
+            declared: audited,
+            accounted: Demand::ZERO,
+            admitted: false,
+            overflow: false,
+            begun_at: now,
+        };
 
         // Saturation breakers exclude nodes from placement; when every
-        // node sheds this demand class the arrival is shed outright.
+        // node sheds this demand class the arrival is shed outright
+        // (below, where no node is left to wait on).
         let nodes = self.node_count();
         let mut eligible = vec![true; nodes];
+        let mut first_block = None;
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            let mut first_block = None;
             for n in 0..nodes {
                 for k in ResourceKind::ALL {
-                    if self.breaker_open[n][k.index()] && audited.get(k) >= b.shed_min_demand {
+                    if self.breakers[n][k.index()].sheds(&b, audited.get(k)) {
                         eligible[n] = false;
-                        if first_block.is_none() {
-                            first_block = Some((NodeId(n as u32), k));
-                        }
+                        first_block.get_or_insert((NodeId(n as u32), k));
                     }
                 }
-            }
-            if eligible.iter().all(|&e| !e) {
-                // All-blocked implies the scan recorded a blocker; if
-                // the books disagree, count the desync and shed with a
-                // neutral attribution rather than panic.
-                let (node, kind) = match first_block {
-                    Some(b) => b,
-                    None => {
-                        self.stats.desyncs += 1;
-                        (NodeId(0), ResourceKind::ALL[0])
-                    }
-                };
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.reject = RejectKind::BreakerOpen;
-                self.emit(ev);
-                return Err(TopoError::BreakerOpen { node, kind });
             }
         }
 
@@ -773,16 +713,11 @@ impl TopoExtension {
         let mut best: Option<(u128, usize)> = None;
         let mut all_wrap = true;
         let mut wrap_kind = None;
-        for n in 0..nodes {
-            if !eligible[n] {
-                continue;
-            }
+        for n in (0..nodes).filter(|&n| eligible[n]) {
             let acc = self.accounted_on(n, &audited, policy);
             match self.node_admittable(n, layer, &acc) {
                 Err(k) => {
-                    if wrap_kind.is_none() {
-                        wrap_kind = Some(k);
-                    }
+                    wrap_kind.get_or_insert(k);
                 }
                 Ok(feasible) => {
                     all_wrap = false;
@@ -795,64 +730,32 @@ impl TopoExtension {
                 }
             }
         }
-        if all_wrap {
-            // At least one eligible node survived the breaker gate, so
-            // all-wrap implies a recorded kind; desync-tolerate anyway.
-            let k = match wrap_kind {
-                Some(k) => k,
-                None => {
-                    self.stats.desyncs += 1;
-                    ResourceKind::ALL[0]
-                }
-            };
+        if let Some(k) = wrap_kind.filter(|_| all_wrap) {
             self.stats.clamped += 1;
-            ev.kind = EventKind::Reject;
-            ev.reject = RejectKind::DemandOverflow;
-            self.emit(ev);
-            return Err(TopoError::DemandOverflow {
-                kind: k,
-                declared: audited.get(k),
-                capacity: self.cfg.spec.max_capacity(k),
-            });
+            return Err(self.reject_overflow(ev, k, audited.get(k)));
         }
 
         if let Some((_, n)) = best {
             let acc = self.accounted_on(n, &audited, policy);
-            if acc
-                .touched()
-                .any(|k| acc.get(k) > policy.usage_limit(self.cfg.spec.caps[n][k.index()]))
-            {
+            let limits = &self.limits[layer.0 as usize * nodes + n];
+            if acc.touched().any(|k| acc.get(k) > limits[k.index()]) {
                 self.stats.oversized_admits += 1;
             }
             if let Err(k) = self.account_nominal(n, layer, &acc) {
                 self.stats.clamped += 1;
-                ev.kind = EventKind::Reject;
-                ev.reject = RejectKind::DemandOverflow;
-                self.emit(ev);
-                return Err(TopoError::DemandOverflow {
-                    kind: k,
-                    declared: acc.get(k),
-                    capacity: self.cfg.spec.max_capacity(k),
-                });
+                return Err(self.reject_overflow(ev, k, acc.get(k)));
             }
-            let pp = self.register(
-                process,
-                site,
-                layer,
-                NodeId(n as u32),
-                audited,
-                acc,
-                true,
-                false,
-                now,
-            );
+            let pp = self.register(TopoRecord {
+                node: NodeId(n as u32),
+                accounted: acc,
+                admitted: true,
+                ..proto
+            });
             self.stats.admitted += 1;
             ev.kind = EventKind::Admit;
             ev.node = n as u32;
             ev.pp = pp.0;
-            let (r, a) = Self::primary(&acc);
-            ev.resource = r;
-            ev.amount = a;
+            (ev.resource, ev.amount) = Self::primary(&acc);
             self.emit(ev);
             return Ok(BeginOutcome::Run { pp, fast: false });
         }
@@ -863,115 +766,65 @@ impl TopoExtension {
             .filter(|&n| eligible[n])
             .min_by_key(|&n| (self.occupancy_score(n, &audited), n))
         else {
-            // Unreachable when the books are sound (the all-blocked
-            // case returned above); shed instead of panicking.
-            self.stats.desyncs += 1;
+            // Every node's breaker sheds this demand class (a node is
+            // only ineligible with its blocker recorded).
+            let (node, kind) = first_block.unwrap_or((NodeId(0), ResourceKind::Llc));
             self.stats.shed += 1;
             ev.kind = EventKind::Shed;
             ev.reject = RejectKind::BreakerOpen;
             self.emit(ev);
-            return Err(TopoError::BreakerOpen {
-                node: NodeId(0),
-                kind: ResourceKind::ALL[0],
-            });
+            return Err(TopoError::BreakerOpen { node, kind });
         };
         let acc = self.accounted_on(target, &audited, policy);
-        let mut shed_victim = None;
-        if let Some(ov) = self.cfg.overload {
-            if self.waitlists[target].len() >= ov.waitlist_cap {
-                match ov.shed_policy {
-                    ShedPolicy::RejectOldest if !self.waitlists[target].is_empty() => {
-                        let Some(victim) = self.waitlists[target].pop() else {
-                            // Queue emptied between the guard and the
-                            // pop — a books desync; fall back to the
-                            // tail-drop behaviour of the `_` arm.
-                            self.stats.desyncs += 1;
-                            self.stats.shed += 1;
-                            ev.kind = EventKind::Shed;
-                            ev.node = target as u32;
-                            ev.reject = RejectKind::WaitlistFull;
-                            self.emit(ev);
-                            return Err(TopoError::WaitlistFull {
-                                node: NodeId(target as u32),
-                            });
-                        };
-                        let mut sv = TraceEvent::at(now.cycles(), EventKind::Shed);
-                        sv.node = target as u32;
-                        sv.pp = victim.pp.0;
-                        let (r, a) = Self::primary(&victim.accounted);
-                        sv.resource = r;
-                        sv.amount = a;
-                        sv.reject = RejectKind::WaitlistFull;
-                        sv.wait_cycles =
-                            now.cycles().saturating_sub(victim.enqueued_at.cycles());
-                        match self.records.remove(&victim.pp.0) {
-                            Some(rec) => {
-                                sv.process = rec.process.0;
-                                sv.site = rec.site.0;
-                            }
-                            None => self.stats.desyncs += 1,
-                        }
-                        self.stats.shed += 1;
-                        self.emit(sv);
-                        shed_victim = Some(victim.pp);
-                    }
-                    ShedPolicy::DegradeToOverflow => {
-                        if let Err(k) = self.account_overflow(target, &acc) {
-                            self.stats.clamped += 1;
-                            ev.kind = EventKind::Reject;
-                            ev.reject = RejectKind::DemandOverflow;
-                            self.emit(ev);
-                            return Err(TopoError::DemandOverflow {
-                                kind: k,
-                                declared: acc.get(k),
-                                capacity: self.cfg.spec.max_capacity(k),
-                            });
-                        }
-                        let pp = self.register(
-                            process,
-                            site,
-                            layer,
-                            NodeId(target as u32),
-                            audited,
-                            acc,
-                            true,
-                            true,
-                            now,
-                        );
-                        self.stats.shed += 1;
-                        ev.kind = EventKind::Shed;
-                        ev.node = target as u32;
-                        ev.pp = pp.0;
-                        let (r, a) = Self::primary(&acc);
-                        ev.resource = r;
-                        ev.amount = a;
-                        self.emit(ev);
-                        return Ok(BeginOutcome::Run { pp, fast: false });
-                    }
-                    _ => {
-                        self.stats.shed += 1;
-                        ev.kind = EventKind::Shed;
-                        ev.node = target as u32;
-                        ev.reject = RejectKind::WaitlistFull;
-                        self.emit(ev);
-                        return Err(TopoError::WaitlistFull {
-                            node: NodeId(target as u32),
-                        });
-                    }
+        let shed = match rules::gate(self.cfg.overload, &mut self.waitlists[target]) {
+            Gate::Queue => None,
+            Gate::Evict(victim) => {
+                let rec = self.records.remove(&victim.pp.0);
+                if rec.is_none() {
+                    self.stats.desyncs += 1;
                 }
+                let mut sv = waiter_event(EventKind::Shed, target, &victim, rec.as_ref(), now);
+                sv.reject = RejectKind::WaitlistFull;
+                self.stats.shed += 1;
+                self.emit(sv);
+                Some(victim.pp)
             }
-        }
-        let pp = self.register(
-            process,
-            site,
-            layer,
-            NodeId(target as u32),
-            audited,
-            acc,
-            false,
-            false,
-            now,
-        );
+            Gate::Degrade => {
+                if let Err(k) = self.account_overflow(target, &acc) {
+                    self.stats.clamped += 1;
+                    return Err(self.reject_overflow(ev, k, acc.get(k)));
+                }
+                let pp = self.register(TopoRecord {
+                    node: NodeId(target as u32),
+                    accounted: acc,
+                    admitted: true,
+                    overflow: true,
+                    ..proto
+                });
+                self.stats.shed += 1;
+                ev.kind = EventKind::Shed;
+                ev.node = target as u32;
+                ev.pp = pp.0;
+                (ev.resource, ev.amount) = Self::primary(&acc);
+                self.emit(ev);
+                return Ok(BeginOutcome::Run { pp, fast: false });
+            }
+            Gate::Drop => {
+                self.stats.shed += 1;
+                ev.kind = EventKind::Shed;
+                ev.node = target as u32;
+                ev.reject = RejectKind::WaitlistFull;
+                self.emit(ev);
+                return Err(TopoError::WaitlistFull {
+                    node: NodeId(target as u32),
+                });
+            }
+        };
+        let pp = self.register(TopoRecord {
+            node: NodeId(target as u32),
+            accounted: acc,
+            ..proto
+        });
         if self.waitlists[target]
             .push(WaitEntry {
                 pp,
@@ -1002,14 +855,22 @@ impl TopoExtension {
         ev.kind = EventKind::Pause;
         ev.node = target as u32;
         ev.pp = pp.0;
-        let (r, a) = Self::primary(&acc);
-        ev.resource = r;
-        ev.amount = a;
+        (ev.resource, ev.amount) = Self::primary(&acc);
         self.emit(ev);
-        Ok(BeginOutcome::Pause {
-            pp,
-            shed: shed_victim,
-        })
+        Ok(BeginOutcome::Pause { pp, shed })
+    }
+
+    /// Reject the begin `ev` describes with
+    /// [`TopoError::DemandOverflow`] on kind `k`, reporting `declared`.
+    fn reject_overflow(&mut self, mut ev: TraceEvent, k: ResourceKind, declared: u64) -> TopoError {
+        ev.kind = EventKind::Reject;
+        ev.reject = RejectKind::DemandOverflow;
+        self.emit(ev);
+        TopoError::DemandOverflow {
+            kind: k,
+            declared,
+            capacity: self.cfg.spec.max_capacity(k),
+        }
     }
 
     /// Process a `pp_end`. Misbehaving applications get the same typed
@@ -1047,9 +908,7 @@ impl TopoExtension {
         ev.node = rec.node.0;
         ev.process = rec.process.0;
         ev.site = rec.site.0;
-        let (r, a) = Self::primary(&rec.accounted);
-        ev.resource = r;
-        ev.amount = a;
+        (ev.resource, ev.amount) = Self::primary(&rec.accounted);
         self.emit(ev);
         let resumed = self.drain_node(rec.node.0 as usize, now);
         Ok(EndOutcome {
@@ -1094,9 +953,10 @@ impl TopoExtension {
         if !had_any {
             return Vec::new();
         }
+        let timeout = self.cfg.waitlist_timeout_cycles;
         let mut resumed = Vec::new();
         for n in 0..self.node_count() {
-            if touched[n] || self.has_expired_waiter(n, now) {
+            if touched[n] || self.waitlists[n].has_expired(now, timeout) {
                 resumed.extend(self.drain_node(n, now));
             }
         }
@@ -1116,33 +976,14 @@ impl TopoExtension {
         let mut expired_touched = vec![false; nodes];
         if let Some(deadline) = deadline {
             for n in 0..nodes {
-                // Oldest-first by enqueue time, whatever the queue
-                // position.
-                while let Some(entry) = self.waitlists[n].pop_expired(now, deadline) {
-                    match self.records.remove(&entry.pp.0) {
-                        Some(rec) => {
-                            self.stats.expired += 1;
-                            expired_touched[n] = true;
-                            let mut ev = TraceEvent::at(now.cycles(), EventKind::Expire);
-                            ev.node = n as u32;
-                            ev.process = rec.process.0;
-                            ev.site = rec.site.0;
-                            ev.pp = entry.pp.0;
-                            let (r, a) = Self::primary(&entry.accounted);
-                            ev.resource = r;
-                            ev.amount = a;
-                            ev.wait_cycles =
-                                now.cycles().saturating_sub(entry.enqueued_at.cycles());
-                            self.emit(ev);
-                            out.expired.push((entry.pp, rec.process));
-                        }
-                        None => self.stats.desyncs += 1,
-                    }
-                }
+                let before = out.expired.len();
+                NodeDrain { ext: self, n }.expire_past(deadline, now, &mut out.expired);
+                expired_touched[n] = out.expired.len() > before;
             }
         }
+        let timeout = self.cfg.waitlist_timeout_cycles;
         for n in 0..nodes {
-            if expired_touched[n] || self.has_expired_waiter(n, now) {
+            if expired_touched[n] || self.waitlists[n].has_expired(now, timeout) {
                 out.resumed.extend(self.drain_node(n, now));
             }
         }
@@ -1162,14 +1003,6 @@ impl TopoExtension {
         self.emit(ev);
     }
 
-    /// True when node `n` has a waiter past the aging timeout. O(1)
-    /// via the waitlist's cached minimum enqueue time.
-    fn has_expired_waiter(&self, n: usize, now: SimTime) -> bool {
-        self.cfg
-            .waitlist_timeout_cycles
-            .is_some_and(|timeout| self.waitlists[n].has_expired(now, timeout))
-    }
-
     /// Per-node, per-kind breaker hysteresis (same thresholds on every
     /// node; occupancy is the node's nominal + overflow for the kind).
     fn evaluate_breaker(&mut self, now: SimTime) {
@@ -1180,138 +1013,23 @@ impl TopoExtension {
             for k in ResourceKind::ALL {
                 let i = k.index();
                 let occupancy = self.usage[n][i].saturating_add(self.overflow[n][i]);
-                if self.breaker_open[n][i] {
-                    if occupancy < b.low_water {
-                        self.breaker_below[n][i] += 1;
-                        if self.breaker_below[n][i] >= b.recover_after {
-                            self.breaker_open[n][i] = false;
-                            self.breaker_below[n][i] = 0;
-                            let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerReset);
-                            ev.node = n as u32;
-                            ev.resource = Self::trace_kind(k);
-                            ev.amount = occupancy;
-                            self.emit(ev);
-                        }
-                    } else {
-                        self.breaker_below[n][i] = 0;
-                    }
-                } else if occupancy >= b.high_water {
-                    self.breaker_above[n][i] += 1;
-                    if self.breaker_above[n][i] >= b.trip_after {
-                        self.breaker_open[n][i] = true;
-                        self.breaker_above[n][i] = 0;
-                        self.stats.breaker_trips += 1;
-                        let mut ev = TraceEvent::at(now.cycles(), EventKind::BreakerTrip);
-                        ev.node = n as u32;
-                        ev.resource = Self::trace_kind(k);
-                        ev.amount = occupancy;
-                        self.emit(ev);
-                    }
-                } else {
-                    self.breaker_above[n][i] = 0;
+                if let Some(kind) = self.breakers[n][i].tick(&b, occupancy) {
+                    self.stats.breaker_trips += u64::from(kind == EventKind::BreakerTrip);
+                    let mut ev = TraceEvent::at(now.cycles(), kind);
+                    ev.node = n as u32;
+                    ev.resource = Self::trace_kind(k);
+                    ev.amount = occupancy;
+                    self.emit(ev);
                 }
             }
         }
     }
 
-    /// Walk node `n`'s FIFO admitting while the head fits (every
-    /// component re-evaluated), interleaved with aging: once the head
-    /// blocks, the oldest waiter past the timeout is force-admitted
-    /// into the overflow bucket.
+    /// The shared drain protocol ([`Drain::drain`]) over node `n`'s
+    /// queue: every component of every waiter is re-evaluated.
     fn drain_node(&mut self, n: usize, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let mut resumed = Vec::new();
-        loop {
-            while let Some(head) = self.waitlists[n].front() {
-                let Some(&rec) = self.records.get(&head.pp.0) else {
-                    // Orphaned waitlist entry (its record vanished):
-                    // drop it, count the desync, keep draining behind.
-                    self.waitlists[n].pop();
-                    self.stats.desyncs += 1;
-                    continue;
-                };
-                if !matches!(self.node_admittable(n, rec.layer, &head.accounted), Ok(true)) {
-                    break;
-                }
-                if self.account_nominal(n, rec.layer, &head.accounted).is_err() {
-                    // The per-layer ledger would wrap: leave the head
-                    // parked; aging can still degrade it into the
-                    // (checked) overflow bucket.
-                    break;
-                }
-                self.waitlists[n].pop();
-                if let Some(r) = self.records.get_mut(&head.pp.0) {
-                    r.admitted = true;
-                }
-                self.stats.resumed += 1;
-                let mut ev = TraceEvent::at(now.cycles(), EventKind::Resume);
-                ev.node = n as u32;
-                ev.process = rec.process.0;
-                ev.site = rec.site.0;
-                ev.pp = head.pp.0;
-                let (r, a) = Self::primary(&head.accounted);
-                ev.resource = r;
-                ev.amount = a;
-                ev.wait_cycles = now.cycles().saturating_sub(head.enqueued_at.cycles());
-                self.emit(ev);
-                resumed.push((head.pp, rec.process));
-            }
-            // The head (if any) does not fit. Aging: force-admit the
-            // oldest waiter once it has waited past the timeout;
-            // removing it may let queued periods behind the head fit
-            // nominally.
-            let Some(timeout) = self.cfg.waitlist_timeout_cycles else {
-                break;
-            };
-            let Some(aged) = self.waitlists[n].pop_expired(now, timeout) else {
-                break;
-            };
-            if !self.records.contains_key(&aged.pp.0) {
-                // Orphaned aged entry: drop it and keep draining.
-                self.stats.desyncs += 1;
-                continue;
-            }
-            if self.account_overflow(n, &aged.accounted).is_err() {
-                // The overflow bucket would wrap: the waiter can neither
-                // run nominally nor degrade. Shed it outright rather
-                // than wedge the queue forever.
-                let mut sv = TraceEvent::at(now.cycles(), EventKind::Shed);
-                sv.node = n as u32;
-                sv.pp = aged.pp.0;
-                sv.reject = RejectKind::DemandOverflow;
-                let (r, a) = Self::primary(&aged.accounted);
-                sv.resource = r;
-                sv.amount = a;
-                sv.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
-                if let Some(rec) = self.records.remove(&aged.pp.0) {
-                    sv.process = rec.process.0;
-                    sv.site = rec.site.0;
-                }
-                self.stats.clamped += 1;
-                self.stats.shed += 1;
-                self.emit(sv);
-                continue;
-            }
-            let Some(rec) = self.records.get_mut(&aged.pp.0) else {
-                self.stats.desyncs += 1;
-                continue;
-            };
-            rec.admitted = true;
-            rec.overflow = true;
-            let (process, site) = (rec.process, rec.site);
-            self.stats.aged_admissions += 1;
-            let mut ev = TraceEvent::at(now.cycles(), EventKind::Age);
-            ev.node = n as u32;
-            ev.process = process.0;
-            ev.site = site.0;
-            ev.pp = aged.pp.0;
-            let (r, a) = Self::primary(&aged.accounted);
-            ev.resource = r;
-            ev.amount = a;
-            ev.wait_cycles = now.cycles().saturating_sub(aged.enqueued_at.cycles());
-            self.emit(ev);
-            resumed.push((aged.pp, process));
-        }
-        resumed
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        NodeDrain { ext: self, n }.drain(timeout, now)
     }
 
     /// A complete, comparable snapshot of the observable state.
@@ -1379,93 +1097,159 @@ impl TopoExtension {
                 waiting[n] += 1;
             }
         }
+        let violation = |n: usize, kind, what, expected, actual| TopoError::InvariantViolation {
+            node: NodeId(n as u32),
+            kind,
+            what,
+            expected,
+            actual,
+        };
         for n in 0..nodes {
             for k in ResourceKind::ALL {
                 let i = k.index();
-                let node = NodeId(n as u32);
-                if usage[n][i] != self.usage[n][i] {
-                    return Err(TopoError::InvariantViolation {
-                        node,
-                        kind: k,
-                        what: "nominal usage",
-                        expected: usage[n][i],
-                        actual: self.usage[n][i],
-                    });
-                }
-                if overflow[n][i] != self.overflow[n][i] {
-                    return Err(TopoError::InvariantViolation {
-                        node,
-                        kind: k,
-                        what: "overflow usage",
-                        expected: overflow[n][i],
-                        actual: self.overflow[n][i],
-                    });
-                }
-                for l in 0..layers {
-                    if lusage[l][n][i] != self.layer_usage[l][n][i] {
-                        return Err(TopoError::InvariantViolation {
-                            node,
-                            kind: k,
-                            what: "layer usage",
-                            expected: lusage[l][n][i],
-                            actual: self.layer_usage[l][n][i],
-                        });
-                    }
+                let books = [
+                    ("nominal usage", usage[n][i], self.usage[n][i]),
+                    ("overflow usage", overflow[n][i], self.overflow[n][i]),
+                ];
+                let layer_books = (0..layers)
+                    .map(|l| ("layer usage", lusage[l][n][i], self.layer_usage[l][n][i]));
+                if let Some((what, expected, actual)) = books
+                    .into_iter()
+                    .chain(layer_books)
+                    .find(|&(_, e, a)| e != a)
+                {
+                    return Err(violation(n, k, what, expected, actual));
                 }
             }
         }
+        let llc = ResourceKind::Llc;
         for n in 0..nodes {
-            let node = NodeId(n as u32);
             for e in self.waitlists[n].iter() {
                 match self.records.get(&e.pp.0) {
-                    None => {
-                        return Err(TopoError::InvariantViolation {
-                            node,
-                            kind: ResourceKind::Llc,
-                            what: "waitlist record missing",
-                            expected: e.pp.0,
-                            actual: 0,
-                        })
-                    }
+                    None => return Err(violation(n, llc, "waitlist record missing", e.pp.0, 0)),
                     Some(rec) if rec.admitted => {
-                        return Err(TopoError::InvariantViolation {
-                            node,
-                            kind: ResourceKind::Llc,
-                            what: "waitlisted record admitted",
-                            expected: 0,
-                            actual: e.pp.0,
-                        })
+                        return Err(violation(n, llc, "waitlisted record admitted", 0, e.pp.0))
                     }
-                    Some(rec) if rec.node != node => {
-                        return Err(TopoError::InvariantViolation {
-                            node,
-                            kind: ResourceKind::Llc,
-                            what: "waitlisted record on wrong node",
-                            expected: node.0 as u64,
-                            actual: rec.node.0 as u64,
-                        })
+                    Some(rec) if rec.node.0 as usize != n => {
+                        let (what, got) = ("waitlisted record on wrong node", rec.node.0 as u64);
+                        return Err(violation(n, llc, what, n as u64, got));
                     }
                     Some(_) => {}
                 }
             }
-            if waiting[n] != self.waitlists[n].len() as u64 {
-                return Err(TopoError::InvariantViolation {
-                    node,
-                    kind: ResourceKind::Llc,
-                    what: "waitlist count",
-                    expected: waiting[n],
-                    actual: self.waitlists[n].len() as u64,
-                });
+            let queued = self.waitlists[n].len() as u64;
+            if waiting[n] != queued {
+                return Err(violation(n, llc, "waitlist count", waiting[n], queued));
             }
         }
         Ok(())
     }
 }
 
+/// A trace event about waitlist entry `w` on node `n` leaving the queue
+/// at `now`, attributed to its owner when the record is known.
+fn waiter_event(
+    kind: EventKind,
+    n: usize,
+    w: &WaitEntry<Demand>,
+    rec: Option<&TopoRecord>,
+    now: SimTime,
+) -> TraceEvent {
+    let mut ev = TraceEvent::at(now.cycles(), kind);
+    ev.node = n as u32;
+    if let Some(rec) = rec {
+        ev.process = rec.process.0;
+        ev.site = rec.site.0;
+    }
+    ev.pp = w.pp.0;
+    (ev.resource, ev.amount) = TopoExtension::primary(&w.accounted);
+    ev.wait_cycles = now.cycles().saturating_sub(w.enqueued_at.cycles());
+    ev
+}
+
+/// The first kind whose entry in `book` would wrap if `acc` were added.
+fn wraps(book: &[u64; KIND_COUNT], acc: &Demand) -> Option<ResourceKind> {
+    acc.touched()
+        .find(|&k| book[k.index()].checked_add(acc.get(k)).is_none())
+}
+
+/// The topology engine's actions in the drain protocol on node `n`;
+/// every component of a waiter is fitted against its layer's limits.
+struct NodeDrain<'a> {
+    ext: &'a mut TopoExtension,
+    n: usize,
+}
+
+impl Drain<Demand> for NodeDrain<'_> {
+    type Rec = TopoRecord;
+
+    fn queue(&mut self) -> &mut Waitlist<Demand> {
+        &mut self.ext.waitlists[self.n]
+    }
+
+    fn record(&self, pp: PpId) -> Option<TopoRecord> {
+        self.ext.records.get(&pp.0).copied()
+    }
+
+    fn fits(&self, w: &WaitEntry<Demand>, rec: &TopoRecord) -> bool {
+        matches!(
+            self.ext.node_admittable(self.n, rec.layer, &w.accounted),
+            Ok(true)
+        )
+    }
+
+    fn admit(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> Option<ProcessId> {
+        let (e, n) = (&mut *self.ext, self.n);
+        // A wrapping per-layer ledger leaves the head parked; aging can
+        // still degrade it into the (checked) overflow bucket.
+        e.account_nominal(n, rec.layer, &w.accounted).ok()?;
+        if let Some(r) = e.records.get_mut(&w.pp.0) {
+            r.admitted = true;
+        }
+        e.stats.resumed += 1;
+        e.emit(waiter_event(EventKind::Resume, n, w, Some(&rec), now));
+        Some(rec.process)
+    }
+
+    fn age(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> Option<ProcessId> {
+        let (e, n) = (&mut *self.ext, self.n);
+        e.account_overflow(n, &w.accounted).ok()?;
+        if let Some(r) = e.records.get_mut(&w.pp.0) {
+            r.admitted = true;
+            r.overflow = true;
+        }
+        e.stats.aged_admissions += 1;
+        e.emit(waiter_event(EventKind::Age, n, w, Some(&rec), now));
+        Some(rec.process)
+    }
+
+    fn shed(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) {
+        let (e, n) = (&mut *self.ext, self.n);
+        e.records.remove(&w.pp.0);
+        e.stats.clamped += 1;
+        e.stats.shed += 1;
+        let mut ev = waiter_event(EventKind::Shed, n, w, Some(&rec), now);
+        ev.reject = RejectKind::DemandOverflow;
+        e.emit(ev);
+    }
+
+    fn expire(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> ProcessId {
+        let (e, n) = (&mut *self.ext, self.n);
+        e.records.remove(&w.pp.0);
+        e.stats.expired += 1;
+        e.emit(waiter_event(EventKind::Expire, n, w, Some(&rec), now));
+        rec.process
+    }
+
+    fn desync(&mut self) {
+        self.ext.stats.desyncs += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::LayerSpec;
+    use crate::config::ShedPolicy;
 
     fn t(cycles: u64) -> SimTime {
         SimTime::from_cycles(cycles)
@@ -1572,7 +1356,10 @@ mod tests {
         assert_eq!(e.layer_usage(LayerId(1), NodeId(0), ResourceKind::Llc), 30);
         // ...and its usage draws the reservation down, so batch's
         // effective limit rises as the guarantee is consumed.
-        assert_eq!(e.reserved_by_others(0, ResourceKind::Llc, LayerId(0)), 10);
+        assert_eq!(
+            e.reserved_by_others(0, LayerId(0))[ResourceKind::Llc.index()],
+            10
+        );
         e.pp_end(lat, t(3)).unwrap();
         e.check_invariants().unwrap();
     }
@@ -1580,7 +1367,7 @@ mod tests {
     #[test]
     fn trivial_single_layer_has_no_reservations() {
         let e = two_node();
-        assert_eq!(e.reserved_by_others(0, ResourceKind::Llc, LayerId(0)), 0);
+        assert_eq!(e.reserved_by_others(0, LayerId(0)), [0; KIND_COUNT]);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!   entries older than a timeout leave strictly oldest-first by
 //!   enqueue time, whatever their queue position.
 //!
+//! How waiters leave the queue is one protocol for both engines, the
+//! provided methods of [`Drain`]: the drain with its aging, and the
+//! deadline pass.
+//!
 //! # Representation
 //!
 //! A `VecDeque` plus the cached minimum enqueue time of its entries,
@@ -32,6 +36,7 @@
 
 use crate::api::PpId;
 use crate::error::RdaError;
+use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
 
@@ -104,12 +109,15 @@ impl<A: Copy> Waitlist<A> {
         Some(entry)
     }
 
-    /// True when some entry has waited `timeout` cycles or longer by
-    /// `now`. O(1) via the cached minimum: the oldest entry expires
-    /// first, so an unexpired minimum proves the whole queue unexpired.
-    pub fn has_expired(&self, now: SimTime, timeout: u64) -> bool {
-        self.oldest
-            .is_some_and(|oldest| now.since(oldest).cycles() >= timeout)
+    /// True when a timeout is set and some entry has waited `timeout`
+    /// cycles or longer by `now`. O(1) via the cached minimum: the
+    /// oldest entry expires first, so an unexpired minimum proves the
+    /// whole queue unexpired.
+    pub fn has_expired(&self, now: SimTime, timeout: Option<u64>) -> bool {
+        timeout.is_some_and(|timeout| {
+            self.oldest
+                .is_some_and(|oldest| now.since(oldest).cycles() >= timeout)
+        })
     }
 
     /// Remove and return the *oldest* expired period: the entry with
@@ -120,7 +128,7 @@ impl<A: Copy> Waitlist<A> {
     /// replay, direct API use) and queue position no longer matches
     /// wait time. O(1) when nothing has expired (the common case).
     pub fn pop_expired(&mut self, now: SimTime, timeout: u64) -> Option<WaitEntry<A>> {
-        if !self.has_expired(now, timeout) {
+        if !self.has_expired(now, Some(timeout)) {
             return None;
         }
         let oldest = self.oldest?;
@@ -158,6 +166,92 @@ impl<A: Copy> Waitlist<A> {
     /// copy the queue to walk it.
     pub fn iter(&self) -> impl Iterator<Item = &WaitEntry<A>> {
         self.fifo.iter()
+    }
+}
+
+/// The drain protocol, one queue at a time. The provided methods are
+/// the protocol; an engine implements only the actions, on a private
+/// handle over its books.
+pub trait Drain<A: Copy> {
+    /// The engine's record of a queued period.
+    type Rec: Copy;
+
+    /// The queue being drained.
+    fn queue(&mut self) -> &mut Waitlist<A>;
+    /// The live record of a queued period; `None` marks an orphaned
+    /// entry (the books have desynchronized).
+    fn record(&self, pp: PpId) -> Option<Self::Rec>;
+    /// Whether `entry` fits the nominal books now (Algorithm 1).
+    fn fits(&self, entry: &WaitEntry<A>, rec: &Self::Rec) -> bool;
+    /// Admit a fitting `entry` nominally, returning its process; `None`
+    /// (nothing accounted) leaves it parked because a book would wrap.
+    fn admit(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> Option<ProcessId>;
+    /// Force-admit an aged `entry` into the overflow bucket, returning
+    /// its process; `None` (nothing accounted) when the bucket would wrap.
+    fn age(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> Option<ProcessId>;
+    /// Complete, as shed, an aged `entry` the overflow bucket cannot take.
+    fn shed(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime);
+    /// Complete `entry` past its deadline, returning its process.
+    fn expire(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> ProcessId;
+    /// Count one desync: an orphaned entry was dropped.
+    fn desync(&mut self);
+
+    /// Admit from the head while the head fits (Figure 6: "attempt to
+    /// schedule any waiting threads previously blocked due to resource
+    /// constraints"). When it blocks, force-admit the oldest waiter past
+    /// `timeout` (if aging is on) into the overflow bucket — or shed it
+    /// when that bucket would wrap — and walk again: removing a blocker
+    /// can let the periods behind it fit. Returns the admitted periods.
+    fn drain(&mut self, timeout: Option<u64>, now: SimTime) -> Vec<(PpId, ProcessId)> {
+        let mut resumed = Vec::new();
+        // Force-admissions within one drain go strictly oldest-first.
+        let mut last_aged: Option<SimTime> = None;
+        loop {
+            while let Some(head) = self.queue().front() {
+                let Some(rec) = self.record(head.pp) else {
+                    self.queue().pop();
+                    self.desync();
+                    continue;
+                };
+                if !self.fits(&head, &rec) {
+                    break;
+                }
+                let Some(process) = self.admit(&head, rec, now) else {
+                    break;
+                };
+                self.queue().pop();
+                resumed.push((head.pp, process));
+            }
+            let Some(aged) = timeout.and_then(|t| self.queue().pop_expired(now, t)) else {
+                break;
+            };
+            debug_assert!(
+                last_aged.is_none_or(|t| t <= aged.enqueued_at),
+                "aging force-admitted out of oldest-first order"
+            );
+            last_aged = Some(aged.enqueued_at);
+            let Some(rec) = self.record(aged.pp) else {
+                self.desync();
+                continue;
+            };
+            match self.age(&aged, rec, now) {
+                Some(process) => resumed.push((aged.pp, process)),
+                None => self.shed(&aged, rec, now),
+            }
+        }
+        resumed
+    }
+
+    /// The deadline pass: expire, oldest-first by enqueue time, every
+    /// waiter that has waited `deadline` cycles or longer by `now`,
+    /// appending each to `expired`.
+    fn expire_past(&mut self, deadline: u64, now: SimTime, expired: &mut Vec<(PpId, ProcessId)>) {
+        while let Some(entry) = self.queue().pop_expired(now, deadline) {
+            match self.record(entry.pp) {
+                Some(rec) => expired.push((entry.pp, self.expire(&entry, rec, now))),
+                None => self.desync(),
+            }
+        }
     }
 }
 
@@ -260,11 +354,12 @@ mod tests {
         w.push(e_at(3, 10, 900)).unwrap();
         let now = SimTime::from_cycles(1000);
         // Timeout 400: entries enqueued at 0 and 500 have expired.
-        assert!(w.has_expired(now, 400));
+        assert!(w.has_expired(now, Some(400)));
         assert_eq!(w.pop_expired(now, 400).unwrap().pp, PpId(1));
         assert_eq!(w.pop_expired(now, 400).unwrap().pp, PpId(2));
         assert_eq!(w.pop_expired(now, 400), None);
-        assert!(!w.has_expired(now, 400));
+        assert!(!w.has_expired(now, Some(400)));
+        assert!(!w.has_expired(now, None), "no timeout, nothing expires");
         assert_eq!(w.len(), 1);
         assert_eq!(w.oldest(), Some(SimTime::from_cycles(900)));
     }

@@ -40,10 +40,9 @@
 //! waiter eventually expires or is force-admitted, and without them
 //! any waiter that can never be unstuck (capacity held by leaked
 //! periods, no completions outstanding) is deterministically stranded
-//! via `process_exit` once the event heap drains.
+//! via `process_exit` once the event queue drains.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::system::RdaCall;
@@ -53,7 +52,7 @@ use rda_core::{
 };
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
-use rda_simcore::{Fnv1a64, SimTime, SplitMix64};
+use rda_simcore::{EventQueue, Fnv1a64, SimTime, SplitMix64};
 use rda_trace::Log2Hist;
 use rda_workloads::{Phase, ProcessProgram, WorkloadSpec};
 
@@ -600,34 +599,6 @@ impl<C> CallLog<C> {
     }
 }
 
-/// Heap entry: strict `(time, sequence)` order makes pops — and
-/// therefore the whole run — deterministic even among simultaneous
-/// events.
-#[derive(Debug)]
-struct QEntry {
-    t: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
 #[derive(Debug)]
 enum Ev {
     /// First attempt of a request.
@@ -649,16 +620,18 @@ pub(crate) struct Engine<'a, E: Admission> {
     classes: &'a [E::Demand],
     faults: FaultPlan,
     pub(crate) ext: E,
-    heap: BinaryHeap<QEntry>,
+    /// Pending events; `EventQueue`'s strict `(time, insertion)` order
+    /// makes pops — and therefore the whole run — deterministic even
+    /// among simultaneous events.
+    queue: EventQueue<Ev>,
     /// Waitlisted requests by period id; a `BTreeMap` so stranding
     /// order is deterministic.
     waiting: BTreeMap<u64, usize>,
     /// Current attempt index per request.
     attempts: Vec<u32>,
-    /// Non-tick events still in the heap (ticks self-cancel when this
-    /// hits zero and nothing waits).
+    /// Non-tick events still queued (ticks self-cancel when this hits
+    /// zero and nothing waits).
     pending: usize,
-    seq: u64,
     now: SimTime,
     pub(crate) completed: u64,
     pub(crate) failed: u64,
@@ -692,11 +665,10 @@ pub(crate) fn run_plan<'a, E: Admission>(
         classes,
         faults,
         ext,
-        heap: BinaryHeap::with_capacity(plan.len() * 2 + 4),
+        queue: EventQueue::with_capacity(plan.len() * 2 + 4),
         waiting: BTreeMap::new(),
         attempts: vec![0; plan.len()],
         pending: 0,
-        seq: 0,
         now: SimTime::ZERO,
         completed: 0,
         failed: 0,
@@ -734,12 +706,7 @@ impl<E: Admission> Engine<'_, E> {
         if !matches!(ev, Ev::Tick) {
             self.pending += 1;
         }
-        self.heap.push(QEntry {
-            t,
-            seq: self.seq,
-            ev,
-        });
-        self.seq += 1;
+        self.queue.push(SimTime::from_cycles(t), ev);
     }
 
     fn drive(&mut self) {
@@ -751,9 +718,9 @@ impl<E: Admission> Engine<'_, E> {
             timeout.is_some() || overload.is_some_and(|o| o.deadline_cycles.is_some());
         let overload_on = overload.is_some();
         loop {
-            while let Some(e) = self.heap.pop() {
-                self.now = SimTime::from_cycles(e.t);
-                match e.ev {
+            while let Some(e) = self.queue.pop() {
+                self.now = e.time;
+                match e.payload {
                     Ev::Arrival { req } => {
                         self.pending -= 1;
                         self.attempt(req);
@@ -791,7 +758,7 @@ impl<E: Admission> Engine<'_, E> {
                             self.expired += 1;
                         }
                         if self.pending > 0 || (!self.waiting.is_empty() && can_unstick) {
-                            self.push(e.t + self.cfg.age_tick_cycles, Ev::Tick);
+                            self.push(e.time.cycles() + self.cfg.age_tick_cycles, Ev::Tick);
                         }
                     }
                 }
@@ -799,7 +766,7 @@ impl<E: Admission> Engine<'_, E> {
             if self.waiting.is_empty() {
                 break;
             }
-            // Heap drained with waiters left: nothing can ever unstick
+            // Queue drained with waiters left: nothing can ever unstick
             // them. Reclaim deterministically (ascending period id).
             let stuck: Vec<(u64, usize)> = self.waiting.iter().map(|(&k, &v)| (k, v)).collect();
             for (ppid, req) in stuck {

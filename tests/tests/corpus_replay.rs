@@ -15,9 +15,11 @@
 //! multi-resource, layered); they replay through the topology oracle
 //! ([`rda_check::replay_topo`]) the same way, and every *scalar* trace
 //! additionally replays through the topology oracle via the
-//! single-node compatibility lift ([`rda_check::lift`]).
+//! single-node compatibility lift ([`rda_check::lift`]), where both
+//! engines must have the same effect on every call.
 
 use rda_check::{replay, replay_lifted, replay_topo, TopoDoc, TraceDoc};
+use rda_integration::{as_scalar, without_fast};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -83,6 +85,8 @@ fn draining_corpus_traces_end_idle() {
         "compromise_aging_overflow.trace",
         "exit_reclaims_all.trace",
         "overload_shed_expire_breaker.trace",
+        "breaker_before_wrap_guard.trace",
+        "overflow_bucket_wrap.trace",
     ] {
         let text = std::fs::read_to_string(corpus_dir().join(name)).unwrap();
         let doc = TraceDoc::parse(&text).unwrap();
@@ -119,7 +123,9 @@ fn every_topo_corpus_trace_replays_without_divergence_and_ends_idle() {
 
 /// Every *scalar* corpus trace also replays divergence-free through the
 /// topology oracle on its 1-node/1-resource compatibility lift — the
-/// legacy corpus doubles as the topology engine's regression museum.
+/// legacy corpus doubles as the topology engine's regression museum —
+/// and the two engines have the same effect on every call, fast-path
+/// flags aside.
 #[test]
 fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
     for path in corpus_files() {
@@ -128,6 +134,15 @@ fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
         let doc = TraceDoc::parse(&text).unwrap();
         let report = replay_lifted(&doc).unwrap_or_else(|e| panic!("{name} (lifted): {e}"));
         assert_eq!(report.steps, doc.events.len(), "{name} (lifted)");
+        let scalar = replay(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (step, (s, t)) in scalar.effects.iter().zip(&report.effects).enumerate() {
+            assert_eq!(
+                without_fast(s),
+                as_scalar(t),
+                "{name}, step {step}: {:?}",
+                doc.events[step]
+            );
+        }
     }
 }
 

@@ -10,9 +10,9 @@ use rda_check::{
 };
 use rda_core::{
     mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
-    PpSnap, RdaConfig, RdaError, RdaStats, ShedPolicy, Snapshot, TopoConfig, TopoError,
-    TopoSnapshot, TopoSpec, WaitSnap,
+    PpSnap, RdaConfig, ShedPolicy, Snapshot, TopoConfig, TopoSnapshot, TopoSpec, WaitSnap,
 };
+use rda_integration::{as_scalar, decided, without_fast};
 use rda_machine::MachineConfig;
 use rda_sim::{
     run_topo_cells, topo_sweep_digest, FaultConfig, TopoCall, TopoCell, TopoClass,
@@ -182,54 +182,6 @@ proptest! {
     }
 }
 
-/// A topology call effect in the scalar vocabulary, fast-path flags
-/// false (the topology engine has no fast path).
-fn as_scalar(effect: &TopoEffect) -> Effect {
-    match effect.clone() {
-        TopoEffect::Bypass => Effect::Bypass,
-        TopoEffect::Run { pp } => Effect::Run { pp, fast: false },
-        TopoEffect::Pause { pp, shed } => Effect::Pause { pp, shed },
-        TopoEffect::End { resumed } => Effect::End {
-            fast: false,
-            resumed,
-        },
-        TopoEffect::Woken { resumed, expired } => Effect::Woken { resumed, expired },
-        TopoEffect::Retried => Effect::Retried,
-        TopoEffect::Rejected(e) => Effect::Rejected(match e {
-            TopoError::UnknownPp(pp) => RdaError::UnknownPp(pp),
-            TopoError::DoubleEnd(pp) => RdaError::DoubleEnd(pp),
-            TopoError::EndWhileWaitlisted(pp) => RdaError::EndWhileWaitlisted(pp),
-            TopoError::DemandOverflow {
-                declared, capacity, ..
-            } => RdaError::DemandOverflow { declared, capacity },
-            TopoError::WaitlistFull { .. } => RdaError::WaitlistFull,
-            TopoError::BreakerOpen { .. } => RdaError::BreakerOpen,
-            e @ TopoError::InvariantViolation { .. } => panic!("topology engine bug: {e}"),
-        }),
-    }
-}
-
-/// A scalar call effect with its fast-path flag cleared.
-fn without_fast(effect: &Effect) -> Effect {
-    match effect.clone() {
-        Effect::Run { pp, .. } => Effect::Run { pp, fast: false },
-        Effect::End { resumed, .. } => Effect::End {
-            fast: false,
-            resumed,
-        },
-        other => other,
-    }
-}
-
-/// Counters with the fast-path ones zeroed: the topology engine has no
-/// memoised fast path, so its fast-path counters stay zero while the
-/// scalar engine's count memo hits.
-fn decided(mut stats: RdaStats) -> RdaStats {
-    stats.fast_begins = 0;
-    stats.fast_ends = 0;
-    stats
-}
-
 /// A compat-shape topology snapshot in the scalar vocabulary, with the
 /// fast-path counters zeroed. Every vector must be LLC-only.
 fn scalar_view(t: &TopoSnapshot) -> Snapshot {
@@ -271,8 +223,9 @@ fn scalar_view(t: &TopoSnapshot) -> Snapshot {
 /// period id, shed victim, resumed and expired lists in order, error
 /// variant — under every policy, audit mode, overload gate, deadline,
 /// breaker and aging setting `random_doc` draws, backward clock steps
-/// included. At the end they hold equal counters (fast-path counters
-/// aside), books, live periods and waitlist.
+/// and near-`u64::MAX` declarations that reach the wrap guard included.
+/// At the end they hold equal counters (fast-path counters aside),
+/// books, live periods and waitlist.
 #[test]
 fn random_scalar_schedules_agree_with_their_topology_lift() {
     for seed in 0..256 {
@@ -294,23 +247,22 @@ fn random_scalar_schedules_agree_with_their_topology_lift() {
     }
 }
 
-/// The one scalar/topology difference left on the compat shape, pinned
-/// until the engines collapse (ROADMAP item 2) and one rule is chosen:
-/// a zero-byte period on an oversubscribed LLC. Algorithm 1 pauses it
-/// in the scalar engine (`remaining − 0 < 0` once the deadlock guard
-/// has admitted a 2 000-byte period into a 1 000-byte cache); the
-/// topology engine runs it, because a zero component is unconstrained.
+/// A zero-byte period on an oversubscribed LLC runs in both engines:
+/// a zero component is unconstrained, so the shared fit test admits it
+/// even once the deadlock guard has admitted a 2 000-byte period into a
+/// 1 000-byte cache — where the literal pseudocode's `remaining − 0`
+/// is negative.
 #[test]
-fn zero_byte_period_on_an_oversubscribed_llc_is_the_known_difference() {
+fn zero_byte_period_on_an_oversubscribed_llc_runs_in_both_engines() {
     let doc = TraceDoc::parse("policy strict\nllc 1000\nbegin 0 0 0 llc 2000\nbegin 1 1 1 llc 0\n")
         .unwrap();
     let scalar = replay(&doc).unwrap();
     let lifted = replay_lifted(&doc).unwrap();
     assert_eq!(
         scalar.effects[1],
-        Effect::Pause {
+        Effect::Run {
             pp: PpId(1),
-            shed: None
+            fast: false
         }
     );
     assert_eq!(lifted.effects[1], TopoEffect::Run { pp: PpId(1) });
