@@ -21,6 +21,7 @@
 //! input is a [`TraceDoc`], a divergence *is* a repro file.
 
 use crate::model::{Effect, RefModel};
+use crate::topo_diff::describe_snapshot_diff;
 use crate::trace::{TraceDoc, TraceEvent};
 use rda_core::{PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId, Snapshot};
 use rda_machine::ReuseLevel;
@@ -187,51 +188,6 @@ impl Oracle {
         }
         Ok(got)
     }
-}
-
-/// First difference between two snapshots, rendered for humans; `None`
-/// when they are identical.
-pub fn describe_snapshot_diff(model: &Snapshot, ext: &Snapshot) -> Option<String> {
-    if model == ext {
-        return None;
-    }
-    if model.usage != ext.usage {
-        return Some(format!(
-            "usage: model {} vs implementation {}",
-            model.usage, ext.usage
-        ));
-    }
-    if model.overflow != ext.overflow {
-        return Some(format!(
-            "overflow: model {} vs implementation {}",
-            model.overflow, ext.overflow
-        ));
-    }
-    if model.waitlist != ext.waitlist {
-        return Some(format!(
-            "waitlist: model {:?} vs implementation {:?}",
-            model.waitlist, ext.waitlist
-        ));
-    }
-    if model.periods != ext.periods {
-        return Some(format!(
-            "periods: model {:?} vs implementation {:?}",
-            model.periods, ext.periods
-        ));
-    }
-    if model.stats != ext.stats {
-        return Some(format!(
-            "stats: model {:?} vs implementation {:?}",
-            model.stats, ext.stats
-        ));
-    }
-    if model.allocated != ext.allocated {
-        return Some(format!(
-            "allocated: model {} vs implementation {}",
-            model.allocated, ext.allocated
-        ));
-    }
-    Some("snapshots differ".to_string())
 }
 
 /// Summary of a clean replay.

@@ -557,13 +557,12 @@ mod tests {
         assert_eq!(volume(&ex), (771, 294, 114));
     }
 
-    #[test]
-    fn faulty_space_is_clean_under_both_policies() {
-        for (policy, want) in [
-            (PolicyKind::Strict, (2_806, 2_982, 121)),
-            (PolicyKind::compromise_default(), (1_867, 2_564, 14)),
-        ] {
-            let ex = explore(&small_cfg(policy), &Template::faulty_ops(16_000));
+    /// Explore `tpl` under Strict and then Compromise: each space must
+    /// be clean and cover its pinned volume.
+    fn check_both_policies(tpl: &Template, wants: [(u64, u64, u64); 2]) {
+        let policies = [PolicyKind::Strict, PolicyKind::compromise_default()];
+        for (policy, want) in policies.into_iter().zip(wants) {
+            let ex = explore(&small_cfg(policy), tpl);
             assert!(
                 ex.clean(),
                 "{policy}: {}",
@@ -574,17 +573,21 @@ mod tests {
     }
 
     #[test]
+    fn faulty_space_is_clean_under_both_policies() {
+        let wants = [(2_806, 2_982, 121), (1_867, 2_564, 14)];
+        check_both_policies(&Template::faulty_ops(16_000), wants);
+    }
+
+    #[test]
     fn oversized_space_is_clean() {
-        let ex = explore(
-            &small_cfg(PolicyKind::Strict),
-            &Template::oversized_pair(16_000),
-        );
-        assert!(
-            ex.clean(),
-            "{}",
-            ex.divergence.map(|d| d.1.to_string()).unwrap_or_default()
-        );
-        assert_eq!(volume(&ex), (3_809, 1_059, 909));
+        let wants = [(3_809, 1_059, 909), (3_221, 1_440, 528)];
+        check_both_policies(&Template::oversized_pair(16_000), wants);
+    }
+
+    #[test]
+    fn three_process_space_is_clean_under_both_policies() {
+        let wants = [(240_479, 117_445, 36_583), (76_195, 65_058, 4_980)];
+        check_both_policies(&Template::three_process_contention(16_000), wants);
     }
 
     #[test]

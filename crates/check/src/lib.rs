@@ -33,7 +33,9 @@
 //! has its own recompute-by-summation reference model
 //! ([`topo_model::TopoRefModel`]) whose books are re-derived from live
 //! periods on every call, and its own lock-step oracle ([`topo_diff`]).
-//! The rest of the stack is shared with the scalar engine: its trace
+//! The rest of the stack is shared with the scalar engine: both oracles
+//! compare the one `rda_core::Snapshot` and print its first difference
+//! with [`describe_snapshot_diff`]; the topology engine's trace
 //! dialect ([`topo_trace::TopoDoc`]) adds vector demands and a machine
 //! header to the scalar format's line reader and header directives,
 //! and [`explore_topo`] runs 2-node × 2-layer templates through the
@@ -60,10 +62,10 @@ pub mod trace;
 pub use diff::{replay, Divergence, Oracle, ReplayReport};
 pub use explore::{explore, explore_topo, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
-pub use headscan::{check_headscan_property, headscan_prediction};
+pub use headscan::{check_headscan_property, check_scalar_headscan_property, headscan_prediction};
 pub use model::{Effect, RefModel};
 pub use topo_diff::{
-    describe_topo_snapshot_diff, replay_lifted, replay_topo, TopoDivergence, TopoOracle,
+    describe_snapshot_diff, replay_lifted, replay_topo, TopoDivergence, TopoOracle,
     TopoReplayReport,
 };
 pub use topo_model::{TopoEffect, TopoMutation, TopoRefModel};
@@ -117,9 +119,10 @@ pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
 /// the bridge that lets whole multi-node overload+fault runs be
 /// re-checked against the topology reference model event by event.
 ///
-/// `cfg` must be the *post-assignment* configuration the run executed
-/// under (i.e. with the per-request layer assignments the driver
-/// materialised), or layer-dependent decisions will not reproduce.
+/// `cfg` must be the configuration the run executed under
+/// ([`rda_sim::TopoTrafficResult::config`], with the per-class layer
+/// assignments applied), or layer-dependent decisions will not
+/// reproduce.
 pub fn topo_doc_from_calls(cfg: rda_core::TopoConfig, calls: &[rda_sim::TopoCall]) -> TopoDoc {
     use rda_sim::TopoCall;
     let events = calls

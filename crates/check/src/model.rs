@@ -20,8 +20,8 @@
 //! memoised decision cache — is reproduced exactly.
 
 use rda_core::{
-    DemandAudit, PolicyKind, PpId, PpSnap, RdaConfig, RdaError, RdaStats, ShedPolicy, Snapshot,
-    WaitSnap,
+    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaConfig, RdaError, RdaStats,
+    ShedPolicy, Snapshot, WaitSnap,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
@@ -592,20 +592,21 @@ impl RefModel {
     }
 
     /// The model's observable state in the implementation's
-    /// [`Snapshot`] vocabulary, for direct comparison.
+    /// [`Snapshot`] vocabulary, for direct comparison: one node, layer
+    /// 0, LLC-only vectors.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            usage: self.usage,
-            overflow: self.overflow,
-            waitlist: self
+            usage: vec![[self.usage, 0, 0]],
+            overflow: vec![[self.overflow, 0, 0]],
+            waitlists: vec![self
                 .waiters
                 .iter()
                 .map(|w| WaitSnap {
                     pp: PpId(w.pp),
-                    accounted: w.accounted,
+                    accounted: Demand::llc(w.accounted),
                     enqueued_cycles: w.enqueued,
                 })
-                .collect(),
+                .collect()],
             periods: self
                 .periods
                 .iter()
@@ -613,8 +614,10 @@ impl RefModel {
                     id: PpId(id),
                     process: r.process,
                     site: rda_core::SiteId(r.site),
-                    declared: r.declared,
-                    accounted: r.accounted,
+                    layer: LayerId(0),
+                    node: NodeId(0),
+                    declared: Demand::llc(r.declared),
+                    accounted: Demand::llc(r.accounted),
                     admitted: r.admitted,
                     overflow: r.overflow,
                 })
@@ -688,7 +691,7 @@ mod tests {
             other => panic!("expected slow End, got {other:?}"),
         }
         let s = m.snapshot();
-        assert_eq!(s.usage, mb(10.0));
+        assert_eq!(s.usage, vec![[mb(10.0), 0, 0]]);
         assert_eq!(s.stats.resumed, 1);
     }
 

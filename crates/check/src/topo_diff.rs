@@ -27,7 +27,7 @@ use crate::topo_model::{TopoEffect, TopoMutation, TopoRefModel};
 use crate::topo_trace::{lift, TopoDoc, TopoEvent};
 use crate::trace::TraceDoc;
 use rda_core::{
-    BeginOutcome, NodeId, PpId, ResourceKind, SiteId, TopoConfig, TopoExtension, TopoSnapshot,
+    BeginOutcome, NodeId, PpId, ResourceKind, SiteId, Snapshot, TopoConfig, TopoExtension,
 };
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -97,7 +97,7 @@ impl TopoOracle {
     }
 
     /// The agreed observable state (checked equal on every step).
-    pub fn snapshot(&self) -> TopoSnapshot {
+    pub fn snapshot(&self) -> Snapshot {
         self.ext.snapshot()
     }
 
@@ -186,7 +186,7 @@ impl TopoOracle {
             )));
         }
         let (ext_snap, model_snap) = (self.ext.snapshot(), self.model.snapshot());
-        if let Some(diff) = describe_topo_snapshot_diff(&model_snap, &ext_snap) {
+        if let Some(diff) = describe_snapshot_diff(&model_snap, &ext_snap) {
             return Err(diverged(format!("snapshot mismatch: {diff}")));
         }
         for n in 0..self.ext.node_count() {
@@ -210,9 +210,9 @@ impl TopoOracle {
     }
 }
 
-/// First difference between two topology snapshots, rendered for
-/// humans; `None` when they are identical.
-pub fn describe_topo_snapshot_diff(model: &TopoSnapshot, ext: &TopoSnapshot) -> Option<String> {
+/// First difference between two snapshots — of either engine or
+/// model — rendered for humans; `None` when they are identical.
+pub fn describe_snapshot_diff(model: &Snapshot, ext: &Snapshot) -> Option<String> {
     if model == ext {
         return None;
     }
@@ -273,7 +273,7 @@ pub struct TopoReplayReport {
     /// Events replayed.
     pub steps: usize,
     /// The (agreed) final observable state.
-    pub final_snapshot: TopoSnapshot,
+    pub final_snapshot: Snapshot,
     /// The (agreed) effect of every event, in order.
     pub effects: Vec<TopoEffect>,
 }

@@ -22,8 +22,8 @@
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 
 use rda_core::{
-    Demand, DemandAudit, KIND_COUNT, LayerId, NodeId, PolicyKind, PpId, RdaStats, ResourceKind,
-    ShedPolicy, TopoConfig, TopoError, TopoPpSnap, TopoSnapshot, TopoWaitSnap,
+    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaStats, ResourceKind,
+    ShedPolicy, Snapshot, TopoConfig, TopoError, WaitSnap, KIND_COUNT,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
@@ -86,7 +86,7 @@ pub enum TopoMutation {
 
 /// A live period as the model tracks it. `declared` holds the
 /// *audited* vector — what the implementation registers after the
-/// demand audit — since that is what [`TopoSnapshot`] exposes.
+/// demand audit — since that is what [`Snapshot`] exposes.
 #[derive(Debug, Clone, Copy)]
 struct MPeriod {
     process: ProcessId,
@@ -689,9 +689,9 @@ impl TopoRefModel {
     }
 
     /// The model's observable state in the implementation's
-    /// [`TopoSnapshot`] vocabulary, for direct comparison. The books
+    /// [`Snapshot`] vocabulary, for direct comparison. The books
     /// are recomputed by summation here — the whole point of the model.
-    pub fn snapshot(&self) -> TopoSnapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let nodes = self.nodes();
         let mut usage = vec![[0u64; KIND_COUNT]; nodes];
         let mut overflow = vec![[0u64; KIND_COUNT]; nodes];
@@ -701,7 +701,7 @@ impl TopoRefModel {
                 overflow[n][k.index()] = self.overflow_of(n, k);
             }
         }
-        TopoSnapshot {
+        Snapshot {
             usage,
             overflow,
             waitlists: self
@@ -711,7 +711,7 @@ impl TopoRefModel {
                     q.iter()
                         .map(|pp| {
                             let rec = &self.periods[pp];
-                            TopoWaitSnap {
+                            WaitSnap {
                                 pp: PpId(*pp),
                                 accounted: rec.accounted,
                                 enqueued_cycles: rec.begun,
@@ -723,7 +723,7 @@ impl TopoRefModel {
             periods: self
                 .periods
                 .iter()
-                .map(|(&id, r)| TopoPpSnap {
+                .map(|(&id, r)| PpSnap {
                     id: PpId(id),
                     process: r.process,
                     site: rda_core::SiteId(r.site),
@@ -742,7 +742,7 @@ impl TopoRefModel {
 
     /// Digest of the per-node breaker state (open flags and hysteresis
     /// streaks) — folded into the explorer's memo key, since breaker
-    /// state is not part of [`TopoSnapshot`].
+    /// state is not part of [`Snapshot`].
     pub fn breaker_digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
         for n in 0..self.nodes() {

@@ -53,11 +53,13 @@ use crate::api::{PpDemand, PpId, Resource, SiteId};
 use crate::config::RdaConfig;
 use crate::error::{InvariantKind, RdaError};
 use crate::fastpath::FastPathCache;
+use crate::layer::LayerId;
 use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
 use crate::registry::{PpRecord, PpRegistry};
 use crate::rules::{self, Breaker, Gate};
 use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
+use crate::topology::{Demand, NodeId};
 use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -192,6 +194,8 @@ pub struct RdaExtension {
     /// function of the books, so an unchanged epoch implies an
     /// unchanged verdict.
     books_epoch: u64,
+    /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
+    dying: Vec<PpRecord>,
 }
 
 /// A trace event about waitlist entry `w` leaving the queue at `now`,
@@ -226,6 +230,7 @@ impl RdaExtension {
             breaker: Breaker::default(),
             limit: cfg.policy.usage_limit(cfg.llc_capacity),
             books_epoch: 0,
+            dying: Vec::new(),
             cfg,
         }
     }
@@ -304,22 +309,26 @@ impl RdaExtension {
     /// A complete, comparable snapshot of the observable state: both
     /// accounting buckets, the waitlist in queue order, every live
     /// period, the activity counters, and the id-allocator position.
-    /// O(live periods); used by the differential oracle in `rda-check`
-    /// after every replayed event, and cheap enough for assertions in
-    /// ordinary tests.
+    /// It is the topology engine's snapshot of one node and one layer
+    /// with LLC-only vectors, so on [`crate::topo::TopoConfig::compat`]
+    /// the two engines' snapshots compare directly. O(live periods);
+    /// used by the differential oracle in `rda-check` after every
+    /// replayed event, and cheap enough for assertions in ordinary
+    /// tests.
     pub fn snapshot(&self) -> Snapshot {
+        let llc = Demand::llc;
         Snapshot {
-            usage: self.monitor.usage(),
-            overflow: self.monitor.overflow(),
-            waitlist: self
+            usage: vec![llc(self.monitor.usage()).amounts],
+            overflow: vec![llc(self.monitor.overflow()).amounts],
+            waitlists: vec![self
                 .waitlist
                 .iter()
                 .map(|e| WaitSnap {
                     pp: e.pp,
-                    accounted: e.accounted,
+                    accounted: llc(e.accounted),
                     enqueued_cycles: e.enqueued_at.cycles(),
                 })
-                .collect(),
+                .collect()],
             periods: self
                 .registry
                 .iter()
@@ -327,8 +336,10 @@ impl RdaExtension {
                     id: r.id,
                     process: r.process,
                     site: r.site,
-                    declared: r.demand.amount,
-                    accounted: r.accounted,
+                    layer: LayerId(0),
+                    node: NodeId(0),
+                    declared: llc(r.demand.amount),
+                    accounted: llc(r.accounted),
                     admitted: r.admitted,
                     overflow: r.overflow,
                 })
@@ -658,29 +669,19 @@ impl RdaExtension {
     /// no-op, so callers may invoke it unconditionally on every exit.
     pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
         self.books_epoch += 1;
-        let live: Vec<PpId> = self
-            .registry
-            .iter()
-            .filter(|r| r.process == process)
-            .map(|r| r.id)
-            .collect();
-        let reclaimed = live.len() as u64;
-        for &pp in &live {
-            // Ids were collected from the registry in this same
-            // critical section, so `complete` cannot fail; tolerate a
-            // desynchronized registry by skipping the id instead of
-            // panicking mid-reap.
-            let Some(rec) = self.registry.complete(pp) else {
-                self.stats.desyncs += 1;
-                continue;
-            };
+        let mut dying = std::mem::take(&mut self.dying);
+        dying.clear();
+        self.registry.reclaim(|r| r.process == process, &mut dying);
+        for rec in &dying {
             if rec.admitted {
-                self.release(&rec);
+                self.release(rec);
             } else {
-                self.waitlist.cancel(pp);
+                self.waitlist.cancel(rec.id);
             }
-            self.stats.reclaimed += 1;
         }
+        let reclaimed = dying.len() as u64;
+        self.stats.reclaimed += reclaimed;
+        self.dying = dying;
         self.fastpath.invalidate_process(process);
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Exit);
         ev.process = process.0;
@@ -689,7 +690,7 @@ impl RdaExtension {
         // Reclaiming released capacity or removed a waitlist entry
         // (which can expose a fitting head behind the cancelled one),
         // so the queue is re-walked.
-        if live.is_empty() {
+        if reclaimed == 0 {
             return Vec::new();
         }
         self.drain_waitlist(now)
@@ -1390,14 +1391,15 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let s = e.snapshot();
-        assert_eq!(s.usage, mb(14.0));
-        assert_eq!(s.overflow, 0);
+        assert_eq!(s.usage, vec![[mb(14.0), 0, 0]]);
+        assert_eq!(s.overflow, vec![[0; 3]]);
         assert_eq!(s.allocated, 2);
         assert_eq!(s.periods.len(), 2);
         assert!(s.periods[0].admitted && !s.periods[1].admitted);
-        assert_eq!(s.waitlist.len(), 1);
-        assert_eq!(s.waitlist[0].pp, waiting);
-        assert_eq!(s.waitlist[0].enqueued_cycles, 7);
+        assert_eq!(s.waitlists.len(), 1);
+        assert_eq!(s.waitlists[0].len(), 1);
+        assert_eq!(s.waitlists[0][0].pp, waiting);
+        assert_eq!(s.waitlists[0][0].enqueued_cycles, 7);
         assert_eq!(s.stats, e.stats());
         assert!(!s.is_idle());
         // Snapshots are pure reads: identical back-to-back.

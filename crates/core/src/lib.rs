@@ -20,7 +20,9 @@
 //! * the **progress monitor** ([`extension::RdaExtension`] +
 //!   [`registry::PpRegistry`] + [`waitlist::Waitlist`]) — tracks PP
 //!   begin/end events, keeps the registry of active periods, and
-//!   re-attempts waitlisted threads whenever a period completes;
+//!   re-attempts waitlisted threads whenever a period completes. The
+//!   registry and the waitlist are shared with the topology engine
+//!   below, which keeps its own records in the same slab;
 //! * the **resource monitor** ([`monitor::ResourceMonitor`]) — the load
 //!   table row holding the summed demand on the LLC, the one resource
 //!   Algorithm 1 gates;
@@ -44,9 +46,11 @@
 //! policies with capacity guarantees, and deterministic node placement
 //! ([`topo::TopoExtension`], DESIGN.md §9) — while the scalar engine
 //! keeps serving the paper's single-socket experiments unchanged. Both
-//! engines queue on the one [`waitlist::Waitlist`] type and decide by
-//! the one rulebook, so on [`topo::TopoConfig::compat`] they differ only
-//! in the scalar engine's fast path.
+//! engines keep their periods in the one [`registry::PpRegistry`],
+//! queue on the one [`waitlist::Waitlist`] type, decide by the one
+//! rulebook and report the one [`snapshot::Snapshot`], so on
+//! [`topo::TopoConfig::compat`] they differ only in the scalar engine's
+//! fast path.
 
 #![warn(missing_docs)]
 
@@ -72,7 +76,5 @@ pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats
 pub use layer::{LayerId, LayerSet, LayerSpec};
 pub use policy::PolicyKind;
 pub use snapshot::{PpSnap, Snapshot, WaitSnap};
-pub use topo::{
-    TopoConfig, TopoError, TopoExtension, TopoPpSnap, TopoRecord, TopoSnapshot, TopoWaitSnap,
-};
+pub use topo::{TopoConfig, TopoError, TopoExtension, TopoRecord};
 pub use topology::{Demand, NodeId, ResourceKind, SpecError, TopoSpec, KIND_COUNT};

@@ -3,8 +3,11 @@
 //! *"The progress monitor stores all active progress period information
 //! in a registry, so the resource usage footprint of each progress
 //! period can be removed from our environment after the period
-//! completes."* The registry maps live [`PpId`]s to their demand,
-//! owning process, and static site, and allocates fresh ids.
+//! completes."* The registry maps live [`PpId`]s to their records and
+//! allocates fresh ids. Both engines keep their periods here: the
+//! scalar [`crate::extension::RdaExtension`] stores [`PpRecord`]s, the
+//! topology [`crate::topo::TopoExtension`] stores
+//! [`crate::topo::TopoRecord`]s.
 //!
 //! # Representation
 //!
@@ -15,18 +18,21 @@
 //! **id-order iteration** that waitlist re-admission, process
 //! cancellation, and the snapshot/digest machinery all rely on. Because
 //! ids are allocated monotonically, keeping that list sorted is a plain
-//! `push`; only completion pays a binary-search removal.
+//! `push`; only completion pays a binary-search removal, and
+//! [`PpRegistry::reclaim`] removes a dying process's periods in one
+//! pass.
 //!
-//! [`reference::BTreeRegistry`] preserves the previous
-//! `BTreeMap`-backed implementation verbatim as a differential-testing
-//! oracle: `tests/tests/differential.rs` drives both through arbitrary
-//! schedules and demands identical observable state at every step.
+//! [`reference::BTreeRegistry`] is a `BTreeMap`-backed implementation
+//! kept as the differential-testing reference:
+//! `tests/tests/differential.rs` drives both through arbitrary
+//! schedules, for both record types, and demands identical observable
+//! state at every step.
 
 use crate::api::{PpDemand, PpId, SiteId};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 
-/// A live progress period.
+/// A live period of the scalar engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpRecord {
     /// The dynamic instance id.
@@ -53,13 +59,14 @@ pub struct PpRecord {
 /// Sentinel in the id→slot index for ids whose period has completed.
 const GONE: u32 = u32::MAX;
 
-/// Allocator + table of active progress periods.
-#[derive(Debug, Clone, Default)]
-pub struct PpRegistry {
+/// Allocator + table of active progress periods, generic over the
+/// record an engine keeps per period.
+#[derive(Debug, Clone)]
+pub struct PpRegistry<R = PpRecord> {
     next_id: u64,
     /// Slot arena; a slot's contents are meaningful only while its
     /// index is referenced from `slot_of`.
-    slots: Vec<PpRecord>,
+    slots: Vec<R>,
     /// Recycled slot indices (LIFO).
     free: Vec<u32>,
     /// `slot_of[id]` = arena slot of a live id, or [`GONE`] once the
@@ -70,35 +77,29 @@ pub struct PpRegistry {
     live_ids: Vec<PpId>,
 }
 
-impl PpRegistry {
+impl<R> Default for PpRegistry<R> {
+    fn default() -> Self {
+        PpRegistry {
+            next_id: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            slot_of: Vec::new(),
+            live_ids: Vec::new(),
+        }
+    }
+}
+
+impl<R: Copy> PpRegistry<R> {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Register a new period and return its unique id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn register(
-        &mut self,
-        process: ProcessId,
-        site: SiteId,
-        demand: PpDemand,
-        accounted: u64,
-        admitted: bool,
-        now: SimTime,
-    ) -> PpId {
+    /// Allocate the next id and store the record `make` builds for it.
+    pub fn insert(&mut self, make: impl FnOnce(PpId) -> R) -> PpId {
         let id = PpId(self.next_id);
         self.next_id += 1;
-        let record = PpRecord {
-            id,
-            process,
-            site,
-            demand,
-            begun_at: now,
-            accounted,
-            admitted,
-            overflow: false,
-        };
+        let record = make(id);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = record;
@@ -115,7 +116,7 @@ impl PpRegistry {
         id
     }
 
-    /// Whether `id` was ever allocated by [`Self::register`] — used to
+    /// Whether `id` was ever allocated by [`Self::insert`] — used to
     /// tell a double end (allocated, since completed) from an end of an
     /// id that never existed.
     pub fn was_allocated(&self, id: PpId) -> bool {
@@ -135,26 +136,44 @@ impl PpRegistry {
     }
 
     /// Look up a live period.
-    pub fn get(&self, id: PpId) -> Option<&PpRecord> {
+    pub fn get(&self, id: PpId) -> Option<&R> {
         self.slot(id).map(|s| &self.slots[s])
     }
 
     /// Mutable access to a live period (admission flips, clamping).
-    pub fn get_mut(&mut self, id: PpId) -> Option<&mut PpRecord> {
+    pub fn get_mut(&mut self, id: PpId) -> Option<&mut R> {
         self.slot(id).map(|s| &mut self.slots[s])
     }
 
-    /// Remove a completed period, returning its record.
-    pub fn complete(&mut self, id: PpId) -> Option<PpRecord> {
+    /// Remove a completed period, returning its record; `None` when
+    /// `id` is not live. The id→slot index decides liveness: a live id
+    /// missing from the live-id list is still freed and returned.
+    pub fn complete(&mut self, id: PpId) -> Option<R> {
         let slot = self.slot(id)?;
+        if let Ok(pos) = self.live_ids.binary_search(&id) {
+            self.live_ids.remove(pos);
+        }
         self.slot_of[id.0 as usize] = GONE;
         self.free.push(slot as u32);
-        let pos = self
-            .live_ids
-            .binary_search(&id)
-            .expect("live slot implies a live-id entry");
-        self.live_ids.remove(pos);
         Some(self.slots[slot])
+    }
+
+    /// Remove every live period whose record `dying` selects — a dying
+    /// process's periods — in one pass, appending the records to `out`
+    /// in id order. `out` is the caller's reusable buffer.
+    pub fn reclaim(&mut self, mut dying: impl FnMut(&R) -> bool, out: &mut Vec<R>) {
+        let (slots, slot_of, free) = (&self.slots, &mut self.slot_of, &mut self.free);
+        self.live_ids.retain(|id| {
+            let slot = slot_of[id.0 as usize];
+            let record = slots[slot as usize];
+            if !dying(&record) {
+                return true;
+            }
+            out.push(record);
+            slot_of[id.0 as usize] = GONE;
+            free.push(slot);
+            false
+        });
     }
 
     /// Number of live periods (admitted + waitlisted).
@@ -168,10 +187,34 @@ impl PpRegistry {
     }
 
     /// Iterate over live periods in id (creation) order.
-    pub fn iter(&self) -> impl Iterator<Item = &PpRecord> {
+    pub fn iter(&self) -> impl Iterator<Item = &R> {
         self.live_ids
             .iter()
             .map(move |id| &self.slots[self.slot_of[id.0 as usize] as usize])
+    }
+}
+
+impl PpRegistry {
+    /// Register a new scalar period and return its unique id.
+    pub fn register(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: PpDemand,
+        accounted: u64,
+        admitted: bool,
+        now: SimTime,
+    ) -> PpId {
+        self.insert(|id| PpRecord {
+            id,
+            process,
+            site,
+            demand,
+            begun_at: now,
+            accounted,
+            admitted,
+            overflow: false,
+        })
     }
 
     /// The three audit aggregates — nominal accounted sum,
@@ -208,53 +251,41 @@ pub struct AuditSums {
     pub waiting: u64,
 }
 
-/// The previous `BTreeMap`-backed registry, kept verbatim as the
-/// reference model for differential testing of the slab arena. Not used
-/// on any production path.
+/// A `BTreeMap`-backed registry, kept as the reference model for
+/// differential testing of the slab arena. Not used on any production
+/// path.
 pub mod reference {
-    use super::{PpDemand, PpId, PpRecord, ProcessId, SimTime, SiteId};
+    use super::{PpId, PpRecord};
     use std::collections::BTreeMap;
 
     /// Allocator + table of active progress periods, backed by a
     /// `BTreeMap` whose key order *is* id order.
-    #[derive(Debug, Clone, Default)]
-    pub struct BTreeRegistry {
+    #[derive(Debug, Clone)]
+    pub struct BTreeRegistry<R = PpRecord> {
         next_id: u64,
-        active: BTreeMap<PpId, PpRecord>,
+        active: BTreeMap<PpId, R>,
     }
 
-    impl BTreeRegistry {
+    impl<R> Default for BTreeRegistry<R> {
+        fn default() -> Self {
+            BTreeRegistry {
+                next_id: 0,
+                active: BTreeMap::new(),
+            }
+        }
+    }
+
+    impl<R: Copy> BTreeRegistry<R> {
         /// Empty registry.
         pub fn new() -> Self {
             Self::default()
         }
 
-        /// Register a new period and return its unique id.
-        #[allow(clippy::too_many_arguments)]
-        pub fn register(
-            &mut self,
-            process: ProcessId,
-            site: SiteId,
-            demand: PpDemand,
-            accounted: u64,
-            admitted: bool,
-            now: SimTime,
-        ) -> PpId {
+        /// Allocate the next id and store the record `make` builds.
+        pub fn insert(&mut self, make: impl FnOnce(PpId) -> R) -> PpId {
             let id = PpId(self.next_id);
             self.next_id += 1;
-            self.active.insert(
-                id,
-                PpRecord {
-                    id,
-                    process,
-                    site,
-                    demand,
-                    begun_at: now,
-                    accounted,
-                    admitted,
-                    overflow: false,
-                },
-            );
+            self.active.insert(id, make(id));
             id
         }
 
@@ -269,17 +300,17 @@ pub mod reference {
         }
 
         /// Look up a live period.
-        pub fn get(&self, id: PpId) -> Option<&PpRecord> {
+        pub fn get(&self, id: PpId) -> Option<&R> {
             self.active.get(&id)
         }
 
         /// Mutable access to a live period.
-        pub fn get_mut(&mut self, id: PpId) -> Option<&mut PpRecord> {
+        pub fn get_mut(&mut self, id: PpId) -> Option<&mut R> {
             self.active.get_mut(&id)
         }
 
         /// Remove a completed period, returning its record.
-        pub fn complete(&mut self, id: PpId) -> Option<PpRecord> {
+        pub fn complete(&mut self, id: PpId) -> Option<R> {
             self.active.remove(&id)
         }
 
@@ -294,7 +325,7 @@ pub mod reference {
         }
 
         /// Iterate over live periods in id (creation) order.
-        pub fn iter(&self) -> impl Iterator<Item = &PpRecord> {
+        pub fn iter(&self) -> impl Iterator<Item = &R> {
             self.active.values()
         }
     }
@@ -327,6 +358,20 @@ mod tests {
         assert_eq!(rec.process, ProcessId(3));
         assert!(r.complete(id).is_none(), "double-complete returns None");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn complete_frees_a_live_slot_missing_from_the_live_list() {
+        let mut r = PpRegistry::new();
+        let a = r.register(ProcessId(1), SiteId(0), demand(), 10, true, SimTime::ZERO);
+        let b = r.register(ProcessId(2), SiteId(0), demand(), 10, true, SimTime::ZERO);
+        // Desynchronise the two indexes: `a` keeps its slot but leaves
+        // the live-id list.
+        r.live_ids.retain(|&id| id != a);
+        assert_eq!(r.complete(a).map(|rec| rec.process), Some(ProcessId(1)));
+        assert!(r.get(a).is_none());
+        assert_eq!(r.free.len(), 1, "the slot is recycled");
+        assert_eq!(r.iter().map(|rec| rec.id).collect::<Vec<_>>(), vec![b]);
     }
 
     #[test]

@@ -1,28 +1,34 @@
-//! A cheap, fully comparable snapshot of the extension's observable
-//! state.
+//! A cheap, fully comparable snapshot of an engine's observable state.
 //!
-//! The differential oracle in `rda-check` replays event traces through
-//! both [`crate::extension::RdaExtension`] and an independent reference
-//! model of Algorithm 1, and asserts *observable-state equivalence*
-//! after every event. [`Snapshot`] defines exactly what "observable"
-//! means: the two LLC accounting buckets, the waitlist contents in
-//! queue order (including enqueue times, which drive
-//! aging), every live period record, the activity counters, and the id
-//! allocator position. Anything not captured here — the fast-path
-//! cache's internals, call-cost tunables — is implementation detail
-//! whose divergence must eventually surface through these fields or
-//! through a per-call result.
+//! The differential oracles in `rda-check` replay event traces through
+//! an engine and an independent reference model, and assert
+//! *observable-state equivalence* after every event. [`Snapshot`]
+//! defines exactly what "observable" means, for both engines: per node,
+//! the nominal and overflow books per resource kind and the waitlist in
+//! queue order (including enqueue times, which drive aging); every live
+//! period record with its layer, node and demand vectors; the activity
+//! counters; and the id allocator position. The topology engine
+//! ([`crate::topo::TopoExtension`]) fills every field; the scalar
+//! engine ([`crate::extension::RdaExtension`]) reports one node, layer
+//! 0 and LLC-only vectors, which is exactly what the topology engine
+//! reports on [`crate::topo::TopoConfig::compat`]. Anything not captured
+//! here — the fast-path cache's internals, breaker streaks, call-cost
+//! tunables — is implementation detail whose divergence must eventually
+//! surface through these fields or through a per-call result.
 //!
 //! Snapshots also hash ([`Snapshot::digest`], FNV-1a via
 //! `rda_simcore::Fnv1a64`), which is what the bounded model checker
-//! uses for state-space pruning.
+//! uses for state-space pruning and what a topology traffic run pins as
+//! its final state.
 
 use crate::api::{PpId, SiteId};
 use crate::extension::RdaStats;
+use crate::layer::LayerId;
+use crate::topology::{Demand, NodeId, KIND_COUNT};
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
 
-/// One live period, as observable from outside the extension.
+/// One live period, as observable from outside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PpSnap {
     /// The period id.
@@ -31,43 +37,47 @@ pub struct PpSnap {
     pub process: ProcessId,
     /// Static site.
     pub site: SiteId,
-    /// Declared (post-audit) demand amount.
-    pub declared: u64,
-    /// Amount actually accounted in the monitor.
-    pub accounted: u64,
+    /// The owning layer.
+    pub layer: LayerId,
+    /// The placed (or pinned) node.
+    pub node: NodeId,
+    /// Declared (post-audit) demand vector.
+    pub declared: Demand,
+    /// Accounted demand vector.
+    pub accounted: Demand,
     /// Running (`true`) or waitlisted (`false`).
     pub admitted: bool,
     /// Accounted in the degraded overflow bucket (aged admission).
     pub overflow: bool,
 }
 
-/// One waitlist entry, as observable from outside the extension.
+/// One waitlist entry, as observable from outside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitSnap {
     /// The waiting period.
     pub pp: PpId,
-    /// Its accounted demand.
-    pub accounted: u64,
+    /// Its accounted demand vector.
+    pub accounted: Demand,
     /// Enqueue time in cycles (drives aging).
     pub enqueued_cycles: u64,
 }
 
-/// The complete observable state of an [`crate::extension::RdaExtension`].
+/// The complete observable state of an engine.
 ///
-/// Two extensions (or an extension and the reference model) are
-/// behaviourally equivalent at a point in time iff their snapshots are
-/// equal.
+/// Two engines (or an engine and its reference model) are behaviourally
+/// equivalent at a point in time iff their snapshots are equal.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
-    /// Nominal LLC usage.
-    pub usage: u64,
-    /// Overflow-bucket LLC usage.
-    pub overflow: u64,
-    /// Waitlist contents front-to-back.
-    pub waitlist: Vec<WaitSnap>,
+    /// Nominal usage per node per kind.
+    pub usage: Vec<[u64; KIND_COUNT]>,
+    /// Overflow-bucket usage per node per kind.
+    pub overflow: Vec<[u64; KIND_COUNT]>,
+    /// Waitlist contents front-to-back per node.
+    pub waitlists: Vec<Vec<WaitSnap>>,
     /// Every live period, in id order.
     pub periods: Vec<PpSnap>,
-    /// Activity counters.
+    /// Activity counters (the fast-path counters stay zero in the
+    /// topology engine).
     pub stats: RdaStats,
     /// Number of period ids ever allocated (the next id to be handed
     /// out) — distinguishes "unknown id" from "completed id".
@@ -76,25 +86,39 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Platform-stable FNV-1a digest over every field, for state-space
-    /// pruning in the bounded model checker.
+    /// pruning in the bounded model checker and the topology traffic
+    /// engine's final-state pin.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
-        h.write_u64(self.usage).write_u64(self.overflow);
-        h.write_usize(self.waitlist.len());
-        for w in &self.waitlist {
-            h.write_u64(w.pp.0)
-                .write_u64(w.accounted)
-                .write_u64(w.enqueued_cycles);
+        h.write_usize(self.usage.len());
+        let books = self.usage.iter().zip(&self.overflow);
+        for ((usage, overflow), queue) in books.zip(&self.waitlists) {
+            for (&u, &o) in usage.iter().zip(overflow) {
+                h.write_u64(u).write_u64(o);
+            }
+            h.write_usize(queue.len());
+            for w in queue {
+                h.write_u64(w.pp.0).write_u64(w.enqueued_cycles);
+                for a in w.accounted.amounts {
+                    h.write_u64(a);
+                }
+            }
         }
         h.write_usize(self.periods.len());
         for p in &self.periods {
             h.write_u64(p.id.0)
                 .write_u64(p.process.0 as u64)
                 .write_u64(p.site.0 as u64)
-                .write_u64(p.declared)
-                .write_u64(p.accounted)
+                .write_u64(p.layer.0 as u64)
+                .write_u64(p.node.0 as u64)
                 .write_u64(p.admitted as u64)
                 .write_u64(p.overflow as u64);
+            for a in p.declared.amounts {
+                h.write_u64(a);
+            }
+            for a in p.accounted.amounts {
+                h.write_u64(a);
+            }
         }
         let s = &self.stats;
         for v in [
@@ -136,11 +160,14 @@ impl Snapshot {
         }
     }
 
-    /// True when no demand is accounted anywhere, nothing waits, and no
-    /// period is live — the drained-to-idle end state every recovery
+    /// True when every book on every node is zero, nothing waits, and
+    /// no period is live — the drained-to-idle end state every recovery
     /// property expects.
     pub fn is_idle(&self) -> bool {
-        self.usage == 0 && self.overflow == 0 && self.waitlist.is_empty() && self.periods.is_empty()
+        self.usage.iter().all(|u| u.iter().all(|&a| a == 0))
+            && self.overflow.iter().all(|u| u.iter().all(|&a| a == 0))
+            && self.waitlists.iter().all(|w| w.is_empty())
+            && self.periods.is_empty()
     }
 }
 
@@ -157,20 +184,26 @@ mod tests {
 
     #[test]
     fn digest_is_sensitive_to_every_bucket() {
-        let base = Snapshot::default();
+        let base = Snapshot {
+            usage: vec![[0; KIND_COUNT]],
+            overflow: vec![[0; KIND_COUNT]],
+            waitlists: vec![Vec::new()],
+            ..Snapshot::default()
+        };
         let mut usage = base.clone();
-        usage.usage = 1;
+        usage.usage[0][1] = 1;
         let mut overflow = base.clone();
-        overflow.overflow = 1;
+        overflow.overflow[0][1] = 1;
         let mut wait = base.clone();
-        wait.waitlist.push(WaitSnap {
+        wait.waitlists[0].push(WaitSnap {
             pp: PpId(0),
-            accounted: 5,
+            accounted: Demand::llc(5),
             enqueued_cycles: 9,
         });
         let mut alloc = base.clone();
         alloc.allocated = 3;
         let digests = [
+            Snapshot::default().digest(),
             base.digest(),
             usage.digest(),
             overflow.digest(),
@@ -190,9 +223,9 @@ mod tests {
     fn without_stats_zeroes_only_counters() {
         let mut s = Snapshot::default();
         s.stats.begins = 7;
-        s.usage = 42;
+        s.usage = vec![[42, 0, 0]];
         let bare = s.without_stats();
         assert_eq!(bare.stats, RdaStats::default());
-        assert_eq!(bare.usage, 42);
+        assert_eq!(bare.usage, vec![[42, 0, 0]]);
     }
 }

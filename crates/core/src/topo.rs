@@ -53,13 +53,14 @@ use crate::config::{DemandAudit, OverloadConfig};
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet, LayerSpec};
 use crate::policy::PolicyKind;
+use crate::registry::PpRegistry;
 use crate::rules::{self, Breaker, Gate};
+use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
 use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
-use rda_simcore::{Fnv1a64, SimTime};
+use rda_simcore::SimTime;
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Typed errors of the topology engine — the multi-node analogue of
@@ -244,137 +245,6 @@ pub struct TopoRecord {
     pub begun_at: SimTime,
 }
 
-/// One live period, as observable in a [`TopoSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopoPpSnap {
-    /// The period id.
-    pub id: PpId,
-    /// Owning process.
-    pub process: ProcessId,
-    /// Static site.
-    pub site: SiteId,
-    /// The owning layer.
-    pub layer: LayerId,
-    /// The placed (or pinned) node.
-    pub node: NodeId,
-    /// Declared (post-audit) demand vector.
-    pub declared: Demand,
-    /// Accounted demand vector.
-    pub accounted: Demand,
-    /// Running or waitlisted.
-    pub admitted: bool,
-    /// In the overflow bucket.
-    pub overflow: bool,
-}
-
-/// One waitlist entry, as observable in a [`TopoSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopoWaitSnap {
-    /// The waiting period.
-    pub pp: PpId,
-    /// Its accounted demand vector.
-    pub accounted: Demand,
-    /// Enqueue time in cycles.
-    pub enqueued_cycles: u64,
-}
-
-/// The complete observable state of a [`TopoExtension`] — what the
-/// extended differential oracle compares after every replayed event.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TopoSnapshot {
-    /// Nominal usage per node per kind.
-    pub usage: Vec<[u64; KIND_COUNT]>,
-    /// Overflow-bucket usage per node per kind.
-    pub overflow: Vec<[u64; KIND_COUNT]>,
-    /// Waitlist contents front-to-back per node.
-    pub waitlists: Vec<Vec<TopoWaitSnap>>,
-    /// Every live period, in id order.
-    pub periods: Vec<TopoPpSnap>,
-    /// Activity counters (fast-path counters always zero here).
-    pub stats: RdaStats,
-    /// Number of period ids ever allocated.
-    pub allocated: u64,
-}
-
-impl TopoSnapshot {
-    /// Platform-stable FNV-1a digest over every field (`desyncs`
-    /// excluded, mirroring [`crate::snapshot::Snapshot::digest`]).
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a64::new();
-        h.write_usize(self.usage.len());
-        for n in 0..self.usage.len() {
-            for i in 0..KIND_COUNT {
-                h.write_u64(self.usage[n][i]).write_u64(self.overflow[n][i]);
-            }
-            h.write_usize(self.waitlists[n].len());
-            for w in &self.waitlists[n] {
-                h.write_u64(w.pp.0).write_u64(w.enqueued_cycles);
-                for a in w.accounted.amounts {
-                    h.write_u64(a);
-                }
-            }
-        }
-        h.write_usize(self.periods.len());
-        for p in &self.periods {
-            h.write_u64(p.id.0)
-                .write_u64(p.process.0 as u64)
-                .write_u64(p.site.0 as u64)
-                .write_u64(p.layer.0 as u64)
-                .write_u64(p.node.0 as u64)
-                .write_u64(p.admitted as u64)
-                .write_u64(p.overflow as u64);
-            for a in p.declared.amounts {
-                h.write_u64(a);
-            }
-            for a in p.accounted.amounts {
-                h.write_u64(a);
-            }
-        }
-        let s = &self.stats;
-        for v in [
-            s.begins,
-            s.ends,
-            s.admitted,
-            s.paused,
-            s.resumed,
-            s.fast_begins,
-            s.fast_ends,
-            s.max_waitlist,
-            s.oversized_admits,
-            s.reclaimed,
-            s.clamped,
-            s.aged_admissions,
-            s.rejected_ends,
-            s.shed,
-            s.expired,
-            s.retried,
-            s.breaker_trips,
-        ] {
-            h.write_u64(v);
-        }
-        h.write_u64(self.allocated);
-        h.finish()
-    }
-
-    /// This snapshot with its activity counters zeroed.
-    pub fn without_stats(&self) -> TopoSnapshot {
-        TopoSnapshot {
-            stats: RdaStats::default(),
-            ..self.clone()
-        }
-    }
-
-    /// True when every book on every node is zero, nothing waits, and
-    /// no period is live — the drained-to-idle end state the recovery
-    /// properties expect.
-    pub fn is_idle(&self) -> bool {
-        self.usage.iter().all(|u| u.iter().all(|&a| a == 0))
-            && self.overflow.iter().all(|u| u.iter().all(|&a| a == 0))
-            && self.waitlists.iter().all(|w| w.is_empty())
-            && self.periods.is_empty()
-    }
-}
-
 /// The topology-aware RDA scheduling extension.
 #[derive(Debug, Clone)]
 pub struct TopoExtension {
@@ -385,9 +255,8 @@ pub struct TopoExtension {
     overflow: Vec<[u64; KIND_COUNT]>,
     /// Nominal usage split per layer (drives guarantee reservations).
     layer_usage: Vec<Vec<[u64; KIND_COUNT]>>,
-    /// Live periods by id (BTreeMap: snapshots iterate in id order).
-    records: BTreeMap<u64, TopoRecord>,
-    next_id: u64,
+    /// Live periods, iterated in id order.
+    records: PpRegistry<TopoRecord>,
     /// One waitlist per node; entries hold demand vectors.
     waitlists: Vec<Waitlist<Demand>>,
     stats: RdaStats,
@@ -398,6 +267,8 @@ pub struct TopoExtension {
     /// layer, computed once so the hot path does no float arithmetic
     /// (DESIGN.md §10).
     limits: Vec<[u64; KIND_COUNT]>,
+    /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
+    dying: Vec<TopoRecord>,
 }
 
 impl TopoExtension {
@@ -411,8 +282,7 @@ impl TopoExtension {
             usage: vec![[0; KIND_COUNT]; nodes],
             overflow: vec![[0; KIND_COUNT]; nodes],
             layer_usage: vec![vec![[0; KIND_COUNT]; nodes]; layers],
-            records: BTreeMap::new(),
-            next_id: 0,
+            records: PpRegistry::new(),
             waitlists: vec![Waitlist::new(); nodes],
             stats: RdaStats::default(),
             sink: None,
@@ -420,6 +290,7 @@ impl TopoExtension {
             limits: (cfg.layers.layers.iter())
                 .flat_map(|l| cfg.spec.caps.iter().map(|caps| caps.map(|c| limit(l, c))))
                 .collect(),
+            dying: Vec::new(),
             cfg,
         }
     }
@@ -578,14 +449,6 @@ impl TopoExtension {
         score
     }
 
-    /// Store `rec` under the next period id, returning the id.
-    fn register(&mut self, rec: TopoRecord) -> PpId {
-        let id = PpId(self.next_id);
-        self.next_id += 1;
-        self.records.insert(id.0, TopoRecord { id, ..rec });
-        id
-    }
-
     /// Add `acc` to node `n`'s nominal books for `layer`. Checked
     /// two-pass: if any component would wrap the usage book *or* the
     /// per-layer ledger, nothing is added and the wrapping kind is
@@ -678,7 +541,7 @@ impl TopoExtension {
         }
         // The record every outcome below registers, once placed.
         let proto = TopoRecord {
-            id: PpId(self.next_id),
+            id: PpId(self.records.allocated()),
             process,
             site,
             layer,
@@ -745,7 +608,8 @@ impl TopoExtension {
                 self.stats.clamped += 1;
                 return Err(self.reject_overflow(ev, k, acc.get(k)));
             }
-            let pp = self.register(TopoRecord {
+            let pp = self.records.insert(|id| TopoRecord {
+                id,
                 node: NodeId(n as u32),
                 accounted: acc,
                 admitted: true,
@@ -779,7 +643,7 @@ impl TopoExtension {
         let shed = match rules::gate(self.cfg.overload, &mut self.waitlists[target]) {
             Gate::Queue => None,
             Gate::Evict(victim) => {
-                let rec = self.records.remove(&victim.pp.0);
+                let rec = self.records.complete(victim.pp);
                 if rec.is_none() {
                     self.stats.desyncs += 1;
                 }
@@ -794,7 +658,8 @@ impl TopoExtension {
                     self.stats.clamped += 1;
                     return Err(self.reject_overflow(ev, k, acc.get(k)));
                 }
-                let pp = self.register(TopoRecord {
+                let pp = self.records.insert(|id| TopoRecord {
+                    id,
                     node: NodeId(target as u32),
                     accounted: acc,
                     admitted: true,
@@ -820,7 +685,8 @@ impl TopoExtension {
                 });
             }
         };
-        let pp = self.register(TopoRecord {
+        let pp = self.records.insert(|id| TopoRecord {
+            id,
             node: NodeId(target as u32),
             accounted: acc,
             ..proto
@@ -837,7 +703,7 @@ impl TopoExtension {
             // it is, the waitlist and the record store have
             // desynchronized. Roll the registration back so the books
             // stay balanced, and fail the call instead of panicking.
-            self.records.remove(&pp.0);
+            self.records.complete(pp);
             self.stats.desyncs += 1;
             return Err(TopoError::InvariantViolation {
                 node: NodeId(target as u32),
@@ -881,9 +747,9 @@ impl TopoExtension {
         let mut ev = TraceEvent::at(now.cycles(), EventKind::End);
         ev.node = NO_NODE;
         ev.pp = pp.0;
-        let Some(&rec) = self.records.get(&pp.0) else {
+        let Some(&rec) = self.records.get(pp) else {
             self.stats.rejected_ends += 1;
-            let (err, reject) = if pp.0 < self.next_id {
+            let (err, reject) = if self.records.was_allocated(pp) {
                 (TopoError::DoubleEnd(pp), RejectKind::DoubleEnd)
             } else {
                 (TopoError::UnknownPp(pp), RejectKind::UnknownPp)
@@ -903,7 +769,7 @@ impl TopoExtension {
             self.emit(ev);
             return Err(TopoError::EndWhileWaitlisted(pp));
         }
-        self.records.remove(&pp.0);
+        self.records.complete(pp);
         self.release(&rec);
         ev.node = rec.node.0;
         ev.process = rec.process.0;
@@ -922,35 +788,28 @@ impl TopoExtension {
     /// touched — not one resource — because a vector release frees
     /// several kinds at once and any of them can unblock a waiter.
     pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let live: Vec<u64> = self
-            .records
-            .values()
-            .filter(|r| r.process == process)
-            .map(|r| r.id.0)
-            .collect();
-        let had_any = !live.is_empty();
-        let count = live.len() as u64;
+        let mut dying = std::mem::take(&mut self.dying);
+        dying.clear();
+        self.records.reclaim(|r| r.process == process, &mut dying);
         let mut touched = vec![false; self.node_count()];
-        for id in live {
-            let Some(rec) = self.records.remove(&id) else {
-                self.stats.desyncs += 1;
-                continue;
-            };
+        for rec in &dying {
             let n = rec.node.0 as usize;
             touched[n] = true;
             if rec.admitted {
-                self.release(&rec);
+                self.release(rec);
             } else {
                 self.waitlists[n].cancel(rec.id);
             }
-            self.stats.reclaimed += 1;
         }
+        let count = dying.len() as u64;
+        self.stats.reclaimed += count;
+        self.dying = dying;
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Exit);
         ev.node = NO_NODE;
         ev.process = process.0;
         ev.amount = count;
         self.emit(ev);
-        if !had_any {
+        if count == 0 {
             return Vec::new();
         }
         let timeout = self.cfg.waitlist_timeout_cycles;
@@ -1033,8 +892,8 @@ impl TopoExtension {
     }
 
     /// A complete, comparable snapshot of the observable state.
-    pub fn snapshot(&self) -> TopoSnapshot {
-        TopoSnapshot {
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
             usage: self.usage.clone(),
             overflow: self.overflow.clone(),
             waitlists: self
@@ -1042,7 +901,7 @@ impl TopoExtension {
                 .iter()
                 .map(|q| {
                     q.iter()
-                        .map(|e| TopoWaitSnap {
+                        .map(|e| WaitSnap {
                             pp: e.pp,
                             accounted: e.accounted,
                             enqueued_cycles: e.enqueued_at.cycles(),
@@ -1052,8 +911,8 @@ impl TopoExtension {
                 .collect(),
             periods: self
                 .records
-                .values()
-                .map(|r| TopoPpSnap {
+                .iter()
+                .map(|r| PpSnap {
                     id: r.id,
                     process: r.process,
                     site: r.site,
@@ -1066,7 +925,7 @@ impl TopoExtension {
                 })
                 .collect(),
             stats: self.stats,
-            allocated: self.next_id,
+            allocated: self.records.allocated(),
         }
     }
 
@@ -1080,7 +939,7 @@ impl TopoExtension {
         let mut overflow = vec![[0u64; KIND_COUNT]; nodes];
         let mut lusage = vec![vec![[0u64; KIND_COUNT]; nodes]; layers];
         let mut waiting = vec![0u64; nodes];
-        for rec in self.records.values() {
+        for rec in self.records.iter() {
             let n = rec.node.0 as usize;
             if rec.admitted {
                 for k in ResourceKind::ALL {
@@ -1125,7 +984,7 @@ impl TopoExtension {
         let llc = ResourceKind::Llc;
         for n in 0..nodes {
             for e in self.waitlists[n].iter() {
-                match self.records.get(&e.pp.0) {
+                match self.records.get(e.pp) {
                     None => return Err(violation(n, llc, "waitlist record missing", e.pp.0, 0)),
                     Some(rec) if rec.admitted => {
                         return Err(violation(n, llc, "waitlisted record admitted", 0, e.pp.0))
@@ -1188,7 +1047,7 @@ impl Drain<Demand> for NodeDrain<'_> {
     }
 
     fn record(&self, pp: PpId) -> Option<TopoRecord> {
-        self.ext.records.get(&pp.0).copied()
+        self.ext.records.get(pp).copied()
     }
 
     fn fits(&self, w: &WaitEntry<Demand>, rec: &TopoRecord) -> bool {
@@ -1203,7 +1062,7 @@ impl Drain<Demand> for NodeDrain<'_> {
         // A wrapping per-layer ledger leaves the head parked; aging can
         // still degrade it into the (checked) overflow bucket.
         e.account_nominal(n, rec.layer, &w.accounted).ok()?;
-        if let Some(r) = e.records.get_mut(&w.pp.0) {
+        if let Some(r) = e.records.get_mut(w.pp) {
             r.admitted = true;
         }
         e.stats.resumed += 1;
@@ -1214,7 +1073,7 @@ impl Drain<Demand> for NodeDrain<'_> {
     fn age(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> Option<ProcessId> {
         let (e, n) = (&mut *self.ext, self.n);
         e.account_overflow(n, &w.accounted).ok()?;
-        if let Some(r) = e.records.get_mut(&w.pp.0) {
+        if let Some(r) = e.records.get_mut(w.pp) {
             r.admitted = true;
             r.overflow = true;
         }
@@ -1225,7 +1084,7 @@ impl Drain<Demand> for NodeDrain<'_> {
 
     fn shed(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) {
         let (e, n) = (&mut *self.ext, self.n);
-        e.records.remove(&w.pp.0);
+        e.records.complete(w.pp);
         e.stats.clamped += 1;
         e.stats.shed += 1;
         let mut ev = waiter_event(EventKind::Shed, n, w, Some(&rec), now);
@@ -1235,7 +1094,7 @@ impl Drain<Demand> for NodeDrain<'_> {
 
     fn expire(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> ProcessId {
         let (e, n) = (&mut *self.ext, self.n);
-        e.records.remove(&w.pp.0);
+        e.records.complete(w.pp);
         e.stats.expired += 1;
         e.emit(waiter_event(EventKind::Expire, n, w, Some(&rec), now));
         rec.process
@@ -1504,7 +1363,7 @@ mod tests {
         // Corrupt the record store: the head's record vanishes while
         // its waitlist entry stays — the drain must drop the orphan,
         // count the desync, and still admit the entry behind it.
-        e.records.remove(&orphan.0);
+        e.records.complete(orphan);
         let out = e.pp_end(holder, t(3)).unwrap();
         assert_eq!(e.stats().desyncs, 1);
         assert_eq!(out.resumed, vec![(behind, ProcessId(2))]);

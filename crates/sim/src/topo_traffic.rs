@@ -213,6 +213,10 @@ pub struct TopoTrafficResult {
     /// Exact call sequence (`Some` iff
     /// [`TopoTrafficConfig::record_calls`]).
     pub calls: Option<Vec<TopoCall>>,
+    /// The configuration the run executed under, with the per-class
+    /// layer assignments applied; replaying `calls` needs it (`Some`
+    /// iff [`TopoTrafficConfig::record_calls`]).
+    pub config: Option<TopoConfig>,
     /// Per-node trace report (`Some` iff
     /// [`TopoTrafficConfig::sample_occupancy`]).
     pub trace: Option<TraceReport>,
@@ -326,6 +330,7 @@ impl TopoTrafficSim {
             drained_idle: snapshot.is_idle(),
             final_snapshot_digest: snapshot.digest(),
             calls: eng.calls.0,
+            config: self.traffic.record_calls.then(|| eng.ext.config().clone()),
             trace: eng.ext.take_trace().map(TraceSink::into_report),
         }
     }

@@ -19,7 +19,7 @@
 //! engines must have the same effect on every call.
 
 use rda_check::{replay, replay_lifted, replay_topo, TopoDoc, TraceDoc};
-use rda_integration::{as_scalar, without_fast};
+use rda_integration::{as_scalar, decided, without_fast};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -125,7 +125,7 @@ fn every_topo_corpus_trace_replays_without_divergence_and_ends_idle() {
 /// topology oracle on its 1-node/1-resource compatibility lift — the
 /// legacy corpus doubles as the topology engine's regression museum —
 /// and the two engines have the same effect on every call, fast-path
-/// flags aside.
+/// flags aside, and end in the same snapshot, fast-path counters zeroed.
 #[test]
 fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
     for path in corpus_files() {
@@ -143,14 +143,18 @@ fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
                 doc.events[step]
             );
         }
+        let mut want = scalar.final_snapshot;
+        want.stats = decided(want.stats);
+        assert_eq!(want, report.final_snapshot, "{name}: final snapshot");
     }
 }
 
 /// The single-resource compatibility argument, byte for byte: the
 /// hand-written topology-dialect `single_node_compat.trace` and the
 /// *lifted* scalar `golden_sweep.trace` reach bit-identical final
-/// snapshots (same digest), and the scalar replay of the same schedule
-/// agrees on every lifecycle counter.
+/// snapshots (same digest). The scalar replay of the same schedule ends
+/// in the lift's snapshot too
+/// (`every_scalar_corpus_trace_replays_through_the_topology_oracle`).
 #[test]
 fn single_node_compat_trace_matches_the_lifted_golden_sweep() {
     let topo_text =
@@ -164,14 +168,6 @@ fn single_node_compat_trace_matches_the_lifted_golden_sweep() {
         hand.final_snapshot.digest(),
         lifted.final_snapshot.digest(),
         "hand-written compat trace and lifted golden sweep must be bit-identical"
-    );
-
-    let scalar = replay(&scalar_doc).unwrap();
-    let (s, t) = (scalar.final_snapshot.stats, lifted.final_snapshot.stats);
-    assert_eq!(
-        (s.begins, s.admitted, s.paused, s.resumed, s.ends),
-        (t.begins, t.admitted, t.paused, t.resumed, t.ends),
-        "scalar and topology engines must agree on the lifecycle counters"
     );
     assert!(lifted.final_snapshot.is_idle());
 }

@@ -229,9 +229,9 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
         other => panic!("{other:?}"),
     }
     let mid = oracle.snapshot();
-    assert_eq!(mid.usage, 15_000);
-    assert_eq!(mid.overflow, 12_000);
-    assert_eq!(mid.waitlist.len(), 1);
+    assert_eq!(mid.usage, [[15_000, 0, 0]]);
+    assert_eq!(mid.overflow, [[12_000, 0, 0]]);
+    assert_eq!(mid.waitlists[0].len(), 1);
     // Process 0 dies holding all three kinds of period.
     oracle
         .apply(&TraceEvent::Exit {
@@ -240,9 +240,13 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
         })
         .unwrap();
     let after = oracle.snapshot();
-    assert_eq!(after.usage, 7_000, "only the survivor's demand remains");
-    assert_eq!(after.overflow, 0, "force-admitted period reclaimed");
-    assert!(after.waitlist.is_empty(), "waitlisted period cancelled");
+    assert_eq!(
+        after.usage,
+        [[7_000, 0, 0]],
+        "only the survivor's demand remains"
+    );
+    assert_eq!(after.overflow, [[0; 3]], "force-admitted period reclaimed");
+    assert!(after.waitlists[0].is_empty(), "waitlisted period cancelled");
     assert_eq!(after.stats.reclaimed, 3);
     // The survivor ends; everything is zero again.
     oracle.apply(&TraceEvent::End { t: 1_300, pp: 1 }).unwrap();
@@ -273,19 +277,33 @@ fn invariants_hold_after_heavy_traffic() {
 
 // ---------------------------------------------------------------------
 // Registry differential: the slab-arena `PpRegistry` against the
-// `BTreeMap` reference implementation it replaced. Arbitrary schedules
-// of register / mutate / complete / process-exit reclamation must leave
-// both with identical observable state after every single step —
-// including id-order iteration, which the snapshot digest depends on.
+// `BTreeMap` reference implementation it replaced, for both engines'
+// record types. Arbitrary schedules of register / mutate / complete /
+// process-exit reclamation must leave both with identical observable
+// state after every single step — including id-order iteration, which
+// the snapshot digest depends on.
 // ---------------------------------------------------------------------
 
 mod registry_differential {
     use proptest::prelude::*;
-    use rda_core::registry::{reference::BTreeRegistry, PpRegistry};
-    use rda_core::{mb, PpDemand, PpId, SiteId};
+    use rda_core::registry::{reference::BTreeRegistry, PpRecord, PpRegistry};
+    use rda_core::{mb, Demand, LayerId, NodeId, PpDemand, PpId, SiteId, TopoRecord};
     use rda_machine::ReuseLevel;
     use rda_sched::ProcessId;
     use rda_simcore::SimTime;
+    use std::fmt::Debug;
+
+    /// The period a `Register` op begins.
+    #[derive(Debug, Clone, Copy)]
+    struct Period {
+        process: u32,
+        site: u32,
+        high_reuse: bool,
+        ws_tenth_mb: u64,
+        accounted: u64,
+        admitted: bool,
+        at: u64,
+    }
 
     /// One step of a schedule. Id-bearing ops pick from the ids ever
     /// allocated via an index draw, so they hit live ids, completed ids
@@ -293,51 +311,98 @@ mod registry_differential {
     /// allocated at all.
     #[derive(Debug, Clone)]
     enum Op {
-        Register {
-            process: u32,
-            site: u32,
-            high_reuse: bool,
-            ws_tenth_mb: u64,
-            accounted: u64,
-            admitted: bool,
-            at: u64,
-        },
+        Register(Period),
         Complete {
             pick: usize,
         },
-        /// Fault-style mutation on a live record: flip admission (what
-        /// waitlist admission does) or mark overflow (what aging does).
+        /// Fault-style rewrite of a live record through `get_mut` (what
+        /// waitlist admission and aging do to its flags).
         Mutate {
             pick: usize,
-            set_admitted: bool,
-            set_overflow: bool,
+            to: Period,
         },
-        /// Exit-time reclamation: complete every live period of one
-        /// process, in id order, exactly as `process_exit` does.
+        /// Exit-time reclamation of every live period of one process,
+        /// through `PpRegistry::reclaim`, as `process_exit` does.
         ExitProcess {
             process: u32,
         },
     }
 
+    fn arb_period() -> impl Strategy<Value = Period> {
+        let who = (0u32..6, 0u32..4, any::<bool>(), 1u64..200);
+        let what = (0u64..50_000_000, any::<bool>(), 0u64..1_000_000);
+        (who, what).prop_map(
+            |((process, site, high_reuse, ws_tenth_mb), (accounted, admitted, at))| Period {
+                process,
+                site,
+                high_reuse,
+                ws_tenth_mb,
+                accounted,
+                admitted,
+                at,
+            },
+        )
+    }
+
     fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            4 => ((0u32..6, 0u32..4, any::<bool>(), 1u64..200),
-                  (0u64..50_000_000, any::<bool>(), 0u64..1_000_000))
-                .prop_map(|((process, site, high_reuse, ws_tenth_mb), (accounted, admitted, at))| {
-                    Op::Register { process, site, high_reuse, ws_tenth_mb, accounted, admitted, at }
-                }),
+            4 => arb_period().prop_map(Op::Register),
             3 => (0usize..64).prop_map(|pick| Op::Complete { pick }),
-            2 => (0usize..64, any::<bool>(), any::<bool>())
-                .prop_map(|(pick, set_admitted, set_overflow)| {
-                    Op::Mutate { pick, set_admitted, set_overflow }
-                }),
+            2 => (0usize..64, arb_period()).prop_map(|(pick, to)| Op::Mutate { pick, to }),
             1 => (0u32..6).prop_map(|process| Op::ExitProcess { process }),
         ]
     }
 
+    /// What the schedule needs of a record type.
+    trait Record: Copy + PartialEq + Debug {
+        /// The record `p` registers under `id`.
+        fn new(p: Period, id: PpId) -> Self;
+        /// Its id and owning process.
+        fn owner(&self) -> (PpId, ProcessId);
+    }
+
+    impl Record for PpRecord {
+        fn new(p: Period, id: PpId) -> Self {
+            let reuse = [ReuseLevel::Low, ReuseLevel::High][p.high_reuse as usize];
+            PpRecord {
+                id,
+                process: ProcessId(p.process),
+                site: SiteId(p.site),
+                demand: PpDemand::llc(mb(p.ws_tenth_mb as f64 / 10.0), reuse),
+                begun_at: SimTime::from_cycles(p.at),
+                accounted: p.accounted,
+                admitted: p.admitted,
+                overflow: false,
+            }
+        }
+        fn owner(&self) -> (PpId, ProcessId) {
+            (self.id, self.process)
+        }
+    }
+
+    impl Record for TopoRecord {
+        fn new(p: Period, id: PpId) -> Self {
+            TopoRecord {
+                id,
+                process: ProcessId(p.process),
+                site: SiteId(p.site),
+                layer: LayerId(p.high_reuse as u32),
+                node: NodeId(p.site % 2),
+                declared: Demand::new(p.ws_tenth_mb, p.accounted, 0),
+                accounted: Demand::new(p.accounted, p.ws_tenth_mb, 0),
+                admitted: p.admitted,
+                overflow: false,
+                begun_at: SimTime::from_cycles(p.at),
+            }
+        }
+        fn owner(&self) -> (PpId, ProcessId) {
+            (self.id, self.process)
+        }
+    }
+
     /// Full observable state must agree: counts, allocation history,
     /// per-id lookup, and iteration *order*.
-    fn assert_equivalent(arena: &PpRegistry, model: &BTreeRegistry) {
+    fn assert_equivalent<R: Record>(arena: &PpRegistry<R>, model: &BTreeRegistry<R>) {
         assert_eq!(arena.len(), model.len());
         assert_eq!(arena.is_empty(), model.is_empty());
         assert_eq!(arena.allocated(), model.allocated());
@@ -351,58 +416,49 @@ mod registry_differential {
         }
     }
 
+    /// Drive one record type's arena and reference through `ops`.
+    fn check<R: Record>(ops: &[Op]) {
+        let mut arena = PpRegistry::<R>::new();
+        let mut model = BTreeRegistry::<R>::new();
+        for op in ops {
+            match *op {
+                Op::Register(p) => {
+                    let make = |id| R::new(p, id);
+                    prop_assert_eq!(arena.insert(make), model.insert(make), "id allocation");
+                }
+                Op::Complete { pick } => {
+                    // Reaches live, completed, and never-allocated ids.
+                    let id = PpId((pick as u64) % (arena.allocated() + 3));
+                    prop_assert_eq!(arena.complete(id), model.complete(id));
+                }
+                Op::Mutate { pick, to } => {
+                    let id = PpId((pick as u64) % (arena.allocated() + 3));
+                    let rewrite = |r: &mut R| *r = R::new(to, id);
+                    let live = arena.get_mut(id).map(rewrite);
+                    prop_assert_eq!(live, model.get_mut(id).map(rewrite));
+                }
+                Op::ExitProcess { process } => {
+                    let dying = |r: &R| r.owner().1 == ProcessId(process);
+                    let want: Vec<R> = model.iter().copied().filter(dying).collect();
+                    for r in &want {
+                        model.complete(r.owner().0);
+                    }
+                    let mut got = Vec::new();
+                    arena.reclaim(dying, &mut got);
+                    prop_assert_eq!(got, want, "reclaimed records or their order diverged");
+                }
+            }
+            assert_equivalent(&arena, &model);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn arena_registry_matches_btree_reference(ops in prop::collection::vec(arb_op(), 1..80)) {
-            let mut arena = PpRegistry::new();
-            let mut model = BTreeRegistry::new();
-            for op in &ops {
-                match *op {
-                    Op::Register { process, site, high_reuse, ws_tenth_mb, accounted, admitted, at } => {
-                        let ws = mb(ws_tenth_mb as f64 / 10.0);
-                        let reuse = if high_reuse { ReuseLevel::High } else { ReuseLevel::Low };
-                        let demand = PpDemand::llc(ws, reuse);
-                        let now = SimTime::from_cycles(at);
-                        let a = arena.register(
-                            ProcessId(process), SiteId(site), demand, accounted, admitted, now);
-                        let b = model.register(
-                            ProcessId(process), SiteId(site), demand, accounted, admitted, now);
-                        prop_assert_eq!(a, b, "id allocation diverged");
-                    }
-                    Op::Complete { pick } => {
-                        // Reaches live, completed, and never-allocated ids.
-                        let id = PpId((pick as u64) % (arena.allocated() + 3));
-                        prop_assert_eq!(arena.complete(id), model.complete(id));
-                    }
-                    Op::Mutate { pick, set_admitted, set_overflow } => {
-                        let id = PpId((pick as u64) % (arena.allocated() + 3));
-                        let a = arena.get_mut(id).map(|r| {
-                            r.admitted = set_admitted;
-                            r.overflow = set_overflow;
-                            *r
-                        });
-                        let b = model.get_mut(id).map(|r| {
-                            r.admitted = set_admitted;
-                            r.overflow = set_overflow;
-                            *r
-                        });
-                        prop_assert_eq!(a, b);
-                    }
-                    Op::ExitProcess { process } => {
-                        let live: Vec<PpId> = arena
-                            .iter()
-                            .filter(|r| r.process == ProcessId(process))
-                            .map(|r| r.id)
-                            .collect();
-                        for id in live {
-                            prop_assert_eq!(arena.complete(id), model.complete(id));
-                        }
-                    }
-                }
-                assert_equivalent(&arena, &model);
-            }
+            check::<PpRecord>(&ops);
+            check::<TopoRecord>(&ops);
         }
     }
 }

@@ -10,13 +10,13 @@ use rda_check::{
 };
 use rda_core::{
     mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
-    PpSnap, RdaConfig, ShedPolicy, Snapshot, TopoConfig, TopoSnapshot, TopoSpec, WaitSnap,
+    RdaConfig, ShedPolicy, TopoConfig, TopoSpec,
 };
 use rda_integration::{as_scalar, decided, without_fast};
 use rda_machine::MachineConfig;
 use rda_sim::{
-    run_topo_cells, topo_sweep_digest, FaultConfig, TopoCall, TopoCell, TopoClass,
-    TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim, TrafficConfig, TrafficResult, TrafficSim,
+    run_topo_cells, topo_sweep_digest, FaultConfig, TopoCell, TopoClass, TopoTrafficConfig,
+    TopoTrafficResult, TopoTrafficSim, TrafficConfig, TrafficResult, TrafficSim,
 };
 
 const SHED_POLICIES: [ShedPolicy; 3] = [
@@ -75,25 +75,6 @@ fn three_resource_traffic(rate_per_sec: f64, duration_secs: f64) -> TopoTrafficC
     t
 }
 
-/// Rebuild the post-assignment configuration a recorded run executed
-/// under: the driver materialises per-class layers as per-process
-/// assignments, and every request's first `Begin` carries its site.
-fn assigned_config(
-    mut cfg: TopoConfig,
-    classes: &[TopoClass],
-    calls: &[TopoCall],
-) -> TopoConfig {
-    for call in calls {
-        if let TopoCall::Begin { process, site, .. } = *call {
-            let layer = classes[site.0 as usize].layer;
-            if layer != LayerId(0) {
-                cfg.layers.assign(process.0, layer);
-            }
-        }
-    }
-    cfg
-}
-
 /// The acceptance gate: recorded multi-node overload+fault schedules
 /// replay call-for-call through the topology reference model with zero
 /// divergence, under every shed policy.
@@ -102,14 +83,12 @@ fn recorded_topo_overload_fault_schedules_replay_with_zero_divergence() {
     for shed in SHED_POLICIES {
         let mut traffic = three_resource_traffic(15_000.0, 0.05);
         traffic.record_calls = true;
-        let classes = traffic.classes.clone();
-        let topo = two_node_three_resource(shed);
-        let sim = TopoTrafficSim::new(traffic, topo.clone())
+        let sim = TopoTrafficSim::new(traffic, two_node_three_resource(shed))
             .with_faults(FaultConfig::uniform(0.08));
         let result = sim.run(17);
         assert!(result.rda.shed > 0, "{shed:?}: schedule never overloaded");
         let calls = result.calls.expect("record_calls retains the schedule");
-        let doc = topo_doc_from_calls(assigned_config(topo, &classes, &calls), &calls);
+        let doc = topo_doc_from_calls(result.config.expect("and its configuration"), &calls);
         let report = rda_check::replay_topo(&doc)
             .unwrap_or_else(|d| panic!("{shed:?}: diverged: {d}"));
         assert_eq!(report.steps, doc.events.len(), "{shed:?}");
@@ -182,50 +161,13 @@ proptest! {
     }
 }
 
-/// A compat-shape topology snapshot in the scalar vocabulary, with the
-/// fast-path counters zeroed. Every vector must be LLC-only.
-fn scalar_view(t: &TopoSnapshot) -> Snapshot {
-    let llc = |amounts: [u64; 3]| {
-        assert_eq!(amounts[1..], [0, 0], "not LLC-only");
-        amounts[0]
-    };
-    Snapshot {
-        usage: llc(t.usage[0]),
-        overflow: llc(t.overflow[0]),
-        waitlist: t.waitlists[0]
-            .iter()
-            .map(|w| WaitSnap {
-                pp: w.pp,
-                accounted: llc(w.accounted.amounts),
-                enqueued_cycles: w.enqueued_cycles,
-            })
-            .collect(),
-        periods: t
-            .periods
-            .iter()
-            .map(|p| PpSnap {
-                id: p.id,
-                process: p.process,
-                site: p.site,
-                declared: llc(p.declared.amounts),
-                accounted: llc(p.accounted.amounts),
-                admitted: p.admitted,
-                overflow: p.overflow,
-            })
-            .collect(),
-        stats: decided(t.stats),
-        allocated: t.allocated,
-    }
-}
-
 /// DESIGN.md §9's compatibility argument, exact: a scalar schedule and
 /// its lift onto `TopoConfig::compat` agree call for call — outcome,
 /// period id, shed victim, resumed and expired lists in order, error
 /// variant — under every policy, audit mode, overload gate, deadline,
 /// breaker and aging setting `random_doc` draws, backward clock steps
 /// and near-`u64::MAX` declarations that reach the wrap guard included.
-/// At the end they hold equal counters (fast-path counters aside),
-/// books, live periods and waitlist.
+/// At the end their snapshots are equal, fast-path counters zeroed.
 #[test]
 fn random_scalar_schedules_agree_with_their_topology_lift() {
     for seed in 0..256 {
@@ -243,7 +185,7 @@ fn random_scalar_schedules_agree_with_their_topology_lift() {
         }
         let mut want = scalar.final_snapshot;
         want.stats = decided(want.stats);
-        assert_eq!(want, scalar_view(&lifted.final_snapshot), "seed {seed}");
+        assert_eq!(want, lifted.final_snapshot, "seed {seed}");
     }
 }
 
