@@ -17,35 +17,9 @@
 //! cargo run --release -p rda-bench --bin exp_layers -- --smoke
 //! ```
 
-use rda_bench::cli::{parse_sweep_args, SWEEP_USAGE};
-use rda_core::{
-    mb, BreakerConfig, Demand, LayerSet, LayerSpec, OverloadConfig, PolicyKind, ShedPolicy,
-    TopoConfig, TopoSpec,
-};
+use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
+use rda_core::{Demand, LayerSet, LayerSpec, PolicyKind, TopoConfig, TopoSpec};
 use rda_sim::{run_topo_cells, topo_sweep_digest, FaultConfig, TopoCell, TopoTrafficConfig};
-
-fn policy_label(p: ShedPolicy) -> &'static str {
-    match p {
-        ShedPolicy::RejectNewest => "reject_newest",
-        ShedPolicy::RejectOldest => "reject_oldest",
-        ShedPolicy::DegradeToOverflow => "degrade",
-    }
-}
-
-fn overload_cfg(shed_policy: ShedPolicy) -> OverloadConfig {
-    OverloadConfig {
-        waitlist_cap: 16,
-        shed_policy,
-        deadline_cycles: Some(40_000_000), // ~21 ms at 1.9 GHz
-        breaker: Some(BreakerConfig {
-            high_water: mb(14.0),
-            low_water: mb(8.0),
-            trip_after: 4,
-            recover_after: 4,
-            shed_min_demand: mb(1.0),
-        }),
-    }
-}
 
 /// One simulated box: `nodes` uniform NUMA nodes, each with the Xeon
 /// E5-2420's per-socket LLC/bandwidth/DRAM share.
@@ -65,34 +39,7 @@ fn topo(nodes: usize, guarantee: bool) -> TopoConfig {
 }
 
 fn main() {
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let args = match parse_sweep_args(rest) {
-        Ok(a) => a,
-        Err(msg) if msg == "help" => {
-            println!("{SWEEP_USAGE}\n  --smoke           small fast grid (CI digest gate)");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if args.trace_out.is_some() {
-        eprintln!("--trace-out is not supported by exp_layers (no per-run TraceReport)");
-        std::process::exit(2);
-    }
-    let opts = args.runner;
+    let (opts, smoke) = traffic_sweep_args_from_env("exp_layers");
 
     // The two-tenant mix saturates one node's LLC around 6-8k req/s;
     // the chosen rates sit near and well past that knee so layer
@@ -102,11 +49,7 @@ fn main() {
     } else {
         (&[1, 2, 4], &[4_000.0, 12_000.0], 0.05, 0.25)
     };
-    let policies = [
-        ShedPolicy::RejectNewest,
-        ShedPolicy::RejectOldest,
-        ShedPolicy::DegradeToOverflow,
-    ];
+    let policies = SHED_POLICIES;
 
     let mut cells = Vec::new();
     for &nodes in node_counts {

@@ -17,8 +17,8 @@
 //! cargo run --release -p rda-bench --bin exp_overload -- --smoke
 //! ```
 
-use rda_bench::cli::{parse_sweep_args, SWEEP_USAGE};
-use rda_core::{mb, BreakerConfig, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
+use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
+use rda_core::{PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
 use rda_sim::{run_pool, FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
 use rda_simcore::{Fnv1a64, SplitMix64};
@@ -31,60 +31,8 @@ struct Cell {
     fault_rate: f64,
 }
 
-fn policy_label(p: ShedPolicy) -> &'static str {
-    match p {
-        ShedPolicy::RejectNewest => "reject_newest",
-        ShedPolicy::RejectOldest => "reject_oldest",
-        ShedPolicy::DegradeToOverflow => "degrade",
-    }
-}
-
-fn overload_cfg() -> OverloadConfig {
-    OverloadConfig {
-        waitlist_cap: 16,
-        shed_policy: ShedPolicy::RejectNewest,
-        deadline_cycles: Some(40_000_000), // ~21 ms at 1.9 GHz
-        breaker: Some(BreakerConfig {
-            high_water: mb(14.0),
-            low_water: mb(8.0),
-            trip_after: 4,
-            recover_after: 4,
-            shed_min_demand: mb(1.0),
-        }),
-    }
-}
-
 fn main() {
-    // `--smoke` is ours; strip it before the shared sweep parser sees
-    // the rest.
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let args = match parse_sweep_args(rest) {
-        Ok(a) => a,
-        Err(msg) if msg == "help" => {
-            println!("{SWEEP_USAGE}\n  --smoke           small fast grid (CI digest gate)");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if args.trace_out.is_some() {
-        eprintln!("--trace-out is not supported by exp_overload (no per-run TraceReport)");
-        std::process::exit(2);
-    }
-    let opts = args.runner;
+    let (opts, smoke) = traffic_sweep_args_from_env("exp_overload");
 
     // The service mix carries roughly 2 concurrent MB-scale working
     // sets per 1000 req/s; the 15 MB LLC saturates around 6–8k req/s,
@@ -98,11 +46,7 @@ fn main() {
             0.4,
         )
     };
-    let policies = [
-        ShedPolicy::RejectNewest,
-        ShedPolicy::RejectOldest,
-        ShedPolicy::DegradeToOverflow,
-    ];
+    let policies = SHED_POLICIES;
     let cells: Vec<Cell> = rates
         .iter()
         .flat_map(|&rate_per_sec| {
@@ -119,10 +63,8 @@ fn main() {
     let machine = MachineConfig::xeon_e5_2420();
     let run_cell = |index: usize| -> TrafficResult {
         let cell = cells[index];
-        let mut overload = overload_cfg();
-        overload.shed_policy = cell.policy;
-        let rda =
-            RdaConfig::for_machine(&machine, PolicyKind::Strict).with_overload(overload);
+        let rda = RdaConfig::for_machine(&machine, PolicyKind::Strict)
+            .with_overload(overload_cfg(cell.policy));
         let traffic = TrafficConfig::web_default(cell.rate_per_sec, duration_secs);
         let mut sim = TrafficSim::new(traffic, rda);
         if cell.fault_rate > 0.0 {

@@ -15,7 +15,13 @@
 //! index)`, any combination of `--threads` and `--shard` produces
 //! bit-identical per-cell results; tracing is digest-neutral, so
 //! `--trace-out` cannot change them either.
+//!
+//! The two traffic sweeps (`exp_overload`, `exp_layers`) add `--smoke`
+//! and refuse `--trace-out` ([`traffic_sweep_args_from_env`]), and share
+//! their overload control ([`overload_cfg`]) and shed-policy axis
+//! ([`SHED_POLICIES`], [`policy_label`]).
 
+use rda_core::{mb, BreakerConfig, OverloadConfig, ShedPolicy};
 use rda_sim::runner::{RunnerOptions, Shard};
 use std::path::PathBuf;
 
@@ -95,6 +101,73 @@ pub fn sweep_args_from_env() -> SweepArgs {
             eprintln!("{msg}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Parse a traffic sweep's flags from the process environment: the
+/// shared sweep flags plus `--smoke`, a small fast grid (the CI digest
+/// gate). `--trace-out` is refused, since the traffic engines return no
+/// per-run trace report. Prints usage and exits on `--help` or errors.
+/// Returns the runner options and whether `--smoke` was given.
+pub fn traffic_sweep_args_from_env(bin: &str) -> (RunnerOptions, bool) {
+    let mut smoke = false;
+    let rest: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| {
+            let flag = a == "--smoke";
+            smoke |= flag;
+            !flag
+        })
+        .collect();
+    let args = match parse_sweep_args(rest) {
+        Ok(a) => a,
+        Err(msg) if msg == "help" => {
+            println!("{SWEEP_USAGE}\n  --smoke           small fast grid (CI digest gate)");
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
+    if args.trace_out.is_some() {
+        eprintln!("--trace-out is not supported by {bin} (no per-run TraceReport)");
+        std::process::exit(2);
+    }
+    (args.runner, smoke)
+}
+
+/// The traffic sweeps' shed-policy axis, in table order.
+pub const SHED_POLICIES: [ShedPolicy; 3] = [
+    ShedPolicy::RejectNewest,
+    ShedPolicy::RejectOldest,
+    ShedPolicy::DegradeToOverflow,
+];
+
+/// A shed policy's label in the traffic sweeps' tables.
+pub fn policy_label(p: ShedPolicy) -> &'static str {
+    match p {
+        ShedPolicy::RejectNewest => "reject_newest",
+        ShedPolicy::RejectOldest => "reject_oldest",
+        ShedPolicy::DegradeToOverflow => "degrade",
+    }
+}
+
+/// The overload control both traffic sweeps run under `shed_policy`:
+/// a 16-deep waitlist, ~21 ms deadlines, and a breaker that trips after
+/// 4 ticks at 14 MB and sheds demands of 1 MB and up.
+pub fn overload_cfg(shed_policy: ShedPolicy) -> OverloadConfig {
+    OverloadConfig {
+        waitlist_cap: 16,
+        shed_policy,
+        deadline_cycles: Some(40_000_000), // ~21 ms at 1.9 GHz
+        breaker: Some(BreakerConfig {
+            high_water: mb(14.0),
+            low_water: mb(8.0),
+            trip_after: 4,
+            recover_after: 4,
+            shed_min_demand: mb(1.0),
+        }),
     }
 }
 

@@ -18,30 +18,48 @@
 //!
 //! Any violation is reported as a [`Divergence`] naming the step, the
 //! event, and a human-readable explanation — and since every replay
-//! input is a [`TraceDoc`], a divergence *is* a repro file.
+//! input is a [`TraceDoc`], a divergence *is* a repro file. The
+//! topology oracle ([`crate::topo_diff`]) reports the same
+//! [`Divergence`] over its own event type and the same
+//! [`ReplayReport`].
 
 use crate::model::{Effect, RefModel};
-use crate::topo_diff::describe_snapshot_diff;
 use crate::trace::{TraceDoc, TraceEvent};
-use rda_core::{PpDemand, PpId, RdaConfig, RdaExtension, Resource, SiteId, Snapshot};
+use rda_core::{
+    PpDemand, PpId, RdaConfig, RdaExtension, Resource, ResourceKind, SiteId, Snapshot,
+};
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use std::fmt;
 
-/// A point where the implementation and the model disagree (or the
-/// implementation violated its own invariants).
+/// A point where an engine and its model disagree (or the engine
+/// violated its own invariants), over the engine's event type `E`:
+/// [`TraceEvent`] for the scalar oracle,
+/// [`crate::topo_trace::TopoEvent`] for the topology oracle.
 #[derive(Debug, Clone)]
-pub struct Divergence {
+pub struct Divergence<E = TraceEvent> {
     /// 0-based index of the offending event in the replayed sequence.
     pub step: usize,
     /// The event being applied when the disagreement surfaced.
-    pub event: TraceEvent,
+    pub event: E,
     /// What disagreed, rendered for humans.
     pub detail: String,
 }
 
-impl fmt::Display for Divergence {
+impl<E> Divergence<E> {
+    /// The divergence at `step` on `event`, boxed as the oracles
+    /// return it.
+    pub(crate) fn boxed(step: usize, event: E, detail: String) -> Box<Self> {
+        Box::new(Divergence {
+            step,
+            event,
+            detail,
+        })
+    }
+}
+
+impl<E: fmt::Debug> fmt::Display for Divergence<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -51,7 +69,7 @@ impl fmt::Display for Divergence {
     }
 }
 
-impl std::error::Error for Divergence {}
+impl<E: fmt::Debug> std::error::Error for Divergence<E> {}
 
 /// Implementation + model in lockstep.
 #[derive(Debug, Clone)]
@@ -96,13 +114,7 @@ impl Oracle {
     pub fn apply(&mut self, event: &TraceEvent) -> Result<Effect, Box<Divergence>> {
         let step = self.steps;
         self.steps += 1;
-        let diverged = |detail: String| {
-            Box::new(Divergence {
-                step,
-                event: *event,
-                detail,
-            })
-        };
+        let diverged = |detail: String| Divergence::boxed(step, *event, detail);
 
         let (got, want) = match *event {
             TraceEvent::Begin {
@@ -112,30 +124,14 @@ impl Oracle {
                 amount,
             } => {
                 let demand = PpDemand::llc(amount, ReuseLevel::High);
-                let got = match self.ext.pp_begin(
-                    ProcessId(process),
-                    SiteId(site),
-                    demand,
-                    SimTime::from_cycles(t),
-                ) {
-                    Ok(rda_core::BeginOutcome::Bypass) => Effect::Bypass,
-                    Ok(rda_core::BeginOutcome::Run { pp, fast }) => Effect::Run { pp, fast },
-                    Ok(rda_core::BeginOutcome::Pause { pp, shed }) => Effect::Pause { pp, shed },
-                    Err(e) => Effect::Rejected(e),
-                };
+                let now = SimTime::from_cycles(t);
+                let got = self.ext.pp_begin(ProcessId(process), SiteId(site), demand, now);
                 let want = self.model.pp_begin(ProcessId(process), site, amount, t);
-                (got, want)
+                (got.into(), want)
             }
             TraceEvent::End { t, pp } => {
-                let got = match self.ext.pp_end(PpId(pp), SimTime::from_cycles(t)) {
-                    Ok(out) => Effect::End {
-                        fast: out.fast,
-                        resumed: out.resumed,
-                    },
-                    Err(e) => Effect::Rejected(e),
-                };
-                let want = self.model.pp_end(PpId(pp), t);
-                (got, want)
+                let got = self.ext.pp_end(PpId(pp), SimTime::from_cycles(t));
+                (got.into(), self.model.pp_end(PpId(pp), t))
             }
             TraceEvent::Exit { t, process } => {
                 let got = Effect::Woken {
@@ -148,13 +144,8 @@ impl Oracle {
                 (got, want)
             }
             TraceEvent::Age { t } => {
-                let out = self.ext.age_waitlist(SimTime::from_cycles(t));
-                let got = Effect::Woken {
-                    resumed: out.resumed,
-                    expired: out.expired,
-                };
-                let want = self.model.age_waitlist(t);
-                (got, want)
+                let got = self.ext.age_waitlist(SimTime::from_cycles(t));
+                (got.into(), self.model.age_waitlist(t))
             }
             TraceEvent::Retry { t, process, site } => {
                 self.ext.note_retry(
@@ -167,15 +158,7 @@ impl Oracle {
             }
         };
 
-        if got != want {
-            return Err(diverged(format!(
-                "call effect mismatch\n  implementation: {got:?}\n  model:          {want:?}"
-            )));
-        }
-        let (ext_snap, model_snap) = (self.ext.snapshot(), self.model.snapshot());
-        if let Some(diff) = describe_snapshot_diff(&model_snap, &ext_snap) {
-            return Err(diverged(format!("snapshot mismatch: {diff}")));
-        }
+        agree(&got, &want, &self.ext.snapshot(), &self.model.snapshot()).map_err(diverged)?;
         if self.ext.fastpath_digest() != self.model.cache_digest() {
             return Err(diverged(format!(
                 "fast-path cache mismatch: implementation digest {:#x}, model digest {:#x}",
@@ -190,7 +173,79 @@ impl Oracle {
     }
 }
 
-/// Summary of a clean replay.
+/// The checks both oracles make after every event: the call effects
+/// agree and the snapshots are identical. `Err` describes the first
+/// disagreement.
+pub(crate) fn agree(got: &Effect, want: &Effect, ext: &Snapshot, model: &Snapshot) -> Result<(), String> {
+    if got != want {
+        return Err(format!(
+            "call effect mismatch\n  implementation: {got:?}\n  model:          {want:?}"
+        ));
+    }
+    match describe_snapshot_diff(model, ext) {
+        Some(diff) => Err(format!("snapshot mismatch: {diff}")),
+        None => Ok(()),
+    }
+}
+
+/// First difference between two snapshots — of either engine or
+/// model — rendered for humans; `None` when they are identical.
+pub fn describe_snapshot_diff(model: &Snapshot, ext: &Snapshot) -> Option<String> {
+    if model == ext {
+        return None;
+    }
+    if model.usage.len() != ext.usage.len() {
+        return Some(format!(
+            "node count: model {} vs implementation {}",
+            model.usage.len(),
+            ext.usage.len()
+        ));
+    }
+    for n in 0..model.usage.len() {
+        for k in ResourceKind::ALL {
+            let i = k.index();
+            if model.usage[n][i] != ext.usage[n][i] {
+                return Some(format!(
+                    "usage[node{n}][{k}]: model {} vs implementation {}",
+                    model.usage[n][i], ext.usage[n][i]
+                ));
+            }
+            if model.overflow[n][i] != ext.overflow[n][i] {
+                return Some(format!(
+                    "overflow[node{n}][{k}]: model {} vs implementation {}",
+                    model.overflow[n][i], ext.overflow[n][i]
+                ));
+            }
+        }
+        if model.waitlists[n] != ext.waitlists[n] {
+            return Some(format!(
+                "waitlist[node{n}]: model {:?} vs implementation {:?}",
+                model.waitlists[n], ext.waitlists[n]
+            ));
+        }
+    }
+    if model.periods != ext.periods {
+        return Some(format!(
+            "periods: model {:?} vs implementation {:?}",
+            model.periods, ext.periods
+        ));
+    }
+    if model.stats != ext.stats {
+        return Some(format!(
+            "stats: model {:?} vs implementation {:?}",
+            model.stats, ext.stats
+        ));
+    }
+    if model.allocated != ext.allocated {
+        return Some(format!(
+            "allocated: model {} vs implementation {}",
+            model.allocated, ext.allocated
+        ));
+    }
+    Some("snapshots differ".to_string())
+}
+
+/// Summary of a clean replay, through either oracle.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Events replayed.
@@ -292,7 +347,7 @@ mod tests {
         ));
         assert!(matches!(
             report.effects[7],
-            Effect::Rejected(rda_core::RdaError::BreakerOpen)
+            Effect::Rejected(rda_core::RdaError::BreakerOpen { .. })
         ));
     }
 

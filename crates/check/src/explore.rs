@@ -36,8 +36,8 @@
 
 use crate::diff::{Divergence, Oracle};
 use crate::model::Effect;
-use crate::topo_diff::{TopoDivergence, TopoOracle};
-use crate::topo_model::{TopoEffect, TopoMutation};
+use crate::topo_diff::TopoOracle;
+use crate::topo_model::TopoMutation;
 use crate::topo_trace::{TopoDoc, TopoEvent};
 use crate::trace::{TraceDoc, TraceEvent};
 use rda_core::{
@@ -94,7 +94,7 @@ const NEVER_ALLOCATED: u64 = 1 << 40;
 
 /// Result of exploring one template under one configuration. A
 /// counterexample is a ([`TraceDoc`], [`Divergence`]) pair from
-/// [`explore`] and a ([`TopoDoc`], [`TopoDivergence`]) pair from
+/// [`explore`] and a ([`TopoDoc`], `Divergence<TopoEvent>`) pair from
 /// [`explore_topo`].
 #[derive(Debug)]
 pub struct Exploration<Doc = TraceDoc, Div = Divergence> {
@@ -125,8 +125,6 @@ pub(crate) trait Explorable: Clone {
     type Event: Copy;
     /// The document a counterexample comes back as.
     type Doc;
-    /// A disagreement between implementation and model.
-    type Divergence;
 
     /// `pp_begin` by `process` at `site`.
     fn begin(t: u64, process: u32, site: u32, demand: Self::Demand) -> Self::Event;
@@ -138,7 +136,7 @@ pub(crate) trait Explorable: Clone {
     fn age(t: u64) -> Self::Event;
     /// Apply `event` to both machines; on agreement, the period id the
     /// call allocated (a begin that ran or paused), if any.
-    fn step(&mut self, event: &Self::Event) -> Result<Option<u64>, Box<Self::Divergence>>;
+    fn step(&mut self, event: &Self::Event) -> Result<Option<u64>, Box<Divergence<Self::Event>>>;
     /// Fold the state that distinguishes DFS nodes into the memo key.
     fn fold_state(&self, h: &mut Fnv1a64);
     /// The replayable document of a counterexample path: the oracle's
@@ -146,11 +144,18 @@ pub(crate) trait Explorable: Clone {
     fn doc(&self, events: Vec<Self::Event>) -> Self::Doc;
 }
 
+/// The period id a call allocated (a begin that ran or paused), if any.
+fn allocated(effect: Effect) -> Option<u64> {
+    match effect {
+        Effect::Run { pp, .. } | Effect::Pause { pp, .. } => Some(pp.0),
+        _ => None,
+    }
+}
+
 impl Explorable for Oracle {
     type Demand = u64;
     type Event = TraceEvent;
     type Doc = TraceDoc;
-    type Divergence = Divergence;
 
     fn begin(t: u64, process: u32, site: u32, amount: u64) -> TraceEvent {
         TraceEvent::Begin {
@@ -170,10 +175,7 @@ impl Explorable for Oracle {
         TraceEvent::Age { t }
     }
     fn step(&mut self, event: &TraceEvent) -> Result<Option<u64>, Box<Divergence>> {
-        Ok(match self.apply(event)? {
-            Effect::Run { pp, .. } | Effect::Pause { pp, .. } => Some(pp.0),
-            _ => None,
-        })
+        self.apply(event).map(allocated)
     }
     fn fold_state(&self, h: &mut Fnv1a64) {
         h.write_u64(self.snapshot().digest());
@@ -193,7 +195,6 @@ impl Explorable for TopoOracle {
     type Demand = Demand;
     type Event = TopoEvent;
     type Doc = TopoDoc;
-    type Divergence = TopoDivergence;
 
     fn begin(t: u64, process: u32, site: u32, demand: Demand) -> TopoEvent {
         TopoEvent::Begin {
@@ -212,11 +213,8 @@ impl Explorable for TopoOracle {
     fn age(t: u64) -> TopoEvent {
         TopoEvent::Age { t }
     }
-    fn step(&mut self, event: &TopoEvent) -> Result<Option<u64>, Box<TopoDivergence>> {
-        Ok(match self.apply(event)? {
-            TopoEffect::Run { pp } | TopoEffect::Pause { pp, .. } => Some(pp.0),
-            _ => None,
-        })
+    fn step(&mut self, event: &TopoEvent) -> Result<Option<u64>, Box<Divergence<TopoEvent>>> {
+        self.apply(event).map(allocated)
     }
     fn fold_state(&self, h: &mut Fnv1a64) {
         h.write_u64(self.snapshot().digest());
@@ -264,7 +262,7 @@ impl<O: Explorable> Dfs<'_, O> {
     }
 
     /// Explore all successors of `node`. Returns the first divergence.
-    fn walk(&mut self, node: &Node<O>) -> Option<(O::Doc, O::Divergence)> {
+    fn walk(&mut self, node: &Node<O>) -> Option<(O::Doc, Divergence<O::Event>)> {
         let depth = node.pcs.iter().sum::<usize>() + node.ages as usize;
         let t = (depth as u64 + 1) * self.tpl.step_cycles;
 
@@ -326,7 +324,10 @@ impl<O: Explorable> Dfs<'_, O> {
 }
 
 /// Explore every interleaving of `tpl` from the fresh `oracle`.
-fn run<O: Explorable>(oracle: O, tpl: &Template<O::Demand>) -> Exploration<O::Doc, O::Divergence> {
+fn run<O: Explorable>(
+    oracle: O,
+    tpl: &Template<O::Demand>,
+) -> Exploration<O::Doc, Divergence<O::Event>> {
     let mut dfs = Dfs {
         tpl,
         seen: HashSet::new(),
@@ -362,7 +363,7 @@ pub fn explore_topo(
     cfg: &TopoConfig,
     tpl: &Template<Demand>,
     mutation: TopoMutation,
-) -> Exploration<TopoDoc, TopoDivergence> {
+) -> Exploration<TopoDoc, Divergence<TopoEvent>> {
     run(TopoOracle::with_mutation(cfg.clone(), mutation), tpl)
 }
 

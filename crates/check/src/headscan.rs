@@ -13,7 +13,6 @@
 use crate::diff::Oracle;
 use crate::model::Effect;
 use crate::topo_diff::TopoOracle;
-use crate::topo_model::TopoEffect;
 use crate::topo_trace::{TopoDoc, TopoEvent};
 use crate::trace::{TraceDoc, TraceEvent};
 use rda_core::{PpId, ResourceKind, Snapshot, TopoConfig, KIND_COUNT};
@@ -108,7 +107,7 @@ pub fn check_headscan_property(doc: &TopoDoc) -> Result<usize, String> {
             _ => None,
         };
         let got = oracle.apply(ev).map_err(|d| d.to_string())?;
-        if let (Some(want), TopoEffect::End { resumed }) = (want, got) {
+        if let (Some(want), Effect::End { resumed, .. }) = (want, got) {
             woken += compare(idx, want, &resumed)?;
         }
     }

@@ -5,10 +5,10 @@
 //!
 //! The implementation in `rda-core` is optimised machinery: memoised
 //! fast paths, incremental load tables, FIFO queues with aging. This
-//! crate re-states what all of that *means* as a ~300-line
-//! pure-functional model ([`model::RefModel`]) that shares no logic
-//! with the implementation, and then checks the two against each other
-//! three ways:
+//! crate re-states what all of that *means* as a pure-functional model
+//! of about 700 lines ([`model::RefModel`]) that shares no logic with
+//! the implementation, and then checks the two against each other three
+//! ways:
 //!
 //! * **Differential replay** ([`diff`]) — any event trace (hand-written
 //!   `.trace` file, recorded simulation, random scenario) is applied to
@@ -34,18 +34,21 @@
 //! ([`topo_model::TopoRefModel`]) whose books are re-derived from live
 //! periods on every call, and its own lock-step oracle ([`topo_diff`]).
 //! The rest of the stack is shared with the scalar engine: both oracles
-//! compare the one `rda_core::Snapshot` and print its first difference
-//! with [`describe_snapshot_diff`]; the topology engine's trace
-//! dialect ([`topo_trace::TopoDoc`]) adds vector demands and a machine
-//! header to the scalar format's line reader and header directives,
-//! and [`explore_topo`] runs 2-node × 2-layer templates through the
-//! same DFS as [`explore()`]. Scalar traces (LLC-only by construction:
-//! the scalar dialect knows no other resource) replay through the
-//! topology oracle unchanged via [`topo_trace::lift`], where both
-//! engines agree call for call except on the differences DESIGN.md §9
-//! lists; and the explorer permanently proves its own sensitivity by
-//! catching an injected exact-fit off-by-one
-//! ([`topo_model::TopoMutation::StrictOffByOne`]).
+//! report each call as the one [`Effect`] (the topology engine's `fast`
+//! flags are always `false`), a disagreement as the one [`Divergence`]
+//! (generic over the event type) and a clean replay as the one
+//! [`ReplayReport`], and both compare the one `rda_core::Snapshot` and
+//! print its first difference with [`describe_snapshot_diff`]; the
+//! topology engine's trace dialect ([`topo_trace::TopoDoc`]) adds
+//! vector demands and a machine header to the scalar format's line
+//! reader and header directives, and [`explore_topo`] runs 2-node ×
+//! 2-layer templates through the same DFS as [`explore()`]. Scalar
+//! traces (LLC-only by construction: the scalar dialect knows no other
+//! resource) replay through the topology oracle unchanged via
+//! [`topo_trace::lift`], where both engines agree call for call except
+//! on the scalar fast path's marks (DESIGN.md §9); and the explorer
+//! permanently proves its own sensitivity by catching an injected
+//! exact-fit off-by-one ([`topo_model::TopoMutation::StrictOffByOne`]).
 
 #![warn(missing_docs)]
 
@@ -59,16 +62,13 @@ pub mod topo_model;
 pub mod topo_trace;
 pub mod trace;
 
-pub use diff::{replay, Divergence, Oracle, ReplayReport};
+pub use diff::{describe_snapshot_diff, replay, Divergence, Oracle, ReplayReport};
 pub use explore::{explore, explore_topo, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
 pub use headscan::{check_headscan_property, check_scalar_headscan_property, headscan_prediction};
 pub use model::{Effect, RefModel};
-pub use topo_diff::{
-    describe_snapshot_diff, replay_lifted, replay_topo, TopoDivergence, TopoOracle,
-    TopoReplayReport,
-};
-pub use topo_model::{TopoEffect, TopoMutation, TopoRefModel};
+pub use topo_diff::{replay_lifted, replay_topo, TopoOracle};
+pub use topo_model::{TopoMutation, TopoRefModel};
 pub use topo_trace::{default_topo_config, lift, TopoDoc, TopoEvent};
 pub use trace::{TraceDoc, TraceEvent};
 

@@ -20,15 +20,17 @@
 //! memoised decision cache — is reproduced exactly.
 
 use rda_core::{
-    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaConfig, RdaError, RdaStats,
-    ShedPolicy, Snapshot, WaitSnap,
+    AgeOutcome, BeginOutcome, Demand, DemandAudit, EndOutcome, LayerId, NodeId, PolicyKind, PpId,
+    PpSnap, RdaConfig, RdaError, RdaStats, ResourceKind, ShedPolicy, Snapshot, WaitSnap,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
 use std::collections::BTreeMap;
 
-/// The observable effect of one extension call, shared vocabulary
-/// between the model and the mapped outcomes of [`rda_core::RdaExtension`].
+/// The observable effect of one engine call: the vocabulary both
+/// engines' mapped outcomes and both reference models share. The
+/// topology engine and its model have no fast path; their `fast` flags
+/// are always `false`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Effect {
     /// `pp_begin` under a non-gating policy: nothing tracked.
@@ -67,6 +69,35 @@ pub enum Effect {
     Retried,
     /// The call was rejected with a typed error.
     Rejected(RdaError),
+}
+
+impl From<Result<BeginOutcome, RdaError>> for Effect {
+    fn from(r: Result<BeginOutcome, RdaError>) -> Self {
+        match r {
+            Ok(BeginOutcome::Bypass) => Effect::Bypass,
+            Ok(BeginOutcome::Run { pp, fast }) => Effect::Run { pp, fast },
+            Ok(BeginOutcome::Pause { pp, shed }) => Effect::Pause { pp, shed },
+            Err(e) => Effect::Rejected(e),
+        }
+    }
+}
+
+impl From<Result<EndOutcome, RdaError>> for Effect {
+    fn from(r: Result<EndOutcome, RdaError>) -> Self {
+        match r {
+            Ok(EndOutcome { fast, resumed }) => Effect::End { fast, resumed },
+            Err(e) => Effect::Rejected(e),
+        }
+    }
+}
+
+impl From<AgeOutcome> for Effect {
+    fn from(out: AgeOutcome) -> Self {
+        Effect::Woken {
+            resumed: out.resumed,
+            expired: out.expired,
+        }
+    }
 }
 
 /// A live period as the model tracks it. `declared` holds the
@@ -243,7 +274,11 @@ impl RefModel {
             DemandAudit::Reject => {
                 if declared > capacity {
                     self.stats.clamped += 1;
-                    return Effect::Rejected(RdaError::DemandOverflow { declared, capacity });
+                    return Effect::Rejected(RdaError::DemandOverflow {
+                        kind: ResourceKind::Llc,
+                        declared,
+                        capacity,
+                    });
                 }
                 declared
             }
@@ -255,7 +290,10 @@ impl RefModel {
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
             if self.breaker_open && audited >= b.shed_min_demand {
                 self.stats.shed += 1;
-                return Effect::Rejected(RdaError::BreakerOpen);
+                return Effect::Rejected(RdaError::BreakerOpen {
+                    node: NodeId(0),
+                    kind: ResourceKind::Llc,
+                });
             }
         }
 
@@ -264,44 +302,39 @@ impl RefModel {
         if self.usage.checked_add(accounted).is_none() {
             self.stats.clamped += 1;
             return Effect::Rejected(RdaError::DemandOverflow {
+                kind: ResourceKind::Llc,
                 declared: audited,
                 capacity,
             });
         }
 
         // Fast path: only consulted while nothing waits (so a repeat
-        // admission cannot jump ahead of a waiter).
-        if self.waiters.is_empty() && self.cache_admit(process, site, audited, now) {
-            self.usage += accounted;
-            let pp = self.alloc(process, site, audited, accounted, true);
-            self.stats.admitted += 1;
-            self.stats.fast_begins += 1;
-            return Effect::Run {
-                pp: PpId(pp),
-                fast: true,
-            };
-        }
-
-        // Slow path: Algorithm 1.
+        // admission cannot jump ahead of a waiter). A hit admits what
+        // Algorithm 1 admits and only marks the call fast.
+        let fast = self.waiters.is_empty() && self.cache_admit(process, site, audited, now);
         let limit = usage_limit(self.cfg.policy, capacity);
-        if runnable(self.cfg.policy, capacity, self.usage, accounted) {
+        if fast || runnable(self.cfg.policy, capacity, self.usage, accounted) {
             if accounted > limit {
                 self.stats.oversized_admits += 1;
             }
             self.usage += accounted;
             let pp = self.alloc(process, site, audited, accounted, true);
             self.stats.admitted += 1;
-            self.cache.insert(
-                (process.0, site),
-                Cached {
-                    amount: audited,
-                    threshold: limit.saturating_sub(accounted),
-                    refreshed: now,
-                },
-            );
+            if fast {
+                self.stats.fast_begins += 1;
+            } else {
+                self.cache.insert(
+                    (process.0, site),
+                    Cached {
+                        amount: audited,
+                        threshold: limit.saturating_sub(accounted),
+                        refreshed: now,
+                    },
+                );
+            }
             Effect::Run {
                 pp: PpId(pp),
-                fast: false,
+                fast,
             }
         } else {
             // Bounded-waitlist admission gate: at the cap one side of
@@ -326,6 +359,7 @@ impl RefModel {
                             let Some(sum) = self.overflow.checked_add(accounted) else {
                                 self.stats.clamped += 1;
                                 return Effect::Rejected(RdaError::DemandOverflow {
+                                    kind: ResourceKind::Llc,
                                     declared: accounted,
                                     capacity,
                                 });
@@ -343,7 +377,7 @@ impl RefModel {
                             // Tail drop (RejectNewest, or RejectOldest
                             // with nothing to evict): no id allocated.
                             self.stats.shed += 1;
-                            return Effect::Rejected(RdaError::WaitlistFull);
+                            return Effect::Rejected(RdaError::WaitlistFull { node: NodeId(0) });
                         }
                     }
                 }

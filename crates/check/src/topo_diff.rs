@@ -23,39 +23,14 @@
 //! component of a demand vector — the multi-resource drain audit of
 //! DESIGN.md §9, checked on every event of every replayed trace.
 
-use crate::topo_model::{TopoEffect, TopoMutation, TopoRefModel};
+use crate::diff::{agree, Divergence, ReplayReport};
+use crate::model::Effect;
+use crate::topo_model::{TopoMutation, TopoRefModel};
 use crate::topo_trace::{lift, TopoDoc, TopoEvent};
 use crate::trace::TraceDoc;
-use rda_core::{
-    BeginOutcome, NodeId, PpId, ResourceKind, SiteId, Snapshot, TopoConfig, TopoExtension,
-};
+use rda_core::{NodeId, PpId, ResourceKind, SiteId, Snapshot, TopoConfig, TopoExtension};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
-use std::fmt;
-
-/// A point where the topology implementation and its model disagree
-/// (or the implementation violated its own invariants).
-#[derive(Debug, Clone)]
-pub struct TopoDivergence {
-    /// 0-based index of the offending event in the replayed sequence.
-    pub step: usize,
-    /// The event being applied when the disagreement surfaced.
-    pub event: TopoEvent,
-    /// What disagreed, rendered for humans.
-    pub detail: String,
-}
-
-impl fmt::Display for TopoDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "topology divergence at step {} on {:?}: {}",
-            self.step, self.event, self.detail
-        )
-    }
-}
-
-impl std::error::Error for TopoDivergence {}
 
 /// Implementation + model in lockstep.
 #[derive(Debug, Clone)]
@@ -103,16 +78,10 @@ impl TopoOracle {
 
     /// Apply one event to both machines and check full equivalence.
     /// On success returns the (agreed) effect of the call.
-    pub fn apply(&mut self, event: &TopoEvent) -> Result<TopoEffect, Box<TopoDivergence>> {
+    pub fn apply(&mut self, event: &TopoEvent) -> Result<Effect, Box<Divergence<TopoEvent>>> {
         let step = self.steps;
         self.steps += 1;
-        let diverged = |detail: String| {
-            Box::new(TopoDivergence {
-                step,
-                event: *event,
-                detail,
-            })
-        };
+        let diverged = |detail: String| Divergence::boxed(step, *event, detail);
 
         let (got, want) = match *event {
             TopoEvent::Begin {
@@ -121,32 +90,17 @@ impl TopoOracle {
                 site,
                 demand,
             } => {
-                let got = match self.ext.pp_begin(
-                    ProcessId(process),
-                    SiteId(site),
-                    demand,
-                    SimTime::from_cycles(t),
-                ) {
-                    Ok(BeginOutcome::Bypass) => TopoEffect::Bypass,
-                    Ok(BeginOutcome::Run { pp, .. }) => TopoEffect::Run { pp },
-                    Ok(BeginOutcome::Pause { pp, shed }) => TopoEffect::Pause { pp, shed },
-                    Err(e) => TopoEffect::Rejected(e),
-                };
+                let now = SimTime::from_cycles(t);
+                let got = self.ext.pp_begin(ProcessId(process), SiteId(site), demand, now);
                 let want = self.model.pp_begin(ProcessId(process), site, demand, t);
-                (got, want)
+                (got.into(), want)
             }
             TopoEvent::End { t, pp } => {
-                let got = match self.ext.pp_end(PpId(pp), SimTime::from_cycles(t)) {
-                    Ok(out) => TopoEffect::End {
-                        resumed: out.resumed,
-                    },
-                    Err(e) => TopoEffect::Rejected(e),
-                };
-                let want = self.model.pp_end(PpId(pp), t);
-                (got, want)
+                let got = self.ext.pp_end(PpId(pp), SimTime::from_cycles(t));
+                (got.into(), self.model.pp_end(PpId(pp), t))
             }
             TopoEvent::Exit { t, process } => {
-                let got = TopoEffect::Woken {
+                let got = Effect::Woken {
                     resumed: self
                         .ext
                         .process_exit(ProcessId(process), SimTime::from_cycles(t)),
@@ -156,13 +110,8 @@ impl TopoOracle {
                 (got, want)
             }
             TopoEvent::Age { t } => {
-                let out = self.ext.age_waitlist(SimTime::from_cycles(t));
-                let got = TopoEffect::Woken {
-                    resumed: out.resumed,
-                    expired: out.expired,
-                };
-                let want = self.model.age_waitlist(t);
-                (got, want)
+                let got = self.ext.age_waitlist(SimTime::from_cycles(t));
+                (got.into(), self.model.age_waitlist(t))
             }
             TopoEvent::Retry {
                 t,
@@ -176,19 +125,11 @@ impl TopoOracle {
                     kind,
                     SimTime::from_cycles(t),
                 );
-                (TopoEffect::Retried, self.model.note_retry())
+                (Effect::Retried, self.model.note_retry())
             }
         };
 
-        if got != want {
-            return Err(diverged(format!(
-                "call effect mismatch\n  implementation: {got:?}\n  model:          {want:?}"
-            )));
-        }
-        let (ext_snap, model_snap) = (self.ext.snapshot(), self.model.snapshot());
-        if let Some(diff) = describe_snapshot_diff(&model_snap, &ext_snap) {
-            return Err(diverged(format!("snapshot mismatch: {diff}")));
-        }
+        agree(&got, &want, &self.ext.snapshot(), &self.model.snapshot()).map_err(diverged)?;
         for n in 0..self.ext.node_count() {
             for k in ResourceKind::ALL {
                 let node = NodeId(n as u32);
@@ -210,82 +151,14 @@ impl TopoOracle {
     }
 }
 
-/// First difference between two snapshots — of either engine or
-/// model — rendered for humans; `None` when they are identical.
-pub fn describe_snapshot_diff(model: &Snapshot, ext: &Snapshot) -> Option<String> {
-    if model == ext {
-        return None;
-    }
-    if model.usage.len() != ext.usage.len() {
-        return Some(format!(
-            "node count: model {} vs implementation {}",
-            model.usage.len(),
-            ext.usage.len()
-        ));
-    }
-    for n in 0..model.usage.len() {
-        for k in ResourceKind::ALL {
-            let i = k.index();
-            if model.usage[n][i] != ext.usage[n][i] {
-                return Some(format!(
-                    "usage[node{n}][{k}]: model {} vs implementation {}",
-                    model.usage[n][i], ext.usage[n][i]
-                ));
-            }
-            if model.overflow[n][i] != ext.overflow[n][i] {
-                return Some(format!(
-                    "overflow[node{n}][{k}]: model {} vs implementation {}",
-                    model.overflow[n][i], ext.overflow[n][i]
-                ));
-            }
-        }
-        if model.waitlists[n] != ext.waitlists[n] {
-            return Some(format!(
-                "waitlist[node{n}]: model {:?} vs implementation {:?}",
-                model.waitlists[n], ext.waitlists[n]
-            ));
-        }
-    }
-    if model.periods != ext.periods {
-        return Some(format!(
-            "periods: model {:?} vs implementation {:?}",
-            model.periods, ext.periods
-        ));
-    }
-    if model.stats != ext.stats {
-        return Some(format!(
-            "stats: model {:?} vs implementation {:?}",
-            model.stats, ext.stats
-        ));
-    }
-    if model.allocated != ext.allocated {
-        return Some(format!(
-            "allocated: model {} vs implementation {}",
-            model.allocated, ext.allocated
-        ));
-    }
-    Some("snapshots differ".to_string())
-}
-
-/// Summary of a clean topology replay.
-#[derive(Debug, Clone)]
-pub struct TopoReplayReport {
-    /// Events replayed.
-    pub steps: usize,
-    /// The (agreed) final observable state.
-    pub final_snapshot: Snapshot,
-    /// The (agreed) effect of every event, in order.
-    pub effects: Vec<TopoEffect>,
-}
-
 /// Replay a whole topology trace through the oracle.
-pub fn replay_topo(doc: &TopoDoc) -> Result<TopoReplayReport, Box<TopoDivergence>> {
+pub fn replay_topo(doc: &TopoDoc) -> Result<ReplayReport, Box<Divergence<TopoEvent>>> {
     let mut oracle = TopoOracle::new(doc.cfg.clone());
     let mut effects = Vec::with_capacity(doc.events.len());
     for event in &doc.events {
         effects.push(oracle.apply(event)?);
     }
-    Ok(TopoReplayReport {
+    Ok(ReplayReport {
         steps: oracle.steps(),
         final_snapshot: oracle.snapshot(),
         effects,
@@ -295,7 +168,7 @@ pub fn replay_topo(doc: &TopoDoc) -> Result<TopoReplayReport, Box<TopoDivergence
 /// Replay a *scalar* trace through the topology oracle by lifting it
 /// with [`crate::topo_trace::lift`] — every legacy corpus trace doubles
 /// as a compatibility check of the topology engine.
-pub fn replay_lifted(doc: &TraceDoc) -> Result<TopoReplayReport, Box<TopoDivergence>> {
+pub fn replay_lifted(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence<TopoEvent>>> {
     replay_topo(&lift(doc))
 }
 
@@ -332,9 +205,9 @@ mod tests {
         );
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
         assert!(report.final_snapshot.is_idle());
-        assert!(matches!(report.effects[0], TopoEffect::Pause { .. }));
-        assert!(matches!(report.effects[1], TopoEffect::Run { .. }));
-        assert!(matches!(report.effects[2], TopoEffect::Run { .. }));
+        assert!(matches!(report.effects[0], Effect::Pause { .. }));
+        assert!(matches!(report.effects[1], Effect::Run { .. }));
+        assert!(matches!(report.effects[2], Effect::Run { .. }));
     }
 
     #[test]
@@ -403,7 +276,7 @@ mod tests {
             ],
         };
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
-        assert!(matches!(report.effects[1], TopoEffect::Pause { .. }));
+        assert!(matches!(report.effects[1], Effect::Pause { .. }));
         assert!(report.final_snapshot.is_idle());
     }
 }

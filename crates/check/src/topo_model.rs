@@ -21,52 +21,14 @@
 
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 
+use crate::model::Effect;
 use rda_core::{
-    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaStats, ResourceKind,
-    ShedPolicy, Snapshot, TopoConfig, TopoError, WaitSnap, KIND_COUNT,
+    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaError, RdaStats,
+    ResourceKind, ShedPolicy, Snapshot, TopoConfig, WaitSnap, KIND_COUNT,
 };
 use rda_sched::ProcessId;
 use rda_simcore::Fnv1a64;
 use std::collections::BTreeMap;
-
-/// The observable effect of one topology-engine call — shared
-/// vocabulary between the model and the mapped outcomes of
-/// [`rda_core::TopoExtension`]. The engine has no memoised fast path,
-/// so unlike [`crate::model::Effect`] there are no `fast` flags.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopoEffect {
-    /// `pp_begin` under a non-gating layer policy: nothing tracked.
-    Bypass,
-    /// `pp_begin` admitted the period onto a node.
-    Run {
-        /// The allocated period id.
-        pp: PpId,
-    },
-    /// `pp_begin` waitlisted the period on its pinned node.
-    Pause {
-        /// The allocated (waitlisted) period id.
-        pp: PpId,
-        /// Under [`ShedPolicy::RejectOldest`] at the waitlist cap, the
-        /// longest-queued waiter evicted to make room.
-        shed: Option<PpId>,
-    },
-    /// `pp_end` completed a period.
-    End {
-        /// Waitlisted periods admitted by the completion, in order.
-        resumed: Vec<(PpId, ProcessId)>,
-    },
-    /// `process_exit` or `age_waitlist` ran; these cannot fail.
-    Woken {
-        /// Waitlisted periods admitted by the call.
-        resumed: Vec<(PpId, ProcessId)>,
-        /// Waitlisted periods expired past their deadline.
-        expired: Vec<(PpId, ProcessId)>,
-    },
-    /// `note_retry` ran: a client-side retry was counted.
-    Retried,
-    /// The call was rejected with a typed error.
-    Rejected(TopoError),
-}
 
 /// A deliberately injected model bug, for oracle self-tests.
 ///
@@ -320,11 +282,11 @@ impl TopoRefModel {
     }
 
     /// Model of `pp_begin` with a demand vector.
-    pub fn pp_begin(&mut self, process: ProcessId, site: u32, demand: Demand, now: u64) -> TopoEffect {
+    pub fn pp_begin(&mut self, process: ProcessId, site: u32, demand: Demand, now: u64) -> Effect {
         let layer = self.cfg.layers.layer_of(process.0).0;
         let policy = self.cfg.layers.spec(LayerId(layer)).policy;
         if matches!(policy, PolicyKind::DefaultOnly) {
-            return TopoEffect::Bypass;
+            return Effect::Bypass;
         }
         self.stats.begins += 1;
 
@@ -346,7 +308,7 @@ impl TopoRefModel {
                 }
                 DemandAudit::Reject => {
                     self.stats.clamped += 1;
-                    return TopoEffect::Rejected(TopoError::DemandOverflow {
+                    return Effect::Rejected(RdaError::DemandOverflow {
                         kind: k,
                         declared: a,
                         capacity: capmax,
@@ -376,7 +338,7 @@ impl TopoRefModel {
             if eligible.iter().all(|&e| !e) {
                 let (node, kind) = first_block.expect("a blocker exists");
                 self.stats.shed += 1;
-                return TopoEffect::Rejected(TopoError::BreakerOpen { node, kind });
+                return Effect::Rejected(RdaError::BreakerOpen { node, kind });
             }
         }
 
@@ -410,7 +372,7 @@ impl TopoRefModel {
         if all_wrap {
             let k = wrap_kind.expect("an eligible node exists");
             self.stats.clamped += 1;
-            return TopoEffect::Rejected(TopoError::DemandOverflow {
+            return Effect::Rejected(RdaError::DemandOverflow {
                 kind: k,
                 declared: audited.get(k),
                 capacity: self.cfg.spec.max_capacity(k),
@@ -427,7 +389,10 @@ impl TopoRefModel {
             }
             let pp = self.alloc(process, site, layer, n, audited, acc, true, false, now);
             self.stats.admitted += 1;
-            return TopoEffect::Run { pp: PpId(pp) };
+            return Effect::Run {
+                pp: PpId(pp),
+                fast: false,
+            };
         }
 
         // No node fits: pin to the least-occupied eligible node's
@@ -452,7 +417,7 @@ impl TopoRefModel {
                         // bucket is refused like any wrapping demand.
                         if let Some(k) = self.overflow_wrap(target, &acc) {
                             self.stats.clamped += 1;
-                            return TopoEffect::Rejected(TopoError::DemandOverflow {
+                            return Effect::Rejected(RdaError::DemandOverflow {
                                 kind: k,
                                 declared: acc.get(k),
                                 capacity: self.cfg.spec.max_capacity(k),
@@ -461,11 +426,14 @@ impl TopoRefModel {
                         let pp =
                             self.alloc(process, site, layer, target, audited, acc, true, true, now);
                         self.stats.shed += 1;
-                        return TopoEffect::Run { pp: PpId(pp) };
+                        return Effect::Run {
+                            pp: PpId(pp),
+                            fast: false,
+                        };
                     }
                     _ => {
                         self.stats.shed += 1;
-                        return TopoEffect::Rejected(TopoError::WaitlistFull {
+                        return Effect::Rejected(RdaError::WaitlistFull {
                             node: NodeId(target as u32),
                         });
                     }
@@ -479,33 +447,36 @@ impl TopoRefModel {
             .stats
             .max_waitlist
             .max(self.waitlists[target].len() as u64);
-        TopoEffect::Pause { pp: PpId(pp), shed }
+        Effect::Pause { pp: PpId(pp), shed }
     }
 
     /// Model of `pp_end`.
-    pub fn pp_end(&mut self, pp: PpId, now: u64) -> TopoEffect {
+    pub fn pp_end(&mut self, pp: PpId, now: u64) -> Effect {
         self.stats.ends += 1;
         let Some(rec) = self.periods.get(&pp.0) else {
             self.stats.rejected_ends += 1;
-            return TopoEffect::Rejected(if pp.0 < self.next_id {
-                TopoError::DoubleEnd(pp)
+            return Effect::Rejected(if pp.0 < self.next_id {
+                RdaError::DoubleEnd(pp)
             } else {
-                TopoError::UnknownPp(pp)
+                RdaError::UnknownPp(pp)
             });
         };
         if !rec.admitted {
             self.stats.rejected_ends += 1;
-            return TopoEffect::Rejected(TopoError::EndWhileWaitlisted(pp));
+            return Effect::Rejected(RdaError::EndWhileWaitlisted(pp));
         }
         let rec = self.periods.remove(&pp.0).expect("checked live above");
         let resumed = self.drain(rec.node, now);
-        TopoEffect::End { resumed }
+        Effect::End {
+            fast: false,
+            resumed,
+        }
     }
 
     /// Model of `process_exit`: reclaim every live period of the
     /// process, then drain every touched node (node-granular — a
     /// reclaimed vector can unblock waiters on any of its components).
-    pub fn process_exit(&mut self, process: ProcessId, now: u64) -> TopoEffect {
+    pub fn process_exit(&mut self, process: ProcessId, now: u64) -> Effect {
         let live: Vec<u64> = self
             .periods
             .iter()
@@ -523,7 +494,7 @@ impl TopoRefModel {
             self.stats.reclaimed += 1;
         }
         if !had_any {
-            return TopoEffect::Woken {
+            return Effect::Woken {
                 resumed: Vec::new(),
                 expired: Vec::new(),
             };
@@ -534,7 +505,7 @@ impl TopoRefModel {
                 resumed.extend(self.drain(n, now));
             }
         }
-        TopoEffect::Woken {
+        Effect::Woken {
             resumed,
             expired: Vec::new(),
         }
@@ -542,9 +513,9 @@ impl TopoRefModel {
 
     /// Model of `age_waitlist`: per-node deadline expiry, then
     /// aging-triggered drains, then the per-node breakers.
-    pub fn age_waitlist(&mut self, now: u64) -> TopoEffect {
+    pub fn age_waitlist(&mut self, now: u64) -> Effect {
         if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
-            return TopoEffect::Woken {
+            return Effect::Woken {
                 resumed: Vec::new(),
                 expired: Vec::new(),
             };
@@ -569,13 +540,13 @@ impl TopoRefModel {
             }
         }
         self.evaluate_breaker();
-        TopoEffect::Woken { resumed, expired }
+        Effect::Woken { resumed, expired }
     }
 
     /// Model of `note_retry`.
-    pub fn note_retry(&mut self) -> TopoEffect {
+    pub fn note_retry(&mut self) -> Effect {
         self.stats.retried += 1;
-        TopoEffect::Retried
+        Effect::Retried
     }
 
     /// True when node `n` holds a waiter past the aging timeout.
@@ -772,12 +743,12 @@ mod tests {
     fn placement_and_vector_gating_mirror_the_engine() {
         let mut m = TopoRefModel::new(two_node_cfg());
         let a = m.pp_begin(ProcessId(0), 0, Demand::llc(60), 0);
-        assert!(matches!(a, TopoEffect::Run { .. }));
+        assert!(matches!(a, Effect::Run { .. }));
         let b = m.pp_begin(ProcessId(1), 1, Demand::llc(60), 1);
-        assert!(matches!(b, TopoEffect::Run { .. }));
+        assert!(matches!(b, Effect::Run { .. }));
         // Both nodes at 60/100; a third 60 must wait.
         let c = m.pp_begin(ProcessId(2), 2, Demand::llc(60), 2);
-        assert!(matches!(c, TopoEffect::Pause { .. }));
+        assert!(matches!(c, Effect::Pause { .. }));
         let s = m.snapshot();
         assert_eq!(s.usage[0][0], 60);
         assert_eq!(s.usage[1][0], 60);
@@ -791,13 +762,13 @@ mod tests {
         m.pp_begin(ProcessId(0), 0, Demand::new(90, 45, 0), 0);
         m.pp_begin(ProcessId(1), 1, Demand::new(90, 45, 0), 1);
         let w = m.pp_begin(ProcessId(2), 2, Demand::new(0, 10, 0), 2);
-        let TopoEffect::Pause { pp, .. } = w else {
+        let Effect::Pause { pp, .. } = w else {
             panic!("expected Pause, got {w:?}");
         };
         // The holder's exit frees llc AND membw; the membw-only waiter
         // must resume even though its own vector never mentions llc.
         let eff = m.process_exit(ProcessId(0), 3);
-        let TopoEffect::Woken { resumed, .. } = eff else {
+        let Effect::Woken { resumed, .. } = eff else {
             panic!("expected Woken");
         };
         assert_eq!(resumed, vec![(pp, ProcessId(2))]);
@@ -813,11 +784,11 @@ mod tests {
         let mut mutated = TopoRefModel::with_mutation(cfg, TopoMutation::StrictOffByOne);
         assert!(matches!(
             honest.pp_begin(ProcessId(0), 0, Demand::llc(100), 0),
-            TopoEffect::Run { .. }
+            Effect::Run { .. }
         ));
         assert!(matches!(
             mutated.pp_begin(ProcessId(0), 0, Demand::llc(100), 0),
-            TopoEffect::Pause { .. }
+            Effect::Pause { .. }
         ));
     }
 
@@ -832,17 +803,17 @@ mod tests {
         // Batch can only use 100 - 40 = 60 while the guarantee is idle.
         assert!(matches!(
             m.pp_begin(ProcessId(0), 0, Demand::llc(61), 0),
-            TopoEffect::Pause { .. }
+            Effect::Pause { .. }
         ));
         // The guaranteed layer draws its slice down ...
         assert!(matches!(
             m.pp_begin(ProcessId(9), 1, Demand::llc(30), 1),
-            TopoEffect::Run { .. }
+            Effect::Run { .. }
         ));
         // ... leaving 100 - 30(used) - 10(still reserved) = 60 for batch.
         assert!(matches!(
             m.pp_begin(ProcessId(1), 2, Demand::llc(60), 2),
-            TopoEffect::Run { .. }
+            Effect::Run { .. }
         ));
     }
 }

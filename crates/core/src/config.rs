@@ -89,9 +89,9 @@ pub struct OverloadConfig {
     /// What to shed when the cap is hit.
     pub shed_policy: ShedPolicy,
     /// A waitlisted period older than this many cycles is expired on
-    /// the next aging tick with
-    /// [`crate::error::RdaError::DeadlineExceeded`] semantics (`None`
-    /// disables deadlines).
+    /// the next aging tick: its period is completed and reported in
+    /// [`crate::extension::AgeOutcome::expired`] (`None` disables
+    /// deadlines).
     pub deadline_cycles: Option<u64>,
     /// The saturation circuit breaker (`None` disables it).
     pub breaker: Option<BreakerConfig>,

@@ -6,26 +6,35 @@
 //! cannot — a stale or malicious hint must surface as a recoverable,
 //! *typed* error the caller can count and degrade around, never as a
 //! panic that takes the scheduler down with the misbehaving process.
-//! [`RdaError`] is that vocabulary: every protocol violation the
-//! extension can detect, with enough structure for fault accounting.
+//! [`RdaError`] is that vocabulary for both admission engines: every
+//! protocol violation either can detect, with enough structure for
+//! fault accounting. Payloads name the node and resource kind; the
+//! scalar engine, which manages one LLC, reports node 0 and
+//! [`ResourceKind::Llc`].
 
 use crate::api::PpId;
+use crate::topology::{NodeId, ResourceKind};
 use std::fmt;
 
 /// Which internal consistency check an [`RdaError::InvariantViolation`]
 /// tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantKind {
-    /// Monitor nominal usage differs from the registry's accounted sum
-    /// over admitted, non-overflow periods.
+    /// A node's nominal usage differs from the accounted sum over its
+    /// admitted, non-overflow periods.
     UsageMismatch,
-    /// Monitor overflow-bucket usage differs from the registry's
-    /// accounted sum over aged (overflow-admitted) periods.
+    /// A node's overflow-bucket usage differs from the accounted sum
+    /// over its aged (overflow-admitted) periods.
     OverflowMismatch,
+    /// One layer's nominal usage on a node differs from the accounted
+    /// sum over that layer's admitted, non-overflow periods there.
+    LayerUsageMismatch,
     /// A waitlist entry points at a period the registry does not hold.
     WaitlistRecordMissing,
     /// A waitlisted period is marked admitted in the registry.
     WaitlistAdmitted,
+    /// A waitlisted period's record names another node.
+    WaitlistWrongNode,
     /// Waitlist length differs from the registry's count of
     /// non-admitted periods.
     WaitlistCountMismatch,
@@ -36,23 +45,27 @@ impl fmt::Display for InvariantKind {
         let s = match self {
             InvariantKind::UsageMismatch => "usage mismatch",
             InvariantKind::OverflowMismatch => "overflow-bucket mismatch",
+            InvariantKind::LayerUsageMismatch => "layer usage mismatch",
             InvariantKind::WaitlistRecordMissing => "waitlist entry without registry record",
             InvariantKind::WaitlistAdmitted => "waitlisted period marked admitted",
+            InvariantKind::WaitlistWrongNode => "waitlisted period recorded on another node",
             InvariantKind::WaitlistCountMismatch => "waitlist/registry count mismatch",
         };
         f.write_str(s)
     }
 }
 
-/// Everything that can go wrong inside the RDA extension.
+/// Everything that can go wrong inside an admission engine.
 ///
 /// The first four variants are *application protocol violations* — the
-/// extension rejects the call, counts it, and keeps its own state
-/// intact (graceful degradation). [`RdaError::DemandOverflow`] is an
-/// *audit rejection* (a declared demand the configured
-/// [`crate::config::DemandAudit`] refuses to account).
-/// [`RdaError::InvariantViolation`] is the only variant that indicates
-/// a bug in the extension itself rather than in the application.
+/// engine rejects the call, counts it, and keeps its own state intact
+/// (graceful degradation). [`RdaError::DemandOverflow`] is an *audit
+/// rejection* (a declared demand the configured
+/// [`crate::config::DemandAudit`] refuses to account, or one that would
+/// wrap a 64-bit book); [`RdaError::WaitlistFull`] and
+/// [`RdaError::BreakerOpen`] are overload sheds.
+/// [`RdaError::RegistryDesync`] and [`RdaError::InvariantViolation`]
+/// indicate a bug in the engine itself rather than in the application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdaError {
     /// `pp_end` named an id that was never allocated by `pp_begin`.
@@ -66,30 +79,38 @@ pub enum RdaError {
     /// A period was enqueued on a waitlist it already occupies; honoring
     /// it would double-release the demand on admission.
     DoubleWaitlist(PpId),
-    /// A declared demand the auditor refused: larger than the LLC
-    /// itself (with [`crate::config::DemandAudit::Reject`]) or large
-    /// enough to overflow the 64-bit load table.
+    /// A declared demand component the auditor refused — larger than
+    /// any node's capacity for its kind (with
+    /// [`crate::config::DemandAudit::Reject`]) — or one large enough to
+    /// wrap a 64-bit book.
     DemandOverflow {
-        /// The declared amount.
+        /// The offending component.
+        kind: ResourceKind,
+        /// Its declared (or, for a wrap, accounted) amount.
         declared: u64,
-        /// The LLC's nominal capacity.
+        /// The machine-wide maximum capacity for the kind.
         capacity: u64,
     },
-    /// A waitlisted period outlived its configured deadline
-    /// ([`crate::config::OverloadConfig::deadline_cycles`]) and was
-    /// expired on an aging tick instead of ever being admitted.
-    DeadlineExceeded(PpId),
-    /// The bounded admission gate shed an arrival because the
-    /// waitlist is at [`crate::config::OverloadConfig::waitlist_cap`]
-    /// (under [`crate::config::ShedPolicy::RejectNewest`], or
-    /// `RejectOldest` with an empty queue). No period id was
-    /// allocated; the caller may back off and retry.
-    WaitlistFull,
-    /// The saturation circuit breaker is open and the arrival's
-    /// audited demand is at or above the configured shed class
-    /// ([`crate::config::BreakerConfig::shed_min_demand`]). No period
-    /// id was allocated; the caller may back off and retry.
-    BreakerOpen,
+    /// The bounded admission gate shed an arrival because the target
+    /// node's waitlist is at
+    /// [`crate::config::OverloadConfig::waitlist_cap`] (under
+    /// [`crate::config::ShedPolicy::RejectNewest`], or `RejectOldest`
+    /// with an empty queue). No period id was allocated; the caller may
+    /// back off and retry.
+    WaitlistFull {
+        /// The node whose queue was full.
+        node: NodeId,
+    },
+    /// The saturation circuit breaker is open on every node for the
+    /// arrival's demand class: a component at or above
+    /// [`crate::config::BreakerConfig::shed_min_demand`]. No period id
+    /// was allocated; the caller may back off and retry.
+    BreakerOpen {
+        /// The first blocking node (scan order).
+        node: NodeId,
+        /// The first blocking kind on that node.
+        kind: ResourceKind,
+    },
     /// The registry and another internal structure disagreed about a
     /// period's existence (e.g. a record vanished between a liveness
     /// check and its removal) — a scheduler bug, not an application
@@ -100,8 +121,12 @@ pub enum RdaError {
     /// An internal consistency check failed — a scheduler bug, not an
     /// application bug.
     InvariantViolation {
+        /// The node whose books diverged.
+        node: NodeId,
+        /// The resource kind.
+        kind: ResourceKind,
         /// Which check tripped.
-        kind: InvariantKind,
+        check: InvariantKind,
         /// The value the registry implies.
         expected: u64,
         /// The value actually observed.
@@ -120,22 +145,28 @@ impl fmt::Display for RdaError {
                 write!(f, "{pp} ended while waitlisted — its process should be paused")
             }
             RdaError::DoubleWaitlist(pp) => write!(f, "{pp} double-waitlisted"),
-            RdaError::DeadlineExceeded(pp) => {
-                write!(f, "{pp} deadline exceeded while waitlisted")
+            RdaError::WaitlistFull { node } => write!(f, "waitlist full on {node} — arrival shed"),
+            RdaError::BreakerOpen { node, kind } => {
+                write!(f, "circuit breaker open on {node} for {kind} — arrival shed")
             }
-            RdaError::WaitlistFull => write!(f, "waitlist full — arrival shed"),
-            RdaError::BreakerOpen => write!(f, "circuit breaker open — arrival shed"),
             RdaError::RegistryDesync(pp) => {
                 write!(f, "{pp} registry record desynchronized — scheduler bug")
             }
-            RdaError::DemandOverflow { declared, capacity } => {
-                write!(f, "LLC demand {declared} rejected (capacity {capacity})")
-            }
-            RdaError::InvariantViolation {
+            RdaError::DemandOverflow {
                 kind,
+                declared,
+                capacity,
+            } => write!(f, "{kind} demand {declared} rejected (capacity {capacity})"),
+            RdaError::InvariantViolation {
+                node,
+                kind,
+                check,
                 expected,
                 actual,
-            } => write!(f, "LLC: {kind} — expected {expected}, actual {actual}"),
+            } => write!(
+                f,
+                "{node}/{kind}: {check} — expected {expected}, actual {actual}"
+            ),
         }
     }
 }
@@ -165,27 +196,31 @@ mod tests {
             "pp#9 registry record desynchronized — scheduler bug"
         );
         assert_eq!(
-            RdaError::DeadlineExceeded(PpId(4)).to_string(),
-            "pp#4 deadline exceeded while waitlisted"
+            RdaError::WaitlistFull { node: NodeId(1) }.to_string(),
+            "waitlist full on node1 — arrival shed"
         );
         assert_eq!(
-            RdaError::WaitlistFull.to_string(),
-            "waitlist full — arrival shed"
-        );
-        assert_eq!(
-            RdaError::BreakerOpen.to_string(),
-            "circuit breaker open — arrival shed"
+            RdaError::BreakerOpen {
+                node: NodeId(0),
+                kind: ResourceKind::MemBw,
+            }
+            .to_string(),
+            "circuit breaker open on node0 for membw — arrival shed"
         );
         let e = RdaError::DemandOverflow {
+            kind: ResourceKind::Llc,
             declared: 100,
             capacity: 10,
         };
-        assert_eq!(e.to_string(), "LLC demand 100 rejected (capacity 10)");
+        assert_eq!(e.to_string(), "llc demand 100 rejected (capacity 10)");
         let v = RdaError::InvariantViolation {
-            kind: InvariantKind::UsageMismatch,
+            node: NodeId(0),
+            kind: ResourceKind::Llc,
+            check: InvariantKind::UsageMismatch,
             expected: 5,
             actual: 6,
         };
+        assert!(v.to_string().contains("node0/llc"));
         assert!(v.to_string().contains("usage mismatch"));
         assert!(v.to_string().contains("expected 5"));
     }

@@ -58,8 +58,8 @@ use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
 use crate::registry::{PpRecord, PpRegistry};
 use crate::rules::{self, Breaker, Gate};
-use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
-use crate::topology::{Demand, NodeId};
+use crate::snapshot::{Snapshot, WaitSnap};
+use crate::topology::{Demand, NodeId, ResourceKind};
 use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -84,7 +84,8 @@ pub struct RdaStats {
     pub fast_ends: u64,
     /// Largest waitlist length observed.
     pub max_waitlist: u64,
-    /// Oversized demands admitted by the deadlock guard.
+    /// Admissions of a demand above the usage limit (the deadlock
+    /// guard's), fast-path hits included.
     pub oversized_admits: u64,
     /// Periods reclaimed by [`RdaExtension::process_exit`] (open or
     /// waitlisted periods of a dying process).
@@ -149,9 +150,8 @@ pub struct AgeOutcome {
     /// Waitlisted periods admitted (nominally or by aging); the caller
     /// must wake their processes.
     pub resumed: Vec<(PpId, ProcessId)>,
-    /// Waitlisted periods expired past their deadline with
-    /// [`RdaError::DeadlineExceeded`] semantics; their periods are
-    /// already completed and the caller must fail their requests.
+    /// Waitlisted periods expired past their deadline; their periods
+    /// are already completed and the caller must fail their requests.
     /// Always empty unless [`crate::config::OverloadConfig::deadline_cycles`]
     /// is set.
     pub expired: Vec<(PpId, ProcessId)>,
@@ -189,13 +189,19 @@ pub struct RdaExtension {
     /// Bumped by every call that can mutate the books (registry,
     /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
-    /// a per-step paranoid [`Self::check_invariants`] sweep can skip
+    /// a per-step [`Self::check_invariants`] sweep can skip
     /// re-checking while the epoch is unchanged: the check is a pure
     /// function of the books, so an unchanged epoch implies an
     /// unchanged verdict.
     books_epoch: u64,
     /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
     dying: Vec<PpRecord>,
+}
+
+/// The LLC component of a record's vector: the scalar engine's one
+/// resource.
+fn llc(d: &Demand) -> u64 {
+    d.get(ResourceKind::Llc)
 }
 
 /// A trace event about waitlist entry `w` leaving the queue at `now`,
@@ -329,21 +335,7 @@ impl RdaExtension {
                     enqueued_cycles: e.enqueued_at.cycles(),
                 })
                 .collect()],
-            periods: self
-                .registry
-                .iter()
-                .map(|r| PpSnap {
-                    id: r.id,
-                    process: r.process,
-                    site: r.site,
-                    layer: LayerId(0),
-                    node: NodeId(0),
-                    declared: llc(r.demand.amount),
-                    accounted: llc(r.accounted),
-                    admitted: r.admitted,
-                    overflow: r.overflow,
-                })
-                .collect(),
+            periods: self.registry.iter().map(PpRecord::snap).collect(),
             stats: self.stats,
             allocated: self.registry.allocated(),
         }
@@ -374,6 +366,7 @@ impl RdaExtension {
         ev.reject = RejectKind::DemandOverflow;
         self.emit(ev);
         RdaError::DemandOverflow {
+            kind: ResourceKind::Llc,
             declared,
             capacity: self.monitor.capacity(),
         }
@@ -423,7 +416,10 @@ impl RdaExtension {
                 ev.kind = EventKind::Shed;
                 ev.reject = RejectKind::BreakerOpen;
                 self.emit(ev);
-                return Err(RdaError::BreakerOpen);
+                return Err(RdaError::BreakerOpen {
+                    node: NodeId(0),
+                    kind: ResourceKind::Llc,
+                });
             }
         }
         let accounted = policy.effective_demand(audited, capacity);
@@ -433,14 +429,10 @@ impl RdaExtension {
             self.stats.clamped += 1;
             return Err(self.reject_overflow(ev, audited));
         }
-        let demand = PpDemand {
-            amount: audited,
-            ..demand
-        };
-
-        // Fast path: repeat entry of a recently validated site while no
-        // one is waitlisted ahead of us.
-        if self.waitlist.is_empty()
+        // Fast path: a repeat entry of a recently validated site while
+        // no one is waitlisted ahead of us. A hit only marks the call
+        // fast — it admits exactly what Algorithm 1 admits.
+        let fast = self.waitlist.is_empty()
             && self.fastpath.try_admit(
                 process,
                 site,
@@ -448,45 +440,46 @@ impl RdaExtension {
                 self.monitor.usage(),
                 now,
                 self.cfg.min_eval_interval_cycles,
-            )
-        {
-            self.monitor.increment_load(accounted);
-            let pp = self
-                .registry
-                .register(process, site, demand, accounted, true, now);
-            self.stats.admitted += 1;
-            self.stats.fast_begins += 1;
-            ev.kind = EventKind::Admit;
-            ev.pp = pp.0;
-            ev.amount = accounted;
-            ev.fast = true;
-            self.emit(ev);
-            return Ok(BeginOutcome::Run { pp, fast: true });
-        }
-
-        // Slow path: Algorithm 1.
-        if rules::fits(self.limit, 0, self.monitor.usage(), accounted) {
+            );
+        // The record every outcome below registers.
+        let proto = PpRecord {
+            id: PpId(self.registry.allocated()),
+            process,
+            site,
+            layer: LayerId(0),
+            node: NodeId(0),
+            declared: Demand::llc(audited),
+            accounted: Demand::llc(accounted),
+            admitted: true,
+            overflow: false,
+            begun_at: now,
+        };
+        // Algorithm 1.
+        if fast || rules::fits(self.limit, 0, self.monitor.usage(), accounted) {
             if accounted > self.limit {
                 self.stats.oversized_admits += 1;
             }
             self.monitor.increment_load(accounted);
-            let pp = self
-                .registry
-                .register(process, site, demand, accounted, true, now);
+            let pp = self.registry.insert(|id| PpRecord { id, ..proto });
             self.stats.admitted += 1;
-            // Cache the verdict for repeats of this site.
-            self.fastpath.store_run(
-                process,
-                site,
-                audited,
-                self.limit.saturating_sub(accounted),
-                now,
-            );
+            if fast {
+                self.stats.fast_begins += 1;
+            } else {
+                // Cache the verdict for repeats of this site.
+                self.fastpath.store_run(
+                    process,
+                    site,
+                    audited,
+                    self.limit.saturating_sub(accounted),
+                    now,
+                );
+            }
             ev.kind = EventKind::Admit;
             ev.pp = pp.0;
             ev.amount = accounted;
+            ev.fast = fast;
             self.emit(ev);
-            return Ok(BeginOutcome::Run { pp, fast: false });
+            return Ok(BeginOutcome::Run { pp, fast });
         }
 
         // The bounded waitlist gate.
@@ -511,13 +504,11 @@ impl RdaExtension {
                     self.stats.clamped += 1;
                     return Err(self.reject_overflow(ev, accounted));
                 }
-                let pp = self
-                    .registry
-                    .register(process, site, demand, accounted, true, now);
-                match self.registry.get_mut(pp) {
-                    Some(rec) => rec.overflow = true,
-                    None => self.stats.desyncs += 1,
-                }
+                let pp = self.registry.insert(|id| PpRecord {
+                    id,
+                    overflow: true,
+                    ..proto
+                });
                 self.stats.shed += 1;
                 ev.kind = EventKind::Shed;
                 ev.pp = pp.0;
@@ -530,12 +521,14 @@ impl RdaExtension {
                 ev.kind = EventKind::Shed;
                 ev.reject = RejectKind::WaitlistFull;
                 self.emit(ev);
-                return Err(RdaError::WaitlistFull);
+                return Err(RdaError::WaitlistFull { node: NodeId(0) });
             }
         };
-        let pp = self
-            .registry
-            .register(process, site, demand, accounted, false, now);
+        let pp = self.registry.insert(|id| PpRecord {
+            id,
+            admitted: false,
+            ..proto
+        });
         if let Err(e) = self.waitlist.push(WaitEntry {
             pp,
             accounted,
@@ -608,37 +601,27 @@ impl RdaExtension {
         self.release(&record);
         ev.process = record.process.0;
         ev.site = record.site.0;
-        ev.amount = record.accounted;
+        ev.amount = llc(&record.accounted);
 
-        let no_waiters = self.waitlist.is_empty();
-        // Fast path: nothing can be woken (no waiters) *and* the site
-        // was validated recently, so the release is a shared-page
-        // decrement with deferred registry cleanup.
-        if no_waiters
-            && self.fastpath.is_fresh(
+        // With no waiters nothing can be woken. The completion is fast —
+        // a shared-page decrement with deferred registry cleanup — when
+        // the site was validated recently.
+        if self.waitlist.is_empty() {
+            let fast = self.fastpath.is_fresh(
                 record.process,
                 record.site,
                 now,
                 self.cfg.min_eval_interval_cycles,
-            )
-        {
-            self.stats.fast_ends += 1;
-            ev.fast = true;
+            );
+            self.stats.fast_ends += u64::from(fast);
+            ev.fast = fast;
             self.emit(ev);
             return Ok(EndOutcome {
-                fast: true,
+                fast,
                 resumed: Vec::new(),
             });
         }
         self.emit(ev);
-        // Slow completion with no waiters: nothing to resume.
-        if no_waiters {
-            return Ok(EndOutcome {
-                fast: false,
-                resumed: Vec::new(),
-            });
-        }
-
         let resumed = self.drain_waitlist(now);
         Ok(EndOutcome {
             fast: false,
@@ -650,9 +633,9 @@ impl RdaExtension {
     /// matching accounting bucket.
     fn release(&mut self, record: &PpRecord) {
         if record.overflow {
-            self.monitor.decrement_overflow(record.accounted);
+            self.monitor.decrement_overflow(llc(&record.accounted));
         } else {
-            self.monitor.decrement_load(record.accounted);
+            self.monitor.decrement_load(llc(&record.accounted));
         }
     }
 
@@ -783,10 +766,12 @@ impl RdaExtension {
     /// [`RdaError::InvariantViolation`].
     pub fn check_invariants(&self) -> Result<(), RdaError> {
         // One pass over the registry (this runs after every simulation
-        // step when paranoid checking is on).
+        // step that moved the books).
         let sums = self.registry.audit_sums();
-        let violation = |kind, expected, actual| RdaError::InvariantViolation {
-            kind,
+        let violation = |check, expected, actual| RdaError::InvariantViolation {
+            node: NodeId(0),
+            kind: ResourceKind::Llc,
+            check,
             expected,
             actual,
         };
@@ -836,8 +821,6 @@ impl RdaExtension {
 struct ScalarDrain<'a>(&'a mut RdaExtension);
 
 impl Drain<u64> for ScalarDrain<'_> {
-    type Rec = PpRecord;
-
     fn queue(&mut self) -> &mut Waitlist {
         &mut self.0.waitlist
     }
@@ -858,7 +841,7 @@ impl Drain<u64> for ScalarDrain<'_> {
         }
         let threshold = e.limit.saturating_sub(entry.accounted);
         e.fastpath
-            .store_run(rec.process, rec.site, rec.demand.amount, threshold, now);
+            .store_run(rec.process, rec.site, llc(&rec.declared), threshold, now);
         e.stats.resumed += 1;
         e.emit(waiter_event(EventKind::Resume, entry, Some(&rec), now));
         Some(rec.process)
@@ -1309,6 +1292,7 @@ mod tests {
         assert_eq!(
             err,
             RdaError::DemandOverflow {
+                kind: ResourceKind::Llc,
                 declared: capacity + 1,
                 capacity,
             }
@@ -1620,7 +1604,7 @@ mod tests {
         let allocated_before = e.snapshot().allocated;
         assert_eq!(
             e.pp_begin(ProcessId(2), SiteId(0), demand(10.0), t(2)),
-            Err(RdaError::WaitlistFull)
+            Err(RdaError::WaitlistFull { node: NodeId(0) })
         );
         assert_eq!(e.stats().shed, 1);
         assert_eq!(e.waitlist_len(), 1, "queue stays at the cap");
@@ -1759,7 +1743,10 @@ mod tests {
         // The expensive class is shed; small requests still pass.
         assert_eq!(
             e.pp_begin(ProcessId(1), SiteId(0), demand(6.0), t(210)),
-            Err(RdaError::BreakerOpen)
+            Err(RdaError::BreakerOpen {
+                node: NodeId(0),
+                kind: ResourceKind::Llc,
+            })
         );
         assert_eq!(e.stats().shed, 1);
         let small = must_run(&mut e, 2, 1, demand(0.5), t(220));
@@ -1770,7 +1757,10 @@ mod tests {
         assert!(e.breaker_is_open(), "one low tick is not enough");
         assert_eq!(
             e.pp_begin(ProcessId(3), SiteId(0), demand(6.0), t(410)),
-            Err(RdaError::BreakerOpen)
+            Err(RdaError::BreakerOpen {
+                node: NodeId(0),
+                kind: ResourceKind::Llc,
+            })
         );
         e.age_waitlist(t(500));
         assert!(!e.breaker_is_open(), "resets after hysteresis");

@@ -19,10 +19,13 @@
 //! coarse-grained periods always take the slow path and the system
 //! periodically re-validates.
 //!
-//! The fast path is *sound*: it admits only when Algorithm 1
-//! ([`crate::rules::fits`]) would. It may miss where Algorithm 1
+//! The fast path is *sound*: it hits only when Algorithm 1
+//! ([`crate::rules::fits`]) admits. It may miss where Algorithm 1
 //! admits unconditionally — a zero-byte or oversized period on a busy
-//! cache — and those calls take the slow path. It is also
+//! cache — and those calls take the slow path. A hit decides nothing:
+//! the engine admits through Algorithm 1's one admission block either
+//! way, and the hit only marks the call fast (its cost and the
+//! `fast_begins` counter). It is also
 //! conservative: it is only used when the waitlist is empty (so
 //! admission cannot jump ahead of a waiting period) and only ever
 //! caches `Run` verdicts (a denied period must always take the slow

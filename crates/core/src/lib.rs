@@ -46,11 +46,12 @@
 //! policies with capacity guarantees, and deterministic node placement
 //! ([`topo::TopoExtension`], DESIGN.md §9) — while the scalar engine
 //! keeps serving the paper's single-socket experiments unchanged. Both
-//! engines keep their periods in the one [`registry::PpRegistry`],
-//! queue on the one [`waitlist::Waitlist`] type, decide by the one
-//! rulebook and report the one [`snapshot::Snapshot`], so on
+//! engines keep their periods as one [`registry::PpRecord`] in the one
+//! [`registry::PpRegistry`], queue on the one [`waitlist::Waitlist`]
+//! type, decide by the one rulebook, fail with the one
+//! [`error::RdaError`] and report the one [`snapshot::Snapshot`], so on
 //! [`topo::TopoConfig::compat`] they differ only in the scalar engine's
-//! fast path.
+//! fast path, which marks calls fast and decides nothing.
 
 #![warn(missing_docs)]
 
@@ -76,5 +77,5 @@ pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats
 pub use layer::{LayerId, LayerSet, LayerSpec};
 pub use policy::PolicyKind;
 pub use snapshot::{PpSnap, Snapshot, WaitSnap};
-pub use topo::{TopoConfig, TopoError, TopoExtension, TopoRecord};
+pub use topo::{TopoConfig, TopoExtension};
 pub use topology::{Demand, NodeId, ResourceKind, SpecError, TopoSpec, KIND_COUNT};

@@ -4,10 +4,11 @@
 //! in a registry, so the resource usage footprint of each progress
 //! period can be removed from our environment after the period
 //! completes."* The registry maps live [`PpId`]s to their records and
-//! allocates fresh ids. Both engines keep their periods here: the
-//! scalar [`crate::extension::RdaExtension`] stores [`PpRecord`]s, the
-//! topology [`crate::topo::TopoExtension`] stores
-//! [`crate::topo::TopoRecord`]s.
+//! allocates fresh ids. Both engines keep their periods here as one
+//! record type, [`PpRecord`]: the topology
+//! [`crate::topo::TopoExtension`] fills in the layer, node and demand
+//! vectors, the scalar [`crate::extension::RdaExtension`] layer 0,
+//! node 0 and LLC-only vectors.
 //!
 //! # Representation
 //!
@@ -25,48 +26,70 @@
 //! [`reference::BTreeRegistry`] is a `BTreeMap`-backed implementation
 //! kept as the differential-testing reference:
 //! `tests/tests/differential.rs` drives both through arbitrary
-//! schedules, for both record types, and demands identical observable
-//! state at every step.
+//! schedules and demands identical observable state at every step.
 
-use crate::api::{PpDemand, PpId, SiteId};
+use crate::api::{PpId, SiteId};
+use crate::layer::LayerId;
+use crate::snapshot::PpSnap;
+use crate::topology::{Demand, NodeId, ResourceKind};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 
-/// A live period of the scalar engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A live period of either engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PpRecord {
-    /// The dynamic instance id.
+    /// The period id.
     pub id: PpId,
     /// Owning process.
     pub process: ProcessId,
     /// Static code site this instance came from.
     pub site: SiteId,
-    /// The declared demand.
-    pub demand: PpDemand,
-    /// When the period was registered.
-    pub begun_at: SimTime,
-    /// Demand amount actually accounted in the resource monitor (may be
-    /// clamped by the Partitioned policy or the demand auditor).
-    pub accounted: u64,
-    /// Whether the period is admitted (running) or waitlisted.
+    /// The layer the owning process belongs to.
+    pub layer: LayerId,
+    /// The node the period was placed on (waiters: pinned target).
+    pub node: NodeId,
+    /// Declared (post-audit) demand vector.
+    pub declared: Demand,
+    /// Vector actually accounted on the node (may be clamped by the
+    /// Partitioned policy or the demand auditor).
+    pub accounted: Demand,
+    /// Running (`true`) or waitlisted (`false`).
     pub admitted: bool,
-    /// Whether the period was force-admitted by waitlist aging and is
-    /// accounted in the monitor's degraded overflow bucket rather than
-    /// the nominal load table.
+    /// Force-admitted by waitlist aging (or degraded at the gate) and
+    /// accounted in the node's overflow bucket rather than the nominal
+    /// books.
     pub overflow: bool,
+    /// When `pp_begin` processed the period.
+    pub begun_at: SimTime,
+}
+
+impl PpRecord {
+    /// The record as a [`crate::snapshot::Snapshot`] reports it.
+    pub fn snap(&self) -> PpSnap {
+        PpSnap {
+            id: self.id,
+            process: self.process,
+            site: self.site,
+            layer: self.layer,
+            node: self.node,
+            declared: self.declared,
+            accounted: self.accounted,
+            admitted: self.admitted,
+            overflow: self.overflow,
+        }
+    }
 }
 
 /// Sentinel in the id→slot index for ids whose period has completed.
 const GONE: u32 = u32::MAX;
 
-/// Allocator + table of active progress periods, generic over the
-/// record an engine keeps per period.
-#[derive(Debug, Clone)]
-pub struct PpRegistry<R = PpRecord> {
+/// Allocator + table of active progress periods.
+#[derive(Debug, Clone, Default)]
+pub struct PpRegistry {
     next_id: u64,
     /// Slot arena; a slot's contents are meaningful only while its
     /// index is referenced from `slot_of`.
-    slots: Vec<R>,
+    slots: Vec<PpRecord>,
     /// Recycled slot indices (LIFO).
     free: Vec<u32>,
     /// `slot_of[id]` = arena slot of a live id, or [`GONE`] once the
@@ -77,26 +100,15 @@ pub struct PpRegistry<R = PpRecord> {
     live_ids: Vec<PpId>,
 }
 
-impl<R> Default for PpRegistry<R> {
-    fn default() -> Self {
-        PpRegistry {
-            next_id: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            slot_of: Vec::new(),
-            live_ids: Vec::new(),
-        }
-    }
-}
-
-impl<R: Copy> PpRegistry<R> {
+impl PpRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Allocate the next id and store the record `make` builds for it.
-    pub fn insert(&mut self, make: impl FnOnce(PpId) -> R) -> PpId {
+    #[inline]
+    pub fn insert(&mut self, make: impl FnOnce(PpId) -> PpRecord) -> PpId {
         let id = PpId(self.next_id);
         self.next_id += 1;
         let record = make(id);
@@ -119,15 +131,18 @@ impl<R: Copy> PpRegistry<R> {
     /// Whether `id` was ever allocated by [`Self::insert`] — used to
     /// tell a double end (allocated, since completed) from an end of an
     /// id that never existed.
+    #[inline]
     pub fn was_allocated(&self, id: PpId) -> bool {
         id.0 < self.next_id
     }
 
     /// Number of ids ever allocated (the next id to be handed out).
+    #[inline]
     pub fn allocated(&self) -> u64 {
         self.next_id
     }
 
+    #[inline]
     fn slot(&self, id: PpId) -> Option<usize> {
         match self.slot_of.get(id.0 as usize) {
             Some(&s) if s != GONE => Some(s as usize),
@@ -136,19 +151,22 @@ impl<R: Copy> PpRegistry<R> {
     }
 
     /// Look up a live period.
-    pub fn get(&self, id: PpId) -> Option<&R> {
+    #[inline]
+    pub fn get(&self, id: PpId) -> Option<&PpRecord> {
         self.slot(id).map(|s| &self.slots[s])
     }
 
     /// Mutable access to a live period (admission flips, clamping).
-    pub fn get_mut(&mut self, id: PpId) -> Option<&mut R> {
+    #[inline]
+    pub fn get_mut(&mut self, id: PpId) -> Option<&mut PpRecord> {
         self.slot(id).map(|s| &mut self.slots[s])
     }
 
     /// Remove a completed period, returning its record; `None` when
     /// `id` is not live. The id→slot index decides liveness: a live id
     /// missing from the live-id list is still freed and returned.
-    pub fn complete(&mut self, id: PpId) -> Option<R> {
+    #[inline]
+    pub fn complete(&mut self, id: PpId) -> Option<PpRecord> {
         let slot = self.slot(id)?;
         if let Ok(pos) = self.live_ids.binary_search(&id) {
             self.live_ids.remove(pos);
@@ -161,7 +179,7 @@ impl<R: Copy> PpRegistry<R> {
     /// Remove every live period whose record `dying` selects — a dying
     /// process's periods — in one pass, appending the records to `out`
     /// in id order. `out` is the caller's reusable buffer.
-    pub fn reclaim(&mut self, mut dying: impl FnMut(&R) -> bool, out: &mut Vec<R>) {
+    pub fn reclaim(&mut self, mut dying: impl FnMut(&PpRecord) -> bool, out: &mut Vec<PpRecord>) {
         let (slots, slot_of, free) = (&self.slots, &mut self.slot_of, &mut self.free);
         self.live_ids.retain(|id| {
             let slot = slot_of[id.0 as usize];
@@ -187,50 +205,27 @@ impl<R: Copy> PpRegistry<R> {
     }
 
     /// Iterate over live periods in id (creation) order.
-    pub fn iter(&self) -> impl Iterator<Item = &R> {
+    pub fn iter(&self) -> impl Iterator<Item = &PpRecord> {
         self.live_ids
             .iter()
             .map(move |id| &self.slots[self.slot_of[id.0 as usize] as usize])
     }
-}
 
-impl PpRegistry {
-    /// Register a new scalar period and return its unique id.
-    pub fn register(
-        &mut self,
-        process: ProcessId,
-        site: SiteId,
-        demand: PpDemand,
-        accounted: u64,
-        admitted: bool,
-        now: SimTime,
-    ) -> PpId {
-        self.insert(|id| PpRecord {
-            id,
-            process,
-            site,
-            demand,
-            begun_at: now,
-            accounted,
-            admitted,
-            overflow: false,
-        })
-    }
-
-    /// The three audit aggregates — nominal accounted sum,
-    /// overflow-bucket sum, and waiting count — computed in one pass
-    /// over the live records. The extension's invariant check compares
-    /// them with the resource monitor and the waitlist; the per-step
-    /// paranoid sweep runs on this.
+    /// The scalar engine's three audit aggregates — nominal and
+    /// overflow-bucket sums of the accounted LLC component, and the
+    /// waiting count — computed in one pass over the live records. The
+    /// scalar invariant check compares them with the resource monitor
+    /// and the waitlist; the per-step invariant sweep runs on this.
     pub fn audit_sums(&self) -> AuditSums {
         let mut sums = AuditSums::default();
         for r in self.iter() {
+            let llc = r.accounted.get(ResourceKind::Llc);
             if !r.admitted {
                 sums.waiting += 1;
             } else if r.overflow {
-                sums.overflow += r.accounted;
+                sums.overflow += llc;
             } else {
-                sums.accounted += r.accounted;
+                sums.accounted += llc;
             }
         }
         sums
@@ -260,29 +255,20 @@ pub mod reference {
 
     /// Allocator + table of active progress periods, backed by a
     /// `BTreeMap` whose key order *is* id order.
-    #[derive(Debug, Clone)]
-    pub struct BTreeRegistry<R = PpRecord> {
+    #[derive(Debug, Clone, Default)]
+    pub struct BTreeRegistry {
         next_id: u64,
-        active: BTreeMap<PpId, R>,
+        active: BTreeMap<PpId, PpRecord>,
     }
 
-    impl<R> Default for BTreeRegistry<R> {
-        fn default() -> Self {
-            BTreeRegistry {
-                next_id: 0,
-                active: BTreeMap::new(),
-            }
-        }
-    }
-
-    impl<R: Copy> BTreeRegistry<R> {
+    impl BTreeRegistry {
         /// Empty registry.
         pub fn new() -> Self {
             Self::default()
         }
 
         /// Allocate the next id and store the record `make` builds.
-        pub fn insert(&mut self, make: impl FnOnce(PpId) -> R) -> PpId {
+        pub fn insert(&mut self, make: impl FnOnce(PpId) -> PpRecord) -> PpId {
             let id = PpId(self.next_id);
             self.next_id += 1;
             self.active.insert(id, make(id));
@@ -300,17 +286,17 @@ pub mod reference {
         }
 
         /// Look up a live period.
-        pub fn get(&self, id: PpId) -> Option<&R> {
+        pub fn get(&self, id: PpId) -> Option<&PpRecord> {
             self.active.get(&id)
         }
 
         /// Mutable access to a live period.
-        pub fn get_mut(&mut self, id: PpId) -> Option<&mut R> {
+        pub fn get_mut(&mut self, id: PpId) -> Option<&mut PpRecord> {
             self.active.get_mut(&id)
         }
 
         /// Remove a completed period, returning its record.
-        pub fn complete(&mut self, id: PpId) -> Option<R> {
+        pub fn complete(&mut self, id: PpId) -> Option<PpRecord> {
             self.active.remove(&id)
         }
 
@@ -325,7 +311,7 @@ pub mod reference {
         }
 
         /// Iterate over live periods in id (creation) order.
-        pub fn iter(&self) -> impl Iterator<Item = &R> {
+        pub fn iter(&self) -> impl Iterator<Item = &PpRecord> {
             self.active.values()
         }
     }
@@ -335,17 +321,28 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::api::mb;
-    use rda_machine::ReuseLevel;
 
-    fn demand() -> PpDemand {
-        PpDemand::llc(mb(1.0), ReuseLevel::High)
+    /// A scalar-engine record of `accounted` LLC bytes.
+    fn rec(process: u32, site: u32, accounted: u64, admitted: bool) -> impl FnOnce(PpId) -> PpRecord {
+        move |id| PpRecord {
+            id,
+            process: ProcessId(process),
+            site: SiteId(site),
+            layer: LayerId(0),
+            node: NodeId(0),
+            declared: Demand::llc(mb(1.0)),
+            accounted: Demand::llc(accounted),
+            admitted,
+            overflow: false,
+            begun_at: SimTime::ZERO,
+        }
     }
 
     #[test]
     fn ids_are_unique_and_monotone() {
         let mut r = PpRegistry::new();
-        let a = r.register(ProcessId(0), SiteId(0), demand(), mb(1.0), true, SimTime::ZERO);
-        let b = r.register(ProcessId(0), SiteId(0), demand(), mb(1.0), true, SimTime::ZERO);
+        let a = r.insert(rec(0, 0, mb(1.0), true));
+        let b = r.insert(rec(0, 0, mb(1.0), true));
         assert!(a < b);
         assert_eq!(r.len(), 2);
     }
@@ -353,7 +350,7 @@ mod tests {
     #[test]
     fn complete_removes_and_returns() {
         let mut r = PpRegistry::new();
-        let id = r.register(ProcessId(3), SiteId(1), demand(), mb(1.0), true, SimTime::ZERO);
+        let id = r.insert(rec(3, 1, mb(1.0), true));
         let rec = r.complete(id).unwrap();
         assert_eq!(rec.process, ProcessId(3));
         assert!(r.complete(id).is_none(), "double-complete returns None");
@@ -363,8 +360,8 @@ mod tests {
     #[test]
     fn complete_frees_a_live_slot_missing_from_the_live_list() {
         let mut r = PpRegistry::new();
-        let a = r.register(ProcessId(1), SiteId(0), demand(), 10, true, SimTime::ZERO);
-        let b = r.register(ProcessId(2), SiteId(0), demand(), 10, true, SimTime::ZERO);
+        let a = r.insert(rec(1, 0, 10, true));
+        let b = r.insert(rec(2, 0, 10, true));
         // Desynchronise the two indexes: `a` keeps its slot but leaves
         // the live-id list.
         r.live_ids.retain(|&id| id != a);
@@ -377,9 +374,9 @@ mod tests {
     #[test]
     fn total_accounted_counts_only_admitted() {
         let mut r = PpRegistry::new();
-        r.register(ProcessId(1), SiteId(0), demand(), 100, true, SimTime::ZERO);
-        r.register(ProcessId(2), SiteId(0), demand(), 200, false, SimTime::ZERO);
-        r.register(ProcessId(3), SiteId(0), demand(), 300, true, SimTime::ZERO);
+        r.insert(rec(1, 0, 100, true));
+        r.insert(rec(2, 0, 200, false));
+        r.insert(rec(3, 0, 300, true));
         let sums = r.audit_sums();
         assert_eq!(sums.accounted, 400);
         assert_eq!(sums.overflow, 0);
@@ -389,8 +386,8 @@ mod tests {
     #[test]
     fn overflow_records_are_booked_separately() {
         let mut r = PpRegistry::new();
-        let a = r.register(ProcessId(1), SiteId(0), demand(), 100, true, SimTime::ZERO);
-        r.register(ProcessId(2), SiteId(0), demand(), 200, true, SimTime::ZERO);
+        let a = r.insert(rec(1, 0, 100, true));
+        r.insert(rec(2, 0, 200, true));
         r.get_mut(a).unwrap().overflow = true;
         let sums = r.audit_sums();
         assert_eq!(sums.accounted, 200);
@@ -400,7 +397,7 @@ mod tests {
     #[test]
     fn allocation_history_distinguishes_unknown_from_completed() {
         let mut r = PpRegistry::new();
-        let id = r.register(ProcessId(0), SiteId(0), demand(), 1, true, SimTime::ZERO);
+        let id = r.insert(rec(0, 0, 1, true));
         assert!(r.was_allocated(id));
         assert!(!r.was_allocated(PpId(id.0 + 1)));
         r.complete(id);
@@ -413,15 +410,15 @@ mod tests {
     fn slots_are_recycled_but_iteration_stays_in_id_order() {
         let mut r = PpRegistry::new();
         let ids: Vec<PpId> = (0..6)
-            .map(|p| r.register(ProcessId(p), SiteId(0), demand(), 10, true, SimTime::ZERO))
+            .map(|p| r.insert(rec(p, 0, 10, true)))
             .collect();
         // Complete out of creation order, punching holes in the arena.
         r.complete(ids[3]).unwrap();
         r.complete(ids[0]).unwrap();
         r.complete(ids[4]).unwrap();
         // New registrations reuse freed slots…
-        let g = r.register(ProcessId(9), SiteId(1), demand(), 10, false, SimTime::ZERO);
-        let h = r.register(ProcessId(8), SiteId(2), demand(), 10, true, SimTime::ZERO);
+        let g = r.insert(rec(9, 1, 10, false));
+        let h = r.insert(rec(8, 2, 10, true));
         assert!(g > ids[5] && h > g, "ids stay monotone across recycling");
         // …yet iteration remains strictly ascending by id.
         let order: Vec<u64> = r.iter().map(|rec| rec.id.0).collect();

@@ -25,11 +25,11 @@
 //! component means the vector predicate is the scalar predicate. Both
 //! engines decide by the same rules ([`crate::rules`]) and queue and
 //! drain on the same [`Waitlist`] protocol, so they also age, expire
-//! and shed waiters alike. What remains different (DESIGN.md §9) is the
-//! scalar engine's memoised fast path: this engine's
-//! `fast_begins`/`fast_ends` counters stay zero, and it counts
-//! `oversized_admits` on every admission the scalar fast path would
-//! have served.
+//! and shed waiters alike, and they keep the same [`PpRecord`]s and
+//! report the same [`RdaError`]s. What remains different (DESIGN.md §9)
+//! is the scalar engine's memoised fast path, which only marks calls
+//! fast: this engine's `fast` flags and `fast_begins`/`fast_ends`
+//! counters stay zero.
 //!
 //! # Waitlists, aging, overload
 //!
@@ -50,103 +50,18 @@
 
 use crate::api::{PpId, SiteId};
 use crate::config::{DemandAudit, OverloadConfig};
+use crate::error::{InvariantKind, RdaError};
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet, LayerSpec};
 use crate::policy::PolicyKind;
-use crate::registry::PpRegistry;
+use crate::registry::{PpRecord, PpRegistry};
 use crate::rules::{self, Breaker, Gate};
-use crate::snapshot::{PpSnap, Snapshot, WaitSnap};
+use crate::snapshot::{Snapshot, WaitSnap};
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
 use crate::waitlist::{Drain, WaitEntry, Waitlist};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};
-use std::fmt;
-
-/// Typed errors of the topology engine — the multi-node analogue of
-/// [`crate::error::RdaError`], with node/kind payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoError {
-    /// The demand auditor refused a component larger than any node
-    /// offers, or accounting it would wrap the 64-bit books.
-    DemandOverflow {
-        /// The offending component.
-        kind: ResourceKind,
-        /// Its declared amount.
-        declared: u64,
-        /// The machine-wide maximum capacity for the kind.
-        capacity: u64,
-    },
-    /// `pp_end` of an id that was never allocated.
-    UnknownPp(PpId),
-    /// `pp_end` of a period that already ended.
-    DoubleEnd(PpId),
-    /// `pp_end` of a period still parked on a waitlist.
-    EndWhileWaitlisted(PpId),
-    /// The bounded admission gate shed the arrival at the target
-    /// node's waitlist cap.
-    WaitlistFull {
-        /// The node whose queue was full.
-        node: NodeId,
-    },
-    /// Every node's breaker sheds this demand class.
-    BreakerOpen {
-        /// The first blocking node (scan order).
-        node: NodeId,
-        /// The first blocking kind on that node.
-        kind: ResourceKind,
-    },
-    /// Internal books disagree with the record store — a scheduler
-    /// bug, never an application bug.
-    InvariantViolation {
-        /// The node whose books diverged.
-        node: NodeId,
-        /// The resource kind.
-        kind: ResourceKind,
-        /// Which book diverged.
-        what: &'static str,
-        /// Recomputed value.
-        expected: u64,
-        /// Stored value.
-        actual: u64,
-    },
-}
-
-impl fmt::Display for TopoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TopoError::DemandOverflow {
-                kind,
-                declared,
-                capacity,
-            } => write!(
-                f,
-                "demand overflow: {declared} {kind} exceeds machine-wide capacity {capacity}"
-            ),
-            TopoError::UnknownPp(pp) => write!(f, "unknown progress period id {}", pp.0),
-            TopoError::DoubleEnd(pp) => write!(f, "period {} already ended", pp.0),
-            TopoError::EndWhileWaitlisted(pp) => {
-                write!(f, "period {} is waitlisted and cannot end", pp.0)
-            }
-            TopoError::WaitlistFull { node } => write!(f, "waitlist full on {node}"),
-            TopoError::BreakerOpen { node, kind } => {
-                write!(f, "saturation breaker open on {node} for {kind}")
-            }
-            TopoError::InvariantViolation {
-                node,
-                kind,
-                what,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "invariant violation on {node}/{kind}: {what} expected {expected} actual {actual}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TopoError {}
 
 /// Configuration of the topology engine — the multi-node analogue of
 /// [`crate::config::RdaConfig`]. The audit/aging/overload knobs are
@@ -220,31 +135,6 @@ impl TopoConfig {
     }
 }
 
-/// One live period in the topology engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopoRecord {
-    /// The period id.
-    pub id: PpId,
-    /// Owning process.
-    pub process: ProcessId,
-    /// Static site.
-    pub site: SiteId,
-    /// The layer the owning process belongs to.
-    pub layer: LayerId,
-    /// The node the period was placed on (waiters: pinned target).
-    pub node: NodeId,
-    /// Declared (post-audit) demand vector.
-    pub declared: Demand,
-    /// Vector actually accounted on the node.
-    pub accounted: Demand,
-    /// Running (`true`) or waitlisted (`false`).
-    pub admitted: bool,
-    /// Accounted in the degraded overflow bucket.
-    pub overflow: bool,
-    /// When `pp_begin` processed the period.
-    pub begun_at: SimTime,
-}
-
 /// The topology-aware RDA scheduling extension.
 #[derive(Debug, Clone)]
 pub struct TopoExtension {
@@ -256,7 +146,7 @@ pub struct TopoExtension {
     /// Nominal usage split per layer (drives guarantee reservations).
     layer_usage: Vec<Vec<[u64; KIND_COUNT]>>,
     /// Live periods, iterated in id order.
-    records: PpRegistry<TopoRecord>,
+    records: PpRegistry,
     /// One waitlist per node; entries hold demand vectors.
     waitlists: Vec<Waitlist<Demand>>,
     stats: RdaStats,
@@ -268,7 +158,11 @@ pub struct TopoExtension {
     /// (DESIGN.md §10).
     limits: Vec<[u64; KIND_COUNT]>,
     /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
-    dying: Vec<TopoRecord>,
+    dying: Vec<PpRecord>,
+    /// One reusable mark per node: the nodes [`Self::process_exit`]
+    /// reclaimed a period on, or [`Self::age_waitlist`] expired a
+    /// waiter on.
+    touched: Vec<bool>,
 }
 
 impl TopoExtension {
@@ -291,6 +185,7 @@ impl TopoExtension {
                 .flat_map(|l| cfg.spec.caps.iter().map(|caps| caps.map(|c| limit(l, c))))
                 .collect(),
             dying: Vec::new(),
+            touched: vec![false; nodes],
             cfg,
         }
     }
@@ -453,7 +348,7 @@ impl TopoExtension {
     /// two-pass: if any component would wrap the usage book *or* the
     /// per-layer ledger, nothing is added and the wrapping kind is
     /// returned — the caller converts it into a typed
-    /// [`TopoError::DemandOverflow`] rejection.
+    /// [`RdaError::DemandOverflow`] rejection.
     fn account_nominal(&mut self, n: usize, layer: LayerId, acc: &Demand) -> Result<(), ResourceKind> {
         let li = layer.0 as usize;
         if let Some(k) = wraps(&self.usage[n], acc).or(wraps(&self.layer_usage[li][n], acc)) {
@@ -483,7 +378,7 @@ impl TopoExtension {
 
     /// Release a completed or reclaimed record's vector from the
     /// matching bucket on its node.
-    fn release(&mut self, rec: &TopoRecord) {
+    fn release(&mut self, rec: &PpRecord) {
         let n = rec.node.0 as usize;
         for k in ResourceKind::ALL {
             let i = k.index();
@@ -510,7 +405,7 @@ impl TopoExtension {
         site: SiteId,
         demand: Demand,
         now: SimTime,
-    ) -> Result<BeginOutcome, TopoError> {
+    ) -> Result<BeginOutcome, RdaError> {
         let layer = self.cfg.layers.layer_of(process.0);
         let policy = self.cfg.layers.spec(layer).policy;
         if !policy.is_gating() {
@@ -540,7 +435,7 @@ impl TopoExtension {
             self.stats.clamped += 1;
         }
         // The record every outcome below registers, once placed.
-        let proto = TopoRecord {
+        let proto = PpRecord {
             id: PpId(self.records.allocated()),
             process,
             site,
@@ -553,30 +448,22 @@ impl TopoExtension {
             begun_at: now,
         };
 
-        // Saturation breakers exclude nodes from placement; when every
-        // node sheds this demand class the arrival is shed outright
-        // (below, where no node is left to wait on).
-        let nodes = self.node_count();
-        let mut eligible = vec![true; nodes];
-        let mut first_block = None;
-        if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            for n in 0..nodes {
-                for k in ResourceKind::ALL {
-                    if self.breakers[n][k.index()].sheds(&b, audited.get(k)) {
-                        eligible[n] = false;
-                        first_block.get_or_insert((NodeId(n as u32), k));
-                    }
-                }
-            }
-        }
-
         // Placement: least-occupied feasible node, ties to the lowest
-        // id. Nodes whose books would wrap are disqualified; if every
-        // eligible node wraps, the demand is impossible to account.
+        // id. Nodes an open saturation breaker sheds this demand class
+        // on are excluded (when every node does, the arrival is shed
+        // below, where no node is left to wait on); nodes whose books
+        // would wrap are disqualified; if every eligible node wraps,
+        // the demand is impossible to account.
+        let nodes = self.node_count();
+        let mut first_block = None;
         let mut best: Option<(u128, usize)> = None;
         let mut all_wrap = true;
         let mut wrap_kind = None;
-        for n in (0..nodes).filter(|&n| eligible[n]) {
+        for n in 0..nodes {
+            if let Some(k) = self.breaker_blocks(n, &audited) {
+                first_block.get_or_insert((NodeId(n as u32), k));
+                continue;
+            }
             let acc = self.accounted_on(n, &audited, policy);
             match self.node_admittable(n, layer, &acc) {
                 Err(k) => {
@@ -608,7 +495,7 @@ impl TopoExtension {
                 self.stats.clamped += 1;
                 return Err(self.reject_overflow(ev, k, acc.get(k)));
             }
-            let pp = self.records.insert(|id| TopoRecord {
+            let pp = self.records.insert(|id| PpRecord {
                 id,
                 node: NodeId(n as u32),
                 accounted: acc,
@@ -627,7 +514,7 @@ impl TopoExtension {
         // No node fits: pin the arrival to the least-occupied eligible
         // node's waitlist, behind that node's overload gate.
         let Some(target) = (0..nodes)
-            .filter(|&n| eligible[n])
+            .filter(|&n| self.breaker_blocks(n, &audited).is_none())
             .min_by_key(|&n| (self.occupancy_score(n, &audited), n))
         else {
             // Every node's breaker sheds this demand class (a node is
@@ -637,7 +524,7 @@ impl TopoExtension {
             ev.kind = EventKind::Shed;
             ev.reject = RejectKind::BreakerOpen;
             self.emit(ev);
-            return Err(TopoError::BreakerOpen { node, kind });
+            return Err(RdaError::BreakerOpen { node, kind });
         };
         let acc = self.accounted_on(target, &audited, policy);
         let shed = match rules::gate(self.cfg.overload, &mut self.waitlists[target]) {
@@ -658,7 +545,7 @@ impl TopoExtension {
                     self.stats.clamped += 1;
                     return Err(self.reject_overflow(ev, k, acc.get(k)));
                 }
-                let pp = self.records.insert(|id| TopoRecord {
+                let pp = self.records.insert(|id| PpRecord {
                     id,
                     node: NodeId(target as u32),
                     accounted: acc,
@@ -680,38 +567,29 @@ impl TopoExtension {
                 ev.node = target as u32;
                 ev.reject = RejectKind::WaitlistFull;
                 self.emit(ev);
-                return Err(TopoError::WaitlistFull {
+                return Err(RdaError::WaitlistFull {
                     node: NodeId(target as u32),
                 });
             }
         };
-        let pp = self.records.insert(|id| TopoRecord {
+        let pp = self.records.insert(|id| PpRecord {
             id,
             node: NodeId(target as u32),
             accounted: acc,
             ..proto
         });
-        if self.waitlists[target]
-            .push(WaitEntry {
-                pp,
-                accounted: acc,
-                enqueued_at: now,
-            })
-            .is_err()
-        {
+        if let Err(e) = self.waitlists[target].push(WaitEntry {
+            pp,
+            accounted: acc,
+            enqueued_at: now,
+        }) {
             // A freshly allocated id cannot already be waitlisted; if
             // it is, the waitlist and the record store have
             // desynchronized. Roll the registration back so the books
             // stay balanced, and fail the call instead of panicking.
             self.records.complete(pp);
             self.stats.desyncs += 1;
-            return Err(TopoError::InvariantViolation {
-                node: NodeId(target as u32),
-                kind: acc.touched().next().unwrap_or(ResourceKind::Llc),
-                what: "period waitlisted twice",
-                expected: 0,
-                actual: pp.0,
-            });
+            return Err(e);
         }
         self.stats.paused += 1;
         self.stats.max_waitlist = self
@@ -726,13 +604,22 @@ impl TopoExtension {
         Ok(BeginOutcome::Pause { pp, shed })
     }
 
+    /// The first kind whose open saturation breaker on node `n` sheds
+    /// the demand class of `audited`, excluding the node from placement.
+    fn breaker_blocks(&self, n: usize, audited: &Demand) -> Option<ResourceKind> {
+        let b = self.cfg.overload?.breaker?;
+        ResourceKind::ALL
+            .into_iter()
+            .find(|&k| self.breakers[n][k.index()].sheds(&b, audited.get(k)))
+    }
+
     /// Reject the begin `ev` describes with
-    /// [`TopoError::DemandOverflow`] on kind `k`, reporting `declared`.
-    fn reject_overflow(&mut self, mut ev: TraceEvent, k: ResourceKind, declared: u64) -> TopoError {
+    /// [`RdaError::DemandOverflow`] on kind `k`, reporting `declared`.
+    fn reject_overflow(&mut self, mut ev: TraceEvent, k: ResourceKind, declared: u64) -> RdaError {
         ev.kind = EventKind::Reject;
         ev.reject = RejectKind::DemandOverflow;
         self.emit(ev);
-        TopoError::DemandOverflow {
+        RdaError::DemandOverflow {
             kind: k,
             declared,
             capacity: self.cfg.spec.max_capacity(k),
@@ -742,7 +629,7 @@ impl TopoExtension {
     /// Process a `pp_end`. Misbehaving applications get the same typed
     /// rejections as the scalar engine; state is untouched on every
     /// error path. The completed period's node is drained afterwards.
-    pub fn pp_end(&mut self, pp: PpId, now: SimTime) -> Result<EndOutcome, TopoError> {
+    pub fn pp_end(&mut self, pp: PpId, now: SimTime) -> Result<EndOutcome, RdaError> {
         self.stats.ends += 1;
         let mut ev = TraceEvent::at(now.cycles(), EventKind::End);
         ev.node = NO_NODE;
@@ -750,9 +637,9 @@ impl TopoExtension {
         let Some(&rec) = self.records.get(pp) else {
             self.stats.rejected_ends += 1;
             let (err, reject) = if self.records.was_allocated(pp) {
-                (TopoError::DoubleEnd(pp), RejectKind::DoubleEnd)
+                (RdaError::DoubleEnd(pp), RejectKind::DoubleEnd)
             } else {
-                (TopoError::UnknownPp(pp), RejectKind::UnknownPp)
+                (RdaError::UnknownPp(pp), RejectKind::UnknownPp)
             };
             ev.kind = EventKind::Reject;
             ev.reject = reject;
@@ -767,7 +654,7 @@ impl TopoExtension {
             ev.process = rec.process.0;
             ev.site = rec.site.0;
             self.emit(ev);
-            return Err(TopoError::EndWhileWaitlisted(pp));
+            return Err(RdaError::EndWhileWaitlisted(pp));
         }
         self.records.complete(pp);
         self.release(&rec);
@@ -791,7 +678,8 @@ impl TopoExtension {
         let mut dying = std::mem::take(&mut self.dying);
         dying.clear();
         self.records.reclaim(|r| r.process == process, &mut dying);
-        let mut touched = vec![false; self.node_count()];
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.fill(false);
         for rec in &dying {
             let n = rec.node.0 as usize;
             touched[n] = true;
@@ -809,16 +697,11 @@ impl TopoExtension {
         ev.process = process.0;
         ev.amount = count;
         self.emit(ev);
-        if count == 0 {
-            return Vec::new();
-        }
-        let timeout = self.cfg.waitlist_timeout_cycles;
         let mut resumed = Vec::new();
-        for n in 0..self.node_count() {
-            if touched[n] || self.waitlists[n].has_expired(now, timeout) {
-                resumed.extend(self.drain_node(n, now));
-            }
+        if count > 0 {
+            self.drain_nodes(&touched, now, &mut resumed);
         }
+        self.touched = touched;
         resumed
     }
 
@@ -830,24 +713,31 @@ impl TopoExtension {
         if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
             return out;
         }
-        let deadline = self.cfg.overload.and_then(|o| o.deadline_cycles);
-        let nodes = self.node_count();
-        let mut expired_touched = vec![false; nodes];
-        if let Some(deadline) = deadline {
-            for n in 0..nodes {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.fill(false);
+        if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
+            for (n, expired) in touched.iter_mut().enumerate() {
                 let before = out.expired.len();
                 NodeDrain { ext: self, n }.expire_past(deadline, now, &mut out.expired);
-                expired_touched[n] = out.expired.len() > before;
+                *expired = out.expired.len() > before;
             }
         }
-        let timeout = self.cfg.waitlist_timeout_cycles;
-        for n in 0..nodes {
-            if expired_touched[n] || self.waitlists[n].has_expired(now, timeout) {
-                out.resumed.extend(self.drain_node(n, now));
-            }
-        }
+        self.drain_nodes(&touched, now, &mut out.resumed);
+        self.touched = touched;
         self.evaluate_breaker(now);
         out
+    }
+
+    /// Drain, in node order, every node `touched` marks and every node
+    /// holding a waiter past the aging timeout, appending the admitted
+    /// periods to `resumed`.
+    fn drain_nodes(&mut self, touched: &[bool], now: SimTime, resumed: &mut Vec<(PpId, ProcessId)>) {
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        for (n, &touched) in touched.iter().enumerate() {
+            if touched || self.waitlists[n].has_expired(now, timeout) {
+                resumed.extend(self.drain_node(n, now));
+            }
+        }
     }
 
     /// Record a client-side retry of a previously shed or expired
@@ -909,21 +799,7 @@ impl TopoExtension {
                         .collect()
                 })
                 .collect(),
-            periods: self
-                .records
-                .iter()
-                .map(|r| PpSnap {
-                    id: r.id,
-                    process: r.process,
-                    site: r.site,
-                    layer: r.layer,
-                    node: r.node,
-                    declared: r.declared,
-                    accounted: r.accounted,
-                    admitted: r.admitted,
-                    overflow: r.overflow,
-                })
-                .collect(),
+            periods: self.records.iter().map(PpRecord::snap).collect(),
             stats: self.stats,
             allocated: self.records.allocated(),
         }
@@ -932,7 +808,7 @@ impl TopoExtension {
     /// Internal consistency: every book on every node equals the sum
     /// recomputed from the record store, per layer too, and each
     /// waitlist agrees with the records entry by entry.
-    pub fn check_invariants(&self) -> Result<(), TopoError> {
+    pub fn check_invariants(&self) -> Result<(), RdaError> {
         let nodes = self.node_count();
         let layers = self.cfg.layers.len();
         let mut usage = vec![[0u64; KIND_COUNT]; nodes];
@@ -956,10 +832,10 @@ impl TopoExtension {
                 waiting[n] += 1;
             }
         }
-        let violation = |n: usize, kind, what, expected, actual| TopoError::InvariantViolation {
+        let violation = |n: usize, kind, check, expected, actual| RdaError::InvariantViolation {
             node: NodeId(n as u32),
             kind,
-            what,
+            check,
             expected,
             actual,
         };
@@ -967,38 +843,39 @@ impl TopoExtension {
             for k in ResourceKind::ALL {
                 let i = k.index();
                 let books = [
-                    ("nominal usage", usage[n][i], self.usage[n][i]),
-                    ("overflow usage", overflow[n][i], self.overflow[n][i]),
+                    (InvariantKind::UsageMismatch, usage[n][i], self.usage[n][i]),
+                    (InvariantKind::OverflowMismatch, overflow[n][i], self.overflow[n][i]),
                 ];
-                let layer_books = (0..layers)
-                    .map(|l| ("layer usage", lusage[l][n][i], self.layer_usage[l][n][i]));
-                if let Some((what, expected, actual)) = books
+                let layer_books = (0..layers).map(|l| {
+                    let check = InvariantKind::LayerUsageMismatch;
+                    (check, lusage[l][n][i], self.layer_usage[l][n][i])
+                });
+                if let Some((check, expected, actual)) = books
                     .into_iter()
                     .chain(layer_books)
                     .find(|&(_, e, a)| e != a)
                 {
-                    return Err(violation(n, k, what, expected, actual));
+                    return Err(violation(n, k, check, expected, actual));
                 }
             }
         }
         let llc = ResourceKind::Llc;
         for n in 0..nodes {
             for e in self.waitlists[n].iter() {
-                match self.records.get(e.pp) {
-                    None => return Err(violation(n, llc, "waitlist record missing", e.pp.0, 0)),
-                    Some(rec) if rec.admitted => {
-                        return Err(violation(n, llc, "waitlisted record admitted", 0, e.pp.0))
-                    }
+                let (check, expected, actual) = match self.records.get(e.pp) {
+                    None => (InvariantKind::WaitlistRecordMissing, e.pp.0, 0),
+                    Some(rec) if rec.admitted => (InvariantKind::WaitlistAdmitted, 0, e.pp.0),
                     Some(rec) if rec.node.0 as usize != n => {
-                        let (what, got) = ("waitlisted record on wrong node", rec.node.0 as u64);
-                        return Err(violation(n, llc, what, n as u64, got));
+                        (InvariantKind::WaitlistWrongNode, n as u64, rec.node.0 as u64)
                     }
-                    Some(_) => {}
-                }
+                    Some(_) => continue,
+                };
+                return Err(violation(n, llc, check, expected, actual));
             }
             let queued = self.waitlists[n].len() as u64;
             if waiting[n] != queued {
-                return Err(violation(n, llc, "waitlist count", waiting[n], queued));
+                let check = InvariantKind::WaitlistCountMismatch;
+                return Err(violation(n, llc, check, waiting[n], queued));
             }
         }
         Ok(())
@@ -1011,7 +888,7 @@ fn waiter_event(
     kind: EventKind,
     n: usize,
     w: &WaitEntry<Demand>,
-    rec: Option<&TopoRecord>,
+    rec: Option<&PpRecord>,
     now: SimTime,
 ) -> TraceEvent {
     let mut ev = TraceEvent::at(now.cycles(), kind);
@@ -1040,24 +917,22 @@ struct NodeDrain<'a> {
 }
 
 impl Drain<Demand> for NodeDrain<'_> {
-    type Rec = TopoRecord;
-
     fn queue(&mut self) -> &mut Waitlist<Demand> {
         &mut self.ext.waitlists[self.n]
     }
 
-    fn record(&self, pp: PpId) -> Option<TopoRecord> {
+    fn record(&self, pp: PpId) -> Option<PpRecord> {
         self.ext.records.get(pp).copied()
     }
 
-    fn fits(&self, w: &WaitEntry<Demand>, rec: &TopoRecord) -> bool {
+    fn fits(&self, w: &WaitEntry<Demand>, rec: &PpRecord) -> bool {
         matches!(
             self.ext.node_admittable(self.n, rec.layer, &w.accounted),
             Ok(true)
         )
     }
 
-    fn admit(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> Option<ProcessId> {
+    fn admit(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
         let (e, n) = (&mut *self.ext, self.n);
         // A wrapping per-layer ledger leaves the head parked; aging can
         // still degrade it into the (checked) overflow bucket.
@@ -1070,7 +945,7 @@ impl Drain<Demand> for NodeDrain<'_> {
         Some(rec.process)
     }
 
-    fn age(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> Option<ProcessId> {
+    fn age(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
         let (e, n) = (&mut *self.ext, self.n);
         e.account_overflow(n, &w.accounted).ok()?;
         if let Some(r) = e.records.get_mut(w.pp) {
@@ -1082,7 +957,7 @@ impl Drain<Demand> for NodeDrain<'_> {
         Some(rec.process)
     }
 
-    fn shed(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) {
+    fn shed(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) {
         let (e, n) = (&mut *self.ext, self.n);
         e.records.complete(w.pp);
         e.stats.clamped += 1;
@@ -1092,7 +967,7 @@ impl Drain<Demand> for NodeDrain<'_> {
         e.emit(ev);
     }
 
-    fn expire(&mut self, w: &WaitEntry<Demand>, rec: TopoRecord, now: SimTime) -> ProcessId {
+    fn expire(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> ProcessId {
         let (e, n) = (&mut *self.ext, self.n);
         e.records.complete(w.pp);
         e.stats.expired += 1;
@@ -1235,10 +1110,10 @@ mod tests {
         let pp = run(&mut e, 0, 0, Demand::llc(10), t(0));
         assert_eq!(
             e.pp_end(PpId(99), t(1)),
-            Err(TopoError::UnknownPp(PpId(99)))
+            Err(RdaError::UnknownPp(PpId(99)))
         );
         e.pp_end(pp, t(2)).unwrap();
-        assert_eq!(e.pp_end(pp, t(3)), Err(TopoError::DoubleEnd(pp)));
+        assert_eq!(e.pp_end(pp, t(3)), Err(RdaError::DoubleEnd(pp)));
         // Fill both nodes so the next arrival must wait.
         run(&mut e, 1, 0, Demand::llc(100), t(4));
         run(&mut e, 2, 0, Demand::llc(100), t(5));
@@ -1248,7 +1123,7 @@ mod tests {
         else {
             panic!("expected Pause");
         };
-        assert_eq!(e.pp_end(w2, t(7)), Err(TopoError::EndWhileWaitlisted(w2)));
+        assert_eq!(e.pp_end(w2, t(7)), Err(RdaError::EndWhileWaitlisted(w2)));
         assert_eq!(e.stats().rejected_ends, 3);
         e.check_invariants().unwrap();
     }
@@ -1286,7 +1161,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            TopoError::DemandOverflow {
+            RdaError::DemandOverflow {
                 kind: ResourceKind::MemBw,
                 declared: 500,
                 capacity: 50,
@@ -1392,7 +1267,7 @@ mod tests {
         let err = e
             .pp_begin(ProcessId(1), SiteId(0), Demand::llc(40), t(1))
             .unwrap_err();
-        assert!(matches!(err, TopoError::InvariantViolation { actual, .. } if actual == next.0));
+        assert_eq!(err, RdaError::DoubleWaitlist(next));
         assert_eq!(e.stats().desyncs, 1);
         assert_eq!(e.stats().paused, 0);
         assert!(e.snapshot().periods.iter().all(|p| p.id != next));
@@ -1432,7 +1307,7 @@ mod tests {
         let err = e.pp_begin(ProcessId(2), SiteId(0), d, t(2)).unwrap_err();
         assert!(matches!(
             err,
-            TopoError::DemandOverflow {
+            RdaError::DemandOverflow {
                 kind: ResourceKind::MemBw,
                 ..
             }
@@ -1456,7 +1331,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            TopoError::DemandOverflow {
+            RdaError::DemandOverflow {
                 kind: ResourceKind::Llc,
                 ..
             }

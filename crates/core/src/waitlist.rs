@@ -36,6 +36,7 @@
 
 use crate::api::PpId;
 use crate::error::RdaError;
+use crate::registry::PpRecord;
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
@@ -173,26 +174,23 @@ impl<A: Copy> Waitlist<A> {
 /// the protocol; an engine implements only the actions, on a private
 /// handle over its books.
 pub trait Drain<A: Copy> {
-    /// The engine's record of a queued period.
-    type Rec: Copy;
-
     /// The queue being drained.
     fn queue(&mut self) -> &mut Waitlist<A>;
     /// The live record of a queued period; `None` marks an orphaned
     /// entry (the books have desynchronized).
-    fn record(&self, pp: PpId) -> Option<Self::Rec>;
+    fn record(&self, pp: PpId) -> Option<PpRecord>;
     /// Whether `entry` fits the nominal books now (Algorithm 1).
-    fn fits(&self, entry: &WaitEntry<A>, rec: &Self::Rec) -> bool;
+    fn fits(&self, entry: &WaitEntry<A>, rec: &PpRecord) -> bool;
     /// Admit a fitting `entry` nominally, returning its process; `None`
     /// (nothing accounted) leaves it parked because a book would wrap.
-    fn admit(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> Option<ProcessId>;
+    fn admit(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> Option<ProcessId>;
     /// Force-admit an aged `entry` into the overflow bucket, returning
     /// its process; `None` (nothing accounted) when the bucket would wrap.
-    fn age(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> Option<ProcessId>;
+    fn age(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> Option<ProcessId>;
     /// Complete, as shed, an aged `entry` the overflow bucket cannot take.
-    fn shed(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime);
+    fn shed(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime);
     /// Complete `entry` past its deadline, returning its process.
-    fn expire(&mut self, entry: &WaitEntry<A>, rec: Self::Rec, now: SimTime) -> ProcessId;
+    fn expire(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> ProcessId;
     /// Count one desync: an orphaned entry was dropped.
     fn desync(&mut self);
 

@@ -30,11 +30,6 @@ pub struct SimConfig {
     /// (`SplitMix64::derive_stream`) so replicated runs observe
     /// independent jitter while staying exactly reproducible.
     pub jitter_seed: u64,
-    /// Check the RDA extension's internal invariants after every
-    /// simulation step (not just at the end); a violation aborts the
-    /// run with a typed diagnostic. On by default — the checks are
-    /// read-only and O(live periods).
-    pub paranoid: bool,
     /// Demand-audit mode forwarded to the RDA extension (`Trust` is the
     /// paper's behaviour).
     pub demand_audit: DemandAudit,
@@ -79,7 +74,6 @@ impl SimConfig {
             max_sim_seconds: 1000.0,
             sample_every: None,
             jitter_seed: DEFAULT_JITTER_SEED,
-            paranoid: true,
             demand_audit: DemandAudit::Trust,
             waitlist_timeout: None,
             faults: None,
@@ -97,12 +91,6 @@ impl SimConfig {
     /// Use the given timeslice-jitter seed.
     pub fn with_jitter_seed(mut self, seed: u64) -> Self {
         self.jitter_seed = seed;
-        self
-    }
-
-    /// Enable or disable per-step invariant checking.
-    pub fn with_paranoid(mut self, on: bool) -> Self {
-        self.paranoid = on;
         self
     }
 
@@ -154,9 +142,7 @@ mod tests {
         assert!(c.machine.validate().is_ok());
         assert!(c.rebalance_every.cycles() > 0);
         assert_eq!(c.policy, PolicyKind::Strict);
-        // Robustness defaults: paranoid checking on (read-only, cannot
-        // change behaviour), everything else the paper's behaviour.
-        assert!(c.paranoid);
+        // Robustness defaults: the paper's behaviour.
         assert_eq!(c.demand_audit, DemandAudit::Trust);
         assert_eq!(c.waitlist_timeout, None);
         assert_eq!(c.faults, None);
@@ -180,13 +166,11 @@ mod tests {
         let c = SimConfig::paper_default(PolicyKind::Strict)
             .with_demand_audit(DemandAudit::Clamp)
             .with_waitlist_timeout_ms(5.0)
-            .with_faults(FaultConfig::uniform(0.1))
-            .with_paranoid(false);
+            .with_faults(FaultConfig::uniform(0.1));
         assert_eq!(c.demand_audit, DemandAudit::Clamp);
         let timeout = c.waitlist_timeout.expect("timeout set");
         // 5 ms at 1.9 GHz.
         assert_eq!(timeout.cycles(), (5e-3 * c.machine.freq_hz) as u64);
         assert!(c.faults.is_some());
-        assert!(!c.paranoid);
     }
 }

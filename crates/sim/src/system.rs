@@ -350,8 +350,8 @@ pub struct SystemSim {
     /// The value of [`Self::corun_gen`] when `corun_tags`/`corun_rates`
     /// were last brought up to date.
     corun_gen_key: u64,
-    /// `books_epoch` value at the last passing paranoid invariant
-    /// check. The check is a pure function of the extension's books,
+    /// `books_epoch` value at the last passing invariant check
+    /// ([`Self::check_books`]). The check is a pure function of the extension's books,
     /// so an unchanged epoch implies an unchanged (passing) verdict.
     checked_books_epoch: u64,
     /// Threads that completed their phase quota this interval, in
@@ -873,6 +873,21 @@ impl SystemSim {
         }
     }
 
+    /// Check the extension's invariants, as after every simulation
+    /// step, unless its books are unchanged since the last passing
+    /// check: the check is a pure function of the books, so an
+    /// unchanged epoch implies an unchanged verdict. A violation aborts
+    /// the run with a typed diagnostic.
+    fn check_books(&mut self) -> Result<(), String> {
+        if self.rda.books_epoch() != self.checked_books_epoch {
+            self.rda
+                .check_invariants()
+                .map_err(|e| format!("RDA invariant violated: {e}"))?;
+            self.checked_books_epoch = self.rda.books_epoch();
+        }
+        Ok(())
+    }
+
     /// Record an LLC occupancy sample into the trace sink, one per
     /// simulated tick (no-op when tracing is off — the reads below are
     /// never even issued).
@@ -943,12 +958,7 @@ impl SystemSim {
                 }
                 self.apply_aging();
                 self.sample_occupancy(0);
-                if self.cfg.paranoid && self.rda.books_epoch() != self.checked_books_epoch {
-                    self.rda
-                        .check_invariants()
-                        .map_err(|e| format!("RDA invariant violated: {e}"))?;
-                    self.checked_books_epoch = self.rda.books_epoch();
-                }
+                self.check_books()?;
                 continue;
             }
 
@@ -1154,12 +1164,7 @@ impl SystemSim {
             self.apply_aging();
             self.sample_occupancy(running.len());
             self.scratch_running = running;
-            if self.cfg.paranoid && self.rda.books_epoch() != self.checked_books_epoch {
-                self.rda
-                    .check_invariants()
-                    .map_err(|e| format!("RDA invariant violated: {e}"))?;
-                self.checked_books_epoch = self.rda.books_epoch();
-            }
+            self.check_books()?;
         }
 
         // Mirror extension activity into the perf counters.
@@ -1169,10 +1174,7 @@ impl SystemSim {
         self.counters.fastpath_hits = rs.fast_begins + rs.fast_ends;
         self.counters.waitlisted = rs.paused;
         self.counters.migrations = self.sched.stats().migrations;
-
-        self.rda
-            .check_invariants()
-            .map_err(|e| format!("RDA invariant violated: {e}"))?;
+        self.check_books()?;
 
         Ok(RunResult {
             measurement: Measurement {

@@ -28,8 +28,8 @@ use crate::faults::FaultConfig;
 use crate::runner::run_pool;
 use crate::traffic::{run_plan, Admission, ArrivalPattern, CallLog, TrafficConfig, TrafficPlan};
 use rda_core::{
-    AgeOutcome, BeginOutcome, Demand, EndOutcome, LayerId, NodeId, OverloadConfig, PpId, RdaStats,
-    ResourceKind, SiteId, TopoConfig, TopoError, TopoExtension,
+    AgeOutcome, BeginOutcome, Demand, EndOutcome, LayerId, NodeId, OverloadConfig, PpId, RdaError,
+    RdaStats, ResourceKind, SiteId, TopoConfig, TopoExtension,
 };
 use rda_sched::ProcessId;
 use rda_simcore::{Fnv1a64, SimTime, SplitMix64};
@@ -339,7 +339,6 @@ impl TopoTrafficSim {
 impl Admission for TopoExtension {
     type Demand = Demand;
     type Call = TopoCall;
-    type Error = TopoError;
 
     fn scale(demand: Demand, factor: f64) -> Demand {
         Demand {
@@ -359,7 +358,7 @@ impl Admission for TopoExtension {
         demand: Demand,
         now: SimTime,
         log: &mut CallLog<TopoCall>,
-    ) -> Result<BeginOutcome, TopoError> {
+    ) -> Result<BeginOutcome, RdaError> {
         log.push(TopoCall::Begin {
             now,
             process,
@@ -369,25 +368,14 @@ impl Admission for TopoExtension {
         self.pp_begin(process, site, demand, now)
     }
 
-    fn sheds(err: &TopoError) -> bool {
-        matches!(
-            err,
-            TopoError::WaitlistFull { .. } | TopoError::BreakerOpen { .. }
-        )
-    }
-
     fn end(
         &mut self,
         pp: PpId,
         now: SimTime,
         log: &mut CallLog<TopoCall>,
-    ) -> Result<EndOutcome, TopoError> {
+    ) -> Result<EndOutcome, RdaError> {
         log.push(TopoCall::End { now, pp });
         self.pp_end(pp, now)
-    }
-
-    fn is_double_end(err: &TopoError) -> bool {
-        matches!(err, TopoError::DoubleEnd(_))
     }
 
     fn exit(
@@ -445,7 +433,7 @@ impl Admission for TopoExtension {
         }
     }
 
-    fn check(&self) -> Result<(), TopoError> {
+    fn check(&self) -> Result<(), RdaError> {
         self.check_invariants()
     }
 }

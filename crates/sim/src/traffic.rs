@@ -430,8 +430,6 @@ pub(crate) trait Admission {
     type Demand: Copy;
     /// One replayable call record.
     type Call;
-    /// The engine's typed error.
-    type Error: std::fmt::Debug;
 
     /// `demand` as declared by a client lying by `factor`.
     fn scale(demand: Self::Demand, factor: f64) -> Self::Demand;
@@ -447,11 +445,7 @@ pub(crate) trait Admission {
         demand: Self::Demand,
         now: SimTime,
         log: &mut CallLog<Self::Call>,
-    ) -> Result<BeginOutcome, Self::Error>;
-
-    /// Whether a `pp_begin` error shed the arrival (overload gate or
-    /// breaker) rather than the auditor refusing to track it.
-    fn sheds(err: &Self::Error) -> bool;
+    ) -> Result<BeginOutcome, RdaError>;
 
     /// `pp_end`.
     fn end(
@@ -459,10 +453,7 @@ pub(crate) trait Admission {
         pp: PpId,
         now: SimTime,
         log: &mut CallLog<Self::Call>,
-    ) -> Result<EndOutcome, Self::Error>;
-
-    /// Whether a `pp_end` error is the double-end rejection.
-    fn is_double_end(err: &Self::Error) -> bool;
+    ) -> Result<EndOutcome, RdaError>;
 
     /// `process_exit`: the periods it woke.
     fn exit(
@@ -491,13 +482,12 @@ pub(crate) trait Admission {
     fn tick(&mut self, _now: SimTime, _in_flight: usize) {}
 
     /// `check_invariants`.
-    fn check(&self) -> Result<(), Self::Error>;
+    fn check(&self) -> Result<(), RdaError>;
 }
 
 impl Admission for RdaExtension {
     type Demand = PpDemand;
     type Call = RdaCall;
-    type Error = RdaError;
 
     fn scale(demand: PpDemand, factor: f64) -> PpDemand {
         PpDemand {
@@ -528,10 +518,6 @@ impl Admission for RdaExtension {
         self.pp_begin(process, site, demand, now)
     }
 
-    fn sheds(err: &RdaError) -> bool {
-        matches!(err, RdaError::WaitlistFull | RdaError::BreakerOpen)
-    }
-
     fn end(
         &mut self,
         pp: PpId,
@@ -540,10 +526,6 @@ impl Admission for RdaExtension {
     ) -> Result<EndOutcome, RdaError> {
         log.push(RdaCall::End { now, pp });
         self.pp_end(pp, now)
-    }
-
-    fn is_double_end(err: &RdaError) -> bool {
-        matches!(err, RdaError::DoubleEnd(_))
     }
 
     fn exit(
@@ -815,7 +797,10 @@ impl<E: Admission> Engine<'_, E> {
                     self.waiting.insert(pp.0, req);
                 }
             }
-            Err(e) if E::sheds(&e) => self.retry_or_fail(req),
+            // Shed by the overload gate or the breaker.
+            Err(RdaError::WaitlistFull { .. } | RdaError::BreakerOpen { .. }) => {
+                self.retry_or_fail(req)
+            }
             // Untracked: the policy bypasses admission, or the auditor
             // refused the demand (per the API contract the caller then
             // falls back to untracked scheduling), so the request
@@ -896,7 +881,7 @@ impl<E: Admission> Engine<'_, E> {
                 if fault.double_end {
                     let second = self.ext.end(pp, self.now, &mut self.calls);
                     debug_assert!(
-                        matches!(second, Err(ref e) if E::is_double_end(e)),
+                        matches!(second, Err(RdaError::DoubleEnd(_))),
                         "second pp_end must be rejected as a double end"
                     );
                 }

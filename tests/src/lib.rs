@@ -4,40 +4,15 @@
 //! progress-period annotations → RDA extension → CFS substrate →
 //! machine model → measurements.
 //!
-//! The library holds what several test files share: the vocabulary for
-//! comparing a scalar replay with its topology lift call for call.
+//! The library holds what several test files share: comparing a scalar
+//! replay with its topology lift call for call. Both engines report the
+//! same call effects and snapshots; only the scalar fast path's marks
+//! differ, and these helpers clear them.
 
-use rda_check::{Effect, TopoEffect};
-use rda_core::{RdaError, RdaStats, TopoError};
+use rda_check::Effect;
+use rda_core::RdaStats;
 
-/// A topology call effect in the scalar vocabulary, fast-path flags
-/// false (the topology engine has no fast path).
-pub fn as_scalar(effect: &TopoEffect) -> Effect {
-    match effect.clone() {
-        TopoEffect::Bypass => Effect::Bypass,
-        TopoEffect::Run { pp } => Effect::Run { pp, fast: false },
-        TopoEffect::Pause { pp, shed } => Effect::Pause { pp, shed },
-        TopoEffect::End { resumed } => Effect::End {
-            fast: false,
-            resumed,
-        },
-        TopoEffect::Woken { resumed, expired } => Effect::Woken { resumed, expired },
-        TopoEffect::Retried => Effect::Retried,
-        TopoEffect::Rejected(e) => Effect::Rejected(match e {
-            TopoError::UnknownPp(pp) => RdaError::UnknownPp(pp),
-            TopoError::DoubleEnd(pp) => RdaError::DoubleEnd(pp),
-            TopoError::EndWhileWaitlisted(pp) => RdaError::EndWhileWaitlisted(pp),
-            TopoError::DemandOverflow {
-                declared, capacity, ..
-            } => RdaError::DemandOverflow { declared, capacity },
-            TopoError::WaitlistFull { .. } => RdaError::WaitlistFull,
-            TopoError::BreakerOpen { .. } => RdaError::BreakerOpen,
-            e @ TopoError::InvariantViolation { .. } => panic!("topology engine bug: {e}"),
-        }),
-    }
-}
-
-/// A scalar call effect with its fast-path flag cleared.
+/// A call effect with its fast-path flag cleared.
 pub fn without_fast(effect: &Effect) -> Effect {
     match effect.clone() {
         Effect::Run { pp, .. } => Effect::Run { pp, fast: false },

@@ -19,7 +19,7 @@
 //! engines must have the same effect on every call.
 
 use rda_check::{replay, replay_lifted, replay_topo, TopoDoc, TraceDoc};
-use rda_integration::{as_scalar, decided, without_fast};
+use rda_integration::{decided, without_fast};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -87,6 +87,7 @@ fn draining_corpus_traces_end_idle() {
         "overload_shed_expire_breaker.trace",
         "breaker_before_wrap_guard.trace",
         "overflow_bucket_wrap.trace",
+        "fast_oversized_readmission.trace",
     ] {
         let text = std::fs::read_to_string(corpus_dir().join(name)).unwrap();
         let doc = TraceDoc::parse(&text).unwrap();
@@ -136,12 +137,7 @@ fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
         assert_eq!(report.steps, doc.events.len(), "{name} (lifted)");
         let scalar = replay(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (step, (s, t)) in scalar.effects.iter().zip(&report.effects).enumerate() {
-            assert_eq!(
-                without_fast(s),
-                as_scalar(t),
-                "{name}, step {step}: {:?}",
-                doc.events[step]
-            );
+            assert_eq!(without_fast(s), *t, "{name}, step {step}: {:?}", doc.events[step]);
         }
         let mut want = scalar.final_snapshot;
         want.stats = decided(want.stats);

@@ -15,7 +15,7 @@
 
 use rda_check::{doc_from_calls, replay, Effect, Oracle, TraceEvent};
 use rda_core::waitlist::{WaitEntry, Waitlist};
-use rda_core::{mb, DemandAudit, PolicyKind, PpId, RdaError};
+use rda_core::{mb, DemandAudit, PolicyKind, PpId, RdaError, ResourceKind};
 use rda_sim::{FaultConfig, SimConfig, SystemSim};
 use rda_simcore::SimTime;
 use rda_workloads::spec::all_workloads;
@@ -155,6 +155,7 @@ fn demand_overflow_rejection_is_pure() {
             amount: mb(99.0),
         },
         RdaError::DemandOverflow {
+            kind: ResourceKind::Llc,
             declared: mb(99.0),
             capacity: mb(15.0),
         },
@@ -277,9 +278,8 @@ fn invariants_hold_after_heavy_traffic() {
 
 // ---------------------------------------------------------------------
 // Registry differential: the slab-arena `PpRegistry` against the
-// `BTreeMap` reference implementation it replaced, for both engines'
-// record types. Arbitrary schedules of register / mutate / complete /
-// process-exit reclamation must leave both with identical observable
+// `BTreeMap` reference implementation it replaced. Arbitrary
+// schedules of register / mutate / complete / process-exit reclamation must leave both with identical observable
 // state after every single step — including id-order iteration, which
 // the snapshot digest depends on.
 // ---------------------------------------------------------------------
@@ -287,19 +287,17 @@ fn invariants_hold_after_heavy_traffic() {
 mod registry_differential {
     use proptest::prelude::*;
     use rda_core::registry::{reference::BTreeRegistry, PpRecord, PpRegistry};
-    use rda_core::{mb, Demand, LayerId, NodeId, PpDemand, PpId, SiteId, TopoRecord};
-    use rda_machine::ReuseLevel;
+    use rda_core::{Demand, LayerId, NodeId, PpId, SiteId};
     use rda_sched::ProcessId;
     use rda_simcore::SimTime;
-    use std::fmt::Debug;
 
     /// The period a `Register` op begins.
     #[derive(Debug, Clone, Copy)]
     struct Period {
         process: u32,
         site: u32,
-        high_reuse: bool,
-        ws_tenth_mb: u64,
+        layer: bool,
+        declared: u64,
         accounted: u64,
         admitted: bool,
         at: u64,
@@ -332,11 +330,11 @@ mod registry_differential {
         let who = (0u32..6, 0u32..4, any::<bool>(), 1u64..200);
         let what = (0u64..50_000_000, any::<bool>(), 0u64..1_000_000);
         (who, what).prop_map(
-            |((process, site, high_reuse, ws_tenth_mb), (accounted, admitted, at))| Period {
+            |((process, site, layer, declared), (accounted, admitted, at))| Period {
                 process,
                 site,
-                high_reuse,
-                ws_tenth_mb,
+                layer,
+                declared,
                 accounted,
                 admitted,
                 at,
@@ -353,56 +351,25 @@ mod registry_differential {
         ]
     }
 
-    /// What the schedule needs of a record type.
-    trait Record: Copy + PartialEq + Debug {
-        /// The record `p` registers under `id`.
-        fn new(p: Period, id: PpId) -> Self;
-        /// Its id and owning process.
-        fn owner(&self) -> (PpId, ProcessId);
-    }
-
-    impl Record for PpRecord {
-        fn new(p: Period, id: PpId) -> Self {
-            let reuse = [ReuseLevel::Low, ReuseLevel::High][p.high_reuse as usize];
-            PpRecord {
-                id,
-                process: ProcessId(p.process),
-                site: SiteId(p.site),
-                demand: PpDemand::llc(mb(p.ws_tenth_mb as f64 / 10.0), reuse),
-                begun_at: SimTime::from_cycles(p.at),
-                accounted: p.accounted,
-                admitted: p.admitted,
-                overflow: false,
-            }
-        }
-        fn owner(&self) -> (PpId, ProcessId) {
-            (self.id, self.process)
-        }
-    }
-
-    impl Record for TopoRecord {
-        fn new(p: Period, id: PpId) -> Self {
-            TopoRecord {
-                id,
-                process: ProcessId(p.process),
-                site: SiteId(p.site),
-                layer: LayerId(p.high_reuse as u32),
-                node: NodeId(p.site % 2),
-                declared: Demand::new(p.ws_tenth_mb, p.accounted, 0),
-                accounted: Demand::new(p.accounted, p.ws_tenth_mb, 0),
-                admitted: p.admitted,
-                overflow: false,
-                begun_at: SimTime::from_cycles(p.at),
-            }
-        }
-        fn owner(&self) -> (PpId, ProcessId) {
-            (self.id, self.process)
+    /// The record `p` registers under `id`.
+    fn record(p: Period, id: PpId) -> PpRecord {
+        PpRecord {
+            id,
+            process: ProcessId(p.process),
+            site: SiteId(p.site),
+            layer: LayerId(p.layer as u32),
+            node: NodeId(p.site % 2),
+            declared: Demand::new(p.declared, p.accounted, 0),
+            accounted: Demand::new(p.accounted, p.declared, 0),
+            admitted: p.admitted,
+            overflow: false,
+            begun_at: SimTime::from_cycles(p.at),
         }
     }
 
     /// Full observable state must agree: counts, allocation history,
     /// per-id lookup, and iteration *order*.
-    fn assert_equivalent<R: Record>(arena: &PpRegistry<R>, model: &BTreeRegistry<R>) {
+    fn assert_equivalent(arena: &PpRegistry, model: &BTreeRegistry) {
         assert_eq!(arena.len(), model.len());
         assert_eq!(arena.is_empty(), model.is_empty());
         assert_eq!(arena.allocated(), model.allocated());
@@ -416,14 +383,14 @@ mod registry_differential {
         }
     }
 
-    /// Drive one record type's arena and reference through `ops`.
-    fn check<R: Record>(ops: &[Op]) {
-        let mut arena = PpRegistry::<R>::new();
-        let mut model = BTreeRegistry::<R>::new();
+    /// Drive the arena and the reference through `ops`.
+    fn check(ops: &[Op]) {
+        let mut arena = PpRegistry::new();
+        let mut model = BTreeRegistry::new();
         for op in ops {
             match *op {
                 Op::Register(p) => {
-                    let make = |id| R::new(p, id);
+                    let make = |id| record(p, id);
                     prop_assert_eq!(arena.insert(make), model.insert(make), "id allocation");
                 }
                 Op::Complete { pick } => {
@@ -433,15 +400,15 @@ mod registry_differential {
                 }
                 Op::Mutate { pick, to } => {
                     let id = PpId((pick as u64) % (arena.allocated() + 3));
-                    let rewrite = |r: &mut R| *r = R::new(to, id);
+                    let rewrite = |r: &mut PpRecord| *r = record(to, id);
                     let live = arena.get_mut(id).map(rewrite);
                     prop_assert_eq!(live, model.get_mut(id).map(rewrite));
                 }
                 Op::ExitProcess { process } => {
-                    let dying = |r: &R| r.owner().1 == ProcessId(process);
-                    let want: Vec<R> = model.iter().copied().filter(dying).collect();
+                    let dying = |r: &PpRecord| r.process == ProcessId(process);
+                    let want: Vec<PpRecord> = model.iter().copied().filter(dying).collect();
                     for r in &want {
-                        model.complete(r.owner().0);
+                        model.complete(r.id);
                     }
                     let mut got = Vec::new();
                     arena.reclaim(dying, &mut got);
@@ -457,8 +424,7 @@ mod registry_differential {
 
         #[test]
         fn arena_registry_matches_btree_reference(ops in prop::collection::vec(arb_op(), 1..80)) {
-            check::<PpRecord>(&ops);
-            check::<TopoRecord>(&ops);
+            check(&ops);
         }
     }
 }

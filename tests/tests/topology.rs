@@ -5,14 +5,12 @@
 //! cross-engine compatibility argument (scalar vs 1-node topology).
 
 use proptest::prelude::*;
-use rda_check::{
-    replay, replay_lifted, topo_doc_from_calls, Effect, GenParams, TopoEffect, TraceDoc,
-};
+use rda_check::{replay, replay_lifted, topo_doc_from_calls, Effect, GenParams, TraceDoc};
 use rda_core::{
     mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
     RdaConfig, ShedPolicy, TopoConfig, TopoSpec,
 };
-use rda_integration::{as_scalar, decided, without_fast};
+use rda_integration::{decided, without_fast};
 use rda_machine::MachineConfig;
 use rda_sim::{
     run_topo_cells, topo_sweep_digest, FaultConfig, TopoCell, TopoClass, TopoTrafficConfig,
@@ -100,7 +98,7 @@ fn recorded_topo_overload_fault_schedules_replay_with_zero_divergence() {
             report
                 .effects
                 .iter()
-                .any(|e| matches!(e, TopoEffect::Pause { .. })),
+                .any(|e| matches!(e, Effect::Pause { .. })),
             "{shed:?}: schedule never queued — not an overload test"
         );
     }
@@ -164,7 +162,7 @@ proptest! {
 /// DESIGN.md §9's compatibility argument, exact: a scalar schedule and
 /// its lift onto `TopoConfig::compat` agree call for call — outcome,
 /// period id, shed victim, resumed and expired lists in order, error
-/// variant — under every policy, audit mode, overload gate, deadline,
+/// and payload — under every policy, audit mode, overload gate, deadline,
 /// breaker and aging setting `random_doc` draws, backward clock steps
 /// and near-`u64::MAX` declarations that reach the wrap guard included.
 /// At the end their snapshots are equal, fast-path counters zeroed.
@@ -177,11 +175,7 @@ fn random_scalar_schedules_agree_with_their_topology_lift() {
             replay_lifted(&doc).unwrap_or_else(|d| panic!("seed {seed}: lift diverged: {d}"));
         for (step, (s, t)) in scalar.effects.iter().zip(&lifted.effects).enumerate() {
             let event = &doc.events[step];
-            assert_eq!(
-                without_fast(s),
-                as_scalar(t),
-                "seed {seed}, step {step}: {event:?}"
-            );
+            assert_eq!(without_fast(s), *t, "seed {seed}, step {step}: {event:?}");
         }
         let mut want = scalar.final_snapshot;
         want.stats = decided(want.stats);
@@ -200,14 +194,12 @@ fn zero_byte_period_on_an_oversubscribed_llc_runs_in_both_engines() {
         .unwrap();
     let scalar = replay(&doc).unwrap();
     let lifted = replay_lifted(&doc).unwrap();
-    assert_eq!(
-        scalar.effects[1],
-        Effect::Run {
-            pp: PpId(1),
-            fast: false
-        }
-    );
-    assert_eq!(lifted.effects[1], TopoEffect::Run { pp: PpId(1) });
+    let run = Effect::Run {
+        pp: PpId(1),
+        fast: false,
+    };
+    assert_eq!(scalar.effects[1], run);
+    assert_eq!(lifted.effects[1], run);
 }
 
 /// One `web_default` plan (seed 3) through the scalar traffic engine,
