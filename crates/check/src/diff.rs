@@ -1,19 +1,25 @@
 //! The differential oracle: one event stream, two machines, equality
 //! after every step.
 //!
-//! [`Oracle`] drives the implementation ([`rda_core::RdaExtension`])
-//! and the reference model ([`crate::model::RefModel`]) with identical
-//! calls and, after *every* event, demands:
+//! [`Oracle`] drives the scalar engine ([`rda_core::RdaExtension`]) in
+//! lockstep with the one topology reference model
+//! ([`crate::topo_model::TopoRefModel`]) on the engine's lift onto
+//! `TopoConfig::compat`: each event goes to the engine as it is and to
+//! the model through [`crate::topo_trace::lift_event`]. A
+//! [`FastPathModel`] beside the model turns the lifted effects into the
+//! scalar engine's, fast flags and counters included. After *every*
+//! event the oracle demands:
 //!
 //! 1. the per-call results agree (outcome variant, allocated id, fast
 //!    flag, resumed/expired/shed lists **in order**, error variant and
 //!    payload);
 //! 2. the observable snapshots are bit-identical — both accounting
 //!    buckets, waitlist order with enqueue times, live periods, every
-//!    stats counter (including the overload shed/expired/retried/
-//!    breaker counters), and the id-allocator position;
+//!    stats counter (including the fast-path and overload counters),
+//!    and the id-allocator position;
 //! 3. the memoised-decision caches digest identically;
-//! 4. the implementation's own [`RdaExtension::check_invariants`]
+//! 4. the breaker is open in both or in neither;
+//! 5. the implementation's own [`RdaExtension::check_invariants`]
 //!    passes.
 //!
 //! Any violation is reported as a [`Divergence`] naming the step, the
@@ -23,10 +29,13 @@
 //! [`Divergence`] over its own event type and the same
 //! [`ReplayReport`].
 
-use crate::model::{Effect, RefModel};
+use crate::model::{Effect, FastPathModel};
+use crate::topo_model::TopoRefModel;
+use crate::topo_trace::lift_event;
 use crate::trace::{TraceDoc, TraceEvent};
 use rda_core::{
-    PpDemand, PpId, RdaConfig, RdaExtension, Resource, ResourceKind, SiteId, Snapshot,
+    NodeId, PpDemand, PpId, RdaConfig, RdaExtension, Resource, ResourceKind, SiteId, Snapshot,
+    TopoConfig,
 };
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
@@ -71,20 +80,27 @@ impl<E: fmt::Debug> fmt::Display for Divergence<E> {
 
 impl<E: fmt::Debug> std::error::Error for Divergence<E> {}
 
-/// Implementation + model in lockstep.
+/// The scalar engine and its reference models in lockstep.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     ext: RdaExtension,
-    model: RefModel,
+    model: TopoRefModel,
+    fast: FastPathModel,
+    /// The models' snapshot after the last event, fast-path counters
+    /// included: the state the next call starts from.
+    last: Snapshot,
     steps: usize,
 }
 
 impl Oracle {
-    /// Both machines fresh under the same configuration.
+    /// The engine fresh under `cfg`, the models under its lift.
     pub fn new(cfg: RdaConfig) -> Self {
+        let model = TopoRefModel::new(TopoConfig::compat(&cfg));
         Oracle {
-            ext: RdaExtension::new(cfg.clone()),
-            model: RefModel::new(cfg),
+            last: model.snapshot(),
+            fast: FastPathModel::new(&cfg),
+            ext: RdaExtension::new(cfg),
+            model,
             steps: 0,
         }
     }
@@ -94,9 +110,14 @@ impl Oracle {
         &self.ext
     }
 
-    /// The reference model.
-    pub fn model(&self) -> &RefModel {
+    /// The reference model, on the compat lift.
+    pub fn model(&self) -> &TopoRefModel {
         &self.model
+    }
+
+    /// The reference model of the fast path.
+    pub fn fast_path(&self) -> &FastPathModel {
+        &self.fast
     }
 
     /// Events applied so far.
@@ -116,7 +137,8 @@ impl Oracle {
         self.steps += 1;
         let diverged = |detail: String| Divergence::boxed(step, *event, detail);
 
-        let (got, want) = match *event {
+        let at = SimTime::from_cycles;
+        let got: Effect = match *event {
             TraceEvent::Begin {
                 t,
                 process,
@@ -124,46 +146,40 @@ impl Oracle {
                 amount,
             } => {
                 let demand = PpDemand::llc(amount, ReuseLevel::High);
-                let now = SimTime::from_cycles(t);
-                let got = self.ext.pp_begin(ProcessId(process), SiteId(site), demand, now);
-                let want = self.model.pp_begin(ProcessId(process), site, amount, t);
-                (got.into(), want)
+                (self.ext)
+                    .pp_begin(ProcessId(process), SiteId(site), demand, at(t))
+                    .into()
             }
-            TraceEvent::End { t, pp } => {
-                let got = self.ext.pp_end(PpId(pp), SimTime::from_cycles(t));
-                (got.into(), self.model.pp_end(PpId(pp), t))
-            }
-            TraceEvent::Exit { t, process } => {
-                let got = Effect::Woken {
-                    resumed: self
-                        .ext
-                        .process_exit(ProcessId(process), SimTime::from_cycles(t)),
-                    expired: Vec::new(),
-                };
-                let want = self.model.process_exit(ProcessId(process), t);
-                (got, want)
-            }
-            TraceEvent::Age { t } => {
-                let got = self.ext.age_waitlist(SimTime::from_cycles(t));
-                (got.into(), self.model.age_waitlist(t))
-            }
+            TraceEvent::End { t, pp } => self.ext.pp_end(PpId(pp), at(t)).into(),
+            TraceEvent::Exit { t, process } => Effect::Woken {
+                resumed: self.ext.process_exit(ProcessId(process), at(t)),
+                expired: Vec::new(),
+            },
+            TraceEvent::Age { t } => self.ext.age_waitlist(at(t)).into(),
             TraceEvent::Retry { t, process, site } => {
-                self.ext.note_retry(
-                    ProcessId(process),
-                    SiteId(site),
-                    Resource::Llc,
-                    SimTime::from_cycles(t),
-                );
-                (Effect::Retried, self.model.note_retry())
+                self.ext
+                    .note_retry(ProcessId(process), SiteId(site), Resource::Llc, at(t));
+                Effect::Retried
             }
         };
+        let lifted = self.model.apply(&lift_event(event));
+        let mut snap = self.model.snapshot();
+        let want = self.fast.mark(event, lifted, &self.last, &mut snap);
+        self.last = snap;
 
-        agree(&got, &want, &self.ext.snapshot(), &self.model.snapshot()).map_err(diverged)?;
-        if self.ext.fastpath_digest() != self.model.cache_digest() {
+        agree(&got, &want, &self.ext.snapshot(), &self.last).map_err(diverged)?;
+        if self.ext.fastpath_digest() != self.fast.digest() {
             return Err(diverged(format!(
                 "fast-path cache mismatch: implementation digest {:#x}, model digest {:#x}",
                 self.ext.fastpath_digest(),
-                self.model.cache_digest()
+                self.fast.digest()
+            )));
+        }
+        let open = self.model.breaker_is_open(NodeId(0), ResourceKind::Llc);
+        if self.ext.breaker_is_open() != open {
+            return Err(diverged(format!(
+                "breaker: implementation open={}, model open={open}",
+                self.ext.breaker_is_open()
             )));
         }
         if let Err(e) = self.ext.check_invariants() {
@@ -273,10 +289,127 @@ pub fn replay(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_core::{DemandAudit, PolicyKind};
+    use rda_core::{mb, Demand, DemandAudit, PolicyKind, RdaError, RdaStats};
+    use rda_machine::MachineConfig;
 
     fn doc(policy: &str, extra_header: &str, body: &str) -> TraceDoc {
         TraceDoc::parse(&format!("policy {policy}\n{extra_header}\n{body}")).unwrap()
+    }
+
+    /// An oracle over the paper's Xeon LLC (15 MiB) under `policy`.
+    fn xeon(policy: PolicyKind) -> Oracle {
+        Oracle::new(RdaConfig::for_machine(
+            &MachineConfig::xeon_e5_2420(),
+            policy,
+        ))
+    }
+
+    fn begin(t: u64, process: u32, site: u32, amount: u64) -> TraceEvent {
+        TraceEvent::Begin {
+            t,
+            process,
+            site,
+            amount,
+        }
+    }
+
+    #[test]
+    fn strict_pauses_when_full_and_resumes_on_end() {
+        let mut o = xeon(PolicyKind::Strict);
+        let a = match o.apply(&begin(0, 0, 0, mb(10.0))).unwrap() {
+            Effect::Run { pp, fast: false } => pp,
+            other => panic!("expected slow Run, got {other:?}"),
+        };
+        let b = match o.apply(&begin(10, 1, 1, mb(10.0))).unwrap() {
+            Effect::Pause { pp, .. } => pp,
+            other => panic!("expected Pause, got {other:?}"),
+        };
+        match o.apply(&TraceEvent::End { t: 20, pp: a.0 }).unwrap() {
+            Effect::End {
+                fast: false,
+                resumed,
+            } => assert_eq!(resumed, vec![(b, ProcessId(1))]),
+            other => panic!("expected slow End, got {other:?}"),
+        }
+        let s = o.snapshot();
+        assert_eq!(s.usage, vec![[mb(10.0), 0, 0]]);
+        assert_eq!(s.stats.resumed, 1);
+    }
+
+    #[test]
+    fn repeat_site_hits_the_fast_path() {
+        let mut o = xeon(PolicyKind::Strict);
+        let a = match o.apply(&begin(0, 0, 7, mb(2.0))).unwrap() {
+            Effect::Run { pp, fast: false } => pp,
+            other => panic!("expected slow Run, got {other:?}"),
+        };
+        let end = o.apply(&TraceEvent::End { t: 100, pp: a.0 }).unwrap();
+        assert!(matches!(end, Effect::End { fast: true, .. }), "{end:?}");
+        let again = o.apply(&begin(200, 0, 7, mb(2.0))).unwrap();
+        assert!(matches!(again, Effect::Run { fast: true, .. }), "{again:?}");
+        let stats = o.snapshot().stats;
+        assert_eq!((stats.fast_begins, stats.fast_ends), (1, 1));
+    }
+
+    /// A memoised decision is stale exactly one interval after its last
+    /// refresh: the end and the repeat at that instant take the slow
+    /// path.
+    #[test]
+    fn a_decision_expires_after_one_interval() {
+        let mut o = xeon(PolicyKind::Strict);
+        let interval = o.ext().config().min_eval_interval_cycles;
+        o.apply(&begin(0, 0, 7, mb(2.0))).unwrap();
+        let end = o.apply(&TraceEvent::End { t: interval, pp: 0 }).unwrap();
+        assert!(matches!(end, Effect::End { fast: false, .. }), "{end:?}");
+        let again = o.apply(&begin(interval, 0, 7, mb(2.0))).unwrap();
+        assert!(
+            matches!(again, Effect::Run { fast: false, .. }),
+            "{again:?}"
+        );
+        let stats = o.snapshot().stats;
+        assert_eq!((stats.fast_begins, stats.fast_ends), (0, 0));
+    }
+
+    #[test]
+    fn rejected_end_leaves_books_untouched() {
+        let mut o = xeon(PolicyKind::Strict);
+        let before = o.snapshot().without_stats();
+        assert_eq!(
+            o.apply(&TraceEvent::End { t: 0, pp: 4 }).unwrap(),
+            Effect::Rejected(RdaError::UnknownPp(PpId(4)))
+        );
+        assert_eq!(o.snapshot().without_stats(), before);
+        assert_eq!(o.snapshot().stats.rejected_ends, 1);
+    }
+
+    /// Compromise admits exactly up to ⌊capacity·x⌋ — the bound the
+    /// deadlock guard and the fast-path threshold use — even where
+    /// `x − 1` is inexact in f64 (x = 1.2 on the Xeon LLC).
+    #[test]
+    fn compromise_admits_its_usage_limit_on_an_idle_cache() {
+        let mut o = xeon(PolicyKind::Compromise { factor: 1.2 });
+        let limit = 18_874_368; // ⌊15 728 640 · 1.2⌋
+        let first = o.apply(&begin(0, 0, 0, limit)).unwrap();
+        assert!(
+            matches!(first, Effect::Run { fast: false, .. }),
+            "{first:?}"
+        );
+        let next = o.apply(&begin(10, 1, 1, 1)).unwrap();
+        assert!(matches!(next, Effect::Pause { .. }), "{next:?}");
+        assert_eq!(o.snapshot().stats.oversized_admits, 0);
+    }
+
+    #[test]
+    fn default_only_bypasses_everything() {
+        let d = doc(
+            "default",
+            "",
+            "begin 0 0 0 llc 99mb\nbegin 10 1 1 llc 5mb\nbegin 20 0 0 llc 99mb\n",
+        );
+        let report = replay(&d).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(report.effects, vec![Effect::Bypass; 3]);
+        assert!(report.final_snapshot.is_idle());
+        assert_eq!(report.final_snapshot.stats, RdaStats::default());
     }
 
     #[test]
@@ -388,7 +521,7 @@ mod tests {
         // Poke the model out from under the oracle by replaying an
         // event on a clone of the model only, then diffing snapshots.
         let mut skewed = oracle.model().clone();
-        skewed.pp_begin(ProcessId(9), 9, 1, 5);
+        skewed.pp_begin(ProcessId(9), 9, Demand::llc(1), 5);
         let diff = describe_snapshot_diff(&skewed.snapshot(), &oracle.ext().snapshot());
         assert!(diff.is_some(), "skewed model must not compare equal");
     }

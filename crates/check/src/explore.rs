@@ -17,12 +17,12 @@
 //!
 //! States are pruned with an FNV-1a memo key over (per-process program
 //! counters, aging ticks spent, the engine's state): the snapshot
-//! digest, both fast-path cache digests and the breaker digest for the
-//! scalar engine; the snapshot and breaker digests for the topology
-//! engine. Two DFS paths that reach identical extension state at the
-//! same template position share their whole subtree. The prune and
-//! state counts are reported so CI output shows the real covered
-//! volume.
+//! digest, the engine's and the fast-path model's memo digests and the
+//! topology model's breaker digest for the scalar engine; the snapshot
+//! and breaker digests for the topology engine. Two DFS paths that
+//! reach identical extension state at the same template position share
+//! their whole subtree. The prune and state counts are reported so CI
+//! output shows the real covered volume.
 //!
 //! Every DFS path is itself a replayable document ([`TraceDoc`] or
 //! [`TopoDoc`]), so a divergence is returned *as a replayable trace* —
@@ -180,7 +180,7 @@ impl Explorable for Oracle {
     fn fold_state(&self, h: &mut Fnv1a64) {
         h.write_u64(self.snapshot().digest());
         h.write_u64(self.ext().fastpath_digest());
-        h.write_u64(self.model().cache_digest());
+        h.write_u64(self.fast_path().digest());
         h.write_u64(self.model().breaker_digest());
     }
     fn doc(&self, events: Vec<TraceEvent>) -> TraceDoc {

@@ -235,7 +235,7 @@ mod tests {
         // The real fuzz gate; a divergence here is a scheduler (or
         // model) bug — shrink it and commit the repro to tests/corpus/.
         let p = GenParams::default();
-        if let Some(fail) = fuzz(150, &p) {
+        if let Some(fail) = fuzz(2_000, &p) {
             panic!(
                 "seed {} diverged ({} events shrunk to {}):\n{}\n--- repro ---\n{}",
                 fail.seed,

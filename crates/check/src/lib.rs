@@ -1,19 +1,20 @@
 //! # rda-check
 //!
 //! A reference-model differential oracle and bounded model checker for
-//! the RDA scheduling extension (`rda-core`).
+//! the RDA scheduling extensions (`rda-core`).
 //!
 //! The implementation in `rda-core` is optimised machinery: memoised
 //! fast paths, incremental load tables, FIFO queues with aging. This
-//! crate re-states what all of that *means* as a pure-functional model
-//! of about 700 lines ([`model::RefModel`]) that shares no logic with
-//! the implementation, and then checks the two against each other three
-//! ways:
+//! crate re-states what all of that *means* as one pure-functional
+//! model of the topology engine ([`topo_model::TopoRefModel`]), whose
+//! books are re-derived from live periods on every call and which
+//! shares no logic with the implementation, and checks both engines
+//! against it three ways:
 //!
-//! * **Differential replay** ([`diff`]) — any event trace (hand-written
-//!   `.trace` file, recorded simulation, random scenario) is applied to
-//!   both machines with full observable-state equality demanded after
-//!   every single event.
+//! * **Differential replay** ([`diff`], [`topo_diff`]) — any event trace
+//!   (hand-written `.trace` file, recorded simulation, random scenario)
+//!   is applied to an engine and the model with full observable-state
+//!   equality demanded after every single event.
 //! * **Bounded exhaustive exploration** ([`mod@explore`]) — every
 //!   interleaving of small multi-process scenario templates is
 //!   enumerated by DFS with state-hash pruning, so concurrency-order
@@ -27,28 +28,28 @@
 //! file: replayable, shrinkable, committable. See DESIGN.md §“Reference
 //! model & checking methodology”.
 //!
-//! ## Topology checking
+//! ## One model for both engines
 //!
-//! The multi-resource NUMA topology engine (`rda_core::TopoExtension`)
-//! has its own recompute-by-summation reference model
-//! ([`topo_model::TopoRefModel`]) whose books are re-derived from live
-//! periods on every call, and its own lock-step oracle ([`topo_diff`]).
-//! The rest of the stack is shared with the scalar engine: both oracles
-//! report each call as the one [`Effect`] (the topology engine's `fast`
-//! flags are always `false`), a disagreement as the one [`Divergence`]
-//! (generic over the event type) and a clean replay as the one
-//! [`ReplayReport`], and both compare the one `rda_core::Snapshot` and
-//! print its first difference with [`describe_snapshot_diff`]; the
-//! topology engine's trace dialect ([`topo_trace::TopoDoc`]) adds
-//! vector demands and a machine header to the scalar format's line
-//! reader and header directives, and [`explore_topo`] runs 2-node ×
-//! 2-layer templates through the same DFS as [`explore()`]. Scalar
-//! traces (LLC-only by construction: the scalar dialect knows no other
-//! resource) replay through the topology oracle unchanged via
-//! [`topo_trace::lift`], where both engines agree call for call except
-//! on the scalar fast path's marks (DESIGN.md §9); and the explorer
-//! permanently proves its own sensitivity by catching an injected
-//! exact-fit off-by-one ([`topo_model::TopoMutation::StrictOffByOne`]).
+//! The topology oracle ([`topo_diff`]) drives `rda_core::TopoExtension`
+//! and the model with the same calls. The scalar oracle ([`diff`])
+//! drives `rda_core::RdaExtension` and the model on the engine's lift
+//! onto `TopoConfig::compat`, each event lifted by
+//! [`topo_trace::lift_event`] (the mapping [`topo_trace::lift`] applies
+//! to a whole trace), where both engines decide alike (DESIGN.md §9).
+//! Beside the model it keeps [`model::FastPathModel`], a model of the
+//! one behaviour the lift lacks: the scalar fast path's memo, which
+//! marks calls fast. Both oracles report each call as the one [`Effect`]
+//! (the topology engine's `fast` flags are always `false`), a
+//! disagreement as the one [`Divergence`] (generic over the event type)
+//! and a clean replay as the one [`ReplayReport`], and both compare the
+//! one `rda_core::Snapshot` and print its first difference with
+//! [`describe_snapshot_diff`]. The topology engine's trace dialect
+//! ([`topo_trace::TopoDoc`]) adds vector demands and a machine header
+//! to the scalar format's line reader and header directives, and
+//! [`explore_topo`] runs 2-node × 2-layer templates through the same
+//! DFS as [`explore()`]; the explorer permanently proves its own
+//! sensitivity by catching an injected exact-fit off-by-one
+//! ([`topo_model::TopoMutation::StrictOffByOne`]).
 
 #![warn(missing_docs)]
 
@@ -66,10 +67,10 @@ pub use diff::{describe_snapshot_diff, replay, Divergence, Oracle, ReplayReport}
 pub use explore::{explore, explore_topo, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
 pub use headscan::{check_headscan_property, check_scalar_headscan_property, headscan_prediction};
-pub use model::{Effect, RefModel};
+pub use model::{Effect, FastPathModel};
 pub use topo_diff::{replay_lifted, replay_topo, TopoOracle};
 pub use topo_model::{TopoMutation, TopoRefModel};
-pub use topo_trace::{default_topo_config, lift, TopoDoc, TopoEvent};
+pub use topo_trace::{default_topo_config, lift, lift_event, TopoDoc, TopoEvent};
 pub use trace::{TraceDoc, TraceEvent};
 
 use rda_sim::system::RdaCall;

@@ -83,51 +83,34 @@ impl TopoOracle {
         self.steps += 1;
         let diverged = |detail: String| Divergence::boxed(step, *event, detail);
 
-        let (got, want) = match *event {
+        let at = SimTime::from_cycles;
+        let got: Effect = match *event {
             TopoEvent::Begin {
                 t,
                 process,
                 site,
                 demand,
-            } => {
-                let now = SimTime::from_cycles(t);
-                let got = self.ext.pp_begin(ProcessId(process), SiteId(site), demand, now);
-                let want = self.model.pp_begin(ProcessId(process), site, demand, t);
-                (got.into(), want)
-            }
-            TopoEvent::End { t, pp } => {
-                let got = self.ext.pp_end(PpId(pp), SimTime::from_cycles(t));
-                (got.into(), self.model.pp_end(PpId(pp), t))
-            }
-            TopoEvent::Exit { t, process } => {
-                let got = Effect::Woken {
-                    resumed: self
-                        .ext
-                        .process_exit(ProcessId(process), SimTime::from_cycles(t)),
-                    expired: Vec::new(),
-                };
-                let want = self.model.process_exit(ProcessId(process), t);
-                (got, want)
-            }
-            TopoEvent::Age { t } => {
-                let got = self.ext.age_waitlist(SimTime::from_cycles(t));
-                (got.into(), self.model.age_waitlist(t))
-            }
+            } => (self.ext)
+                .pp_begin(ProcessId(process), SiteId(site), demand, at(t))
+                .into(),
+            TopoEvent::End { t, pp } => self.ext.pp_end(PpId(pp), at(t)).into(),
+            TopoEvent::Exit { t, process } => Effect::Woken {
+                resumed: self.ext.process_exit(ProcessId(process), at(t)),
+                expired: Vec::new(),
+            },
+            TopoEvent::Age { t } => self.ext.age_waitlist(at(t)).into(),
             TopoEvent::Retry {
                 t,
                 process,
                 site,
                 kind,
             } => {
-                self.ext.note_retry(
-                    ProcessId(process),
-                    SiteId(site),
-                    kind,
-                    SimTime::from_cycles(t),
-                );
-                (Effect::Retried, self.model.note_retry())
+                self.ext
+                    .note_retry(ProcessId(process), SiteId(site), kind, at(t));
+                Effect::Retried
             }
         };
+        let want = self.model.apply(event);
 
         agree(&got, &want, &self.ext.snapshot(), &self.model.snapshot()).map_err(diverged)?;
         for n in 0..self.ext.node_count() {

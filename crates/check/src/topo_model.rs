@@ -1,7 +1,6 @@
 //! A pure-functional reference model of the topology engine.
 //!
-//! The multi-node analogue of [`crate::model::RefModel`]: an
-//! *executable specification* of [`rda_core::TopoExtension`] — demand
+//! An *executable specification* of [`rda_core::TopoExtension`] — demand
 //! vectors, deterministic least-occupied placement, layered policies
 //! with capacity guarantees, per-node waitlists/aging/overload — written
 //! from DESIGN.md §9 and **deliberately sharing no logic with the
@@ -13,6 +12,12 @@
 //! therefore cannot be mirrored here — it surfaces as a snapshot
 //! divergence on the very next event.
 //!
+//! It is the one reference model of both engines: the topology oracle
+//! ([`crate::topo_diff`]) checks `TopoExtension` against it, and the
+//! scalar oracle ([`crate::diff`]) checks `rda_core::RdaExtension`
+//! against it on the engine's lift onto `TopoConfig::compat`, plus the
+//! fast-path model of [`crate::model`].
+//!
 //! The model also carries a [`TopoMutation`] knob: a deliberately
 //! injected predicate off-by-one (`>=` weakened to `>`) used by the
 //! bounded explorer's self-test to prove the oracle *would* catch such
@@ -22,6 +27,7 @@
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 
 use crate::model::Effect;
+use crate::topo_trace::TopoEvent;
 use rda_core::{
     Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaError, RdaStats,
     ResourceKind, ShedPolicy, Snapshot, TopoConfig, WaitSnap, KIND_COUNT,
@@ -82,7 +88,7 @@ pub struct TopoRefModel {
 
 /// The usage ceiling a policy enforces on a resource of `capacity`
 /// (restated flat, independent of `PolicyKind::usage_limit`).
-fn usage_limit(policy: PolicyKind, capacity: u64) -> u64 {
+pub(crate) fn usage_limit(policy: PolicyKind, capacity: u64) -> u64 {
     match policy {
         PolicyKind::DefaultOnly => u64::MAX,
         PolicyKind::Strict | PolicyKind::Partitioned { .. } => capacity,
@@ -549,6 +555,22 @@ impl TopoRefModel {
         Effect::Retried
     }
 
+    /// Apply one replayed call: the model's side of both oracles.
+    pub fn apply(&mut self, event: &TopoEvent) -> Effect {
+        match *event {
+            TopoEvent::Begin {
+                t,
+                process,
+                site,
+                demand,
+            } => self.pp_begin(ProcessId(process), site, demand, t),
+            TopoEvent::End { t, pp } => self.pp_end(PpId(pp), t),
+            TopoEvent::Exit { t, process } => self.process_exit(ProcessId(process), t),
+            TopoEvent::Age { t } => self.age_waitlist(t),
+            TopoEvent::Retry { .. } => self.note_retry(),
+        }
+    }
+
     /// True when node `n` holds a waiter past the aging timeout.
     fn has_expired_waiter(&self, n: usize, now: u64) -> bool {
         self.cfg
@@ -570,7 +592,10 @@ impl TopoRefModel {
             .map(|(pos, _)| pos)
     }
 
-    /// Per-node, per-kind breaker hysteresis over summed occupancy.
+    /// Per-node, per-kind breaker hysteresis over summed occupancy. An
+    /// idle book never counts toward tripping: on the compat lift the
+    /// memory-bandwidth and DRAM books stay 0, and a high-water mark of
+    /// 0 must not trip their breakers.
     fn evaluate_breaker(&mut self) {
         let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
             return;
@@ -589,7 +614,7 @@ impl TopoRefModel {
                     } else {
                         self.breaker_below[n][i] = 0;
                     }
-                } else if occupancy >= b.high_water {
+                } else if occupancy > 0 && occupancy >= b.high_water {
                     self.breaker_above[n][i] += 1;
                     if self.breaker_above[n][i] >= b.trip_after {
                         self.breaker_open[n][i] = true;

@@ -309,40 +309,42 @@ impl TopoDoc {
 }
 
 /// Lift a scalar trace into the topology vocabulary: the configuration
-/// through [`TopoConfig::compat`] and every scalar demand as an
-/// LLC-only vector. Replaying the lifted document through the
+/// through [`TopoConfig::compat`] and every event through
+/// [`lift_event`]. Replaying the lifted document through the
 /// topology oracle is the executable form of DESIGN.md §9's
 /// compatibility argument.
 pub fn lift(doc: &TraceDoc) -> TopoDoc {
-    let events = doc
-        .events
-        .iter()
-        .map(|ev| match *ev {
-            TraceEvent::Begin {
-                t,
-                process,
-                site,
-                amount,
-            } => TopoEvent::Begin {
-                t,
-                process,
-                site,
-                demand: Demand::llc(amount),
-            },
-            TraceEvent::End { t, pp } => TopoEvent::End { t, pp },
-            TraceEvent::Exit { t, process } => TopoEvent::Exit { t, process },
-            TraceEvent::Age { t } => TopoEvent::Age { t },
-            TraceEvent::Retry { t, process, site } => TopoEvent::Retry {
-                t,
-                process,
-                site,
-                kind: ResourceKind::Llc,
-            },
-        })
-        .collect();
     TopoDoc {
         cfg: TopoConfig::compat(&doc.cfg),
-        events,
+        events: doc.events.iter().map(lift_event).collect(),
+    }
+}
+
+/// Lift one scalar event: a demand becomes an LLC-only vector and a
+/// retry names the LLC. The scalar oracle lifts each event it replays
+/// with this too.
+pub fn lift_event(ev: &TraceEvent) -> TopoEvent {
+    match *ev {
+        TraceEvent::Begin {
+            t,
+            process,
+            site,
+            amount,
+        } => TopoEvent::Begin {
+            t,
+            process,
+            site,
+            demand: Demand::llc(amount),
+        },
+        TraceEvent::End { t, pp } => TopoEvent::End { t, pp },
+        TraceEvent::Exit { t, process } => TopoEvent::Exit { t, process },
+        TraceEvent::Age { t } => TopoEvent::Age { t },
+        TraceEvent::Retry { t, process, site } => TopoEvent::Retry {
+            t,
+            process,
+            site,
+            kind: ResourceKind::Llc,
+        },
     }
 }
 
@@ -433,6 +435,11 @@ mod tests {
             ("retry 0 0 0 disk", "llc|membw|dram"),
             ("end 0 0\nnode 1 2 3", "header line after the first event"),
             ("frobnicate", "unknown directive"),
+            ("layer a compromise 0.5", "line 1: compromise factor"),
+            ("layer a compromise NaN", "line 1: compromise factor"),
+            ("layer a partitioned 0", "line 1: partitioned quota"),
+            ("layer a partitioned 1.5", "partitioned quota must be"),
+            ("layer a partitioned NaN", "partitioned quota must be"),
         ] {
             let err = TopoDoc::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` gave `{err}`");

@@ -19,6 +19,8 @@
 //! under `policy strict`, `audit trust`, no aging):
 //!
 //! * `policy default | strict | compromise <factor> | partitioned <frac>`
+//!   — a factor is finite and at least 1, a fraction finite and in
+//!   (0, 1]
 //! * `llc <bytes>` — LLC capacity
 //! * `audit trust | clamp | reject`
 //! * `timeout none | <cycles>` — waitlist aging timeout
@@ -393,26 +395,29 @@ pub(crate) fn write_shared_header(
 }
 
 /// Parse a policy spelling from the front of `fields`; returns the
-/// policy and the number of words it took.
+/// policy and the number of words it took. A Compromise factor must be
+/// finite and at least 1, a Partitioned quota finite and in (0, 1].
 pub(crate) fn parse_policy(
     fields: &[&str],
     fail: &dyn Fn(&str) -> String,
 ) -> Result<(PolicyKind, usize), String> {
+    let number = |f: &str, ok: fn(f64) -> bool, what: &str| match f.parse::<f64>() {
+        Ok(v) if v.is_finite() && ok(v) => Ok(v),
+        _ => Err(fail(what)),
+    };
     match fields {
         ["default", ..] => Ok((PolicyKind::DefaultOnly, 1)),
         ["strict", ..] => Ok((PolicyKind::Strict, 1)),
-        ["compromise", f, ..] => Ok((
-            PolicyKind::Compromise {
-                factor: f.parse().map_err(|_| fail("bad factor"))?,
-            },
-            2,
-        )),
-        ["partitioned", f, ..] => Ok((
-            PolicyKind::Partitioned {
-                quota_frac: f.parse().map_err(|_| fail("bad quota"))?,
-            },
-            2,
-        )),
+        ["compromise", f, ..] => {
+            let what = "compromise factor must be finite and at least 1";
+            let factor = number(f, |v| v >= 1.0, what)?;
+            Ok((PolicyKind::Compromise { factor }, 2))
+        }
+        ["partitioned", f, ..] => {
+            let what = "partitioned quota must be finite and in (0, 1]";
+            let quota_frac = number(f, |v| v > 0.0 && v <= 1.0, what)?;
+            Ok((PolicyKind::Partitioned { quota_frac }, 2))
+        }
         _ => Err(fail("unknown policy")),
     }
 }
@@ -543,6 +548,13 @@ mod tests {
             ("overload 4 sloppy", "reject_newest|reject_oldest|degrade"),
             ("overload 4 degrade\nbreaker 1 2 3", "expected `breaker"),
             ("retry 0 0 0 membw", "tracks only `llc`"),
+            ("policy compromise 0.5", "line 1: compromise factor"),
+            ("policy compromise NaN", "line 1: compromise factor"),
+            ("policy compromise inf", "compromise factor must be"),
+            ("policy compromise x", "compromise factor must be"),
+            ("policy partitioned 0", "line 1: partitioned quota"),
+            ("policy partitioned 1.5", "partitioned quota must be"),
+            ("policy partitioned NaN", "partitioned quota must be"),
         ] {
             let err = TraceDoc::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` gave `{err}`");

@@ -62,7 +62,8 @@ pub enum ShedPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Occupancy (bytes; nominal + overflow) at or above which a tick
-    /// counts toward tripping.
+    /// counts toward tripping. An idle resource never counts, so a mark
+    /// of 0 trips only on a resource that holds something.
     pub high_water: u64,
     /// Occupancy strictly below which a tick counts toward recovery
     /// (must be ≤ `high_water` for sane hysteresis).

@@ -64,9 +64,11 @@ impl Breaker {
     /// Advance one aging tick at `occupancy` (nominal + overflow): trip
     /// after `trip_after` consecutive ticks at or above the high-water
     /// mark, reset after `recover_after` consecutive ticks below the
-    /// low-water mark; an off-streak tick restarts the streak. Returns
-    /// the edge crossed ([`EventKind::BreakerTrip`] or
-    /// [`EventKind::BreakerReset`]) for the engine to count and emit.
+    /// low-water mark; an off-streak tick restarts the streak. An idle
+    /// resource (occupancy 0) never counts toward tripping, even under
+    /// a high-water mark of 0. Returns the edge crossed
+    /// ([`EventKind::BreakerTrip`] or [`EventKind::BreakerReset`]) for
+    /// the engine to count and emit.
     pub fn tick(&mut self, cfg: &BreakerConfig, occupancy: u64) -> Option<EventKind> {
         // An open breaker counts low ticks toward recovery, a closed
         // one high ticks toward tripping.
@@ -77,7 +79,9 @@ impl Breaker {
                 occupancy < cfg.low_water,
             )
         } else {
-            (&mut self.above, cfg.trip_after, occupancy >= cfg.high_water)
+            // At least 1 byte: an idle resource never counts.
+            let high = occupancy >= cfg.high_water.max(1);
+            (&mut self.above, cfg.trip_after, high)
         };
         *streak = if on_streak { *streak + 1 } else { 0 };
         if !on_streak || *streak < goal {
@@ -190,5 +194,22 @@ mod tests {
     #[test]
     fn exact_fit_is_admitted() {
         assert!(run(PolicyKind::Strict, mb(15.0), mb(10.0), mb(5.0)));
+    }
+
+    #[test]
+    fn an_idle_resource_never_trips_a_breaker() {
+        let cfg = BreakerConfig {
+            high_water: 0,
+            low_water: 0,
+            trip_after: 1,
+            recover_after: 1,
+            shed_min_demand: 0,
+        };
+        let mut idle = Breaker::default();
+        assert_eq!(idle.tick(&cfg, 0), None);
+        assert!(!idle.is_open());
+        let mut busy = Breaker::default();
+        assert_eq!(busy.tick(&cfg, 1), Some(EventKind::BreakerTrip));
+        assert!(busy.is_open());
     }
 }
