@@ -230,7 +230,7 @@ impl RdaExtension {
             monitor: ResourceMonitor::new(cfg.llc_capacity),
             registry: PpRegistry::new(),
             waitlist: Waitlist::new(),
-            fastpath: FastPathCache::new(),
+            fastpath: FastPathCache::new(cfg.min_eval_interval_cycles),
             stats: RdaStats::default(),
             sink: None,
             breaker: Breaker::default(),
@@ -342,11 +342,16 @@ impl RdaExtension {
     }
 
     /// Order-independent digest of the fast-path cache (see
-    /// [`FastPathCache::digest`]). Not part of [`Snapshot`] — the cache
-    /// is an accelerator, not scheduling state — but exposed so the
+    /// [`FastPathCache::digest`]), each entry with the usage threshold
+    /// its amount implies. Not part of [`Snapshot`] — the cache is an
+    /// accelerator, not scheduling state — but exposed so the
     /// differential oracle can compare memoisation state too.
     pub fn fastpath_digest(&self) -> u64 {
-        self.fastpath.digest()
+        let (policy, capacity) = (self.cfg.policy, self.monitor.capacity());
+        self.fastpath.digest(|amount| {
+            self.limit
+                .saturating_sub(policy.effective_demand(amount, capacity))
+        })
     }
 
     /// Cycle cost of a call, by path (the simulation charges this to
@@ -438,8 +443,8 @@ impl RdaExtension {
                 site,
                 audited,
                 self.monitor.usage(),
+                self.limit.saturating_sub(accounted),
                 now,
-                self.cfg.min_eval_interval_cycles,
             );
         // The record every outcome below registers.
         let proto = PpRecord {
@@ -466,13 +471,7 @@ impl RdaExtension {
                 self.stats.fast_begins += 1;
             } else {
                 // Cache the verdict for repeats of this site.
-                self.fastpath.store_run(
-                    process,
-                    site,
-                    audited,
-                    self.limit.saturating_sub(accounted),
-                    now,
-                );
+                self.fastpath.store_run(process, site, audited, now);
             }
             ev.kind = EventKind::Admit;
             ev.pp = pp.0;
@@ -607,12 +606,7 @@ impl RdaExtension {
         // a shared-page decrement with deferred registry cleanup — when
         // the site was validated recently.
         if self.waitlist.is_empty() {
-            let fast = self.fastpath.is_fresh(
-                record.process,
-                record.site,
-                now,
-                self.cfg.min_eval_interval_cycles,
-            );
+            let fast = self.fastpath.is_fresh(record.process, record.site, now);
             self.stats.fast_ends += u64::from(fast);
             ev.fast = fast;
             self.emit(ev);
@@ -839,9 +833,8 @@ impl Drain<u64> for ScalarDrain<'_> {
         if let Some(r) = e.registry.get_mut(entry.pp) {
             r.admitted = true;
         }
-        let threshold = e.limit.saturating_sub(entry.accounted);
         e.fastpath
-            .store_run(rec.process, rec.site, llc(&rec.declared), threshold, now);
+            .store_run(rec.process, rec.site, llc(&rec.declared), now);
         e.stats.resumed += 1;
         e.emit(waiter_event(EventKind::Resume, entry, Some(&rec), now));
         Some(rec.process)
