@@ -18,9 +18,12 @@
 //!
 //! Pre-expanding the plan keeps the simulation's *jitter* stream
 //! untouched by fault decisions: the plan is a pure function of
-//! `(jitter_seed, workload shape, FaultConfig)`, so a faulty sweep is
-//! exactly as reproducible — and as thread-count-independent — as a
-//! clean one.
+//! `(seed, per-process phase counts, FaultConfig)`, so a faulty sweep
+//! is exactly as reproducible — and as thread-count-independent — as a
+//! clean one. A closed workload passes its spec's phase counts, open
+//! traffic ([`crate::traffic`]) one phase per request; so the plan is
+//! stored flat (one kill phase per process, one [`PhaseFault`] per
+//! phase, process-major), not as one allocation per process.
 //!
 //! Note that faulty workloads should enable waitlist aging
 //! ([`crate::SimConfig::with_waitlist_timeout_ms`]): a process that
@@ -28,7 +31,6 @@
 //! deadlock the admission books until it exits.
 
 use rda_simcore::SplitMix64;
-use rda_workloads::WorkloadSpec;
 
 /// Stream salt separating the fault-plan RNG from the timeslice-jitter
 /// RNG derived from the same per-cell seed.
@@ -94,20 +96,17 @@ impl PhaseFault {
     };
 }
 
-/// Fault schedule of one process.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProcessFaults {
-    /// Kill the process at this phase index (at completion if it ran,
-    /// immediately if it waitlisted entering it).
-    pub kill_at_phase: Option<usize>,
-    /// Per-phase injections.
-    pub phases: Vec<PhaseFault>,
-}
-
 /// A fully expanded, deterministic fault schedule for a workload.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    procs: Vec<ProcessFaults>,
+    /// Per process: the phase it is killed at, if any (at completion
+    /// if it ran, immediately if it waitlisted entering it).
+    kill_at: Vec<Option<usize>>,
+    /// Per process: where its phases end in `phases` (they start where
+    /// the previous process's end).
+    ends: Vec<usize>,
+    /// Every process's per-phase injections, process-major.
+    phases: Vec<PhaseFault>,
 }
 
 impl FaultPlan {
@@ -116,115 +115,100 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Expand `cfg` into a concrete schedule for `spec`, deterministic
-    /// in `(seed, spec shape, cfg)`. The RNG is consumed in a fixed
-    /// process-major, phase-minor order, so the same inputs always
-    /// yield the same plan regardless of threading or call order.
-    pub fn generate(spec: &WorkloadSpec, cfg: &FaultConfig, seed: u64) -> Self {
+    /// Expand `cfg` into a concrete schedule for processes with the
+    /// given phase counts, deterministic in `(seed, phase counts, cfg)`.
+    /// The RNG is consumed in a fixed process-major, phase-minor order,
+    /// so the same inputs always yield the same plan regardless of
+    /// threading or call order.
+    pub fn generate(
+        phase_counts: impl IntoIterator<Item = usize>,
+        cfg: &FaultConfig,
+        seed: u64,
+    ) -> Self {
         let mut rng = SplitMix64::new(SplitMix64::derive_stream(seed, FAULT_PLAN_STREAM));
         let (lo, hi) = cfg.lie_factor_range;
-        let procs = spec
-            .processes
-            .iter()
-            .map(|program| {
-                let mut kill_at_phase = None;
-                let phases = (0..program.phases.len())
-                    .map(|k| {
-                        // Draw every variate unconditionally so the
-                        // stream position is a pure function of the
-                        // workload shape, not of earlier outcomes.
-                        let kill = rng.next_f64() < cfg.kill_rate;
-                        let leak = rng.next_f64() < cfg.leak_end_rate;
-                        let double = rng.next_f64() < cfg.double_end_rate;
-                        let lie = rng.next_f64() < cfg.lie_rate;
-                        let factor_draw = lo + (hi - lo) * rng.next_f64();
-                        if kill && kill_at_phase.is_none() {
-                            kill_at_phase = Some(k);
-                        }
-                        PhaseFault {
-                            leak_end: leak && !double,
-                            double_end: double,
-                            demand_factor: if lie { factor_draw } else { 1.0 },
-                        }
-                    })
-                    .collect();
-                ProcessFaults {
-                    kill_at_phase,
-                    phases,
+        let counts = phase_counts.into_iter();
+        let procs = counts.size_hint().0;
+        let mut plan = FaultPlan {
+            kill_at: Vec::with_capacity(procs),
+            ends: Vec::with_capacity(procs),
+            // Exact for open traffic: one phase per process.
+            phases: Vec::with_capacity(procs),
+        };
+        for count in counts {
+            let mut kill_at = None;
+            for k in 0..count {
+                // Draw every variate unconditionally so the stream
+                // position is a pure function of the workload shape,
+                // not of earlier outcomes.
+                let kill = rng.next_f64() < cfg.kill_rate;
+                let leak = rng.next_f64() < cfg.leak_end_rate;
+                let double = rng.next_f64() < cfg.double_end_rate;
+                let lie = rng.next_f64() < cfg.lie_rate;
+                let factor_draw = lo + (hi - lo) * rng.next_f64();
+                if kill && kill_at.is_none() {
+                    kill_at = Some(k);
                 }
-            })
-            .collect();
-        FaultPlan { procs }
+                plan.phases.push(PhaseFault {
+                    leak_end: leak && !double,
+                    double_end: double,
+                    demand_factor: if lie { factor_draw } else { 1.0 },
+                });
+            }
+            plan.kill_at.push(kill_at);
+            plan.ends.push(plan.phases.len());
+        }
+        plan
     }
 
     /// The injections for phase `k` of process `p` (honest when the
     /// plan is empty or out of range).
     pub fn phase(&self, p: usize, k: usize) -> PhaseFault {
-        self.procs
-            .get(p)
-            .and_then(|pf| pf.phases.get(k))
-            .copied()
-            .unwrap_or(PhaseFault::HONEST)
+        let Some(&end) = self.ends.get(p) else {
+            return PhaseFault::HONEST;
+        };
+        let start = p.checked_sub(1).map_or(0, |q| self.ends[q]);
+        if k < end - start {
+            self.phases[start + k]
+        } else {
+            PhaseFault::HONEST
+        }
     }
 
     /// The phase at which process `p` is killed, if any.
     pub fn kill_at(&self, p: usize) -> Option<usize> {
-        self.procs.get(p).and_then(|pf| pf.kill_at_phase)
+        self.kill_at.get(p).copied().flatten()
     }
 
     /// Total number of injections scheduled (kills + leaks + double
     /// ends + lies), for reporting.
     pub fn injection_count(&self) -> usize {
-        self.procs
-            .iter()
-            .map(|pf| {
-                pf.kill_at_phase.is_some() as usize
-                    + pf
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            ph.leak_end as usize
-                                + ph.double_end as usize
-                                + (ph.demand_factor != 1.0) as usize
-                        })
-                        .sum::<usize>()
-            })
-            .sum()
+        self.kill_at.iter().filter(|k| k.is_some()).count()
+            + self
+                .phases
+                .iter()
+                .map(|ph| {
+                    ph.leak_end as usize
+                        + ph.double_end as usize
+                        + (ph.demand_factor != 1.0) as usize
+                })
+                .sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_core::{mb, SiteId};
-    use rda_machine::ReuseLevel;
-    use rda_workloads::{Phase, ProcessProgram};
+    use proptest::prelude::*;
 
-    fn spec(procs: usize, phases: usize) -> WorkloadSpec {
-        WorkloadSpec {
-            name: "faulty".into(),
-            processes: (0..procs)
-                .map(|_| ProcessProgram {
-                    threads: 1,
-                    phases: (0..phases)
-                        .map(|k| {
-                            Phase::tracked(
-                                "w",
-                                1_000_000,
-                                mb(2.0),
-                                ReuseLevel::High,
-                                SiteId(k as u32),
-                            )
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
+    /// Phase counts of `procs` processes with `phases` phases each.
+    fn shape(procs: usize, phases: usize) -> Vec<usize> {
+        vec![phases; procs]
     }
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let plan = FaultPlan::generate(&spec(8, 6), &FaultConfig::none(), 42);
+        let plan = FaultPlan::generate(shape(8, 6), &FaultConfig::none(), 42);
         assert_eq!(plan.injection_count(), 0);
         for p in 0..8 {
             assert_eq!(plan.kill_at(p), None);
@@ -236,18 +220,18 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_in_seed() {
-        let s = spec(16, 8);
+        let s = shape(16, 8);
         let cfg = FaultConfig::uniform(0.3);
-        let a = FaultPlan::generate(&s, &cfg, 7);
-        let b = FaultPlan::generate(&s, &cfg, 7);
+        let a = FaultPlan::generate(s.iter().copied(), &cfg, 7);
+        let b = FaultPlan::generate(s.iter().copied(), &cfg, 7);
         assert_eq!(a, b);
-        let c = FaultPlan::generate(&s, &cfg, 8);
+        let c = FaultPlan::generate(s.iter().copied(), &cfg, 8);
         assert_ne!(a, c, "distinct seeds must yield distinct plans");
     }
 
     #[test]
     fn full_rates_inject_everywhere() {
-        let plan = FaultPlan::generate(&spec(4, 3), &FaultConfig::uniform(1.0), 1);
+        let plan = FaultPlan::generate(shape(4, 3), &FaultConfig::uniform(1.0), 1);
         for p in 0..4 {
             assert_eq!(plan.kill_at(p), Some(0), "kill at the first phase");
             for k in 0..3 {
@@ -262,7 +246,7 @@ mod tests {
     #[test]
     fn lie_factors_stay_in_range() {
         let cfg = FaultConfig::uniform(1.0);
-        let plan = FaultPlan::generate(&spec(32, 4), &cfg, 99);
+        let plan = FaultPlan::generate(shape(32, 4), &cfg, 99);
         let (lo, hi) = cfg.lie_factor_range;
         for p in 0..32 {
             for k in 0..4 {
@@ -283,9 +267,111 @@ mod tests {
     #[test]
     fn moderate_rates_hit_a_plausible_fraction() {
         // 0.2 per event over 64 proc-phases: expect some but not all.
-        let plan = FaultPlan::generate(&spec(16, 4), &FaultConfig::uniform(0.2), 5);
+        let plan = FaultPlan::generate(shape(16, 4), &FaultConfig::uniform(0.2), 5);
         let n = plan.injection_count();
         assert!(n > 5, "suspiciously few injections: {n}");
         assert!(n < 64 * 3, "suspiciously many injections: {n}");
+    }
+
+    /// The nested layout the flat plan replaced, as a reference: one
+    /// kill phase and one `Vec<PhaseFault>` per process, drawn in the
+    /// same process-major, phase-minor order.
+    struct NestedPlan(Vec<(Option<usize>, Vec<PhaseFault>)>);
+
+    impl NestedPlan {
+        fn generate(counts: &[usize], cfg: &FaultConfig, seed: u64) -> Self {
+            let mut rng = SplitMix64::new(SplitMix64::derive_stream(seed, FAULT_PLAN_STREAM));
+            let (lo, hi) = cfg.lie_factor_range;
+            let procs = counts
+                .iter()
+                .map(|&n| {
+                    let mut kill_at_phase = None;
+                    let phases = (0..n)
+                        .map(|k| {
+                            let kill = rng.next_f64() < cfg.kill_rate;
+                            let leak = rng.next_f64() < cfg.leak_end_rate;
+                            let double = rng.next_f64() < cfg.double_end_rate;
+                            let lie = rng.next_f64() < cfg.lie_rate;
+                            let factor_draw = lo + (hi - lo) * rng.next_f64();
+                            if kill && kill_at_phase.is_none() {
+                                kill_at_phase = Some(k);
+                            }
+                            PhaseFault {
+                                leak_end: leak && !double,
+                                double_end: double,
+                                demand_factor: if lie { factor_draw } else { 1.0 },
+                            }
+                        })
+                        .collect();
+                    (kill_at_phase, phases)
+                })
+                .collect();
+            NestedPlan(procs)
+        }
+
+        fn phase(&self, p: usize, k: usize) -> PhaseFault {
+            self.0
+                .get(p)
+                .and_then(|(_, phases)| phases.get(k))
+                .copied()
+                .unwrap_or(PhaseFault::HONEST)
+        }
+
+        fn kill_at(&self, p: usize) -> Option<usize> {
+            self.0.get(p).and_then(|&(kill, _)| kill)
+        }
+
+        fn injection_count(&self) -> usize {
+            self.0
+                .iter()
+                .map(|(kill, phases)| {
+                    kill.is_some() as usize
+                        + phases
+                            .iter()
+                            .map(|ph| {
+                                ph.leak_end as usize
+                                    + ph.double_end as usize
+                                    + (ph.demand_factor != 1.0) as usize
+                            })
+                            .sum::<usize>()
+                })
+                .sum()
+        }
+    }
+
+    /// A rate at either extreme or anywhere between.
+    fn arb_rate() -> impl Strategy<Value = f64> {
+        prop_oneof![1 => Just(0.0), 1 => Just(1.0), 4 => 0.0f64..1.0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat plan answers every query as the nested layout does,
+        /// on ragged shapes with zero-phase processes among the others.
+        #[test]
+        fn flat_plan_matches_the_nested_reference(
+            counts in prop::collection::vec(prop_oneof![1 => Just(0usize), 3 => 1usize..7], 0..24),
+            seed in any::<u64>(),
+            rates in (arb_rate(), arb_rate(), arb_rate(), arb_rate()),
+            lie in (0.1f64..2.0, 0.0f64..3.0),
+        ) {
+            let cfg = FaultConfig {
+                kill_rate: rates.0,
+                leak_end_rate: rates.1,
+                double_end_rate: rates.2,
+                lie_rate: rates.3,
+                lie_factor_range: (lie.0, lie.0 + lie.1),
+            };
+            let flat = FaultPlan::generate(counts.iter().copied(), &cfg, seed);
+            let nested = NestedPlan::generate(&counts, &cfg, seed);
+            for p in 0..=counts.len() {
+                prop_assert_eq!(flat.kill_at(p), nested.kill_at(p));
+                for k in 0..=counts.get(p).copied().unwrap_or(0) {
+                    prop_assert_eq!(flat.phase(p, k), nested.phase(p, k));
+                }
+            }
+            prop_assert_eq!(flat.injection_count(), nested.injection_count());
+        }
     }
 }

@@ -509,7 +509,11 @@ impl SystemSim {
         // shape, fault config), so faulty sweeps stay bit-identical
         // across thread counts just like clean ones.
         let faults = match &cfg.faults {
-            Some(fc) => FaultPlan::generate(spec, fc, cfg.jitter_seed),
+            Some(fc) => FaultPlan::generate(
+                spec.processes.iter().map(|program| program.phases.len()),
+                fc,
+                cfg.jitter_seed,
+            ),
             None => FaultPlan::none(),
         };
 

@@ -288,8 +288,8 @@ impl TopoTrafficSim {
         }
     }
 
-    /// Inject faults (expanded over the synthetic per-request workload,
-    /// exactly like the scalar engine).
+    /// Inject faults, expanded into a [`crate::faults::FaultPlan`] with
+    /// one phase per request, exactly like the scalar engine.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self
@@ -416,6 +416,9 @@ impl Admission for TopoExtension {
 
     /// With a trace sink installed, sample every node's occupancy.
     fn tick(&mut self, now: SimTime, in_flight: usize) {
+        if self.trace().is_none() {
+            return;
+        }
         for n in 0..self.node_count() {
             let node = NodeId(n as u32);
             let sample = OccupancySample {
@@ -426,10 +429,9 @@ impl Admission for TopoExtension {
                 waitlisted: self.waitlist_len(node) as u32,
                 busy_cores: in_flight as u32,
             };
-            let Some(sink) = self.trace_mut() else {
-                return;
-            };
-            sink.record_occupancy(sample);
+            if let Some(sink) = self.trace_mut() {
+                sink.record_occupancy(sample);
+            }
         }
     }
 

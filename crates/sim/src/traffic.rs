@@ -16,18 +16,22 @@
 //!   jitter per allowed attempt), so the stream position is a pure
 //!   function of the configuration — the plan, and therefore the whole
 //!   run, is bit-identical regardless of threading or call order,
-//!   exactly like [`crate::faults::FaultPlan`].
+//!   exactly like [`crate::faults::FaultPlan`]. The jitter of every
+//!   request sits in one flat array.
 //! * [`TrafficSim::run`] replays the plan through a discrete-event
 //!   loop, the one [`crate::topo_traffic`] runs too, generic over the
 //!   admission engine: admitted requests complete after their service
 //!   time, paused ones wait (bounded by the overload gate), shed or
 //!   breaker-rejected ones retry with exponential backoff and
 //!   pre-drawn jitter, expired ones fail their deadline permanently.
+//!   The loop holds only in-flight state: arrivals stream from the
+//!   plan in order, and its event queue holds only completions,
+//!   retries and the control tick.
 //!   Fault injection composes: a [`crate::faults::FaultConfig`] is
-//!   expanded over a synthetic one-phase-per-request workload, so
-//!   requests can lie about demand, leak or double their `pp_end`, or
-//!   die holding periods — chaos *under* overload, which is where
-//!   control planes actually break.
+//!   expanded into a [`crate::faults::FaultPlan`] with one phase per
+//!   request, so requests can lie about demand, leak or double their
+//!   `pp_end`, or die holding periods — chaos *under* overload, which
+//!   is where control planes actually break.
 //! * [`TrafficResult`] carries goodput, a log-2 sojourn histogram
 //!   (p50/p95/p99 end-to-end latency including queueing and retries),
 //!   every [`rda_core::RdaStats`] counter, and an FNV digest for
@@ -54,7 +58,6 @@ use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::{EventQueue, Fnv1a64, SimTime, SplitMix64};
 use rda_trace::Log2Hist;
-use rda_workloads::{Phase, ProcessProgram, WorkloadSpec};
 
 /// Stream salt separating the traffic RNG from the timeslice-jitter
 /// and fault-plan streams derived from the same root seed.
@@ -166,9 +169,6 @@ pub struct Request {
     pub demand: u64,
     /// Service time once admitted, cycles.
     pub service: u64,
-    /// Pre-drawn backoff jitter per attempt (length
-    /// [`TrafficConfig::max_attempts`]).
-    pub jitter: Vec<u64>,
 }
 
 /// A fully expanded, deterministic arrival schedule.
@@ -176,6 +176,11 @@ pub struct Request {
 pub struct TrafficPlan {
     /// Requests in arrival order.
     pub requests: Vec<Request>,
+    /// Pre-drawn backoff jitter, `max_attempts` per request,
+    /// request-major.
+    jitter: Vec<u64>,
+    /// [`TrafficConfig::max_attempts`] of the generating configuration.
+    max_attempts: usize,
 }
 
 impl TrafficPlan {
@@ -191,22 +196,26 @@ impl TrafficPlan {
         let total_weight: f64 = cfg.demand_classes.iter().map(|&(_, w)| w).sum();
         let jitter_bound = cfg.backoff_base_cycles.max(1);
         let mut requests = Vec::new();
+        let mut jitter = Vec::new();
         let mut t_secs = 0.0_f64;
         loop {
             // Fixed draw count per candidate: gap, accept, class,
-            // service, then one jitter per allowed attempt.
+            // service, then one jitter per allowed attempt. The jitter
+            // is drawn into the flat array and dropped again unless the
+            // candidate becomes a request.
             let gap_u = rng.next_f64();
             let accept_u = rng.next_f64();
             let class_u = rng.next_f64();
             let service_u = rng.next_f64();
-            let jitter: Vec<u64> = (0..cfg.max_attempts)
-                .map(|_| rng.next_below(jitter_bound))
-                .collect();
+            let drawn = jitter.len();
+            jitter.extend((0..cfg.max_attempts).map(|_| rng.next_below(jitter_bound)));
             t_secs += -(1.0 - gap_u).ln() / peak;
             if t_secs >= cfg.duration_secs {
+                jitter.truncate(drawn);
                 break;
             }
             if accept_u * peak > cfg.pattern.rate_at(t_secs) {
+                jitter.truncate(drawn);
                 continue; // thinned out of the diurnal trough
             }
             let mut pick = class_u * total_weight;
@@ -224,10 +233,13 @@ impl TrafficPlan {
                 site: site as u32,
                 demand: cfg.demand_classes[site].0,
                 service: service.max(1),
-                jitter,
             });
         }
-        TrafficPlan { requests }
+        TrafficPlan {
+            requests,
+            jitter,
+            max_attempts: cfg.max_attempts as usize,
+        }
     }
 
     /// Number of scheduled requests.
@@ -240,27 +252,10 @@ impl TrafficPlan {
         self.requests.is_empty()
     }
 
-    /// The synthetic one-phase-per-request workload faults are drawn
-    /// over, so [`FaultPlan::generate`] composes with open traffic the
-    /// same way it does with closed workloads.
-    pub fn fault_spec(&self) -> WorkloadSpec {
-        WorkloadSpec {
-            name: "traffic".into(),
-            processes: self
-                .requests
-                .iter()
-                .map(|r| ProcessProgram {
-                    threads: 1,
-                    phases: vec![Phase::tracked(
-                        "req",
-                        r.service,
-                        r.demand,
-                        ReuseLevel::High,
-                        SiteId(r.site),
-                    )],
-                })
-                .collect(),
-        }
+    /// The backoff jitter of request `req`'s retry after attempt
+    /// `attempt`.
+    fn jitter(&self, req: usize, attempt: u32) -> u64 {
+        self.jitter[req * self.max_attempts + attempt as usize]
     }
 }
 
@@ -378,8 +373,8 @@ impl TrafficSim {
         }
     }
 
-    /// Inject faults per the given configuration (expanded over the
-    /// synthetic per-request workload; see [`TrafficPlan::fault_spec`]).
+    /// Inject faults per the given configuration, expanded into a
+    /// [`FaultPlan`] with one phase per request.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self
@@ -583,10 +578,11 @@ impl<C> CallLog<C> {
 
 #[derive(Debug)]
 enum Ev {
-    /// First attempt of a request.
+    /// First attempt of a request (streamed from the plan, never
+    /// queued).
     Arrival { req: usize },
-    /// A backed-off re-attempt.
-    Retry { req: usize },
+    /// A backed-off re-attempt, `attempt` counting from 0 at arrival.
+    Retry { req: usize, attempt: u32 },
     /// An admitted request finishing its service (`pp` is `None` for
     /// untracked fallbacks, e.g. auditor-refused demands).
     Complete { req: usize, pp: Option<PpId> },
@@ -602,17 +598,18 @@ pub(crate) struct Engine<'a, E: Admission> {
     classes: &'a [E::Demand],
     faults: FaultPlan,
     pub(crate) ext: E,
-    /// Pending events; `EventQueue`'s strict `(time, insertion)` order
-    /// makes pops — and therefore the whole run — deterministic even
-    /// among simultaneous events.
+    /// The next request to arrive.
+    next_arrival: usize,
+    /// Queued completions, retries and the control tick;
+    /// `EventQueue`'s strict `(time, insertion)` order makes pops — and
+    /// therefore the whole run — deterministic even among simultaneous
+    /// events.
     queue: EventQueue<Ev>,
-    /// Waitlisted requests by period id; a `BTreeMap` so stranding
-    /// order is deterministic.
-    waiting: BTreeMap<u64, usize>,
-    /// Current attempt index per request.
-    attempts: Vec<u32>,
-    /// Non-tick events still queued (ticks self-cancel when this hits
-    /// zero and nothing waits).
+    /// Waitlisted requests and their attempt index by period id; a
+    /// `BTreeMap` so stranding order is deterministic.
+    waiting: BTreeMap<u64, (usize, u32)>,
+    /// Requests yet to arrive plus non-tick events still queued (ticks
+    /// self-cancel when this hits zero and nothing waits).
     pending: usize,
     now: SimTime,
     pub(crate) completed: u64,
@@ -638,7 +635,7 @@ pub(crate) fn run_plan<'a, E: Admission>(
     ext: E,
 ) -> Engine<'a, E> {
     let faults = match faults {
-        Some(fc) => FaultPlan::generate(&plan.fault_spec(), fc, seed),
+        Some(fc) => FaultPlan::generate(std::iter::repeat_n(1, plan.len()), fc, seed),
         None => FaultPlan::none(),
     };
     let mut eng = Engine {
@@ -647,10 +644,10 @@ pub(crate) fn run_plan<'a, E: Admission>(
         classes,
         faults,
         ext,
-        queue: EventQueue::with_capacity(plan.len() * 2 + 4),
+        next_arrival: 0,
+        queue: EventQueue::new(),
         waiting: BTreeMap::new(),
-        attempts: vec![0; plan.len()],
-        pending: 0,
+        pending: plan.len(),
         now: SimTime::ZERO,
         completed: 0,
         failed: 0,
@@ -661,9 +658,6 @@ pub(crate) fn run_plan<'a, E: Admission>(
         sojourn: Log2Hist::new(),
         calls: CallLog(cfg.record_calls.then(Vec::new)),
     };
-    for (i, r) in plan.requests.iter().enumerate() {
-        eng.push(r.arrival, Ev::Arrival { req: i });
-    }
     if cfg.age_tick_cycles > 0 {
         eng.push(cfg.age_tick_cycles, Ev::Tick);
     }
@@ -691,6 +685,22 @@ impl<E: Admission> Engine<'_, E> {
         self.queue.push(SimTime::from_cycles(t), ev);
     }
 
+    /// The next event: the next planned arrival when it is due no later
+    /// than the earliest queued event, else that queued event. On a tie
+    /// the arrival goes first, as if the whole plan had been queued
+    /// before anything else: the queue breaks ties by insertion order.
+    fn next_event(&mut self) -> Option<(SimTime, Ev)> {
+        let req = self.next_arrival;
+        if let Some(r) = self.plan.requests.get(req) {
+            let due = SimTime::from_cycles(r.arrival);
+            if self.queue.peek_time().is_none_or(|t| due <= t) {
+                self.next_arrival += 1;
+                return Some((due, Ev::Arrival { req }));
+            }
+        }
+        self.queue.pop().map(|e| (e.time, e.payload))
+    }
+
     fn drive(&mut self) {
         // A tick can only unstick a waiter when something ages it out
         // (force-admit) or expires it (deadline); without either, a
@@ -700,14 +710,14 @@ impl<E: Admission> Engine<'_, E> {
             timeout.is_some() || overload.is_some_and(|o| o.deadline_cycles.is_some());
         let overload_on = overload.is_some();
         loop {
-            while let Some(e) = self.queue.pop() {
-                self.now = e.time;
-                match e.payload {
+            while let Some((time, ev)) = self.next_event() {
+                self.now = time;
+                match ev {
                     Ev::Arrival { req } => {
                         self.pending -= 1;
-                        self.attempt(req);
+                        self.attempt(req, 0);
                     }
-                    Ev::Retry { req } => {
+                    Ev::Retry { req, attempt } => {
                         self.pending -= 1;
                         let site = self.plan.requests[req].site;
                         let demand = self.classes[site as usize];
@@ -715,7 +725,7 @@ impl<E: Admission> Engine<'_, E> {
                         self.ext
                             .retry(pid(req), SiteId(site), demand, self.now, log);
                         self.retries += 1;
-                        self.attempt(req);
+                        self.attempt(req, attempt);
                     }
                     Ev::Complete { req, pp } => {
                         self.pending -= 1;
@@ -740,7 +750,7 @@ impl<E: Admission> Engine<'_, E> {
                             self.expired += 1;
                         }
                         if self.pending > 0 || (!self.waiting.is_empty() && can_unstick) {
-                            self.push(e.time.cycles() + self.cfg.age_tick_cycles, Ev::Tick);
+                            self.push(time.cycles() + self.cfg.age_tick_cycles, Ev::Tick);
                         }
                     }
                 }
@@ -750,7 +760,11 @@ impl<E: Admission> Engine<'_, E> {
             }
             // Queue drained with waiters left: nothing can ever unstick
             // them. Reclaim deterministically (ascending period id).
-            let stuck: Vec<(u64, usize)> = self.waiting.iter().map(|(&k, &v)| (k, v)).collect();
+            let stuck: Vec<(u64, usize)> = self
+                .waiting
+                .iter()
+                .map(|(&k, &(req, _))| (k, req))
+                .collect();
             for (ppid, req) in stuck {
                 if self.waiting.remove(&ppid).is_none() {
                     continue; // resumed by an earlier reclaim this round
@@ -761,9 +775,9 @@ impl<E: Admission> Engine<'_, E> {
         }
     }
 
-    /// One admission try (first arrival or a retry), with the
-    /// request's fault-adjusted demand.
-    fn attempt(&mut self, req: usize) {
+    /// Admission try number `attempt` (0 for the first arrival), with
+    /// the request's fault-adjusted demand.
+    fn attempt(&mut self, req: usize, attempt: u32) {
         let r = &self.plan.requests[req];
         let (site, done) = (SiteId(r.site), self.now.cycles().saturating_add(r.service));
         let base = self.classes[r.site as usize];
@@ -782,11 +796,11 @@ impl<E: Admission> Engine<'_, E> {
                 if let Some(victim) = shed {
                     // RejectOldest evicted the longest waiter to make
                     // room; its period is already completed.
-                    let vreq = self
+                    let (vreq, vattempt) = self
                         .waiting
                         .remove(&victim.0)
                         .expect("shed victim not waitlisted");
-                    self.retry_or_fail(vreq);
+                    self.retry_or_fail(vreq, vattempt);
                 }
                 if self.faults.kill_at(req) == Some(0) {
                     // Fault-killed while waitlisted: the process dies
@@ -794,12 +808,12 @@ impl<E: Admission> Engine<'_, E> {
                     self.killed += 1;
                     self.exit(req);
                 } else {
-                    self.waiting.insert(pp.0, req);
+                    self.waiting.insert(pp.0, (req, attempt));
                 }
             }
             // Shed by the overload gate or the breaker.
             Err(RdaError::WaitlistFull { .. } | RdaError::BreakerOpen { .. }) => {
-                self.retry_or_fail(req)
+                self.retry_or_fail(req, attempt)
             }
             // Untracked: the policy bypasses admission, or the auditor
             // refused the demand (per the API contract the caller then
@@ -819,7 +833,7 @@ impl<E: Admission> Engine<'_, E> {
 
     /// Schedule the service completion of a just-admitted waiter.
     fn wake(&mut self, pp: PpId) {
-        let req = self
+        let (req, _) = self
             .waiting
             .remove(&pp.0)
             .expect("resumed period not waitlisted");
@@ -830,23 +844,27 @@ impl<E: Admission> Engine<'_, E> {
         self.push(t, Ev::Complete { req, pp: Some(pp) });
     }
 
-    /// Retry a shed request with exponential backoff, or fail it once
-    /// its attempt budget is spent.
-    fn retry_or_fail(&mut self, req: usize) {
-        let a = self.attempts[req];
+    /// Retry a request shed at attempt `a` with exponential backoff, or
+    /// fail it once its attempt budget is spent.
+    fn retry_or_fail(&mut self, req: usize, a: u32) {
         if a + 1 < self.cfg.max_attempts {
-            self.attempts[req] = a + 1;
             let backoff = self
                 .cfg
                 .backoff_base_cycles
                 .saturating_mul(1u64.checked_shl(a).unwrap_or(u64::MAX));
-            let jitter = self.plan.requests[req].jitter[a as usize];
+            let jitter = self.plan.jitter(req, a);
             let t = self
                 .now
                 .cycles()
                 .saturating_add(backoff)
                 .saturating_add(jitter);
-            self.push(t, Ev::Retry { req });
+            self.push(
+                t,
+                Ev::Retry {
+                    req,
+                    attempt: a + 1,
+                },
+            );
         } else {
             self.failed += 1;
         }
@@ -930,10 +948,10 @@ mod tests {
         let mut prev = 0;
         for r in &a.requests {
             assert!(r.arrival >= prev && r.arrival < horizon);
-            assert_eq!(r.jitter.len(), cfg.max_attempts as usize);
             assert!(r.service >= 1);
             prev = r.arrival;
         }
+        assert_eq!(a.jitter.len(), a.len() * cfg.max_attempts as usize);
     }
 
     #[test]
@@ -1069,5 +1087,58 @@ mod tests {
         assert_eq!(sim.run(7).digest(), 0xb797_2df8_35a2_19df);
         let faulty = sim.with_faults(FaultConfig::uniform(0.05));
         assert_eq!(faulty.run(7).digest(), 0x3c89_e1b8_83c4_b1fe);
+    }
+
+    #[test]
+    fn an_arrival_goes_before_the_completion_and_tick_of_its_cycle() {
+        // Request 0 runs from cycle 0 to 1 000; request 1 arrives at
+        // cycle 1 000, when the first control tick fires too. Both
+        // declare 8 MB, which do not fit the 15 MB LLC together.
+        let mut cfg = TrafficConfig::web_default(1.0, 1e-3);
+        cfg.demand_classes = vec![(mb(8.0), 1.0)];
+        cfg.age_tick_cycles = 1_000;
+        cfg.record_calls = true;
+        let request = |arrival, service| Request {
+            arrival,
+            site: 0,
+            demand: mb(8.0),
+            service,
+        };
+        let plan = TrafficPlan {
+            requests: vec![request(0, 1_000), request(1_000, 500)],
+            jitter: vec![0; 2 * cfg.max_attempts as usize],
+            max_attempts: cfg.max_attempts as usize,
+        };
+        let demand = PpDemand::llc(mb(8.0), ReuseLevel::High);
+        let classes = [demand];
+        let ext = RdaExtension::new(rda_cfg().with_overload(overload_cfg()));
+        let eng = run_plan(&cfg, &plan, &classes, None, 0, ext);
+        // Pinned: the arrival begins (and waits) before the same
+        // cycle's tick ages the waitlist and request 0's end wakes it.
+        let begin = |t, p| RdaCall::Begin {
+            now: SimTime::from_cycles(t),
+            process: ProcessId(p),
+            site: SiteId(0),
+            demand,
+        };
+        let end = |t, pp| RdaCall::End {
+            now: SimTime::from_cycles(t),
+            pp: PpId(pp),
+        };
+        let age = |t| RdaCall::Age {
+            now: SimTime::from_cycles(t),
+        };
+        assert_eq!(
+            eng.calls.0,
+            Some(vec![
+                begin(0, 0),
+                begin(1_000, 1),
+                age(1_000),
+                end(1_000, 0),
+                end(1_500, 1),
+                age(2_000),
+            ])
+        );
+        assert_eq!(eng.completed, 2);
     }
 }

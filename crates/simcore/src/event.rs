@@ -83,15 +83,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Create an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
     /// Schedule `payload` to fire at `time`. Returns the sequence number
     /// assigned to the event (useful for logical cancellation).
     ///
