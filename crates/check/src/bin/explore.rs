@@ -9,7 +9,6 @@
 
 use rda_check::{explore, explore_topo, Exploration, Template, TopoDoc, TopoMutation, TraceDoc};
 use rda_core::{DemandAudit, PolicyKind, RdaConfig, ShedPolicy};
-use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// Small capacity keeps the state space rich (every admission class is
@@ -29,10 +28,10 @@ fn check_cfg(policy: PolicyKind) -> RdaConfig {
 
 /// Print one space's covered volume and, on a divergence, its
 /// replayable counterexample. Returns whether the space diverged.
-fn report<Doc, Div: Display>(
+fn report<Doc>(
     name: &str,
     label: &str,
-    ex: Exploration<Doc, Div>,
+    ex: Exploration<Doc>,
     elapsed: Duration,
     to_text: fn(&Doc) -> String,
 ) -> bool {

@@ -1,14 +1,13 @@
-//! The differential oracle: one event stream, two machines, equality
+//! The differential oracle: one call stream, two machines, equality
 //! after every step.
 //!
 //! [`Oracle`] drives the scalar engine ([`rda_core::RdaExtension`]) in
 //! lockstep with the one topology reference model
 //! ([`crate::topo_model::TopoRefModel`]) on the engine's lift onto
-//! `TopoConfig::compat`: each event goes to the engine as it is and to
-//! the model through [`crate::topo_trace::lift_event`]. A
-//! [`FastPathModel`] beside the model turns the lifted effects into the
-//! scalar engine's, fast flags and counters included. After *every*
-//! event the oracle demands:
+//! `TopoConfig::compat`: each call goes to the model as it is and to
+//! the engine through its LLC component. A [`FastPathModel`] beside
+//! the model turns the model's effects into the scalar engine's, fast
+//! flags and counters included. After *every* call the oracle demands:
 //!
 //! 1. the per-call results agree (outcome variant, allocated id, fast
 //!    flag, resumed/expired/shed lists **in order**, error variant and
@@ -23,43 +22,41 @@
 //!    passes.
 //!
 //! Any violation is reported as a [`Divergence`] naming the step, the
-//! event, and a human-readable explanation — and since every replay
-//! input is a [`TraceDoc`], a divergence *is* a repro file. The
-//! topology oracle ([`crate::topo_diff`]) reports the same
-//! [`Divergence`] over its own event type and the same
-//! [`ReplayReport`].
+//! call, and a human-readable explanation — and since every replay
+//! input is a [`TraceDoc`], a divergence *is* a repro file. A call the
+//! scalar engine cannot be given whole (a demand with a memory-bandwidth
+//! or DRAM component) diverges too: the model accounts the component
+//! and the engine never sees it. The topology oracle
+//! ([`crate::topo_diff`]) reports the same [`Divergence`] and the same
+//! [`ReplayReport`], and both replay through one loop.
 
 use crate::model::{Effect, FastPathModel};
 use crate::topo_model::TopoRefModel;
-use crate::topo_trace::lift_event;
-use crate::trace::{TraceDoc, TraceEvent};
+use crate::trace::TraceDoc;
 use rda_core::{
-    NodeId, PpDemand, PpId, RdaConfig, RdaExtension, Resource, ResourceKind, SiteId, Snapshot,
-    TopoConfig,
+    NodeId, PpDemand, RdaConfig, RdaExtension, Resource, ResourceKind, Snapshot, TopoConfig,
 };
 use rda_machine::ReuseLevel;
-use rda_sched::ProcessId;
-use rda_simcore::SimTime;
+use rda_sim::TopoCall;
+use rda_simcore::Fnv1a64;
 use std::fmt;
 
 /// A point where an engine and its model disagree (or the engine
-/// violated its own invariants), over the engine's event type `E`:
-/// [`TraceEvent`] for the scalar oracle,
-/// [`crate::topo_trace::TopoEvent`] for the topology oracle.
+/// violated its own invariants).
 #[derive(Debug, Clone)]
-pub struct Divergence<E = TraceEvent> {
-    /// 0-based index of the offending event in the replayed sequence.
+pub struct Divergence {
+    /// 0-based index of the offending call in the replayed sequence.
     pub step: usize,
-    /// The event being applied when the disagreement surfaced.
-    pub event: E,
+    /// The call being applied when the disagreement surfaced.
+    pub event: TopoCall,
     /// What disagreed, rendered for humans.
     pub detail: String,
 }
 
-impl<E> Divergence<E> {
+impl Divergence {
     /// The divergence at `step` on `event`, boxed as the oracles
     /// return it.
-    pub(crate) fn boxed(step: usize, event: E, detail: String) -> Box<Self> {
+    pub(crate) fn boxed(step: usize, event: TopoCall, detail: String) -> Box<Self> {
         Box::new(Divergence {
             step,
             event,
@@ -68,7 +65,7 @@ impl<E> Divergence<E> {
     }
 }
 
-impl<E: fmt::Debug> fmt::Display for Divergence<E> {
+impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -78,7 +75,24 @@ impl<E: fmt::Debug> fmt::Display for Divergence<E> {
     }
 }
 
-impl<E: fmt::Debug> std::error::Error for Divergence<E> {}
+impl std::error::Error for Divergence {}
+
+/// What the replay loops and the explorer need from either oracle:
+/// its own call, its agreed snapshot, the state that tells DFS nodes
+/// apart, and the replayable document of a call sequence.
+pub(crate) trait Explorable: Clone {
+    /// The document a counterexample comes back as.
+    type Doc;
+
+    /// Apply one call to both machines and check full equivalence.
+    fn apply(&mut self, call: &TopoCall) -> Result<Effect, Box<Divergence>>;
+    /// The agreed observable state.
+    fn snapshot(&self) -> Snapshot;
+    /// Fold the state that distinguishes DFS nodes into the memo key.
+    fn fold_state(&self, h: &mut Fnv1a64);
+    /// The oracle's configuration plus `calls`.
+    fn doc(&self, calls: Vec<TopoCall>) -> Self::Doc;
+}
 
 /// The scalar engine and its reference models in lockstep.
 #[derive(Debug, Clone)]
@@ -115,56 +129,44 @@ impl Oracle {
         &self.model
     }
 
-    /// The reference model of the fast path.
-    pub fn fast_path(&self) -> &FastPathModel {
-        &self.fast
-    }
-
-    /// Events applied so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
     /// The agreed observable state (checked equal on every step).
     pub fn snapshot(&self) -> Snapshot {
         self.ext.snapshot()
     }
 
-    /// Apply one event to both machines and check full equivalence.
+    /// Apply one call to both machines and check full equivalence.
     /// On success returns the (agreed) effect of the call.
-    pub fn apply(&mut self, event: &TraceEvent) -> Result<Effect, Box<Divergence>> {
+    pub fn apply(&mut self, call: &TopoCall) -> Result<Effect, Box<Divergence>> {
         let step = self.steps;
         self.steps += 1;
-        let diverged = |detail: String| Divergence::boxed(step, *event, detail);
+        let diverged = |detail: String| Divergence::boxed(step, *call, detail);
 
-        let at = SimTime::from_cycles;
-        let got: Effect = match *event {
-            TraceEvent::Begin {
-                t,
+        let got: Effect = match *call {
+            TopoCall::Begin {
+                now,
                 process,
                 site,
-                amount,
+                demand,
             } => {
-                let demand = PpDemand::llc(amount, ReuseLevel::High);
-                (self.ext)
-                    .pp_begin(ProcessId(process), SiteId(site), demand, at(t))
-                    .into()
+                let demand = PpDemand::llc(demand.get(ResourceKind::Llc), ReuseLevel::High);
+                self.ext.pp_begin(process, site, demand, now).into()
             }
-            TraceEvent::End { t, pp } => self.ext.pp_end(PpId(pp), at(t)).into(),
-            TraceEvent::Exit { t, process } => Effect::Woken {
-                resumed: self.ext.process_exit(ProcessId(process), at(t)),
+            TopoCall::End { now, pp } => self.ext.pp_end(pp, now).into(),
+            TopoCall::Exit { now, process } => Effect::Woken {
+                resumed: self.ext.process_exit(process, now),
                 expired: Vec::new(),
             },
-            TraceEvent::Age { t } => self.ext.age_waitlist(at(t)).into(),
-            TraceEvent::Retry { t, process, site } => {
-                self.ext
-                    .note_retry(ProcessId(process), SiteId(site), Resource::Llc, at(t));
+            TopoCall::Age { now } => self.ext.age_waitlist(now).into(),
+            TopoCall::Retry {
+                now, process, site, ..
+            } => {
+                self.ext.note_retry(process, site, Resource::Llc, now);
                 Effect::Retried
             }
         };
-        let lifted = self.model.apply(&lift_event(event));
+        let effect = self.model.apply(call);
         let mut snap = self.model.snapshot();
-        let want = self.fast.mark(event, lifted, &self.last, &mut snap);
+        let want = self.fast.mark(call, effect, &self.last, &mut snap);
         self.last = snap;
 
         agree(&got, &want, &self.ext.snapshot(), &self.last).map_err(diverged)?;
@@ -189,10 +191,38 @@ impl Oracle {
     }
 }
 
-/// The checks both oracles make after every event: the call effects
+impl Explorable for Oracle {
+    type Doc = TraceDoc;
+
+    fn apply(&mut self, call: &TopoCall) -> Result<Effect, Box<Divergence>> {
+        Oracle::apply(self, call)
+    }
+    fn snapshot(&self) -> Snapshot {
+        Oracle::snapshot(self)
+    }
+    fn fold_state(&self, h: &mut Fnv1a64) {
+        h.write_u64(self.snapshot().digest());
+        h.write_u64(self.ext.fastpath_digest());
+        h.write_u64(self.fast.digest());
+        h.write_u64(self.model.breaker_digest());
+    }
+    fn doc(&self, events: Vec<TopoCall>) -> TraceDoc {
+        TraceDoc {
+            cfg: self.ext.config().clone(),
+            events,
+        }
+    }
+}
+
+/// The checks both oracles make after every call: the call effects
 /// agree and the snapshots are identical. `Err` describes the first
 /// disagreement.
-pub(crate) fn agree(got: &Effect, want: &Effect, ext: &Snapshot, model: &Snapshot) -> Result<(), String> {
+pub(crate) fn agree(
+    got: &Effect,
+    want: &Effect,
+    ext: &Snapshot,
+    model: &Snapshot,
+) -> Result<(), String> {
     if got != want {
         return Err(format!(
             "call effect mismatch\n  implementation: {got:?}\n  model:          {want:?}"
@@ -272,25 +302,35 @@ pub struct ReplayReport {
     pub effects: Vec<Effect>,
 }
 
-/// Replay a whole trace through the oracle.
-pub fn replay(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence>> {
-    let mut oracle = Oracle::new(doc.cfg.clone());
-    let mut effects = Vec::with_capacity(doc.events.len());
-    for event in &doc.events {
-        effects.push(oracle.apply(event)?);
-    }
+/// Replay `calls` through the fresh `oracle`: the one loop both
+/// oracles' replays run.
+pub(crate) fn replay_calls<O: Explorable>(
+    mut oracle: O,
+    calls: &[TopoCall],
+) -> Result<ReplayReport, Box<Divergence>> {
+    let effects = calls
+        .iter()
+        .map(|call| oracle.apply(call))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(ReplayReport {
-        steps: oracle.steps(),
+        steps: effects.len(),
         final_snapshot: oracle.snapshot(),
         effects,
     })
 }
 
+/// Replay a whole trace through the oracle.
+pub fn replay(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence>> {
+    replay_calls(Oracle::new(doc.cfg.clone()), &doc.events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_core::{mb, Demand, DemandAudit, PolicyKind, RdaError, RdaStats};
+    use rda_core::{mb, Demand, DemandAudit, PolicyKind, PpId, RdaError, RdaStats, SiteId};
     use rda_machine::MachineConfig;
+    use rda_sched::ProcessId;
+    use rda_simcore::SimTime;
 
     fn doc(policy: &str, extra_header: &str, body: &str) -> TraceDoc {
         TraceDoc::parse(&format!("policy {policy}\n{extra_header}\n{body}")).unwrap()
@@ -304,12 +344,26 @@ mod tests {
         ))
     }
 
-    fn begin(t: u64, process: u32, site: u32, amount: u64) -> TraceEvent {
-        TraceEvent::Begin {
-            t,
-            process,
-            site,
-            amount,
+    /// A begin of `demand` at cycle `t`.
+    fn vbegin(t: u64, process: u32, site: u32, demand: Demand) -> TopoCall {
+        TopoCall::Begin {
+            now: SimTime::from_cycles(t),
+            process: ProcessId(process),
+            site: SiteId(site),
+            demand,
+        }
+    }
+
+    /// A begin of `amount` LLC bytes at cycle `t`.
+    fn begin(t: u64, process: u32, site: u32, amount: u64) -> TopoCall {
+        vbegin(t, process, site, Demand::llc(amount))
+    }
+
+    /// `pp_end(pp)` at cycle `t`.
+    fn end(t: u64, pp: u64) -> TopoCall {
+        TopoCall::End {
+            now: SimTime::from_cycles(t),
+            pp: PpId(pp),
         }
     }
 
@@ -324,7 +378,7 @@ mod tests {
             Effect::Pause { pp, .. } => pp,
             other => panic!("expected Pause, got {other:?}"),
         };
-        match o.apply(&TraceEvent::End { t: 20, pp: a.0 }).unwrap() {
+        match o.apply(&end(20, a.0)).unwrap() {
             Effect::End {
                 fast: false,
                 resumed,
@@ -343,7 +397,7 @@ mod tests {
             Effect::Run { pp, fast: false } => pp,
             other => panic!("expected slow Run, got {other:?}"),
         };
-        let end = o.apply(&TraceEvent::End { t: 100, pp: a.0 }).unwrap();
+        let end = o.apply(&end(100, a.0)).unwrap();
         assert!(matches!(end, Effect::End { fast: true, .. }), "{end:?}");
         let again = o.apply(&begin(200, 0, 7, mb(2.0))).unwrap();
         assert!(matches!(again, Effect::Run { fast: true, .. }), "{again:?}");
@@ -359,7 +413,7 @@ mod tests {
         let mut o = xeon(PolicyKind::Strict);
         let interval = o.ext().config().min_eval_interval_cycles;
         o.apply(&begin(0, 0, 7, mb(2.0))).unwrap();
-        let end = o.apply(&TraceEvent::End { t: interval, pp: 0 }).unwrap();
+        let end = o.apply(&end(interval, 0)).unwrap();
         assert!(matches!(end, Effect::End { fast: false, .. }), "{end:?}");
         let again = o.apply(&begin(interval, 0, 7, mb(2.0))).unwrap();
         assert!(
@@ -375,7 +429,7 @@ mod tests {
         let mut o = xeon(PolicyKind::Strict);
         let before = o.snapshot().without_stats();
         assert_eq!(
-            o.apply(&TraceEvent::End { t: 0, pp: 4 }).unwrap(),
+            o.apply(&end(0, 4)).unwrap(),
             Effect::Rejected(RdaError::UnknownPp(PpId(4)))
         );
         assert_eq!(o.snapshot().without_stats(), before);
@@ -473,7 +527,10 @@ mod tests {
         assert_eq!(s.retried, 1);
         assert_eq!(s.breaker_trips, 1);
         assert_eq!(s.paused, 3);
-        assert_eq!(report.final_snapshot.allocated, 5, "tail/breaker sheds allocate no id");
+        assert_eq!(
+            report.final_snapshot.allocated, 5,
+            "tail/breaker sheds allocate no id"
+        );
         assert!(matches!(
             report.effects[2],
             Effect::Pause { shed: Some(_), .. }
@@ -499,6 +556,19 @@ mod tests {
         }
     }
 
+    /// A scalar document can hold a call the scalar engine cannot be
+    /// given whole: an admitted begin with a memory-bandwidth
+    /// component. The model accounts the component and the engine's
+    /// LLC-only snapshot does not, so replay reports the misuse.
+    #[test]
+    fn a_non_llc_component_in_a_scalar_document_diverges() {
+        let doc = TraceDoc::new(vec![vbegin(0, 0, 0, Demand::new(mb(1.0), 10, 0))]);
+        let div = replay(&doc).expect_err("the engine never sees the membw component");
+        assert_eq!(div.step, 0);
+        assert!(div.detail.contains("snapshot mismatch"), "{div}");
+        assert!(div.detail.contains("model 10 vs implementation 0"), "{div}");
+    }
+
     #[test]
     fn a_deliberately_skewed_model_is_caught() {
         // Sanity-check the oracle itself: replay an event stream where
@@ -510,14 +580,7 @@ mod tests {
             c
         };
         let mut oracle = Oracle::new(cfg);
-        oracle
-            .apply(&TraceEvent::Begin {
-                t: 0,
-                process: 0,
-                site: 0,
-                amount: 1000,
-            })
-            .unwrap();
+        oracle.apply(&begin(0, 0, 0, 1000)).unwrap();
         // Poke the model out from under the oracle by replaying an
         // event on a clone of the model only, then diffing snapshots.
         let mut skewed = oracle.model().clone();

@@ -9,11 +9,12 @@
 //! equivalence and the implementation's own invariants, so one call
 //! covers the whole bounded state space of the scenario — admission,
 //! pausing, FIFO resume order, aging, exit reclamation, double ends —
-//! under a single policy/configuration. One DFS serves both engines:
-//! [`explore`] drives scalar demands through [`crate::diff::Oracle`],
-//! [`explore_topo`] drives demand vectors through
-//! [`crate::topo_diff::TopoOracle`] (placement ties, guarantee
-//! reservations, per-node FIFO order, vector drains).
+//! under a single policy/configuration. One DFS serves both engines,
+//! and both replay the same [`TopoCall`]s: [`explore`] drives
+//! LLC-only demands through [`crate::diff::Oracle`], [`explore_topo`]
+//! drives demand vectors through [`crate::topo_diff::TopoOracle`]
+//! (placement ties, guarantee reservations, per-node FIFO order, vector
+//! drains).
 //!
 //! States are pruned with an FNV-1a memo key over (per-process program
 //! counters, aging ticks spent, the engine's state): the snapshot
@@ -34,30 +35,30 @@
 //! sensitivity to catch a single-comparison admission bug. That
 //! self-test is permanent — see `topo_mutated_model_is_caught_by_the_space`.
 
-use crate::diff::{Divergence, Oracle};
+use crate::diff::{Divergence, Explorable, Oracle};
 use crate::model::Effect;
 use crate::topo_diff::TopoOracle;
 use crate::topo_model::TopoMutation;
-use crate::topo_trace::{TopoDoc, TopoEvent};
-use crate::trace::{TraceDoc, TraceEvent};
+use crate::topo_trace::TopoDoc;
+use crate::trace::TraceDoc;
 use rda_core::{
-    BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, RdaConfig,
-    ShedPolicy, TopoConfig, TopoSpec,
+    BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
+    RdaConfig, ShedPolicy, SiteId, TopoConfig, TopoSpec,
 };
-use rda_simcore::Fnv1a64;
+use rda_sched::ProcessId;
+use rda_sim::TopoCall;
+use rda_simcore::{Fnv1a64, SimTime};
 use std::collections::HashSet;
 
-/// One step of a process's program. `D` is the engine's demand: LLC
-/// bytes for the scalar engine, a [`Demand`] vector for the topology
-/// engine.
+/// One step of a process's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op<D = u64> {
+pub enum Op {
     /// `pp_begin` at the given site.
     Begin {
         /// Static call site.
         site: u32,
-        /// Declared demand.
-        demand: D,
+        /// Declared demand; LLC-only for the scalar engine.
+        demand: Demand,
     },
     /// `pp_end` of the `nth` period this process began (0-based). If
     /// that begin allocated no id (audit-rejected) or `nth` is out of
@@ -76,11 +77,11 @@ pub enum Op<D = u64> {
 
 /// A bounded scenario: per-process programs plus free aging ticks.
 #[derive(Debug, Clone)]
-pub struct Template<D = u64> {
+pub struct Template {
     /// Template name, for reports.
     pub name: String,
     /// One program per process; process id = index.
-    pub procs: Vec<Vec<Op<D>>>,
+    pub procs: Vec<Vec<Op>>,
     /// Number of `age_waitlist` ticks interleaved anywhere.
     pub age_ticks: u32,
     /// Virtual cycles between consecutive events (event *k* of a path
@@ -90,14 +91,14 @@ pub struct Template<D = u64> {
 }
 
 /// An id no template can allocate (`End` past a rejected begin).
-const NEVER_ALLOCATED: u64 = 1 << 40;
+const NEVER_ALLOCATED: PpId = PpId(1 << 40);
 
 /// Result of exploring one template under one configuration. A
-/// counterexample is a ([`TraceDoc`], [`Divergence`]) pair from
-/// [`explore`] and a ([`TopoDoc`], `Divergence<TopoEvent>`) pair from
+/// counterexample is a [`Divergence`] with the document that reaches
+/// it: a [`TraceDoc`] from [`explore`], a [`TopoDoc`] from
 /// [`explore_topo`].
 #[derive(Debug)]
-pub struct Exploration<Doc = TraceDoc, Div = Divergence> {
+pub struct Exploration<Doc = TraceDoc> {
     /// Distinct states visited (= oracle checks performed).
     pub states: u64,
     /// Transitions skipped because the reached state was already seen.
@@ -106,10 +107,10 @@ pub struct Exploration<Doc = TraceDoc, Div = Divergence> {
     pub completed: u64,
     /// First divergence found, with the trace that reaches it; `None`
     /// when the whole bounded space agrees.
-    pub divergence: Option<(Doc, Div)>,
+    pub divergence: Option<(Doc, Divergence)>,
 }
 
-impl<Doc, Div> Exploration<Doc, Div> {
+impl<Doc> Exploration<Doc> {
     /// True when the bounded space was fully explored with no
     /// divergence.
     pub fn clean(&self) -> bool {
@@ -117,119 +118,8 @@ impl<Doc, Div> Exploration<Doc, Div> {
     }
 }
 
-/// What the DFS needs from one engine's lockstep oracle.
-pub(crate) trait Explorable: Clone {
-    /// The demand an [`Op::Begin`] declares.
-    type Demand: Copy;
-    /// One replayable call.
-    type Event: Copy;
-    /// The document a counterexample comes back as.
-    type Doc;
-
-    /// `pp_begin` by `process` at `site`.
-    fn begin(t: u64, process: u32, site: u32, demand: Self::Demand) -> Self::Event;
-    /// `pp_end` of period `pp`.
-    fn end(t: u64, pp: u64) -> Self::Event;
-    /// `process_exit` of `process`.
-    fn exit(t: u64, process: u32) -> Self::Event;
-    /// `age_waitlist`.
-    fn age(t: u64) -> Self::Event;
-    /// Apply `event` to both machines; on agreement, the period id the
-    /// call allocated (a begin that ran or paused), if any.
-    fn step(&mut self, event: &Self::Event) -> Result<Option<u64>, Box<Divergence<Self::Event>>>;
-    /// Fold the state that distinguishes DFS nodes into the memo key.
-    fn fold_state(&self, h: &mut Fnv1a64);
-    /// The replayable document of a counterexample path: the oracle's
-    /// configuration plus `events`.
-    fn doc(&self, events: Vec<Self::Event>) -> Self::Doc;
-}
-
-/// The period id a call allocated (a begin that ran or paused), if any.
-fn allocated(effect: Effect) -> Option<u64> {
-    match effect {
-        Effect::Run { pp, .. } | Effect::Pause { pp, .. } => Some(pp.0),
-        _ => None,
-    }
-}
-
-impl Explorable for Oracle {
-    type Demand = u64;
-    type Event = TraceEvent;
-    type Doc = TraceDoc;
-
-    fn begin(t: u64, process: u32, site: u32, amount: u64) -> TraceEvent {
-        TraceEvent::Begin {
-            t,
-            process,
-            site,
-            amount,
-        }
-    }
-    fn end(t: u64, pp: u64) -> TraceEvent {
-        TraceEvent::End { t, pp }
-    }
-    fn exit(t: u64, process: u32) -> TraceEvent {
-        TraceEvent::Exit { t, process }
-    }
-    fn age(t: u64) -> TraceEvent {
-        TraceEvent::Age { t }
-    }
-    fn step(&mut self, event: &TraceEvent) -> Result<Option<u64>, Box<Divergence>> {
-        self.apply(event).map(allocated)
-    }
-    fn fold_state(&self, h: &mut Fnv1a64) {
-        h.write_u64(self.snapshot().digest());
-        h.write_u64(self.ext().fastpath_digest());
-        h.write_u64(self.fast_path().digest());
-        h.write_u64(self.model().breaker_digest());
-    }
-    fn doc(&self, events: Vec<TraceEvent>) -> TraceDoc {
-        TraceDoc {
-            cfg: self.ext().config().clone(),
-            events,
-        }
-    }
-}
-
-impl Explorable for TopoOracle {
-    type Demand = Demand;
-    type Event = TopoEvent;
-    type Doc = TopoDoc;
-
-    fn begin(t: u64, process: u32, site: u32, demand: Demand) -> TopoEvent {
-        TopoEvent::Begin {
-            t,
-            process,
-            site,
-            demand,
-        }
-    }
-    fn end(t: u64, pp: u64) -> TopoEvent {
-        TopoEvent::End { t, pp }
-    }
-    fn exit(t: u64, process: u32) -> TopoEvent {
-        TopoEvent::Exit { t, process }
-    }
-    fn age(t: u64) -> TopoEvent {
-        TopoEvent::Age { t }
-    }
-    fn step(&mut self, event: &TopoEvent) -> Result<Option<u64>, Box<Divergence<TopoEvent>>> {
-        self.apply(event).map(allocated)
-    }
-    fn fold_state(&self, h: &mut Fnv1a64) {
-        h.write_u64(self.snapshot().digest());
-        h.write_u64(self.model().breaker_digest());
-    }
-    fn doc(&self, events: Vec<TopoEvent>) -> TopoDoc {
-        TopoDoc {
-            cfg: self.ext().config().clone(),
-            events,
-        }
-    }
-}
-
-struct Dfs<'a, O: Explorable> {
-    tpl: &'a Template<O::Demand>,
+struct Dfs<'a> {
+    tpl: &'a Template,
     seen: HashSet<u64>,
     states: u64,
     pruned: u64,
@@ -238,20 +128,20 @@ struct Dfs<'a, O: Explorable> {
 
 /// A node of the interleaving tree.
 #[derive(Clone)]
-struct Node<O: Explorable> {
+struct Node<O> {
     oracle: O,
     /// Next op index per process.
     pcs: Vec<usize>,
     /// Aging ticks already spent.
     ages: u32,
     /// Allocated pp ids per process, in begin order.
-    begun: Vec<Vec<u64>>,
-    /// Events applied so far (the path; a replayable trace).
-    events: Vec<O::Event>,
+    begun: Vec<Vec<PpId>>,
+    /// Calls applied so far (the path; a replayable trace).
+    events: Vec<TopoCall>,
 }
 
-impl<O: Explorable> Dfs<'_, O> {
-    fn memo_key(&self, node: &Node<O>) -> u64 {
+impl Dfs<'_> {
+    fn memo_key<O: Explorable>(&self, node: &Node<O>) -> u64 {
         let mut h = Fnv1a64::new();
         for &pc in &node.pcs {
             h.write_usize(pc);
@@ -262,9 +152,9 @@ impl<O: Explorable> Dfs<'_, O> {
     }
 
     /// Explore all successors of `node`. Returns the first divergence.
-    fn walk(&mut self, node: &Node<O>) -> Option<(O::Doc, Divergence<O::Event>)> {
+    fn walk<O: Explorable>(&mut self, node: &Node<O>) -> Option<(O::Doc, Divergence)> {
         let depth = node.pcs.iter().sum::<usize>() + node.ages as usize;
-        let t = (depth as u64 + 1) * self.tpl.step_cycles;
+        let now = SimTime::from_cycles((depth as u64 + 1) * self.tpl.step_cycles);
 
         // Moves: one ready op per process, plus an aging tick.
         let mut moves: Vec<Option<usize>> = (0..self.tpl.procs.len())
@@ -277,34 +167,42 @@ impl<O: Explorable> Dfs<'_, O> {
         let any_move = !moves.is_empty();
         for mv in moves {
             let mut child = node.clone();
-            let event = match mv {
+            let call = match mv {
                 Some(p) => {
                     child.pcs[p] += 1;
-                    let process = p as u32;
+                    let process = ProcessId(p as u32);
                     match self.tpl.procs[p][node.pcs[p]] {
-                        Op::Begin { site, demand } => O::begin(t, process, site, demand),
+                        Op::Begin { site, demand } => TopoCall::Begin {
+                            now,
+                            process,
+                            site: SiteId(site),
+                            demand,
+                        },
                         Op::End { nth } => {
-                            let pp = node.begun[p].get(nth).copied();
-                            O::end(t, pp.unwrap_or(NEVER_ALLOCATED))
+                            let pp = node.begun[p].get(nth).copied().unwrap_or(NEVER_ALLOCATED);
+                            TopoCall::End { now, pp }
                         }
-                        Op::EndUnknown => O::end(t, NEVER_ALLOCATED),
-                        Op::Exit => O::exit(t, process),
+                        Op::EndUnknown => TopoCall::End {
+                            now,
+                            pp: NEVER_ALLOCATED,
+                        },
+                        Op::Exit => TopoCall::Exit { now, process },
                     }
                 }
                 None => {
                     child.ages += 1;
-                    O::age(t)
+                    TopoCall::Age { now }
                 }
             };
-            child.events.push(event);
-            match child.oracle.step(&event) {
+            child.events.push(call);
+            match child.oracle.apply(&call) {
                 Err(div) => return Some((child.oracle.doc(child.events), *div)),
-                Ok(Some(pp)) => {
+                Ok(Effect::Run { pp, .. } | Effect::Pause { pp, .. }) => {
                     if let Some(p) = mv {
                         child.begun[p].push(pp);
                     }
                 }
-                Ok(None) => {}
+                Ok(_) => {}
             }
             let key = self.memo_key(&child);
             if !self.seen.insert(key) {
@@ -324,10 +222,7 @@ impl<O: Explorable> Dfs<'_, O> {
 }
 
 /// Explore every interleaving of `tpl` from the fresh `oracle`.
-fn run<O: Explorable>(
-    oracle: O,
-    tpl: &Template<O::Demand>,
-) -> Exploration<O::Doc, Divergence<O::Event>> {
+fn run<O: Explorable>(oracle: O, tpl: &Template) -> Exploration<O::Doc> {
     let mut dfs = Dfs {
         tpl,
         seen: HashSet::new(),
@@ -351,7 +246,8 @@ fn run<O: Explorable>(
     }
 }
 
-/// Exhaustively explore every interleaving of `tpl` under `cfg`.
+/// Exhaustively explore every interleaving of `tpl` under `cfg`. Its
+/// begins must declare LLC-only demands.
 pub fn explore(cfg: &RdaConfig, tpl: &Template) -> Exploration {
     run(Oracle::new(cfg.clone()), tpl)
 }
@@ -361,9 +257,9 @@ pub fn explore(cfg: &RdaConfig, tpl: &Template) -> Exploration {
 /// [`TopoMutation`] (pass [`TopoMutation::None`] for real checking).
 pub fn explore_topo(
     cfg: &TopoConfig,
-    tpl: &Template<Demand>,
+    tpl: &Template,
     mutation: TopoMutation,
-) -> Exploration<TopoDoc, Divergence<TopoEvent>> {
+) -> Exploration<TopoDoc> {
     run(TopoOracle::with_mutation(cfg.clone(), mutation), tpl)
 }
 
@@ -377,7 +273,7 @@ impl Template {
         let cap = llc_capacity;
         let b = |site, frac_num: u64| Op::Begin {
             site,
-            demand: cap * frac_num / 16,
+            demand: Demand::llc(cap * frac_num / 16),
         };
         Template {
             name: "three-process-contention".into(),
@@ -401,7 +297,7 @@ impl Template {
         let cap = llc_capacity;
         let b = |site, frac_num: u64| Op::Begin {
             site,
-            demand: cap * frac_num / 16,
+            demand: Demand::llc(cap * frac_num / 16),
         };
         Template {
             name: "faulty-ops".into(),
@@ -425,7 +321,10 @@ impl Template {
     /// fitting third, under aging.
     pub fn oversized_pair(llc_capacity: u64) -> Template {
         let cap = llc_capacity;
-        let b = |site, demand| Op::Begin { site, demand };
+        let b = |site, amount| Op::Begin {
+            site,
+            demand: Demand::llc(amount),
+        };
         Template {
             name: "oversized-pair".into(),
             procs: vec![
@@ -437,9 +336,7 @@ impl Template {
             step_cycles: 400,
         }
     }
-}
 
-impl Template<Demand> {
     /// The topology acceptance gate: **2 nodes × 2 layers × 3
     /// processes**. A guaranteed Strict "latency" layer shares two
     /// small nodes with a best-effort "batch" layer; the batch demands
@@ -447,7 +344,7 @@ impl Template<Demand> {
     /// (exact-fit admissions — the class of state the off-by-one
     /// mutation corrupts), while the latency process issues a vector
     /// demand spanning two resource kinds and dies holding it.
-    pub fn two_node_two_layer() -> (TopoConfig, Template<Demand>) {
+    pub fn two_node_two_layer() -> (TopoConfig, Template) {
         let layers = LayerSet::new(vec![
             LayerSpec::new("batch", PolicyKind::Strict),
             LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::llc(40)),
@@ -482,7 +379,7 @@ impl Template<Demand> {
     /// LLC-90 demands fill both nodes and queue the third; process 2's
     /// second demand, a two-kind vector, ties on occupancy, queues on
     /// the same node past the cap, and so reaches the shed policy.
-    pub fn two_node_overload(shed: ShedPolicy) -> (TopoConfig, Template<Demand>) {
+    pub fn two_node_overload(shed: ShedPolicy) -> (TopoConfig, Template) {
         let cfg = TopoConfig::new(
             TopoSpec::uniform(2, 100, 50, 1000),
             LayerSet::single(PolicyKind::Strict),
@@ -536,7 +433,7 @@ mod tests {
     }
 
     /// The covered volume: (states, pruned, interleavings).
-    fn volume<Doc, Div>(ex: &Exploration<Doc, Div>) -> (u64, u64, u64) {
+    fn volume<Doc>(ex: &Exploration<Doc>) -> (u64, u64, u64) {
         (ex.states, ex.pruned, ex.completed)
     }
 
@@ -612,7 +509,10 @@ mod tests {
                     shed_min_demand: 0,
                 }),
             });
-            let b = |site, demand| Op::Begin { site, demand };
+            let b = |site, amount| Op::Begin {
+                site,
+                demand: Demand::llc(amount),
+            };
             // Three 9/16-capacity demands: any two overflow a 16 000
             // LLC, so every interleaving exercises the bounded gate,
             // the deadline (900 < 3 steps), aging (1 200), and the

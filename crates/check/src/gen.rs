@@ -17,9 +17,14 @@
 //! the shrinker itself is testable without a real scheduler bug.
 
 use crate::diff::{replay, Divergence};
-use crate::trace::{default_config, TraceDoc, TraceEvent};
-use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, ShedPolicy};
-use rda_simcore::SplitMix64;
+use crate::trace::{default_config, TraceDoc};
+use rda_core::{
+    BreakerConfig, Demand, DemandAudit, OverloadConfig, PolicyKind, PpId, ResourceKind, ShedPolicy,
+    SiteId,
+};
+use rda_sched::ProcessId;
+use rda_sim::TopoCall;
+use rda_simcore::{SimTime, SplitMix64};
 
 /// Shape knobs for [`random_doc`].
 #[derive(Debug, Clone)]
@@ -106,40 +111,42 @@ pub fn random_doc(seed: u64, params: &GenParams) -> TraceDoc {
         } else {
             t += rng.next_below(800);
         }
+        let now = SimTime::from_cycles(t);
         let ev = match rng.next_below(100) {
             0..=54 => {
                 allocatable += 1;
-                TraceEvent::Begin {
-                    t,
-                    process: rng.next_below(params.procs as u64) as u32,
-                    site: rng.next_below(params.sites as u64) as u32,
+                TopoCall::Begin {
+                    now,
+                    process: ProcessId(rng.next_below(params.procs as u64) as u32),
+                    site: SiteId(rng.next_below(params.sites as u64) as u32),
                     // Up to 1.5× capacity: fits, contends, or trips the
                     // audit / oversized guard. One begin in 32 declares
                     // nearly `u64::MAX`, so accounting it can wrap the
                     // books and reach the wrap guard.
-                    amount: if rng.next_below(32) == 0 {
+                    demand: Demand::llc(if rng.next_below(32) == 0 {
                         u64::MAX - rng.next_below(cfg.llc_capacity)
                     } else {
                         rng.next_below(cfg.llc_capacity * 3 / 2)
-                    },
+                    }),
                 }
             }
-            55..=81 => TraceEvent::End {
+            55..=81 => TopoCall::End {
                 // A little past the allocated range, so unknown ids and
                 // double ends occur naturally.
-                pp: rng.next_below(allocatable + 2),
-                t,
+                pp: PpId(rng.next_below(allocatable + 2)),
+                now,
             },
-            82..=88 => TraceEvent::Exit {
-                t,
-                process: rng.next_below(params.procs as u64) as u32,
+            82..=88 => TopoCall::Exit {
+                now,
+                process: ProcessId(rng.next_below(params.procs as u64) as u32),
             },
-            89..=91 => TraceEvent::Retry {
-                t,
-                process: rng.next_below(params.procs as u64) as u32,
-                site: rng.next_below(params.sites as u64) as u32,
+            89..=91 => TopoCall::Retry {
+                now,
+                process: ProcessId(rng.next_below(params.procs as u64) as u32),
+                site: SiteId(rng.next_below(params.sites as u64) as u32),
+                kind: ResourceKind::Llc,
             },
-            _ => TraceEvent::Age { t },
+            _ => TopoCall::Age { now },
         };
         events.push(ev);
     }
@@ -182,7 +189,7 @@ pub struct FuzzFailure {
 /// Shrink `doc` to a locally minimal trace for which `still_fails`
 /// holds: repeatedly delete single events (restarting after every
 /// successful deletion) until no single deletion keeps it failing, then
-/// try rounding each demand down to coarser values.
+/// try rounding each demand's LLC component down to coarser values.
 pub fn shrink<F: Fn(&TraceDoc) -> bool>(doc: &TraceDoc, still_fails: F) -> TraceDoc {
     debug_assert!(still_fails(doc), "shrinking a non-failing trace");
     let mut best = doc.clone();
@@ -200,14 +207,15 @@ pub fn shrink<F: Fn(&TraceDoc) -> bool>(doc: &TraceDoc, still_fails: F) -> Trace
     }
     // Phase 2: simplify surviving begins (smaller round demands).
     for i in 0..best.events.len() {
-        if let TraceEvent::Begin { amount, .. } = best.events[i] {
+        if let TopoCall::Begin { demand, .. } = best.events[i] {
+            let amount = demand.get(ResourceKind::Llc);
             for coarser in [0, 1_000, amount / 2, amount / 10 * 10] {
                 if coarser >= amount {
                     continue;
                 }
                 let mut candidate = best.clone();
-                if let TraceEvent::Begin { amount: a, .. } = &mut candidate.events[i] {
-                    *a = coarser;
+                if let TopoCall::Begin { demand: d, .. } = &mut candidate.events[i] {
+                    *d = demand.with(ResourceKind::Llc, coarser);
                 }
                 if still_fails(&candidate) {
                     best = candidate;
@@ -258,13 +266,18 @@ mod tests {
             events: 60,
         };
         let mut doc = random_doc(7, &p);
-        doc.events.push(TraceEvent::Exit { t: 1, process: 3 });
-        doc.events.push(TraceEvent::Age { t: 2 });
+        let at = SimTime::from_cycles;
+        let dying = ProcessId(3);
+        doc.events.push(TopoCall::Exit {
+            now: at(1),
+            process: dying,
+        });
+        doc.events.push(TopoCall::Age { now: at(2) });
         let fails = |d: &TraceDoc| {
             d.events
                 .iter()
-                .any(|e| matches!(e, TraceEvent::Exit { process: 3, .. }))
-                && d.events.iter().any(|e| matches!(e, TraceEvent::Age { .. }))
+                .any(|e| matches!(e, TopoCall::Exit { process, .. } if *process == dying))
+                && d.events.iter().any(|e| matches!(e, TopoCall::Age { .. }))
         };
         let shrunk = shrink(&doc, fails);
         assert_eq!(shrunk.events.len(), 2, "exactly the two needed events");
@@ -273,16 +286,16 @@ mod tests {
 
     #[test]
     fn shrinker_rounds_demands_down() {
-        let doc = TraceDoc::new(vec![TraceEvent::Begin {
-            t: 0,
-            process: 0,
-            site: 0,
-            amount: 123_457,
+        let doc = TraceDoc::new(vec![TopoCall::Begin {
+            now: SimTime::ZERO,
+            process: ProcessId(0),
+            site: SiteId(0),
+            demand: Demand::llc(123_457),
         }]);
         // Failure only requires *some* begin to be present.
         let shrunk = shrink(&doc, |d| !d.events.is_empty());
         match shrunk.events[0] {
-            TraceEvent::Begin { amount, .. } => assert_eq!(amount, 0),
+            TopoCall::Begin { demand, .. } => assert_eq!(demand, Demand::ZERO),
             ref other => panic!("{other:?}"),
         }
     }

@@ -10,13 +10,14 @@
 //! ([`check_headscan_property`]) and in the scalar engine, whose
 //! snapshot has the compat shape ([`check_scalar_headscan_property`]).
 
-use crate::diff::Oracle;
+use crate::diff::{Explorable, Oracle};
 use crate::model::Effect;
 use crate::topo_diff::TopoOracle;
-use crate::topo_trace::{TopoDoc, TopoEvent};
-use crate::trace::{TraceDoc, TraceEvent};
+use crate::topo_trace::TopoDoc;
+use crate::trace::TraceDoc;
 use rda_core::{PpId, ResourceKind, Snapshot, TopoConfig, KIND_COUNT};
 use rda_sched::ProcessId;
+use rda_sim::TopoCall;
 
 /// Algorithm 1 for one accounted component `a` against a book holding
 /// `usage`, restated so the scan shares no code with the engine: the
@@ -92,21 +93,22 @@ fn compare(idx: usize, want: Vec<PpId>, resumed: &[(PpId, ProcessId)]) -> Result
     Ok(got.len())
 }
 
-/// Replay `doc` through the topology oracle and, before every
+/// Replay `calls` through the fresh `oracle` and, before every
 /// `pp_end`, check the drain wakes exactly the entries the head scan
-/// predicts, in the same order. Returns how many waiters the checked
-/// ends woke.
-pub fn check_headscan_property(doc: &TopoDoc) -> Result<usize, String> {
-    let mut oracle = TopoOracle::new(doc.cfg.clone());
+/// predicts under `cfg`, in the same order. Returns how many waiters
+/// the checked ends woke.
+fn check<O: Explorable>(
+    mut oracle: O,
+    cfg: &TopoConfig,
+    calls: &[TopoCall],
+) -> Result<usize, String> {
     let mut woken = 0;
-    for (idx, ev) in doc.events.iter().enumerate() {
-        let want = match *ev {
-            TopoEvent::End { pp, .. } => {
-                headscan_prediction(&oracle.snapshot(), &doc.cfg, PpId(pp))
-            }
+    for (idx, call) in calls.iter().enumerate() {
+        let want = match *call {
+            TopoCall::End { pp, .. } => headscan_prediction(&oracle.snapshot(), cfg, pp),
             _ => None,
         };
-        let got = oracle.apply(ev).map_err(|d| d.to_string())?;
+        let got = oracle.apply(call).map_err(|d| d.to_string())?;
         if let (Some(want), Effect::End { resumed, .. }) = (want, got) {
             woken += compare(idx, want, &resumed)?;
         }
@@ -114,24 +116,18 @@ pub fn check_headscan_property(doc: &TopoDoc) -> Result<usize, String> {
     Ok(woken)
 }
 
+/// The check on the topology engine: replay `doc` through the topology
+/// oracle.
+pub fn check_headscan_property(doc: &TopoDoc) -> Result<usize, String> {
+    check(TopoOracle::new(doc.cfg.clone()), &doc.cfg, &doc.events)
+}
+
 /// The same check on the scalar engine: replay `doc` through the scalar
 /// oracle and predict each `pp_end` from its compat-shaped snapshot
 /// under [`TopoConfig::compat`].
 pub fn check_scalar_headscan_property(doc: &TraceDoc) -> Result<usize, String> {
     let cfg = TopoConfig::compat(&doc.cfg);
-    let mut oracle = Oracle::new(doc.cfg.clone());
-    let mut woken = 0;
-    for (idx, ev) in doc.events.iter().enumerate() {
-        let want = match *ev {
-            TraceEvent::End { pp, .. } => headscan_prediction(&oracle.snapshot(), &cfg, PpId(pp)),
-            _ => None,
-        };
-        let got = oracle.apply(ev).map_err(|d| d.to_string())?;
-        if let (Some(want), Effect::End { resumed, .. }) = (want, got) {
-            woken += compare(idx, want, &resumed)?;
-        }
-    }
-    Ok(woken)
+    check(Oracle::new(doc.cfg.clone()), &cfg, &doc.events)
 }
 
 #[cfg(test)]
@@ -191,9 +187,10 @@ mod tests {
             let run = TopoTrafficSim::new(traffic.clone(), cfg)
                 .with_faults(FaultConfig::uniform(0.05))
                 .run(7);
-            let calls = run.calls.expect("record_calls retains the schedule");
-            let doc =
-                crate::topo_doc_from_calls(run.config.expect("and its configuration"), &calls);
+            let doc = TopoDoc {
+                cfg: run.config.expect("the run reports its configuration"),
+                events: run.calls.expect("record_calls retains the schedule"),
+            };
             let woken =
                 check_headscan_property(&doc).unwrap_or_else(|e| panic!("{shed_policy:?}: {e}"));
             assert!(woken > 0, "{shed_policy:?}: no end woke a waiter");

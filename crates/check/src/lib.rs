@@ -11,10 +11,10 @@
 //! shares no logic with the implementation, and checks both engines
 //! against it three ways:
 //!
-//! * **Differential replay** ([`diff`], [`topo_diff`]) — any event trace
+//! * **Differential replay** ([`diff`], [`topo_diff`]) — any call trace
 //!   (hand-written `.trace` file, recorded simulation, random scenario)
 //!   is applied to an engine and the model with full observable-state
-//!   equality demanded after every single event.
+//!   equality demanded after every single call.
 //! * **Bounded exhaustive exploration** ([`mod@explore`]) — every
 //!   interleaving of small multi-process scenario templates is
 //!   enumerated by DFS with state-hash pruning, so concurrency-order
@@ -28,28 +28,34 @@
 //! file: replayable, shrinkable, committable. See DESIGN.md §“Reference
 //! model & checking methodology”.
 //!
-//! ## One model for both engines
+//! ## One model, one call record for both engines
+//!
+//! Every trace, oracle, model and explorer path speaks the simulator's
+//! one call record, [`rda_sim::TopoCall`]. Both `.trace` dialects parse
+//! into it: the scalar dialect ([`TraceDoc`]) stores each begin as an
+//! LLC-only demand vector and each retry as naming the LLC, and the
+//! topology dialect ([`TopoDoc`]) adds vector demands and a machine
+//! header on the same line reader and header directives.
+//! [`doc_from_calls`] is the one place a recorded scalar
+//! `rda_sim::system::RdaCall` is lifted into it.
 //!
 //! The topology oracle ([`topo_diff`]) drives `rda_core::TopoExtension`
 //! and the model with the same calls. The scalar oracle ([`diff`])
 //! drives `rda_core::RdaExtension` and the model on the engine's lift
-//! onto `TopoConfig::compat`, each event lifted by
-//! [`topo_trace::lift_event`] (the mapping [`topo_trace::lift`] applies
-//! to a whole trace), where both engines decide alike (DESIGN.md §9).
-//! Beside the model it keeps [`model::FastPathModel`], a model of the
-//! one behaviour the lift lacks: the scalar fast path's memo, which
-//! marks calls fast. Both oracles report each call as the one [`Effect`]
-//! (the topology engine's `fast` flags are always `false`), a
-//! disagreement as the one [`Divergence`] (generic over the event type)
-//! and a clean replay as the one [`ReplayReport`], and both compare the
-//! one `rda_core::Snapshot` and print its first difference with
-//! [`describe_snapshot_diff`]. The topology engine's trace dialect
-//! ([`topo_trace::TopoDoc`]) adds vector demands and a machine header
-//! to the scalar format's line reader and header directives, and
-//! [`explore_topo`] runs 2-node × 2-layer templates through the same
-//! DFS as [`explore()`]; the explorer permanently proves its own
-//! sensitivity by catching an injected exact-fit off-by-one
-//! ([`topo_model::TopoMutation::StrictOffByOne`]).
+//! onto `TopoConfig::compat` ([`topo_trace::lift`] maps only the
+//! configuration): each call goes to the model as it is and to the
+//! engine through its LLC component, where both engines decide alike
+//! (DESIGN.md §9). Beside the model it keeps [`model::FastPathModel`], a
+//! model of the one behaviour the lift lacks: the scalar fast path's
+//! memo, which marks calls fast. Both oracles report each call as the
+//! one [`Effect`] (the topology engine's `fast` flags are always
+//! `false`), a disagreement as the one [`Divergence`] and a clean replay
+//! as the one [`ReplayReport`], and both compare the one
+//! `rda_core::Snapshot` and print its first difference with
+//! [`describe_snapshot_diff`]. [`explore_topo`] runs 2-node × 2-layer
+//! templates through the same DFS as [`explore()`]; the explorer
+//! permanently proves its own sensitivity by catching an injected
+//! exact-fit off-by-one ([`topo_model::TopoMutation::StrictOffByOne`]).
 
 #![warn(missing_docs)]
 
@@ -70,15 +76,19 @@ pub use headscan::{check_headscan_property, check_scalar_headscan_property, head
 pub use model::{Effect, FastPathModel};
 pub use topo_diff::{replay_lifted, replay_topo, TopoOracle};
 pub use topo_model::{TopoMutation, TopoRefModel};
-pub use topo_trace::{default_topo_config, lift, lift_event, TopoDoc, TopoEvent};
-pub use trace::{TraceDoc, TraceEvent};
+pub use topo_trace::{default_topo_config, lift, TopoDoc};
+pub use trace::TraceDoc;
 
+use rda_core::{Demand, ResourceKind};
 use rda_sim::system::RdaCall;
+use rda_sim::TopoCall;
 
 /// Convert a call log recorded by `rda_sim::SystemSim` (with
 /// `SimConfig::with_rda_trace`) into a replayable [`TraceDoc`] under
 /// the given configuration — the bridge that lets whole simulated
-/// workloads be re-checked against the reference model event by event.
+/// workloads be re-checked against the reference model call by call.
+/// Each call is lifted here: a begin's demand becomes an LLC-only
+/// vector and a retry names the LLC.
 pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
     let events = calls
         .iter()
@@ -88,79 +98,24 @@ pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
                 process,
                 site,
                 demand,
-            } => TraceEvent::Begin {
-                t: now.cycles(),
-                process: process.0,
-                site: site.0,
-                amount: demand.amount,
+            } => TopoCall::Begin {
+                now,
+                process,
+                site,
+                demand: Demand::llc(demand.amount),
             },
-            RdaCall::End { now, pp } => TraceEvent::End {
-                t: now.cycles(),
-                pp: pp.0,
-            },
-            RdaCall::Exit { now, process } => TraceEvent::Exit {
-                t: now.cycles(),
-                process: process.0,
-            },
-            RdaCall::Age { now } => TraceEvent::Age { t: now.cycles() },
+            RdaCall::End { now, pp } => TopoCall::End { now, pp },
+            RdaCall::Exit { now, process } => TopoCall::Exit { now, process },
+            RdaCall::Age { now } => TopoCall::Age { now },
             RdaCall::Retry {
                 now, process, site, ..
-            } => TraceEvent::Retry {
-                t: now.cycles(),
-                process: process.0,
-                site: site.0,
+            } => TopoCall::Retry {
+                now,
+                process,
+                site,
+                kind: ResourceKind::Llc,
             },
         })
         .collect();
     TraceDoc { cfg, events }
-}
-
-/// Convert a call log recorded by `rda_sim::TopoTrafficSim` (with
-/// `TopoTrafficConfig::record_calls`) into a replayable [`TopoDoc`] —
-/// the bridge that lets whole multi-node overload+fault runs be
-/// re-checked against the topology reference model event by event.
-///
-/// `cfg` must be the configuration the run executed under
-/// ([`rda_sim::TopoTrafficResult::config`], with the per-class layer
-/// assignments applied), or layer-dependent decisions will not
-/// reproduce.
-pub fn topo_doc_from_calls(cfg: rda_core::TopoConfig, calls: &[rda_sim::TopoCall]) -> TopoDoc {
-    use rda_sim::TopoCall;
-    let events = calls
-        .iter()
-        .map(|c| match *c {
-            TopoCall::Begin {
-                now,
-                process,
-                site,
-                demand,
-            } => TopoEvent::Begin {
-                t: now.cycles(),
-                process: process.0,
-                site: site.0,
-                demand,
-            },
-            TopoCall::End { now, pp } => TopoEvent::End {
-                t: now.cycles(),
-                pp: pp.0,
-            },
-            TopoCall::Exit { now, process } => TopoEvent::Exit {
-                t: now.cycles(),
-                process: process.0,
-            },
-            TopoCall::Age { now } => TopoEvent::Age { t: now.cycles() },
-            TopoCall::Retry {
-                now,
-                process,
-                site,
-                kind,
-            } => TopoEvent::Retry {
-                t: now.cycles(),
-                process: process.0,
-                site: site.0,
-                kind,
-            },
-        })
-        .collect();
-    TopoDoc { cfg, events }
 }

@@ -4,11 +4,12 @@
 //! The scalar engine decides every call as the topology engine does on
 //! `TopoConfig::compat` (DESIGN.md §9), so the scalar oracle
 //! ([`crate::diff::Oracle`]) checks it against the one topology model,
-//! [`crate::topo_model::TopoRefModel`], on each lifted event. What the
+//! [`crate::topo_model::TopoRefModel`], on each call. What the
 //! lift cannot see is the memo of recent admission decisions that marks
 //! calls fast. [`FastPathModel`] restates that memo from DESIGN.md §9,
 //! sharing no code with `rda_core::FastPathCache`, and turns each of the
-//! lifted model's effects into the scalar engine's:
+//! model's effects into the scalar engine's, reading a begin's demand
+//! through its LLC component as the engine does:
 //!
 //! * a **lookup** runs for a begin that passed the audit, the breaker
 //!   and the wrap guard while nothing was queued; it hits on a fresh
@@ -22,12 +23,12 @@
 //! A hit only marks the call fast: Algorithm 1 admits either way.
 
 use crate::topo_model::usage_limit;
-use crate::trace::TraceEvent;
 use rda_core::{
     AgeOutcome, BeginOutcome, DemandAudit, EndOutcome, PpId, PpSnap, RdaConfig, RdaError,
     ResourceKind, Snapshot,
 };
 use rda_sched::ProcessId;
+use rda_sim::TopoCall;
 use rda_simcore::Fnv1a64;
 use std::collections::BTreeMap;
 
@@ -115,9 +116,9 @@ struct Memo {
     refreshed: u64,
 }
 
-/// The scalar engine's fast path, modelled beside the lifted topology
-/// model. Construct with the scalar configuration and feed it every
-/// call through [`Self::mark`].
+/// The scalar engine's fast path, modelled beside the topology model.
+/// Construct with the scalar configuration and feed it every call
+/// through [`Self::mark`].
 #[derive(Debug, Clone)]
 pub struct FastPathModel {
     /// An entry older than this many cycles is stale.
@@ -157,32 +158,33 @@ impl FastPathModel {
         }
     }
 
-    /// Turn the lifted model's `effect` of `event` and its snapshot
-    /// `after` the call into the scalar engine's, given the model's
-    /// snapshot `before` it: a memo hit marks a begin fast, a fresh
-    /// entry marks an end with nothing queued fast, and `after` gains
-    /// the fast-path counters. Updates the memo as the engine does.
+    /// Turn the model's `effect` of `call` and its snapshot `after` the
+    /// call into the scalar engine's, given the model's snapshot
+    /// `before` it: a memo hit marks a begin fast, a fresh entry marks
+    /// an end with nothing queued fast, and `after` gains the fast-path
+    /// counters. Updates the memo as the engine does.
     pub fn mark(
         &mut self,
-        event: &TraceEvent,
+        call: &TopoCall,
         effect: Effect,
         before: &Snapshot,
         after: &mut Snapshot,
     ) -> Effect {
         let idle = before.waitlists[0].is_empty();
-        let effect = match (*event, effect) {
+        let effect = match (*call, effect) {
             (
-                TraceEvent::Begin {
-                    t,
+                TopoCall::Begin {
+                    now,
                     process,
                     site,
-                    amount,
+                    demand,
                 },
                 effect,
             ) => {
+                let (key, amount, t) = ((process.0, site.0), llc(demand.amounts), now.cycles());
                 let hit = idle
                     && self.reaches_lookup(&effect, amount, before)
-                    && self.lookup((process, site), amount, llc(before.usage[0]), t);
+                    && self.lookup(key, amount, llc(before.usage[0]), t);
                 match effect {
                     Effect::Run { pp, .. } if hit => {
                         self.fast_begins += 1;
@@ -195,24 +197,26 @@ impl FastPathModel {
                     other => other,
                 }
             }
-            (TraceEvent::End { t, pp }, Effect::End { resumed, .. }) if idle => {
-                let fast = period(before, PpId(pp)).is_some_and(|p| {
+            (TopoCall::End { now, pp }, Effect::End { resumed, .. }) if idle => {
+                let fast = period(before, pp).is_some_and(|p| {
                     let key = (p.process.0, p.site.0);
-                    self.memo.get(&key).is_some_and(|&m| self.fresh(m, t))
+                    self.memo
+                        .get(&key)
+                        .is_some_and(|&m| self.fresh(m, now.cycles()))
                 });
                 self.fast_ends += u64::from(fast);
                 Effect::End { fast, resumed }
             }
-            (TraceEvent::Exit { t, process }, effect) => {
-                self.memo.retain(|&(p, _), _| p != process);
-                self.store_resumed(after, &effect, t);
+            (TopoCall::Exit { now, process }, effect) => {
+                self.memo.retain(|&(p, _), _| p != process.0);
+                self.store_resumed(after, &effect, now.cycles());
                 effect
             }
-            (TraceEvent::End { t, .. } | TraceEvent::Age { t }, effect) => {
-                self.store_resumed(after, &effect, t);
+            (TopoCall::End { now, .. } | TopoCall::Age { now }, effect) => {
+                self.store_resumed(after, &effect, now.cycles());
                 effect
             }
-            (TraceEvent::Retry { .. }, effect) => effect,
+            (TopoCall::Retry { .. }, effect) => effect,
         };
         after.stats.fast_begins = self.fast_begins;
         after.stats.fast_ends = self.fast_ends;
@@ -220,7 +224,7 @@ impl FastPathModel {
     }
 
     /// Whether a begin of `amount` got past the audit, the breaker and
-    /// the wrap guard, judged from the lifted model's `effect`. Three
+    /// the wrap guard, judged from the model's `effect`. Three
     /// checks refuse with `DemandOverflow`: the audit, which refuses
     /// only a demand above capacity under `audit reject`; the wrap
     /// guard, which names an amount the nominal book cannot take; and,

@@ -1,10 +1,10 @@
-//! The topology differential oracle: one event stream, two machines,
+//! The topology differential oracle: one call stream, two machines,
 //! equality after every step.
 //!
 //! [`TopoOracle`] drives the implementation
 //! ([`rda_core::TopoExtension`]) and the recompute-by-summation
 //! reference model ([`crate::topo_model::TopoRefModel`]) with identical
-//! calls and, after *every* event, demands:
+//! calls and, after *every* call, demands:
 //!
 //! 1. the per-call results agree (outcome variant, allocated id,
 //!    resumed/expired/shed lists **in order**, error variant and
@@ -21,16 +21,16 @@
 //! implementation maintains them incrementally, agreement here is a
 //! proof that no release path (end, exit, shed, expiry) ever leaks a
 //! component of a demand vector — the multi-resource drain audit of
-//! DESIGN.md §9, checked on every event of every replayed trace.
+//! DESIGN.md §9, checked on every call of every replayed trace.
 
-use crate::diff::{agree, Divergence, ReplayReport};
+use crate::diff::{agree, replay_calls, Divergence, Explorable, ReplayReport};
 use crate::model::Effect;
 use crate::topo_model::{TopoMutation, TopoRefModel};
-use crate::topo_trace::{lift, TopoDoc, TopoEvent};
+use crate::topo_trace::{lift, TopoDoc};
 use crate::trace::TraceDoc;
-use rda_core::{NodeId, PpId, ResourceKind, SiteId, Snapshot, TopoConfig, TopoExtension};
-use rda_sched::ProcessId;
-use rda_simcore::SimTime;
+use rda_core::{NodeId, ResourceKind, Snapshot, TopoConfig, TopoExtension};
+use rda_sim::TopoCall;
+use rda_simcore::Fnv1a64;
 
 /// Implementation + model in lockstep.
 #[derive(Debug, Clone)]
@@ -66,51 +66,42 @@ impl TopoOracle {
         &self.model
     }
 
-    /// Events applied so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
     /// The agreed observable state (checked equal on every step).
     pub fn snapshot(&self) -> Snapshot {
         self.ext.snapshot()
     }
 
-    /// Apply one event to both machines and check full equivalence.
+    /// Apply one call to both machines and check full equivalence.
     /// On success returns the (agreed) effect of the call.
-    pub fn apply(&mut self, event: &TopoEvent) -> Result<Effect, Box<Divergence<TopoEvent>>> {
+    pub fn apply(&mut self, call: &TopoCall) -> Result<Effect, Box<Divergence>> {
         let step = self.steps;
         self.steps += 1;
-        let diverged = |detail: String| Divergence::boxed(step, *event, detail);
+        let diverged = |detail: String| Divergence::boxed(step, *call, detail);
 
-        let at = SimTime::from_cycles;
-        let got: Effect = match *event {
-            TopoEvent::Begin {
-                t,
+        let got: Effect = match *call {
+            TopoCall::Begin {
+                now,
                 process,
                 site,
                 demand,
-            } => (self.ext)
-                .pp_begin(ProcessId(process), SiteId(site), demand, at(t))
-                .into(),
-            TopoEvent::End { t, pp } => self.ext.pp_end(PpId(pp), at(t)).into(),
-            TopoEvent::Exit { t, process } => Effect::Woken {
-                resumed: self.ext.process_exit(ProcessId(process), at(t)),
+            } => self.ext.pp_begin(process, site, demand, now).into(),
+            TopoCall::End { now, pp } => self.ext.pp_end(pp, now).into(),
+            TopoCall::Exit { now, process } => Effect::Woken {
+                resumed: self.ext.process_exit(process, now),
                 expired: Vec::new(),
             },
-            TopoEvent::Age { t } => self.ext.age_waitlist(at(t)).into(),
-            TopoEvent::Retry {
-                t,
+            TopoCall::Age { now } => self.ext.age_waitlist(now).into(),
+            TopoCall::Retry {
+                now,
                 process,
                 site,
                 kind,
             } => {
-                self.ext
-                    .note_retry(ProcessId(process), SiteId(site), kind, at(t));
+                self.ext.note_retry(process, site, kind, now);
                 Effect::Retried
             }
         };
-        let want = self.model.apply(event);
+        let want = self.model.apply(call);
 
         agree(&got, &want, &self.ext.snapshot(), &self.model.snapshot()).map_err(diverged)?;
         for n in 0..self.ext.node_count() {
@@ -134,31 +125,45 @@ impl TopoOracle {
     }
 }
 
-/// Replay a whole topology trace through the oracle.
-pub fn replay_topo(doc: &TopoDoc) -> Result<ReplayReport, Box<Divergence<TopoEvent>>> {
-    let mut oracle = TopoOracle::new(doc.cfg.clone());
-    let mut effects = Vec::with_capacity(doc.events.len());
-    for event in &doc.events {
-        effects.push(oracle.apply(event)?);
+impl Explorable for TopoOracle {
+    type Doc = TopoDoc;
+
+    fn apply(&mut self, call: &TopoCall) -> Result<Effect, Box<Divergence>> {
+        TopoOracle::apply(self, call)
     }
-    Ok(ReplayReport {
-        steps: oracle.steps(),
-        final_snapshot: oracle.snapshot(),
-        effects,
-    })
+    fn snapshot(&self) -> Snapshot {
+        TopoOracle::snapshot(self)
+    }
+    fn fold_state(&self, h: &mut Fnv1a64) {
+        h.write_u64(self.snapshot().digest());
+        h.write_u64(self.model.breaker_digest());
+    }
+    fn doc(&self, events: Vec<TopoCall>) -> TopoDoc {
+        TopoDoc {
+            cfg: self.ext.config().clone(),
+            events,
+        }
+    }
+}
+
+/// Replay a whole topology trace through the oracle.
+pub fn replay_topo(doc: &TopoDoc) -> Result<ReplayReport, Box<Divergence>> {
+    replay_calls(TopoOracle::new(doc.cfg.clone()), &doc.events)
 }
 
 /// Replay a *scalar* trace through the topology oracle by lifting it
 /// with [`crate::topo_trace::lift`] — every legacy corpus trace doubles
 /// as a compatibility check of the topology engine.
-pub fn replay_lifted(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence<TopoEvent>>> {
+pub fn replay_lifted(doc: &TraceDoc) -> Result<ReplayReport, Box<Divergence>> {
     replay_topo(&lift(doc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_core::Demand;
+    use rda_core::{Demand, PpId, SiteId};
+    use rda_sched::ProcessId;
+    use rda_simcore::SimTime;
 
     fn doc(text: &str) -> TopoDoc {
         TopoDoc::parse(text).unwrap()
@@ -166,26 +171,25 @@ mod tests {
 
     #[test]
     fn two_node_spillover_replays_cleanly() {
-        let d = doc(
-            "node 100 50 1000\nnode 100 50 1000\n\
+        let d = doc("node 100 50 1000\nnode 100 50 1000\n\
              vbegin 0 0 0 60 0 0\nvbegin 10 1 1 60 0 0\nvbegin 20 2 2 60 0 0\n\
-             end 30 0\nend 40 1\nend 50 2\n",
-        );
+             end 30 0\nend 40 1\nend 50 2\n");
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(report.steps, 6);
         assert!(report.final_snapshot.is_idle());
-        assert_eq!(report.final_snapshot.stats.paused, 1, "third 60 had to wait");
+        assert_eq!(
+            report.final_snapshot.stats.paused, 1,
+            "third 60 had to wait"
+        );
         assert_eq!(report.final_snapshot.stats.resumed, 1);
     }
 
     #[test]
     fn layered_guarantee_replays_cleanly() {
-        let d = doc(
-            "node 100 50 1000\n\
+        let d = doc("node 100 50 1000\n\
              layer batch strict\nlayer latency strict guarantee 40 0 0\nassign 9 1\n\
              vbegin 0 0 0 61 0 0\nvbegin 10 9 1 30 0 0\nvbegin 20 1 2 60 0 0\n\
-             end 30 1\nend 40 2\nexit 50 0\n",
-        );
+             end 30 1\nend 40 2\nexit 50 0\n");
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
         assert!(report.final_snapshot.is_idle());
         assert!(matches!(report.effects[0], Effect::Pause { .. }));
@@ -195,15 +199,13 @@ mod tests {
 
     #[test]
     fn multi_resource_overload_replays_cleanly() {
-        let d = doc(
-            "node 100 50 1000\nnode 100 50 1000\n\
+        let d = doc("node 100 50 1000\nnode 100 50 1000\n\
              audit clamp\ntimeout 1000\noverload 1 reject_oldest\ndeadline 2000\n\
              breaker 90 40 1 1 0\n\
              vbegin 0 0 0 90 45 10\nvbegin 10 1 1 90 45 10\n\
              vbegin 20 2 2 0 10 0\nvbegin 30 3 3 0 10 0\nvbegin 40 4 4 0 10 0\n\
              age 500\nexit 600 0\nage 1700\nend 1800 1\nage 4000\nexit 4100 2\n\
-             exit 4200 3\nexit 4300 4\n",
-        );
+             exit 4200 3\nexit 4300 4\n");
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
         assert!(report.final_snapshot.is_idle());
         let s = report.final_snapshot.stats;
@@ -239,24 +241,20 @@ mod tests {
 
     #[test]
     fn dram_is_a_first_class_gating_resource() {
+        let at = SimTime::from_cycles;
+        let begin = |t, p, dram| TopoCall::Begin {
+            now: at(t),
+            process: ProcessId(p),
+            site: SiteId(p),
+            demand: Demand::new(0, 0, dram),
+        };
+        let end = |t, pp| TopoCall::End {
+            now: at(t),
+            pp: PpId(pp),
+        };
         let d = TopoDoc {
             cfg: doc("node 100 50 1000\n").cfg,
-            events: vec![
-                TopoEvent::Begin {
-                    t: 0,
-                    process: 0,
-                    site: 0,
-                    demand: Demand::new(0, 0, 900),
-                },
-                TopoEvent::Begin {
-                    t: 10,
-                    process: 1,
-                    site: 1,
-                    demand: Demand::new(0, 0, 200),
-                },
-                TopoEvent::End { t: 20, pp: 0 },
-                TopoEvent::End { t: 30, pp: 1 },
-            ],
+            events: vec![begin(0, 0, 900), begin(10, 1, 200), end(20, 0), end(30, 1)],
         };
         let report = replay_topo(&d).unwrap_or_else(|e| panic!("{e}"));
         assert!(matches!(report.effects[1], Effect::Pause { .. }));

@@ -27,12 +27,12 @@
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 
 use crate::model::Effect;
-use crate::topo_trace::TopoEvent;
 use rda_core::{
     Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaError, RdaStats,
     ResourceKind, ShedPolicy, Snapshot, TopoConfig, WaitSnap, KIND_COUNT,
 };
 use rda_sched::ProcessId;
+use rda_sim::TopoCall;
 use rda_simcore::Fnv1a64;
 use std::collections::BTreeMap;
 
@@ -446,7 +446,9 @@ impl TopoRefModel {
                 }
             }
         }
-        let pp = self.alloc(process, site, layer, target, audited, acc, false, false, now);
+        let pp = self.alloc(
+            process, site, layer, target, audited, acc, false, false, now,
+        );
         self.waitlists[target].push(pp);
         self.stats.paused += 1;
         self.stats.max_waitlist = self
@@ -556,18 +558,18 @@ impl TopoRefModel {
     }
 
     /// Apply one replayed call: the model's side of both oracles.
-    pub fn apply(&mut self, event: &TopoEvent) -> Effect {
-        match *event {
-            TopoEvent::Begin {
-                t,
+    pub fn apply(&mut self, call: &TopoCall) -> Effect {
+        match *call {
+            TopoCall::Begin {
+                now,
                 process,
                 site,
                 demand,
-            } => self.pp_begin(ProcessId(process), site, demand, t),
-            TopoEvent::End { t, pp } => self.pp_end(PpId(pp), t),
-            TopoEvent::Exit { t, process } => self.process_exit(ProcessId(process), t),
-            TopoEvent::Age { t } => self.age_waitlist(t),
-            TopoEvent::Retry { .. } => self.note_retry(),
+            } => self.pp_begin(process, site.0, demand, now.cycles()),
+            TopoCall::End { now, pp } => self.pp_end(pp, now.cycles()),
+            TopoCall::Exit { now, process } => self.process_exit(process, now.cycles()),
+            TopoCall::Age { now } => self.age_waitlist(now.cycles()),
+            TopoCall::Retry { .. } => self.note_retry(),
         }
     }
 

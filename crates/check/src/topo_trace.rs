@@ -38,72 +38,28 @@
 //! * `end <t> <pp>` / `exit <t> <process>` / `age <t>` — as scalar
 //! * `retry <t> <process> <site> <llc|membw|dram>`
 //!
-//! [`lift`] converts any scalar [`TraceDoc`] into this vocabulary under
-//! [`TopoConfig::compat`] — the bridge that replays the whole legacy
-//! corpus through the topology oracle (DESIGN.md §9's compatibility
-//! argument, checked event by event).
+//! Events parse into [`TopoCall`]s with the event parser both dialects
+//! share. [`lift`] converts any scalar [`TraceDoc`] into this dialect:
+//! its calls are already in the topology vocabulary, so only the
+//! configuration changes, through [`TopoConfig::compat`] — the bridge
+//! that replays the whole legacy corpus through the topology oracle
+//! (DESIGN.md §9's compatibility argument, checked call by call).
 
 use crate::trace::{
-    parse_amount, parse_policy, parse_shared_header, policy_words, read_lines, write_shared_header,
-    TraceDoc, TraceEvent,
+    parse_policy, parse_shared_header, parse_vector, policy_words, read_lines, write_shared_header,
+    TraceDoc, TOPO,
 };
-use rda_core::{Demand, LayerId, LayerSet, LayerSpec, ResourceKind, TopoConfig, TopoSpec};
+use rda_core::{LayerId, LayerSet, LayerSpec, TopoConfig, TopoSpec};
+use rda_sim::TopoCall;
 use std::fmt::Write as _;
 
-/// One replayable topology-engine call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoEvent {
-    /// `pp_begin(process, site, demand)` at cycle `t`.
-    Begin {
-        /// Call time, cycles.
-        t: u64,
-        /// Calling process.
-        process: u32,
-        /// Static call site.
-        site: u32,
-        /// Declared demand vector (pre-audit).
-        demand: Demand,
-    },
-    /// `pp_end(pp)` at cycle `t` (pp ids sequential from 0 in begin
-    /// order).
-    End {
-        /// Call time, cycles.
-        t: u64,
-        /// The period id to end.
-        pp: u64,
-    },
-    /// `process_exit(process)` at cycle `t`.
-    Exit {
-        /// Call time, cycles.
-        t: u64,
-        /// The exiting process.
-        process: u32,
-    },
-    /// `age_waitlist()` at cycle `t`.
-    Age {
-        /// Call time, cycles.
-        t: u64,
-    },
-    /// `note_retry(process, site, kind)` at cycle `t`.
-    Retry {
-        /// Call time, cycles.
-        t: u64,
-        /// The retrying process.
-        process: u32,
-        /// Static call site of the retried demand.
-        site: u32,
-        /// The resource kind the retried demand targets.
-        kind: ResourceKind,
-    },
-}
-
-/// A parsed topology trace: configuration plus the event sequence.
+/// A parsed topology trace: configuration plus the calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopoDoc {
     /// Configuration both machines replay under.
     pub cfg: TopoConfig,
-    /// The events, in call order.
-    pub events: Vec<TopoEvent>,
+    /// The calls, in call order.
+    pub events: Vec<TopoCall>,
 }
 
 /// The header defaults: the scalar default header lifted to one node.
@@ -111,29 +67,9 @@ pub fn default_topo_config() -> TopoConfig {
     TopoConfig::compat(&crate::trace::default_config())
 }
 
-fn parse_kind(word: &str, fail: &dyn Fn(&str) -> String) -> Result<ResourceKind, String> {
-    match word {
-        "llc" => Ok(ResourceKind::Llc),
-        "membw" => Ok(ResourceKind::MemBw),
-        "dram" => Ok(ResourceKind::DramCap),
-        _ => Err(fail("resource must be llc|membw|dram")),
-    }
-}
-
-fn parse_vector(fields: &[&str], fail: &dyn Fn(&str) -> String) -> Result<Demand, String> {
-    match fields {
-        [llc, membw, dram] => Ok(Demand::new(
-            parse_amount(Some(llc), fail)?,
-            parse_amount(Some(membw), fail)?,
-            parse_amount(Some(dram), fail)?,
-        )),
-        _ => Err(fail("expected `<llc> <membw> <dram>`")),
-    }
-}
-
 impl TopoDoc {
-    /// A trace over the default header with the given events.
-    pub fn new(events: Vec<TopoEvent>) -> Self {
+    /// A trace over the default header with the given calls.
+    pub fn new(events: Vec<TopoCall>) -> Self {
         TopoDoc {
             cfg: default_topo_config(),
             events,
@@ -145,10 +81,10 @@ impl TopoDoc {
         let mut cfg = default_topo_config();
         let mut caps: Vec<[u64; 3]> = Vec::new();
         let mut layers: Vec<LayerSpec> = Vec::new();
-        let mut assigns: Vec<(u32, u32)> = Vec::new();
-        let mut events = Vec::new();
-        let event_keys = ["vbegin", "begin", "end", "exit", "age", "retry"];
-        read_lines(text, &event_keys, |key, fields, fail| {
+        // Each assignment keeps the error its line reports if the
+        // layer it names turns out not to exist.
+        let mut assigns: Vec<(u32, u32, String)> = Vec::new();
+        let events = read_lines(text, &TOPO, |key, fields, fail| {
             let (audit, timeout) = (&mut cfg.demand_audit, &mut cfg.waitlist_timeout_cycles);
             if parse_shared_header(key, fields, fail, audit, timeout, &mut cfg.overload)? {
                 return Ok(());
@@ -171,63 +107,13 @@ impl TopoDoc {
                     _ => return Err(fail("expected `layer <name> <policy...>`")),
                 },
                 "assign" => match fields {
-                    [process, layer] => assigns.push((
-                        process.parse().map_err(|_| fail("bad process"))?,
-                        layer.parse().map_err(|_| fail("bad layer index"))?,
-                    )),
-                    _ => return Err(fail("expected `assign <process> <layer>`")),
-                },
-                "vbegin" => match fields {
-                    [t, process, site, v @ ..] => events.push(TopoEvent::Begin {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                        site: site.parse().map_err(|_| fail("bad site"))?,
-                        demand: parse_vector(v, fail)?,
-                    }),
-                    _ => {
-                        return Err(fail(
-                            "expected `vbegin <t> <proc> <site> <llc> <membw> <dram>`",
-                        ))
+                    [process, layer] => {
+                        let process: u32 = process.parse().map_err(|_| fail("bad process"))?;
+                        let layer: u32 = layer.parse().map_err(|_| fail("bad layer index"))?;
+                        let unknown = fail(&format!("assign references unknown layer {layer}"));
+                        assigns.push((process, layer, unknown));
                     }
-                },
-                "begin" => match fields {
-                    [t, process, site, kind, amount] => events.push(TopoEvent::Begin {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                        site: site.parse().map_err(|_| fail("bad site"))?,
-                        demand: Demand::ZERO
-                            .with(parse_kind(kind, fail)?, parse_amount(Some(amount), fail)?),
-                    }),
-                    _ => return Err(fail("expected `begin <t> <proc> <site> <res> <amount>`")),
-                },
-                "end" => match fields {
-                    [t, pp] => events.push(TopoEvent::End {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        pp: pp.parse().map_err(|_| fail("bad pp id"))?,
-                    }),
-                    _ => return Err(fail("expected `end <t> <pp>`")),
-                },
-                "exit" => match fields {
-                    [t, process] => events.push(TopoEvent::Exit {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                    }),
-                    _ => return Err(fail("expected `exit <t> <process>`")),
-                },
-                "age" => match fields {
-                    [t] => events.push(TopoEvent::Age {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                    }),
-                    _ => return Err(fail("expected `age <t>`")),
-                },
-                "retry" => match fields {
-                    [t, process, site, kind] => events.push(TopoEvent::Retry {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                        site: site.parse().map_err(|_| fail("bad site"))?,
-                        kind: parse_kind(kind, fail)?,
-                    }),
-                    _ => return Err(fail("expected `retry <t> <proc> <site> <res>`")),
+                    _ => return Err(fail("expected `assign <process> <layer>`")),
                 },
                 _ => return Err(fail("unknown directive")),
             }
@@ -242,9 +128,9 @@ impl TopoDoc {
             } else {
                 LayerSet::new(layers)
             };
-            for (process, layer) in assigns {
+            for (process, layer, unknown) in assigns {
                 if layer as usize >= set.len() {
-                    return Err(format!("assign references unknown layer {layer}"));
+                    return Err(unknown);
                 }
                 set.assign(process, LayerId(layer));
             }
@@ -282,76 +168,48 @@ impl TopoDoc {
             c.waitlist_timeout_cycles,
             c.overload,
         );
-        for ev in &self.events {
-            let _ = match *ev {
-                TopoEvent::Begin {
-                    t,
-                    process,
-                    site,
-                    demand,
-                } => {
-                    let [llc, membw, dram] = demand.amounts;
-                    writeln!(out, "vbegin {t} {process} {site} {llc} {membw} {dram}")
-                }
-                TopoEvent::End { t, pp } => writeln!(out, "end {t} {pp}"),
-                TopoEvent::Exit { t, process } => writeln!(out, "exit {t} {process}"),
-                TopoEvent::Age { t } => writeln!(out, "age {t}"),
-                TopoEvent::Retry {
-                    t,
-                    process,
-                    site,
-                    kind,
-                } => writeln!(out, "retry {t} {process} {site} {}", kind.label()),
-            };
-        }
+        TOPO.write_calls(&mut out, &self.events);
         out
     }
 }
 
-/// Lift a scalar trace into the topology vocabulary: the configuration
-/// through [`TopoConfig::compat`] and every event through
-/// [`lift_event`]. Replaying the lifted document through the
-/// topology oracle is the executable form of DESIGN.md §9's
-/// compatibility argument.
+/// Lift a scalar trace into the topology dialect: the configuration
+/// through [`TopoConfig::compat`], the calls as they are. Replaying the
+/// lifted document through the topology oracle is the executable form
+/// of DESIGN.md §9's compatibility argument.
 pub fn lift(doc: &TraceDoc) -> TopoDoc {
     TopoDoc {
         cfg: TopoConfig::compat(&doc.cfg),
-        events: doc.events.iter().map(lift_event).collect(),
-    }
-}
-
-/// Lift one scalar event: a demand becomes an LLC-only vector and a
-/// retry names the LLC. The scalar oracle lifts each event it replays
-/// with this too.
-pub fn lift_event(ev: &TraceEvent) -> TopoEvent {
-    match *ev {
-        TraceEvent::Begin {
-            t,
-            process,
-            site,
-            amount,
-        } => TopoEvent::Begin {
-            t,
-            process,
-            site,
-            demand: Demand::llc(amount),
-        },
-        TraceEvent::End { t, pp } => TopoEvent::End { t, pp },
-        TraceEvent::Exit { t, process } => TopoEvent::Exit { t, process },
-        TraceEvent::Age { t } => TopoEvent::Age { t },
-        TraceEvent::Retry { t, process, site } => TopoEvent::Retry {
-            t,
-            process,
-            site,
-            kind: ResourceKind::Llc,
-        },
+        events: doc.events.clone(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_core::DemandAudit;
+    use rda_core::{Demand, DemandAudit, ResourceKind, SiteId};
+    use rda_sched::ProcessId;
+    use rda_simcore::SimTime;
+
+    /// A begin of `demand` at cycle `t`.
+    fn begin(t: u64, process: u32, site: u32, demand: Demand) -> TopoCall {
+        TopoCall::Begin {
+            now: SimTime::from_cycles(t),
+            process: ProcessId(process),
+            site: SiteId(site),
+            demand,
+        }
+    }
+
+    /// A retry at cycle `t` naming `kind`.
+    fn retry(t: u64, process: u32, site: u32, kind: ResourceKind) -> TopoCall {
+        TopoCall::Retry {
+            now: SimTime::from_cycles(t),
+            process: ProcessId(process),
+            site: SiteId(site),
+            kind,
+        }
+    }
 
     #[test]
     fn parses_topology_header_and_vector_events() {
@@ -366,36 +224,16 @@ mod tests {
         assert_eq!(doc.cfg.spec.node_count(), 2);
         assert_eq!(doc.cfg.layers.len(), 2);
         assert_eq!(doc.cfg.layers.layer_of(2), LayerId(1));
-        assert_eq!(doc.cfg.layers.spec(LayerId(1)).guarantee, Some(Demand::llc(40)));
+        assert_eq!(
+            doc.cfg.layers.spec(LayerId(1)).guarantee,
+            Some(Demand::llc(40))
+        );
         assert_eq!(doc.cfg.demand_audit, DemandAudit::Clamp);
         assert_eq!(doc.events.len(), 6);
-        assert_eq!(
-            doc.events[0],
-            TopoEvent::Begin {
-                t: 0,
-                process: 0,
-                site: 0,
-                demand: Demand::new(60, 5, 0),
-            }
-        );
-        assert_eq!(
-            doc.events[1],
-            TopoEvent::Begin {
-                t: 10,
-                process: 2,
-                site: 1,
-                demand: Demand::new(0, rda_core::mb(5.0), 0),
-            }
-        );
-        assert_eq!(
-            doc.events[5],
-            TopoEvent::Retry {
-                t: 50,
-                process: 0,
-                site: 0,
-                kind: ResourceKind::DramCap,
-            }
-        );
+        assert_eq!(doc.events[0], begin(0, 0, 0, Demand::new(60, 5, 0)));
+        let membw = Demand::new(0, rda_core::mb(5.0), 0);
+        assert_eq!(doc.events[1], begin(10, 2, 1, membw));
+        assert_eq!(doc.events[5], retry(50, 0, 0, ResourceKind::DramCap));
     }
 
     #[test]
@@ -411,12 +249,7 @@ mod tests {
         let reparsed = TopoDoc::parse(&doc.to_text()).unwrap();
         assert_eq!(reparsed, doc);
         // Single-component `begin` sugar normalizes to `vbegin`.
-        doc.events.push(TopoEvent::Begin {
-            t: 20,
-            process: 1,
-            site: 0,
-            demand: Demand::llc(5),
-        });
+        doc.events.push(begin(20, 1, 0, Demand::llc(5)));
         assert_eq!(TopoDoc::parse(&doc.to_text()).unwrap(), doc);
     }
 
@@ -426,9 +259,12 @@ mod tests {
             ("node 1 2", "expected `<llc> <membw> <dram>`"),
             ("layer solo", "expected `layer"),
             ("layer solo sloppy", "unknown policy"),
-            ("layer a strict guarantee 1 2", "expected `<llc> <membw> <dram>`"),
+            (
+                "layer a strict guarantee 1 2",
+                "expected `<llc> <membw> <dram>`",
+            ),
             ("layer a strict extra", "trailing words"),
-            ("assign 0 3", "unknown layer 3"),
+            ("assign 0 3", "line 1: assign references unknown layer 3"),
             ("vbegin 0 0 0 1 2", "expected `<llc> <membw> <dram>`"),
             ("vbegin 0 0", "expected `vbegin"),
             ("begin 0 0 0 disk 10", "llc|membw|dram"),
@@ -458,24 +294,9 @@ mod tests {
         assert!(lifted.cfg.layers.is_trivial());
         assert_eq!(lifted.cfg.spec.caps[0][0], 1000);
         assert_eq!(lifted.events.len(), 4);
-        assert_eq!(
-            lifted.events[1],
-            TopoEvent::Begin {
-                t: 10,
-                process: 1,
-                site: 1,
-                demand: Demand::llc(rda_core::mb(5.0)),
-            }
-        );
-        assert_eq!(
-            lifted.events[3],
-            TopoEvent::Retry {
-                t: 30,
-                process: 1,
-                site: 1,
-                kind: ResourceKind::Llc,
-            }
-        );
+        let five = Demand::llc(rda_core::mb(5.0));
+        assert_eq!(lifted.events[1], begin(10, 1, 1, five));
+        assert_eq!(lifted.events[3], retry(30, 1, 1, ResourceKind::Llc));
         // Lifted docs roundtrip through the topology text format too.
         assert_eq!(TopoDoc::parse(&lifted.to_text()).unwrap(), lifted);
     }

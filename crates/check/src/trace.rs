@@ -46,69 +46,38 @@
 //! * `retry <t> <process> <site> llc` — a client-side retry of a shed
 //!   or expired arrival
 //!
+//! Both dialects parse their events into the simulator's one call
+//! record, [`rda_sim::TopoCall`]: a scalar `begin` becomes an LLC-only
+//! demand vector and a scalar `retry` names the LLC, so a scalar
+//! document already holds the calls the one reference model replays,
+//! and only its configuration needs lifting ([`crate::topo_trace::lift`]).
+//!
 //! Shrunk counterexamples from the random generator are written in this
 //! format under `tests/corpus/` and replayed by CI forever after.
 //!
 //! The topology dialect ([`crate::topo_trace`]) reads its lines with the
-//! same reader, and parses and writes the `audit`, `timeout`,
-//! `overload`, `deadline` and `breaker` directives and the policy
-//! spelling with the same code.
+//! same reader and event parser, and parses and writes the `audit`,
+//! `timeout`, `overload`, `deadline` and `breaker` directives and the
+//! policy spelling with the same code.
 
-use rda_core::{BreakerConfig, DemandAudit, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
+use rda_core::{
+    BreakerConfig, Demand, DemandAudit, OverloadConfig, PolicyKind, PpId, RdaConfig, ResourceKind,
+    ShedPolicy, SiteId,
+};
 use rda_machine::MachineConfig;
+use rda_sched::ProcessId;
+use rda_sim::TopoCall;
+use rda_simcore::SimTime;
 use std::fmt::Write as _;
 
-/// One replayable extension call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// `pp_begin(process, site, {LLC, amount})` at cycle `t`.
-    Begin {
-        /// Call time, cycles.
-        t: u64,
-        /// Calling process.
-        process: u32,
-        /// Static call site.
-        site: u32,
-        /// Declared LLC demand (pre-audit), bytes.
-        amount: u64,
-    },
-    /// `pp_end(pp)` at cycle `t`.
-    End {
-        /// Call time, cycles.
-        t: u64,
-        /// The period id to end (sequential from 0 in begin order).
-        pp: u64,
-    },
-    /// `process_exit(process)` at cycle `t`.
-    Exit {
-        /// Call time, cycles.
-        t: u64,
-        /// The exiting process.
-        process: u32,
-    },
-    /// `age_waitlist()` at cycle `t`.
-    Age {
-        /// Call time, cycles.
-        t: u64,
-    },
-    /// `note_retry(process, site, LLC)` at cycle `t`.
-    Retry {
-        /// Call time, cycles.
-        t: u64,
-        /// The retrying process.
-        process: u32,
-        /// Static call site of the retried demand.
-        site: u32,
-    },
-}
-
-/// A parsed trace: the extension configuration plus the event sequence.
+/// A parsed trace: the extension configuration plus the calls, each an
+/// LLC-only demand or a retry that names the LLC.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceDoc {
     /// Configuration both the model and the implementation replay under.
     pub cfg: RdaConfig,
-    /// The events, in call order.
-    pub events: Vec<TraceEvent>,
+    /// The calls, in call order.
+    pub events: Vec<TopoCall>,
 }
 
 /// The header defaults: the paper's machine under RDA:Strict.
@@ -117,8 +86,8 @@ pub fn default_config() -> RdaConfig {
 }
 
 impl TraceDoc {
-    /// A trace over the default header with the given events.
-    pub fn new(events: Vec<TraceEvent>) -> Self {
+    /// A trace over the default header with the given calls.
+    pub fn new(events: Vec<TopoCall>) -> Self {
         TraceDoc {
             cfg: default_config(),
             events,
@@ -128,9 +97,7 @@ impl TraceDoc {
     /// Parse the text format. Errors carry the 1-based line number.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = default_config();
-        let mut events = Vec::new();
-        let event_keys = ["begin", "end", "exit", "age", "retry"];
-        read_lines(text, &event_keys, |key, fields, fail| {
+        let events = read_lines(text, &SCALAR, |key, fields, fail| {
             let (audit, timeout) = (&mut cfg.demand_audit, &mut cfg.waitlist_timeout_cycles);
             if parse_shared_header(key, fields, fail, audit, timeout, &mut cfg.overload)? {
                 return Ok(());
@@ -149,49 +116,6 @@ impl TraceDoc {
                         _ => return Err(fail("expected `interval <cycles>`")),
                     }
                 }
-                "begin" => match fields {
-                    [t, process, site, resource, amount] => {
-                        expect_llc(resource, fail)?;
-                        events.push(TraceEvent::Begin {
-                            t: t.parse().map_err(|_| fail("bad time"))?,
-                            process: process.parse().map_err(|_| fail("bad process"))?,
-                            site: site.parse().map_err(|_| fail("bad site"))?,
-                            amount: parse_amount(Some(amount), fail)?,
-                        })
-                    }
-                    _ => return Err(fail("expected `begin <t> <proc> <site> llc <amount>`")),
-                },
-                "end" => match fields {
-                    [t, pp] => events.push(TraceEvent::End {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        pp: pp.parse().map_err(|_| fail("bad pp id"))?,
-                    }),
-                    _ => return Err(fail("expected `end <t> <pp>`")),
-                },
-                "exit" => match fields {
-                    [t, process] => events.push(TraceEvent::Exit {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                        process: process.parse().map_err(|_| fail("bad process"))?,
-                    }),
-                    _ => return Err(fail("expected `exit <t> <process>`")),
-                },
-                "age" => match fields {
-                    [t] => events.push(TraceEvent::Age {
-                        t: t.parse().map_err(|_| fail("bad time"))?,
-                    }),
-                    _ => return Err(fail("expected `age <t>`")),
-                },
-                "retry" => match fields {
-                    [t, process, site, resource] => {
-                        expect_llc(resource, fail)?;
-                        events.push(TraceEvent::Retry {
-                            t: t.parse().map_err(|_| fail("bad time"))?,
-                            process: process.parse().map_err(|_| fail("bad process"))?,
-                            site: site.parse().map_err(|_| fail("bad site"))?,
-                        })
-                    }
-                    _ => return Err(fail("expected `retry <t> <proc> <site> llc`")),
-                },
                 _ => return Err(fail("unknown directive")),
             }
             Ok(())
@@ -200,7 +124,9 @@ impl TraceDoc {
     }
 
     /// Serialize to the text format. `parse(to_text(d)) == d` for any
-    /// document (amounts are written as raw bytes).
+    /// document the format can hold (amounts are written as raw bytes).
+    /// A call it cannot hold is written as the topology dialect writes
+    /// it, a line the scalar reader refuses.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let c = &self.cfg;
@@ -213,47 +139,173 @@ impl TraceDoc {
             c.waitlist_timeout_cycles,
             c.overload,
         );
-        for ev in &self.events {
-            let _ = match *ev {
-                TraceEvent::Begin {
-                    t,
-                    process,
-                    site,
-                    amount,
-                } => writeln!(out, "begin {t} {process} {site} llc {amount}"),
-                TraceEvent::End { t, pp } => writeln!(out, "end {t} {pp}"),
-                TraceEvent::Exit { t, process } => writeln!(out, "exit {t} {process}"),
-                TraceEvent::Age { t } => writeln!(out, "age {t}"),
-                TraceEvent::Retry { t, process, site } => {
-                    writeln!(out, "retry {t} {process} {site} llc")
-                }
-            };
-        }
+        SCALAR.write_calls(&mut out, &self.events);
         out
     }
 }
 
-/// The scalar engine tracks the LLC only; any other resource word is
-/// a parse error (memory bandwidth and DRAM belong to the topology
-/// dialect).
-fn expect_llc(word: &str, fail: &dyn Fn(&str) -> String) -> Result<(), String> {
-    match word {
-        "llc" => Ok(()),
-        _ => Err(fail("the scalar engine tracks only `llc`")),
+/// The event lines of one `.trace` dialect. Both dialects read `begin`,
+/// `end`, `exit`, `age` and `retry` lines into [`TopoCall`]s with one
+/// parser and write them with one writer; they differ in the resource
+/// words a `begin` or `retry` takes, and in `vbegin` vectors, which
+/// only the topology dialect reads and which it writes for every begin.
+pub(crate) struct Dialect {
+    /// Whether `vbegin` lines are events.
+    vectors: bool,
+    /// The resource word as the expected line shapes spell it.
+    res: &'static str,
+    /// The resource kinds a `begin` or `retry` line may name.
+    kinds: &'static [ResourceKind],
+    /// The error for any other resource word.
+    bad_kind: &'static str,
+}
+
+/// The scalar dialect: the scalar engine tracks the LLC only, so any
+/// other resource word is a parse error (memory bandwidth and DRAM
+/// belong to the topology dialect).
+pub(crate) const SCALAR: Dialect = Dialect {
+    vectors: false,
+    res: "llc",
+    kinds: &[ResourceKind::Llc],
+    bad_kind: "the scalar engine tracks only `llc`",
+};
+
+/// The topology dialect: vector demands and every resource word.
+pub(crate) const TOPO: Dialect = Dialect {
+    vectors: true,
+    res: "<res>",
+    kinds: &ResourceKind::ALL,
+    bad_kind: "resource must be llc|membw|dram",
+};
+
+impl Dialect {
+    /// Read a resource word.
+    fn kind(&self, word: &str, fail: &dyn Fn(&str) -> String) -> Result<ResourceKind, String> {
+        let mut kinds = self.kinds.iter().copied();
+        kinds
+            .find(|k| k.label() == word)
+            .ok_or_else(|| fail(self.bad_kind))
+    }
+
+    /// Read an event line into its call; `None` when `key` names no
+    /// event of this dialect.
+    fn call(
+        &self,
+        key: &str,
+        fields: &[&str],
+        fail: &dyn Fn(&str) -> String,
+    ) -> Result<Option<TopoCall>, String> {
+        let now = |t: &str| {
+            t.parse()
+                .map(SimTime::from_cycles)
+                .map_err(|_| fail("bad time"))
+        };
+        let process = |p: &str| p.parse().map(ProcessId).map_err(|_| fail("bad process"));
+        let site = |s: &str| s.parse().map(SiteId).map_err(|_| fail("bad site"));
+        let shape = |line: &str| fail(&format!("expected `{line}`"));
+        let call = match (key, fields) {
+            ("vbegin", [t, p, s, v @ ..]) if self.vectors => TopoCall::Begin {
+                now: now(t)?,
+                process: process(p)?,
+                site: site(s)?,
+                demand: parse_vector(v, fail)?,
+            },
+            ("vbegin", _) if self.vectors => {
+                return Err(shape("vbegin <t> <proc> <site> <llc> <membw> <dram>"))
+            }
+            ("begin", [t, p, s, k, amount]) => {
+                let kind = self.kind(k, fail)?;
+                TopoCall::Begin {
+                    now: now(t)?,
+                    process: process(p)?,
+                    site: site(s)?,
+                    demand: Demand::ZERO.with(kind, parse_amount(Some(amount), fail)?),
+                }
+            }
+            ("begin", _) => {
+                let res = self.res;
+                return Err(shape(&format!("begin <t> <proc> <site> {res} <amount>")));
+            }
+            ("end", [t, pp]) => TopoCall::End {
+                now: now(t)?,
+                pp: pp.parse().map(PpId).map_err(|_| fail("bad pp id"))?,
+            },
+            ("end", _) => return Err(shape("end <t> <pp>")),
+            ("exit", [t, p]) => TopoCall::Exit {
+                now: now(t)?,
+                process: process(p)?,
+            },
+            ("exit", _) => return Err(shape("exit <t> <process>")),
+            ("age", [t]) => TopoCall::Age { now: now(t)? },
+            ("age", _) => return Err(shape("age <t>")),
+            ("retry", [t, p, s, k]) => {
+                let kind = self.kind(k, fail)?;
+                TopoCall::Retry {
+                    now: now(t)?,
+                    process: process(p)?,
+                    site: site(s)?,
+                    kind,
+                }
+            }
+            ("retry", _) => return Err(shape(&format!("retry <t> <proc> <site> {}", self.res))),
+            _ => return Ok(None),
+        };
+        Ok(Some(call))
+    }
+
+    /// Write one line per call, as [`Self::call`] reads them back. The
+    /// scalar dialect writes an LLC-only begin as `begin … llc`; every
+    /// other begin is a `vbegin` vector.
+    pub(crate) fn write_calls(&self, out: &mut String, calls: &[TopoCall]) {
+        for call in calls {
+            let _ = match *call {
+                TopoCall::Begin {
+                    now,
+                    process,
+                    site,
+                    demand,
+                } => {
+                    let (t, p, s) = (now.cycles(), process.0, site.0);
+                    match demand.amounts {
+                        [llc, 0, 0] if !self.vectors => {
+                            writeln!(out, "begin {t} {p} {s} llc {llc}")
+                        }
+                        [llc, membw, dram] => {
+                            writeln!(out, "vbegin {t} {p} {s} {llc} {membw} {dram}")
+                        }
+                    }
+                }
+                TopoCall::End { now, pp } => writeln!(out, "end {} {}", now.cycles(), pp.0),
+                TopoCall::Exit { now, process } => {
+                    writeln!(out, "exit {} {}", now.cycles(), process.0)
+                }
+                TopoCall::Age { now } => writeln!(out, "age {}", now.cycles()),
+                TopoCall::Retry {
+                    now,
+                    process,
+                    site,
+                    kind,
+                } => {
+                    let (t, p, s) = (now.cycles(), process.0, site.0);
+                    writeln!(out, "retry {t} {p} {s} {}", kind.label())
+                }
+            };
+        }
     }
 }
 
 /// The line reader both dialects share. Skips blank lines and `#`
 /// comments, splits each line into its first word (the key) and the
-/// remaining fields, rejects a header line after the first event (a
-/// key in `event_keys`), and hands each line to `line` with a `fail`
-/// that formats an error carrying the 1-based line number.
+/// remaining fields, and reads the dialect's event lines into calls.
+/// Every other line goes to `header`, with a `fail` that formats an
+/// error carrying the 1-based line number; a header line after the
+/// first event is an error.
 pub(crate) fn read_lines(
     text: &str,
-    event_keys: &[&str],
-    mut line: impl FnMut(&str, &[&str], &dyn Fn(&str) -> String) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut in_events = false;
+    dialect: &Dialect,
+    mut header: impl FnMut(&str, &[&str], &dyn Fn(&str) -> String) -> Result<(), String>,
+) -> Result<Vec<TopoCall>, String> {
+    let mut calls = Vec::new();
     for (no, raw) in text.lines().enumerate() {
         let content = raw.split('#').next().unwrap_or_default();
         let mut words = content.split_whitespace();
@@ -262,14 +314,28 @@ pub(crate) fn read_lines(
         };
         let fields: Vec<&str> = words.collect();
         let fail = |msg: &str| format!("line {}: {msg}: `{raw}`", no + 1);
-        let is_event = event_keys.contains(&key);
-        if in_events && !is_event {
-            return Err(fail("header line after the first event"));
+        match dialect.call(key, &fields, &fail)? {
+            Some(call) => calls.push(call),
+            None if !calls.is_empty() => return Err(fail("header line after the first event")),
+            None => header(key, &fields, &fail)?,
         }
-        in_events |= is_event;
-        line(key, &fields, &fail)?;
     }
-    Ok(())
+    Ok(calls)
+}
+
+/// A `<llc> <membw> <dram>` vector of amounts.
+pub(crate) fn parse_vector(
+    fields: &[&str],
+    fail: &dyn Fn(&str) -> String,
+) -> Result<Demand, String> {
+    match fields {
+        [llc, membw, dram] => Ok(Demand::new(
+            parse_amount(Some(llc), fail)?,
+            parse_amount(Some(membw), fail)?,
+            parse_amount(Some(dram), fail)?,
+        )),
+        _ => Err(fail("expected `<llc> <membw> <dram>`")),
+    }
 }
 
 /// Parse one of the header directives both dialects share into the
@@ -468,31 +534,39 @@ mod tests {
         assert_eq!(doc.events.len(), 5);
         assert_eq!(
             doc.events[1],
-            TraceEvent::Begin {
-                t: 10,
-                process: 1,
-                site: 1,
-                amount: rda_core::mb(5.0),
+            TopoCall::Begin {
+                now: SimTime::from_cycles(10),
+                process: ProcessId(1),
+                site: SiteId(1),
+                demand: Demand::llc(rda_core::mb(5.0)),
             }
         );
     }
 
     #[test]
     fn roundtrips_through_text() {
+        let at = SimTime::from_cycles;
         let mut doc = TraceDoc::new(vec![
-            TraceEvent::Begin {
-                t: 0,
-                process: 0,
-                site: 3,
-                amount: 123_456,
+            TopoCall::Begin {
+                now: at(0),
+                process: ProcessId(0),
+                site: SiteId(3),
+                demand: Demand::llc(123_456),
             },
-            TraceEvent::Age { t: 7 },
-            TraceEvent::End { t: 9, pp: 0 },
-            TraceEvent::Exit { t: 11, process: 0 },
-            TraceEvent::Retry {
-                t: 13,
-                process: 2,
-                site: 1,
+            TopoCall::Age { now: at(7) },
+            TopoCall::End {
+                now: at(9),
+                pp: PpId(0),
+            },
+            TopoCall::Exit {
+                now: at(11),
+                process: ProcessId(0),
+            },
+            TopoCall::Retry {
+                now: at(13),
+                process: ProcessId(2),
+                site: SiteId(1),
+                kind: ResourceKind::Llc,
             },
         ]);
         doc.cfg.policy = PolicyKind::Partitioned { quota_frac: 0.25 };
@@ -515,10 +589,9 @@ mod tests {
 
     #[test]
     fn parses_overload_headers() {
-        let doc = TraceDoc::parse(
-            "overload 4 degrade\ndeadline 500\nbreaker 10mb 5mb 2 3 1000\nage 1\n",
-        )
-        .unwrap();
+        let doc =
+            TraceDoc::parse("overload 4 degrade\ndeadline 500\nbreaker 10mb 5mb 2 3 1000\nage 1\n")
+                .unwrap();
         let ov = doc.cfg.overload.expect("overload parsed");
         assert_eq!(ov.waitlist_cap, 4);
         assert_eq!(ov.shed_policy, ShedPolicy::DegradeToOverflow);
@@ -535,7 +608,10 @@ mod tests {
         for (text, needle) in [
             ("begin 0 0 0 llc", "line 1"),
             ("policy sloppy", "unknown policy"),
-            ("end 0 0\npolicy strict", "header line after the first event"),
+            (
+                "end 0 0\npolicy strict",
+                "header line after the first event",
+            ),
             ("frobnicate 1 2 3", "unknown directive"),
             ("begin 0 0 0 disk 10", "tracks only `llc`"),
             (
@@ -564,6 +640,9 @@ mod tests {
     #[test]
     fn comments_and_blanks_are_ignored() {
         let doc = TraceDoc::parse("\n# hi\n  # indented\nage 5 # trailing\n").unwrap();
-        assert_eq!(doc.events, vec![TraceEvent::Age { t: 5 }]);
+        let age = TopoCall::Age {
+            now: SimTime::from_cycles(5),
+        };
+        assert_eq!(doc.events, vec![age]);
     }
 }

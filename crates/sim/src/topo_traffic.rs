@@ -415,7 +415,7 @@ impl Admission for TopoExtension {
     }
 
     /// With a trace sink installed, sample every node's occupancy.
-    fn tick(&mut self, now: SimTime, in_flight: usize) {
+    fn tick(&mut self, now: SimTime, in_service: usize) {
         if self.trace().is_none() {
             return;
         }
@@ -427,7 +427,7 @@ impl Admission for TopoExtension {
                 usage: self.usage(node, ResourceKind::Llc),
                 overflow: self.overflow_usage(node, ResourceKind::Llc),
                 waitlisted: self.waitlist_len(node) as u32,
-                busy_cores: in_flight as u32,
+                busy_cores: in_service as u32,
             };
             if let Some(sink) = self.trace_mut() {
                 sink.record_occupancy(sample);
@@ -583,6 +583,13 @@ mod tests {
         let nodes: std::collections::BTreeSet<u32> =
             trace.occupancy.iter().map(|s| s.node).collect();
         assert_eq!(nodes.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+        // The busy track counts requests in service, never the plan's
+        // arrivals still to come.
+        let busiest = trace.occupancy.iter().map(|s| s.busy_cores).max();
+        assert!(
+            busiest.is_some_and(|b| 4 * u64::from(b) < r.arrivals),
+            "{busiest:?}"
+        );
         assert_eq!(trace.occupancy.len(), 434);
         assert_eq!(r.digest(), 0xc262_e050_a748_53ba);
     }

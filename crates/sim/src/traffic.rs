@@ -472,9 +472,9 @@ pub(crate) trait Admission {
         log: &mut CallLog<Self::Call>,
     );
 
-    /// Runs first on every control tick, with the number of non-tick
-    /// events in flight.
-    fn tick(&mut self, _now: SimTime, _in_flight: usize) {}
+    /// Runs first on every control tick, with the number of requests
+    /// in service: admitted, their completion still queued.
+    fn tick(&mut self, _now: SimTime, _in_service: usize) {}
 
     /// `check_invariants`.
     fn check(&self) -> Result<(), RdaError>;
@@ -611,6 +611,8 @@ pub(crate) struct Engine<'a, E: Admission> {
     /// Requests yet to arrive plus non-tick events still queued (ticks
     /// self-cancel when this hits zero and nothing waits).
     pending: usize,
+    /// Requests in service: queued completions.
+    in_service: usize,
     now: SimTime,
     pub(crate) completed: u64,
     pub(crate) failed: u64,
@@ -648,6 +650,7 @@ pub(crate) fn run_plan<'a, E: Admission>(
         queue: EventQueue::new(),
         waiting: BTreeMap::new(),
         pending: plan.len(),
+        in_service: 0,
         now: SimTime::ZERO,
         completed: 0,
         failed: 0,
@@ -681,6 +684,9 @@ impl<E: Admission> Engine<'_, E> {
     fn push(&mut self, t: u64, ev: Ev) {
         if !matches!(ev, Ev::Tick) {
             self.pending += 1;
+        }
+        if matches!(ev, Ev::Complete { .. }) {
+            self.in_service += 1;
         }
         self.queue.push(SimTime::from_cycles(t), ev);
     }
@@ -729,10 +735,11 @@ impl<E: Admission> Engine<'_, E> {
                     }
                     Ev::Complete { req, pp } => {
                         self.pending -= 1;
+                        self.in_service -= 1;
                         self.complete(req, pp);
                     }
                     Ev::Tick => {
-                        self.ext.tick(self.now, self.pending);
+                        self.ext.tick(self.now, self.in_service);
                         // Under overload control every tick advances
                         // breaker hysteresis, so every tick must be in
                         // the replayable call log; otherwise only ticks

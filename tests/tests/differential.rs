@@ -13,12 +13,31 @@
 //!    waitlisted, and force-admitted-overflow periods of a dead process
 //!    all return to zero.
 
-use rda_check::{doc_from_calls, replay, Effect, Oracle, TraceEvent};
+use rda_check::{doc_from_calls, replay, Effect, Oracle};
 use rda_core::waitlist::{WaitEntry, Waitlist};
-use rda_core::{mb, DemandAudit, PolicyKind, PpId, RdaError, ResourceKind};
-use rda_sim::{FaultConfig, SimConfig, SystemSim};
+use rda_core::{mb, Demand, DemandAudit, PolicyKind, PpId, RdaError, ResourceKind, SiteId};
+use rda_sched::ProcessId;
+use rda_sim::{FaultConfig, SimConfig, SystemSim, TopoCall};
 use rda_simcore::SimTime;
 use rda_workloads::spec::all_workloads;
+
+/// A begin of `amount` LLC bytes at cycle `t`.
+fn begin(t: u64, process: u32, site: u32, amount: u64) -> TopoCall {
+    TopoCall::Begin {
+        now: SimTime::from_cycles(t),
+        process: ProcessId(process),
+        site: SiteId(site),
+        demand: Demand::llc(amount),
+    }
+}
+
+/// `pp_end(pp)` at cycle `t`.
+fn end(t: u64, pp: u64) -> TopoCall {
+    TopoCall::End {
+        now: SimTime::from_cycles(t),
+        pp: PpId(pp),
+    }
+}
 
 fn faulty_cfg(policy: PolicyKind) -> SimConfig {
     SimConfig::paper_default(policy)
@@ -75,15 +94,9 @@ fn contended_oracle(audit: DemandAudit) -> Oracle {
     cfg.waitlist_timeout_cycles = Some(1_000);
     let mut oracle = Oracle::new(cfg);
     // One admitted period (pp 0) and one waitlisted period (pp 1).
-    let begin = |t, process, amount| TraceEvent::Begin {
-        t,
-        process,
-        site: process,
-        amount,
-    };
-    oracle.apply(&begin(0, 0, mb(10.0))).unwrap();
+    oracle.apply(&begin(0, 0, 0, mb(10.0))).unwrap();
     assert!(matches!(
-        oracle.apply(&begin(10, 1, mb(10.0))).unwrap(),
+        oracle.apply(&begin(10, 1, 1, mb(10.0))).unwrap(),
         Effect::Pause { .. }
     ));
     oracle
@@ -93,7 +106,7 @@ fn contended_oracle(audit: DemandAudit) -> Oracle {
 /// observable state did not move except for the rejection counters
 /// (`rejected_ends` / `clamped`) and the call counters (`begins` /
 /// `ends`) that tick on every call.
-fn assert_pure_rejection(oracle: &mut Oracle, event: TraceEvent, want: RdaError) {
+fn assert_pure_rejection(oracle: &mut Oracle, event: TopoCall, want: RdaError) {
     let before = oracle.snapshot();
     match oracle.apply(&event).unwrap() {
         Effect::Rejected(got) => assert_eq!(got, want),
@@ -110,25 +123,17 @@ fn assert_pure_rejection(oracle: &mut Oracle, event: TraceEvent, want: RdaError)
 #[test]
 fn unknown_pp_rejection_is_pure() {
     let mut oracle = contended_oracle(DemandAudit::Clamp);
-    assert_pure_rejection(
-        &mut oracle,
-        TraceEvent::End { t: 20, pp: 99 },
-        RdaError::UnknownPp(PpId(99)),
-    );
+    assert_pure_rejection(&mut oracle, end(20, 99), RdaError::UnknownPp(PpId(99)));
 }
 
 #[test]
 fn double_end_rejection_is_pure() {
     let mut oracle = contended_oracle(DemandAudit::Clamp);
-    oracle.apply(&TraceEvent::End { t: 20, pp: 0 }).unwrap();
+    oracle.apply(&end(20, 0)).unwrap();
     // pp 1 resumed when pp 0 ended; end it too so the books are quiet,
     // then end pp 0 a second time.
-    oracle.apply(&TraceEvent::End { t: 30, pp: 1 }).unwrap();
-    assert_pure_rejection(
-        &mut oracle,
-        TraceEvent::End { t: 40, pp: 0 },
-        RdaError::DoubleEnd(PpId(0)),
-    );
+    oracle.apply(&end(30, 1)).unwrap();
+    assert_pure_rejection(&mut oracle, end(40, 0), RdaError::DoubleEnd(PpId(0)));
 }
 
 #[test]
@@ -138,7 +143,7 @@ fn end_while_waitlisted_rejection_is_pure() {
     // cannot legally reach its end marker.
     assert_pure_rejection(
         &mut oracle,
-        TraceEvent::End { t: 20, pp: 1 },
+        end(20, 1),
         RdaError::EndWhileWaitlisted(PpId(1)),
     );
 }
@@ -148,12 +153,7 @@ fn demand_overflow_rejection_is_pure() {
     let mut oracle = contended_oracle(DemandAudit::Reject);
     assert_pure_rejection(
         &mut oracle,
-        TraceEvent::Begin {
-            t: 20,
-            process: 2,
-            site: 2,
-            amount: mb(99.0),
-        },
+        begin(20, 2, 2, mb(99.0)),
         RdaError::DemandOverflow {
             kind: ResourceKind::Llc,
             declared: mb(99.0),
@@ -198,12 +198,6 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
     cfg.llc_capacity = 16_000;
     cfg.waitlist_timeout_cycles = Some(1_000);
     let mut oracle = Oracle::new(cfg);
-    let begin = |t, process, site, amount| TraceEvent::Begin {
-        t,
-        process,
-        site,
-        amount,
-    };
     // pp 0 (proc 0, 8k) and pp 1 (proc 1, 7k) admit nominally.
     assert!(matches!(
         oracle.apply(&begin(0, 0, 0, 8_000)).unwrap(),
@@ -225,7 +219,10 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
     // At t=1100 only pp 2 (enqueued t=20) has aged past the 1000-cycle
     // timeout; it force-admits to the overflow bucket. pp 3 (t=900)
     // still waits.
-    match oracle.apply(&TraceEvent::Age { t: 1_100 }).unwrap() {
+    let age = TopoCall::Age {
+        now: SimTime::from_cycles(1_100),
+    };
+    match oracle.apply(&age).unwrap() {
         Effect::Woken { resumed, .. } => assert_eq!(resumed.len(), 1),
         other => panic!("{other:?}"),
     }
@@ -234,12 +231,11 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
     assert_eq!(mid.overflow, [[12_000, 0, 0]]);
     assert_eq!(mid.waitlists[0].len(), 1);
     // Process 0 dies holding all three kinds of period.
-    oracle
-        .apply(&TraceEvent::Exit {
-            t: 1_200,
-            process: 0,
-        })
-        .unwrap();
+    let exit = TopoCall::Exit {
+        now: SimTime::from_cycles(1_200),
+        process: ProcessId(0),
+    };
+    oracle.apply(&exit).unwrap();
     let after = oracle.snapshot();
     assert_eq!(
         after.usage,
@@ -250,7 +246,7 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
     assert!(after.waitlists[0].is_empty(), "waitlisted period cancelled");
     assert_eq!(after.stats.reclaimed, 3);
     // The survivor ends; everything is zero again.
-    oracle.apply(&TraceEvent::End { t: 1_300, pp: 1 }).unwrap();
+    oracle.apply(&end(1_300, 1)).unwrap();
     assert!(oracle.snapshot().is_idle());
 }
 
@@ -262,16 +258,9 @@ fn exit_reclaims_admitted_waitlisted_and_overflow_periods() {
 fn invariants_hold_after_heavy_traffic() {
     let mut oracle = contended_oracle(DemandAudit::Clamp);
     for t in 0..40u64 {
-        let _ = oracle.apply(&TraceEvent::Begin {
-            t: 20 + t * 13,
-            process: (t % 5) as u32,
-            site: (t % 3) as u32,
-            amount: mb(1.0) * (t % 7),
-        });
-        let _ = oracle.apply(&TraceEvent::End {
-            t: 21 + t * 13,
-            pp: t % 9,
-        });
+        let (process, site) = ((t % 5) as u32, (t % 3) as u32);
+        let _ = oracle.apply(&begin(20 + t * 13, process, site, mb(1.0) * (t % 7)));
+        let _ = oracle.apply(&end(21 + t * 13, t % 9));
     }
     oracle.ext().check_invariants().unwrap();
 }

@@ -5,7 +5,7 @@
 //! cross-engine compatibility argument (scalar vs 1-node topology).
 
 use proptest::prelude::*;
-use rda_check::{replay, replay_lifted, topo_doc_from_calls, Effect, GenParams, TraceDoc};
+use rda_check::{replay, replay_lifted, Effect, GenParams, TopoDoc, TraceDoc};
 use rda_core::{
     mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, PpId,
     RdaConfig, ShedPolicy, TopoConfig, TopoSpec,
@@ -85,8 +85,10 @@ fn recorded_topo_overload_fault_schedules_replay_with_zero_divergence() {
             .with_faults(FaultConfig::uniform(0.08));
         let result = sim.run(17);
         assert!(result.rda.shed > 0, "{shed:?}: schedule never overloaded");
-        let calls = result.calls.expect("record_calls retains the schedule");
-        let doc = topo_doc_from_calls(result.config.expect("and its configuration"), &calls);
+        let doc = TopoDoc {
+            cfg: result.config.expect("the run reports its configuration"),
+            events: result.calls.expect("record_calls retains the schedule"),
+        };
         let report = rda_check::replay_topo(&doc)
             .unwrap_or_else(|d| panic!("{shed:?}: diverged: {d}"));
         assert_eq!(report.steps, doc.events.len(), "{shed:?}");
