@@ -17,9 +17,9 @@
 //! `--trace-out` cannot change them either.
 //!
 //! The two traffic sweeps (`exp_overload`, `exp_layers`) add `--smoke`
-//! and refuse `--trace-out` ([`traffic_sweep_args_from_env`]), and share
-//! their overload control ([`overload_cfg`]) and shed-policy axis
-//! ([`SHED_POLICIES`], [`policy_label`]).
+//! and refuse `--shard` and `--trace-out` ([`parse_traffic_sweep_args`]),
+//! and share their overload control ([`overload_cfg`]) and shed-policy
+//! axis ([`SHED_POLICIES`], [`policy_label`]).
 
 use rda_core::{mb, BreakerConfig, OverloadConfig, ShedPolicy};
 use rda_sim::runner::{RunnerOptions, Shard};
@@ -91,10 +91,16 @@ where
 /// Parse sweep flags from the process environment, printing usage and
 /// exiting on `--help` or errors.
 pub fn sweep_args_from_env() -> SweepArgs {
-    match parse_sweep_args(std::env::args().skip(1)) {
+    or_exit(parse_sweep_args(std::env::args().skip(1)), SWEEP_USAGE)
+}
+
+/// The parsed flags; on `--help`, `usage` printed and exit 0; on an
+/// error, its message printed and exit 2.
+fn or_exit<T>(parsed: Result<T, String>, usage: &str) -> T {
+    match parsed {
         Ok(parsed) => parsed,
         Err(msg) if msg == "help" => {
-            println!("{SWEEP_USAGE}");
+            println!("{usage}");
             std::process::exit(0);
         }
         Err(msg) => {
@@ -104,37 +110,54 @@ pub fn sweep_args_from_env() -> SweepArgs {
     }
 }
 
-/// Parse a traffic sweep's flags from the process environment: the
+/// Usage text of the traffic sweeps.
+pub const TRAFFIC_USAGE: &str = "options:
+  --threads N       worker threads (0 = all cores; default 0)
+  --root-seed S     root seed, decimal or 0x-hex (default: built-in)
+  --smoke           small fast grid (CI digest gate)
+  --help            print this help";
+
+/// Parse a traffic sweep's flags (binary name already stripped): the
 /// shared sweep flags plus `--smoke`, a small fast grid (the CI digest
-/// gate). `--trace-out` is refused, since the traffic engines return no
-/// per-run trace report. Prints usage and exits on `--help` or errors.
-/// Returns the runner options and whether `--smoke` was given.
-pub fn traffic_sweep_args_from_env(bin: &str) -> (RunnerOptions, bool) {
+/// gate). Returns the runner options and whether `--smoke` was given.
+/// `--shard` and `--trace-out` are refused: `bin` runs and digests its
+/// whole grid, and does not collect its cells' trace reports. `--help`
+/// is reported as `Err("help")`, as by [`parse_sweep_args`], and a bad
+/// flag's message ends with [`TRAFFIC_USAGE`].
+pub fn parse_traffic_sweep_args<I>(bin: &str, args: I) -> Result<(RunnerOptions, bool), String>
+where
+    I: IntoIterator<Item = String>,
+{
     let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
+    let rest: Vec<String> = args
+        .into_iter()
         .filter(|a| {
             let flag = a == "--smoke";
             smoke |= flag;
             !flag
         })
         .collect();
-    let args = match parse_sweep_args(rest) {
-        Ok(a) => a,
-        Err(msg) if msg == "help" => {
-            println!("{SWEEP_USAGE}\n  --smoke           small fast grid (CI digest gate)");
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if args.trace_out.is_some() {
-        eprintln!("--trace-out is not supported by {bin} (no per-run TraceReport)");
-        std::process::exit(2);
+    let args = parse_sweep_args(rest).map_err(|e| e.replace(SWEEP_USAGE, TRAFFIC_USAGE))?;
+    if args.runner.shard.is_some() {
+        return Err(format!(
+            "--shard is not supported by {bin} (it runs and digests its whole grid)"
+        ));
     }
-    (args.runner, smoke)
+    if args.trace_out.is_some() {
+        return Err(format!(
+            "--trace-out is not supported by {bin} (it does not collect its cells' trace reports)"
+        ));
+    }
+    Ok((args.runner, smoke))
+}
+
+/// [`parse_traffic_sweep_args`] over the process environment, printing
+/// usage and exiting on `--help` (0) or errors (2).
+pub fn traffic_sweep_args_from_env(bin: &str) -> (RunnerOptions, bool) {
+    or_exit(
+        parse_traffic_sweep_args(bin, std::env::args().skip(1)),
+        TRAFFIC_USAGE,
+    )
 }
 
 /// The traffic sweeps' shed-policy axis, in table order.
@@ -225,5 +248,37 @@ mod tests {
         assert!(parse(&["--trace-out"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
+    }
+
+    fn parse_traffic(args: &[&str]) -> Result<(RunnerOptions, bool), String> {
+        parse_traffic_sweep_args("exp_overload", args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn traffic_sweep_takes_smoke_among_shared_flags() {
+        let (runner, smoke) = parse_traffic(&["--threads", "8", "--smoke"]).unwrap();
+        assert_eq!(runner.threads, 8);
+        assert!(runner.shard.is_none());
+        assert!(smoke);
+        let (runner, smoke) = parse_traffic(&["--root-seed", "42"]).unwrap();
+        assert_eq!(runner.root_seed, 42);
+        assert!(!smoke);
+        assert_eq!(parse_traffic(&["--smoke", "--help"]).unwrap_err(), "help");
+        let err = parse_traffic(&["--bogus"]).unwrap_err();
+        assert!(err.ends_with(TRAFFIC_USAGE), "{err}");
+    }
+
+    #[test]
+    fn traffic_sweep_refuses_shard() {
+        let err = parse_traffic(&["--smoke", "--shard", "0/2"]).unwrap_err();
+        let want = "--shard is not supported by exp_overload";
+        assert!(err.starts_with(want), "{err}");
+    }
+
+    #[test]
+    fn traffic_sweep_refuses_trace_out() {
+        let err = parse_traffic(&["--trace-out", "t.json"]).unwrap_err();
+        let want = "--trace-out is not supported by exp_overload";
+        assert!(err.starts_with(want), "{err}");
     }
 }

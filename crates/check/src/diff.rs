@@ -33,9 +33,7 @@
 use crate::model::{Effect, FastPathModel};
 use crate::topo_model::TopoRefModel;
 use crate::trace::TraceDoc;
-use rda_core::{
-    NodeId, PpDemand, RdaConfig, RdaExtension, Resource, ResourceKind, Snapshot, TopoConfig,
-};
+use rda_core::{NodeId, PpDemand, RdaConfig, RdaExtension, ResourceKind, Snapshot, TopoConfig};
 use rda_machine::ReuseLevel;
 use rda_sim::TopoCall;
 use rda_simcore::Fnv1a64;
@@ -158,9 +156,12 @@ impl Oracle {
             },
             TopoCall::Age { now } => self.ext.age_waitlist(now).into(),
             TopoCall::Retry {
-                now, process, site, ..
+                now,
+                process,
+                site,
+                kind,
             } => {
-                self.ext.note_retry(process, site, Resource::Llc, now);
+                self.ext.note_retry(process, site, kind, now);
                 Effect::Retried
             }
         };

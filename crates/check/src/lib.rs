@@ -79,7 +79,7 @@ pub use topo_model::{TopoMutation, TopoRefModel};
 pub use topo_trace::{default_topo_config, lift, TopoDoc};
 pub use trace::TraceDoc;
 
-use rda_core::{Demand, ResourceKind};
+use rda_core::Demand;
 use rda_sim::system::RdaCall;
 use rda_sim::TopoCall;
 
@@ -88,7 +88,7 @@ use rda_sim::TopoCall;
 /// the given configuration — the bridge that lets whole simulated
 /// workloads be re-checked against the reference model call by call.
 /// Each call is lifted here: a begin's demand becomes an LLC-only
-/// vector and a retry names the LLC.
+/// vector and a retry keeps the resource kind it recorded.
 pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
     let events = calls
         .iter()
@@ -108,12 +108,15 @@ pub fn doc_from_calls(cfg: rda_core::RdaConfig, calls: &[RdaCall]) -> TraceDoc {
             RdaCall::Exit { now, process } => TopoCall::Exit { now, process },
             RdaCall::Age { now } => TopoCall::Age { now },
             RdaCall::Retry {
-                now, process, site, ..
+                now,
+                process,
+                site,
+                resource,
             } => TopoCall::Retry {
                 now,
                 process,
                 site,
-                kind: ResourceKind::Llc,
+                kind: resource,
             },
         })
         .collect();

@@ -21,8 +21,9 @@
 //! Header keys (each optional; the default is the single-node
 //! compatibility lift of the scalar default header):
 //!
-//! * `node <llc> <membw> <dram>` — appends one NUMA node; the first
-//!   `node` line replaces the default topology
+//! * `node <llc> <membw> <dram>` — appends one NUMA node, every
+//!   capacity nonzero; the first `node` line replaces the default
+//!   topology
 //! * `layer <name> <policy...> [guarantee <llc> <membw> <dram>]` —
 //!   appends one layer (policy spelled as in the scalar format); the
 //!   first `layer` line replaces the default single layer
@@ -46,10 +47,10 @@
 //! (DESIGN.md §9's compatibility argument, checked call by call).
 
 use crate::trace::{
-    parse_policy, parse_shared_header, parse_vector, policy_words, read_lines, write_shared_header,
-    TraceDoc, TOPO,
+    keyed_lines, parse_policy, parse_shared_header, parse_vector, policy_words, read_lines,
+    spec_error, write_shared_header, TraceDoc, TOPO,
 };
-use rda_core::{LayerId, LayerSet, LayerSpec, TopoConfig, TopoSpec};
+use rda_core::{LayerId, LayerSet, LayerSpec, SpecError, TopoConfig, TopoSpec};
 use rda_sim::TopoCall;
 use std::fmt::Write as _;
 
@@ -76,7 +77,9 @@ impl TopoDoc {
         }
     }
 
-    /// Parse the text format. Errors carry the 1-based line number.
+    /// Parse the text format. Errors carry the 1-based line number; a
+    /// capacity table [`TopoConfig::validated`] refuses is reported at
+    /// the `node` line that declares the zero.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = default_topo_config();
         let mut caps: Vec<[u64; 3]> = Vec::new();
@@ -136,6 +139,18 @@ impl TopoDoc {
             }
             cfg.layers = set;
         }
+        let checked = TopoConfig::validated(cfg.spec, cfg.layers).map_err(|e| {
+            let node = match e {
+                SpecError::ZeroCapacity { node, .. } => node.0 as usize,
+                SpecError::NoNodes => 0,
+            };
+            spec_error(keyed_lines(text, "node").nth(node), e)
+        })?;
+        let cfg = TopoConfig {
+            spec: checked.spec,
+            layers: checked.layers,
+            ..cfg
+        };
         Ok(TopoDoc { cfg, events })
     }
 
@@ -276,6 +291,14 @@ mod tests {
             ("layer a partitioned 0", "line 1: partitioned quota"),
             ("layer a partitioned 1.5", "partitioned quota must be"),
             ("layer a partitioned NaN", "partitioned quota must be"),
+            (
+                "node 0 50 1000\nvbegin 0 0 0 10 0 0\nvbegin 1 1 1 10 0 0",
+                "line 1: node0 declares zero capacity for constrained resource llc",
+            ),
+            (
+                "node 100 50 1000\n# second node\nnode 100 0 1000",
+                "line 3: node1 declares zero capacity for constrained resource membw",
+            ),
         ] {
             let err = TopoDoc::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` gave `{err}`");

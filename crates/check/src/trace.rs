@@ -21,7 +21,8 @@
 //! * `policy default | strict | compromise <factor> | partitioned <frac>`
 //!   — a factor is finite and at least 1, a fraction finite and in
 //!   (0, 1]
-//! * `llc <bytes>` — LLC capacity
+//! * `llc <bytes>` — LLC capacity, nonzero (as the topology lift of
+//!   the document requires)
 //! * `audit trust | clamp | reject`
 //! * `timeout none | <cycles>` — waitlist aging timeout
 //! * `interval <cycles>` — fast-path re-evaluation interval
@@ -62,7 +63,7 @@
 
 use rda_core::{
     BreakerConfig, Demand, DemandAudit, OverloadConfig, PolicyKind, PpId, RdaConfig, ResourceKind,
-    ShedPolicy, SiteId,
+    ShedPolicy, SiteId, SpecError, TopoConfig,
 };
 use rda_machine::MachineConfig;
 use rda_sched::ProcessId;
@@ -120,6 +121,11 @@ impl TraceDoc {
             }
             Ok(())
         })?;
+        // A scalar document is well formed when its topology lift is:
+        // an `llc 0` lifts to a node with no LLC.
+        let TopoConfig { spec, layers, .. } = TopoConfig::compat(&cfg);
+        TopoConfig::validated(spec, layers)
+            .map_err(|e| spec_error(keyed_lines(text, "llc").last(), e))?;
         Ok(TraceDoc { cfg, events })
     }
 
@@ -307,13 +313,12 @@ pub(crate) fn read_lines(
 ) -> Result<Vec<TopoCall>, String> {
     let mut calls = Vec::new();
     for (no, raw) in text.lines().enumerate() {
-        let content = raw.split('#').next().unwrap_or_default();
-        let mut words = content.split_whitespace();
+        let mut words = line_words(raw);
         let Some(key) = words.next() else {
             continue;
         };
         let fields: Vec<&str> = words.collect();
-        let fail = |msg: &str| format!("line {}: {msg}: `{raw}`", no + 1);
+        let fail = |msg: &str| located(no, raw, msg);
         match dialect.call(key, &fields, &fail)? {
             Some(call) => calls.push(call),
             None if !calls.is_empty() => return Err(fail("header line after the first event")),
@@ -321,6 +326,36 @@ pub(crate) fn read_lines(
         }
     }
     Ok(calls)
+}
+
+/// The words of one line, `#` comment stripped.
+fn line_words(raw: &str) -> std::str::SplitWhitespace<'_> {
+    raw.split('#').next().unwrap_or_default().split_whitespace()
+}
+
+/// `msg` as the error of line `no` (0-based), whose text is `raw`.
+fn located(no: usize, raw: &str, msg: &str) -> String {
+    format!("line {}: {msg}: `{raw}`", no + 1)
+}
+
+/// The lines whose first word is `key`, each with its 0-based number,
+/// in file order.
+pub(crate) fn keyed_lines<'a>(
+    text: &'a str,
+    key: &'a str,
+) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+    text.lines()
+        .enumerate()
+        .filter(move |(_, raw)| line_words(raw).next() == Some(key))
+}
+
+/// A [`TopoConfig::validated`] refusal, located at the header line that
+/// declared the offending capacity when there is one.
+pub(crate) fn spec_error(line: Option<(usize, &str)>, err: SpecError) -> String {
+    match line {
+        Some((no, raw)) => located(no, raw, &err.to_string()),
+        None => err.to_string(),
+    }
 }
 
 /// A `<llc> <membw> <dram>` vector of amounts.
@@ -631,6 +666,10 @@ mod tests {
             ("policy partitioned 0", "line 1: partitioned quota"),
             ("policy partitioned 1.5", "partitioned quota must be"),
             ("policy partitioned NaN", "partitioned quota must be"),
+            (
+                "policy strict\nllc 0\nbegin 0 0 0 llc 10",
+                "line 2: node0 declares zero capacity for constrained resource llc",
+            ),
         ] {
             let err = TraceDoc::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` gave `{err}`");

@@ -10,25 +10,6 @@
 use rda_machine::ReuseLevel;
 use std::fmt;
 
-/// The hardware resource the scalar scheduler tracks: the shared
-/// last-level cache, the one resource the paper's prototype and
-/// Algorithm 1 gate. Demand vectors over several resources (memory
-/// bandwidth, DRAM capacity) belong to the topology engine
-/// ([`crate::topo::TopoExtension`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Resource {
-    /// The shared last-level cache; demands are working-set bytes.
-    Llc,
-}
-
-impl fmt::Display for Resource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Resource::Llc => write!(f, "LLC"),
-        }
-    }
-}
-
 /// Unique identifier of one *dynamic* progress-period instance — the
 /// value `pp_begin` returns and `pp_end` takes (Figure 4, line 6/8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,23 +34,24 @@ impl fmt::Display for SiteId {
     }
 }
 
-/// The demand triple passed to `pp_begin` (§2.2): targeted resource,
-/// working-set size, and relative data-reuse level.
+/// The demand passed to `pp_begin` (§2.2): working-set size and
+/// relative data-reuse level. The paper's call also names the targeted
+/// resource; the scalar scheduler tracks only the shared last-level
+/// cache, so every demand is an LLC demand. Demand vectors over several
+/// resources (memory bandwidth, DRAM capacity) belong to the topology
+/// engine ([`crate::topo::TopoExtension`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PpDemand {
-    /// Which hardware resource the period stresses.
-    pub resource: Resource,
-    /// How much of it the period needs (bytes for [`Resource::Llc`]).
+    /// The period's LLC working set, bytes.
     pub amount: u64,
     /// How heavily the working set is reused.
     pub reuse: ReuseLevel,
 }
 
 impl PpDemand {
-    /// An LLC demand, the common case (`pp_begin(RESOURCE_LLC, …)`).
+    /// An LLC demand (`pp_begin(RESOURCE_LLC, …)`).
     pub fn llc(ws_bytes: u64, reuse: ReuseLevel) -> Self {
         PpDemand {
-            resource: Resource::Llc,
             amount: ws_bytes,
             reuse,
         }
@@ -96,14 +78,12 @@ mod tests {
     #[test]
     fn demand_constructor_targets_llc() {
         let d = PpDemand::llc(mb(2.4), ReuseLevel::High);
-        assert_eq!(d.resource, Resource::Llc);
         assert_eq!(d.amount, mb(2.4));
         assert_eq!(d.reuse, ReuseLevel::High);
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(Resource::Llc.to_string(), "LLC");
         assert_eq!(PpId(12).to_string(), "pp#12");
         assert_eq!(SiteId(4).to_string(), "site4");
     }

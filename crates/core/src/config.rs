@@ -105,13 +105,6 @@ pub struct RdaConfig {
     pub policy: PolicyKind,
     /// LLC capacity the resource monitor manages, bytes.
     pub llc_capacity: u64,
-    /// Cost of a full (slow-path) `pp_begin`/`pp_end` call: syscall,
-    /// registry update, predicate evaluation, possible waitlist scan —
-    /// in cycles.
-    pub slow_call_cycles: u64,
-    /// Cost of a memoised fast-path call (user-level check against the
-    /// shared decision page), in cycles.
-    pub fast_call_cycles: u64,
     /// Minimum interval between full predicate evaluations for the same
     /// site; calls arriving sooner take the fast path when the cached
     /// decision is still valid (see [`crate::fastpath`]).
@@ -131,19 +124,14 @@ pub struct RdaConfig {
 }
 
 impl RdaConfig {
-    /// Defaults bound to a machine: capacity from the machine's LLC;
-    /// call costs calibrated against Figure 11
-    /// (≈ 50 µs slow path — syscall + registry + predicate + possible
-    /// waitlist scan and reschedule — ≈ 0.55 µs fast path, 250 µs
-    /// re-evaluation interval at 1.9 GHz).
+    /// Defaults bound to a machine: capacity from the machine's LLC and
+    /// a 250 µs fast-path re-evaluation interval at its clock. (The
+    /// simulator charges the Figure 11 call costs itself.)
     pub fn for_machine(m: &MachineConfig, policy: PolicyKind) -> Self {
-        let us = |micros: f64| (micros * 1e-6 * m.freq_hz).round() as u64;
         RdaConfig {
             policy,
             llc_capacity: m.llc_bytes,
-            slow_call_cycles: us(50.0),
-            fast_call_cycles: us(0.55),
-            min_eval_interval_cycles: us(250.0),
+            min_eval_interval_cycles: (250.0 * 1e-6 * m.freq_hz).round() as u64,
             demand_audit: DemandAudit::Trust,
             waitlist_timeout_cycles: None,
             overload: None,
@@ -178,8 +166,8 @@ mod tests {
         let m = MachineConfig::xeon_e5_2420();
         let c = RdaConfig::for_machine(&m, PolicyKind::Strict);
         assert_eq!(c.llc_capacity, m.llc_bytes);
-        assert_eq!(c.slow_call_cycles, 95_000); // 50 us at 1.9 GHz
-        assert!(c.fast_call_cycles < c.slow_call_cycles / 50);
+        // The fast-path horizon is 250 us at 1.9 GHz.
+        assert_eq!(c.min_eval_interval_cycles, 475_000);
         // The paper's trusting, aging-free behaviour is the default.
         assert_eq!(c.demand_audit, DemandAudit::Trust);
         assert_eq!(c.waitlist_timeout_cycles, None);

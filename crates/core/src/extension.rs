@@ -7,8 +7,8 @@
 //!
 //! * **`pp_begin`** — allocate a period id, run Algorithm 1
 //!   ([`crate::rules::fits`]), and either account the demand and let
-//!   the process run, or waitlist it (the caller pauses the process's
-//!   threads on the OS wait queue).
+//!   the process run, or waitlist it (the caller leaves the process's
+//!   threads blocked).
 //! * **`pp_end`** — remove the period from the registry, release its
 //!   demand from the resource monitor, then walk the waitlist FIFO
 //!   admitting every period that now fits (the caller wakes those
@@ -49,7 +49,7 @@
 //! [`crate::waitlist`]. This engine keeps only its books (one LLC row)
 //! and the memoised fast path.
 
-use crate::api::{PpDemand, PpId, Resource, SiteId};
+use crate::api::{PpDemand, PpId, SiteId};
 use crate::config::RdaConfig;
 use crate::error::{InvariantKind, RdaError};
 use crate::fastpath::FastPathCache;
@@ -352,16 +352,6 @@ impl RdaExtension {
             self.limit
                 .saturating_sub(policy.effective_demand(amount, capacity))
         })
-    }
-
-    /// Cycle cost of a call, by path (the simulation charges this to
-    /// the calling thread).
-    pub fn call_cost_cycles(&self, fast: bool) -> u64 {
-        if fast {
-            self.cfg.fast_call_cycles
-        } else {
-            self.cfg.slow_call_cycles
-        }
     }
 
     /// Reject the begin `ev` describes with
@@ -722,13 +712,13 @@ impl RdaExtension {
     /// arrival. The extension never schedules retries itself — the
     /// caller owns the backoff clock — but counting them here puts the
     /// retry stream into the stats digest and the trace, where the
-    /// reference model can check it. The retried demand's resource is
-    /// always the LLC, the scalar engine's one resource.
+    /// reference model can check it. The scalar engine tracks the LLC
+    /// only, so it ignores the resource kind the retry names.
     pub fn note_retry(
         &mut self,
         process: ProcessId,
         site: SiteId,
-        _resource: Resource,
+        _resource: ResourceKind,
         now: SimTime,
     ) {
         self.stats.retried += 1;
@@ -1444,12 +1434,6 @@ mod tests {
     }
 
     #[test]
-    fn call_costs_reflect_path() {
-        let e = ext(PolicyKind::Strict);
-        assert!(e.call_cost_cycles(true) < e.call_cost_cycles(false));
-    }
-
-    #[test]
     fn tracing_records_lifecycle_without_changing_state() {
         use rda_trace::{EventKind as K, TraceConfig};
         let mut traced = ext_cfg(strict_cfg().with_waitlist_timeout_cycles(1_000));
@@ -1767,7 +1751,7 @@ mod tests {
         let cfg = strict_cfg().with_overload(overload_cfg(0, ShedPolicy::RejectNewest));
         let mut e = ext_cfg(cfg);
         e.install_trace(TraceSink::new(rda_trace::TraceConfig::default()));
-        e.note_retry(ProcessId(7), SiteId(3), Resource::Llc, t(42));
+        e.note_retry(ProcessId(7), SiteId(3), ResourceKind::Llc, t(42));
         assert_eq!(e.stats().retried, 1);
         let sink = e.take_trace().unwrap();
         let report = sink.into_report();

@@ -70,7 +70,7 @@ pub mod topo;
 pub mod topology;
 pub mod waitlist;
 
-pub use api::{mb, PpDemand, PpId, Resource, SiteId};
+pub use api::{mb, PpDemand, PpId, SiteId};
 pub use config::{BreakerConfig, DemandAudit, OverloadConfig, RdaConfig, ShedPolicy};
 pub use error::{InvariantKind, RdaError};
 pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats};

@@ -9,8 +9,8 @@
 //!   LLC footprint, memory bandwidth, DRAM capacity;
 //! * [`Demand`] — a demand *vector*: one amount per resource kind, the
 //!   multi-resource successor of the scalar [`crate::api::PpDemand`];
-//! * [`NodeId`] / [`TopoSpec`] — per-node capacity tables built from an
-//!   `rda-machine` [`rda_machine::Topology`] description.
+//! * [`NodeId`] / [`TopoSpec`] — per-node capacity tables, one
+//!   capacity per resource kind per node.
 //!
 //! The scheduling mechanism over these types lives in [`crate::topo`].
 
@@ -162,8 +162,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// The capacity table of a topology: per node, one capacity per
-/// [`ResourceKind`]. This is the scheduler-facing form of the
-/// descriptive [`rda_machine::Topology`].
+/// [`ResourceKind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoSpec {
     /// Per-node capacities in [`ResourceKind::ALL`] order.
@@ -196,16 +195,6 @@ impl TopoSpec {
             }
         }
         Ok(())
-    }
-    /// Build from a machine topology description.
-    pub fn from_machine(t: &rda_machine::Topology) -> Self {
-        TopoSpec {
-            caps: t
-                .nodes
-                .iter()
-                .map(|n| [n.llc_bytes, n.membw_bytes, n.dram_bytes])
-                .collect(),
-        }
     }
 
     /// A single node with the given capacities.
@@ -288,19 +277,6 @@ mod tests {
         let touched: Vec<ResourceKind> = d.touched().collect();
         assert_eq!(touched, vec![ResourceKind::Llc, ResourceKind::MemBw]);
         assert_eq!(d.to_string(), "[llc=10 membw=7 dram=0]");
-    }
-
-    #[test]
-    fn spec_from_machine_topology() {
-        let m = rda_machine::MachineConfig::xeon_e5_2420();
-        let spec = TopoSpec::from_machine(&rda_machine::Topology::dual_socket(&m));
-        assert_eq!(spec.node_count(), 2);
-        assert_eq!(spec.capacity(NodeId(0), ResourceKind::Llc), m.llc_bytes);
-        assert_eq!(spec.max_capacity(ResourceKind::Llc), m.llc_bytes);
-        assert_eq!(
-            spec.capacity(NodeId(1), ResourceKind::DramCap),
-            m.dram_bytes / 2
-        );
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * **DRAM domain** = background power × wall time
 //!   + energy per 64-byte line transfer.
 //!
-//! Coefficients default to Sandy-Bridge-EN-class values (95 W TDP part)
-//! and are tunable for ablation studies. The absolute Joule figures are
-//! model outputs; the experiments compare *policies under the same
-//! model*, which is what the paper's relative results measure.
+//! The default coefficients, the ones the simulator runs, are
+//! Sandy-Bridge-EN-class values (95 W TDP part). The absolute Joule
+//! figures are model outputs; the experiments compare *policies under
+//! the same model*, which is what the paper's relative results measure.
 
 use crate::config::MachineConfig;
 use rda_metrics::{EnergyBreakdown, PerfCounters};

@@ -28,10 +28,8 @@ pub mod config;
 pub mod energy;
 pub mod perf;
 pub mod profile;
-pub mod topology;
 
 pub use config::MachineConfig;
-pub use topology::{NodeSpec, Topology};
 pub use energy::EnergyModel;
 pub use perf::{profile_bits_eq, PerfModel, SegmentRates};
 pub use profile::{AccessProfile, ReuseLevel};

@@ -18,9 +18,10 @@
 //!    traffic exceeds peak bandwidth, all instruction rates are scaled
 //!    down by the overload factor (Figure 13's memory-bound plateau).
 //!
-//! All knobs live in [`PerfParams`] so the ablation benches can vary
-//! them; defaults are calibrated against the functional LRU hierarchy in
-//! [`crate::cache`] (see `tests/model_vs_trace.rs` in `rda-workloads`).
+//! All coefficients live in [`PerfParams`]; its defaults, the only
+//! values the simulator runs, are calibrated against the functional LRU
+//! hierarchy in [`crate::cache`] (see the `rda-integration` test
+//! `model_vs_trace`).
 
 use crate::config::MachineConfig;
 use crate::profile::{AccessProfile, ReuseLevel};
@@ -143,11 +144,6 @@ impl PerfModel {
             cfg,
             params: PerfParams::default(),
         }
-    }
-
-    /// Model with explicit parameters (used by ablation benches).
-    pub fn with_params(cfg: MachineConfig, params: PerfParams) -> Self {
-        PerfModel { cfg, params }
     }
 
     /// The machine configuration this model is bound to.

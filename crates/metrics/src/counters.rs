@@ -57,25 +57,6 @@ impl PerfCounters {
         }
     }
 
-    /// LLC misses per thousand instructions.
-    pub fn llc_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.llc_misses as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// LLC hit ratio over LLC accesses; 1.0 when the LLC was never
-    /// accessed (no misses possible).
-    pub fn llc_hit_ratio(&self) -> f64 {
-        if self.llc_accesses == 0 {
-            1.0
-        } else {
-            1.0 - self.llc_misses as f64 / self.llc_accesses as f64
-        }
-    }
-
     /// Merge another counter block into this one.
     pub fn absorb(&mut self, other: &PerfCounters) {
         *self += *other;
@@ -136,16 +117,12 @@ mod tests {
     fn derived_metrics() {
         let c = sample();
         assert!((c.ipc() - 0.5).abs() < 1e-12);
-        assert!((c.llc_mpki() - 5.0).abs() < 1e-12);
-        assert!((c.llc_hit_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn derived_metrics_degenerate() {
         let c = PerfCounters::new();
         assert_eq!(c.ipc(), 0.0);
-        assert_eq!(c.llc_mpki(), 0.0);
-        assert_eq!(c.llc_hit_ratio(), 1.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (GFLOPS, GFLOPS per Watt).
 //! * [`DataSeries`] / [`FigureData`] — named series keyed by workload or
 //!   parameter, i.e. the data behind each figure of the paper.
-//! * [`TextTable`] — aligned text / CSV rendering for the experiment
+//! * [`TextTable`] — aligned text rendering for the experiment
 //!   binaries.
 //! * [`regress`] — least-squares linear and logarithmic regression used
 //!   by the Fig 12 working-set-size predictor.
@@ -48,18 +48,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Speedup of `new` over `baseline` measured on a "lower is better"
-/// quantity (e.g. runtime): `baseline / new`.
-pub fn speedup_lower_better(baseline: f64, new: f64) -> f64 {
-    baseline / new
-}
-
-/// Relative change of `new` vs `baseline` on a "lower is better"
-/// quantity, as a signed fraction: `-0.48` means a 48 % decrease.
-pub fn relative_change(baseline: f64, new: f64) -> f64 {
-    (new - baseline) / baseline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,11 +63,5 @@ mod tests {
         assert!(geomean(&[]).is_none());
         assert!(geomean(&[1.0, 0.0]).is_none());
         assert!(geomean(&[1.0, -2.0]).is_none());
-    }
-
-    #[test]
-    fn speedup_and_change() {
-        assert!((speedup_lower_better(2.0, 1.0) - 2.0).abs() < 1e-12);
-        assert!((relative_change(100.0, 52.0) + 0.48).abs() < 1e-12);
     }
 }

@@ -3,8 +3,8 @@
 //! Every figure in the paper is a grouped bar or line chart: a set of
 //! categories (workloads, input sizes) × a set of series (scheduling
 //! policies, process counts). [`FigureData`] captures exactly that, and
-//! renders to an aligned text table or CSV so the experiment binaries can
-//! regenerate the paper's plots as data.
+//! renders to an aligned text table or JSON so the experiment binaries
+//! can regenerate the paper's plots as data.
 
 use std::collections::BTreeMap;
 
@@ -118,32 +118,6 @@ impl FigureData {
         format!("{} — {} [{}]\n{}", self.id, self.title, self.unit, t.render())
     }
 
-    /// Render as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("**{} — {}** [{}]\n\n", self.id, self.title, self.unit);
-        out.push_str("| workload |");
-        for s in &self.series {
-            out.push_str(&format!(" {} |", s.name));
-        }
-        out.push('\n');
-        out.push_str("|---|");
-        for _ in &self.series {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for cat in self.categories() {
-            out.push_str(&format!("| {cat} |"));
-            for s in &self.series {
-                match s.get(&cat) {
-                    Some(v) => out.push_str(&format!(" {} |", format_value(v))),
-                    None => out.push_str(" — |"),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Encode as a [`Json`](crate::Json) tree:
     /// `{"id","title","unit","series":[{"name","points":[[cat,val],…]},…]}`.
     pub fn to_json(&self) -> crate::Json {
@@ -213,29 +187,6 @@ impl FigureData {
         }
         Ok(fig)
     }
-
-    /// Render as CSV with the same layout as [`Self::to_text_table`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("category");
-        for s in &self.series {
-            out.push(',');
-            out.push_str(&s.name);
-        }
-        out.push('\n');
-        for cat in self.categories() {
-            out.push_str(&cat);
-            for s in &self.series {
-                out.push(',');
-                match s.get(&cat) {
-                    Some(v) => out.push_str(&format!("{v}")),
-                    None => out.push_str(""),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn format_value(v: f64) -> String {
@@ -280,18 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_is_rectangular() {
-        let f = fig();
-        let csv = f.to_csv();
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert_eq!(line.matches(',').count(), 2, "line: {line}");
-        }
-        assert!(lines[0].starts_with("category,Default,Strict"));
-    }
-
-    #[test]
     fn text_table_contains_all_cells() {
         let f = fig();
         let txt = f.to_text_table();
@@ -307,28 +246,6 @@ mod tests {
         f.add("B", "c2", 2.0);
         let txt = f.to_text_table();
         assert!(txt.contains('-'));
-    }
-
-    #[test]
-    fn markdown_is_well_formed() {
-        let f = fig();
-        let md = f.to_markdown();
-        let lines: Vec<&str> = md.trim_end().lines().collect();
-        // Title + blank + header + separator + 2 data rows.
-        assert_eq!(lines.len(), 6, "{md}");
-        let pipes = |l: &str| l.matches('|').count();
-        assert_eq!(pipes(lines[2]), 4);
-        assert_eq!(pipes(lines[3]), 4);
-        assert_eq!(pipes(lines[4]), 4);
-        assert!(lines[0].contains("Figure 7"));
-    }
-
-    #[test]
-    fn markdown_marks_missing_cells() {
-        let mut f = FigureData::new("X", "t", "u");
-        f.add("A", "c1", 1.0);
-        f.add("B", "c2", 2.0);
-        assert!(f.to_markdown().contains('—'));
     }
 
     #[test]

@@ -123,17 +123,6 @@ pub fn water_loop_nest() -> LoopNest {
     nest
 }
 
-/// The loop nest of the traced ocean sweep: red/black/residual row
-/// loops as siblings.
-pub fn ocean_loop_nest() -> LoopNest {
-    use rda_workloads::splash::ocean::loops;
-    let mut nest = LoopNest::new();
-    nest.add_root(loops::RED);
-    nest.add_root(loops::BLACK);
-    nest.add_root(loops::RESIDUAL);
-    nest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

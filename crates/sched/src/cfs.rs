@@ -1,12 +1,13 @@
 //! The CFS-like fair scheduler.
 //!
 //! This is the "Linux default scheduling policy" of the paper's
-//! experiments: weighted fair scheduling by virtual runtime with
-//! per-core queues, wake-time placement, preemption on vruntime
-//! imbalance, and periodic load balancing. It is a passive state
+//! experiments: fair scheduling by virtual runtime with per-core
+//! queues, `sched_latency`-derived timeslices, wake-time placement,
+//! idle stealing and periodic load balancing. It is a passive state
 //! machine — the discrete-event driver calls [`CfsScheduler::pick_next`]
 //! when a core idles, [`CfsScheduler::charge`] as simulated execution
-//! elapses, and [`CfsScheduler::yield_current`] at timeslice expiry.
+//! elapses, and [`CfsScheduler::yield_current`] when its own timeslice
+//! clock expires.
 
 use crate::runqueue::RunQueue;
 use crate::task::{ProcessId, Task, TaskId, TaskState};
@@ -161,26 +162,6 @@ impl CfsScheduler {
         &self.tasks[id.0 as usize]
     }
 
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// All task ids.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        (0..self.tasks.len() as u32).map(TaskId)
-    }
-
-    /// Set a task's CFS weight (must currently be blocked or fresh).
-    pub fn set_weight(&mut self, id: TaskId, weight: u32) {
-        assert!(weight > 0);
-        assert!(
-            !self.tasks[id.0 as usize].state.is_active(),
-            "cannot reweigh an active task"
-        );
-        self.tasks[id.0 as usize].weight = weight;
-    }
-
     /// The task currently running on `core`.
     #[inline]
     pub fn running_on(&self, core: usize) -> Option<TaskId> {
@@ -193,16 +174,6 @@ impl CfsScheduler {
             .iter()
             .enumerate()
             .filter_map(|(c, t)| t.map(|t| (c, t)))
-    }
-
-    /// Number of busy cores.
-    pub fn nr_running(&self) -> usize {
-        self.running.iter().filter(|t| t.is_some()).count()
-    }
-
-    /// Number of queued-but-not-running tasks.
-    pub fn nr_queued(&self) -> usize {
-        self.queues.iter().map(RunQueue::len).sum()
     }
 
     /// Tasks that are runnable or running (the set competing for the
@@ -358,18 +329,6 @@ impl CfsScheduler {
         let n = self.queues[core].len() + usize::from(self.running[core].is_some());
         let n = n.max(1) as u64;
         (self.cfg.sched_latency_cycles / n).max(self.cfg.min_granularity_cycles)
-    }
-
-    /// True when the leftmost queued task has fallen behind the running
-    /// task by more than the minimum granularity — time to preempt.
-    pub fn should_preempt(&self, core: usize) -> bool {
-        let Some(run) = self.running[core] else {
-            return false;
-        };
-        let Some((left_v, _)) = self.queues[core].peek_leftmost() else {
-            return false;
-        };
-        left_v + self.cfg.min_granularity_cycles < self.tasks[run.0 as usize].vruntime
     }
 
     /// Idle balancing: when `core`'s queue is empty, steal the
@@ -551,25 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fairness() {
-        let mut s = sched(1);
-        let a = s.add_task(ProcessId(0));
-        let b = s.add_task(ProcessId(1));
-        s.set_weight(a, 2048); // double weight
-        s.wake(a);
-        s.wake(b);
-        for _ in 0..300 {
-            let _ = s.pick_next(0).unwrap();
-            s.charge(0, 1_500);
-            s.yield_current(0);
-        }
-        let ca = s.task(a).cpu_cycles as f64;
-        let cb = s.task(b).cpu_cycles as f64;
-        let ratio = ca / cb;
-        assert!((ratio - 2.0).abs() < 0.25, "weighted ratio {ratio}");
-    }
-
-    #[test]
     fn timeslice_shrinks_with_load_but_floors() {
         let mut s = sched(1);
         spawn_wake(&mut s, 2);
@@ -579,20 +519,6 @@ mod tests {
         spawn_wake(&mut s, 100);
         let _ = s.pick_next(0);
         assert_eq!(s.timeslice(0), 1_500); // floored
-    }
-
-    #[test]
-    fn preemption_when_leftmost_falls_behind() {
-        let mut s = sched(1);
-        let ids = spawn_wake(&mut s, 2);
-        let first = s.pick_next(0).unwrap();
-        assert!(!s.should_preempt(0));
-        s.charge(0, 10_000); // run far past the other task
-        assert!(s.should_preempt(0));
-        s.yield_current(0);
-        let second = s.pick_next(0).unwrap();
-        assert_ne!(first, second);
-        assert!(ids.contains(&second));
     }
 
     #[test]
@@ -614,7 +540,7 @@ mod tests {
         let running = s.pick_next(0).unwrap();
         let queued = if running == ids[0] { ids[1] } else { ids[0] };
         assert_eq!(s.block(queued), None);
-        assert_eq!(s.nr_queued(), 0);
+        assert_eq!(s.queue_len(0), 0);
         s.check_invariants().unwrap();
     }
 
@@ -633,7 +559,7 @@ mod tests {
         let mut s = sched(1);
         let ids = spawn_wake(&mut s, 1);
         assert_eq!(s.wake(ids[0]), None, "already runnable");
-        assert_eq!(s.nr_queued(), 1, "not double-enqueued");
+        assert_eq!(s.queue_len(0), 1, "not double-enqueued");
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub enum TaskState {
     Runnable,
     /// Currently executing on the given core.
     Running(usize),
-    /// Off the runqueues (sleeping on a wait queue, or paused by the
-    /// RDA waitlist).
+    /// Off the runqueues: not yet woken, or paused by the RDA
+    /// waitlist.
     Blocked,
     /// Completed; never schedulable again.
     Finished,
@@ -58,46 +58,35 @@ pub struct Task {
     pub process: ProcessId,
     /// Current scheduling state.
     pub state: TaskState,
-    /// CFS virtual runtime, in weight-normalised cycles.
+    /// CFS virtual runtime: executed cycles, clamped up to the queue
+    /// floor whenever the task is (re)queued.
     pub vruntime: u64,
-    /// CFS load weight (NICE_0 = 1024, as in Linux).
-    pub weight: u32,
     /// The core this task last ran on (wake-affinity hint).
     pub last_core: Option<usize>,
     /// Total cycles of CPU this task has actually executed.
     pub cpu_cycles: u64,
 }
 
-/// The Linux NICE_0 load weight.
-pub const NICE0_WEIGHT: u32 = 1024;
-
 impl Task {
-    /// A fresh runnable-when-woken task with default weight.
+    /// A fresh task, blocked until its first wake.
     pub fn new(id: TaskId, process: ProcessId) -> Self {
         Task {
             id,
             process,
             state: TaskState::Blocked,
             vruntime: 0,
-            weight: NICE0_WEIGHT,
             last_core: None,
             cpu_cycles: 0,
         }
     }
 
-    /// Advance virtual runtime for `cycles` of real execution, scaled
-    /// by this task's weight exactly as CFS does:
-    /// `delta_vruntime = cycles × NICE0 / weight`. At the default
-    /// weight the quotient is `cycles` itself, so the 64-bit division,
-    /// paid once per running thread per interval, is skipped.
+    /// Account `cycles` of real execution. Every simulated task runs
+    /// at the same (Linux NICE_0) weight, so its virtual runtime
+    /// advances by exactly the executed cycles.
     #[inline]
     pub fn charge(&mut self, cycles: u64) {
         self.cpu_cycles += cycles;
-        self.vruntime += if self.weight == NICE0_WEIGHT {
-            cycles
-        } else {
-            cycles * NICE0_WEIGHT as u64 / self.weight as u64
-        };
+        self.vruntime += cycles;
     }
 }
 
@@ -125,16 +114,5 @@ mod tests {
         t.charge(1000);
         assert_eq!(t.vruntime, 1000);
         assert_eq!(t.cpu_cycles, 1000);
-    }
-
-    #[test]
-    fn heavier_tasks_accrue_vruntime_slower() {
-        let mut heavy = Task::new(TaskId(0), ProcessId(0));
-        heavy.weight = 2 * NICE0_WEIGHT;
-        let mut normal = Task::new(TaskId(1), ProcessId(0));
-        heavy.charge(1000);
-        normal.charge(1000);
-        assert_eq!(heavy.vruntime, 500);
-        assert_eq!(normal.vruntime, 1000);
     }
 }

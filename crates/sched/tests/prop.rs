@@ -128,8 +128,8 @@ proptest! {
         }
     }
 
-    /// Long-run weighted fairness on one core: equal-weight runnable
-    /// tasks end up within 20 % of each other's CPU time.
+    /// Long-run fairness on one core: runnable tasks end up within
+    /// 20 % of each other's CPU time.
     #[test]
     fn long_run_fairness(n_tasks in 2u8..6) {
         let (mut s, ids) = sched(1, n_tasks);

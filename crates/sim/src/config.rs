@@ -2,8 +2,7 @@
 
 use crate::faults::FaultConfig;
 use rda_core::{DemandAudit, PolicyKind};
-use rda_machine::{EnergyModel, MachineConfig};
-use rda_machine::perf::PerfParams;
+use rda_machine::MachineConfig;
 use rda_simcore::SimDuration;
 
 /// Everything a [`crate::SystemSim`] needs besides the workload.
@@ -11,17 +10,8 @@ use rda_simcore::SimDuration;
 pub struct SimConfig {
     /// The simulated machine (Table 1 by default).
     pub machine: MachineConfig,
-    /// Analytical performance-model coefficients.
-    pub perf_params: PerfParams,
-    /// RAPL-style energy model coefficients.
-    pub energy: EnergyModel,
     /// Scheduling policy under test.
     pub policy: PolicyKind,
-    /// Load-balancer period.
-    pub rebalance_every: SimDuration,
-    /// Safety cutoff: simulations that exceed this much simulated time
-    /// abort (indicates a deadlock or runaway configuration).
-    pub max_sim_seconds: f64,
     /// When set, record a [`crate::system::TimelineSample`] every this
     /// many cycles (core utilisation, LLC pressure, waitlist depth).
     pub sample_every: Option<SimDuration>,
@@ -63,15 +53,9 @@ pub const DEFAULT_JITTER_SEED: u64 = 0x0005_c4ed_1234;
 impl SimConfig {
     /// Paper-default configuration for a given policy.
     pub fn paper_default(policy: PolicyKind) -> Self {
-        let machine = MachineConfig::xeon_e5_2420();
-        let rebalance_every = SimDuration::from_micros(50_000.0, machine.freq_hz); // 50 ms
         SimConfig {
-            machine,
-            perf_params: PerfParams::default(),
-            energy: EnergyModel::default(),
+            machine: MachineConfig::xeon_e5_2420(),
             policy,
-            rebalance_every,
-            max_sim_seconds: 1000.0,
             sample_every: None,
             jitter_seed: DEFAULT_JITTER_SEED,
             demand_audit: DemandAudit::Trust,
@@ -140,7 +124,6 @@ mod tests {
     fn defaults_are_consistent() {
         let c = SimConfig::paper_default(PolicyKind::Strict);
         assert!(c.machine.validate().is_ok());
-        assert!(c.rebalance_every.cycles() > 0);
         assert_eq!(c.policy, PolicyKind::Strict);
         // Robustness defaults: the paper's behaviour.
         assert_eq!(c.demand_audit, DemandAudit::Trust);

@@ -253,14 +253,6 @@ impl SweepResult {
             })
             .collect()
     }
-
-    /// Fail on the first error (grid order), else return the records.
-    pub fn into_records(self) -> Result<Vec<RunRecord>, RunError> {
-        match self.errors.into_iter().next() {
-            Some(e) => Err(e),
-            None => Ok(self.records),
-        }
-    }
 }
 
 /// Execute the grid under the paper-default simulator configuration.
@@ -519,7 +511,6 @@ mod tests {
         assert!(err.message.contains("panic"), "{}", err.message);
         // Every other cell still completed.
         assert_eq!(r.records.len(), g.len() - 1);
-        assert!(r.clone().into_records().is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::faults::{FaultConfig, FaultPlan};
 use crate::system::RdaCall;
 use rda_core::{
     mb, AgeOutcome, BeginOutcome, EndOutcome, OverloadConfig, PpDemand, PpId, RdaConfig, RdaError,
-    RdaExtension, RdaStats, SiteId,
+    RdaExtension, RdaStats, ResourceKind, SiteId,
 };
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
@@ -545,11 +545,12 @@ impl Admission for RdaExtension {
         &mut self,
         process: ProcessId,
         site: SiteId,
-        demand: PpDemand,
+        _demand: PpDemand,
         now: SimTime,
         log: &mut CallLog<RdaCall>,
     ) {
-        let resource = demand.resource;
+        // A scalar demand is an LLC demand.
+        let resource = ResourceKind::Llc;
         log.push(RdaCall::Retry {
             now,
             process,

@@ -85,59 +85,38 @@ impl MemoryTrace {
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
     trace: Rc<RefCell<MemoryTrace>>,
-    enabled: Rc<RefCell<bool>>,
 }
 
 impl TraceRecorder {
-    /// A new, enabled recorder.
+    /// A new, empty recorder.
     pub fn new() -> Self {
-        TraceRecorder {
-            trace: Rc::new(RefCell::new(MemoryTrace::new())),
-            enabled: Rc::new(RefCell::new(true)),
-        }
+        Self::default()
     }
 
     /// Record a load.
     #[inline]
     pub fn load(&self, addr: u64) {
-        if *self.enabled.borrow() {
-            self.trace.borrow_mut().records.push(TraceRecord::Load(addr));
-        }
+        self.trace.borrow_mut().records.push(TraceRecord::Load(addr));
     }
 
     /// Record a store.
     #[inline]
     pub fn store(&self, addr: u64) {
-        if *self.enabled.borrow() {
-            self.trace.borrow_mut().records.push(TraceRecord::Store(addr));
-        }
+        self.trace.borrow_mut().records.push(TraceRecord::Store(addr));
     }
 
     /// Record a loop back-edge for static loop `loop_id`.
     #[inline]
     pub fn loop_branch(&self, loop_id: u32) {
-        if *self.enabled.borrow() {
-            self.trace
-                .borrow_mut()
-                .records
-                .push(TraceRecord::LoopBranch(loop_id));
-        }
-    }
-
-    /// Pause or resume recording (the paper's profiler disables
-    /// sampling outside phases of interest).
-    pub fn set_enabled(&self, enabled: bool) {
-        *self.enabled.borrow_mut() = enabled;
+        self.trace
+            .borrow_mut()
+            .records
+            .push(TraceRecord::LoopBranch(loop_id));
     }
 
     /// Extract the trace recorded so far, leaving the recorder empty.
     pub fn take(&self) -> MemoryTrace {
         std::mem::take(&mut self.trace.borrow_mut())
-    }
-
-    /// Records currently held (clone; for inspection without draining).
-    pub fn snapshot_len(&self) -> usize {
-        self.trace.borrow().len()
     }
 }
 
@@ -270,14 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_drops_events() {
-        let rec = TraceRecorder::new();
-        rec.set_enabled(false);
+    fn default_recorder_records() {
+        let rec = TraceRecorder::default();
         rec.load(1);
-        rec.set_enabled(true);
-        rec.load(2);
+        rec.store(2);
+        rec.loop_branch(3);
         let t = rec.take();
-        assert_eq!(t.records(), &[TraceRecord::Load(2)]);
+        assert_eq!(
+            t.records(),
+            &[
+                TraceRecord::Load(1),
+                TraceRecord::Store(2),
+                TraceRecord::LoopBranch(3)
+            ]
+        );
     }
 
     #[test]
@@ -314,6 +299,6 @@ mod tests {
         let mut buf = space.alloc(4, &rec);
         buf.init(2, 9.0);
         assert_eq!(buf.peek(2), 9.0);
-        assert_eq!(rec.snapshot_len(), 0);
+        assert!(rec.take().is_empty());
     }
 }

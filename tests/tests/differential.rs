@@ -139,8 +139,8 @@ fn double_end_rejection_is_pure() {
 #[test]
 fn end_while_waitlisted_rejection_is_pure() {
     let mut oracle = contended_oracle(DemandAudit::Clamp);
-    // pp 1 is waitlisted; a process paused on the kernel wait queue
-    // cannot legally reach its end marker.
+    // pp 1 is waitlisted; a paused process cannot legally reach its
+    // end marker.
     assert_pure_rejection(
         &mut oracle,
         end(20, 1),
