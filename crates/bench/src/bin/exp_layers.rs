@@ -19,7 +19,9 @@
 
 use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
 use rda_core::{Demand, LayerSet, LayerSpec, PolicyKind, TopoConfig, TopoSpec};
-use rda_sim::{run_topo_cells, topo_sweep_digest, FaultConfig, TopoCell, TopoTrafficConfig};
+use rda_sim::runner::sweep_digest;
+use rda_sim::{run_pool, FaultConfig, TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim};
+use rda_simcore::SplitMix64;
 
 /// One simulated box: `nodes` uniform NUMA nodes, each with the Xeon
 /// E5-2420's per-socket LLC/bandwidth/DRAM share.
@@ -56,23 +58,29 @@ fn main() {
         for guarantee in [false, true] {
             for &policy in &policies {
                 for &rate in rates {
-                    cells.push(TopoCell {
-                        label: format!(
-                            "{nodes}n/{}/{}/{:.0}rps",
-                            if guarantee { "guar" } else { "free" },
-                            policy_label(policy),
-                            rate
-                        ),
-                        traffic: TopoTrafficConfig::two_tenant(rate, duration_secs),
-                        topo: topo(nodes, guarantee).with_overload(overload_cfg(policy)),
-                        faults: (fault_rate > 0.0).then(|| FaultConfig::uniform(fault_rate)),
-                    });
+                    let label = format!(
+                        "{nodes}n/{}/{}/{:.0}rps",
+                        if guarantee { "guar" } else { "free" },
+                        policy_label(policy),
+                        rate
+                    );
+                    let sim = TopoTrafficSim::new(
+                        TopoTrafficConfig::two_tenant(rate, duration_secs),
+                        topo(nodes, guarantee).with_overload(overload_cfg(policy)),
+                    )
+                    .with_faults(FaultConfig::uniform(fault_rate));
+                    cells.push((label, sim));
                 }
             }
         }
     }
 
-    let records = run_topo_cells(&cells, opts.threads, opts.root_seed);
+    // Results come back by grid index, so the digest (and the table)
+    // are independent of worker count and completion order.
+    let results = run_pool(cells.len(), opts.threads, |i| {
+        let (_, sim) = &cells[i];
+        sim.run(SplitMix64::derive_stream(opts.root_seed, i as u64))
+    });
 
     println!(
         "Layered topology sweep — {} node counts × guarantee on/off × {} shed policies × {} rates ({}s windows{})",
@@ -87,11 +95,11 @@ fn main() {
         "{:<28} {:>8} {:>10} {:>7} {:>7} {:>7} {:>8} {:>7}",
         "cell", "arrivals", "goodput/s", "shed", "expired", "retries", "stranded", "drained"
     );
-    for rec in &records {
-        match &rec.result {
+    for ((label, _), result) in cells.iter().zip(&results) {
+        match result {
             Ok(r) => println!(
                 "{:<28} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>8} {:>7}",
-                rec.label,
+                label,
                 r.arrivals,
                 r.goodput_per_sec,
                 r.rda.shed,
@@ -100,12 +108,15 @@ fn main() {
                 r.stranded,
                 if r.drained_idle { "yes" } else { "NO" },
             ),
-            Err(msg) => println!("{:<28} FAILED: {msg}", rec.label),
+            Err(msg) => println!("{label:<28} FAILED: {msg}"),
         }
     }
+    let digests = results
+        .iter()
+        .map(|r| r.as_ref().map(TopoTrafficResult::digest));
     println!();
-    println!("sweep digest: {:#018x}", topo_sweep_digest(&records));
-    if records.iter().any(|r| r.result.is_err()) {
+    println!("sweep digest: {:#018x}", sweep_digest(digests.enumerate()));
+    if results.iter().any(Result::is_err) {
         std::process::exit(1);
     }
 }

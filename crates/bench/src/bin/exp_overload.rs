@@ -20,8 +20,9 @@
 use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
 use rda_core::{PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
+use rda_sim::runner::sweep_digest;
 use rda_sim::{run_pool, FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
-use rda_simcore::{Fnv1a64, SplitMix64};
+use rda_simcore::SplitMix64;
 
 /// One point on the degradation curve.
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +76,14 @@ fn main() {
 
     // Results come back by grid index, so the digest (and the table)
     // are independent of worker count and completion order.
-    let results: Vec<TrafficResult> = match run_pool(cells.len(), opts.threads, run_cell)
+    let outcomes = run_pool(cells.len(), opts.threads, run_cell);
+    let digest = sweep_digest(
+        outcomes
+            .iter()
+            .map(|r| r.as_ref().map(TrafficResult::digest))
+            .enumerate(),
+    );
+    let results: Vec<TrafficResult> = match outcomes
         .into_iter()
         .enumerate()
         .map(|(i, r)| r.map_err(|msg| format!("cell {i}: {msg}")))
@@ -103,10 +111,7 @@ fn main() {
         "p50 ms", "p95 ms", "p99 ms"
     );
     let to_ms = |cycles: u64| cycles as f64 / machine.freq_hz * 1e3;
-    let mut digest = Fnv1a64::new();
-    for (i, r) in results.into_iter().enumerate() {
-        let cell = cells[i];
-        digest.write_usize(i).write_u64(r.digest());
+    for (cell, r) in cells.iter().zip(results) {
         println!(
             "{:<8} {:<14} {:<6} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>9.2} {:>9.2} {:>9.2}",
             format!("{:.0}", cell.rate_per_sec),
@@ -123,5 +128,5 @@ fn main() {
         );
     }
     println!();
-    println!("sweep digest: {:#018x}", digest.finish());
+    println!("sweep digest: {:#018x}", digest);
 }

@@ -263,13 +263,10 @@ impl TopoExtension {
         }
     }
 
-    /// The leading nonzero component of a vector, for single-slot
-    /// trace-event payloads. Zero vectors report `(llc, 0)`.
+    /// [`Demand::primary`] as a single-slot trace-event payload.
     fn primary(d: &Demand) -> (TraceResource, u64) {
-        match d.touched().next() {
-            Some(k) => (Self::trace_kind(k), d.get(k)),
-            None => (TraceResource::Llc, 0),
-        }
+        let (k, amount) = d.primary();
+        (Self::trace_kind(k), amount)
     }
 
     #[inline]

@@ -109,6 +109,16 @@ impl Demand {
             .into_iter()
             .filter(move |k| self.get(*k) > 0)
     }
+
+    /// The first touched component and its amount, `(Llc, 0)` for the
+    /// zero vector: what single-slot trace payloads, retry notes and
+    /// traffic plan amounts are keyed on.
+    pub fn primary(&self) -> (ResourceKind, u64) {
+        match self.touched().next() {
+            Some(k) => (k, self.get(k)),
+            None => (ResourceKind::Llc, 0),
+        }
+    }
 }
 
 impl fmt::Display for Demand {
@@ -276,6 +286,9 @@ mod tests {
         assert!(Demand::ZERO.is_zero());
         let touched: Vec<ResourceKind> = d.touched().collect();
         assert_eq!(touched, vec![ResourceKind::Llc, ResourceKind::MemBw]);
+        assert_eq!(d.primary(), (ResourceKind::Llc, 10));
+        assert_eq!(Demand::new(0, 0, 5).primary(), (ResourceKind::DramCap, 5));
+        assert_eq!(Demand::ZERO.primary(), (ResourceKind::Llc, 0));
         assert_eq!(d.to_string(), "[llc=10 membw=7 dram=0]");
     }
 

@@ -36,13 +36,13 @@ pub struct SimConfig {
     /// converts the log into a replayable `.trace` document for
     /// differential checking against the reference model.
     pub record_rda_calls: bool,
-    /// Observability: when set, a [`rda_trace::TraceSink`] with these
-    /// capacities is installed in the RDA extension, the run samples
-    /// LLC occupancy every simulated tick, and
-    /// [`crate::system::RunResult::trace`] carries the frozen
-    /// [`rda_trace::TraceReport`]. Off by default; tracing is
-    /// digest-neutral (it never feeds back into scheduling).
-    pub trace: Option<rda_trace::TraceConfig>,
+    /// Observability: when set, a [`rda_trace::TraceSink`] with the
+    /// default capacities ([`rda_trace::TraceConfig::default`]) is
+    /// installed in the RDA extension, the run samples LLC occupancy
+    /// every simulated tick, and [`crate::system::RunResult::trace`]
+    /// carries the frozen [`rda_trace::TraceReport`]. Off by default;
+    /// tracing is digest-neutral (it never feeds back into scheduling).
+    pub trace: bool,
 }
 
 /// Historical default jitter seed; kept so single-run behaviour (and
@@ -62,7 +62,7 @@ impl SimConfig {
             waitlist_timeout: None,
             faults: None,
             record_rda_calls: false,
-            trace: None,
+            trace: false,
         }
     }
 
@@ -103,15 +103,9 @@ impl SimConfig {
         self
     }
 
-    /// Enable observability tracing with default buffer capacities (see
-    /// [`rda_trace::TraceConfig`]).
-    pub fn with_trace(self) -> Self {
-        self.with_trace_config(rda_trace::TraceConfig::default())
-    }
-
-    /// Enable observability tracing with explicit buffer capacities.
-    pub fn with_trace_config(mut self, trace: rda_trace::TraceConfig) -> Self {
-        self.trace = Some(trace);
+    /// Enable observability tracing (see [`SimConfig::trace`]).
+    pub fn with_trace(mut self) -> Self {
+        self.trace = true;
         self
     }
 }
@@ -129,19 +123,17 @@ mod tests {
         assert_eq!(c.demand_audit, DemandAudit::Trust);
         assert_eq!(c.waitlist_timeout, None);
         assert_eq!(c.faults, None);
-        assert!(c.trace.is_none(), "tracing is strictly opt-in");
+        assert!(!c.trace, "tracing is strictly opt-in");
     }
 
     #[test]
     fn trace_builders_set_capacities() {
+        // The flag is the whole setting: `SystemSim::new` installs a
+        // sink with `TraceConfig::default()`'s capacities. Tracing and
+        // the call log are independent.
         let c = SimConfig::paper_default(PolicyKind::Strict).with_trace();
-        assert_eq!(c.trace, Some(rda_trace::TraceConfig::default()));
-        let custom = rda_trace::TraceConfig {
-            event_capacity: 64,
-            occupancy_capacity: 16,
-        };
-        let c = SimConfig::paper_default(PolicyKind::Strict).with_trace_config(custom);
-        assert_eq!(c.trace, Some(custom));
+        assert!(c.trace);
+        assert!(!c.record_rda_calls);
     }
 
     #[test]

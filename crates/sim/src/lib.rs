@@ -28,7 +28,6 @@ pub mod faults;
 pub mod overhead;
 pub mod runner;
 pub mod system;
-pub mod topo_traffic;
 pub mod traffic;
 
 pub use config::SimConfig;
@@ -39,10 +38,7 @@ pub use runner::{
     Shard, SweepGrid, SweepResult,
 };
 pub use system::SystemSim;
-pub use topo_traffic::{
-    run_topo_cells, topo_sweep_digest, TopoCall, TopoCell, TopoCellRecord, TopoClass,
-    TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim,
-};
 pub use traffic::{
-    ArrivalPattern, TrafficConfig, TrafficPlan, TrafficResult, TrafficSim, TRAFFIC_STREAM,
+    ArrivalPattern, TopoCall, TopoClass, TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim,
+    TrafficConfig, TrafficPlan, TrafficResult, TrafficSim, TRAFFIC_STREAM,
 };

@@ -16,9 +16,11 @@
 //!   its slot instead of poisoning the pool — the remaining cells
 //!   still complete.
 //!
-//! [`SweepResult::digest`] folds every run's [`RunResult::digest`]
-//! into one value; the test suite pins serial == 8-thread digests, so
-//! determinism is a checked property, not an aspiration.
+//! [`sweep_digest`] folds a sweep's cell digests into one value; it is
+//! how [`SweepResult::digest`] folds every run's [`RunResult::digest`],
+//! and how the traffic sweeps fold theirs. The test suite pins serial
+//! == 8-thread digests, so determinism is a checked property, not an
+//! aspiration.
 
 use crate::config::SimConfig;
 use crate::experiment::PolicyRun;
@@ -214,31 +216,23 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// Digest of the entire sweep: folds every cell's index and run
-    /// digest (or error message). Equal digests ⇔ behaviourally
+    /// Digest of the entire sweep: [`sweep_digest`] over every cell's
+    /// run digest or error message, in grid order whatever the storage
+    /// order of successes and failures. Equal digests ⇔ behaviourally
     /// identical sweeps.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a64::new();
-        let mut r = self.records.iter().peekable();
-        let mut e = self.errors.iter().peekable();
-        // Merge the two index-sorted streams so interleaving of
-        // successes and failures does not depend on storage.
-        loop {
-            let take_record = match (r.peek(), e.peek()) {
-                (Some(rec), Some(err)) => rec.index < err.index,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_record {
-                let rec = r.next().unwrap();
-                h.write_usize(rec.index).write_u64(rec.digest);
-            } else {
-                let err = e.next().unwrap();
-                h.write_usize(err.index).write_str(&err.message);
-            }
-        }
-        h.finish()
+        let mut cells: Vec<(usize, Result<u64, &str>)> = self
+            .records
+            .iter()
+            .map(|r| (r.index, Ok(r.digest)))
+            .chain(
+                self.errors
+                    .iter()
+                    .map(|e| (e.index, Err(e.message.as_str()))),
+            )
+            .collect();
+        cells.sort_unstable_by_key(|&(index, _)| index);
+        sweep_digest(cells)
     }
 
     /// View the successful runs as [`PolicyRun`]s for the figure
@@ -253,6 +247,24 @@ impl SweepResult {
             })
             .collect()
     }
+}
+
+/// Fold a sweep into one digest: each cell's grid index, then its
+/// digest or, for a failed cell, its error text. Every sweep in the
+/// workspace digests through this fold, in grid order, so equal digests
+/// ⇔ behaviourally identical sweeps on any thread count.
+pub fn sweep_digest<S: AsRef<str>>(
+    cells: impl IntoIterator<Item = (usize, Result<u64, S>)>,
+) -> u64 {
+    let mut h = Fnv1a64::new();
+    for (index, cell) in cells {
+        h.write_usize(index);
+        match cell {
+            Ok(digest) => h.write_u64(digest),
+            Err(text) => h.write_str(text.as_ref()),
+        };
+    }
+    h.finish()
 }
 
 /// Execute the grid under the paper-default simulator configuration.
@@ -524,6 +536,33 @@ mod tests {
         let figs = crate::experiment::headline_figures(&r.policy_runs());
         assert_eq!(figs[0].series.len(), 2);
         assert_eq!(figs[0].categories(), vec!["w".to_string()]);
+    }
+
+    #[test]
+    fn sweep_digest_folds_failures_by_grid_index() {
+        let g = SweepGrid::cross(&[spec("w", 1, 1.0, 1_000_000)], &[PolicyKind::Strict], 2);
+        let ok = run_sweep(&g, &RunnerOptions::serial());
+        let (first, mut last) = (ok.records[0].clone(), ok.records[1].clone());
+        last.index = 2;
+        let (d0, d2) = (first.digest, last.digest);
+        let failed = RunError {
+            index: 1,
+            workload: "w".into(),
+            policy: PolicyKind::Strict,
+            replicate: 0,
+            message: "panic: boom".into(),
+        };
+        let sweep = SweepResult {
+            records: vec![first, last],
+            errors: vec![failed],
+        };
+        let mut h = Fnv1a64::new();
+        h.write_usize(0).write_u64(d0);
+        h.write_usize(1).write_str("panic: boom");
+        h.write_usize(2).write_u64(d2);
+        assert_eq!(sweep.digest(), h.finish());
+        let pairs = [(0, Ok(d0)), (1, Err("panic: boom")), (2, Ok(d2))];
+        assert_eq!(sweep.digest(), sweep_digest(pairs));
     }
 
     #[test]

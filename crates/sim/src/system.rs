@@ -16,6 +16,7 @@
 
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
+use crate::traffic::{Admission, CallLog};
 use rda_core::{BeginOutcome, PpDemand, RdaConfig, RdaExtension, RdaStats};
 use rda_machine::{EnergyModel, PerfModel};
 use rda_metrics::{EnergyBreakdown, Measurement, PerfCounters};
@@ -49,7 +50,9 @@ pub struct RunResult {
 /// model in `rda-check`. `Begin` carries the demand *as declared to
 /// the extension* — after any fault-injected lie, before auditing —
 /// and `Age` is recorded only when the aging pass actually admitted
-/// something (no-op ticks leave no observable state behind).
+/// something (no-op ticks leave no observable state behind), except
+/// in a traffic run under overload control, where every tick advances
+/// breaker hysteresis and is recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdaCall {
     /// A `pp_begin` call.
@@ -77,7 +80,8 @@ pub enum RdaCall {
         /// The exiting process.
         process: ProcessId,
     },
-    /// An `age_waitlist` call that admitted at least one period.
+    /// An `age_waitlist` call that admitted at least one period (or
+    /// any tick of a traffic run under overload control).
     Age {
         /// Call time.
         now: SimTime,
@@ -316,8 +320,8 @@ pub struct SystemSim {
     timeline: Vec<TimelineSample>,
     /// Pre-expanded fault schedule (empty unless `SimConfig::faults`).
     faults: FaultPlan,
-    /// RDA call log (empty unless `SimConfig::record_rda_calls`).
-    rda_calls: Vec<RdaCall>,
+    /// RDA call log (kept only when `SimConfig::record_rda_calls`).
+    calls: CallLog<RdaCall>,
     /// Scratch buffers reused across simulation intervals so the event
     /// loop performs no per-interval heap allocation once warm.
     scratch_running: Vec<(usize, TaskId)>,
@@ -498,8 +502,8 @@ impl SystemSim {
             rda_cfg = rda_cfg.with_waitlist_timeout_cycles(timeout.cycles());
         }
         let mut rda = RdaExtension::new(rda_cfg);
-        if let Some(tc) = cfg.trace {
-            rda.install_trace(rda_trace::TraceSink::new(tc));
+        if cfg.trace {
+            rda.install_trace(rda_trace::TraceSink::new(rda_trace::TraceConfig::default()));
         }
         // The fault plan is a pure function of (jitter_seed, workload
         // shape, fault config), so faulty sweeps stay bit-identical
@@ -591,7 +595,7 @@ impl SystemSim {
                 .map_or(SimTime::MAX, |d| SimTime::ZERO + d),
             timeline: Vec::new(),
             faults,
-            rda_calls: Vec::new(),
+            calls: CallLog(cfg.record_rda_calls.then(Vec::new)),
             scratch_running: Vec::new(),
             scratch_entries: Vec::new(),
             corun_rates: Vec::new(),
@@ -626,13 +630,7 @@ impl SystemSim {
     /// The recorded RDA call log, in call order (empty unless
     /// [`SimConfig::record_rda_calls`] was set).
     pub fn rda_calls(&self) -> &[RdaCall] {
-        &self.rda_calls
-    }
-
-    fn record(&mut self, call: RdaCall) {
-        if self.cfg.record_rda_calls {
-            self.rda_calls.push(call);
-        }
+        self.calls.0.as_deref().unwrap_or_default()
     }
 
     /// Current simulated time.
@@ -692,15 +690,10 @@ impl SystemSim {
                         ..pp.demand
                     }
                 };
-                self.record(RdaCall::Begin {
-                    now: self.now,
-                    process: ProcessId(p as u32),
-                    site: pp.site,
-                    demand,
-                });
+                let process = ProcessId(p as u32);
                 let outcome = self
                     .rda
-                    .pp_begin(ProcessId(p as u32), pp.site, demand, self.now);
+                    .begin(process, pp.site, demand, self.now, &mut self.calls);
                 match outcome {
                     Err(_) => {
                         // The demand auditor refused to track the
@@ -751,11 +744,9 @@ impl SystemSim {
         // wake anything the reclaimed capacity admits. A clean exit
         // holds nothing and this is a no-op.
         self.procs[p].pp = None;
-        self.record(RdaCall::Exit {
-            now: self.now,
-            process: ProcessId(p as u32),
-        });
-        let resumed = self.rda.process_exit(ProcessId(p as u32), self.now);
+        let resumed = self
+            .rda
+            .exit(ProcessId(p as u32), self.now, &mut self.calls);
         for (_pp, pid) in resumed {
             self.wake_proc(pid.0 as usize);
         }
@@ -796,17 +787,15 @@ impl SystemSim {
                 Vec::new()
             } else {
                 let t0 = self.procs[p].tasks[0].0 as usize;
-                self.record(RdaCall::End { now: self.now, pp });
                 let out = self
                     .rda
-                    .pp_end(pp, self.now)
+                    .end(pp, self.now, &mut self.calls)
                     .expect("simulator bug: honest pp_end of a live period rejected");
                 self.threads[t0].overhead += self.call_cost(out.fast);
                 if fault.double_end {
                     // The buggy second end must come back as a typed
                     // rejection, leaving the books untouched.
-                    self.record(RdaCall::End { now: self.now, pp });
-                    let second = self.rda.pp_end(pp, self.now);
+                    let second = self.rda.end(pp, self.now, &mut self.calls);
                     debug_assert_eq!(second, Err(rda_core::RdaError::DoubleEnd(pp)));
                     self.threads[t0].overhead += self.call_cost(false);
                 }
@@ -872,15 +861,12 @@ impl SystemSim {
         if self.cfg.waitlist_timeout.is_none() {
             return;
         }
-        let out = self.rda.age_waitlist(self.now);
+        // No-op ticks are state-neutral, so only ticks that admitted
+        // something are logged for replay.
+        let out = self.rda.age(self.now, false, &mut self.calls);
         // SystemSim never configures overload deadlines, so nothing can
         // expire here; the traffic engine owns that path.
         debug_assert!(out.expired.is_empty(), "deadline expiry without overload");
-        if !out.resumed.is_empty() {
-            // No-op ticks are state-neutral, so only ticks that
-            // admitted something need replaying.
-            self.record(RdaCall::Age { now: self.now });
-        }
         for (_pp, pid) in out.resumed {
             self.wake_proc(pid.0 as usize);
         }
@@ -1718,7 +1704,7 @@ mod tests {
         });
         let plain_digest = {
             let mut c = cfg.clone();
-            c.trace = None;
+            c.trace = false;
             SystemSim::new(c, &spec).run().unwrap().digest()
         };
         let traced = SystemSim::new(cfg, &spec).run().unwrap();

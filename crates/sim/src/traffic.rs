@@ -1,4 +1,5 @@
-//! Deterministic open-system traffic engine.
+//! Deterministic open-system traffic engine, over either admission
+//! engine.
 //!
 //! The paper's experiments are *closed*: a fixed set of processes runs
 //! to completion. Real services are *open*: requests arrive on their
@@ -19,26 +20,38 @@
 //!   exactly like [`crate::faults::FaultPlan`]. The jitter of every
 //!   request sits in one flat array.
 //! * [`TrafficSim::run`] replays the plan through a discrete-event
-//!   loop, the one [`crate::topo_traffic`] runs too, generic over the
-//!   admission engine: admitted requests complete after their service
-//!   time, paused ones wait (bounded by the overload gate), shed or
-//!   breaker-rejected ones retry with exponential backoff and
-//!   pre-drawn jitter, expired ones fail their deadline permanently.
-//!   The loop holds only in-flight state: arrivals stream from the
-//!   plan in order, and its event queue holds only completions,
-//!   retries and the control tick.
+//!   loop generic over the admission engine: admitted requests
+//!   complete after their service time, paused ones wait (bounded by
+//!   the overload gate), shed or breaker-rejected ones retry with
+//!   exponential backoff and pre-drawn jitter, expired ones fail their
+//!   deadline permanently. The loop holds only in-flight state:
+//!   arrivals stream from the plan in order, and its event queue holds
+//!   only completions, retries and the control tick.
 //!   Fault injection composes: a [`crate::faults::FaultConfig`] is
 //!   expanded into a [`crate::faults::FaultPlan`] with one phase per
 //!   request, so requests can lie about demand, leak or double their
 //!   `pp_end`, or die holding periods — chaos *under* overload, which
 //!   is where control planes actually break.
-//! * [`TrafficResult`] carries goodput, a log-2 sojourn histogram
-//!   (p50/p95/p99 end-to-end latency including queueing and retries),
-//!   every [`rda_core::RdaStats`] counter, and an FNV digest for
-//!   cross-thread-count equality checks. With
-//!   [`TrafficConfig::record_calls`] set, the exact call sequence is
-//!   retained for differential replay against the `rda-check`
-//!   reference model.
+//! * [`TopoTrafficSim::run`] drives the same plan and the same loop
+//!   through a [`TopoExtension`]: each demand class carries a full
+//!   [`Demand`] *vector* and a [`LayerId`], so requests exercise
+//!   multi-component audits, least-loaded placement, per-node
+//!   waitlists and breakers, and cross-layer capacity guarantees. With
+//!   [`TopoTrafficConfig::sample_occupancy`] set, the run installs a
+//!   [`TraceSink`] and samples **per-node** occupancy on every control
+//!   tick.
+//! * [`TrafficResult`] and [`TopoTrafficResult`] carry goodput, a
+//!   log-2 sojourn histogram (p50/p95/p99 end-to-end latency including
+//!   queueing and retries), every [`rda_core::RdaStats`] counter, and
+//!   an FNV digest for cross-thread-count equality checks. With
+//!   `record_calls` set, the exact call sequence ([`RdaCall`] or
+//!   [`TopoCall`]) is retained for differential replay against the
+//!   `rda-check` reference model.
+//!
+//! A sweep of either kind runs its cells on [`crate::runner::run_pool`]
+//! with per-cell derived seeds and folds them in grid order with
+//! [`crate::runner::sweep_digest`], so its digest is bit-identical at
+//! any thread count.
 //!
 //! The engine cannot hang: with deadlines or aging configured every
 //! waiter eventually expires or is force-admitted, and without them
@@ -51,13 +64,14 @@ use std::collections::BTreeMap;
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::system::RdaCall;
 use rda_core::{
-    mb, AgeOutcome, BeginOutcome, EndOutcome, OverloadConfig, PpDemand, PpId, RdaConfig, RdaError,
-    RdaExtension, RdaStats, ResourceKind, SiteId,
+    mb, AgeOutcome, BeginOutcome, Demand, EndOutcome, LayerId, NodeId, OverloadConfig, PpDemand,
+    PpId, RdaConfig, RdaError, RdaExtension, RdaStats, ResourceKind, SiteId, TopoConfig,
+    TopoExtension,
 };
 use rda_machine::ReuseLevel;
 use rda_sched::ProcessId;
 use rda_simcore::{EventQueue, Fnv1a64, SimTime, SplitMix64};
-use rda_trace::Log2Hist;
+use rda_trace::{Log2Hist, OccupancySample, TraceConfig, TraceReport, TraceSink};
 
 /// Stream salt separating the traffic RNG from the timeslice-jitter
 /// and fault-plan streams derived from the same root seed.
@@ -165,8 +179,6 @@ pub struct Request {
     pub arrival: u64,
     /// Demand-class index, doubling as the static call site.
     pub site: u32,
-    /// Honest working-set demand, bytes.
-    pub demand: u64,
     /// Service time once admitted, cycles.
     pub service: u64,
 }
@@ -231,7 +243,6 @@ impl TrafficPlan {
             requests.push(Request {
                 arrival: (t_secs * cfg.cycles_per_sec) as u64,
                 site: site as u32,
-                demand: cfg.demand_classes[site].0,
                 service: service.max(1),
             });
         }
@@ -312,8 +323,7 @@ impl TrafficResult {
     /// sojourn distribution. Two runs of the same configuration must
     /// produce the same digest on any thread count.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a64::new();
-        for v in [
+        let requests = [
             self.arrivals,
             self.completed,
             self.failed,
@@ -321,35 +331,44 @@ impl TrafficResult {
             self.killed,
             self.stranded,
             self.retries,
-        ] {
-            h.write_u64(v);
-        }
-        for v in [
-            self.rda.begins,
-            self.rda.ends,
-            self.rda.admitted,
-            self.rda.paused,
-            self.rda.resumed,
-            self.rda.max_waitlist,
-            self.rda.oversized_admits,
-            self.rda.reclaimed,
-            self.rda.clamped,
-            self.rda.aged_admissions,
-            self.rda.rejected_ends,
-            self.rda.shed,
-            self.rda.expired,
-            self.rda.retried,
-            self.rda.breaker_trips,
-        ] {
-            h.write_u64(v);
-        }
-        for (upper, n) in self.sojourn.nonzero_buckets() {
-            h.write_u64(upper);
-            h.write_u64(n);
-        }
-        h.write_u64(self.sojourn.max());
-        h.finish()
+        ];
+        run_digest(&requests, &self.rda, &self.sojourn)
     }
+}
+
+/// The fold both result digests share: `head` (request accounting,
+/// then any engine-specific words), every extension counter, and the
+/// full sojourn distribution.
+fn run_digest(head: &[u64], rda: &RdaStats, sojourn: &Log2Hist) -> u64 {
+    let mut h = Fnv1a64::new();
+    for &v in head {
+        h.write_u64(v);
+    }
+    for v in [
+        rda.begins,
+        rda.ends,
+        rda.admitted,
+        rda.paused,
+        rda.resumed,
+        rda.max_waitlist,
+        rda.oversized_admits,
+        rda.reclaimed,
+        rda.clamped,
+        rda.aged_admissions,
+        rda.rejected_ends,
+        rda.shed,
+        rda.expired,
+        rda.retried,
+        rda.breaker_trips,
+    ] {
+        h.write_u64(v);
+    }
+    for (upper, n) in sojourn.nonzero_buckets() {
+        h.write_u64(upper);
+        h.write_u64(n);
+    }
+    h.write_u64(sojourn.max());
+    h.finish()
 }
 
 /// The open-system traffic simulation: an arrival plan driven through
@@ -416,10 +435,274 @@ impl TrafficSim {
     }
 }
 
+/// One demand class of the topology arrival mix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopoClass {
+    /// The full demand vector a request of this class declares.
+    pub demand: Demand,
+    /// Relative weight in the class-pick distribution.
+    pub weight: f64,
+    /// The layer processes of this class are assigned to.
+    pub layer: LayerId,
+}
+
+/// Everything the topology traffic engine needs besides the
+/// [`TopoConfig`].
+#[derive(Debug, Clone)]
+pub struct TopoTrafficConfig {
+    /// The arrival process.
+    pub pattern: ArrivalPattern,
+    /// Length of the arrival window, simulated seconds.
+    pub duration_secs: f64,
+    /// Simulated clock frequency (cycles per second).
+    pub cycles_per_sec: f64,
+    /// Demand classes; the class index doubles as the static call site.
+    pub classes: Vec<TopoClass>,
+    /// Mean of the exponential service-time distribution, cycles.
+    pub mean_service_cycles: f64,
+    /// Total tries per request before a shed request fails permanently.
+    pub max_attempts: u32,
+    /// Base of the exponential retry backoff, cycles.
+    pub backoff_base_cycles: u64,
+    /// Period of the aging/deadline/breaker tick (`0` disables ticks).
+    pub age_tick_cycles: u64,
+    /// Retain the exact [`TopoCall`] sequence for differential replay.
+    pub record_calls: bool,
+    /// Install a trace sink and sample per-node occupancy every tick.
+    pub sample_occupancy: bool,
+}
+
+impl TopoTrafficConfig {
+    /// A two-tenant default: a best-effort batch class on layer 0 and a
+    /// smaller latency class on layer 1, both multi-resource.
+    pub fn two_tenant(rate_per_sec: f64, duration_secs: f64) -> Self {
+        TopoTrafficConfig {
+            pattern: ArrivalPattern::Poisson { rate_per_sec },
+            duration_secs,
+            cycles_per_sec: 1.9e9,
+            classes: vec![
+                TopoClass {
+                    demand: Demand::new(2 << 20, 400, 64 << 20),
+                    weight: 0.6,
+                    layer: LayerId(0),
+                },
+                TopoClass {
+                    demand: Demand::new(512 << 10, 900, 16 << 20),
+                    weight: 0.4,
+                    layer: LayerId(1),
+                },
+            ],
+            mean_service_cycles: 3.8e6,
+            max_attempts: 3,
+            backoff_base_cycles: 1_900_000,
+            age_tick_cycles: 950_000,
+            record_calls: false,
+            sample_occupancy: false,
+        }
+    }
+
+    /// The scalar configuration the plan generator and the traffic loop
+    /// run on — same pattern, same class weights, same variate count
+    /// per candidate, so the schedule is identical to what a scalar
+    /// engine with these weights would see.
+    fn scalar(&self) -> TrafficConfig {
+        TrafficConfig {
+            pattern: self.pattern,
+            duration_secs: self.duration_secs,
+            cycles_per_sec: self.cycles_per_sec,
+            demand_classes: self
+                .classes
+                .iter()
+                .map(|c| (c.demand.primary().1, c.weight))
+                .collect(),
+            mean_service_cycles: self.mean_service_cycles,
+            max_attempts: self.max_attempts,
+            backoff_base_cycles: self.backoff_base_cycles,
+            age_tick_cycles: self.age_tick_cycles,
+            record_calls: self.record_calls,
+        }
+    }
+}
+
+/// One call into the topology extension, in execution order — the
+/// replayable record `rda-check` turns into a `TopoDoc`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopoCall {
+    /// A `pp_begin` with a full demand vector.
+    Begin {
+        /// Call time.
+        now: SimTime,
+        /// Calling process.
+        process: ProcessId,
+        /// Static call site.
+        site: SiteId,
+        /// Declared (possibly fault-inflated) demand vector.
+        demand: Demand,
+    },
+    /// A `pp_end`.
+    End {
+        /// Call time.
+        now: SimTime,
+        /// The period being completed.
+        pp: PpId,
+    },
+    /// A `process_exit`.
+    Exit {
+        /// Call time.
+        now: SimTime,
+        /// The dying process.
+        process: ProcessId,
+    },
+    /// An `age_waitlist` control tick.
+    Age {
+        /// Call time.
+        now: SimTime,
+    },
+    /// A client-side retry note.
+    Retry {
+        /// Call time.
+        now: SimTime,
+        /// Retrying process.
+        process: ProcessId,
+        /// Static call site.
+        site: SiteId,
+        /// Resource kind the retry is attributed to.
+        kind: ResourceKind,
+    },
+}
+
+/// Outcome of one topology traffic run.
+#[derive(Debug, Clone)]
+pub struct TopoTrafficResult {
+    /// Requests that arrived.
+    pub arrivals: u64,
+    /// Requests that finished their service.
+    pub completed: u64,
+    /// Requests shed past their retry budget.
+    pub failed: u64,
+    /// Requests expired past their deadline while waitlisted.
+    pub expired: u64,
+    /// Requests whose process was fault-killed holding a period.
+    pub killed: u64,
+    /// Stuck waiters deterministically reclaimed via `process_exit`.
+    pub stranded: u64,
+    /// Client-side retries issued.
+    pub retries: u64,
+    /// Final extension counters.
+    pub rda: RdaStats,
+    /// End-to-end sojourn of every completed request, cycles.
+    pub sojourn: Log2Hist,
+    /// Completed requests per simulated second of the arrival window.
+    pub goodput_per_sec: f64,
+    /// Whether the extension drained to the idle state (all books
+    /// exactly zero on every node) after the last terminal event.
+    pub drained_idle: bool,
+    /// Digest of the drained final snapshot.
+    pub final_snapshot_digest: u64,
+    /// Exact call sequence (`Some` iff
+    /// [`TopoTrafficConfig::record_calls`]).
+    pub calls: Option<Vec<TopoCall>>,
+    /// The configuration the run executed under, with the per-class
+    /// layer assignments applied; replaying `calls` needs it (`Some`
+    /// iff [`TopoTrafficConfig::record_calls`]).
+    pub config: Option<TopoConfig>,
+    /// Per-node trace report (`Some` iff
+    /// [`TopoTrafficConfig::sample_occupancy`]).
+    pub trace: Option<TraceReport>,
+}
+
+impl TopoTrafficResult {
+    /// [`TrafficResult::digest`]'s fold, with the two snapshot words
+    /// (`final_snapshot_digest`, `drained_idle`) after `retries`.
+    /// Equal for the same `(config, seed)` on any machine and any
+    /// sweep thread count.
+    pub fn digest(&self) -> u64 {
+        let head = [
+            self.arrivals,
+            self.completed,
+            self.failed,
+            self.expired,
+            self.killed,
+            self.stranded,
+            self.retries,
+            self.final_snapshot_digest,
+            self.drained_idle as u64,
+        ];
+        run_digest(&head, &self.rda, &self.sojourn)
+    }
+}
+
+/// The open-system traffic simulation over a [`TopoExtension`].
+#[derive(Debug, Clone)]
+pub struct TopoTrafficSim {
+    traffic: TopoTrafficConfig,
+    topo: TopoConfig,
+    faults: Option<FaultConfig>,
+}
+
+impl TopoTrafficSim {
+    /// A topology traffic run. Per-class layers are applied to the
+    /// config's [`rda_core::LayerSet`] per request at run time.
+    pub fn new(traffic: TopoTrafficConfig, topo: TopoConfig) -> Self {
+        TopoTrafficSim {
+            traffic,
+            topo,
+            faults: None,
+        }
+    }
+
+    /// Inject faults, expanded into a [`FaultPlan`] with one phase per
+    /// request, exactly like the scalar engine.
+    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Execute the run for `seed`. Deterministic in `(config, seed)`.
+    pub fn run(&self, seed: u64) -> TopoTrafficResult {
+        let traffic = self.traffic.scalar();
+        let plan = TrafficPlan::generate(&traffic, seed);
+        // Materialise per-class layer membership: request i is process
+        // i, so class layers become explicit LayerSet assignments
+        // (ascending process ids keep the insert O(1) amortised).
+        let mut topo = self.topo.clone();
+        for (i, r) in plan.requests.iter().enumerate() {
+            let layer = self.traffic.classes[r.site as usize].layer;
+            if layer != LayerId(0) {
+                topo.layers.assign(i as u32, layer);
+            }
+        }
+        let mut ext = TopoExtension::new(topo);
+        if self.traffic.sample_occupancy {
+            ext.install_trace(TraceSink::new(TraceConfig::default()));
+        }
+        let classes: Vec<Demand> = self.traffic.classes.iter().map(|c| c.demand).collect();
+        let mut eng = run_plan(&traffic, &plan, &classes, self.faults.as_ref(), seed, ext);
+        let snapshot = eng.ext.snapshot();
+        TopoTrafficResult {
+            arrivals: plan.len() as u64,
+            completed: eng.completed,
+            failed: eng.failed,
+            expired: eng.expired,
+            killed: eng.killed,
+            stranded: eng.stranded,
+            retries: eng.retries,
+            rda: eng.ext.stats(),
+            sojourn: eng.sojourn,
+            goodput_per_sec: eng.completed as f64 / traffic.duration_secs,
+            drained_idle: snapshot.is_idle(),
+            final_snapshot_digest: snapshot.digest(),
+            calls: eng.calls.0,
+            config: self.traffic.record_calls.then(|| eng.ext.config().clone()),
+            trace: eng.ext.take_trace().map(TraceSink::into_report),
+        }
+    }
+}
+
 /// What the traffic loop needs from an admission engine: only what
-/// differs between [`RdaExtension`] and [`rda_core::TopoExtension`].
-/// Each call that the replayable log must hold records itself in the
-/// given [`CallLog`].
+/// differs between [`RdaExtension`] and [`TopoExtension`]. Each call
+/// that the replayable log must hold records itself in the given
+/// [`CallLog`]; `SystemSim` makes its scalar calls through it too.
 pub(crate) trait Admission {
     /// One request's declared demand.
     type Demand: Copy;
@@ -565,8 +848,113 @@ impl Admission for RdaExtension {
     }
 }
 
-/// The replayable call log, kept only when
-/// [`TrafficConfig::record_calls`] is set.
+impl Admission for TopoExtension {
+    type Demand = Demand;
+    type Call = TopoCall;
+
+    fn scale(demand: Demand, factor: f64) -> Demand {
+        Demand {
+            amounts: demand.amounts.map(|a| (a as f64 * factor) as u64),
+        }
+    }
+
+    fn controls(&self) -> (Option<u64>, Option<&OverloadConfig>) {
+        let cfg = self.config();
+        (cfg.waitlist_timeout_cycles, cfg.overload.as_ref())
+    }
+
+    fn begin(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: Demand,
+        now: SimTime,
+        log: &mut CallLog<TopoCall>,
+    ) -> Result<BeginOutcome, RdaError> {
+        log.push(TopoCall::Begin {
+            now,
+            process,
+            site,
+            demand,
+        });
+        self.pp_begin(process, site, demand, now)
+    }
+
+    fn end(
+        &mut self,
+        pp: PpId,
+        now: SimTime,
+        log: &mut CallLog<TopoCall>,
+    ) -> Result<EndOutcome, RdaError> {
+        log.push(TopoCall::End { now, pp });
+        self.pp_end(pp, now)
+    }
+
+    fn exit(
+        &mut self,
+        process: ProcessId,
+        now: SimTime,
+        log: &mut CallLog<TopoCall>,
+    ) -> Vec<(PpId, ProcessId)> {
+        log.push(TopoCall::Exit { now, process });
+        self.process_exit(process, now)
+    }
+
+    fn age(&mut self, now: SimTime, log_idle: bool, log: &mut CallLog<TopoCall>) -> AgeOutcome {
+        let out = self.age_waitlist(now);
+        if log_idle || !out.resumed.is_empty() {
+            log.push(TopoCall::Age { now });
+        }
+        out
+    }
+
+    fn retry(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: Demand,
+        now: SimTime,
+        log: &mut CallLog<TopoCall>,
+    ) {
+        let (kind, _) = demand.primary();
+        log.push(TopoCall::Retry {
+            now,
+            process,
+            site,
+            kind,
+        });
+        self.note_retry(process, site, kind, now);
+    }
+
+    /// With a trace sink installed, sample every node's occupancy.
+    fn tick(&mut self, now: SimTime, in_service: usize) {
+        if self.trace().is_none() {
+            return;
+        }
+        for n in 0..self.node_count() {
+            let node = NodeId(n as u32);
+            let sample = OccupancySample {
+                t_cycles: now.cycles(),
+                node: n as u32,
+                usage: self.usage(node, ResourceKind::Llc),
+                overflow: self.overflow_usage(node, ResourceKind::Llc),
+                waitlisted: self.waitlist_len(node) as u32,
+                busy_cores: in_service as u32,
+            };
+            if let Some(sink) = self.trace_mut() {
+                sink.record_occupancy(sample);
+            }
+        }
+    }
+
+    fn check(&self) -> Result<(), RdaError> {
+        self.check_invariants()
+    }
+}
+
+/// The replayable call log, kept only when recording is on
+/// ([`TrafficConfig::record_calls`], [`TopoTrafficConfig::record_calls`]
+/// or [`crate::SimConfig::record_rda_calls`]).
 pub(crate) struct CallLog<C>(pub(crate) Option<Vec<C>>);
 
 impl<C> CallLog<C> {
@@ -1109,7 +1497,6 @@ mod tests {
         let request = |arrival, service| Request {
             arrival,
             site: 0,
-            demand: mb(8.0),
             service,
         };
         let plan = TrafficPlan {
@@ -1148,5 +1535,116 @@ mod tests {
             ])
         );
         assert_eq!(eng.completed, 2);
+    }
+
+    /// The loop driven through the topology engine.
+    mod topo {
+        use super::*;
+        use crate::runner::{run_pool, sweep_digest};
+        use rda_core::{
+            BreakerConfig, LayerSet, LayerSpec, OverloadConfig, PolicyKind, ShedPolicy, TopoSpec,
+        };
+
+        fn two_node_cfg() -> TopoConfig {
+            let layers = LayerSet::new(vec![
+                LayerSpec::new("batch", PolicyKind::Strict),
+                LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::new(
+                    4 << 20,
+                    1000,
+                    64 << 20,
+                )),
+            ]);
+            TopoConfig::new(TopoSpec::uniform(2, 15_360 << 10, 6_000, 1 << 30), layers)
+                .with_waitlist_timeout_cycles(40_000_000)
+        }
+
+        fn overload() -> OverloadConfig {
+            OverloadConfig {
+                waitlist_cap: 16,
+                shed_policy: ShedPolicy::RejectNewest,
+                deadline_cycles: Some(40_000_000),
+                breaker: Some(BreakerConfig {
+                    high_water: 14 << 20,
+                    low_water: 8 << 20,
+                    trip_after: 4,
+                    recover_after: 4,
+                    shed_min_demand: 1 << 20,
+                }),
+            }
+        }
+
+        #[test]
+        fn underload_completes_and_drains_to_zero() {
+            let sim = TopoTrafficSim::new(
+                TopoTrafficConfig::two_tenant(300.0, 0.5),
+                two_node_cfg().with_overload(overload()),
+            );
+            let r = sim.run(11);
+            assert!(r.arrivals > 0);
+            assert_eq!(r.completed, r.arrivals, "underload must not shed: {r:?}");
+            assert!(r.drained_idle, "books must return to zero after drain");
+        }
+
+        #[test]
+        fn overload_with_faults_is_deterministic_and_sheds() {
+            let mut traffic = TopoTrafficConfig::two_tenant(20_000.0, 0.05);
+            traffic.record_calls = true;
+            let sim = TopoTrafficSim::new(traffic, two_node_cfg().with_overload(overload()))
+                .with_faults(FaultConfig::uniform(0.1));
+            let a = sim.run(5);
+            let b = sim.run(5);
+            assert_eq!(a.digest(), b.digest());
+            assert!(a.rda.shed > 0, "overload must shed: {a:?}");
+            assert!(a.drained_idle, "books must drain even under faults");
+            // Pinned: the shared traffic loop driven through the topology
+            // engine under overload control and faults.
+            assert_eq!(a.digest(), 0x190a_9467_0ec4_7723);
+            assert_eq!(a.final_snapshot_digest, 0x6f61_0953_4980_6acd);
+            assert_eq!(a.arrivals, 1_064);
+            assert_eq!(a.calls.as_ref().map(Vec::len), Some(5_185));
+        }
+
+        #[test]
+        fn occupancy_sampling_emits_per_node_tracks() {
+            let mut traffic = TopoTrafficConfig::two_tenant(2_000.0, 0.1);
+            traffic.sample_occupancy = true;
+            let r = TopoTrafficSim::new(traffic, two_node_cfg().with_overload(overload())).run(3);
+            let trace = r.trace.as_ref().expect("sampling installs a sink");
+            let nodes: std::collections::BTreeSet<u32> =
+                trace.occupancy.iter().map(|s| s.node).collect();
+            assert_eq!(nodes.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+            // The busy track counts requests in service, never the plan's
+            // arrivals still to come.
+            let busiest = trace.occupancy.iter().map(|s| s.busy_cores).max();
+            assert!(
+                busiest.is_some_and(|b| 4 * u64::from(b) < r.arrivals),
+                "{busiest:?}"
+            );
+            assert_eq!(trace.occupancy.len(), 434);
+            assert_eq!(r.digest(), 0xc262_e050_a748_53ba);
+        }
+
+        #[test]
+        fn sweep_digest_is_thread_invariant() {
+            // Six cells, each on its own derived seed, folded in grid
+            // order: the digest must not see the worker count.
+            let sweep = |threads| {
+                let cells = run_pool(6, threads, |i| {
+                    let traffic = TopoTrafficConfig::two_tenant(4_000.0 + 1_000.0 * i as f64, 0.05);
+                    let mut sim =
+                        TopoTrafficSim::new(traffic, two_node_cfg().with_overload(overload()));
+                    if i % 2 == 0 {
+                        sim = sim.with_faults(FaultConfig::uniform(0.05));
+                    }
+                    sim.run(SplitMix64::derive_stream(7, i as u64)).digest()
+                });
+                sweep_digest(cells.into_iter().enumerate())
+            };
+            assert_eq!(
+                sweep(1),
+                sweep(8),
+                "sweep must be a pure function of (cells, seed)"
+            );
+        }
     }
 }

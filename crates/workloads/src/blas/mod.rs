@@ -7,10 +7,11 @@
 //!   exactly as the paper tunes its kernels)
 //!
 //! All matrices are dense, row-major, `n × n`, `f64`. The plain-slice
-//! functions are the reference implementations; [`level3::dgemm_traced`]
-//! additionally replays dgemm on instrumented buffers, emitting the
-//! load/store/loop-branch trace the profiler consumes (§2.4 and the
-//! Figure 11 granularity study).
+//! functions are the reference implementations; [`level1::daxpy_traced`]
+//! and [`level3::dgemm_traced`] additionally replay daxpy and dgemm on
+//! instrumented buffers, emitting the load/store/loop-branch trace the
+//! profiler consumes (§2.4); the `model_vs_trace` integration test
+//! replays dgemm's through the functional cache.
 
 pub mod level1;
 pub mod level2;

@@ -4,8 +4,9 @@
 //!
 //! * [`blas`] — real implementations of the twelve BLAS kernels of
 //!   Table 2 (level 1: daxpy/dcopy/dscal/dswap; level 2: dgemv-N/T,
-//!   dtrmv, dtrsv; level 3: dgemm, dsyrk, dtrmm, dtrsm), each with an
-//!   instrumented variant that records its memory trace.
+//!   dtrmv, dtrsv; level 3: dgemm, dsyrk, dtrmm, dtrsm); daxpy and
+//!   dgemm also have an instrumented variant that records its memory
+//!   trace.
 //! * [`splash`] — mini-app re-implementations of the five SPLASH-2
 //!   benchmarks the paper uses (water-nsquared, water-spatial,
 //!   ocean-cp, raytrace, volrend): same algorithmic skeletons and phase
@@ -17,6 +18,11 @@
 //!   optionally bracketed by a progress period).
 //! * [`spec`] — the eight workloads of Table 2 as ready-to-run
 //!   [`phases::WorkloadSpec`]s.
+//!
+//! The traced kernels feed the profiler (Fig 12, §2.4) and the
+//! `model_vs_trace` integration test. The simulator does not read
+//! their traces: [`spec`] sets Table 2's working sets and instruction
+//! budgets by hand.
 
 #![warn(missing_docs)]
 

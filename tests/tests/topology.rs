@@ -12,10 +12,12 @@ use rda_core::{
 };
 use rda_integration::{decided, without_fast};
 use rda_machine::MachineConfig;
+use rda_sim::runner::sweep_digest;
 use rda_sim::{
-    run_topo_cells, topo_sweep_digest, FaultConfig, TopoCell, TopoClass, TopoTrafficConfig,
-    TopoTrafficResult, TopoTrafficSim, TrafficConfig, TrafficResult, TrafficSim,
+    run_pool, FaultConfig, TopoClass, TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim,
+    TrafficConfig, TrafficResult, TrafficSim,
 };
+use rda_simcore::SplitMix64;
 
 const SHED_POLICIES: [ShedPolicy; 3] = [
     ShedPolicy::RejectNewest,
@@ -145,19 +147,18 @@ proptest! {
     fn sweep_digests_are_bit_identical_serial_vs_eight_threads(
         root_seed in 0u64..1_000_000,
     ) {
-        let cells: Vec<TopoCell> = SHED_POLICIES
-            .iter()
-            .enumerate()
-            .map(|(i, &shed)| TopoCell {
-                label: format!("cell{i}"),
-                traffic: three_resource_traffic(12_000.0, 0.02),
-                topo: two_node_three_resource(shed),
-                faults: (i % 2 == 0).then(|| FaultConfig::uniform(0.1)),
-            })
-            .collect();
-        let serial = topo_sweep_digest(&run_topo_cells(&cells, 1, root_seed));
-        let eight = topo_sweep_digest(&run_topo_cells(&cells, 8, root_seed));
-        prop_assert_eq!(serial, eight);
+        let sweep = |threads| {
+            let cells = run_pool(SHED_POLICIES.len(), threads, |i| {
+                let topo = two_node_three_resource(SHED_POLICIES[i]);
+                let mut sim = TopoTrafficSim::new(three_resource_traffic(12_000.0, 0.02), topo);
+                if i % 2 == 0 {
+                    sim = sim.with_faults(FaultConfig::uniform(0.1));
+                }
+                sim.run(SplitMix64::derive_stream(root_seed, i as u64)).digest()
+            });
+            sweep_digest(cells.into_iter().enumerate())
+        };
+        prop_assert_eq!(sweep(1), sweep(8));
     }
 }
 
