@@ -17,9 +17,10 @@
 //! cargo run --release -p rda-bench --bin exp_layers -- --smoke
 //! ```
 
-use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
+use rda_bench::cli::{
+    overload_cfg, policy_label, sweep_footer, traffic_sweep_args_from_env, SHED_POLICIES,
+};
 use rda_core::{Demand, LayerSet, LayerSpec, PolicyKind, TopoConfig, TopoSpec};
-use rda_sim::runner::sweep_digest;
 use rda_sim::{run_pool, FaultConfig, TopoTrafficConfig, TopoTrafficResult, TopoTrafficSim};
 use rda_simcore::SplitMix64;
 
@@ -111,12 +112,10 @@ fn main() {
             Err(msg) => println!("{label:<28} FAILED: {msg}"),
         }
     }
-    let digests = results
-        .iter()
-        .map(|r| r.as_ref().map(TopoTrafficResult::digest));
+    let (footer, failed) = sweep_footer(&results, TopoTrafficResult::digest);
     println!();
-    println!("sweep digest: {:#018x}", sweep_digest(digests.enumerate()));
-    if results.iter().any(Result::is_err) {
+    println!("{footer}");
+    if failed {
         std::process::exit(1);
     }
 }

@@ -17,10 +17,11 @@
 //! cargo run --release -p rda-bench --bin exp_overload -- --smoke
 //! ```
 
-use rda_bench::cli::{overload_cfg, policy_label, traffic_sweep_args_from_env, SHED_POLICIES};
+use rda_bench::cli::{
+    overload_cfg, policy_label, sweep_footer, traffic_sweep_args_from_env, SHED_POLICIES,
+};
 use rda_core::{PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
-use rda_sim::runner::sweep_digest;
 use rda_sim::{run_pool, FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
 use rda_simcore::SplitMix64;
 
@@ -77,24 +78,6 @@ fn main() {
     // Results come back by grid index, so the digest (and the table)
     // are independent of worker count and completion order.
     let outcomes = run_pool(cells.len(), opts.threads, run_cell);
-    let digest = sweep_digest(
-        outcomes
-            .iter()
-            .map(|r| r.as_ref().map(TrafficResult::digest))
-            .enumerate(),
-    );
-    let results: Vec<TrafficResult> = match outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.map_err(|msg| format!("cell {i}: {msg}")))
-        .collect()
-    {
-        Ok(results) => results,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
 
     println!(
         "Overload sweep — {} arrival rates × {} shed policies × {} fault rates ({}s windows{})",
@@ -111,22 +94,31 @@ fn main() {
         "p50 ms", "p95 ms", "p99 ms"
     );
     let to_ms = |cycles: u64| cycles as f64 / machine.freq_hz * 1e3;
-    for (cell, r) in cells.iter().zip(results) {
-        println!(
-            "{:<8} {:<14} {:<6} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>9.2} {:>9.2} {:>9.2}",
-            format!("{:.0}", cell.rate_per_sec),
-            policy_label(cell.policy),
-            format!("{:.2}", cell.fault_rate),
-            r.arrivals,
-            r.goodput_per_sec,
-            r.rda.shed,
-            r.expired,
-            r.retries,
-            to_ms(r.p50()),
-            to_ms(r.p95()),
-            to_ms(r.p99()),
-        );
+    for (cell, outcome) in cells.iter().zip(&outcomes) {
+        let rate = format!("{:.0}", cell.rate_per_sec);
+        let (policy, fault) = (policy_label(cell.policy), format!("{:.2}", cell.fault_rate));
+        match outcome {
+            Ok(r) => println!(
+                "{:<8} {:<14} {:<6} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>9.2} {:>9.2} {:>9.2}",
+                rate,
+                policy,
+                fault,
+                r.arrivals,
+                r.goodput_per_sec,
+                r.rda.shed,
+                r.expired,
+                r.retries,
+                to_ms(r.p50()),
+                to_ms(r.p95()),
+                to_ms(r.p99()),
+            ),
+            Err(msg) => println!("{rate:<8} {policy:<14} {fault:<6} FAILED: {msg}"),
+        }
     }
+    let (footer, failed) = sweep_footer(&outcomes, TrafficResult::digest);
     println!();
-    println!("sweep digest: {:#018x}", digest);
+    println!("{footer}");
+    if failed {
+        std::process::exit(1);
+    }
 }

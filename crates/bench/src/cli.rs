@@ -18,11 +18,12 @@
 //!
 //! The two traffic sweeps (`exp_overload`, `exp_layers`) add `--smoke`
 //! and refuse `--shard` and `--trace-out` ([`parse_traffic_sweep_args`]),
-//! and share their overload control ([`overload_cfg`]) and shed-policy
-//! axis ([`SHED_POLICIES`], [`policy_label`]).
+//! and share their overload control ([`overload_cfg`]), shed-policy
+//! axis ([`SHED_POLICIES`], [`policy_label`]) and closing digest line
+//! ([`sweep_footer`]).
 
 use rda_core::{mb, BreakerConfig, OverloadConfig, ShedPolicy};
-use rda_sim::runner::{RunnerOptions, Shard};
+use rda_sim::runner::{sweep_digest, RunnerOptions, Shard};
 use std::path::PathBuf;
 
 /// Usage text shared by the binaries.
@@ -194,6 +195,19 @@ pub fn overload_cfg(shed_policy: ShedPolicy) -> OverloadConfig {
     }
 }
 
+/// A traffic sweep's closing `sweep digest:` line over its cells'
+/// outcomes in grid order, a failed cell's error text folded in through
+/// [`sweep_digest`], and whether any cell failed — then the binary,
+/// having printed every row and this line, exits 1.
+pub fn sweep_footer<T>(
+    outcomes: &[Result<T, String>],
+    digest: impl Fn(&T) -> u64,
+) -> (String, bool) {
+    let cells = outcomes.iter().map(|r| r.as_ref().map(&digest));
+    let line = format!("sweep digest: {:#018x}", sweep_digest(cells.enumerate()));
+    (line, outcomes.iter().any(Result::is_err))
+}
+
 fn parse_seed(s: &str) -> Result<u64, String> {
     let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
@@ -280,5 +294,18 @@ mod tests {
         let err = parse_traffic(&["--trace-out", "t.json"]).unwrap_err();
         let want = "--trace-out is not supported by exp_overload";
         assert!(err.starts_with(want), "{err}");
+    }
+
+    #[test]
+    fn a_failed_cell_folds_into_the_footer_and_fails_the_sweep() {
+        let clean: Vec<Result<u64, String>> = vec![Ok(7), Ok(9)];
+        let failed: Vec<Result<u64, String>> = vec![Ok(7), Err("cell 1 panicked".into())];
+        let (line, any_failed) = sweep_footer(&failed, |&d| d);
+        assert!(any_failed);
+        let want = sweep_digest([(0, Ok(7)), (1, Err("cell 1 panicked"))]);
+        assert_eq!(line, format!("sweep digest: {want:#018x}"));
+        let (clean_line, clean_failed) = sweep_footer(&clean, |&d| d);
+        assert!(!clean_failed);
+        assert_ne!(clean_line, line);
     }
 }

@@ -142,12 +142,18 @@ impl fmt::Display for RdaError {
                 write!(f, "{pp} ended twice (or after its process exited)")
             }
             RdaError::EndWhileWaitlisted(pp) => {
-                write!(f, "{pp} ended while waitlisted — its process should be paused")
+                write!(
+                    f,
+                    "{pp} ended while waitlisted — its process should be paused"
+                )
             }
             RdaError::DoubleWaitlist(pp) => write!(f, "{pp} double-waitlisted"),
             RdaError::WaitlistFull { node } => write!(f, "waitlist full on {node} — arrival shed"),
             RdaError::BreakerOpen { node, kind } => {
-                write!(f, "circuit breaker open on {node} for {kind} — arrival shed")
+                write!(
+                    f,
+                    "circuit breaker open on {node} for {kind} — arrival shed"
+                )
             }
             RdaError::RegistryDesync(pp) => {
                 write!(f, "{pp} registry record desynchronized — scheduler bug")

@@ -1,9 +1,9 @@
-//! The progress monitor / scheduling extension (§3, Figures 2, 5, 6).
+//! The scalar scheduling extension (§3, Figures 2, 5, 6).
 //!
 //! [`RdaExtension`] is the component the simulation driver (and the
-//! examples) talk to. It owns the registry, resource monitor, waitlist,
-//! and fast-path cache, and implements the two workflows of Figures 5
-//! and 6:
+//! examples) talk to. It owns its books (one LLC row), the fast-path
+//! cache and a progress monitor, and implements the two workflows of
+//! Figures 5 and 6:
 //!
 //! * **`pp_begin`** — allocate a period id, run Algorithm 1
 //!   ([`crate::rules::fits`]), and either account the demand and let
@@ -45,9 +45,9 @@
 //!
 //! Every one of these rules — the fit test, the audit, the breaker, the
 //! bounded gate, the drain with its aging and deadline passes — is the
-//! topology engine's rule too, stated once in [`crate::rules`] and
-//! [`crate::waitlist`]. This engine keeps only its books (one LLC row)
-//! and the memoised fast path.
+//! topology engine's rule too, stated once in [`crate::rules`] and in
+//! the progress monitor both engines embed, which counts and traces
+//! every step. This engine keeps its books and the memoised fast path.
 
 use crate::api::{PpDemand, PpId, SiteId};
 use crate::config::RdaConfig;
@@ -56,14 +56,15 @@ use crate::fastpath::FastPathCache;
 use crate::layer::LayerId;
 use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
-use crate::registry::{PpRecord, PpRegistry};
-use crate::rules::{self, Breaker, Gate};
-use crate::snapshot::{Snapshot, WaitSnap};
+use crate::progress::ProgressMonitor;
+use crate::registry::PpRecord;
+use crate::rules::{self, Breaker};
+use crate::snapshot::Snapshot;
 use crate::topology::{Demand, NodeId, ResourceKind};
-use crate::waitlist::{Drain, WaitEntry, Waitlist};
+use crate::waitlist::{Drain, WaitEntry};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
-use rda_trace::{EventKind, RejectKind, TraceEvent, TraceSink};
+use rda_trace::{EventKind, TraceEvent, TraceResource, TraceSink};
 
 /// Activity counters of the extension.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -171,21 +172,11 @@ pub struct EndOutcome {
 #[derive(Debug, Clone)]
 pub struct RdaExtension {
     cfg: RdaConfig,
-    registry: PpRegistry,
-    monitor: ResourceMonitor,
-    waitlist: Waitlist,
-    fastpath: FastPathCache,
-    stats: RdaStats,
-    /// Optional observability sink. `None` (the default) is zero-cost:
-    /// every emission site is one branch on the option. Events never
-    /// feed back into scheduling decisions, so run digests are
-    /// byte-identical with tracing on or off.
-    sink: Option<TraceSink>,
+    books: ScalarBooks,
+    /// The registry, the one waitlist, the counters and the trace sink.
+    progress: ProgressMonitor,
     /// The saturation breaker's hysteresis (idle unless configured).
     breaker: Breaker,
-    /// The policy's usage limit on the LLC, computed once so the hot
-    /// path does no float arithmetic (DESIGN.md §10).
-    limit: u64,
     /// Bumped by every call that can mutate the books (registry,
     /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
@@ -194,80 +185,65 @@ pub struct RdaExtension {
     /// function of the books, so an unchanged epoch implies an
     /// unchanged verdict.
     books_epoch: u64,
-    /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
-    dying: Vec<PpRecord>,
 }
 
-/// The LLC component of a record's vector: the scalar engine's one
-/// resource.
+/// The scalar engine's books — the resource monitor's LLC row — and
+/// the fast-path cache that memoises decisions on them.
+#[derive(Debug, Clone)]
+struct ScalarBooks {
+    monitor: ResourceMonitor,
+    fastpath: FastPathCache,
+    /// The policy's usage limit on the LLC, computed once so the hot
+    /// path does no float arithmetic (DESIGN.md §10).
+    limit: u64,
+}
+
+/// The scalar engine's one resource.
+const LLC: ResourceKind = ResourceKind::Llc;
+
+/// The LLC component of a record's vector.
 fn llc(d: &Demand) -> u64 {
-    d.get(ResourceKind::Llc)
-}
-
-/// A trace event about waitlist entry `w` leaving the queue at `now`,
-/// attributed to its owner when the record is known.
-fn waiter_event(
-    kind: EventKind,
-    w: &WaitEntry,
-    rec: Option<&PpRecord>,
-    now: SimTime,
-) -> TraceEvent {
-    let mut ev = TraceEvent::at(now.cycles(), kind);
-    if let Some(rec) = rec {
-        ev.process = rec.process.0;
-        ev.site = rec.site.0;
-    }
-    ev.pp = w.pp.0;
-    ev.amount = w.accounted;
-    ev.wait_cycles = now.cycles().saturating_sub(w.enqueued_at.cycles());
-    ev
+    d.get(LLC)
 }
 
 impl RdaExtension {
     /// Build an extension with the given configuration.
     pub fn new(cfg: RdaConfig) -> Self {
-        RdaExtension {
+        let capacity = Demand::llc(cfg.llc_capacity).amounts;
+        let books = ScalarBooks {
             monitor: ResourceMonitor::new(cfg.llc_capacity),
-            registry: PpRegistry::new(),
-            waitlist: Waitlist::new(),
             fastpath: FastPathCache::new(cfg.min_eval_interval_cycles),
-            stats: RdaStats::default(),
-            sink: None,
-            breaker: Breaker::default(),
             limit: cfg.policy.usage_limit(cfg.llc_capacity),
+        };
+        RdaExtension {
+            books,
+            progress: ProgressMonitor::new(1, 0, capacity),
+            breaker: Breaker::default(),
             books_epoch: 0,
-            dying: Vec::new(),
             cfg,
         }
     }
 
     /// Attach a trace sink; subsequent calls emit events into it.
     pub fn install_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
+        self.progress.sink = Some(sink);
     }
 
     /// The attached trace sink, if any.
     pub fn trace(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
+        self.progress.sink.as_ref()
     }
 
     /// Mutable access to the attached trace sink (the simulation uses
     /// this to record occupancy samples alongside the event stream).
     pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
-        self.sink.as_mut()
+        self.progress.sink.as_mut()
     }
 
     /// Detach the trace sink, e.g. to freeze it into a report at end of
     /// run.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
-    }
-
-    #[inline]
-    fn emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(ev);
-        }
+        self.progress.sink.take()
     }
 
     /// The active configuration.
@@ -282,34 +258,34 @@ impl RdaExtension {
 
     /// Counters so far.
     pub fn stats(&self) -> RdaStats {
-        self.stats
+        self.progress.stats
     }
 
     /// Current nominally tracked LLC usage (what Algorithm 1 sees;
     /// excludes the overflow bucket).
     pub fn usage(&self) -> u64 {
-        self.monitor.usage()
+        self.books.monitor.usage()
     }
 
     /// Demand held by aged (overflow-admitted) periods.
     pub fn overflow_usage(&self) -> u64 {
-        self.monitor.overflow()
+        self.books.monitor.overflow()
     }
 
     /// Number of live periods (admitted + waitlisted) in the registry.
     pub fn live_periods(&self) -> usize {
-        self.registry.len()
+        self.progress.registry.len()
     }
 
     /// Number of waitlisted periods.
     pub fn waitlist_len(&self) -> usize {
-        self.waitlist.len()
+        self.progress.waitlists[0].len()
     }
 
     /// Enqueue time of the longest-waiting period — the next to be
     /// force-admitted when aging is enabled.
     pub fn oldest_wait(&self) -> Option<SimTime> {
-        self.waitlist.oldest()
+        self.progress.waitlists[0].oldest()
     }
 
     /// A complete, comparable snapshot of the observable state: both
@@ -322,23 +298,9 @@ impl RdaExtension {
     /// replayed event, and cheap enough for assertions in ordinary
     /// tests.
     pub fn snapshot(&self) -> Snapshot {
-        let llc = Demand::llc;
-        Snapshot {
-            usage: vec![llc(self.monitor.usage()).amounts],
-            overflow: vec![llc(self.monitor.overflow()).amounts],
-            waitlists: vec![self
-                .waitlist
-                .iter()
-                .map(|e| WaitSnap {
-                    pp: e.pp,
-                    accounted: llc(e.accounted),
-                    enqueued_cycles: e.enqueued_at.cycles(),
-                })
-                .collect()],
-            periods: self.registry.iter().map(PpRecord::snap).collect(),
-            stats: self.stats,
-            allocated: self.registry.allocated(),
-        }
+        let (usage, overflow) = (self.usage(), self.overflow_usage());
+        let llc = |a| vec![Demand::llc(a).amounts];
+        self.progress.snapshot(llc(usage), llc(overflow))
     }
 
     /// Order-independent digest of the fast-path cache (see
@@ -347,24 +309,12 @@ impl RdaExtension {
     /// accelerator, not scheduling state — but exposed so the
     /// differential oracle can compare memoisation state too.
     pub fn fastpath_digest(&self) -> u64 {
-        let (policy, capacity) = (self.cfg.policy, self.monitor.capacity());
-        self.fastpath.digest(|amount| {
-            self.limit
+        let (policy, b) = (self.cfg.policy, &self.books);
+        let capacity = b.monitor.capacity();
+        (b.fastpath).digest(|amount| {
+            b.limit
                 .saturating_sub(policy.effective_demand(amount, capacity))
         })
-    }
-
-    /// Reject the begin `ev` describes with
-    /// [`RdaError::DemandOverflow`], reporting `declared`.
-    fn reject_overflow(&mut self, mut ev: TraceEvent, declared: u64) -> RdaError {
-        ev.kind = EventKind::Reject;
-        ev.reject = RejectKind::DemandOverflow;
-        self.emit(ev);
-        RdaError::DemandOverflow {
-            kind: ResourceKind::Llc,
-            declared,
-            capacity: self.monitor.capacity(),
-        }
     }
 
     /// Process a `pp_begin` from `process` at static site `site`.
@@ -386,59 +336,47 @@ impl RdaExtension {
         if !policy.is_gating() {
             return Ok(BeginOutcome::Bypass);
         }
-        self.stats.begins += 1;
-        let capacity = self.monitor.capacity();
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Begin);
-        ev.process = process.0;
-        ev.site = site.0;
-        ev.amount = demand.amount;
-        self.emit(ev);
+        let books = &mut self.books;
+        let capacity = books.monitor.capacity();
+        let payload = (TraceResource::Llc, demand.amount);
+        let mut ev = self.progress.begin(process, site, payload, now);
 
         // Demand audit: a lying process must not be able to poison the
         // load table with an impossible declaration.
         let Some(audited) = rules::audit(self.cfg.demand_audit, demand.amount, capacity) else {
-            self.stats.clamped += 1;
-            return Err(self.reject_overflow(ev, demand.amount));
+            return Err(self.progress.reject_overflow(ev, LLC, demand.amount));
         };
         if audited != demand.amount {
-            self.stats.clamped += 1;
+            self.progress.stats.clamped += 1;
         }
         // Saturation breaker: while open, shed the configured demand
         // class before it can touch the books.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
             if self.breaker.sheds(&b, audited) {
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.reject = RejectKind::BreakerOpen;
-                self.emit(ev);
-                return Err(RdaError::BreakerOpen {
-                    node: NodeId(0),
-                    kind: ResourceKind::Llc,
-                });
+                return Err(self.progress.shed_open_breaker(ev, NodeId(0), LLC));
             }
         }
         let accounted = policy.effective_demand(audited, capacity);
         // Wrap guard: accounting this demand must not wrap the usage
         // word.
-        if self.monitor.usage().checked_add(accounted).is_none() {
-            self.stats.clamped += 1;
-            return Err(self.reject_overflow(ev, audited));
+        if books.monitor.usage().checked_add(accounted).is_none() {
+            return Err(self.progress.reject_overflow(ev, LLC, audited));
         }
         // Fast path: a repeat entry of a recently validated site while
         // no one is waitlisted ahead of us. A hit only marks the call
         // fast — it admits exactly what Algorithm 1 admits.
-        let fast = self.waitlist.is_empty()
-            && self.fastpath.try_admit(
+        let fast = self.progress.waitlists[0].is_empty()
+            && books.fastpath.try_admit(
                 process,
                 site,
                 audited,
-                self.monitor.usage(),
-                self.limit.saturating_sub(accounted),
+                books.monitor.usage(),
+                books.limit.saturating_sub(accounted),
                 now,
             );
         // The record every outcome below registers.
         let proto = PpRecord {
-            id: PpId(self.registry.allocated()),
+            id: PpId(self.progress.registry.allocated()),
             process,
             site,
             layer: LayerId(0),
@@ -450,94 +388,32 @@ impl RdaExtension {
             begun_at: now,
         };
         // Algorithm 1.
-        if fast || rules::fits(self.limit, 0, self.monitor.usage(), accounted) {
-            if accounted > self.limit {
-                self.stats.oversized_admits += 1;
+        if fast || rules::fits(books.limit, 0, books.monitor.usage(), accounted) {
+            if accounted > books.limit {
+                self.progress.stats.oversized_admits += 1;
             }
-            self.monitor.increment_load(accounted);
-            let pp = self.registry.insert(|id| PpRecord { id, ..proto });
-            self.stats.admitted += 1;
+            books.monitor.increment_load(accounted);
+            let pp = self.progress.registry.insert(|id| PpRecord { id, ..proto });
+            self.progress.stats.admitted += 1;
             if fast {
-                self.stats.fast_begins += 1;
+                self.progress.stats.fast_begins += 1;
             } else {
                 // Cache the verdict for repeats of this site.
-                self.fastpath.store_run(process, site, audited, now);
+                books.fastpath.store_run(process, site, audited, now);
             }
             ev.kind = EventKind::Admit;
             ev.pp = pp.0;
             ev.amount = accounted;
             ev.fast = fast;
-            self.emit(ev);
+            self.progress.emit(ev);
             return Ok(BeginOutcome::Run { pp, fast });
         }
 
-        // The bounded waitlist gate.
-        let shed = match rules::gate(self.cfg.overload, &mut self.waitlist) {
-            Gate::Queue => None,
-            Gate::Evict(victim) => {
-                let rec = self.registry.complete(victim.pp);
-                if rec.is_none() {
-                    self.stats.desyncs += 1;
-                }
-                let mut sv = waiter_event(EventKind::Shed, &victim, rec.as_ref(), now);
-                sv.reject = RejectKind::WaitlistFull;
-                self.stats.shed += 1;
-                self.emit(sv);
-                Some(victim.pp)
-            }
-            Gate::Degrade => {
-                // Straight into the overflow bucket, like an aged
-                // force-admission: invisible to Algorithm 1, so the
-                // nominal books stay balanced.
-                if !self.monitor.increment_overflow(accounted) {
-                    self.stats.clamped += 1;
-                    return Err(self.reject_overflow(ev, accounted));
-                }
-                let pp = self.registry.insert(|id| PpRecord {
-                    id,
-                    overflow: true,
-                    ..proto
-                });
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.pp = pp.0;
-                ev.amount = accounted;
-                self.emit(ev);
-                return Ok(BeginOutcome::Run { pp, fast: false });
-            }
-            Gate::Drop => {
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.reject = RejectKind::WaitlistFull;
-                self.emit(ev);
-                return Err(RdaError::WaitlistFull { node: NodeId(0) });
-            }
+        let degrade = || {
+            let fits = books.monitor.increment_overflow(accounted);
+            fits.then_some(()).ok_or(LLC)
         };
-        let pp = self.registry.insert(|id| PpRecord {
-            id,
-            admitted: false,
-            ..proto
-        });
-        if let Err(e) = self.waitlist.push(WaitEntry {
-            pp,
-            accounted,
-            enqueued_at: now,
-        }) {
-            // A freshly allocated id cannot already be waitlisted; if
-            // it is, the waitlist and registry have desynchronized. Roll
-            // the registration back so the books stay balanced, and
-            // surface the typed error instead of panicking.
-            self.registry.complete(pp);
-            self.stats.desyncs += 1;
-            return Err(e);
-        }
-        self.stats.paused += 1;
-        self.stats.max_waitlist = self.stats.max_waitlist.max(self.waitlist.len() as u64);
-        ev.kind = EventKind::Pause;
-        ev.pp = pp.0;
-        ev.amount = accounted;
-        self.emit(ev);
-        Ok(BeginOutcome::Pause { pp, shed })
+        (self.progress).park(self.cfg.overload, proto, ev, now, degrade)
     }
 
     /// Process a `pp_end` for a period previously returned by
@@ -553,41 +429,10 @@ impl RdaExtension {
     /// is untouched on every error path.
     pub fn pp_end(&mut self, pp: PpId, now: SimTime) -> Result<EndOutcome, RdaError> {
         self.books_epoch += 1;
-        self.stats.ends += 1;
+        let record = self.progress.end(pp, now)?;
+        self.books.release(&record);
         let mut ev = TraceEvent::at(now.cycles(), EventKind::End);
         ev.pp = pp.0;
-        let Some(live) = self.registry.get(pp) else {
-            self.stats.rejected_ends += 1;
-            let (err, reject) = if self.registry.was_allocated(pp) {
-                (RdaError::DoubleEnd(pp), RejectKind::DoubleEnd)
-            } else {
-                (RdaError::UnknownPp(pp), RejectKind::UnknownPp)
-            };
-            ev.kind = EventKind::Reject;
-            ev.reject = reject;
-            self.emit(ev);
-            return Err(err);
-        };
-        if !live.admitted {
-            let process = live.process.0;
-            let site = live.site.0;
-            self.stats.rejected_ends += 1;
-            ev.kind = EventKind::Reject;
-            ev.reject = RejectKind::EndWhileWaitlisted;
-            ev.process = process;
-            ev.site = site;
-            self.emit(ev);
-            return Err(RdaError::EndWhileWaitlisted(pp));
-        }
-        // `get` returned the record above and only this method removes
-        // it between the two calls, so `complete` cannot fail — but if
-        // the registry has desynchronized anyway, fail this one call
-        // with a typed error rather than take the scheduler down.
-        let Some(record) = self.registry.complete(pp) else {
-            self.stats.desyncs += 1;
-            return Err(RdaError::RegistryDesync(pp));
-        };
-        self.release(&record);
         ev.process = record.process.0;
         ev.site = record.site.0;
         ev.amount = llc(&record.accounted);
@@ -595,32 +440,24 @@ impl RdaExtension {
         // With no waiters nothing can be woken. The completion is fast —
         // a shared-page decrement with deferred registry cleanup — when
         // the site was validated recently.
-        if self.waitlist.is_empty() {
-            let fast = self.fastpath.is_fresh(record.process, record.site, now);
-            self.stats.fast_ends += u64::from(fast);
+        if self.progress.waitlists[0].is_empty() {
+            let fast = (self.books.fastpath).is_fresh(record.process, record.site, now);
+            self.progress.stats.fast_ends += u64::from(fast);
             ev.fast = fast;
-            self.emit(ev);
+            self.progress.emit(ev);
             return Ok(EndOutcome {
                 fast,
                 resumed: Vec::new(),
             });
         }
-        self.emit(ev);
-        let resumed = self.drain_waitlist(now);
+        self.progress.emit(ev);
+        let mut resumed = Vec::new();
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        (self.progress).drain(0, &mut self.books, timeout, now, &mut resumed);
         Ok(EndOutcome {
             fast: false,
             resumed,
         })
-    }
-
-    /// Release a completed or reclaimed record's demand from the
-    /// matching accounting bucket.
-    fn release(&mut self, record: &PpRecord) {
-        if record.overflow {
-            self.monitor.decrement_overflow(llc(&record.accounted));
-        } else {
-            self.monitor.decrement_load(llc(&record.accounted));
-        }
     }
 
     /// Reclaim everything a dying (or exiting) process holds: release
@@ -636,31 +473,9 @@ impl RdaExtension {
     /// no-op, so callers may invoke it unconditionally on every exit.
     pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
         self.books_epoch += 1;
-        let mut dying = std::mem::take(&mut self.dying);
-        dying.clear();
-        self.registry.reclaim(|r| r.process == process, &mut dying);
-        for rec in &dying {
-            if rec.admitted {
-                self.release(rec);
-            } else {
-                self.waitlist.cancel(rec.id);
-            }
-        }
-        let reclaimed = dying.len() as u64;
-        self.stats.reclaimed += reclaimed;
-        self.dying = dying;
-        self.fastpath.invalidate_process(process);
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Exit);
-        ev.process = process.0;
-        ev.amount = reclaimed;
-        self.emit(ev);
-        // Reclaiming released capacity or removed a waitlist entry
-        // (which can expose a fitting head behind the cancelled one),
-        // so the queue is re-walked.
-        if reclaimed == 0 {
-            return Vec::new();
-        }
-        self.drain_waitlist(now)
+        self.books.fastpath.invalidate_process(process);
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        (self.progress).exit(process, now, &mut self.books, ScalarBooks::release, timeout)
     }
 
     /// Apply waitlist aging at `now`: expire every waiter past its
@@ -676,28 +491,12 @@ impl RdaExtension {
     /// breaker hysteresis advances only here.
     pub fn age_waitlist(&mut self, now: SimTime) -> AgeOutcome {
         self.books_epoch += 1;
-        let mut out = AgeOutcome::default();
-        if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
-            return out;
-        }
-        if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
-            ScalarDrain(self).expire_past(deadline, now, &mut out.expired);
-        }
-        // No capacity was released since the last drain, so a queue
-        // with neither a deadline removal nor an aged-past-timeout
-        // waiter cannot admit anyone: skip it. The aging probe is O(1)
-        // via the waitlist's cached minimum enqueue time.
-        let timeout = self.cfg.waitlist_timeout_cycles;
-        if !out.expired.is_empty() || self.waitlist.has_expired(now, timeout) {
-            out.resumed = self.drain_waitlist(now);
-        }
-        if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            let occupancy = self.monitor.usage().saturating_add(self.monitor.overflow());
-            if let Some(kind) = self.breaker.tick(&b, occupancy) {
-                self.stats.breaker_trips += u64::from(kind == EventKind::BreakerTrip);
-                let mut ev = TraceEvent::at(now.cycles(), kind);
-                ev.amount = occupancy;
-                self.emit(ev);
+        let (timeout, overload) = (self.cfg.waitlist_timeout_cycles, self.cfg.overload);
+        let out = self.progress.age(&mut self.books, timeout, overload, now);
+        if let Some(b) = overload.and_then(|o| o.breaker) {
+            let occupancy = self.usage().saturating_add(self.overflow_usage());
+            if let Some(edge) = self.breaker.tick(&b, occupancy) {
+                self.progress.breaker_edge(edge, 0, LLC, occupancy, now);
             }
         }
         out
@@ -721,18 +520,7 @@ impl RdaExtension {
         _resource: ResourceKind,
         now: SimTime,
     ) {
-        self.stats.retried += 1;
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Retry);
-        ev.process = process.0;
-        ev.site = site.0;
-        self.emit(ev);
-    }
-
-    /// The shared drain protocol ([`Drain::drain`]) over this engine's
-    /// one queue.
-    fn drain_waitlist(&mut self, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let timeout = self.cfg.waitlist_timeout_cycles;
-        ScalarDrain(self).drain(timeout, now)
+        (self.progress).note_retry(process, site, LLC, now);
     }
 
     /// Monotonic counter of book mutations (see the field doc). An
@@ -751,119 +539,52 @@ impl RdaExtension {
     pub fn check_invariants(&self) -> Result<(), RdaError> {
         // One pass over the registry (this runs after every simulation
         // step that moved the books).
-        let sums = self.registry.audit_sums();
-        let violation = |check, expected, actual| RdaError::InvariantViolation {
-            node: NodeId(0),
-            kind: ResourceKind::Llc,
-            check,
-            expected,
-            actual,
-        };
-        if sums.accounted != self.monitor.usage() {
-            return Err(violation(
-                InvariantKind::UsageMismatch,
-                sums.accounted,
-                self.monitor.usage(),
-            ));
+        let sums = self.progress.registry.audit_sums();
+        let (usage, overflow) = (self.usage(), self.overflow_usage());
+        let books = [
+            (InvariantKind::UsageMismatch, sums.accounted, usage),
+            (InvariantKind::OverflowMismatch, sums.overflow, overflow),
+        ];
+        if let Some((check, expected, actual)) = books.into_iter().find(|&(_, e, a)| e != a) {
+            return Err(RdaError::InvariantViolation {
+                node: NodeId(0),
+                kind: LLC,
+                check,
+                expected,
+                actual,
+            });
         }
-        if sums.overflow != self.monitor.overflow() {
-            return Err(violation(
-                InvariantKind::OverflowMismatch,
-                sums.overflow,
-                self.monitor.overflow(),
-            ));
-        }
-        for entry in self.waitlist.iter() {
-            match self.registry.get(entry.pp) {
-                None => {
-                    return Err(violation(
-                        InvariantKind::WaitlistRecordMissing,
-                        entry.pp.0,
-                        0,
-                    ))
-                }
-                Some(rec) if rec.admitted => {
-                    return Err(violation(InvariantKind::WaitlistAdmitted, 0, entry.pp.0))
-                }
-                Some(_) => {}
-            }
-        }
-        let queued = self.waitlist.len() as u64;
-        if sums.waiting != queued {
-            return Err(violation(
-                InvariantKind::WaitlistCountMismatch,
-                sums.waiting,
-                queued,
-            ));
-        }
-        Ok(())
+        self.progress.check_waitlists()
     }
 }
 
-/// The scalar engine's actions in the drain protocol; Algorithm 1 reads
-/// the accounted demand each entry stores.
-struct ScalarDrain<'a>(&'a mut RdaExtension);
-
-impl Drain<u64> for ScalarDrain<'_> {
-    fn queue(&mut self) -> &mut Waitlist {
-        &mut self.0.waitlist
-    }
-
-    fn record(&self, pp: PpId) -> Option<PpRecord> {
-        self.0.registry.get(pp).copied()
-    }
-
-    fn fits(&self, entry: &WaitEntry, _rec: &PpRecord) -> bool {
-        rules::fits(self.0.limit, 0, self.0.monitor.usage(), entry.accounted)
-    }
-
-    fn admit(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
-        let e = &mut *self.0;
-        e.monitor.increment_load(entry.accounted);
-        if let Some(r) = e.registry.get_mut(entry.pp) {
-            r.admitted = true;
+impl ScalarBooks {
+    /// Release a completed or reclaimed record's demand from the
+    /// matching accounting bucket.
+    fn release(&mut self, record: &PpRecord) {
+        if record.overflow {
+            self.monitor.decrement_overflow(llc(&record.accounted));
+        } else {
+            self.monitor.decrement_load(llc(&record.accounted));
         }
-        e.fastpath
-            .store_run(rec.process, rec.site, llc(&rec.declared), now);
-        e.stats.resumed += 1;
-        e.emit(waiter_event(EventKind::Resume, entry, Some(&rec), now));
-        Some(rec.process)
+    }
+}
+
+/// The drain protocol on the one queue; Algorithm 1 reads the accounted
+/// LLC demand each entry stores.
+impl Drain for ScalarBooks {
+    fn fits(&self, _n: usize, entry: &WaitEntry, _rec: &PpRecord) -> bool {
+        rules::fits(self.limit, 0, self.monitor.usage(), llc(&entry.accounted))
     }
 
-    fn age(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
-        let e = &mut *self.0;
-        if !e.monitor.increment_overflow(entry.accounted) {
-            return None;
-        }
-        if let Some(r) = e.registry.get_mut(entry.pp) {
-            r.admitted = true;
-            r.overflow = true;
-        }
-        e.stats.aged_admissions += 1;
-        e.emit(waiter_event(EventKind::Age, entry, Some(&rec), now));
-        Some(rec.process)
+    fn admit(&mut self, _n: usize, entry: &WaitEntry, rec: &PpRecord, now: SimTime) -> bool {
+        self.monitor.increment_load(llc(&entry.accounted));
+        (self.fastpath).store_run(rec.process, rec.site, llc(&rec.declared), now);
+        true
     }
 
-    fn shed(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) {
-        let e = &mut *self.0;
-        e.registry.complete(entry.pp);
-        e.stats.clamped += 1;
-        e.stats.shed += 1;
-        let mut ev = waiter_event(EventKind::Shed, entry, Some(&rec), now);
-        ev.reject = RejectKind::DemandOverflow;
-        e.emit(ev);
-    }
-
-    fn expire(&mut self, entry: &WaitEntry, rec: PpRecord, now: SimTime) -> ProcessId {
-        let e = &mut *self.0;
-        e.registry.complete(entry.pp);
-        e.stats.expired += 1;
-        e.emit(waiter_event(EventKind::Expire, entry, Some(&rec), now));
-        rec.process
-    }
-
-    fn desync(&mut self) {
-        self.0.stats.desyncs += 1;
+    fn age(&mut self, _n: usize, entry: &WaitEntry) -> bool {
+        self.monitor.increment_overflow(llc(&entry.accounted))
     }
 }
 
@@ -1400,7 +1121,10 @@ mod tests {
         // drain must age the head into the overflow bucket, then admit
         // the small entry nominally on the re-walk.
         let out = e.pp_end(a, t(5_000)).unwrap();
-        assert_eq!(out.resumed, vec![(head, ProcessId(2)), (small, ProcessId(3))]);
+        assert_eq!(
+            out.resumed,
+            vec![(head, ProcessId(2)), (small, ProcessId(3))]
+        );
         assert_eq!(e.stats().aged_admissions, 1, "only the head was aged");
         assert_eq!(e.stats().resumed, 1, "the small entry fit nominally");
         assert_eq!(e.usage(), mb(13.0));
@@ -1461,14 +1185,25 @@ mod tests {
         let report = traced.take_trace().expect("sink installed").into_report();
         assert!(traced.trace().is_none(), "sink detached");
         let kinds: Vec<K> = report.events.iter().map(|e| e.kind).collect();
-        for k in [K::Begin, K::Admit, K::Pause, K::Age, K::End, K::Exit, K::Reject] {
+        for k in [
+            K::Begin,
+            K::Admit,
+            K::Pause,
+            K::Age,
+            K::End,
+            K::Exit,
+            K::Reject,
+        ] {
             assert!(kinds.contains(&k), "missing {k:?} in {kinds:?}");
         }
         assert_eq!(report.counts.begins, 2);
         assert_eq!(report.counts.aged, 1);
         assert_eq!(report.counts.rejects, 1);
         assert_eq!(report.wait.samples, 1);
-        assert_eq!(report.wait.max, 1_990, "aged waiter enqueued at t=10, aged at t=2000");
+        assert_eq!(
+            report.wait.max, 1_990,
+            "aged waiter enqueued at t=10, aged at t=2000"
+        );
     }
 
     #[test]
@@ -1511,14 +1246,14 @@ mod tests {
         // Predict the id the next begin will allocate and pre-poison
         // the queue with it, simulating a desynchronized waitlist.
         let next = PpId(e.snapshot().allocated);
-        e.waitlist
+        e.progress.waitlists[0]
             .push(WaitEntry {
                 pp: next,
-                accounted: 1,
+                accounted: Demand::llc(1),
                 enqueued_at: t(0),
             })
             .unwrap();
-        let before = e.monitor.usage();
+        let before = e.usage();
         let err = e
             .pp_begin(ProcessId(9), SiteId(7), demand(5.0), t(10))
             .unwrap_err();
@@ -1527,10 +1262,11 @@ mod tests {
         // The registration was rolled back: the id was burned but is
         // not live, accounting is untouched, and the poisoned entry was
         // not duplicated.
-        assert!(e.registry.was_allocated(next));
-        assert!(e.registry.get(next).is_none());
-        assert_eq!(e.monitor.usage(), before);
-        assert_eq!(e.waitlist.iter().filter(|w| w.pp == next).count(), 1);
+        assert!(e.progress.registry.was_allocated(next));
+        assert!(e.progress.registry.get(next).is_none());
+        assert_eq!(e.usage(), before);
+        let queued = e.progress.waitlists[0].iter();
+        assert_eq!(queued.filter(|w| w.pp == next).count(), 1);
         // The extension stays serviceable: an honest begin still works
         // (and pauses, since the cache is still full).
         assert!(matches!(
@@ -1664,7 +1400,10 @@ mod tests {
         assert_eq!(e.usage(), mb(14.0));
         assert_eq!(e.overflow_usage(), 0);
         // Its id is burned: a late end is the usual DoubleEnd.
-        assert_eq!(e.pp_end(starved, t(1_100)), Err(RdaError::DoubleEnd(starved)));
+        assert_eq!(
+            e.pp_end(starved, t(1_100)),
+            Err(RdaError::DoubleEnd(starved))
+        );
         e.check_invariants().unwrap();
     }
 

@@ -175,8 +175,7 @@ mod tests {
     fn assignment_maps_and_replaces() {
         let mut s = LayerSet::new(vec![
             LayerSpec::new("batch", PolicyKind::compromise_default()),
-            LayerSpec::new("latency", PolicyKind::Strict)
-                .with_guarantee(Demand::llc(1024)),
+            LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::llc(1024)),
         ]);
         s.assign(7, LayerId(1));
         s.assign(3, LayerId(1));
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn guarantee_marks_set_nontrivial() {
         let s = LayerSet::new(vec![
-            LayerSpec::new("only", PolicyKind::Strict).with_guarantee(Demand::llc(1)),
+            LayerSpec::new("only", PolicyKind::Strict).with_guarantee(Demand::llc(1))
         ]);
         assert!(!s.is_trivial());
     }

@@ -15,24 +15,27 @@
 //! ```
 //!
 //! The extension consists of the three components of the paper's
-//! Figure 2:
+//! Figure 2, each stated once for both engines:
 //!
-//! * the **progress monitor** ([`extension::RdaExtension`] +
-//!   [`registry::PpRegistry`] + [`waitlist::Waitlist`]) — tracks PP
-//!   begin/end events, keeps the registry of active periods, and
-//!   re-attempts waitlisted threads whenever a period completes. The
-//!   registry and the waitlist are shared with the topology engine
-//!   below, which keeps its own records in the same slab;
-//! * the **resource monitor** ([`monitor::ResourceMonitor`]) — the load
-//!   table row holding the summed demand on the LLC, the one resource
-//!   Algorithm 1 gates;
+//! * the **progress monitor** (`progress`, embedded by
+//!   [`extension::RdaExtension`] and [`topo::TopoExtension`]) — the
+//!   [`registry::PpRegistry`] of active periods, the
+//!   [`waitlist::Waitlist`]s (one per node) it re-walks whenever a
+//!   period completes, the [`RdaStats`] counters and the trace sink,
+//!   with every bookkeeping step of a period's life: validating ends,
+//!   the bounded gate's verdicts, reclaiming exits, the drain with its
+//!   aging, shedding and expiry;
+//! * the **resource monitor** — the books each engine keeps: the
+//!   scalar engine's [`monitor::ResourceMonitor`] row, the summed
+//!   demand on the LLC, the one resource Algorithm 1 gates, and the
+//!   topology engine's per-node × kind books with their layer ledgers;
 //! * the **scheduling predicate** — Algorithm 1, which decides
 //!   run-or-pause from the resource's usage, the new demand, and a
 //!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise). It is the
 //!   fit test [`rules::fits`], applied per demanded component; the rest
 //!   of [`rules`] holds the admission rules built around it (demand
 //!   audit, saturation breaker, bounded waitlist gate), and
-//!   [`waitlist::Drain`] the drain that re-admits waiters.
+//!   [`waitlist::Drain`] is how the drain asks an engine's books.
 //!
 //! Beyond the paper's prose, [`fastpath`] implements the decision
 //! memoisation that keeps fine-grained period tracking cheap (the
@@ -46,9 +49,8 @@
 //! policies with capacity guarantees, and deterministic node placement
 //! ([`topo::TopoExtension`], DESIGN.md §9) — while the scalar engine
 //! keeps serving the paper's single-socket experiments unchanged. Both
-//! engines keep their periods as one [`registry::PpRecord`] in the one
-//! [`registry::PpRegistry`], queue on the one [`waitlist::Waitlist`]
-//! type, decide by the one rulebook, fail with the one
+//! engines keep their periods as one [`registry::PpRecord`] in one
+//! progress monitor, decide by the one rulebook, fail with the one
 //! [`error::RdaError`] and report the one [`snapshot::Snapshot`], so on
 //! [`topo::TopoConfig::compat`] they differ only in the scalar engine's
 //! fast path, which marks calls fast and decides nothing.
@@ -63,6 +65,7 @@ pub mod fastpath;
 pub mod layer;
 pub mod monitor;
 pub mod policy;
+mod progress;
 pub mod registry;
 pub mod rules;
 pub mod snapshot;

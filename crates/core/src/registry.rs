@@ -323,7 +323,12 @@ mod tests {
     use crate::api::mb;
 
     /// A scalar-engine record of `accounted` LLC bytes.
-    fn rec(process: u32, site: u32, accounted: u64, admitted: bool) -> impl FnOnce(PpId) -> PpRecord {
+    fn rec(
+        process: u32,
+        site: u32,
+        accounted: u64,
+        admitted: bool,
+    ) -> impl FnOnce(PpId) -> PpRecord {
         move |id| PpRecord {
             id,
             process: ProcessId(process),
@@ -409,9 +414,7 @@ mod tests {
     #[test]
     fn slots_are_recycled_but_iteration_stays_in_id_order() {
         let mut r = PpRegistry::new();
-        let ids: Vec<PpId> = (0..6)
-            .map(|p| r.insert(rec(p, 0, 10, true)))
-            .collect();
+        let ids: Vec<PpId> = (0..6).map(|p| r.insert(rec(p, 0, 10, true))).collect();
         // Complete out of creation order, punching holes in the arena.
         r.complete(ids[3]).unwrap();
         r.complete(ids[0]).unwrap();

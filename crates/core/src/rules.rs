@@ -5,7 +5,9 @@
 //! fast path (scalar engine) — and check every `pp_begin` in one order:
 //! gating, [`audit`], the [`Breaker`], the 64-bit wrap guard, the fast
 //! path (scalar engine only), [`fits`], then the bounded [`gate`]. The
-//! drain that re-admits waiters is [`crate::waitlist::Drain`].
+//! engines' shared progress monitor carries out the gate's verdict and
+//! runs the drain that re-admits waiters, asking each engine's books
+//! through [`crate::waitlist::Drain`].
 
 use crate::config::{BreakerConfig, DemandAudit, OverloadConfig, ShedPolicy};
 use crate::waitlist::{WaitEntry, Waitlist};
@@ -100,12 +102,12 @@ impl Breaker {
 /// What the bounded admission gate does with an arrival that does not
 /// fit (see [`ShedPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate<A> {
+pub enum Gate {
     /// Below the cap, or no overload control: queue the arrival.
     Queue,
     /// Head drop: this longest-queued waiter was popped; complete it
     /// as shed, then queue the arrival.
-    Evict(WaitEntry<A>),
+    Evict(WaitEntry),
     /// Admit the arrival straight into the degraded overflow bucket.
     Degrade,
     /// Tail drop: shed the arrival without allocating an id.
@@ -114,7 +116,7 @@ pub enum Gate<A> {
 
 /// The bounded admission gate on `queue` under `overload`. RejectOldest
 /// with nothing to evict (a zero cap) is a tail drop.
-pub fn gate<A: Copy>(overload: Option<OverloadConfig>, queue: &mut Waitlist<A>) -> Gate<A> {
+pub fn gate(overload: Option<OverloadConfig>, queue: &mut Waitlist) -> Gate {
     match overload {
         Some(ov) if queue.len() >= ov.waitlist_cap => match ov.shed_policy {
             ShedPolicy::RejectNewest => Gate::Drop,

@@ -23,18 +23,18 @@
 //! Algorithm 1: one node means placement is the identity, one layer
 //! without guarantee means the reservation term is zero, and one
 //! component means the vector predicate is the scalar predicate. Both
-//! engines decide by the same rules ([`crate::rules`]) and queue and
-//! drain on the same [`Waitlist`] protocol, so they also age, expire
-//! and shed waiters alike, and they keep the same [`PpRecord`]s and
-//! report the same [`RdaError`]s. What remains different (DESIGN.md §9)
-//! is the scalar engine's memoised fast path, which only marks calls
-//! fast: this engine's `fast` flags and `fast_begins`/`fast_ends`
-//! counters stay zero.
+//! engines decide by the same rules ([`crate::rules`]) and embed one
+//! progress monitor, which keeps their [`PpRecord`]s and waitlists and
+//! does every lifecycle step, so they also age, expire and shed
+//! waiters alike and report the same [`RdaError`]s. What remains
+//! different (DESIGN.md §9) is the scalar engine's memoised fast path,
+//! which only marks calls fast: this engine's `fast` flags and
+//! `fast_begins`/`fast_ends` counters stay zero.
 //!
 //! # Waitlists, aging, overload
 //!
 //! Waiters are pinned to the node chosen at enqueue time (least
-//! occupied at that moment); each node owns one [`Waitlist`] of demand
+//! occupied at that moment); each node owns one waitlist of demand
 //! vectors. The bounded admission gate, deadlines, aging (oldest-first
 //! by enqueue time), and the saturation breaker all operate per node —
 //! the breaker per node *and* resource kind.
@@ -54,14 +54,15 @@ use crate::error::{InvariantKind, RdaError};
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet, LayerSpec};
 use crate::policy::PolicyKind;
-use crate::registry::{PpRecord, PpRegistry};
-use crate::rules::{self, Breaker, Gate};
-use crate::snapshot::{Snapshot, WaitSnap};
+use crate::progress::{placed, primary, ProgressMonitor};
+use crate::registry::PpRecord;
+use crate::rules::{self, Breaker};
+use crate::snapshot::Snapshot;
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
-use crate::waitlist::{Drain, WaitEntry, Waitlist};
+use crate::waitlist::{Drain, WaitEntry};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
-use rda_trace::{EventKind, RejectKind, TraceEvent, TraceResource, TraceSink, NO_NODE};
+use rda_trace::{EventKind, TraceEvent, TraceSink, NO_NODE};
 
 /// Configuration of the topology engine — the multi-node analogue of
 /// [`crate::config::RdaConfig`]. The audit/aging/overload knobs are
@@ -139,30 +140,31 @@ impl TopoConfig {
 #[derive(Debug, Clone)]
 pub struct TopoExtension {
     cfg: TopoConfig,
+    books: NodeBooks,
+    /// The records, one waitlist per node, the counters and the trace
+    /// sink.
+    progress: ProgressMonitor,
+    /// One saturation breaker per node per kind.
+    breakers: Vec<[Breaker; KIND_COUNT]>,
+}
+
+/// The topology engine's resource monitor: per node and kind, the
+/// nominal books, the overflow bucket and the per-layer ledgers, with
+/// what the predicate reads beside them.
+#[derive(Debug, Clone)]
+struct NodeBooks {
     /// Nominal usage per node per kind (what the predicate sees).
     usage: Vec<[u64; KIND_COUNT]>,
     /// Degraded overflow bucket per node per kind.
     overflow: Vec<[u64; KIND_COUNT]>,
     /// Nominal usage split per layer (drives guarantee reservations).
     layer_usage: Vec<Vec<[u64; KIND_COUNT]>>,
-    /// Live periods, iterated in id order.
-    records: PpRegistry,
-    /// One waitlist per node; entries hold demand vectors.
-    waitlists: Vec<Waitlist<Demand>>,
-    stats: RdaStats,
-    sink: Option<TraceSink>,
-    /// One saturation breaker per node per kind.
-    breakers: Vec<[Breaker; KIND_COUNT]>,
     /// Each layer's policy usage limit per kind, node by node within a
     /// layer, computed once so the hot path does no float arithmetic
     /// (DESIGN.md §10).
     limits: Vec<[u64; KIND_COUNT]>,
-    /// [`Self::process_exit`]'s reusable buffer of reclaimed records.
-    dying: Vec<PpRecord>,
-    /// One reusable mark per node: the nodes [`Self::process_exit`]
-    /// reclaimed a period on, or [`Self::age_waitlist`] expired a
-    /// waiter on.
-    touched: Vec<bool>,
+    /// Each layer's per-node capacity guarantee.
+    guarantees: Vec<Option<Demand>>,
 }
 
 impl TopoExtension {
@@ -170,22 +172,22 @@ impl TopoExtension {
     pub fn new(cfg: TopoConfig) -> Self {
         let nodes = cfg.spec.node_count();
         assert!(nodes >= 1, "a topology needs at least one node");
-        let layers = cfg.layers.len();
+        let layers = &cfg.layers.layers;
         let limit = |l: &LayerSpec, c: u64| l.policy.usage_limit(c);
-        TopoExtension {
+        let books = NodeBooks {
             usage: vec![[0; KIND_COUNT]; nodes],
             overflow: vec![[0; KIND_COUNT]; nodes],
-            layer_usage: vec![vec![[0; KIND_COUNT]; nodes]; layers],
-            records: PpRegistry::new(),
-            waitlists: vec![Waitlist::new(); nodes],
-            stats: RdaStats::default(),
-            sink: None,
-            breakers: vec![[Breaker::default(); KIND_COUNT]; nodes],
-            limits: (cfg.layers.layers.iter())
+            layer_usage: vec![vec![[0; KIND_COUNT]; nodes]; layers.len()],
+            limits: (layers.iter())
                 .flat_map(|l| cfg.spec.caps.iter().map(|caps| caps.map(|c| limit(l, c))))
                 .collect(),
-            dying: Vec::new(),
-            touched: vec![false; nodes],
+            guarantees: layers.iter().map(|l| l.guarantee).collect(),
+        };
+        let capacity = ResourceKind::ALL.map(|k| cfg.spec.max_capacity(k));
+        TopoExtension {
+            books,
+            progress: ProgressMonitor::new(nodes, NO_NODE, capacity),
+            breakers: vec![[Breaker::default(); KIND_COUNT]; nodes],
             cfg,
         }
     }
@@ -197,7 +199,7 @@ impl TopoExtension {
 
     /// Counters so far.
     pub fn stats(&self) -> RdaStats {
-        self.stats
+        self.progress.stats
     }
 
     /// Number of nodes.
@@ -207,27 +209,27 @@ impl TopoExtension {
 
     /// Nominal usage of a kind on a node.
     pub fn usage(&self, node: NodeId, k: ResourceKind) -> u64 {
-        self.usage[node.0 as usize][k.index()]
+        self.books.usage[node.0 as usize][k.index()]
     }
 
     /// Overflow-bucket usage of a kind on a node.
     pub fn overflow_usage(&self, node: NodeId, k: ResourceKind) -> u64 {
-        self.overflow[node.0 as usize][k.index()]
+        self.books.overflow[node.0 as usize][k.index()]
     }
 
     /// Nominal usage one layer holds of a kind on a node.
     pub fn layer_usage(&self, layer: LayerId, node: NodeId, k: ResourceKind) -> u64 {
-        self.layer_usage[layer.0 as usize][node.0 as usize][k.index()]
+        self.books.layer_usage[layer.0 as usize][node.0 as usize][k.index()]
     }
 
     /// Number of periods waiting on a node.
     pub fn waitlist_len(&self, node: NodeId) -> usize {
-        self.waitlists[node.0 as usize].len()
+        self.progress.waitlists[node.0 as usize].len()
     }
 
     /// Number of live periods (admitted + waitlisted).
     pub fn live_periods(&self) -> usize {
-        self.records.len()
+        self.progress.registry.len()
     }
 
     /// Whether the saturation breaker is open for a kind on a node.
@@ -237,62 +239,22 @@ impl TopoExtension {
 
     /// Attach a trace sink; subsequent calls emit events into it.
     pub fn install_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
+        self.progress.sink = Some(sink);
     }
 
     /// The attached trace sink, if any.
     pub fn trace(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
+        self.progress.sink.as_ref()
     }
 
     /// Mutable access to the attached trace sink.
     pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
-        self.sink.as_mut()
+        self.progress.sink.as_mut()
     }
 
     /// Detach the trace sink.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
-    }
-
-    fn trace_kind(k: ResourceKind) -> TraceResource {
-        match k {
-            ResourceKind::Llc => TraceResource::Llc,
-            ResourceKind::MemBw => TraceResource::MemBandwidth,
-            ResourceKind::DramCap => TraceResource::DramCap,
-        }
-    }
-
-    /// [`Demand::primary`] as a single-slot trace-event payload.
-    fn primary(d: &Demand) -> (TraceResource, u64) {
-        let (k, amount) = d.primary();
-        (Self::trace_kind(k), amount)
-    }
-
-    #[inline]
-    fn emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(ev);
-        }
-    }
-
-    /// Capacity other layers' guarantees reserve away from `layer` on
-    /// node `n`, per kind (see the formula in [`crate::layer`]).
-    fn reserved_by_others(&self, n: usize, layer: LayerId) -> [u64; KIND_COUNT] {
-        let mut reserved = [0u64; KIND_COUNT];
-        for (li, spec) in self.cfg.layers.layers.iter().enumerate() {
-            if li as u32 == layer.0 {
-                continue;
-            }
-            if let Some(g) = spec.guarantee {
-                for k in ResourceKind::ALL {
-                    let i = k.index();
-                    let unused = g.get(k).saturating_sub(self.layer_usage[li][n][i]);
-                    reserved[i] = reserved[i].saturating_add(unused);
-                }
-            }
-        }
-        reserved
+        self.progress.sink.take()
     }
 
     /// The vector to account on node `n` for an audited demand under
@@ -304,23 +266,6 @@ impl TopoExtension {
             acc = acc.with(k, policy.effective_demand(audited.get(k), cap));
         }
         acc
-    }
-
-    /// Whether node `n` can admit `acc` nominally for `layer` right
-    /// now: the wrap guard, then Algorithm 1 ([`rules::fits`]) on every
-    /// component, net of other layers' reservations. `Err(kind)`
-    /// reports that accounting the component would wrap the 64-bit
-    /// book (the node is disqualified, not merely busy).
-    fn node_admittable(&self, n: usize, layer: LayerId, acc: &Demand) -> Result<bool, ResourceKind> {
-        if let Some(k) = wraps(&self.usage[n], acc) {
-            return Err(k);
-        }
-        let limits = &self.limits[layer.0 as usize * self.node_count() + n];
-        let reserved = self.reserved_by_others(n, layer);
-        Ok(ResourceKind::ALL.into_iter().all(|k| {
-            let i = k.index();
-            rules::fits(limits[i], reserved[i], self.usage[n][i], acc.get(k))
-        }))
     }
 
     /// Placement score of node `n` for a demand: the worst relative
@@ -335,10 +280,309 @@ impl TopoExtension {
             if cap == 0 {
                 continue;
             }
-            let occ = self.usage[n][i] as u128 + self.overflow[n][i] as u128;
+            let occ = self.books.usage[n][i] as u128 + self.books.overflow[n][i] as u128;
             score = score.max((occ << 32) / cap as u128);
         }
         score
+    }
+
+    /// Process a `pp_begin` from `process` at static site `site`,
+    /// demanding the vector `demand`.
+    ///
+    /// The process's layer decides the gating policy; placement picks
+    /// the least-occupied feasible node; infeasible arrivals are
+    /// pinned to the least-occupied node's waitlist (subject to the
+    /// per-node overload gate).
+    pub fn pp_begin(
+        &mut self,
+        process: ProcessId,
+        site: SiteId,
+        demand: Demand,
+        now: SimTime,
+    ) -> Result<BeginOutcome, RdaError> {
+        let layer = self.cfg.layers.layer_of(process.0);
+        let policy = self.cfg.layers.spec(layer).policy;
+        if !policy.is_gating() {
+            return Ok(BeginOutcome::Bypass);
+        }
+        let ev = self.progress.begin(process, site, primary(&demand), now);
+
+        // Demand audit, per component, against the machine-wide
+        // maximum capacity of the kind: a demand no node could ever
+        // hold nominally is impossible, whatever the placement.
+        let mut audited = demand;
+        for k in ResourceKind::ALL {
+            let capmax = self.cfg.spec.max_capacity(k);
+            let Some(a) = rules::audit(self.cfg.demand_audit, demand.get(k), capmax) else {
+                return Err(self.progress.reject_overflow(ev, k, demand.get(k)));
+            };
+            audited = audited.with(k, a);
+        }
+        if audited != demand {
+            self.progress.stats.clamped += 1;
+        }
+        // The record every outcome below registers, once placed.
+        let proto = PpRecord {
+            id: PpId(self.progress.registry.allocated()),
+            process,
+            site,
+            layer,
+            node: NodeId(0),
+            declared: audited,
+            accounted: Demand::ZERO,
+            admitted: false,
+            overflow: false,
+            begun_at: now,
+        };
+
+        // Placement: least-occupied feasible node, ties to the lowest
+        // id. Nodes an open saturation breaker sheds this demand class
+        // on are excluded (when every node does, the arrival is shed
+        // below, where no node is left to wait on); nodes whose books
+        // would wrap are disqualified; if every eligible node wraps,
+        // the demand is impossible to account.
+        let nodes = self.node_count();
+        let mut first_block = None;
+        let mut best: Option<(u128, usize)> = None;
+        let mut all_wrap = true;
+        let mut wrap_kind = None;
+        for n in 0..nodes {
+            if let Some(k) = self.breaker_blocks(n, &audited) {
+                first_block.get_or_insert((NodeId(n as u32), k));
+                continue;
+            }
+            let acc = self.accounted_on(n, &audited, policy);
+            match self.books.node_admittable(n, layer, &acc) {
+                Err(k) => {
+                    wrap_kind.get_or_insert(k);
+                }
+                Ok(feasible) => {
+                    all_wrap = false;
+                    if feasible {
+                        let score = self.occupancy_score(n, &audited);
+                        if best.is_none_or(|(s, _)| score < s) {
+                            best = Some((score, n));
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(k) = wrap_kind.filter(|_| all_wrap) {
+            return Err(self.progress.reject_overflow(ev, k, audited.get(k)));
+        }
+
+        if let Some((_, n)) = best {
+            let acc = self.accounted_on(n, &audited, policy);
+            let limits = &self.books.limits[layer.0 as usize * nodes + n];
+            if acc.touched().any(|k| acc.get(k) > limits[k.index()]) {
+                self.progress.stats.oversized_admits += 1;
+            }
+            if let Err(k) = self.books.account_nominal(n, layer, &acc) {
+                return Err(self.progress.reject_overflow(ev, k, acc.get(k)));
+            }
+            let rec = PpRecord {
+                node: NodeId(n as u32),
+                accounted: acc,
+                admitted: true,
+                ..proto
+            };
+            let pp = self.progress.registry.insert(|id| PpRecord { id, ..rec });
+            self.progress.stats.admitted += 1;
+            self.progress.emit(placed(ev, EventKind::Admit, pp, &rec));
+            return Ok(BeginOutcome::Run { pp, fast: false });
+        }
+
+        // No node fits: pin the arrival to the least-occupied eligible
+        // node's waitlist, behind that node's overload gate.
+        let Some(target) = (0..nodes)
+            .filter(|&n| self.breaker_blocks(n, &audited).is_none())
+            .min_by_key(|&n| (self.occupancy_score(n, &audited), n))
+        else {
+            // Every node's breaker sheds this demand class (a node is
+            // only ineligible with its blocker recorded).
+            let (node, kind) = first_block.unwrap_or((NodeId(0), ResourceKind::Llc));
+            return Err(self.progress.shed_open_breaker(ev, node, kind));
+        };
+        let acc = self.accounted_on(target, &audited, policy);
+        let rec = PpRecord {
+            node: NodeId(target as u32),
+            accounted: acc,
+            ..proto
+        };
+        let degrade = || self.books.account_overflow(target, &acc);
+        self.progress.park(self.cfg.overload, rec, ev, now, degrade)
+    }
+
+    /// The first kind whose open saturation breaker on node `n` sheds
+    /// the demand class of `audited`, excluding the node from placement.
+    fn breaker_blocks(&self, n: usize, audited: &Demand) -> Option<ResourceKind> {
+        let b = self.cfg.overload?.breaker?;
+        ResourceKind::ALL
+            .into_iter()
+            .find(|&k| self.breakers[n][k.index()].sheds(&b, audited.get(k)))
+    }
+
+    /// Process a `pp_end`. Misbehaving applications get the same typed
+    /// rejections as the scalar engine; state is untouched on every
+    /// error path. The completed period's node is drained afterwards.
+    pub fn pp_end(&mut self, pp: PpId, now: SimTime) -> Result<EndOutcome, RdaError> {
+        let rec = self.progress.end(pp, now)?;
+        self.books.release(&rec);
+        let mut ev = TraceEvent::at(now.cycles(), EventKind::End);
+        (ev.node, ev.process, ev.site, ev.pp) = (rec.node.0, rec.process.0, rec.site.0, pp.0);
+        (ev.resource, ev.amount) = primary(&rec.accounted);
+        self.progress.emit(ev);
+        let mut resumed = Vec::new();
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        let n = rec.node.0 as usize;
+        (self.progress).drain(n, &mut self.books, timeout, now, &mut resumed);
+        Ok(EndOutcome {
+            fast: false,
+            resumed,
+        })
+    }
+
+    /// Reclaim everything a dying process holds across every node, then
+    /// drain each touched node. Reclaiming marks the whole *node*
+    /// touched — not one resource — because a vector release frees
+    /// several kinds at once and any of them can unblock a waiter.
+    pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
+        let timeout = self.cfg.waitlist_timeout_cycles;
+        (self.progress).exit(process, now, &mut self.books, NodeBooks::release, timeout)
+    }
+
+    /// Apply waitlist aging at `now` on every node: expire waiters past
+    /// their deadline, force-admit waiters past the aging timeout,
+    /// admit newly fitting heads, then evaluate the per-node breakers.
+    pub fn age_waitlist(&mut self, now: SimTime) -> AgeOutcome {
+        let (timeout, overload) = (self.cfg.waitlist_timeout_cycles, self.cfg.overload);
+        let out = self.progress.age(&mut self.books, timeout, overload, now);
+        self.evaluate_breaker(now);
+        out
+    }
+
+    /// Record a client-side retry of a previously shed or expired
+    /// arrival (mirrors the scalar engine's counter).
+    pub fn note_retry(&mut self, process: ProcessId, site: SiteId, k: ResourceKind, now: SimTime) {
+        self.progress.note_retry(process, site, k, now);
+    }
+
+    /// Per-node, per-kind breaker hysteresis (same thresholds on every
+    /// node; occupancy is the node's nominal + overflow for the kind).
+    fn evaluate_breaker(&mut self, now: SimTime) {
+        let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
+            return;
+        };
+        for n in 0..self.node_count() {
+            for k in ResourceKind::ALL {
+                let i = k.index();
+                let occupancy = self.books.usage[n][i].saturating_add(self.books.overflow[n][i]);
+                if let Some(edge) = self.breakers[n][i].tick(&b, occupancy) {
+                    self.progress.breaker_edge(edge, n, k, occupancy, now);
+                }
+            }
+        }
+    }
+
+    /// A complete, comparable snapshot of the observable state.
+    pub fn snapshot(&self) -> Snapshot {
+        (self.progress).snapshot(self.books.usage.clone(), self.books.overflow.clone())
+    }
+
+    /// Internal consistency: every book on every node equals the sum
+    /// recomputed from the record store, per layer too, and each
+    /// waitlist agrees with the records entry by entry.
+    pub fn check_invariants(&self) -> Result<(), RdaError> {
+        let nodes = self.node_count();
+        let layers = self.cfg.layers.len();
+        let mut usage = vec![[0u64; KIND_COUNT]; nodes];
+        let mut overflow = vec![[0u64; KIND_COUNT]; nodes];
+        let mut lusage = vec![vec![[0u64; KIND_COUNT]; nodes]; layers];
+        for rec in self.progress.registry.iter().filter(|r| r.admitted) {
+            let n = rec.node.0 as usize;
+            for k in ResourceKind::ALL {
+                let i = k.index();
+                let a = rec.accounted.get(k);
+                if rec.overflow {
+                    overflow[n][i] += a;
+                } else {
+                    usage[n][i] += a;
+                    lusage[rec.layer.0 as usize][n][i] += a;
+                }
+            }
+        }
+        let b = &self.books;
+        for n in 0..nodes {
+            for k in ResourceKind::ALL {
+                let i = k.index();
+                let over = InvariantKind::OverflowMismatch;
+                let books = [
+                    (InvariantKind::UsageMismatch, usage[n][i], b.usage[n][i]),
+                    (over, overflow[n][i], b.overflow[n][i]),
+                ];
+                let layer_books = (0..layers).map(|l| {
+                    let check = InvariantKind::LayerUsageMismatch;
+                    (check, lusage[l][n][i], b.layer_usage[l][n][i])
+                });
+                if let Some((check, expected, actual)) = books
+                    .into_iter()
+                    .chain(layer_books)
+                    .find(|&(_, e, a)| e != a)
+                {
+                    return Err(RdaError::InvariantViolation {
+                        node: NodeId(n as u32),
+                        kind: k,
+                        check,
+                        expected,
+                        actual,
+                    });
+                }
+            }
+        }
+        self.progress.check_waitlists()
+    }
+}
+
+impl NodeBooks {
+    /// Capacity other layers' guarantees reserve away from `layer` on
+    /// node `n`, per kind (see the formula in [`crate::layer`]).
+    fn reserved_by_others(&self, n: usize, layer: LayerId) -> [u64; KIND_COUNT] {
+        let mut reserved = [0u64; KIND_COUNT];
+        for (li, guarantee) in self.guarantees.iter().enumerate() {
+            if li as u32 == layer.0 {
+                continue;
+            }
+            if let Some(g) = guarantee {
+                for k in ResourceKind::ALL {
+                    let i = k.index();
+                    let unused = g.get(k).saturating_sub(self.layer_usage[li][n][i]);
+                    reserved[i] = reserved[i].saturating_add(unused);
+                }
+            }
+        }
+        reserved
+    }
+
+    /// Whether node `n` can admit `acc` nominally for `layer` right
+    /// now: the wrap guard, then Algorithm 1 ([`rules::fits`]) on every
+    /// component, net of other layers' reservations. `Err(kind)`
+    /// reports that accounting the component would wrap the 64-bit
+    /// book (the node is disqualified, not merely busy).
+    fn node_admittable(
+        &self,
+        n: usize,
+        layer: LayerId,
+        acc: &Demand,
+    ) -> Result<bool, ResourceKind> {
+        if let Some(k) = wraps(&self.usage[n], acc) {
+            return Err(k);
+        }
+        let limits = &self.limits[layer.0 as usize * self.usage.len() + n];
+        let reserved = self.reserved_by_others(n, layer);
+        Ok(ResourceKind::ALL.into_iter().all(|k| {
+            let i = k.index();
+            rules::fits(limits[i], reserved[i], self.usage[n][i], acc.get(k))
+        }))
     }
 
     /// Add `acc` to node `n`'s nominal books for `layer`. Checked
@@ -346,7 +590,12 @@ impl TopoExtension {
     /// per-layer ledger, nothing is added and the wrapping kind is
     /// returned — the caller converts it into a typed
     /// [`RdaError::DemandOverflow`] rejection.
-    fn account_nominal(&mut self, n: usize, layer: LayerId, acc: &Demand) -> Result<(), ResourceKind> {
+    fn account_nominal(
+        &mut self,
+        n: usize,
+        layer: LayerId,
+        acc: &Demand,
+    ) -> Result<(), ResourceKind> {
         let li = layer.0 as usize;
         if let Some(k) = wraps(&self.usage[n], acc).or(wraps(&self.layer_usage[li][n], acc)) {
             return Err(k);
@@ -388,516 +637,6 @@ impl TopoExtension {
             }
         }
     }
-
-    /// Process a `pp_begin` from `process` at static site `site`,
-    /// demanding the vector `demand`.
-    ///
-    /// The process's layer decides the gating policy; placement picks
-    /// the least-occupied feasible node; infeasible arrivals are
-    /// pinned to the least-occupied node's waitlist (subject to the
-    /// per-node overload gate).
-    pub fn pp_begin(
-        &mut self,
-        process: ProcessId,
-        site: SiteId,
-        demand: Demand,
-        now: SimTime,
-    ) -> Result<BeginOutcome, RdaError> {
-        let layer = self.cfg.layers.layer_of(process.0);
-        let policy = self.cfg.layers.spec(layer).policy;
-        if !policy.is_gating() {
-            return Ok(BeginOutcome::Bypass);
-        }
-        self.stats.begins += 1;
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Begin);
-        ev.node = NO_NODE;
-        ev.process = process.0;
-        ev.site = site.0;
-        (ev.resource, ev.amount) = Self::primary(&demand);
-        self.emit(ev);
-
-        // Demand audit, per component, against the machine-wide
-        // maximum capacity of the kind: a demand no node could ever
-        // hold nominally is impossible, whatever the placement.
-        let mut audited = demand;
-        for k in ResourceKind::ALL {
-            let capmax = self.cfg.spec.max_capacity(k);
-            let Some(a) = rules::audit(self.cfg.demand_audit, demand.get(k), capmax) else {
-                self.stats.clamped += 1;
-                return Err(self.reject_overflow(ev, k, demand.get(k)));
-            };
-            audited = audited.with(k, a);
-        }
-        if audited != demand {
-            self.stats.clamped += 1;
-        }
-        // The record every outcome below registers, once placed.
-        let proto = PpRecord {
-            id: PpId(self.records.allocated()),
-            process,
-            site,
-            layer,
-            node: NodeId(0),
-            declared: audited,
-            accounted: Demand::ZERO,
-            admitted: false,
-            overflow: false,
-            begun_at: now,
-        };
-
-        // Placement: least-occupied feasible node, ties to the lowest
-        // id. Nodes an open saturation breaker sheds this demand class
-        // on are excluded (when every node does, the arrival is shed
-        // below, where no node is left to wait on); nodes whose books
-        // would wrap are disqualified; if every eligible node wraps,
-        // the demand is impossible to account.
-        let nodes = self.node_count();
-        let mut first_block = None;
-        let mut best: Option<(u128, usize)> = None;
-        let mut all_wrap = true;
-        let mut wrap_kind = None;
-        for n in 0..nodes {
-            if let Some(k) = self.breaker_blocks(n, &audited) {
-                first_block.get_or_insert((NodeId(n as u32), k));
-                continue;
-            }
-            let acc = self.accounted_on(n, &audited, policy);
-            match self.node_admittable(n, layer, &acc) {
-                Err(k) => {
-                    wrap_kind.get_or_insert(k);
-                }
-                Ok(feasible) => {
-                    all_wrap = false;
-                    if feasible {
-                        let score = self.occupancy_score(n, &audited);
-                        if best.is_none_or(|(s, _)| score < s) {
-                            best = Some((score, n));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(k) = wrap_kind.filter(|_| all_wrap) {
-            self.stats.clamped += 1;
-            return Err(self.reject_overflow(ev, k, audited.get(k)));
-        }
-
-        if let Some((_, n)) = best {
-            let acc = self.accounted_on(n, &audited, policy);
-            let limits = &self.limits[layer.0 as usize * nodes + n];
-            if acc.touched().any(|k| acc.get(k) > limits[k.index()]) {
-                self.stats.oversized_admits += 1;
-            }
-            if let Err(k) = self.account_nominal(n, layer, &acc) {
-                self.stats.clamped += 1;
-                return Err(self.reject_overflow(ev, k, acc.get(k)));
-            }
-            let pp = self.records.insert(|id| PpRecord {
-                id,
-                node: NodeId(n as u32),
-                accounted: acc,
-                admitted: true,
-                ..proto
-            });
-            self.stats.admitted += 1;
-            ev.kind = EventKind::Admit;
-            ev.node = n as u32;
-            ev.pp = pp.0;
-            (ev.resource, ev.amount) = Self::primary(&acc);
-            self.emit(ev);
-            return Ok(BeginOutcome::Run { pp, fast: false });
-        }
-
-        // No node fits: pin the arrival to the least-occupied eligible
-        // node's waitlist, behind that node's overload gate.
-        let Some(target) = (0..nodes)
-            .filter(|&n| self.breaker_blocks(n, &audited).is_none())
-            .min_by_key(|&n| (self.occupancy_score(n, &audited), n))
-        else {
-            // Every node's breaker sheds this demand class (a node is
-            // only ineligible with its blocker recorded).
-            let (node, kind) = first_block.unwrap_or((NodeId(0), ResourceKind::Llc));
-            self.stats.shed += 1;
-            ev.kind = EventKind::Shed;
-            ev.reject = RejectKind::BreakerOpen;
-            self.emit(ev);
-            return Err(RdaError::BreakerOpen { node, kind });
-        };
-        let acc = self.accounted_on(target, &audited, policy);
-        let shed = match rules::gate(self.cfg.overload, &mut self.waitlists[target]) {
-            Gate::Queue => None,
-            Gate::Evict(victim) => {
-                let rec = self.records.complete(victim.pp);
-                if rec.is_none() {
-                    self.stats.desyncs += 1;
-                }
-                let mut sv = waiter_event(EventKind::Shed, target, &victim, rec.as_ref(), now);
-                sv.reject = RejectKind::WaitlistFull;
-                self.stats.shed += 1;
-                self.emit(sv);
-                Some(victim.pp)
-            }
-            Gate::Degrade => {
-                if let Err(k) = self.account_overflow(target, &acc) {
-                    self.stats.clamped += 1;
-                    return Err(self.reject_overflow(ev, k, acc.get(k)));
-                }
-                let pp = self.records.insert(|id| PpRecord {
-                    id,
-                    node: NodeId(target as u32),
-                    accounted: acc,
-                    admitted: true,
-                    overflow: true,
-                    ..proto
-                });
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.node = target as u32;
-                ev.pp = pp.0;
-                (ev.resource, ev.amount) = Self::primary(&acc);
-                self.emit(ev);
-                return Ok(BeginOutcome::Run { pp, fast: false });
-            }
-            Gate::Drop => {
-                self.stats.shed += 1;
-                ev.kind = EventKind::Shed;
-                ev.node = target as u32;
-                ev.reject = RejectKind::WaitlistFull;
-                self.emit(ev);
-                return Err(RdaError::WaitlistFull {
-                    node: NodeId(target as u32),
-                });
-            }
-        };
-        let pp = self.records.insert(|id| PpRecord {
-            id,
-            node: NodeId(target as u32),
-            accounted: acc,
-            ..proto
-        });
-        if let Err(e) = self.waitlists[target].push(WaitEntry {
-            pp,
-            accounted: acc,
-            enqueued_at: now,
-        }) {
-            // A freshly allocated id cannot already be waitlisted; if
-            // it is, the waitlist and the record store have
-            // desynchronized. Roll the registration back so the books
-            // stay balanced, and fail the call instead of panicking.
-            self.records.complete(pp);
-            self.stats.desyncs += 1;
-            return Err(e);
-        }
-        self.stats.paused += 1;
-        self.stats.max_waitlist = self
-            .stats
-            .max_waitlist
-            .max(self.waitlists[target].len() as u64);
-        ev.kind = EventKind::Pause;
-        ev.node = target as u32;
-        ev.pp = pp.0;
-        (ev.resource, ev.amount) = Self::primary(&acc);
-        self.emit(ev);
-        Ok(BeginOutcome::Pause { pp, shed })
-    }
-
-    /// The first kind whose open saturation breaker on node `n` sheds
-    /// the demand class of `audited`, excluding the node from placement.
-    fn breaker_blocks(&self, n: usize, audited: &Demand) -> Option<ResourceKind> {
-        let b = self.cfg.overload?.breaker?;
-        ResourceKind::ALL
-            .into_iter()
-            .find(|&k| self.breakers[n][k.index()].sheds(&b, audited.get(k)))
-    }
-
-    /// Reject the begin `ev` describes with
-    /// [`RdaError::DemandOverflow`] on kind `k`, reporting `declared`.
-    fn reject_overflow(&mut self, mut ev: TraceEvent, k: ResourceKind, declared: u64) -> RdaError {
-        ev.kind = EventKind::Reject;
-        ev.reject = RejectKind::DemandOverflow;
-        self.emit(ev);
-        RdaError::DemandOverflow {
-            kind: k,
-            declared,
-            capacity: self.cfg.spec.max_capacity(k),
-        }
-    }
-
-    /// Process a `pp_end`. Misbehaving applications get the same typed
-    /// rejections as the scalar engine; state is untouched on every
-    /// error path. The completed period's node is drained afterwards.
-    pub fn pp_end(&mut self, pp: PpId, now: SimTime) -> Result<EndOutcome, RdaError> {
-        self.stats.ends += 1;
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::End);
-        ev.node = NO_NODE;
-        ev.pp = pp.0;
-        let Some(&rec) = self.records.get(pp) else {
-            self.stats.rejected_ends += 1;
-            let (err, reject) = if self.records.was_allocated(pp) {
-                (RdaError::DoubleEnd(pp), RejectKind::DoubleEnd)
-            } else {
-                (RdaError::UnknownPp(pp), RejectKind::UnknownPp)
-            };
-            ev.kind = EventKind::Reject;
-            ev.reject = reject;
-            self.emit(ev);
-            return Err(err);
-        };
-        if !rec.admitted {
-            self.stats.rejected_ends += 1;
-            ev.kind = EventKind::Reject;
-            ev.reject = RejectKind::EndWhileWaitlisted;
-            ev.node = rec.node.0;
-            ev.process = rec.process.0;
-            ev.site = rec.site.0;
-            self.emit(ev);
-            return Err(RdaError::EndWhileWaitlisted(pp));
-        }
-        self.records.complete(pp);
-        self.release(&rec);
-        ev.node = rec.node.0;
-        ev.process = rec.process.0;
-        ev.site = rec.site.0;
-        (ev.resource, ev.amount) = Self::primary(&rec.accounted);
-        self.emit(ev);
-        let resumed = self.drain_node(rec.node.0 as usize, now);
-        Ok(EndOutcome {
-            fast: false,
-            resumed,
-        })
-    }
-
-    /// Reclaim everything a dying process holds across every node, then
-    /// drain each touched node. Reclaiming marks the whole *node*
-    /// touched — not one resource — because a vector release frees
-    /// several kinds at once and any of them can unblock a waiter.
-    pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let mut dying = std::mem::take(&mut self.dying);
-        dying.clear();
-        self.records.reclaim(|r| r.process == process, &mut dying);
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.fill(false);
-        for rec in &dying {
-            let n = rec.node.0 as usize;
-            touched[n] = true;
-            if rec.admitted {
-                self.release(rec);
-            } else {
-                self.waitlists[n].cancel(rec.id);
-            }
-        }
-        let count = dying.len() as u64;
-        self.stats.reclaimed += count;
-        self.dying = dying;
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Exit);
-        ev.node = NO_NODE;
-        ev.process = process.0;
-        ev.amount = count;
-        self.emit(ev);
-        let mut resumed = Vec::new();
-        if count > 0 {
-            self.drain_nodes(&touched, now, &mut resumed);
-        }
-        self.touched = touched;
-        resumed
-    }
-
-    /// Apply waitlist aging at `now` on every node: expire waiters past
-    /// their deadline, force-admit waiters past the aging timeout,
-    /// admit newly fitting heads, then evaluate the per-node breakers.
-    pub fn age_waitlist(&mut self, now: SimTime) -> AgeOutcome {
-        let mut out = AgeOutcome::default();
-        if self.cfg.waitlist_timeout_cycles.is_none() && self.cfg.overload.is_none() {
-            return out;
-        }
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.fill(false);
-        if let Some(deadline) = self.cfg.overload.and_then(|o| o.deadline_cycles) {
-            for (n, expired) in touched.iter_mut().enumerate() {
-                let before = out.expired.len();
-                NodeDrain { ext: self, n }.expire_past(deadline, now, &mut out.expired);
-                *expired = out.expired.len() > before;
-            }
-        }
-        self.drain_nodes(&touched, now, &mut out.resumed);
-        self.touched = touched;
-        self.evaluate_breaker(now);
-        out
-    }
-
-    /// Drain, in node order, every node `touched` marks and every node
-    /// holding a waiter past the aging timeout, appending the admitted
-    /// periods to `resumed`.
-    fn drain_nodes(&mut self, touched: &[bool], now: SimTime, resumed: &mut Vec<(PpId, ProcessId)>) {
-        let timeout = self.cfg.waitlist_timeout_cycles;
-        for (n, &touched) in touched.iter().enumerate() {
-            if touched || self.waitlists[n].has_expired(now, timeout) {
-                resumed.extend(self.drain_node(n, now));
-            }
-        }
-    }
-
-    /// Record a client-side retry of a previously shed or expired
-    /// arrival (mirrors the scalar engine's counter).
-    pub fn note_retry(&mut self, process: ProcessId, site: SiteId, k: ResourceKind, now: SimTime) {
-        self.stats.retried += 1;
-        let mut ev = TraceEvent::at(now.cycles(), EventKind::Retry);
-        ev.node = NO_NODE;
-        ev.process = process.0;
-        ev.site = site.0;
-        ev.resource = Self::trace_kind(k);
-        self.emit(ev);
-    }
-
-    /// Per-node, per-kind breaker hysteresis (same thresholds on every
-    /// node; occupancy is the node's nominal + overflow for the kind).
-    fn evaluate_breaker(&mut self, now: SimTime) {
-        let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
-            return;
-        };
-        for n in 0..self.node_count() {
-            for k in ResourceKind::ALL {
-                let i = k.index();
-                let occupancy = self.usage[n][i].saturating_add(self.overflow[n][i]);
-                if let Some(kind) = self.breakers[n][i].tick(&b, occupancy) {
-                    self.stats.breaker_trips += u64::from(kind == EventKind::BreakerTrip);
-                    let mut ev = TraceEvent::at(now.cycles(), kind);
-                    ev.node = n as u32;
-                    ev.resource = Self::trace_kind(k);
-                    ev.amount = occupancy;
-                    self.emit(ev);
-                }
-            }
-        }
-    }
-
-    /// The shared drain protocol ([`Drain::drain`]) over node `n`'s
-    /// queue: every component of every waiter is re-evaluated.
-    fn drain_node(&mut self, n: usize, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let timeout = self.cfg.waitlist_timeout_cycles;
-        NodeDrain { ext: self, n }.drain(timeout, now)
-    }
-
-    /// A complete, comparable snapshot of the observable state.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            usage: self.usage.clone(),
-            overflow: self.overflow.clone(),
-            waitlists: self
-                .waitlists
-                .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|e| WaitSnap {
-                            pp: e.pp,
-                            accounted: e.accounted,
-                            enqueued_cycles: e.enqueued_at.cycles(),
-                        })
-                        .collect()
-                })
-                .collect(),
-            periods: self.records.iter().map(PpRecord::snap).collect(),
-            stats: self.stats,
-            allocated: self.records.allocated(),
-        }
-    }
-
-    /// Internal consistency: every book on every node equals the sum
-    /// recomputed from the record store, per layer too, and each
-    /// waitlist agrees with the records entry by entry.
-    pub fn check_invariants(&self) -> Result<(), RdaError> {
-        let nodes = self.node_count();
-        let layers = self.cfg.layers.len();
-        let mut usage = vec![[0u64; KIND_COUNT]; nodes];
-        let mut overflow = vec![[0u64; KIND_COUNT]; nodes];
-        let mut lusage = vec![vec![[0u64; KIND_COUNT]; nodes]; layers];
-        let mut waiting = vec![0u64; nodes];
-        for rec in self.records.iter() {
-            let n = rec.node.0 as usize;
-            if rec.admitted {
-                for k in ResourceKind::ALL {
-                    let i = k.index();
-                    let a = rec.accounted.get(k);
-                    if rec.overflow {
-                        overflow[n][i] += a;
-                    } else {
-                        usage[n][i] += a;
-                        lusage[rec.layer.0 as usize][n][i] += a;
-                    }
-                }
-            } else {
-                waiting[n] += 1;
-            }
-        }
-        let violation = |n: usize, kind, check, expected, actual| RdaError::InvariantViolation {
-            node: NodeId(n as u32),
-            kind,
-            check,
-            expected,
-            actual,
-        };
-        for n in 0..nodes {
-            for k in ResourceKind::ALL {
-                let i = k.index();
-                let books = [
-                    (InvariantKind::UsageMismatch, usage[n][i], self.usage[n][i]),
-                    (InvariantKind::OverflowMismatch, overflow[n][i], self.overflow[n][i]),
-                ];
-                let layer_books = (0..layers).map(|l| {
-                    let check = InvariantKind::LayerUsageMismatch;
-                    (check, lusage[l][n][i], self.layer_usage[l][n][i])
-                });
-                if let Some((check, expected, actual)) = books
-                    .into_iter()
-                    .chain(layer_books)
-                    .find(|&(_, e, a)| e != a)
-                {
-                    return Err(violation(n, k, check, expected, actual));
-                }
-            }
-        }
-        let llc = ResourceKind::Llc;
-        for n in 0..nodes {
-            for e in self.waitlists[n].iter() {
-                let (check, expected, actual) = match self.records.get(e.pp) {
-                    None => (InvariantKind::WaitlistRecordMissing, e.pp.0, 0),
-                    Some(rec) if rec.admitted => (InvariantKind::WaitlistAdmitted, 0, e.pp.0),
-                    Some(rec) if rec.node.0 as usize != n => {
-                        (InvariantKind::WaitlistWrongNode, n as u64, rec.node.0 as u64)
-                    }
-                    Some(_) => continue,
-                };
-                return Err(violation(n, llc, check, expected, actual));
-            }
-            let queued = self.waitlists[n].len() as u64;
-            if waiting[n] != queued {
-                let check = InvariantKind::WaitlistCountMismatch;
-                return Err(violation(n, llc, check, waiting[n], queued));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A trace event about waitlist entry `w` on node `n` leaving the queue
-/// at `now`, attributed to its owner when the record is known.
-fn waiter_event(
-    kind: EventKind,
-    n: usize,
-    w: &WaitEntry<Demand>,
-    rec: Option<&PpRecord>,
-    now: SimTime,
-) -> TraceEvent {
-    let mut ev = TraceEvent::at(now.cycles(), kind);
-    ev.node = n as u32;
-    if let Some(rec) = rec {
-        ev.process = rec.process.0;
-        ev.site = rec.site.0;
-    }
-    ev.pp = w.pp.0;
-    (ev.resource, ev.amount) = TopoExtension::primary(&w.accounted);
-    ev.wait_cycles = now.cycles().saturating_sub(w.enqueued_at.cycles());
-    ev
 }
 
 /// The first kind whose entry in `book` would wrap if `acc` were added.
@@ -906,74 +645,21 @@ fn wraps(book: &[u64; KIND_COUNT], acc: &Demand) -> Option<ResourceKind> {
         .find(|&k| book[k.index()].checked_add(acc.get(k)).is_none())
 }
 
-/// The topology engine's actions in the drain protocol on node `n`;
-/// every component of a waiter is fitted against its layer's limits.
-struct NodeDrain<'a> {
-    ext: &'a mut TopoExtension,
-    n: usize,
-}
-
-impl Drain<Demand> for NodeDrain<'_> {
-    fn queue(&mut self) -> &mut Waitlist<Demand> {
-        &mut self.ext.waitlists[self.n]
+/// The drain protocol on node `n`: every component of a waiter is
+/// fitted against its layer's limits.
+impl Drain for NodeBooks {
+    fn fits(&self, n: usize, w: &WaitEntry, rec: &PpRecord) -> bool {
+        matches!(self.node_admittable(n, rec.layer, &w.accounted), Ok(true))
     }
 
-    fn record(&self, pp: PpId) -> Option<PpRecord> {
-        self.ext.records.get(pp).copied()
-    }
-
-    fn fits(&self, w: &WaitEntry<Demand>, rec: &PpRecord) -> bool {
-        matches!(
-            self.ext.node_admittable(self.n, rec.layer, &w.accounted),
-            Ok(true)
-        )
-    }
-
-    fn admit(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
-        let (e, n) = (&mut *self.ext, self.n);
+    fn admit(&mut self, n: usize, w: &WaitEntry, rec: &PpRecord, _now: SimTime) -> bool {
         // A wrapping per-layer ledger leaves the head parked; aging can
         // still degrade it into the (checked) overflow bucket.
-        e.account_nominal(n, rec.layer, &w.accounted).ok()?;
-        if let Some(r) = e.records.get_mut(w.pp) {
-            r.admitted = true;
-        }
-        e.stats.resumed += 1;
-        e.emit(waiter_event(EventKind::Resume, n, w, Some(&rec), now));
-        Some(rec.process)
+        self.account_nominal(n, rec.layer, &w.accounted).is_ok()
     }
 
-    fn age(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> Option<ProcessId> {
-        let (e, n) = (&mut *self.ext, self.n);
-        e.account_overflow(n, &w.accounted).ok()?;
-        if let Some(r) = e.records.get_mut(w.pp) {
-            r.admitted = true;
-            r.overflow = true;
-        }
-        e.stats.aged_admissions += 1;
-        e.emit(waiter_event(EventKind::Age, n, w, Some(&rec), now));
-        Some(rec.process)
-    }
-
-    fn shed(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) {
-        let (e, n) = (&mut *self.ext, self.n);
-        e.records.complete(w.pp);
-        e.stats.clamped += 1;
-        e.stats.shed += 1;
-        let mut ev = waiter_event(EventKind::Shed, n, w, Some(&rec), now);
-        ev.reject = RejectKind::DemandOverflow;
-        e.emit(ev);
-    }
-
-    fn expire(&mut self, w: &WaitEntry<Demand>, rec: PpRecord, now: SimTime) -> ProcessId {
-        let (e, n) = (&mut *self.ext, self.n);
-        e.records.complete(w.pp);
-        e.stats.expired += 1;
-        e.emit(waiter_event(EventKind::Expire, n, w, Some(&rec), now));
-        rec.process
-    }
-
-    fn desync(&mut self) {
-        self.ext.stats.desyncs += 1;
+    fn age(&mut self, n: usize, w: &WaitEntry) -> bool {
+        self.account_overflow(n, &w.accounted).is_ok()
     }
 }
 
@@ -1088,7 +774,7 @@ mod tests {
         // ...and its usage draws the reservation down, so batch's
         // effective limit rises as the guarantee is consumed.
         assert_eq!(
-            e.reserved_by_others(0, LayerId(0))[ResourceKind::Llc.index()],
+            e.books.reserved_by_others(0, LayerId(0))[ResourceKind::Llc.index()],
             10
         );
         e.pp_end(lat, t(3)).unwrap();
@@ -1098,17 +784,14 @@ mod tests {
     #[test]
     fn trivial_single_layer_has_no_reservations() {
         let e = two_node();
-        assert_eq!(e.reserved_by_others(0, LayerId(0)), [0; KIND_COUNT]);
+        assert_eq!(e.books.reserved_by_others(0, LayerId(0)), [0; KIND_COUNT]);
     }
 
     #[test]
     fn end_rejections_are_typed_and_state_preserving() {
         let mut e = two_node();
         let pp = run(&mut e, 0, 0, Demand::llc(10), t(0));
-        assert_eq!(
-            e.pp_end(PpId(99), t(1)),
-            Err(RdaError::UnknownPp(PpId(99)))
-        );
+        assert_eq!(e.pp_end(PpId(99), t(1)), Err(RdaError::UnknownPp(PpId(99))));
         e.pp_end(pp, t(2)).unwrap();
         assert_eq!(e.pp_end(pp, t(3)), Err(RdaError::DoubleEnd(pp)));
         // Fill both nodes so the next arrival must wait.
@@ -1235,7 +918,7 @@ mod tests {
         // Corrupt the record store: the head's record vanishes while
         // its waitlist entry stays — the drain must drop the orphan,
         // count the desync, and still admit the entry behind it.
-        e.records.complete(orphan);
+        e.progress.registry.complete(orphan);
         let out = e.pp_end(holder, t(3)).unwrap();
         assert_eq!(e.stats().desyncs, 1);
         assert_eq!(out.resumed, vec![(behind, ProcessId(2))]);
@@ -1254,7 +937,7 @@ mod tests {
         ));
         run(&mut e, 0, 0, Demand::llc(100), t(0));
         let next = PpId(e.snapshot().allocated);
-        e.waitlists[0]
+        e.progress.waitlists[0]
             .push(WaitEntry {
                 pp: next,
                 accounted: Demand::llc(1),
@@ -1291,8 +974,8 @@ mod tests {
             }),
         );
         run(&mut e, 0, 0, Demand::llc(100), t(0)); // fill the LLC
-        // First degraded admission parks u64::MAX bandwidth in the
-        // overflow bucket (fits: the bucket starts empty).
+                                                   // First degraded admission parks u64::MAX bandwidth in the
+                                                   // overflow bucket (fits: the bucket starts empty).
         let d = Demand::new(50, u64::MAX, 0);
         match e.pp_begin(ProcessId(1), SiteId(0), d, t(1)).unwrap() {
             BeginOutcome::Run { .. } => {}
@@ -1322,7 +1005,7 @@ mod tests {
         // Corrupt the per-layer ledger near the wrap point while the
         // node book stays small: accounting must reject, not panic,
         // and must not half-apply the vector.
-        e.layer_usage[0][0][ResourceKind::Llc.index()] = u64::MAX;
+        e.books.layer_usage[0][0][ResourceKind::Llc.index()] = u64::MAX;
         let err = e
             .pp_begin(ProcessId(0), SiteId(0), Demand::llc(10), t(0))
             .unwrap_err();
@@ -1333,7 +1016,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(e.usage[0][ResourceKind::Llc.index()], 0);
+        assert_eq!(e.books.usage[0][ResourceKind::Llc.index()], 0);
         assert!(e.snapshot().periods.is_empty());
     }
 
@@ -1353,7 +1036,7 @@ mod tests {
             .with_waitlist_timeout_cycles(10),
         );
         run(&mut e, 0, 0, Demand::llc(100), t(0)); // holder fills the LLC
-        // X parks at the head demanding the whole bandwidth book.
+                                                   // X parks at the head demanding the whole bandwidth book.
         let BeginOutcome::Pause { pp: head, .. } = e
             .pp_begin(ProcessId(1), SiteId(0), Demand::new(50, u64::MAX, 0), t(1))
             .unwrap()

@@ -32,8 +32,11 @@ pub enum ResourceKind {
 
 impl ResourceKind {
     /// Every kind, in stable index order.
-    pub const ALL: [ResourceKind; KIND_COUNT] =
-        [ResourceKind::Llc, ResourceKind::MemBw, ResourceKind::DramCap];
+    pub const ALL: [ResourceKind; KIND_COUNT] = [
+        ResourceKind::Llc,
+        ResourceKind::MemBw,
+        ResourceKind::DramCap,
+    ];
 
     /// Dense index in `0..KIND_COUNT`, matching [`Self::ALL`].
     pub const fn index(self) -> usize {
@@ -162,7 +165,10 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::ZeroCapacity { node, kind } => {
-                write!(f, "{node} declares zero capacity for constrained resource {kind}")
+                write!(
+                    f,
+                    "{node} declares zero capacity for constrained resource {kind}"
+                )
             }
             SpecError::NoNodes => write!(f, "a topology needs at least one node"),
         }

@@ -6,11 +6,11 @@
 //! waitlist is FIFO: the longest-waiting period is re-evaluated first,
 //! which bounds waiting time and keeps admission order deterministic.
 //!
-//! Both admission engines queue on this one type. It is generic over
-//! the accounted demand an entry stores: the scalar
-//! [`crate::extension::RdaExtension`] holds one `Waitlist<u64>` (LLC
-//! bytes), the topology [`crate::topo::TopoExtension`] one
-//! `Waitlist<Demand>` per NUMA node.
+//! Both admission engines queue on this one type, and an entry stores
+//! the accounted demand vector: the scalar
+//! [`crate::extension::RdaExtension`] holds one waitlist of LLC-only
+//! vectors, the topology [`crate::topo::TopoExtension`] one per NUMA
+//! node.
 //!
 //! Two robustness mechanisms live here beyond the paper:
 //!
@@ -22,9 +22,11 @@
 //!   entries older than a timeout leave strictly oldest-first by
 //!   enqueue time, whatever their queue position.
 //!
-//! How waiters leave the queue is one protocol for both engines, the
-//! provided methods of [`Drain`]: the drain with its aging, and the
-//! deadline pass.
+//! How waiters leave the queue is one protocol for both engines, run by
+//! the engines' shared progress monitor: the drain with its aging, and
+//! the deadline pass. An engine takes part in it only through
+//! [`Drain`], the fit test and the admit and age accounting on its
+//! books.
 //!
 //! # Representation
 //!
@@ -37,41 +39,32 @@
 use crate::api::PpId;
 use crate::error::RdaError;
 use crate::registry::PpRecord;
-use rda_sched::ProcessId;
+use crate::topology::Demand;
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
 
 /// One waitlisted period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitEntry<A = u64> {
+pub struct WaitEntry {
     /// The denied period.
     pub pp: PpId,
-    /// Its accounted demand (for quick re-evaluation).
-    pub accounted: A,
+    /// Its accounted demand vector (for quick re-evaluation).
+    pub accounted: Demand,
     /// When the period was enqueued (for aging).
     pub enqueued_at: SimTime,
 }
 
 /// A FIFO of denied periods with a cached oldest enqueue time.
-#[derive(Debug, Clone)]
-pub struct Waitlist<A = u64> {
-    fifo: VecDeque<WaitEntry<A>>,
+#[derive(Debug, Clone, Default)]
+pub struct Waitlist {
+    fifo: VecDeque<WaitEntry>,
     /// `min(entry.enqueued_at)` over the queue, `None` when empty.
     /// Maintained incrementally; recomputed by scan only when the
     /// minimal entry leaves the queue.
     oldest: Option<SimTime>,
 }
 
-impl<A> Default for Waitlist<A> {
-    fn default() -> Self {
-        Waitlist {
-            fifo: VecDeque::new(),
-            oldest: None,
-        }
-    }
-}
-
-impl<A: Copy> Waitlist<A> {
+impl Waitlist {
     /// Empty waitlist.
     pub fn new() -> Self {
         Self::default()
@@ -80,7 +73,7 @@ impl<A: Copy> Waitlist<A> {
     /// Append a denied period. Rejects a period that is already
     /// enqueued — admitting the duplicate would double-release its
     /// demand later.
-    pub fn push(&mut self, entry: WaitEntry<A>) -> Result<(), RdaError> {
+    pub fn push(&mut self, entry: WaitEntry) -> Result<(), RdaError> {
         if self.fifo.iter().any(|e| e.pp == entry.pp) {
             return Err(RdaError::DoubleWaitlist(entry.pp));
         }
@@ -93,16 +86,16 @@ impl<A: Copy> Waitlist<A> {
     }
 
     /// The longest-queued period, without removing it.
-    pub fn front(&self) -> Option<WaitEntry<A>> {
+    pub fn front(&self) -> Option<WaitEntry> {
         self.fifo.front().copied()
     }
 
     /// Remove and return the longest-queued period.
-    pub fn pop(&mut self) -> Option<WaitEntry<A>> {
+    pub fn pop(&mut self) -> Option<WaitEntry> {
         self.remove(0)
     }
 
-    fn remove(&mut self, pos: usize) -> Option<WaitEntry<A>> {
+    fn remove(&mut self, pos: usize) -> Option<WaitEntry> {
         let entry = self.fifo.remove(pos)?;
         if Some(entry.enqueued_at) == self.oldest {
             self.oldest = self.fifo.iter().map(|e| e.enqueued_at).min();
@@ -128,7 +121,7 @@ impl<A: Copy> Waitlist<A> {
     /// even when a caller enqueued with non-monotonic timestamps (trace
     /// replay, direct API use) and queue position no longer matches
     /// wait time. O(1) when nothing has expired (the common case).
-    pub fn pop_expired(&mut self, now: SimTime, timeout: u64) -> Option<WaitEntry<A>> {
+    pub fn pop_expired(&mut self, now: SimTime, timeout: u64) -> Option<WaitEntry> {
         if !self.has_expired(now, Some(timeout)) {
             return None;
         }
@@ -165,92 +158,25 @@ impl<A: Copy> Waitlist<A> {
     /// Iterate the waiters front-to-back, by reference — the
     /// per-admission paths (snapshotting, invariant checks) must not
     /// copy the queue to walk it.
-    pub fn iter(&self) -> impl Iterator<Item = &WaitEntry<A>> {
+    pub fn iter(&self) -> impl Iterator<Item = &WaitEntry> {
         self.fifo.iter()
     }
 }
 
-/// The drain protocol, one queue at a time. The provided methods are
-/// the protocol; an engine implements only the actions, on a private
-/// handle over its books.
-pub trait Drain<A: Copy> {
-    /// The queue being drained.
-    fn queue(&mut self) -> &mut Waitlist<A>;
-    /// The live record of a queued period; `None` marks an orphaned
-    /// entry (the books have desynchronized).
-    fn record(&self, pp: PpId) -> Option<PpRecord>;
-    /// Whether `entry` fits the nominal books now (Algorithm 1).
-    fn fits(&self, entry: &WaitEntry<A>, rec: &PpRecord) -> bool;
-    /// Admit a fitting `entry` nominally, returning its process; `None`
+/// An engine's books as the drain protocol sees them, one queue (node
+/// `n`) at a time: the protocol decides which waiter to try and does
+/// the registry, counter and trace bookkeeping; the books answer the
+/// fit test and account an admission.
+pub trait Drain {
+    /// Whether `entry`, queued on node `n`, fits the nominal books now
+    /// (Algorithm 1).
+    fn fits(&self, n: usize, entry: &WaitEntry, rec: &PpRecord) -> bool;
+    /// Account a fitting `entry` nominally on node `n`; `false`
     /// (nothing accounted) leaves it parked because a book would wrap.
-    fn admit(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> Option<ProcessId>;
-    /// Force-admit an aged `entry` into the overflow bucket, returning
-    /// its process; `None` (nothing accounted) when the bucket would wrap.
-    fn age(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> Option<ProcessId>;
-    /// Complete, as shed, an aged `entry` the overflow bucket cannot take.
-    fn shed(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime);
-    /// Complete `entry` past its deadline, returning its process.
-    fn expire(&mut self, entry: &WaitEntry<A>, rec: PpRecord, now: SimTime) -> ProcessId;
-    /// Count one desync: an orphaned entry was dropped.
-    fn desync(&mut self);
-
-    /// Admit from the head while the head fits (Figure 6: "attempt to
-    /// schedule any waiting threads previously blocked due to resource
-    /// constraints"). When it blocks, force-admit the oldest waiter past
-    /// `timeout` (if aging is on) into the overflow bucket — or shed it
-    /// when that bucket would wrap — and walk again: removing a blocker
-    /// can let the periods behind it fit. Returns the admitted periods.
-    fn drain(&mut self, timeout: Option<u64>, now: SimTime) -> Vec<(PpId, ProcessId)> {
-        let mut resumed = Vec::new();
-        // Force-admissions within one drain go strictly oldest-first.
-        let mut last_aged: Option<SimTime> = None;
-        loop {
-            while let Some(head) = self.queue().front() {
-                let Some(rec) = self.record(head.pp) else {
-                    self.queue().pop();
-                    self.desync();
-                    continue;
-                };
-                if !self.fits(&head, &rec) {
-                    break;
-                }
-                let Some(process) = self.admit(&head, rec, now) else {
-                    break;
-                };
-                self.queue().pop();
-                resumed.push((head.pp, process));
-            }
-            let Some(aged) = timeout.and_then(|t| self.queue().pop_expired(now, t)) else {
-                break;
-            };
-            debug_assert!(
-                last_aged.is_none_or(|t| t <= aged.enqueued_at),
-                "aging force-admitted out of oldest-first order"
-            );
-            last_aged = Some(aged.enqueued_at);
-            let Some(rec) = self.record(aged.pp) else {
-                self.desync();
-                continue;
-            };
-            match self.age(&aged, rec, now) {
-                Some(process) => resumed.push((aged.pp, process)),
-                None => self.shed(&aged, rec, now),
-            }
-        }
-        resumed
-    }
-
-    /// The deadline pass: expire, oldest-first by enqueue time, every
-    /// waiter that has waited `deadline` cycles or longer by `now`,
-    /// appending each to `expired`.
-    fn expire_past(&mut self, deadline: u64, now: SimTime, expired: &mut Vec<(PpId, ProcessId)>) {
-        while let Some(entry) = self.queue().pop_expired(now, deadline) {
-            match self.record(entry.pp) {
-                Some(rec) => expired.push((entry.pp, self.expire(&entry, rec, now))),
-                None => self.desync(),
-            }
-        }
-    }
+    fn admit(&mut self, n: usize, entry: &WaitEntry, rec: &PpRecord, now: SimTime) -> bool;
+    /// Account an aged `entry` into node `n`'s overflow bucket; `false`
+    /// (nothing accounted) when the bucket would wrap.
+    fn age(&mut self, n: usize, entry: &WaitEntry) -> bool;
 }
 
 #[cfg(test)]
@@ -264,7 +190,7 @@ mod tests {
     fn e_at(id: u64, demand: u64, cycles: u64) -> WaitEntry {
         WaitEntry {
             pp: PpId(id),
-            accounted: demand,
+            accounted: Demand::llc(demand),
             enqueued_at: SimTime::from_cycles(cycles),
         }
     }
@@ -288,11 +214,11 @@ mod tests {
     fn emptiness_spans_resources() {
         // An entry whose demand lies on any resource of the vector
         // makes the queue non-empty.
-        let mut w: Waitlist<[u64; 3]> = Waitlist::new();
+        let mut w = Waitlist::new();
         assert!(w.is_empty());
         w.push(WaitEntry {
             pp: PpId(9),
-            accounted: [0, 1, 0],
+            accounted: Demand::new(0, 1, 0),
             enqueued_at: SimTime::from_cycles(0),
         })
         .unwrap();
@@ -333,10 +259,10 @@ mod tests {
     #[test]
     fn entries_carry_any_accounted_demand() {
         // The topology engine queues demand vectors on the same type.
-        let mut w: Waitlist<[u64; 3]> = Waitlist::new();
+        let mut w = Waitlist::new();
         let entry = WaitEntry {
             pp: PpId(4),
-            accounted: [1, 2, 3],
+            accounted: Demand::new(1, 2, 3),
             enqueued_at: SimTime::from_cycles(5),
         };
         w.push(entry).unwrap();

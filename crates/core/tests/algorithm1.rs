@@ -20,7 +20,11 @@ use rda_simcore::SimTime;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Begin a period of `tenth_mb / 10` MB from `process`.
-    Begin { process: u8, site: u8, tenth_mb: u16 },
+    Begin {
+        process: u8,
+        site: u8,
+        tenth_mb: u16,
+    },
     /// End the oldest still-admitted period.
     EndOldest,
     /// End the newest still-admitted period.

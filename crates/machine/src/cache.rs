@@ -129,13 +129,6 @@ pub struct HierarchyStats {
     pub llc: CacheStats,
 }
 
-impl HierarchyStats {
-    /// DRAM line transfers (LLC misses).
-    pub fn dram_lines(&self) -> u64 {
-        self.llc.misses
-    }
-}
-
 /// A multi-core cache hierarchy: private L1/L2 per slot, one shared LLC.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
@@ -312,7 +305,7 @@ mod tests {
         assert_eq!(s.l1.accesses, 200_000);
         assert_eq!(s.l2.accesses, s.l1.misses);
         assert_eq!(s.llc.accesses, s.l2.misses);
-        assert!(s.dram_lines() > 0);
+        assert!(s.llc.misses > 0, "the stream reaches DRAM");
     }
 
     #[test]

@@ -146,11 +146,6 @@ fn fit_transformed(points: &[(f64, f64)], f: impl Fn(f64) -> f64) -> Result<Fit,
 }
 
 impl Fit {
-    /// Predict `y` for a raw `x` under a *linear* fit.
-    pub fn predict_linear(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
     /// Predict `y` for a raw `x` under a *logarithmic* fit
     /// (`y = a + b·ln(x)`).
     pub fn predict_log(&self, x: f64) -> f64 {
@@ -180,7 +175,6 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-10);
         assert!((fit.intercept - 3.0).abs() < 1e-10);
         assert!((fit.r_squared - 1.0).abs() < 1e-10);
-        assert!((fit.predict_linear(10.0) - 23.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! bound. This module generates that arrival stream and drives the RDA
 //! extension's overload controls (`rda_core::OverloadConfig`) with it:
 //!
-//! * [`TrafficPlan::generate`] pre-expands a Poisson or diurnal
+//! * [`TrafficPlan::generate`] pre-expands a Poisson
 //!   [`ArrivalPattern`] into a concrete request schedule from a
 //!   dedicated, salted RNG stream ([`TRAFFIC_STREAM`]). Every candidate
 //!   arrival consumes a **fixed number of variates** (arrival gap,
-//!   thinning accept, demand class, service time, and one backoff
+//!   an unused accept draw, demand class, service time, and one backoff
 //!   jitter per allowed attempt), so the stream position is a pure
 //!   function of the configuration — the plan, and therefore the whole
 //!   run, is bit-identical regardless of threading or call order,
@@ -77,7 +77,7 @@ use rda_trace::{Log2Hist, OccupancySample, TraceConfig, TraceReport, TraceSink};
 /// and fault-plan streams derived from the same root seed.
 pub const TRAFFIC_STREAM: u64 = 0x7AF1_C000_0000_0001;
 
-/// Shape of the arrival process.
+/// The arrival process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
     /// Memoryless arrivals at a constant mean rate.
@@ -85,43 +85,6 @@ pub enum ArrivalPattern {
         /// Mean arrivals per simulated second.
         rate_per_sec: f64,
     },
-    /// A day/night load curve: the rate swings sinusoidally between
-    /// `base` and `peak` with the given period, realised by thinning a
-    /// Poisson process at the peak rate (each candidate keeps its
-    /// accept variate, so the stream stays position-stable).
-    Diurnal {
-        /// Trough arrival rate, per simulated second.
-        base_per_sec: f64,
-        /// Peak arrival rate, per simulated second.
-        peak_per_sec: f64,
-        /// Full period of the swing, simulated seconds.
-        period_secs: f64,
-    },
-}
-
-impl ArrivalPattern {
-    /// The envelope rate candidates are drawn at.
-    pub fn peak_rate(&self) -> f64 {
-        match *self {
-            ArrivalPattern::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalPattern::Diurnal { peak_per_sec, .. } => peak_per_sec,
-        }
-    }
-
-    /// Instantaneous rate at `t_secs`.
-    pub fn rate_at(&self, t_secs: f64) -> f64 {
-        match *self {
-            ArrivalPattern::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalPattern::Diurnal {
-                base_per_sec,
-                peak_per_sec,
-                period_secs,
-            } => {
-                let phase = (std::f64::consts::TAU * t_secs / period_secs).cos();
-                base_per_sec + (peak_per_sec - base_per_sec) * 0.5 * (1.0 - phase)
-            }
-        }
-    }
 }
 
 /// Everything the traffic engine needs besides the scheduler
@@ -197,13 +160,12 @@ pub struct TrafficPlan {
 
 impl TrafficPlan {
     /// Expand `cfg` into a concrete schedule, deterministic in
-    /// `(seed, cfg)`. Candidates are drawn at the pattern's peak rate
-    /// and thinned to the instantaneous rate; every candidate —
-    /// accepted or not — consumes the same number of variates.
+    /// `(seed, cfg)`. Every candidate consumes the same number of
+    /// variates.
     pub fn generate(cfg: &TrafficConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(SplitMix64::derive_stream(seed, TRAFFIC_STREAM));
-        let peak = cfg.pattern.peak_rate();
-        assert!(peak > 0.0 && peak.is_finite(), "arrival rate must be positive");
+        let ArrivalPattern::Poisson { rate_per_sec: rate } = cfg.pattern;
+        assert!(rate > 0.0 && rate.is_finite(), "arrival rate must be positive");
         assert!(!cfg.demand_classes.is_empty(), "need at least one demand class");
         let total_weight: f64 = cfg.demand_classes.iter().map(|&(_, w)| w).sum();
         let jitter_bound = cfg.backoff_base_cycles.max(1);
@@ -212,23 +174,21 @@ impl TrafficPlan {
         let mut t_secs = 0.0_f64;
         loop {
             // Fixed draw count per candidate: gap, accept, class,
-            // service, then one jitter per allowed attempt. The jitter
-            // is drawn into the flat array and dropped again unless the
-            // candidate becomes a request.
+            // service, then one jitter per allowed attempt. The accept
+            // variate goes unused but keeps its slot: every pinned plan
+            // and digest depends on where each draw falls in the stream.
+            // The jitter is drawn into the flat array and dropped again
+            // if the window closes before the candidate.
             let gap_u = rng.next_f64();
-            let accept_u = rng.next_f64();
+            let _accept_u = rng.next_f64();
             let class_u = rng.next_f64();
             let service_u = rng.next_f64();
             let drawn = jitter.len();
             jitter.extend((0..cfg.max_attempts).map(|_| rng.next_below(jitter_bound)));
-            t_secs += -(1.0 - gap_u).ln() / peak;
+            t_secs += -(1.0 - gap_u).ln() / rate;
             if t_secs >= cfg.duration_secs {
                 jitter.truncate(drawn);
                 break;
-            }
-            if accept_u * peak > cfg.pattern.rate_at(t_secs) {
-                jitter.truncate(drawn);
-                continue; // thinned out of the diurnal trough
             }
             let mut pick = class_u * total_weight;
             let mut site = cfg.demand_classes.len() - 1;
@@ -1361,24 +1321,6 @@ mod tests {
             "expected >1e5 requests/hour, got {}",
             plan.len()
         );
-    }
-
-    #[test]
-    fn diurnal_thins_against_the_peak() {
-        let mut cfg = TrafficConfig::web_default(0.0, 2.0);
-        cfg.pattern = ArrivalPattern::Diurnal {
-            base_per_sec: 100.0,
-            peak_per_sec: 1000.0,
-            period_secs: 1.0,
-        };
-        let diurnal = TrafficPlan::generate(&cfg, 3).len();
-        cfg.pattern = ArrivalPattern::Poisson {
-            rate_per_sec: 1000.0,
-        };
-        let flat = TrafficPlan::generate(&cfg, 3).len();
-        // Mean diurnal rate is (base+peak)/2 = 55% of peak.
-        assert!(diurnal < flat * 3 / 4, "diurnal {diurnal} vs flat {flat}");
-        assert!(diurnal > flat / 3, "diurnal {diurnal} vs flat {flat}");
     }
 
     #[test]

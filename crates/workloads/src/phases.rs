@@ -118,11 +118,6 @@ impl WorkloadSpec {
         self.processes.len()
     }
 
-    /// Total thread count.
-    pub fn num_threads(&self) -> usize {
-        self.processes.iter().map(|p| p.threads).sum()
-    }
-
     /// Total FLOPs the workload retires.
     pub fn total_flops(&self) -> u64 {
         self.processes.iter().map(ProcessProgram::total_flops).sum()
@@ -192,7 +187,6 @@ mod tests {
             processes: vec![program(), program(), program()],
         };
         assert_eq!(w.num_processes(), 3);
-        assert_eq!(w.num_threads(), 6);
         assert_eq!(w.declared_working_sets(), vec![mb(1.0), mb(2.0)]);
     }
 }

@@ -171,13 +171,13 @@ fn double_waitlist_rejection_is_pure() {
     let mut wl = Waitlist::new();
     let entry = WaitEntry {
         pp: PpId(7),
-        accounted: 123,
+        accounted: Demand::llc(123),
         enqueued_at: SimTime::from_cycles(5),
     };
     wl.push(entry).unwrap();
     assert_eq!(
         wl.push(WaitEntry {
-            accounted: 456, // even with different metadata
+            accounted: Demand::llc(456), // even with different metadata
             ..entry
         }),
         Err(RdaError::DoubleWaitlist(PpId(7)))

@@ -1,6 +1,6 @@
 //! Integration: the observability layer (`rda-trace`).
 //!
-//! Four claims are nailed down here:
+//! Five claims are nailed down here:
 //!
 //! 1. Tracing is digest-neutral — for single runs (including faulty
 //!    ones, property-tested over seeds/rates/policies) and for whole
@@ -16,15 +16,29 @@
 //!    growing or reshaping the format is an explicit, reviewed diff.
 //!    Regenerate with `UPDATE_TRACE_SCHEMA=1 cargo test -p rda-integration
 //!    --test observability`.
+//! 5. Both engines' event streams — every field of every event, in
+//!    order — are pinned per replayed schedule, so moving lifecycle
+//!    bookkeeping between modules cannot silently reorder or reshape
+//!    what a sink records.
 
 use proptest::prelude::*;
+use rda_bench::cli::{overload_cfg, SHED_POLICIES};
 use rda_bench::TraceBundle;
-use rda_core::{mb, DemandAudit, PolicyKind, SiteId};
-use rda_machine::ReuseLevel;
+use rda_check::{doc_from_calls, lift, TopoDoc, TraceDoc};
+use rda_core::{
+    mb, Demand, DemandAudit, LayerSet, LayerSpec, PolicyKind, PpDemand, RdaConfig, RdaExtension,
+    ResourceKind, SiteId, TopoConfig, TopoExtension, TopoSpec,
+};
+use rda_machine::{MachineConfig, ReuseLevel};
 use rda_metrics::Json;
 use rda_sim::experiment::paper_policies;
 use rda_sim::runner::{run_sweep_configured, RunnerOptions, SweepGrid};
-use rda_sim::{FaultConfig, SimConfig, SystemSim};
+use rda_sim::{
+    FaultConfig, SimConfig, SystemSim, TopoCall, TopoTrafficConfig, TopoTrafficSim, TrafficConfig,
+    TrafficSim,
+};
+use rda_simcore::Fnv1a64;
+use rda_trace::{EventKind, TraceConfig, TraceEvent, TraceReport, TraceSink, NO_PP};
 use rda_workloads::spec::all_workloads;
 use rda_workloads::{Phase, ProcessProgram, WorkloadSpec};
 use std::collections::BTreeSet;
@@ -289,4 +303,240 @@ fn export_schema_matches_the_golden_snapshot() {
          change is intentional, rerun with UPDATE_TRACE_SCHEMA=1 and \
          review the corpus diff"
     );
+}
+
+/// Fold every field of every retained event, then the count of events
+/// the ring overwrote, into one digest.
+fn event_stream_digest(report: &TraceReport) -> u64 {
+    let mut h = Fnv1a64::new();
+    for ev in &report.events {
+        h.write_u64(ev.t_cycles)
+            .write_u64(ev.kind as u64)
+            .write_u64(ev.node as u64)
+            .write_u64(ev.process as u64)
+            .write_u64(ev.site as u64)
+            .write_u64(ev.pp)
+            .write_u64(ev.resource as u64)
+            .write_u64(ev.amount)
+            .write_u64(ev.wait_cycles)
+            .write_u64(ev.fast as u64)
+            .write_u64(ev.reject as u64);
+    }
+    h.write_u64(report.dropped_events);
+    h.finish()
+}
+
+/// The lifecycle step an event records, precise enough to tell a head
+/// drop (a waiter evicted) from a tail drop (the arrival refused) and an
+/// exit that reclaimed periods from a clean one.
+fn event_facet(ev: &TraceEvent) -> String {
+    let subject = if ev.pp == NO_PP { "arrival" } else { "period" };
+    match ev.kind {
+        EventKind::Shed | EventKind::Reject => format!("{:?}/{:?}/{subject}", ev.kind, ev.reject),
+        EventKind::Exit if ev.amount > 0 => "Exit/reclaim".into(),
+        kind => format!("{kind:?}"),
+    }
+}
+
+/// Replay `calls` through a fresh scalar engine with a sink attached.
+fn scalar_event_report(cfg: &RdaConfig, calls: &[TopoCall]) -> TraceReport {
+    let mut ext = RdaExtension::new(cfg.clone());
+    ext.install_trace(TraceSink::new(TraceConfig::default()));
+    for call in calls {
+        match *call {
+            TopoCall::Begin {
+                now,
+                process,
+                site,
+                demand,
+            } => {
+                let demand = PpDemand::llc(demand.get(ResourceKind::Llc), ReuseLevel::High);
+                let _ = ext.pp_begin(process, site, demand, now);
+            }
+            TopoCall::End { now, pp } => {
+                let _ = ext.pp_end(pp, now);
+            }
+            TopoCall::Exit { now, process } => {
+                ext.process_exit(process, now);
+            }
+            TopoCall::Age { now } => {
+                ext.age_waitlist(now);
+            }
+            TopoCall::Retry {
+                now,
+                process,
+                site,
+                kind,
+            } => ext.note_retry(process, site, kind, now),
+        }
+    }
+    ext.take_trace().expect("sink installed").into_report()
+}
+
+/// Replay `calls` through a fresh topology engine with a sink attached.
+fn vector_event_report(cfg: &TopoConfig, calls: &[TopoCall]) -> TraceReport {
+    let mut ext = TopoExtension::new(cfg.clone());
+    ext.install_trace(TraceSink::new(TraceConfig::default()));
+    for call in calls {
+        match *call {
+            TopoCall::Begin {
+                now,
+                process,
+                site,
+                demand,
+            } => {
+                let _ = ext.pp_begin(process, site, demand, now);
+            }
+            TopoCall::End { now, pp } => {
+                let _ = ext.pp_end(pp, now);
+            }
+            TopoCall::Exit { now, process } => {
+                ext.process_exit(process, now);
+            }
+            TopoCall::Age { now } => {
+                ext.age_waitlist(now);
+            }
+            TopoCall::Retry {
+                now,
+                process,
+                site,
+                kind,
+            } => ext.note_retry(process, site, kind, now),
+        }
+    }
+    ext.take_trace().expect("sink installed").into_report()
+}
+
+/// Per-stream digests of both engines' trace events, pinned: every
+/// scalar corpus trace through the scalar engine and, lifted, through
+/// the topology engine; every topology corpus trace; and one recorded
+/// overload cell per shed policy on each engine. Together the overload
+/// cells make each engine evict, degrade, drop, expire, age, trip and
+/// reset its breaker, reject ends and reclaim exits, so a change to the
+/// order or payload of any of those events moves a digest here.
+#[test]
+fn both_engines_emit_pinned_event_streams() {
+    const PINNED: &[(&str, u64)] = &[
+        ("scalar audit_reject_overflow.trace", 0x4a83ff5daa3e2486),
+        ("lifted audit_reject_overflow.trace", 0x772670fb4352306b),
+        ("scalar backward_clock_aging.trace", 0x5c560578cab12614),
+        ("lifted backward_clock_aging.trace", 0x54fd2088edb58bd8),
+        ("scalar breaker_before_wrap_guard.trace", 0x7806d792f98e2601),
+        ("lifted breaker_before_wrap_guard.trace", 0x51c79d4ae7774d7c),
+        ("scalar breaker_idle_resource.trace", 0x09e7837896c89ca4),
+        ("lifted breaker_idle_resource.trace", 0x91173a51cbb63040),
+        ("scalar compromise_aging_overflow.trace", 0x554586085edd7a0d),
+        ("lifted compromise_aging_overflow.trace", 0x443f333df86d45f1),
+        ("scalar double_end.trace", 0x55e0fd2d388443b2),
+        ("lifted double_end.trace", 0xfea20dffddb07673),
+        ("scalar end_while_waitlisted.trace", 0xc0c57d3b06f86d8f),
+        ("lifted end_while_waitlisted.trace", 0x09455b4853e2aaa6),
+        ("scalar exit_reclaims_all.trace", 0x8464e017dff52c59),
+        ("lifted exit_reclaims_all.trace", 0x6de6626916e4dd20),
+        ("scalar fast_oversized_readmission.trace", 0x0c9b26227d7093f0),
+        ("lifted fast_oversized_readmission.trace", 0x2f756cea8c4488d1),
+        ("scalar golden_sweep.trace", 0xae237567e2ed8dab),
+        ("lifted golden_sweep.trace", 0x9ef8a5a178e427e3),
+        ("scalar memo_lookup_past_the_wrap_guard.trace", 0x226116a7cd693165),
+        ("lifted memo_lookup_past_the_wrap_guard.trace", 0x85d39d762fb88ac1),
+        ("scalar overflow_bucket_wrap.trace", 0x7a659ec010e8eff1),
+        ("lifted overflow_bucket_wrap.trace", 0xd0cd6dc01d54fce8),
+        ("scalar overload_shed_expire_breaker.trace", 0xa1cc360cb786aa1e),
+        ("lifted overload_shed_expire_breaker.trace", 0x88af88755558b852),
+        ("scalar unknown_end.trace", 0x48f0846dfdbb1319),
+        ("lifted unknown_end.trace", 0x4b26b13e0de03978),
+        ("vector layers_capacity_guarantee.trace", 0xddaa6da633aca737),
+        ("vector single_node_compat.trace", 0x9ef8a5a178e427e3),
+        ("vector topology_two_node_spillover.trace", 0x46495ac5e1ccfa6f),
+        ("scalar overload RejectNewest", 0x091f6028ece4b34b),
+        ("vector overload RejectNewest", 0x6a84e8ccabc6255a),
+        ("scalar overload RejectOldest", 0x44951ebc18976ea4),
+        ("vector overload RejectOldest", 0x7a121c368ab90ce8),
+        ("scalar overload DegradeToOverflow", 0x497f866e59134c6d),
+        ("vector overload DegradeToOverflow", 0x3f3c3723f7169246),
+    ];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let files = |dir: &str| {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("corpus directory exists")
+            .map(|e| e.expect("readable dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "trace"))
+            .collect();
+        paths.sort();
+        paths
+    };
+    for path in files(corpus) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let doc = TraceDoc::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let scalar = scalar_event_report(&doc.cfg, &doc.events);
+        got.push((format!("scalar {name}"), event_stream_digest(&scalar)));
+        let lifted = lift(&doc);
+        let vector = vector_event_report(&lifted.cfg, &lifted.events);
+        got.push((format!("lifted {name}"), event_stream_digest(&vector)));
+    }
+    for path in files(&format!("{corpus}/topo")) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let doc = TopoDoc::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let vector = vector_event_report(&doc.cfg, &doc.events);
+        got.push((format!("vector {name}"), event_stream_digest(&vector)));
+    }
+
+    let (mut scalar_facets, mut vector_facets) = (BTreeSet::new(), BTreeSet::new());
+    for (i, policy) in SHED_POLICIES.into_iter().enumerate() {
+        let seed = 11 + i as u64;
+        let rda = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict)
+            .with_waitlist_timeout_cycles(40_000_000)
+            .with_overload(overload_cfg(policy));
+        let mut traffic = TrafficConfig::web_default(12_000.0, 0.05);
+        traffic.record_calls = true;
+        let run = TrafficSim::new(traffic, rda.clone())
+            .with_faults(FaultConfig::uniform(0.05))
+            .run(seed);
+        let doc = doc_from_calls(rda, &run.calls.expect("record_calls was set"));
+        let scalar = scalar_event_report(&doc.cfg, &doc.events);
+        assert_eq!(scalar.dropped_events, 0, "{policy:?}: the event ring wrapped");
+        scalar_facets.extend(scalar.events.iter().map(event_facet));
+        got.push((format!("scalar overload {policy:?}"), event_stream_digest(&scalar)));
+
+        let latency = LayerSpec::new("latency", PolicyKind::Strict)
+            .with_guarantee(Demand::new(4 << 20, 1_500, 64 << 20));
+        let layers = LayerSet::new(vec![LayerSpec::new("batch", PolicyKind::Strict), latency]);
+        let topo = TopoConfig::new(TopoSpec::uniform(1, 15_360 << 10, 6_000, 1 << 30), layers)
+            .with_waitlist_timeout_cycles(40_000_000)
+            .with_overload(overload_cfg(policy));
+        let mut traffic = TopoTrafficConfig::two_tenant(24_000.0, 0.05);
+        // Long services keep waiters queued past the aging timeout.
+        traffic.mean_service_cycles = 1.9e7;
+        traffic.record_calls = true;
+        let run = TopoTrafficSim::new(traffic, topo)
+            .with_faults(FaultConfig::uniform(0.05))
+            .run(seed);
+        let cfg = run.config.expect("record_calls was set");
+        let vector = vector_event_report(&cfg, &run.calls.expect("record_calls was set"));
+        assert_eq!(vector.dropped_events, 0, "{policy:?}: the event ring wrapped");
+        vector_facets.extend(vector.events.iter().map(event_facet));
+        got.push((format!("vector overload {policy:?}"), event_stream_digest(&vector)));
+    }
+    for facet in [
+        "Shed/WaitlistFull/period",
+        "Shed/WaitlistFull/arrival",
+        "Shed/None/period",
+        "Expire",
+        "Age",
+        "BreakerTrip",
+        "BreakerReset",
+        "Reject/DoubleEnd/period",
+        "Exit/reclaim",
+    ] {
+        assert!(scalar_facets.contains(facet), "scalar cells never record {facet}: {scalar_facets:?}");
+        assert!(vector_facets.contains(facet), "vector cells never record {facet}: {vector_facets:?}");
+    }
+
+    let table: String = got
+        .iter()
+        .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(got, want, "event streams moved; the streams now read:\n{table}");
 }
