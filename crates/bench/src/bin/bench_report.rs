@@ -63,7 +63,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_counts() -> (u64, u64) {
-    (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
 }
 
 struct Args {
@@ -114,29 +117,38 @@ fn main() -> ExitCode {
     };
     let probe = Some(&alloc_counts as &dyn Fn() -> (u64, u64));
 
-    eprintln!("running hot-path benchmarks ({} mode)…", if args.smoke { "smoke" } else { "full" });
-    let mut results: Vec<BenchResult> = Vec::new();
-    results.push(measure(CALIBRATION, 50_000_000, warm, n_fast, probe, || {
-        calibration_ops(50_000_000)
-    }));
-    results.push(measure("pp_admission_pair", 10_000, warm, n_fast, probe, || {
-        admission_ops(10_000)
-    }));
-    results.push(measure("pp_admission_pair_slow", 10_000, warm, n_fast, probe, || {
-        admission_slow_ops(10_000)
-    }));
-    results.push(measure("admission_throughput", 64_000, warm, n_fast, probe, || {
-        admission_throughput_ops(64_000)
-    }));
-    results.push(measure("waitlist_churn_round", 2_000, warm, n_fast, probe, || {
-        churn_ops(2_000)
-    }));
-    results.push(measure("sweep_cell_ocean_cp", 1, warm, n_cell, probe, || {
-        sweep_cell(false)
-    }));
-    results.push(measure("sweep_cell_ocean_cp_traced", 1, warm, n_cell, probe, || {
-        sweep_cell(true)
-    }));
+    eprintln!(
+        "running hot-path benchmarks ({} mode)…",
+        if args.smoke { "smoke" } else { "full" }
+    );
+    let mut results: Vec<BenchResult> = vec![
+        measure(CALIBRATION, 50_000_000, warm, n_fast, probe, || {
+            calibration_ops(50_000_000)
+        }),
+        measure("pp_admission_pair", 10_000, warm, n_fast, probe, || {
+            admission_ops(10_000)
+        }),
+        measure(
+            "pp_admission_pair_slow",
+            10_000,
+            warm,
+            n_fast,
+            probe,
+            || admission_slow_ops(10_000),
+        ),
+        measure("admission_throughput", 64_000, warm, n_fast, probe, || {
+            admission_throughput_ops(64_000)
+        }),
+        measure("waitlist_churn_round", 2_000, warm, n_fast, probe, || {
+            churn_ops(2_000)
+        }),
+        measure("sweep_cell_ocean_cp", 1, warm, n_cell, probe, || {
+            sweep_cell(false)
+        }),
+        measure("sweep_cell_ocean_cp_traced", 1, warm, n_cell, probe, || {
+            sweep_cell(true)
+        }),
+    ];
     for factor in COMPROMISE_FACTORS {
         let name = format!("compromise_x{factor:.1}_contended");
         results.push(measure(&name, 1, warm, n_fast, probe, || {
@@ -165,7 +177,10 @@ fn main() -> ExitCode {
         .expect("just measured");
     let report = Json::obj([
         ("schema", Json::Str("rda-bench-report/v1".into())),
-        ("mode", Json::Str(if args.smoke { "smoke" } else { "full" }.into())),
+        (
+            "mode",
+            Json::Str(if args.smoke { "smoke" } else { "full" }.into()),
+        ),
         (
             "benchmarks",
             Json::Arr(results.iter().map(|r| r.to_json()).collect()),

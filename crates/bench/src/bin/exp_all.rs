@@ -8,7 +8,10 @@ use rda_sim::overhead::{figure11, granularity_study, N};
 use rda_workloads::spec;
 
 fn main() {
-    println!("=== Table 1 ===\n{}", MachineConfig::xeon_e5_2420().to_table());
+    println!(
+        "=== Table 1 ===\n{}",
+        MachineConfig::xeon_e5_2420().to_table()
+    );
     println!("=== Table 2 ===\n{}", spec::table2());
 
     let r = headline_runs_cli(&sweep_args_from_env());
@@ -48,8 +51,14 @@ fn main() {
                 (
                     "fig12",
                     Json::obj([
-                        ("water", Json::Arr(water.iter().map(wss_series_json).collect())),
-                        ("ocean", Json::Arr(ocean.iter().map(wss_series_json).collect())),
+                        (
+                            "water",
+                            Json::Arr(water.iter().map(wss_series_json).collect()),
+                        ),
+                        (
+                            "ocean",
+                            Json::Arr(ocean.iter().map(wss_series_json).collect()),
+                        ),
                     ]),
                 ),
             ]),

@@ -6,7 +6,9 @@
 //! exit-time reclamation) and reports how much recovery work each cell
 //! needed plus the throughput that survived. Every cell derives its
 //! fault plan from its own seed stream, so the printed digest is
-//! bit-identical for any `--threads` value — CI pins 1 vs 8.
+//! bit-identical for any `--threads` value — CI pins 1 vs 8. A failed
+//! cell is reported on a `FAILED` line after its rate's rows and
+//! folded into the digest; the binary then exits 1.
 //!
 //! ```bash
 //! cargo run --release -p rda-bench --bin exp_faults -- --threads 8
@@ -30,7 +32,12 @@ fn main() {
     let policies = [PolicyKind::Strict, PolicyKind::compromise_default()];
     let grid = SweepGrid::cross(&specs, &policies, 1);
 
-    println!("Fault-injection sweep — {} workloads × {} policies × {} fault rates", specs.len(), policies.len(), RATES.len());
+    println!(
+        "Fault-injection sweep — {} workloads × {} policies × {} fault rates",
+        specs.len(),
+        policies.len(),
+        RATES.len()
+    );
     println!();
     println!(
         "{:<8} {:<22} {:>9} {:>9} {:>8} {:>9} {:>9} {:>10} {:>9}",
@@ -38,6 +45,7 @@ fn main() {
     );
 
     let mut digest = Fnv1a64::new();
+    let mut failed = false;
     for rate in RATES {
         let sweep = run_sweep_configured(&grid, &opts, |cell| {
             let cfg = SimConfig::paper_default(cell.policy)
@@ -50,12 +58,6 @@ fn main() {
                 cfg
             }
         });
-        for err in &sweep.errors {
-            eprintln!("FAILED: {err}");
-        }
-        if !sweep.errors.is_empty() {
-            std::process::exit(1);
-        }
         bundle.add_records(&format!("rate{rate:.2}:"), &sweep.records);
         digest.write_u64(rate.to_bits()).write_u64(sweep.digest());
 
@@ -65,10 +67,16 @@ fn main() {
                 .iter()
                 .filter(|r| r.policy == policy)
                 .collect();
+            if cells.is_empty() {
+                continue;
+            }
             let sum = |f: &dyn Fn(&rda_core::RdaStats) -> u64| -> u64 {
                 cells.iter().map(|r| f(&r.result.rda)).sum()
             };
-            let gflops: f64 = cells.iter().map(|r| r.result.measurement.gflops()).sum::<f64>()
+            let gflops: f64 = cells
+                .iter()
+                .map(|r| r.result.measurement.gflops())
+                .sum::<f64>()
                 / cells.len() as f64;
             let joules: f64 = cells
                 .iter()
@@ -87,11 +95,18 @@ fn main() {
                 joules,
             );
         }
+        for err in &sweep.errors {
+            println!("{:<8} FAILED: {err}", format!("{rate:.2}"));
+        }
+        failed |= !sweep.errors.is_empty();
     }
 
     println!();
     println!("sweep digest: {:#018x}", digest.finish());
     if let Some(path) = &args.trace_out {
         bundle.write_or_die(path);
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

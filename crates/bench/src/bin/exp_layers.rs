@@ -28,8 +28,11 @@ use rda_simcore::SplitMix64;
 /// E5-2420's per-socket LLC/bandwidth/DRAM share.
 fn topo(nodes: usize, guarantee: bool) -> TopoConfig {
     let latency = if guarantee {
-        LayerSpec::new("latency", PolicyKind::Strict)
-            .with_guarantee(Demand::new(4 << 20, 1_500, 64 << 20))
+        LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::new(
+            4 << 20,
+            1_500,
+            64 << 20,
+        ))
     } else {
         LayerSpec::new("latency", PolicyKind::Strict)
     };

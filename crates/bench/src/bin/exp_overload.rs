@@ -90,8 +90,17 @@ fn main() {
     println!();
     println!(
         "{:<8} {:<14} {:<6} {:>8} {:>10} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9}",
-        "rate/s", "policy", "fault", "arrivals", "goodput/s", "shed", "expired", "retries",
-        "p50 ms", "p95 ms", "p99 ms"
+        "rate/s",
+        "policy",
+        "fault",
+        "arrivals",
+        "goodput/s",
+        "shed",
+        "expired",
+        "retries",
+        "p50 ms",
+        "p95 ms",
+        "p99 ms"
     );
     let to_ms = |cycles: u64| cycles as f64 / machine.freq_hz * 1e3;
     for (cell, outcome) in cells.iter().zip(&outcomes) {

@@ -5,32 +5,29 @@
 //! * `--threads N` — worker threads (`0` = all cores, the default);
 //! * `--root-seed S` — root seed of every run's derived RNG stream
 //!   (decimal or `0x`-prefixed hex);
-//! * `--shard I/M` — run only cells whose global index ≡ I (mod M),
-//!   for splitting a sweep across processes or machines;
 //! * `--trace-out PATH` — run the sweep with observability tracing on
 //!   and write every cell's trace as one Chrome trace-event JSON
 //!   document (open with Perfetto / `chrome://tracing`).
 //!
 //! Because every cell's stream depends only on `(root seed, grid
-//! index)`, any combination of `--threads` and `--shard` produces
-//! bit-identical per-cell results; tracing is digest-neutral, so
-//! `--trace-out` cannot change them either.
+//! index)`, any `--threads` value produces bit-identical per-cell
+//! results; tracing is digest-neutral, so `--trace-out` cannot change
+//! them either.
 //!
 //! The two traffic sweeps (`exp_overload`, `exp_layers`) add `--smoke`
-//! and refuse `--shard` and `--trace-out` ([`parse_traffic_sweep_args`]),
+//! and refuse `--trace-out` ([`parse_traffic_sweep_args`]),
 //! and share their overload control ([`overload_cfg`]), shed-policy
 //! axis ([`SHED_POLICIES`], [`policy_label`]) and closing digest line
 //! ([`sweep_footer`]).
 
 use rda_core::{mb, BreakerConfig, OverloadConfig, ShedPolicy};
-use rda_sim::runner::{sweep_digest, RunnerOptions, Shard};
+use rda_sim::runner::{sweep_digest, RunnerOptions};
 use std::path::PathBuf;
 
 /// Usage text shared by the binaries.
 pub const SWEEP_USAGE: &str = "options:
   --threads N       worker threads (0 = all cores; default 0)
   --root-seed S     root seed, decimal or 0x-hex (default: built-in)
-  --shard I/M       run only cells with index ≡ I (mod M)
   --trace-out PATH  record traces; write Chrome trace-event JSON to PATH
   --help            print this help";
 
@@ -75,10 +72,6 @@ where
                 let v = value("--root-seed")?;
                 parsed.runner.root_seed = parse_seed(&v)?;
             }
-            "--shard" => {
-                let v = value("--shard")?;
-                parsed.runner.shard = Some(Shard::parse(&v)?);
-            }
             "--trace-out" => {
                 parsed.trace_out = Some(PathBuf::from(value("--trace-out")?));
             }
@@ -121,8 +114,8 @@ pub const TRAFFIC_USAGE: &str = "options:
 /// Parse a traffic sweep's flags (binary name already stripped): the
 /// shared sweep flags plus `--smoke`, a small fast grid (the CI digest
 /// gate). Returns the runner options and whether `--smoke` was given.
-/// `--shard` and `--trace-out` are refused: `bin` runs and digests its
-/// whole grid, and does not collect its cells' trace reports. `--help`
+/// `--trace-out` is refused: `bin` does not collect its cells' trace
+/// reports. `--help`
 /// is reported as `Err("help")`, as by [`parse_sweep_args`], and a bad
 /// flag's message ends with [`TRAFFIC_USAGE`].
 pub fn parse_traffic_sweep_args<I>(bin: &str, args: I) -> Result<(RunnerOptions, bool), String>
@@ -139,11 +132,6 @@ where
         })
         .collect();
     let args = parse_sweep_args(rest).map_err(|e| e.replace(SWEEP_USAGE, TRAFFIC_USAGE))?;
-    if args.runner.shard.is_some() {
-        return Err(format!(
-            "--shard is not supported by {bin} (it runs and digests its whole grid)"
-        ));
-    }
     if args.trace_out.is_some() {
         return Err(format!(
             "--trace-out is not supported by {bin} (it does not collect its cells' trace reports)"
@@ -230,7 +218,6 @@ mod tests {
         let a = parse(&[]).unwrap();
         assert_eq!(a.runner.threads, 0);
         assert_eq!(a.runner.root_seed, DEFAULT_ROOT_SEED);
-        assert!(a.runner.shard.is_none());
         assert!(a.trace_out.is_none());
         assert!(!a.tracing());
     }
@@ -238,14 +225,20 @@ mod tests {
     #[test]
     fn all_flags_parse() {
         let a = parse(&[
-            "--threads", "8", "--root-seed", "0xDEAD", "--shard", "1/4", "--trace-out",
+            "--threads",
+            "8",
+            "--root-seed",
+            "0xDEAD",
+            "--trace-out",
             "/tmp/t.json",
         ])
         .unwrap();
         assert_eq!(a.runner.threads, 8);
         assert_eq!(a.runner.root_seed, 0xDEAD);
-        assert_eq!(a.runner.shard, Some(Shard { index: 1, count: 4 }));
-        assert_eq!(a.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
+        assert_eq!(
+            a.trace_out.as_deref(),
+            Some(std::path::Path::new("/tmp/t.json"))
+        );
         assert!(a.tracing());
     }
 
@@ -258,7 +251,8 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "x"]).is_err());
-        assert!(parse(&["--shard", "4/4"]).is_err());
+        let shard = parse(&["--shard", "0/2"]).unwrap_err();
+        assert!(shard.starts_with("unknown option '--shard'"), "{shard}");
         assert!(parse(&["--trace-out"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
@@ -272,7 +266,6 @@ mod tests {
     fn traffic_sweep_takes_smoke_among_shared_flags() {
         let (runner, smoke) = parse_traffic(&["--threads", "8", "--smoke"]).unwrap();
         assert_eq!(runner.threads, 8);
-        assert!(runner.shard.is_none());
         assert!(smoke);
         let (runner, smoke) = parse_traffic(&["--root-seed", "42"]).unwrap();
         assert_eq!(runner.root_seed, 42);
@@ -280,13 +273,6 @@ mod tests {
         assert_eq!(parse_traffic(&["--smoke", "--help"]).unwrap_err(), "help");
         let err = parse_traffic(&["--bogus"]).unwrap_err();
         assert!(err.ends_with(TRAFFIC_USAGE), "{err}");
-    }
-
-    #[test]
-    fn traffic_sweep_refuses_shard() {
-        let err = parse_traffic(&["--smoke", "--shard", "0/2"]).unwrap_err();
-        let want = "--shard is not supported by exp_overload";
-        assert!(err.starts_with(want), "{err}");
     }
 
     #[test]

@@ -109,7 +109,11 @@ mod tests {
         let pp1 = &series[0];
         assert_eq!(pp1.measured.len(), 4, "one point per input scale");
         // Monotone growth.
-        assert!(pp1.measured.windows(2).all(|w| w[1].1 >= w[0].1), "{:?}", pp1.measured);
+        assert!(
+            pp1.measured.windows(2).all(|w| w[1].1 >= w[0].1),
+            "{:?}",
+            pp1.measured
+        );
         // Sub-linear: 8× input gives < 8× WSS.
         let first = pp1.measured[0].1;
         let last = pp1.measured[3].1;

@@ -4,8 +4,7 @@
 //! policies sweep; this module runs the grid through the parallel
 //! sweep runner (`rda_sim::runner`) once and hands each `exp_fig*`
 //! binary its slice. Results are a pure function of the root seed —
-//! thread count, shard layout, and completion order cannot change
-//! them.
+//! thread count and completion order cannot change them.
 
 use crate::cli::SweepArgs;
 use crate::traceout::TraceBundle;
@@ -72,7 +71,7 @@ pub fn headline_runs_cli(args: &SweepArgs) -> HeadlineResults {
 }
 
 /// Run the full sweep with default options (all cores, default root
-/// seed, no shard).
+/// seed).
 pub fn headline_runs() -> HeadlineResults {
     headline_runs_with(&RunnerOptions::default())
 }

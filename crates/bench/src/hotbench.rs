@@ -136,7 +136,12 @@ pub fn churn_ops(rounds: usize) -> u64 {
         // One new period per round; once ~3 are admitted (12 of 15 MB)
         // the rest pile onto the waitlist.
         match ext
-            .pp_begin(proc, SiteId((round % 5) as u32), demand, SimTime::from_cycles(t))
+            .pp_begin(
+                proc,
+                SiteId((round % 5) as u32),
+                demand,
+                SimTime::from_cycles(t),
+            )
             .expect("audited demand")
         {
             rda_core::BeginOutcome::Run { pp, .. } => running.push((pp, proc)),
@@ -161,7 +166,9 @@ pub fn churn_ops(rounds: usize) -> u64 {
         }
     }
     let s = ext.stats();
-    s.paused ^ s.resumed.rotate_left(13) ^ s.aged_admissions.rotate_left(29)
+    s.paused
+        ^ s.resumed.rotate_left(13)
+        ^ s.aged_admissions.rotate_left(29)
         ^ s.reclaimed.rotate_left(47)
 }
 
@@ -189,7 +196,10 @@ fn sweep_cell_named(name: &str, trace: bool) -> u64 {
     let spec = workload(name);
     let cfg = SimConfig::paper_default(PolicyKind::Strict);
     let cfg = if trace { cfg.with_trace() } else { cfg };
-    SystemSim::new(cfg, &spec).run().expect("cell runs").digest()
+    SystemSim::new(cfg, &spec)
+        .run()
+        .expect("cell runs")
+        .digest()
 }
 
 /// The entire 24-cell headline grid (8 workloads × 3 policies), run
@@ -360,11 +370,7 @@ pub const CALIBRATION: &str = "calibration";
 /// flag every kernel. Returns one message per benchmark whose
 /// normalized throughput regressed by more than `tolerance` (0.20 =
 /// 20 %); missing baseline entries are skipped, never failed.
-pub fn compare_reports(
-    current: &[BenchResult],
-    baseline: &Json,
-    tolerance: f64,
-) -> Vec<String> {
+pub fn compare_reports(current: &[BenchResult], baseline: &Json, tolerance: f64) -> Vec<String> {
     let base_benches: Vec<&Json> = baseline
         .get("benchmarks")
         .and_then(|b| b.as_arr())

@@ -49,8 +49,7 @@ pub fn headline(results: &HeadlineResults) -> Headline {
     }
     Headline {
         max_energy_decrease: energy_decreases.iter().cloned().fold(f64::MIN, f64::max),
-        avg_energy_decrease: energy_decreases.iter().sum::<f64>()
-            / energy_decreases.len() as f64,
+        avg_energy_decrease: energy_decreases.iter().sum::<f64>() / energy_decreases.len() as f64,
         max_speedup: speedups.iter().cloned().fold(f64::MIN, f64::max),
         avg_speedup: rda_metrics::geomean(&speedups).unwrap_or(0.0),
     }

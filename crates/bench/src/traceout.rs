@@ -24,7 +24,12 @@ pub struct TraceWriteError {
 
 impl std::fmt::Display for TraceWriteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "failed to write {}: {}", self.path.display(), self.source)
+        write!(
+            f,
+            "failed to write {}: {}",
+            self.path.display(),
+            self.source
+        )
     }
 }
 
@@ -173,7 +178,9 @@ mod tests {
         );
         // A directory as the destination is also refused, not panicked.
         let dir = std::env::temp_dir();
-        let err = bundle.write(&dir).expect_err("writing to a directory must fail");
+        let err = bundle
+            .write(&dir)
+            .expect_err("writing to a directory must fail");
         assert_eq!(err.path, dir);
         assert!(std::error::Error::source(&err).is_some());
     }

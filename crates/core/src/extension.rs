@@ -38,29 +38,30 @@
 //!
 //! Independently, **waitlist aging** (when
 //! [`crate::config::RdaConfig::waitlist_timeout_cycles`] is set) bounds
-//! worst-case wait by construction: a period that has waited past the
-//! timeout is force-admitted under the monitor's degraded overflow
-//! bucket ([`RdaStats::aged_admissions`]), which Algorithm 1 does not
-//! see — so degraded admissions can never wedge the nominal books shut.
+//! worst-case wait: a period waiting past the timeout is force-admitted
+//! into the degraded overflow bucket ([`RdaStats::aged_admissions`]),
+//! which Algorithm 1 does not see, so it cannot wedge the nominal books.
 //!
 //! Every one of these rules — the fit test, the audit, the breaker, the
 //! bounded gate, the drain with its aging and deadline passes — is the
 //! topology engine's rule too, stated once in [`crate::rules`] and in
-//! the progress monitor both engines embed, which counts and traces
-//! every step. This engine keeps its books and the memoised fast path.
+//! the progress monitor both engines embed. The monitor counts and
+//! traces every step, keeps the breakers, and audits and snapshots the
+//! books through [`Drain`]. This engine keeps its books, the wrap
+//! guard, the fit-and-run block and the memoised fast path.
 
 use crate::api::{PpDemand, PpId, SiteId};
 use crate::config::RdaConfig;
-use crate::error::{InvariantKind, RdaError};
+use crate::error::RdaError;
 use crate::fastpath::FastPathCache;
 use crate::layer::LayerId;
 use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
 use crate::progress::ProgressMonitor;
 use crate::registry::PpRecord;
-use crate::rules::{self, Breaker};
+use crate::rules;
 use crate::snapshot::Snapshot;
-use crate::topology::{Demand, NodeId, ResourceKind};
+use crate::topology::{Demand, NodeId, ResourceKind, KIND_COUNT};
 use crate::waitlist::{Drain, WaitEntry};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
@@ -173,10 +174,9 @@ pub struct EndOutcome {
 pub struct RdaExtension {
     cfg: RdaConfig,
     books: ScalarBooks,
-    /// The registry, the one waitlist, the counters and the trace sink.
+    /// The registry, the one node's waitlist and breakers, the counters
+    /// and the trace sink.
     progress: ProgressMonitor,
-    /// The saturation breaker's hysteresis (idle unless configured).
-    breaker: Breaker,
     /// Bumped by every call that can mutate the books (registry,
     /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
@@ -218,7 +218,6 @@ impl RdaExtension {
         RdaExtension {
             books,
             progress: ProgressMonitor::new(1, 0, capacity),
-            breaker: Breaker::default(),
             books_epoch: 0,
             cfg,
         }
@@ -279,13 +278,13 @@ impl RdaExtension {
 
     /// Number of waitlisted periods.
     pub fn waitlist_len(&self) -> usize {
-        self.progress.waitlists[0].len()
+        self.progress.nodes[0].waitlist.len()
     }
 
     /// Enqueue time of the longest-waiting period — the next to be
     /// force-admitted when aging is enabled.
     pub fn oldest_wait(&self) -> Option<SimTime> {
-        self.progress.waitlists[0].oldest()
+        self.progress.nodes[0].waitlist.oldest()
     }
 
     /// A complete, comparable snapshot of the observable state: both
@@ -298,9 +297,7 @@ impl RdaExtension {
     /// replayed event, and cheap enough for assertions in ordinary
     /// tests.
     pub fn snapshot(&self) -> Snapshot {
-        let (usage, overflow) = (self.usage(), self.overflow_usage());
-        let llc = |a| vec![Demand::llc(a).amounts];
-        self.progress.snapshot(llc(usage), llc(overflow))
+        self.progress.snapshot(&self.books)
     }
 
     /// Order-independent digest of the fast-path cache (see
@@ -352,8 +349,8 @@ impl RdaExtension {
         // Saturation breaker: while open, shed the configured demand
         // class before it can touch the books.
         if let Some(b) = self.cfg.overload.and_then(|o| o.breaker) {
-            if self.breaker.sheds(&b, audited) {
-                return Err(self.progress.shed_open_breaker(ev, NodeId(0), LLC));
+            if let Some(k) = self.progress.blocked(&b, 0, &Demand::llc(audited)) {
+                return Err(self.progress.shed_open_breaker(ev, NodeId(0), k));
             }
         }
         let accounted = policy.effective_demand(audited, capacity);
@@ -365,7 +362,7 @@ impl RdaExtension {
         // Fast path: a repeat entry of a recently validated site while
         // no one is waitlisted ahead of us. A hit only marks the call
         // fast — it admits exactly what Algorithm 1 admits.
-        let fast = self.progress.waitlists[0].is_empty()
+        let fast = self.progress.nodes[0].waitlist.is_empty()
             && books.fastpath.try_admit(
                 process,
                 site,
@@ -440,7 +437,7 @@ impl RdaExtension {
         // With no waiters nothing can be woken. The completion is fast —
         // a shared-page decrement with deferred registry cleanup — when
         // the site was validated recently.
-        if self.progress.waitlists[0].is_empty() {
+        if self.progress.nodes[0].waitlist.is_empty() {
             let fast = (self.books.fastpath).is_fresh(record.process, record.site, now);
             self.progress.stats.fast_ends += u64::from(fast);
             ev.fast = fast;
@@ -475,7 +472,7 @@ impl RdaExtension {
         self.books_epoch += 1;
         self.books.fastpath.invalidate_process(process);
         let timeout = self.cfg.waitlist_timeout_cycles;
-        (self.progress).exit(process, now, &mut self.books, ScalarBooks::release, timeout)
+        (self.progress).exit(process, now, &mut self.books, timeout)
     }
 
     /// Apply waitlist aging at `now`: expire every waiter past its
@@ -492,19 +489,12 @@ impl RdaExtension {
     pub fn age_waitlist(&mut self, now: SimTime) -> AgeOutcome {
         self.books_epoch += 1;
         let (timeout, overload) = (self.cfg.waitlist_timeout_cycles, self.cfg.overload);
-        let out = self.progress.age(&mut self.books, timeout, overload, now);
-        if let Some(b) = overload.and_then(|o| o.breaker) {
-            let occupancy = self.usage().saturating_add(self.overflow_usage());
-            if let Some(edge) = self.breaker.tick(&b, occupancy) {
-                self.progress.breaker_edge(edge, 0, LLC, occupancy, now);
-            }
-        }
-        out
+        self.progress.age(&mut self.books, timeout, overload, now)
     }
 
     /// Whether the saturation breaker is currently open.
     pub fn breaker_is_open(&self) -> bool {
-        self.breaker.is_open()
+        self.progress.breaker_is_open(0, LLC)
     }
 
     /// Record a client-side retry of a previously shed or expired
@@ -535,43 +525,16 @@ impl RdaExtension {
     /// registry's accounted sums, and the waitlist agrees with the
     /// registry record by record. Any violation is a scheduler bug —
     /// never an application bug — reported as a typed
-    /// [`RdaError::InvariantViolation`].
+    /// [`RdaError::InvariantViolation`]. One registry pass for the
+    /// books (this runs after every simulation step that moved them).
     pub fn check_invariants(&self) -> Result<(), RdaError> {
-        // One pass over the registry (this runs after every simulation
-        // step that moved the books).
-        let sums = self.progress.registry.audit_sums();
-        let (usage, overflow) = (self.usage(), self.overflow_usage());
-        let books = [
-            (InvariantKind::UsageMismatch, sums.accounted, usage),
-            (InvariantKind::OverflowMismatch, sums.overflow, overflow),
-        ];
-        if let Some((check, expected, actual)) = books.into_iter().find(|&(_, e, a)| e != a) {
-            return Err(RdaError::InvariantViolation {
-                node: NodeId(0),
-                kind: LLC,
-                check,
-                expected,
-                actual,
-            });
-        }
-        self.progress.check_waitlists()
+        self.progress.check(&self.books)
     }
 }
 
-impl ScalarBooks {
-    /// Release a completed or reclaimed record's demand from the
-    /// matching accounting bucket.
-    fn release(&mut self, record: &PpRecord) {
-        if record.overflow {
-            self.monitor.decrement_overflow(llc(&record.accounted));
-        } else {
-            self.monitor.decrement_load(llc(&record.accounted));
-        }
-    }
-}
-
-/// The drain protocol on the one queue; Algorithm 1 reads the accounted
-/// LLC demand each entry stores.
+/// The one node's books; Algorithm 1 reads the accounted LLC demand
+/// each entry stores. They report one layer, whose ledger is the
+/// nominal book, and hold nothing but the LLC.
 impl Drain for ScalarBooks {
     fn fits(&self, _n: usize, entry: &WaitEntry, _rec: &PpRecord) -> bool {
         rules::fits(self.limit, 0, self.monitor.usage(), llc(&entry.accounted))
@@ -586,6 +549,22 @@ impl Drain for ScalarBooks {
     fn age(&mut self, _n: usize, entry: &WaitEntry) -> bool {
         self.monitor.increment_overflow(llc(&entry.accounted))
     }
+
+    fn release(&mut self, record: &PpRecord) {
+        if record.overflow {
+            self.monitor.decrement_overflow(llc(&record.accounted));
+        } else {
+            self.monitor.decrement_load(llc(&record.accounted));
+        }
+    }
+
+    fn held(&self, _n: usize) -> [[u64; KIND_COUNT]; 2] {
+        [self.monitor.usage(), self.monitor.overflow()].map(|a| Demand::llc(a).amounts)
+    }
+
+    fn ledger(&self, l: usize, n: usize) -> Option<[u64; KIND_COUNT]> {
+        (l == 0).then(|| self.held(n)[0])
+    }
 }
 
 #[cfg(test)]
@@ -593,6 +572,7 @@ mod tests {
     use super::*;
     use crate::api::mb;
     use crate::config::{DemandAudit, ShedPolicy};
+    use crate::error::InvariantKind;
     use rda_machine::{MachineConfig, ReuseLevel};
 
     fn ext(policy: PolicyKind) -> RdaExtension {
@@ -1246,7 +1226,8 @@ mod tests {
         // Predict the id the next begin will allocate and pre-poison
         // the queue with it, simulating a desynchronized waitlist.
         let next = PpId(e.snapshot().allocated);
-        e.progress.waitlists[0]
+        e.progress.nodes[0]
+            .waitlist
             .push(WaitEntry {
                 pp: next,
                 accounted: Demand::llc(1),
@@ -1265,7 +1246,7 @@ mod tests {
         assert!(e.progress.registry.was_allocated(next));
         assert!(e.progress.registry.get(next).is_none());
         assert_eq!(e.usage(), before);
-        let queued = e.progress.waitlists[0].iter();
+        let queued = e.progress.nodes[0].waitlist.iter();
         assert_eq!(queued.filter(|w| w.pp == next).count(), 1);
         // The extension stays serviceable: an honest begin still works
         // (and pauses, since the cache is still full).
@@ -1273,6 +1254,59 @@ mod tests {
             begin(&mut e, 10, 8, demand(5.0), t(11)),
             BeginOutcome::Pause { .. }
         ));
+    }
+
+    /// An engine holding 12 MB of admitted periods, an 8 MB period aged
+    /// into the overflow bucket and a 6 MB waiter. The waiter counts in
+    /// no book, the aged period only in the overflow bucket.
+    fn audited_state() -> RdaExtension {
+        let mut e = ext_cfg(strict_cfg().with_waitlist_timeout_cycles(1_000));
+        must_run(&mut e, 0, 0, demand(10.0), t(0));
+        let aged = match begin(&mut e, 1, 0, demand(8.0), t(10)) {
+            BeginOutcome::Pause { pp, .. } => pp,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(e.age_waitlist(t(1_010)).resumed, vec![(aged, ProcessId(1))]);
+        let waiting = begin(&mut e, 2, 0, demand(6.0), t(1_020));
+        assert!(matches!(waiting, BeginOutcome::Pause { .. }));
+        must_run(&mut e, 3, 0, demand(2.0), t(1_030));
+        e
+    }
+
+    fn violation(check: InvariantKind, expected: u64, actual: u64) -> RdaError {
+        RdaError::InvariantViolation {
+            node: NodeId(0),
+            kind: ResourceKind::Llc,
+            check,
+            expected,
+            actual,
+        }
+    }
+
+    #[test]
+    fn book_audit_passes_with_admitted_waiting_and_overflow_periods() {
+        let e = audited_state();
+        assert_eq!(e.usage(), mb(10.0) + mb(2.0));
+        assert_eq!(e.overflow_usage(), mb(8.0));
+        assert_eq!(e.waitlist_len(), 1);
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn book_audit_reports_a_corrupted_nominal_book() {
+        let mut e = audited_state();
+        e.books.monitor.increment_load(1);
+        let sum = mb(10.0) + mb(2.0);
+        let want = violation(InvariantKind::UsageMismatch, sum, sum + 1);
+        assert_eq!(e.check_invariants(), Err(want));
+    }
+
+    #[test]
+    fn book_audit_reports_a_corrupted_overflow_book() {
+        let mut e = audited_state();
+        assert!(e.books.monitor.increment_overflow(1));
+        let want = violation(InvariantKind::OverflowMismatch, mb(8.0), mb(8.0) + 1);
+        assert_eq!(e.check_invariants(), Err(want));
     }
 
     /// The typed-error sweep leaves `desyncs` at zero for every healthy

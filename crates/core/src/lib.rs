@@ -19,23 +19,24 @@
 //!
 //! * the **progress monitor** (`progress`, embedded by
 //!   [`extension::RdaExtension`] and [`topo::TopoExtension`]) — the
-//!   [`registry::PpRegistry`] of active periods, the
-//!   [`waitlist::Waitlist`]s (one per node) it re-walks whenever a
-//!   period completes, the [`RdaStats`] counters and the trace sink,
-//!   with every bookkeeping step of a period's life: validating ends,
-//!   the bounded gate's verdicts, reclaiming exits, the drain with its
-//!   aging, shedding and expiry;
+//!   [`registry::PpRegistry`] of active periods, one record per node
+//!   (its [`waitlist::Waitlist`], re-walked whenever a period completes,
+//!   and its saturation breakers), the [`RdaStats`] counters and the
+//!   trace sink, with every bookkeeping step of a period's life:
+//!   validating ends, the breaker's and bounded gate's verdicts,
+//!   reclaiming exits, the drain with its aging, shedding and expiry,
+//!   the breaker ticks, the book audit and the snapshot;
 //! * the **resource monitor** — the books each engine keeps: the
 //!   scalar engine's [`monitor::ResourceMonitor`] row, the summed
 //!   demand on the LLC, the one resource Algorithm 1 gates, and the
-//!   topology engine's per-node × kind books with their layer ledgers;
+//!   topology engine's per-node × kind books with their layer ledgers.
+//!   The progress monitor reaches them only through [`waitlist::Drain`];
 //! * the **scheduling predicate** — Algorithm 1, which decides
 //!   run-or-pause from the resource's usage, the new demand, and a
 //!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise). It is the
 //!   fit test [`rules::fits`], applied per demanded component; the rest
 //!   of [`rules`] holds the admission rules built around it (demand
-//!   audit, saturation breaker, bounded waitlist gate), and
-//!   [`waitlist::Drain`] is how the drain asks an engine's books.
+//!   audit, saturation breaker, bounded waitlist gate).
 //!
 //! Beyond the paper's prose, [`fastpath`] implements the decision
 //! memoisation that keeps fine-grained period tracking cheap (the

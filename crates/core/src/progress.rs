@@ -5,25 +5,29 @@
 //! completes (§3.1). [`ProgressMonitor`] is that component for the
 //! scalar [`crate::RdaExtension`] and the topology
 //! [`crate::TopoExtension`] alike: the [`PpRegistry`] of live periods,
-//! one [`Waitlist`] per node (the scalar engine has one node), the
+//! one [`Node`] record per node (the scalar engine has one) holding its
+//! [`Waitlist`], its drain mark and its saturation breakers, the
 //! [`RdaStats`] counters and the optional [`TraceSink`], together with
 //! every bookkeeping step a period's lifecycle takes through them —
-//! validating an end, the bounded gate's evict, degrade, drop and
-//! enqueue arms, reclaiming an exit, the drain with its shed, expiry
-//! and desync actions — each counted and traced here, once.
+//! validating an end, the breaker's shed check, the bounded gate's
+//! evict, degrade, drop and enqueue arms, reclaiming an exit, the drain
+//! with its shed, expiry and desync actions, the breaker ticks — each
+//! counted and traced here, once. The invariant audit and the
+//! [`Snapshot`] are stated here too.
 //!
 //! The engines keep the resource monitor (their books and the
 //! arithmetic on them) and the admission decision. The monitor reaches
-//! the books only through the closures it is handed and through
-//! [`Drain`], which supplies the fit test and the admit and age
-//! accounting.
+//! the books only through [`Drain`]: the fit test, the admit, age and
+//! release accounting, and reads of each node's books and each layer's
+//! ledger. An engine's shell is therefore the same whatever its node
+//! count; only its books and placement differ.
 
 use crate::api::{PpId, SiteId};
-use crate::config::OverloadConfig;
+use crate::config::{BreakerConfig, OverloadConfig};
 use crate::error::{InvariantKind, RdaError};
 use crate::extension::{AgeOutcome, BeginOutcome, RdaStats};
 use crate::registry::{PpRecord, PpRegistry};
-use crate::rules::{self, Gate};
+use crate::rules::{self, Breaker, Gate};
 use crate::snapshot::{Snapshot, WaitSnap};
 use crate::topology::{Demand, NodeId, ResourceKind, KIND_COUNT};
 use crate::waitlist::{Drain, WaitEntry, Waitlist};
@@ -75,14 +79,51 @@ fn waiter_event(
     ev
 }
 
-/// The registry, the waitlists, the counters and the trace of one
-/// engine, and the bookkeeping both engines do on them.
+/// What the monitor keeps about one node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Node {
+    /// The periods waiting for this node; entries hold accounted
+    /// demand vectors.
+    pub(crate) waitlist: Waitlist,
+    /// Set when the last exit reclaimed a period here, or the last
+    /// deadline pass expired a waiter here: the node is drained next.
+    marked: bool,
+    /// One saturation breaker per kind (idle unless configured).
+    breakers: [Breaker; KIND_COUNT],
+}
+
+/// The audit's check of each book: the nominal book, the overflow
+/// bucket, a layer's ledger.
+const BOOK_CHECKS: [InvariantKind; 3] = [
+    InvariantKind::UsageMismatch,
+    InvariantKind::OverflowMismatch,
+    InvariantKind::LayerUsageMismatch,
+];
+
+/// A book mismatch the audit found: its rank (kind, book, layer), the
+/// registry's sum and the book's value.
+type Mismatch = ((usize, usize, usize), u64, u64);
+
+/// The audit's report of `check` failing on node `n` and `kind`: the
+/// registry's sum `e`, the book's value `a`.
+fn violation(n: usize, kind: ResourceKind, check: InvariantKind, e: u64, a: u64) -> RdaError {
+    RdaError::InvariantViolation {
+        node: NodeId(n as u32),
+        kind,
+        check,
+        expected: e,
+        actual: a,
+    }
+}
+
+/// The registry, the per-node records, the counters and the trace of
+/// one engine, and the bookkeeping both engines do on them.
 #[derive(Debug, Clone)]
 pub(crate) struct ProgressMonitor {
     /// Live periods, iterated in id order.
     pub(crate) registry: PpRegistry,
-    /// One waitlist per node; entries hold accounted demand vectors.
-    pub(crate) waitlists: Vec<Waitlist>,
+    /// One record per node.
+    pub(crate) nodes: Vec<Node>,
     /// Activity counters.
     pub(crate) stats: RdaStats,
     /// Optional observability sink. `None` (the default) is zero-cost:
@@ -99,25 +140,20 @@ pub(crate) struct ProgressMonitor {
     capacity: [u64; KIND_COUNT],
     /// [`Self::exit`]'s reusable buffer of reclaimed records.
     dying: Vec<PpRecord>,
-    /// One reusable mark per node: the nodes [`Self::exit`] reclaimed a
-    /// period on, or [`Self::age`] expired a waiter on.
-    touched: Vec<bool>,
 }
 
 impl ProgressMonitor {
-    /// An idle monitor over `nodes` waitlists, tracing events about no
-    /// node as `no_node` and reporting demand overflows against
-    /// `capacity`.
+    /// An idle monitor over `nodes` nodes, tracing events about no node
+    /// as `no_node` and reporting demand overflows against `capacity`.
     pub(crate) fn new(nodes: usize, no_node: u32, capacity: [u64; KIND_COUNT]) -> Self {
         ProgressMonitor {
             registry: PpRegistry::new(),
-            waitlists: vec![Waitlist::new(); nodes],
+            nodes: vec![Node::default(); nodes],
             stats: RdaStats::default(),
             sink: None,
             no_node,
             capacity,
             dying: Vec::new(),
-            touched: vec![false; nodes],
         }
     }
 
@@ -170,6 +206,20 @@ impl ProgressMonitor {
         }
     }
 
+    /// The first kind whose breaker on node `n` is open and sheds the
+    /// demand class of `d` under `b`. Out of line: inlined, it grows the
+    /// scalar `pp_begin`, which calls it only with a breaker configured.
+    #[inline(never)]
+    pub(crate) fn blocked(&self, b: &BreakerConfig, n: usize, d: &Demand) -> Option<ResourceKind> {
+        let bank = &self.nodes[n].breakers;
+        (ResourceKind::ALL.into_iter()).find(|&k| bank[k.index()].sheds(b, d.get(k)))
+    }
+
+    /// Whether the breaker of kind `k` on node `n` is open.
+    pub(crate) fn breaker_is_open(&self, n: usize, k: ResourceKind) -> bool {
+        self.nodes[n].breakers[k.index()].is_open()
+    }
+
     /// Shed the begin `ev` describes: the breaker of `kind` on `node`
     /// is open and sheds its demand class.
     pub(crate) fn shed_open_breaker(
@@ -203,7 +253,7 @@ impl ProgressMonitor {
         overflow: impl FnOnce() -> Result<(), ResourceKind>,
     ) -> Result<BeginOutcome, RdaError> {
         let n = rec.node.0 as usize;
-        let shed = match rules::gate(overload, &mut self.waitlists[n]) {
+        let shed = match rules::gate(overload, &mut self.nodes[n].waitlist) {
             Gate::Queue => None,
             Gate::Evict(victim) => {
                 let owner = self.registry.complete(victim.pp);
@@ -247,7 +297,7 @@ impl ProgressMonitor {
             admitted: false,
             ..rec
         });
-        if let Err(e) = self.waitlists[n].push(WaitEntry {
+        if let Err(e) = self.nodes[n].waitlist.push(WaitEntry {
             pp,
             accounted: rec.accounted,
             enqueued_at: now,
@@ -261,7 +311,7 @@ impl ProgressMonitor {
             return Err(e);
         }
         self.stats.paused += 1;
-        let queued = self.waitlists[n].len() as u64;
+        let queued = self.nodes[n].waitlist.len() as u64;
         self.stats.max_waitlist = self.stats.max_waitlist.max(queued);
         self.emit(placed(ev, EventKind::Pause, pp, &rec));
         Ok(BeginOutcome::Pause { pp, shed })
@@ -306,42 +356,39 @@ impl ProgressMonitor {
         Err(err)
     }
 
-    /// Reclaim everything a dying `process` holds on every node —
-    /// `release` returns an admitted period's demand to `books`, a
-    /// waitlisted one leaves its queue — count and trace the exit, then
-    /// re-walk every node it reclaimed a period on (a vector release
-    /// frees several kinds at once, and a cancelled entry can expose a
+    /// Reclaim everything a dying `process` holds on every node — an
+    /// admitted period's demand is released to `books`, a waitlisted
+    /// one leaves its queue — count and trace the exit, then re-walk
+    /// every node it reclaimed a period on (a vector release frees
+    /// several kinds at once, and a cancelled entry can expose a
     /// fitting head behind it) or that holds a waiter past the aging
     /// `timeout`. Returns the periods the drains admitted.
     #[inline]
-    pub(crate) fn exit<B: Drain>(
+    pub(crate) fn exit(
         &mut self,
         process: ProcessId,
         now: SimTime,
-        books: &mut B,
-        mut release: impl FnMut(&mut B, &PpRecord),
+        books: &mut impl Drain,
         timeout: Option<u64>,
     ) -> Vec<(PpId, ProcessId)> {
         let mut dying = std::mem::take(&mut self.dying);
         dying.clear();
         self.registry.reclaim(|r| r.process == process, &mut dying);
-        self.touched.fill(false);
+        self.nodes.iter_mut().for_each(|node| node.marked = false);
         for rec in &dying {
-            let n = rec.node.0 as usize;
-            self.touched[n] = true;
+            let node = &mut self.nodes[rec.node.0 as usize];
+            node.marked = true;
             if rec.admitted {
-                release(books, rec);
+                books.release(rec);
             } else {
-                self.waitlists[n].cancel(rec.id);
+                node.waitlist.cancel(rec.id);
             }
         }
         let count = dying.len() as u64;
         self.stats.reclaimed += count;
         self.dying = dying;
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Exit);
-        ev.node = self.no_node;
-        ev.process = process.0;
-        ev.amount = count;
+        (ev.node, ev.process, ev.amount) = (self.no_node, process.0, count);
         self.emit(ev);
         let mut resumed = Vec::new();
         if count > 0 {
@@ -350,10 +397,10 @@ impl ProgressMonitor {
         resumed
     }
 
-    /// The waitlist half of an aging tick, a no-op unless aging or
-    /// overload control is on: expire, oldest-first by enqueue time,
-    /// every waiter past the overload deadline, then re-walk every node
-    /// that expired one or holds a waiter past the aging `timeout`.
+    /// An aging tick, a no-op unless aging or overload control is on:
+    /// expire, oldest-first by enqueue time, every waiter past the
+    /// overload deadline, re-walk every node that expired one or holds
+    /// a waiter past the aging `timeout`, then advance every breaker.
     /// No capacity was released since the last drain, so no other queue
     /// can admit anyone; the timeout probe is O(1) via each waitlist's
     /// cached minimum enqueue time.
@@ -369,15 +416,15 @@ impl ProgressMonitor {
         if timeout.is_none() && overload.is_none() {
             return out;
         }
-        self.touched.fill(false);
+        self.nodes.iter_mut().for_each(|node| node.marked = false);
         if let Some(deadline) = overload.and_then(|o| o.deadline_cycles) {
-            for n in 0..self.waitlists.len() {
-                while let Some(w) = self.waitlists[n].pop_expired(now, deadline) {
+            for n in 0..self.nodes.len() {
+                while let Some(w) = self.nodes[n].waitlist.pop_expired(now, deadline) {
                     let Some(rec) = self.registry.complete(w.pp) else {
                         self.stats.desyncs += 1;
                         continue;
                     };
-                    self.touched[n] = true;
+                    self.nodes[n].marked = true;
                     self.stats.expired += 1;
                     self.emit(waiter_event(EventKind::Expire, n, &w, Some(&rec), now));
                     out.expired.push((w.pp, rec.process));
@@ -385,6 +432,25 @@ impl ProgressMonitor {
             }
         }
         self.drain_marked(books, timeout, now, &mut out.resumed);
+        let Some(b) = overload.and_then(|o| o.breaker) else {
+            return out;
+        };
+        // Each breaker ticks at its node's occupancy of its kind; a kind
+        // the books do not hold stays at 0, so its breaker never trips.
+        for n in 0..self.nodes.len() {
+            let [nominal, overflow] = books.held(n);
+            for k in ResourceKind::ALL {
+                let i = k.index();
+                let occupancy = nominal[i].saturating_add(overflow[i]);
+                let Some(edge) = self.nodes[n].breakers[i].tick(&b, occupancy) else {
+                    continue;
+                };
+                self.stats.breaker_trips += u64::from(edge == EventKind::BreakerTrip);
+                let mut ev = TraceEvent::at(now.cycles(), edge);
+                (ev.node, ev.resource, ev.amount) = (n as u32, TRACE_KIND[i], occupancy);
+                self.emit(ev);
+            }
+        }
         out
     }
 
@@ -397,8 +463,9 @@ impl ProgressMonitor {
         now: SimTime,
         resumed: &mut Vec<(PpId, ProcessId)>,
     ) {
-        for n in 0..self.waitlists.len() {
-            if self.touched[n] || self.waitlists[n].has_expired(now, timeout) {
+        for n in 0..self.nodes.len() {
+            let node = &self.nodes[n];
+            if node.marked || node.waitlist.has_expired(now, timeout) {
                 self.drain(n, books, timeout, now, resumed);
             }
         }
@@ -423,16 +490,16 @@ impl ProgressMonitor {
         // Force-admissions within one drain go strictly oldest-first.
         let mut last_aged: Option<SimTime> = None;
         loop {
-            while let Some(head) = self.waitlists[n].front() {
+            while let Some(head) = self.nodes[n].waitlist.front() {
                 let Some(&rec) = self.registry.get(head.pp) else {
-                    self.waitlists[n].pop();
+                    self.nodes[n].waitlist.pop();
                     self.stats.desyncs += 1;
                     continue;
                 };
                 if !books.fits(n, &head, &rec) || !books.admit(n, &head, &rec, now) {
                     break;
                 }
-                self.waitlists[n].pop();
+                self.nodes[n].waitlist.pop();
                 if let Some(r) = self.registry.get_mut(head.pp) {
                     r.admitted = true;
                 }
@@ -440,7 +507,8 @@ impl ProgressMonitor {
                 self.emit(waiter_event(EventKind::Resume, n, &head, Some(&rec), now));
                 resumed.push((head.pp, rec.process));
             }
-            let Some(aged) = timeout.and_then(|t| self.waitlists[n].pop_expired(now, t)) else {
+            let queue = &mut self.nodes[n].waitlist;
+            let Some(aged) = timeout.and_then(|t| queue.pop_expired(now, t)) else {
                 break;
             };
             debug_assert!(
@@ -481,46 +549,33 @@ impl ProgressMonitor {
     ) {
         self.stats.retried += 1;
         let mut ev = TraceEvent::at(now.cycles(), EventKind::Retry);
-        ev.node = self.no_node;
-        ev.process = process.0;
-        ev.site = site.0;
+        (ev.node, ev.process, ev.site) = (self.no_node, process.0, site.0);
         ev.resource = TRACE_KIND[k.index()];
         self.emit(ev);
     }
 
-    /// Count and trace the edge a breaker crossed (see
-    /// [`rules::Breaker::tick`]) for kind `k` on node `n`, at
-    /// `occupancy`.
-    pub(crate) fn breaker_edge(
-        &mut self,
-        edge: EventKind,
-        n: usize,
-        k: ResourceKind,
-        occupancy: u64,
-        now: SimTime,
-    ) {
-        self.stats.breaker_trips += u64::from(edge == EventKind::BreakerTrip);
-        let mut ev = TraceEvent::at(now.cycles(), edge);
-        ev.node = n as u32;
-        ev.resource = TRACE_KIND[k.index()];
-        ev.amount = occupancy;
-        self.emit(ev);
-    }
-
-    /// The registry-against-waitlists half of an engine's invariant
-    /// check: every queued entry has a live, waitlisted record pinned to
-    /// its node, and each node queues exactly the registry's waiters on
-    /// it. A violation is reported on the LLC.
-    pub(crate) fn check_waitlists(&self) -> Result<(), RdaError> {
-        for (n, queue) in self.waitlists.iter().enumerate() {
-            let violation = |check, expected, actual| RdaError::InvariantViolation {
-                node: NodeId(n as u32),
-                kind: ResourceKind::Llc,
-                check,
-                expected,
-                actual,
-            };
-            for e in queue.iter() {
+    /// An engine's internal consistency; a violation is a scheduler bug.
+    /// First the books: on every node, each kind's nominal book,
+    /// overflow bucket and layer ledgers equal the accounted sums over
+    /// the admitted records they hold. Then the waitlists: every queued
+    /// entry has a live, waitlisted record pinned to its node, and each
+    /// node queues exactly the registry's waiters on it (reported on the
+    /// LLC). Reports the first violation by node, then kind, then book:
+    /// nominal, overflow, the ledgers in layer order. Allocates nothing.
+    pub(crate) fn check(&self, books: &impl Drain) -> Result<(), RdaError> {
+        for n in 0..self.nodes.len() {
+            let [nominal, overflow] = books.held(n);
+            let first = (0..)
+                .map_while(|l| Some((l, books.ledger(l, n)?)))
+                .filter_map(|(l, ledger)| self.mismatch(n, l, [nominal, overflow, ledger]))
+                .min_by_key(|&(rank, ..)| rank);
+            if let Some(((i, b, _), expected, actual)) = first {
+                let kind = ResourceKind::ALL[i];
+                return Err(violation(n, kind, BOOK_CHECKS[b], expected, actual));
+            }
+        }
+        for (n, node) in self.nodes.iter().enumerate() {
+            for e in node.waitlist.iter() {
                 let (check, expected, actual) = match self.registry.get(e.pp) {
                     None => (InvariantKind::WaitlistRecordMissing, e.pp.0, 0),
                     Some(rec) if rec.admitted => (InvariantKind::WaitlistAdmitted, 0, e.pp.0),
@@ -531,32 +586,50 @@ impl ProgressMonitor {
                     ),
                     Some(_) => continue,
                 };
-                return Err(violation(check, expected, actual));
+                return Err(violation(n, ResourceKind::Llc, check, expected, actual));
             }
             let waiting = (self.registry.iter())
                 .filter(|r| !r.admitted && r.node.0 as usize == n)
                 .count() as u64;
-            let queued = queue.len() as u64;
+            let queued = node.waitlist.len() as u64;
             if waiting != queued {
                 let check = InvariantKind::WaitlistCountMismatch;
-                return Err(violation(check, waiting, queued));
+                return Err(violation(n, ResourceKind::Llc, check, waiting, queued));
             }
         }
         Ok(())
     }
 
-    /// The engine's [`Snapshot`], given its books per node.
-    pub(crate) fn snapshot(
-        &self,
-        usage: Vec<[u64; KIND_COUNT]>,
-        overflow: Vec<[u64; KIND_COUNT]>,
-    ) -> Snapshot {
+    /// The first mismatch on node `n`, in one registry pass, between the
+    /// sums over its records and layer `l`'s ledger — and, in layer 0's
+    /// pass, the nominal book and the overflow bucket — where `held`
+    /// holds the three books as in [`BOOK_CHECKS`]: its rank (kind,
+    /// book, layer), the sum and the book's value.
+    fn mismatch(&self, n: usize, l: usize, held: [[u64; KIND_COUNT]; 3]) -> Option<Mismatch> {
+        let mut sums = [[0u64; KIND_COUNT]; 3];
+        for r in (self.registry.iter()).filter(|r| r.admitted && r.node.0 as usize == n) {
+            let in_ledger = !r.overflow && r.layer.0 as usize == l;
+            for (i, &a) in r.accounted.amounts.iter().enumerate() {
+                sums[usize::from(r.overflow)][i] += a;
+                sums[2][i] += if in_ledger { a } else { 0 };
+            }
+        }
+        let checked = if l == 0 { 0..3 } else { 2..3 };
+        (0..KIND_COUNT)
+            .flat_map(|i| checked.clone().map(move |b| (i, b)))
+            .find(|&(i, b)| sums[b][i] != held[b][i])
+            .map(|(i, b)| ((i, b, l), sums[b][i], held[b][i]))
+    }
+
+    /// The engine's [`Snapshot`], reading its `books` node by node.
+    pub(crate) fn snapshot(&self, books: &impl Drain) -> Snapshot {
+        let nodes = 0..self.nodes.len();
         Snapshot {
-            usage,
-            overflow,
-            waitlists: (self.waitlists.iter())
-                .map(|q| {
-                    q.iter()
+            usage: nodes.clone().map(|n| books.held(n)[0]).collect(),
+            overflow: nodes.map(|n| books.held(n)[1]).collect(),
+            waitlists: (self.nodes.iter())
+                .map(|node| {
+                    (node.waitlist.iter())
                         .map(|e| WaitSnap {
                             pp: e.pp,
                             accounted: e.accounted,

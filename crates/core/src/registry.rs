@@ -31,7 +31,7 @@
 use crate::api::{PpId, SiteId};
 use crate::layer::LayerId;
 use crate::snapshot::PpSnap;
-use crate::topology::{Demand, NodeId, ResourceKind};
+use crate::topology::{Demand, NodeId};
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 
@@ -210,40 +210,6 @@ impl PpRegistry {
             .iter()
             .map(move |id| &self.slots[self.slot_of[id.0 as usize] as usize])
     }
-
-    /// The scalar engine's three audit aggregates — nominal and
-    /// overflow-bucket sums of the accounted LLC component, and the
-    /// waiting count — computed in one pass over the live records. The
-    /// scalar invariant check compares them with the resource monitor
-    /// and the waitlist; the per-step invariant sweep runs on this.
-    pub fn audit_sums(&self) -> AuditSums {
-        let mut sums = AuditSums::default();
-        for r in self.iter() {
-            let llc = r.accounted.get(ResourceKind::Llc);
-            if !r.admitted {
-                sums.waiting += 1;
-            } else if r.overflow {
-                sums.overflow += llc;
-            } else {
-                sums.accounted += llc;
-            }
-        }
-        sums
-    }
-}
-
-/// Registry aggregates from [`PpRegistry::audit_sums`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuditSums {
-    /// Sum of accounted demand over admitted, non-overflow periods —
-    /// must equal the resource monitor's usage.
-    pub accounted: u64,
-    /// Sum of accounted demand over aged (overflow-admitted) periods —
-    /// must equal the resource monitor's overflow bucket.
-    pub overflow: u64,
-    /// Count of live periods not admitted — must equal the waitlist
-    /// length.
-    pub waiting: u64,
 }
 
 /// A `BTreeMap`-backed registry, kept as the reference model for
@@ -374,29 +340,6 @@ mod tests {
         assert!(r.get(a).is_none());
         assert_eq!(r.free.len(), 1, "the slot is recycled");
         assert_eq!(r.iter().map(|rec| rec.id).collect::<Vec<_>>(), vec![b]);
-    }
-
-    #[test]
-    fn total_accounted_counts_only_admitted() {
-        let mut r = PpRegistry::new();
-        r.insert(rec(1, 0, 100, true));
-        r.insert(rec(2, 0, 200, false));
-        r.insert(rec(3, 0, 300, true));
-        let sums = r.audit_sums();
-        assert_eq!(sums.accounted, 400);
-        assert_eq!(sums.overflow, 0);
-        assert_eq!(sums.waiting, 1);
-    }
-
-    #[test]
-    fn overflow_records_are_booked_separately() {
-        let mut r = PpRegistry::new();
-        let a = r.insert(rec(1, 0, 100, true));
-        r.insert(rec(2, 0, 200, true));
-        r.get_mut(a).unwrap().overflow = true;
-        let sums = r.audit_sums();
-        assert_eq!(sums.accounted, 200);
-        assert_eq!(sums.overflow, 100);
     }
 
     #[test]

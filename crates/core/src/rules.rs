@@ -5,9 +5,9 @@
 //! fast path (scalar engine) — and check every `pp_begin` in one order:
 //! gating, [`audit`], the [`Breaker`], the 64-bit wrap guard, the fast
 //! path (scalar engine only), [`fits`], then the bounded [`gate`]. The
-//! engines' shared progress monitor carries out the gate's verdict and
-//! runs the drain that re-admits waiters, asking each engine's books
-//! through [`crate::waitlist::Drain`].
+//! engines' shared progress monitor keeps every [`Breaker`], carries
+//! out the gate's verdict and runs the drain that re-admits waiters,
+//! asking each engine's books through [`crate::waitlist::Drain`].
 
 use crate::config::{BreakerConfig, DemandAudit, OverloadConfig, ShedPolicy};
 use crate::waitlist::{WaitEntry, Waitlist};

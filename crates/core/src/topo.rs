@@ -24,9 +24,10 @@
 //! without guarantee means the reservation term is zero, and one
 //! component means the vector predicate is the scalar predicate. Both
 //! engines decide by the same rules ([`crate::rules`]) and embed one
-//! progress monitor, which keeps their [`PpRecord`]s and waitlists and
-//! does every lifecycle step, so they also age, expire and shed
-//! waiters alike and report the same [`RdaError`]s. What remains
+//! progress monitor, which keeps their [`PpRecord`]s, each node's
+//! waitlist and breakers, does every lifecycle step, and audits and
+//! snapshots the books through [`Drain`]; so they also age, expire and
+//! shed waiters alike and report the same [`RdaError`]s. What remains
 //! different (DESIGN.md §9) is the scalar engine's memoised fast path,
 //! which only marks calls fast: this engine's `fast` flags and
 //! `fast_begins`/`fast_ends` counters stay zero.
@@ -34,10 +35,9 @@
 //! # Waitlists, aging, overload
 //!
 //! Waiters are pinned to the node chosen at enqueue time (least
-//! occupied at that moment); each node owns one waitlist of demand
-//! vectors. The bounded admission gate, deadlines, aging (oldest-first
-//! by enqueue time), and the saturation breaker all operate per node —
-//! the breaker per node *and* resource kind.
+//! occupied at that moment). The bounded admission gate, deadlines,
+//! aging (oldest-first by enqueue time) and the saturation breaker all
+//! operate per node — the breaker per node *and* resource kind.
 //!
 //! A released demand vector can span several resources, so every drain
 //! is **node-granular**: reclaiming a record marks its node touched,
@@ -46,17 +46,15 @@
 //! blocked only on memory bandwidth is resumed by the exit of a holder
 //! that also held LLC (the multi-resource drain audit of DESIGN.md §9).
 
-#![allow(clippy::needless_range_loop)] // node/layer loops index several per-node books at once
-
 use crate::api::{PpId, SiteId};
 use crate::config::{DemandAudit, OverloadConfig};
-use crate::error::{InvariantKind, RdaError};
+use crate::error::RdaError;
 use crate::extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaStats};
 use crate::layer::{LayerId, LayerSet, LayerSpec};
 use crate::policy::PolicyKind;
 use crate::progress::{placed, primary, ProgressMonitor};
 use crate::registry::PpRecord;
-use crate::rules::{self, Breaker};
+use crate::rules;
 use crate::snapshot::Snapshot;
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
 use crate::waitlist::{Drain, WaitEntry};
@@ -141,11 +139,9 @@ impl TopoConfig {
 pub struct TopoExtension {
     cfg: TopoConfig,
     books: NodeBooks,
-    /// The records, one waitlist per node, the counters and the trace
-    /// sink.
+    /// The records, each node's waitlist and breakers, the counters and
+    /// the trace sink.
     progress: ProgressMonitor,
-    /// One saturation breaker per node per kind.
-    breakers: Vec<[Breaker; KIND_COUNT]>,
 }
 
 /// The topology engine's resource monitor: per node and kind, the
@@ -187,7 +183,6 @@ impl TopoExtension {
         TopoExtension {
             books,
             progress: ProgressMonitor::new(nodes, NO_NODE, capacity),
-            breakers: vec![[Breaker::default(); KIND_COUNT]; nodes],
             cfg,
         }
     }
@@ -224,7 +219,7 @@ impl TopoExtension {
 
     /// Number of periods waiting on a node.
     pub fn waitlist_len(&self, node: NodeId) -> usize {
-        self.progress.waitlists[node.0 as usize].len()
+        self.progress.nodes[node.0 as usize].waitlist.len()
     }
 
     /// Number of live periods (admitted + waitlisted).
@@ -234,7 +229,7 @@ impl TopoExtension {
 
     /// Whether the saturation breaker is open for a kind on a node.
     pub fn breaker_is_open(&self, node: NodeId, k: ResourceKind) -> bool {
-        self.breakers[node.0 as usize][k.index()].is_open()
+        self.progress.breaker_is_open(node.0 as usize, k)
     }
 
     /// Attach a trace sink; subsequent calls emit events into it.
@@ -342,12 +337,14 @@ impl TopoExtension {
         // would wrap are disqualified; if every eligible node wraps,
         // the demand is impossible to account.
         let nodes = self.node_count();
+        let breaker = self.cfg.overload.and_then(|o| o.breaker);
+        let blocked = |p: &ProgressMonitor, n| breaker.and_then(|b| p.blocked(&b, n, &audited));
         let mut first_block = None;
         let mut best: Option<(u128, usize)> = None;
         let mut all_wrap = true;
         let mut wrap_kind = None;
         for n in 0..nodes {
-            if let Some(k) = self.breaker_blocks(n, &audited) {
+            if let Some(k) = blocked(&self.progress, n) {
                 first_block.get_or_insert((NodeId(n as u32), k));
                 continue;
             }
@@ -395,7 +392,7 @@ impl TopoExtension {
         // No node fits: pin the arrival to the least-occupied eligible
         // node's waitlist, behind that node's overload gate.
         let Some(target) = (0..nodes)
-            .filter(|&n| self.breaker_blocks(n, &audited).is_none())
+            .filter(|&n| blocked(&self.progress, n).is_none())
             .min_by_key(|&n| (self.occupancy_score(n, &audited), n))
         else {
             // Every node's breaker sheds this demand class (a node is
@@ -411,15 +408,6 @@ impl TopoExtension {
         };
         let degrade = || self.books.account_overflow(target, &acc);
         self.progress.park(self.cfg.overload, rec, ev, now, degrade)
-    }
-
-    /// The first kind whose open saturation breaker on node `n` sheds
-    /// the demand class of `audited`, excluding the node from placement.
-    fn breaker_blocks(&self, n: usize, audited: &Demand) -> Option<ResourceKind> {
-        let b = self.cfg.overload?.breaker?;
-        ResourceKind::ALL
-            .into_iter()
-            .find(|&k| self.breakers[n][k.index()].sheds(&b, audited.get(k)))
     }
 
     /// Process a `pp_end`. Misbehaving applications get the same typed
@@ -448,7 +436,7 @@ impl TopoExtension {
     /// several kinds at once and any of them can unblock a waiter.
     pub fn process_exit(&mut self, process: ProcessId, now: SimTime) -> Vec<(PpId, ProcessId)> {
         let timeout = self.cfg.waitlist_timeout_cycles;
-        (self.progress).exit(process, now, &mut self.books, NodeBooks::release, timeout)
+        (self.progress).exit(process, now, &mut self.books, timeout)
     }
 
     /// Apply waitlist aging at `now` on every node: expire waiters past
@@ -456,9 +444,7 @@ impl TopoExtension {
     /// admit newly fitting heads, then evaluate the per-node breakers.
     pub fn age_waitlist(&mut self, now: SimTime) -> AgeOutcome {
         let (timeout, overload) = (self.cfg.waitlist_timeout_cycles, self.cfg.overload);
-        let out = self.progress.age(&mut self.books, timeout, overload, now);
-        self.evaluate_breaker(now);
-        out
+        self.progress.age(&mut self.books, timeout, overload, now)
     }
 
     /// Record a client-side retry of a previously shed or expired
@@ -467,79 +453,16 @@ impl TopoExtension {
         self.progress.note_retry(process, site, k, now);
     }
 
-    /// Per-node, per-kind breaker hysteresis (same thresholds on every
-    /// node; occupancy is the node's nominal + overflow for the kind).
-    fn evaluate_breaker(&mut self, now: SimTime) {
-        let Some(b) = self.cfg.overload.and_then(|o| o.breaker) else {
-            return;
-        };
-        for n in 0..self.node_count() {
-            for k in ResourceKind::ALL {
-                let i = k.index();
-                let occupancy = self.books.usage[n][i].saturating_add(self.books.overflow[n][i]);
-                if let Some(edge) = self.breakers[n][i].tick(&b, occupancy) {
-                    self.progress.breaker_edge(edge, n, k, occupancy, now);
-                }
-            }
-        }
-    }
-
     /// A complete, comparable snapshot of the observable state.
     pub fn snapshot(&self) -> Snapshot {
-        (self.progress).snapshot(self.books.usage.clone(), self.books.overflow.clone())
+        self.progress.snapshot(&self.books)
     }
 
     /// Internal consistency: every book on every node equals the sum
     /// recomputed from the record store, per layer too, and each
     /// waitlist agrees with the records entry by entry.
     pub fn check_invariants(&self) -> Result<(), RdaError> {
-        let nodes = self.node_count();
-        let layers = self.cfg.layers.len();
-        let mut usage = vec![[0u64; KIND_COUNT]; nodes];
-        let mut overflow = vec![[0u64; KIND_COUNT]; nodes];
-        let mut lusage = vec![vec![[0u64; KIND_COUNT]; nodes]; layers];
-        for rec in self.progress.registry.iter().filter(|r| r.admitted) {
-            let n = rec.node.0 as usize;
-            for k in ResourceKind::ALL {
-                let i = k.index();
-                let a = rec.accounted.get(k);
-                if rec.overflow {
-                    overflow[n][i] += a;
-                } else {
-                    usage[n][i] += a;
-                    lusage[rec.layer.0 as usize][n][i] += a;
-                }
-            }
-        }
-        let b = &self.books;
-        for n in 0..nodes {
-            for k in ResourceKind::ALL {
-                let i = k.index();
-                let over = InvariantKind::OverflowMismatch;
-                let books = [
-                    (InvariantKind::UsageMismatch, usage[n][i], b.usage[n][i]),
-                    (over, overflow[n][i], b.overflow[n][i]),
-                ];
-                let layer_books = (0..layers).map(|l| {
-                    let check = InvariantKind::LayerUsageMismatch;
-                    (check, lusage[l][n][i], b.layer_usage[l][n][i])
-                });
-                if let Some((check, expected, actual)) = books
-                    .into_iter()
-                    .chain(layer_books)
-                    .find(|&(_, e, a)| e != a)
-                {
-                    return Err(RdaError::InvariantViolation {
-                        node: NodeId(n as u32),
-                        kind: k,
-                        check,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-        self.progress.check_waitlists()
+        self.progress.check(&self.books)
     }
 }
 
@@ -621,22 +544,6 @@ impl NodeBooks {
         }
         Ok(())
     }
-
-    /// Release a completed or reclaimed record's vector from the
-    /// matching bucket on its node.
-    fn release(&mut self, rec: &PpRecord) {
-        let n = rec.node.0 as usize;
-        for k in ResourceKind::ALL {
-            let i = k.index();
-            let a = rec.accounted.get(k);
-            if rec.overflow {
-                self.overflow[n][i] -= a;
-            } else {
-                self.usage[n][i] -= a;
-                self.layer_usage[rec.layer.0 as usize][n][i] -= a;
-            }
-        }
-    }
 }
 
 /// The first kind whose entry in `book` would wrap if `acc` were added.
@@ -645,8 +552,8 @@ fn wraps(book: &[u64; KIND_COUNT], acc: &Demand) -> Option<ResourceKind> {
         .find(|&k| book[k.index()].checked_add(acc.get(k)).is_none())
 }
 
-/// The drain protocol on node `n`: every component of a waiter is
-/// fitted against its layer's limits.
+/// The books of node `n`: every component of a waiter is fitted
+/// against its layer's limits.
 impl Drain for NodeBooks {
     fn fits(&self, n: usize, w: &WaitEntry, rec: &PpRecord) -> bool {
         matches!(self.node_admittable(n, rec.layer, &w.accounted), Ok(true))
@@ -661,12 +568,35 @@ impl Drain for NodeBooks {
     fn age(&mut self, n: usize, w: &WaitEntry) -> bool {
         self.account_overflow(n, &w.accounted).is_ok()
     }
+
+    fn release(&mut self, rec: &PpRecord) {
+        let n = rec.node.0 as usize;
+        for k in ResourceKind::ALL {
+            let i = k.index();
+            let a = rec.accounted.get(k);
+            if rec.overflow {
+                self.overflow[n][i] -= a;
+            } else {
+                self.usage[n][i] -= a;
+                self.layer_usage[rec.layer.0 as usize][n][i] -= a;
+            }
+        }
+    }
+
+    fn held(&self, n: usize) -> [[u64; KIND_COUNT]; 2] {
+        [self.usage[n], self.overflow[n]]
+    }
+
+    fn ledger(&self, l: usize, n: usize) -> Option<[u64; KIND_COUNT]> {
+        self.layer_usage.get(l).map(|ledgers| ledgers[n])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ShedPolicy;
+    use crate::error::InvariantKind;
 
     fn t(cycles: u64) -> SimTime {
         SimTime::from_cycles(cycles)
@@ -937,7 +867,8 @@ mod tests {
         ));
         run(&mut e, 0, 0, Demand::llc(100), t(0));
         let next = PpId(e.snapshot().allocated);
-        e.progress.waitlists[0]
+        e.progress.nodes[0]
+            .waitlist
             .push(WaitEntry {
                 pp: next,
                 accounted: Demand::llc(1),
@@ -1060,6 +991,123 @@ mod tests {
         assert!(e.snapshot().periods.iter().all(|p| p.id != head));
         assert!(e.snapshot().waitlists[0].is_empty());
         e.check_invariants().unwrap();
+    }
+
+    /// Two nodes × (llc 100, membw 50, dram 1000), layers batch (0) and
+    /// latency (1, process 9). Node 1's bandwidth: nominal 30 (layer 0
+    /// holds 10, layer 1 20), overflow 25 (one aged period), and a
+    /// waiter of 25 that counts in no book. Returns the waiter.
+    fn audited_two_layer() -> (TopoExtension, PpId) {
+        let layers = LayerSet::new(vec![
+            LayerSpec::new("batch", PolicyKind::Strict),
+            LayerSpec::new("latency", PolicyKind::Strict),
+        ])
+        .with_assignment(9, LayerId(1));
+        let cfg = TopoConfig::new(TopoSpec::uniform(2, 100, 50, 1000), layers)
+            .with_waitlist_timeout_cycles(10);
+        let mut e = TopoExtension::new(cfg);
+        let a = run(&mut e, 0, 0, Demand::new(10, 45, 0), t(0));
+        // Node 0 lacks the bandwidth for the next two.
+        let b = run(&mut e, 1, 0, Demand::new(60, 10, 0), t(1));
+        let c = run(&mut e, 9, 0, Demand::new(20, 20, 0), t(2));
+        assert_eq!([a, b, c].map(|pp| node_of(&e, pp)), [0, 1, 1].map(NodeId));
+        let mut pause = |p, now| match e
+            .pp_begin(ProcessId(p), SiteId(0), Demand::new(5, 25, 0), now)
+            .unwrap()
+        {
+            BeginOutcome::Pause { pp, .. } => pp,
+            other => panic!("expected Pause, got {other:?}"),
+        };
+        let aged = pause(2, t(3));
+        let waiter = pause(3, t(8));
+        assert_eq!(e.age_waitlist(t(13)).resumed, vec![(aged, ProcessId(2))]);
+        (e, waiter)
+    }
+
+    fn violation(n: u32, k: ResourceKind, check: InvariantKind, e: u64, a: u64) -> RdaError {
+        RdaError::InvariantViolation {
+            node: NodeId(n),
+            kind: k,
+            check,
+            expected: e,
+            actual: a,
+        }
+    }
+
+    const BW: usize = ResourceKind::MemBw.index();
+
+    #[test]
+    fn book_audit_passes_with_admitted_waiting_and_overflow_periods() {
+        let (e, waiter) = audited_two_layer();
+        let bw = ResourceKind::MemBw;
+        assert_eq!(e.usage(NodeId(1), bw), 30);
+        assert_eq!(e.layer_usage(LayerId(1), NodeId(1), bw), 20);
+        assert_eq!(e.overflow_usage(NodeId(1), bw), 25);
+        assert_eq!(node_of(&e, waiter), NodeId(1));
+        assert_eq!(e.waitlist_len(NodeId(1)), 1);
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn book_audit_reports_a_corrupted_nominal_book() {
+        let (mut e, _) = audited_two_layer();
+        e.books.usage[1][BW] += 1;
+        let want = violation(1, ResourceKind::MemBw, InvariantKind::UsageMismatch, 30, 31);
+        assert_eq!(e.check_invariants(), Err(want));
+    }
+
+    #[test]
+    fn book_audit_reports_a_corrupted_overflow_book() {
+        let (mut e, _) = audited_two_layer();
+        e.books.overflow[1][BW] += 1;
+        let want = violation(
+            1,
+            ResourceKind::MemBw,
+            InvariantKind::OverflowMismatch,
+            25,
+            26,
+        );
+        assert_eq!(e.check_invariants(), Err(want));
+    }
+
+    #[test]
+    fn book_audit_reports_a_corrupted_layer_ledger() {
+        let (mut e, _) = audited_two_layer();
+        e.books.layer_usage[1][1][BW] += 1;
+        let check = InvariantKind::LayerUsageMismatch;
+        let want = violation(1, ResourceKind::MemBw, check, 20, 21);
+        assert_eq!(e.check_invariants(), Err(want));
+    }
+
+    /// Each corruption below outranks the ones before it: the books
+    /// come before the waitlists, then nodes in order, kinds in order,
+    /// and the nominal book, the overflow bucket and the layer ledgers
+    /// in that order.
+    #[test]
+    fn book_audit_reports_the_first_violation_in_book_order() {
+        use InvariantKind::*;
+        use ResourceKind::{DramCap, MemBw};
+        let (mut e, waiter) = audited_two_layer();
+        e.progress.registry.get_mut(waiter).unwrap().node = NodeId(0);
+        let want = violation(0, ResourceKind::Llc, WaitlistCountMismatch, 1, 0);
+        assert_eq!(e.check_invariants(), Err(want));
+        e.books.usage[1][DramCap.index()] += 1;
+        assert_eq!(
+            e.check_invariants(),
+            Err(violation(1, DramCap, UsageMismatch, 0, 1))
+        );
+        e.books.layer_usage[1][1][BW] += 1;
+        let want = violation(1, MemBw, LayerUsageMismatch, 20, 21);
+        assert_eq!(e.check_invariants(), Err(want));
+        e.books.layer_usage[0][1][BW] += 1;
+        let want = violation(1, MemBw, LayerUsageMismatch, 10, 11);
+        assert_eq!(e.check_invariants(), Err(want));
+        e.books.overflow[1][BW] += 1;
+        let want = violation(1, MemBw, OverflowMismatch, 25, 26);
+        assert_eq!(e.check_invariants(), Err(want));
+        e.books.overflow[0][DramCap.index()] += 1;
+        let want = violation(0, DramCap, OverflowMismatch, 0, 1);
+        assert_eq!(e.check_invariants(), Err(want));
     }
 
     #[test]

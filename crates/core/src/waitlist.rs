@@ -7,10 +7,10 @@
 //! which bounds waiting time and keeps admission order deterministic.
 //!
 //! Both admission engines queue on this one type, and an entry stores
-//! the accounted demand vector: the scalar
-//! [`crate::extension::RdaExtension`] holds one waitlist of LLC-only
-//! vectors, the topology [`crate::topo::TopoExtension`] one per NUMA
-//! node.
+//! the accounted demand vector: their progress monitor keeps one
+//! waitlist per node, LLC-only vectors on the scalar
+//! [`crate::extension::RdaExtension`]'s one node, full vectors on each
+//! NUMA node of the topology [`crate::topo::TopoExtension`].
 //!
 //! Two robustness mechanisms live here beyond the paper:
 //!
@@ -25,8 +25,9 @@
 //! How waiters leave the queue is one protocol for both engines, run by
 //! the engines' shared progress monitor: the drain with its aging, and
 //! the deadline pass. An engine takes part in it only through
-//! [`Drain`], the fit test and the admit and age accounting on its
-//! books.
+//! [`Drain`], the monitor's one view of its books: the fit test, the
+//! admit, age and release accounting, and the reads the breakers, the
+//! invariant audit and the snapshot make.
 //!
 //! # Representation
 //!
@@ -39,7 +40,7 @@
 use crate::api::PpId;
 use crate::error::RdaError;
 use crate::registry::PpRecord;
-use crate::topology::Demand;
+use crate::topology::{Demand, KIND_COUNT};
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
 
@@ -163,10 +164,12 @@ impl Waitlist {
     }
 }
 
-/// An engine's books as the drain protocol sees them, one queue (node
-/// `n`) at a time: the protocol decides which waiter to try and does
-/// the registry, counter and trace bookkeeping; the books answer the
-/// fit test and account an admission.
+/// An engine's books as the progress monitor sees them, node `n` by
+/// node: the monitor decides which waiter to try and does the registry,
+/// counter and trace bookkeeping; the books answer the fit test,
+/// account an admission or a release, and report their contents to the
+/// breakers, the invariant audit and the snapshot. Books of one node
+/// and one layer (the scalar engine's) report node 0 and layer 0.
 pub trait Drain {
     /// Whether `entry`, queued on node `n`, fits the nominal books now
     /// (Algorithm 1).
@@ -177,6 +180,15 @@ pub trait Drain {
     /// Account an aged `entry` into node `n`'s overflow bucket; `false`
     /// (nothing accounted) when the bucket would wrap.
     fn age(&mut self, n: usize, entry: &WaitEntry) -> bool;
+    /// Release a completed or reclaimed admitted record's demand from
+    /// the books of its node it was accounted in.
+    fn release(&mut self, rec: &PpRecord);
+    /// Node `n`'s nominal book (what Algorithm 1 reads) and overflow
+    /// bucket, per kind.
+    fn held(&self, n: usize) -> [[u64; KIND_COUNT]; 2];
+    /// Layer `l`'s ledger on node `n` — its share of the nominal book —
+    /// per kind; `None` past the last layer.
+    fn ledger(&self, l: usize, n: usize) -> Option<[u64; KIND_COUNT]>;
 }
 
 #[cfg(test)]

@@ -85,10 +85,7 @@ pub fn interference_study() -> Vec<InterferencePoint> {
 }
 
 /// Parameterised variant for tests and sweeps.
-pub fn interference_study_for(
-    inputs: &[usize],
-    instances: &[usize],
-) -> Vec<InterferencePoint> {
+pub fn interference_study_for(inputs: &[usize], instances: &[usize]) -> Vec<InterferencePoint> {
     let mut out = Vec::new();
     for &m in inputs {
         for &k in instances {

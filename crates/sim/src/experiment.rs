@@ -126,7 +126,10 @@ mod tests {
         let figs = headline_figures(&all);
         for fig in &figs {
             assert_eq!(fig.series.len(), 3, "{}", fig.id);
-            assert_eq!(fig.categories(), vec!["alpha".to_string(), "beta".to_string()]);
+            assert_eq!(
+                fig.categories(),
+                vec!["alpha".to_string(), "beta".to_string()]
+            );
             for s in &fig.series {
                 assert_eq!(s.points.len(), 2);
                 assert!(s.points.iter().all(|&(_, v)| v > 0.0), "{}", fig.id);

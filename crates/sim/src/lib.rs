@@ -16,7 +16,7 @@
 //! [`experiment`] wraps it into the paper's measurement loops
 //! (Figures 7–10), [`overhead`] reproduces the Figure 11 granularity
 //! study, [`concurrency`] the Figure 13 interference study, and
-//! [`runner`] shards whole configuration grids across a deterministic
+//! [`runner`] spreads whole configuration grids over a deterministic
 //! work-stealing thread pool.
 
 #![warn(missing_docs)]
@@ -31,11 +31,11 @@ pub mod system;
 pub mod traffic;
 
 pub use config::SimConfig;
-pub use faults::{FaultConfig, FaultPlan, PhaseFault};
 pub use experiment::{run_workload, PolicyRun};
+pub use faults::{FaultConfig, FaultPlan, PhaseFault};
 pub use runner::{
     run_pool, run_sweep, run_sweep_configured, RunConfig, RunError, RunRecord, RunnerOptions,
-    Shard, SweepGrid, SweepResult,
+    SweepGrid, SweepResult,
 };
 pub use system::SystemSim;
 pub use traffic::{

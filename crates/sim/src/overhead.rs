@@ -153,13 +153,7 @@ pub fn trace_overhead_study(reps: u32) -> TraceOverhead {
                 threads: 2,
                 phases: (0..768)
                     .map(|_| {
-                        Phase::tracked(
-                            "work",
-                            30_000_000,
-                            mb(6.0),
-                            ReuseLevel::High,
-                            SiteId(0),
-                        )
+                        Phase::tracked("work", 30_000_000, mb(6.0), ReuseLevel::High, SiteId(0))
                     })
                     .collect(),
             })
@@ -249,7 +243,11 @@ mod tests {
             "per-period cost must collapse: {per_period_inner} vs {per_period_mid}"
         );
         assert!(inner.fastpath_share > 0.9, "share {}", inner.fastpath_share);
-        assert!(middle.fastpath_share < 0.1, "share {}", middle.fastpath_share);
+        assert!(
+            middle.fastpath_share < 0.1,
+            "share {}",
+            middle.fastpath_share
+        );
     }
 
     #[test]

@@ -96,36 +96,6 @@ impl SweepGrid {
     }
 }
 
-/// A `1/count` slice of the grid for distributing a sweep across
-/// processes or machines. Cell *global* indices are preserved, so the
-/// union of all shards is bit-identical to one unsharded sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This shard's index in `0..count`.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-impl Shard {
-    /// Parse `"i/m"` (e.g. `"0/4"`).
-    pub fn parse(s: &str) -> Result<Shard, String> {
-        let (i, m) = s
-            .split_once('/')
-            .ok_or_else(|| format!("shard must be 'index/count', got '{s}'"))?;
-        let index: usize = i.parse().map_err(|_| format!("bad shard index '{i}'"))?;
-        let count: usize = m.parse().map_err(|_| format!("bad shard count '{m}'"))?;
-        if count == 0 || index >= count {
-            return Err(format!("shard index {index} out of range for count {count}"));
-        }
-        Ok(Shard { index, count })
-    }
-
-    fn covers(&self, global_index: usize) -> bool {
-        global_index % self.count == self.index
-    }
-}
-
 /// How to execute a sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct RunnerOptions {
@@ -133,8 +103,6 @@ pub struct RunnerOptions {
     pub threads: usize,
     /// Root seed every cell's RNG stream is derived from.
     pub root_seed: u64,
-    /// Execute only this slice of the grid (`None` = all of it).
-    pub shard: Option<Shard>,
 }
 
 /// Root seed used when none is given on the command line.
@@ -145,7 +113,6 @@ impl Default for RunnerOptions {
         RunnerOptions {
             threads: 0,
             root_seed: DEFAULT_ROOT_SEED,
-            shard: None,
         }
     }
 }
@@ -163,7 +130,7 @@ impl RunnerOptions {
 /// One successfully executed cell.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Global grid index (stable across shards and thread counts).
+    /// Grid index (stable across thread counts).
     pub index: usize,
     /// Workload name (figure category).
     pub workload: String,
@@ -182,7 +149,7 @@ pub struct RunRecord {
 /// A cell that panicked or returned a simulation error.
 #[derive(Debug, Clone)]
 pub struct RunError {
-    /// Global grid index of the failed cell.
+    /// Grid index of the failed cell.
     pub index: usize,
     /// Workload name.
     pub workload: String,
@@ -278,19 +245,14 @@ pub fn run_sweep_configured<F>(grid: &SweepGrid, opts: &RunnerOptions, configure
 where
     F: Fn(&RunConfig) -> SimConfig + Sync,
 {
-    // Global indices this invocation actually executes.
-    let mine: Vec<usize> = (0..grid.len())
-        .filter(|&i| opts.shard.is_none_or(|s| s.covers(i)))
-        .collect();
-    let outcomes = run_pool(mine.len(), opts.threads, |pos| {
-        let global = mine[pos];
-        let cell = &grid.cells()[global];
-        let jitter_seed = SplitMix64::derive_stream(opts.root_seed, global as u64);
+    let outcomes = run_pool(grid.len(), opts.threads, |index| {
+        let cell = &grid.cells()[index];
+        let jitter_seed = SplitMix64::derive_stream(opts.root_seed, index as u64);
         let cfg = configure(cell).with_jitter_seed(jitter_seed);
         SystemSim::new(cfg, &cell.workload).run().map(|result| {
             let digest = result.digest();
             RunRecord {
-                index: global,
+                index,
                 workload: cell.workload.name.clone(),
                 policy: cell.policy,
                 replicate: cell.replicate,
@@ -302,13 +264,13 @@ where
     });
 
     let mut result = SweepResult::default();
-    for (&global, outcome) in mine.iter().zip(outcomes) {
+    for (index, outcome) in outcomes.into_iter().enumerate() {
         match outcome.and_then(|run| run) {
             Ok(rec) => result.records.push(rec),
             Err(message) => {
-                let cell = &grid.cells()[global];
+                let cell = &grid.cells()[index];
                 result.errors.push(RunError {
-                    index: global,
+                    index,
                     workload: cell.workload.name.clone(),
                     policy: cell.policy,
                     replicate: cell.replicate,
@@ -461,47 +423,12 @@ mod tests {
             &RunnerOptions {
                 threads: 1,
                 root_seed: 999,
-                ..RunnerOptions::default()
             },
         );
         assert_ne!(
             a.records[0].jitter_seed, c.records[0].jitter_seed,
             "root seed must reach every cell's stream"
         );
-    }
-
-    #[test]
-    fn shards_partition_and_compose() {
-        let g = small_grid();
-        let full = run_sweep(&g, &RunnerOptions::serial());
-        let mut merged: Vec<RunRecord> = Vec::new();
-        for index in 0..3 {
-            let shard = run_sweep(
-                &g,
-                &RunnerOptions {
-                    threads: 2,
-                    shard: Some(Shard { index, count: 3 }),
-                    ..RunnerOptions::default()
-                },
-            );
-            merged.extend(shard.records);
-        }
-        merged.sort_by_key(|r| r.index);
-        assert_eq!(merged.len(), full.records.len());
-        for (m, f) in merged.iter().zip(&full.records) {
-            assert_eq!(m.index, f.index);
-            assert_eq!(m.digest, f.digest, "shard cell #{} diverged", m.index);
-        }
-    }
-
-    #[test]
-    fn shard_parsing() {
-        assert_eq!(Shard::parse("0/4"), Ok(Shard { index: 0, count: 4 }));
-        assert_eq!(Shard::parse("3/4"), Ok(Shard { index: 3, count: 4 }));
-        assert!(Shard::parse("4/4").is_err());
-        assert!(Shard::parse("1").is_err());
-        assert!(Shard::parse("a/b").is_err());
-        assert!(Shard::parse("0/0").is_err());
     }
 
     #[test]
@@ -515,7 +442,13 @@ mod tests {
             policy: PolicyKind::Strict,
             replicate: 0,
         });
-        let r = run_sweep(&g, &RunnerOptions { threads: 3, ..RunnerOptions::default() });
+        let r = run_sweep(
+            &g,
+            &RunnerOptions {
+                threads: 3,
+                ..RunnerOptions::default()
+            },
+        );
         assert_eq!(r.errors.len(), 1, "exactly the bad cell fails");
         let err = &r.errors[0];
         assert_eq!(err.workload, "bad");

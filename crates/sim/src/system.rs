@@ -283,7 +283,6 @@ impl std::hash::Hasher for FnvHasher {
 
 type BuildFnv = std::hash::BuildHasherDefault<FnvHasher>;
 
-
 /// Safety cutoff: a simulation that passes this much simulated time
 /// aborts (a deadlock or runaway workload).
 const SIM_TIME_LIMIT_SECS: f64 = 1000.0;
@@ -590,9 +589,7 @@ impl SystemSim {
             next_rebalance: SimTime::ZERO + rebalance_period,
             unfinished: spec.processes.len(),
             jitter: SplitMix64::new(cfg.jitter_seed),
-            next_sample: cfg
-                .sample_every
-                .map_or(SimTime::MAX, |d| SimTime::ZERO + d),
+            next_sample: cfg.sample_every.map_or(SimTime::MAX, |d| SimTime::ZERO + d),
             timeline: Vec::new(),
             faults,
             calls: CallLog(cfg.record_rda_calls.then(Vec::new)),
@@ -651,7 +648,9 @@ impl SystemSim {
         for i in 0..self.procs[p].tasks.len() {
             let tid = self.procs[p].tasks[i];
             // Only wake threads that still have work in this phase.
-            if self.threads[tid.0 as usize].remaining > 0 || self.threads[tid.0 as usize].overhead > 0 {
+            if self.threads[tid.0 as usize].remaining > 0
+                || self.threads[tid.0 as usize].overhead > 0
+            {
                 self.sched.wake(tid);
             }
         }
@@ -808,7 +807,10 @@ impl SystemSim {
         self.enter_phase(p);
         for (_pp, pid) in resumed {
             let q = pid.0 as usize;
-            debug_assert!(self.procs[q].pp.is_some(), "resumed process lost its period");
+            debug_assert!(
+                self.procs[q].pp.is_some(),
+                "resumed process lost its period"
+            );
             self.wake_proc(q);
         }
     }
@@ -843,8 +845,8 @@ impl SystemSim {
             self.counters.context_switches += 1;
             let p = self.threads[tid.0 as usize].proc;
             let ws = self.phase_profile[p].ws_bytes;
-            self.threads[tid.0 as usize].overhead += self.cfg.machine.context_switch_cycles
-                + self.perf.switch_warmup_cycles(ws);
+            self.threads[tid.0 as usize].overhead +=
+                self.cfg.machine.context_switch_cycles + self.perf.switch_warmup_cycles(ws);
         }
         self.last_on_core[core] = Some(tid);
     }
@@ -1047,7 +1049,11 @@ impl SystemSim {
                     .collect();
                 let mut fresh = Vec::new();
                 self.perf.solve_corun_into(&entries, &mut fresh);
-                assert_eq!(fresh.len(), self.corun_rates.len(), "corun memo length drift");
+                assert_eq!(
+                    fresh.len(),
+                    self.corun_rates.len(),
+                    "corun memo length drift"
+                );
                 for (i, (a, b)) in fresh.iter().zip(&self.corun_rates).enumerate() {
                     assert!(
                         a.cpi.to_bits() == b.cpi.to_bits()
@@ -1304,9 +1310,7 @@ mod tests {
         // And consumes less energy.
         assert!(strict.measurement.system_joules() < default.measurement.system_joules());
         // Because it misses less.
-        assert!(
-            strict.measurement.counters.llc_misses < default.measurement.counters.llc_misses
-        );
+        assert!(strict.measurement.counters.llc_misses < default.measurement.counters.llc_misses);
     }
 
     #[test]
@@ -1316,9 +1320,21 @@ mod tests {
             processes: vec![ProcessProgram {
                 threads: 4,
                 phases: vec![
-                    Phase::tracked("a", 5_000_000, mb(1.0), ReuseLevel::High, rda_core::SiteId(0)),
+                    Phase::tracked(
+                        "a",
+                        5_000_000,
+                        mb(1.0),
+                        ReuseLevel::High,
+                        rda_core::SiteId(0),
+                    ),
                     Phase::untracked("sync", 100_000, mb(0.1), ReuseLevel::Low),
-                    Phase::tracked("b", 5_000_000, mb(2.0), ReuseLevel::Medium, rda_core::SiteId(1)),
+                    Phase::tracked(
+                        "b",
+                        5_000_000,
+                        mb(2.0),
+                        ReuseLevel::Medium,
+                        rda_core::SiteId(1),
+                    ),
                 ],
             }],
         };
@@ -1421,7 +1437,12 @@ mod tests {
     }
 
     fn assert_f64_helpers_exact(x: f64) {
-        assert_eq!(f64_to_u64(x), x as u64, "f64_to_u64({x:e}) [{:#x}]", x.to_bits());
+        assert_eq!(
+            f64_to_u64(x),
+            x as u64,
+            "f64_to_u64({x:e}) [{:#x}]",
+            x.to_bits()
+        );
         assert_eq!(
             ceil_to_u64(x),
             x.ceil() as u64,
@@ -1431,7 +1452,11 @@ mod tests {
     }
 
     fn assert_u64_helper_exact(u: u64) {
-        assert_eq!(u64_to_f64(u).to_bits(), (u as f64).to_bits(), "u64_to_f64({u})");
+        assert_eq!(
+            u64_to_f64(u).to_bits(),
+            (u as f64).to_bits(),
+            "u64_to_f64({u})"
+        );
     }
 
     #[test]
@@ -1649,10 +1674,7 @@ mod tests {
             });
         let mut sim = SystemSim::new(cfg, &spec);
         let r = sim.run().expect("aging must break the leak deadlock");
-        assert!(
-            r.rda.aged_admissions > 0,
-            "the waiter was rescued by aging"
-        );
+        assert!(r.rda.aged_admissions > 0, "the waiter was rescued by aging");
         assert_eq!(sim.rda().live_periods(), 0);
         assert_eq!(sim.rda().usage(), 0);
         assert_eq!(sim.rda().overflow_usage(), 0);
@@ -1727,8 +1749,7 @@ mod tests {
         .run()
         .unwrap();
         let zeroed = SystemSim::new(
-            SimConfig::paper_default(rda_core::PolicyKind::Strict)
-                .with_faults(FaultConfig::none()),
+            SimConfig::paper_default(rda_core::PolicyKind::Strict).with_faults(FaultConfig::none()),
             &spec,
         )
         .run()

@@ -165,8 +165,14 @@ impl TrafficPlan {
     pub fn generate(cfg: &TrafficConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(SplitMix64::derive_stream(seed, TRAFFIC_STREAM));
         let ArrivalPattern::Poisson { rate_per_sec: rate } = cfg.pattern;
-        assert!(rate > 0.0 && rate.is_finite(), "arrival rate must be positive");
-        assert!(!cfg.demand_classes.is_empty(), "need at least one demand class");
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "arrival rate must be positive"
+        );
+        assert!(
+            !cfg.demand_classes.is_empty(),
+            "need at least one demand class"
+        );
         let total_weight: f64 = cfg.demand_classes.iter().map(|&(_, w)| w).sum();
         let jitter_bound = cfg.backoff_base_cycles.max(1);
         let mut requests = Vec::new();

@@ -1,12 +1,9 @@
 //! The tentpole guarantee of the sweep runner: results are a pure
 //! function of (grid, root seed). Serial and multi-threaded executions
-//! of the Figure 9 grid — and any shard decomposition — produce
-//! bit-identical digests.
+//! of the Figure 9 grid produce bit-identical digests.
 
 use rda_bench::headline::headline_grid;
-use rda_sim::runner::{run_sweep, RunnerOptions, Shard, SweepGrid};
-use rda_sim::experiment::paper_policies;
-use rda_workloads::spec::all_workloads;
+use rda_sim::runner::{run_sweep, RunnerOptions};
 
 /// Serial vs 8-thread execution of the full headline (Figure 9) grid:
 /// every per-run digest and the sweep digest must match bit-for-bit.
@@ -33,36 +30,4 @@ fn figure9_grid_serial_vs_parallel_bit_identical() {
         );
     }
     assert_eq!(serial.digest(), parallel.digest());
-}
-
-/// Shards of a grid recompose into exactly the unsharded sweep: the
-/// per-cell streams depend on global grid indices, not on which
-/// process runs them.
-#[test]
-fn sharded_sweep_recomposes_bit_identically() {
-    // Two real workloads keep this case quick while still exercising
-    // the whole stack.
-    let specs = all_workloads();
-    let grid = SweepGrid::cross(&specs[..2], &paper_policies(), 1);
-    let full = run_sweep(&grid, &RunnerOptions::default());
-    assert!(full.errors.is_empty(), "{:?}", full.errors);
-
-    let mut merged = Vec::new();
-    for index in 0..3 {
-        let part = run_sweep(
-            &grid,
-            &RunnerOptions {
-                shard: Some(Shard { index, count: 3 }),
-                ..RunnerOptions::default()
-            },
-        );
-        assert!(part.errors.is_empty(), "{:?}", part.errors);
-        merged.extend(part.records);
-    }
-    merged.sort_by_key(|r| r.index);
-    assert_eq!(merged.len(), full.records.len());
-    for (m, f) in merged.iter().zip(&full.records) {
-        assert_eq!(m.index, f.index);
-        assert_eq!(m.digest, f.digest, "shard cell #{} diverged", m.index);
-    }
 }

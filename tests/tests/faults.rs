@@ -148,7 +148,6 @@ fn faulty_sweeps_are_thread_count_invariant() {
             &RunnerOptions {
                 threads,
                 root_seed: 7,
-                ..RunnerOptions::default()
             },
             |cell| {
                 SimConfig::paper_default(cell.policy)
@@ -188,7 +187,6 @@ fn edge_rate_sweeps_are_thread_count_invariant() {
             &RunnerOptions {
                 threads,
                 root_seed: 11,
-                ..RunnerOptions::default()
             },
             move |cell| {
                 let cfg = SimConfig::paper_default(cell.policy)

@@ -60,7 +60,6 @@ fn golden_digest_is_thread_count_invariant() {
     let opts = |threads| RunnerOptions {
         threads,
         root_seed: 42,
-        ..RunnerOptions::default()
     };
     let one = run_sweep(&grid, &opts(1));
     let three = run_sweep(&grid, &opts(3));

@@ -132,7 +132,6 @@ fn traced_sweeps_are_digest_neutral_and_thread_invariant() {
     let opts = |threads| RunnerOptions {
         threads,
         root_seed: 42,
-        ..RunnerOptions::default()
     };
     let untraced = run_sweep_configured(&grid, &opts(1), |cell| {
         SimConfig::paper_default(cell.policy)
@@ -173,7 +172,6 @@ fn faulty_export() -> (TraceBundle, Json) {
     let opts = RunnerOptions {
         threads: 1,
         root_seed: 42,
-        ..RunnerOptions::default()
     };
     let sweep = run_sweep_configured(&grid, &opts, |cell| {
         SimConfig::paper_default(cell.policy)
