@@ -1,4 +1,5 @@
-//! Run every experiment and write a JSON results bundle.
+//! Run every experiment and write a JSON results bundle (none when a
+//! headline cell fails: the run prints what it has and exits 1).
 use rda_bench::fig12::{ocean_series, render_series, water_series};
 use rda_bench::summary::headline;
 use rda_bench::{headline_runs_cli, sweep_args_from_env};
@@ -15,10 +16,16 @@ fn main() {
     println!("=== Table 2 ===\n{}", spec::table2());
 
     let r = headline_runs_cli(&sweep_args_from_env());
-    println!("sweep digest: {:#018x}", r.digest);
+    if r.errors.is_empty() {
+        println!("sweep digest: {:#018x}", r.digest);
+    }
     for fig in &r.figures {
         println!("{}", fig.to_text_table());
     }
+    // A failed cell ends the run here: the headline numbers need every
+    // workload's baseline, and a partial `results.json` would read as a
+    // full one.
+    r.exit_on_failure();
     let h = headline(&r);
     println!("=== Headline numbers ===\n{h}\n");
 

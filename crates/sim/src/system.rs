@@ -326,11 +326,12 @@ pub struct SystemSim {
     scratch_running: Vec<(usize, TaskId)>,
     scratch_entries: Vec<(rda_machine::AccessProfile, u64)>,
     corun_rates: Vec<rda_machine::SegmentRates>,
-    /// Packed `(proc << 32 | phase)` tag of each running thread, in
-    /// running order, for which `corun_rates` currently holds the
-    /// solved rates. A thread's `(profile, share)` entry is a pure
-    /// function of its tag plus the tag multiset, so equal tag vectors
-    /// imply bit-identical solver inputs.
+    /// The co-run key `corun_rates` currently holds the solved rates
+    /// for: the dedup profile id of each running thread's current
+    /// phase, in running order, then the distinct running processes'
+    /// total working set. A thread's `(profile, share)` entry is a pure
+    /// function of its profile id and that total, so equal keys imply
+    /// bit-identical solver inputs.
     corun_tags: Vec<u64>,
     scratch_tags: Vec<u64>,
     /// Every co-run configuration solved so far, by key. Slice
@@ -338,17 +339,9 @@ pub struct SystemSim {
     /// cached rates is bit-identical to re-solving (the solver is
     /// pure).
     corun_cache: std::collections::HashMap<Vec<u64>, Vec<rda_machine::SegmentRates>, BuildFnv>,
-    /// Generation counter bumped by every mutation that can change the
-    /// co-running set or a running process's phase profile (scheduler
-    /// assignment changes, phase transitions, process completion). When
-    /// an interval starts with the generation unchanged since the last
-    /// update, the tag vector is provably identical and even the tag
-    /// rebuild is skipped. Debug builds re-derive everything from first
-    /// principles each interval and assert the fast levels were sound.
-    corun_gen: u64,
-    /// The value of [`Self::corun_gen`] when `corun_tags`/`corun_rates`
-    /// were last brought up to date.
-    corun_gen_key: u64,
+    /// Key rebuilds so far: a fresh stamp for each rebuild's
+    /// `proc_stamp` marks.
+    corun_rebuilds: u64,
     /// `books_epoch` value at the last passing invariant check
     /// ([`Self::check_books`]). The check is a pure function of the extension's books,
     /// so an unchanged epoch implies an unchanged (passing) verdict.
@@ -363,7 +356,7 @@ pub struct SystemSim {
     /// `procs[p].program.phases[phase]` pointers per running thread.
     phase_profile: Vec<rda_machine::AccessProfile>,
     phase_tag: Vec<u32>,
-    /// Per-proc mark: equal to `corun_gen_key` once the process's
+    /// Per-proc mark: equal to `corun_rebuilds` once the process's
     /// working set has been counted in the current key rebuild, so
     /// each distinct process on-CPU is summed once in O(1).
     proc_stamp: Vec<u64>,
@@ -599,8 +592,7 @@ impl SystemSim {
             corun_tags: Vec::new(),
             scratch_tags: Vec::new(),
             corun_cache: std::collections::HashMap::default(),
-            corun_gen: 1,
-            corun_gen_key: 0,
+            corun_rebuilds: 0,
             checked_books_epoch: u64::MAX,
             scratch_done: Vec::new(),
             // Placeholders: `enter_phase` below copies each process's
@@ -644,7 +636,6 @@ impl SystemSim {
     }
 
     fn wake_proc(&mut self, p: usize) {
-        self.corun_gen += 1;
         for i in 0..self.procs[p].tasks.len() {
             let tid = self.procs[p].tasks[i];
             // Only wake threads that still have work in this phase.
@@ -658,7 +649,6 @@ impl SystemSim {
 
     /// Start the current phase of process `p` (or finish the process).
     fn enter_phase(&mut self, p: usize) {
-        self.corun_gen += 1;
         if self.procs[p].phase >= self.procs[p].program.phases.len() {
             self.finish_proc(p);
             return;
@@ -729,7 +719,6 @@ impl SystemSim {
     }
 
     fn finish_proc(&mut self, p: usize) {
-        self.corun_gen += 1;
         debug_assert!(!self.procs[p].finished);
         self.procs[p].finished = true;
         self.procs[p].finish_time = self.now;
@@ -760,7 +749,6 @@ impl SystemSim {
     /// A thread completed its phase quota: barrier-block it; when the
     /// last sibling arrives, close the phase.
     fn thread_done(&mut self, tid: TaskId) {
-        self.corun_gen += 1;
         self.sched.block(tid);
         let p = self.threads[tid.0 as usize].proc;
         self.procs[p].done_threads += 1;
@@ -825,7 +813,6 @@ impl SystemSim {
                 self.sched.idle_steal(core);
             }
             if let Some(tid) = self.sched.pick_next(core) {
-                self.corun_gen += 1;
                 self.on_switch_in(core, tid);
                 let slice = self.jittered_slice(core);
                 self.slice_end[core] = self.now + SimDuration::from_cycles(slice);
@@ -909,7 +896,21 @@ impl SystemSim {
         }
     }
 
-    fn take_sample(&mut self) {
+    /// Take every periodic sample due before `end`. Nothing the
+    /// timeline records changes before `end`, so each sample reads the
+    /// state now, and sampling never splits a step: a sampled run is
+    /// the unsampled run plus its timeline.
+    fn sample_until(&mut self, end: SimTime) {
+        while self.next_sample < end {
+            self.take_sample(self.next_sample);
+            // Finite `next_sample` means sampling is on; even a zero
+            // period moves on.
+            let every = self.cfg.sample_every.unwrap().cycles().max(1);
+            self.next_sample += SimDuration::from_cycles(every);
+        }
+    }
+
+    fn take_sample(&mut self, at: SimTime) {
         let running: Vec<TaskId> = self.sched.running_tasks().map(|(_, t)| t).collect();
         let mut seen: Vec<usize> = Vec::new();
         let mut pressure = 0u64;
@@ -921,7 +922,7 @@ impl SystemSim {
             }
         }
         self.timeline.push(TimelineSample {
-            t_secs: self.now.as_secs(self.cfg.machine.freq_hz),
+            t_secs: at.as_secs(self.cfg.machine.freq_hz),
             busy_cores: running.len(),
             active_threads: self.sched.active_tasks().count(),
             running_pressure_bytes: pressure,
@@ -954,6 +955,7 @@ impl SystemSim {
                     return Err("no runnable threads: scheduling deadlock".into());
                 };
                 if deadline > self.now {
+                    self.sample_until(deadline);
                     self.now = deadline;
                 }
                 self.apply_aging();
@@ -969,64 +971,55 @@ impl SystemSim {
             // plus the distinct running processes' total working set.
             // So the co-run configuration is keyed by the profile-id
             // vector of the running set, in running order, with
-            // `total_ws` appended — and increasingly cheap levels
-            // decide the rates:
-            //   1. `corun_gen` unchanged since the last update — no
-            //      scheduler or phase mutation happened, the key is
-            //      provably identical, nothing to do;
-            //   2. key rebuilt and equal to the previous vector —
-            //      reuse `corun_rates` verbatim;
-            //   3. key hits the solve cache — copy the cached rates
-            //      (the solver is a pure function of the entries, so
-            //      the copy is bit-identical to a fresh solve);
-            //   4. full entry rebuild + solve, result cached.
-            // None of these levels can move a digest: every path yields
-            // the exact bits a per-interval fresh solve would.
-            if self.corun_gen != self.corun_gen_key {
-                self.corun_gen_key = self.corun_gen;
-                // LLC pressure: distinct processes with at least one
-                // thread on-CPU compete for capacity. The generation
-                // key is fresh for every rebuild, so a stamp equal to
-                // it marks a process already counted.
-                let stamp = self.corun_gen_key;
-                self.scratch_tags.clear();
-                let mut total_ws: u64 = 0;
-                for &(_, tid) in &running {
-                    let p = self.threads[tid.0 as usize].proc;
-                    self.scratch_tags.push(self.phase_tag[p] as u64);
-                    if self.proc_stamp[p] != stamp {
-                        self.proc_stamp[p] = stamp;
-                        total_ws += self.phase_profile[p].ws_bytes;
-                    }
+            // `total_ws` appended. Each interval rebuilds the key; then
+            //   1. a key equal to the previous one reuses `corun_rates`;
+            //   2. a key in the solve cache copies the cached rates (the
+            //      solver is a pure function of the entries, so the copy
+            //      is bit-identical to a fresh solve);
+            //   3. any other key is solved, and the result cached.
+            // No level can move a digest: each yields the exact bits a
+            // per-interval fresh solve would. The distinct processes
+            // on-CPU share the LLC; a stamp fresh for each rebuild marks
+            // a process already counted.
+            self.corun_rebuilds += 1;
+            let stamp = self.corun_rebuilds;
+            self.scratch_tags.clear();
+            let mut total_ws: u64 = 0;
+            for &(_, tid) in &running {
+                let p = self.threads[tid.0 as usize].proc;
+                self.scratch_tags.push(self.phase_tag[p] as u64);
+                if self.proc_stamp[p] != stamp {
+                    self.proc_stamp[p] = stamp;
+                    total_ws += self.phase_profile[p].ws_bytes;
                 }
-                self.scratch_tags.push(total_ws);
-                if self.scratch_tags != self.corun_tags {
-                    if let Some(hit) = self.corun_cache.get(&self.scratch_tags) {
-                        self.corun_rates.clear();
-                        self.corun_rates.extend_from_slice(hit);
-                    } else {
-                        self.scratch_entries.clear();
-                        for &(_, tid) in &running {
-                            let p = self.threads[tid.0 as usize].proc;
-                            let prof = self.phase_profile[p];
-                            let share = self.perf.llc_share(prof.ws_bytes, total_ws);
-                            self.scratch_entries.push((prof, share));
-                        }
-                        self.perf
-                            .solve_corun_into(&self.scratch_entries, &mut self.corun_rates);
-                        self.corun_cache
-                            .insert(self.scratch_tags.clone(), self.corun_rates.clone());
+            }
+            self.scratch_tags.push(total_ws);
+            if self.scratch_tags != self.corun_tags {
+                if let Some(hit) = self.corun_cache.get(&self.scratch_tags) {
+                    self.corun_rates.clear();
+                    self.corun_rates.extend_from_slice(hit);
+                } else {
+                    self.scratch_entries.clear();
+                    for &(_, tid) in &running {
+                        let p = self.threads[tid.0 as usize].proc;
+                        let prof = self.phase_profile[p];
+                        let share = self.perf.llc_share(prof.ws_bytes, total_ws);
+                        self.scratch_entries.push((prof, share));
                     }
-                    std::mem::swap(&mut self.corun_tags, &mut self.scratch_tags);
+                    self.perf
+                        .solve_corun_into(&self.scratch_entries, &mut self.corun_rates);
+                    self.corun_cache
+                        .insert(self.scratch_tags.clone(), self.corun_rates.clone());
                 }
+                std::mem::swap(&mut self.corun_tags, &mut self.scratch_tags);
             }
             #[cfg(debug_assertions)]
             {
-                // Soundness backstop for the tag memo, the generation
-                // skip and the per-proc profile copies: re-derive the
-                // entries from the programs themselves and demand a
-                // fresh solve agree bit-for-bit with whatever the fast
-                // levels left in `corun_rates`.
+                // Soundness backstop for the previous-key reuse, the
+                // solve cache and the per-proc profile copies: re-derive
+                // the entries from the programs themselves and demand a
+                // fresh solve agree bit-for-bit with whatever the memo
+                // left in `corun_rates`.
                 let program_profile =
                     |p: usize| self.procs[p].program.phases[self.procs[p].phase].profile;
                 let mut total_ws: u64 = 0;
@@ -1067,9 +1060,6 @@ impl SystemSim {
             }
             // --- horizon: next event distance in cycles ---
             let mut dt = self.next_rebalance.since(self.now).cycles().max(1);
-            if self.next_sample != SimTime::MAX {
-                dt = dt.min(self.next_sample.since(self.now).cycles().max(1));
-            }
             if let Some(deadline) = self.aging_deadline() {
                 dt = dt.min(deadline.since(self.now).cycles().max(1));
             }
@@ -1087,6 +1077,7 @@ impl SystemSim {
                 dt = dt.min(self.slice_end[core].since(self.now).cycles().max(1));
                 min_slice = min_slice.min(self.slice_end[core]);
             }
+            self.sample_until(self.now + SimDuration::from_cycles(dt));
 
             // --- advance all running threads by dt ---
             // Completion detection happens inline (the finished set is
@@ -1138,12 +1129,11 @@ impl SystemSim {
             }
             if self.now >= min_slice {
                 for core in 0..self.cfg.machine.cores {
-                    let Some(tid) = self.sched.running_on(core) else {
+                    if self.sched.running_on(core).is_none() {
                         continue;
-                    };
+                    }
                     if self.now >= self.slice_end[core] {
                         if self.sched.queue_len(core) > 0 {
-                            self.corun_gen += 1;
                             self.sched.yield_current(core);
                             if let Some(next) = self.sched.pick_next(core) {
                                 self.on_switch_in(core, next);
@@ -1151,19 +1141,12 @@ impl SystemSim {
                         }
                         let slice = self.jittered_slice(core);
                         self.slice_end[core] = self.now + SimDuration::from_cycles(slice);
-                        let _ = tid;
                     }
                 }
             }
             if self.now >= self.next_rebalance {
-                self.corun_gen += 1;
                 self.sched.rebalance();
                 self.next_rebalance = self.now + self.rebalance_period;
-            }
-            if self.now >= self.next_sample {
-                self.take_sample();
-                // `next_sample` is finite only when sampling is on.
-                self.next_sample = self.now + self.cfg.sample_every.unwrap();
             }
             self.apply_aging();
             self.sample_occupancy(running.len());
@@ -1387,6 +1370,24 @@ mod tests {
         assert!(r.timeline.iter().any(|s| s.waitlisted > 0));
         let util = r.mean_utilization(12);
         assert!(util > 0.0 && util <= 1.0, "utilization {util}");
+    }
+
+    #[test]
+    fn sampling_leaves_the_run_unchanged() {
+        // Sampling reads the state between events; were it to split a
+        // step, the per-step truncations would move the counters.
+        let spec = tiny_workload(8, 1, 4.0, 30_000_000);
+        for policy in [
+            rda_core::PolicyKind::DefaultOnly,
+            rda_core::PolicyKind::Strict,
+        ] {
+            let plain = run(policy, &spec);
+            let cfg = SimConfig::paper_default(policy).with_sampling_ms(1.0);
+            let mut sampled = SystemSim::new(cfg, &spec).run().unwrap();
+            assert!(sampled.timeline.len() > 5, "{policy}");
+            sampled.timeline.clear();
+            assert_eq!(sampled.digest(), plain.digest(), "{policy}");
+        }
     }
 
     #[test]

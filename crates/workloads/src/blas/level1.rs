@@ -1,9 +1,10 @@
-//! BLAS level-1 kernels: vector-vector operations with minimal reuse.
+//! BLAS level 1: daxpy, a vector-vector operation with minimal reuse.
 //!
-//! These are the BLAS-1 workload of Table 2 (daxpy, dcopy, dscal,
-//! dswap): each element is touched O(1) times, so the cache sees a pure
-//! stream — the class of code the paper's scheduler should leave to the
-//! default policy.
+//! Table 2's BLAS-1 workload (four vector-vector kernels) touches each
+//! element O(1) times, so the cache sees a pure stream — the class of
+//! code the paper's scheduler should leave to the default policy.
+//! [`daxpy_traced`] records that stream for the profiler; [`daxpy`] is
+//! its plain reference.
 
 use crate::trace::{AddressSpace, TraceRecorder};
 
@@ -12,27 +13,6 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
-    }
-}
-
-/// `y ← x`.
-pub fn dcopy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    y.copy_from_slice(x);
-}
-
-/// `x ← α·x`.
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
-/// `x ↔ y`.
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
-        std::mem::swap(xi, yi);
     }
 }
 
@@ -65,30 +45,6 @@ mod tests {
         let mut y = vec![10.0, 20.0, 30.0];
         daxpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn dcopy_copies() {
-        let x = vec![5.0, 6.0];
-        let mut y = vec![0.0, 0.0];
-        dcopy(&x, &mut y);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn dscal_scales() {
-        let mut x = vec![1.0, -2.0, 4.0];
-        dscal(-0.5, &mut x);
-        assert_eq!(x, vec![-0.5, 1.0, -2.0]);
-    }
-
-    #[test]
-    fn dswap_swaps() {
-        let mut x = vec![1.0, 2.0];
-        let mut y = vec![3.0, 4.0];
-        dswap(&mut x, &mut y);
-        assert_eq!(x, vec![3.0, 4.0]);
-        assert_eq!(y, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! BLAS level-3 kernels: matrix-matrix operations with high reuse.
+//! BLAS level 3: dgemm, a matrix-matrix operation with high reuse.
 //!
-//! The BLAS-3 workload of Table 2 (dgemm, dsyrk, dtrmm-ru, dtrsm-ru).
-//! [`dgemm_blocked`] applies the loop blocking the paper mentions
-//! (*"optimized with loop blocking so that individually its working set
-//! size fits within the last-level cache"*). [`dgemm_traced`] replays
-//! the kernel on instrumented buffers with loop back-edge markers for
-//! the three nest levels — the input of the Figure 11 granularity study
-//! and of the profiler's loop mapping.
+//! dgemm is one of the four kernels of Table 2's BLAS-3 workload.
+//! [`dgemm_traced`] replays dgemm on instrumented buffers with loop
+//! back-edge markers for the three nest levels — the input of the
+//! profiler's loop mapping and of the `model_vs_trace` cross-check;
+//! [`dgemm_naive`] is its plain reference.
 
 use super::at;
 use crate::trace::{AddressSpace, TraceRecorder};
@@ -23,88 +21,6 @@ pub fn dgemm_naive(n: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mu
                 acc += a[at(n, i, k)] * b[at(n, k, j)];
             }
             c[at(n, i, j)] = alpha * acc + beta * c[at(n, i, j)];
-        }
-    }
-}
-
-/// `C ← α·A·B + β·C` with `bs × bs` loop blocking.
-pub fn dgemm_blocked(n: usize, bs: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64]) {
-    assert!(bs > 0);
-    assert_eq!(a.len(), n * n);
-    assert_eq!(b.len(), n * n);
-    assert_eq!(c.len(), n * n);
-    for ci in c.iter_mut() {
-        *ci *= beta;
-    }
-    for ii in (0..n).step_by(bs) {
-        for kk in (0..n).step_by(bs) {
-            for jj in (0..n).step_by(bs) {
-                let i_end = (ii + bs).min(n);
-                let k_end = (kk + bs).min(n);
-                let j_end = (jj + bs).min(n);
-                for i in ii..i_end {
-                    for k in kk..k_end {
-                        let aik = alpha * a[at(n, i, k)];
-                        for j in jj..j_end {
-                            c[at(n, i, j)] += aik * b[at(n, k, j)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C ← α·A·Aᵀ + β·C` (symmetric rank-k update, full matrix stored).
-pub fn dsyrk(n: usize, alpha: f64, a: &[f64], beta: f64, c: &mut [f64]) {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(c.len(), n * n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += a[at(n, i, k)] * a[at(n, j, k)];
-            }
-            let v = alpha * acc;
-            c[at(n, i, j)] = v + beta * c[at(n, i, j)];
-            if i != j {
-                c[at(n, j, i)] = v + beta * c[at(n, j, i)];
-            }
-        }
-    }
-}
-
-/// `B ← B·U` (right-multiply by the upper triangle of `u`, diagonal
-/// included) — dtrmm with side=right, uplo=upper.
-pub fn dtrmm_ru(n: usize, b: &mut [f64], u: &[f64]) {
-    assert_eq!(b.len(), n * n);
-    assert_eq!(u.len(), n * n);
-    for i in 0..n {
-        // Process columns right-to-left so unread inputs stay intact.
-        for j in (0..n).rev() {
-            let mut acc = 0.0;
-            for k in 0..=j {
-                acc += b[at(n, i, k)] * u[at(n, k, j)];
-            }
-            b[at(n, i, j)] = acc;
-        }
-    }
-}
-
-/// Solve `X·U = B` in place (`b` enters holding `B`, leaves holding
-/// `X`) — dtrsm with side=right, uplo=upper.
-pub fn dtrsm_ru(n: usize, b: &mut [f64], u: &[f64]) {
-    assert_eq!(b.len(), n * n);
-    assert_eq!(u.len(), n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = b[at(n, i, j)];
-            for k in 0..j {
-                acc -= b[at(n, i, k)] * u[at(n, k, j)];
-            }
-            let d = u[at(n, j, j)];
-            assert!(d != 0.0, "singular triangular matrix");
-            b[at(n, i, j)] = acc / d;
         }
     }
 }
@@ -148,17 +64,6 @@ mod tests {
         m
     }
 
-    fn upper_mat(n: usize, seed: u64) -> Vec<f64> {
-        let mut u = rand_mat(n, seed);
-        for i in 0..n {
-            for j in 0..i {
-                u[at(n, i, j)] = 0.0;
-            }
-            u[at(n, i, i)] = 2.0 + u[at(n, i, i)].abs();
-        }
-        u
-    }
-
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!((x - y).abs() < tol, "index {i}: {x} vs {y}");
@@ -176,68 +81,6 @@ mod tests {
         let mut c = vec![0.0; n * n];
         dgemm_naive(n, 1.0, &eye, &b, 0.0, &mut c);
         assert_close(&c, &b, 1e-12);
-    }
-
-    #[test]
-    fn blocked_matches_naive_across_block_sizes() {
-        let n = 37; // deliberately not a multiple of any block size
-        let a = rand_mat(n, 2);
-        let b = rand_mat(n, 3);
-        let mut reference = rand_mat(n, 4);
-        let orig_c = reference.clone();
-        dgemm_naive(n, 1.3, &a, &b, 0.7, &mut reference);
-        for bs in [1, 4, 8, 16, 64] {
-            let mut c = orig_c.clone();
-            dgemm_blocked(n, bs, 1.3, &a, &b, 0.7, &mut c);
-            assert_close(&c, &reference, 1e-9);
-        }
-    }
-
-    #[test]
-    fn dsyrk_matches_explicit_a_at() {
-        let n = 15;
-        let a = rand_mat(n, 5);
-        // Compute A·Aᵀ via dgemm with an explicit transpose.
-        let mut t = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                t[at(n, j, i)] = a[at(n, i, j)];
-            }
-        }
-        let mut expect = vec![0.0; n * n];
-        dgemm_naive(n, 2.0, &a, &t, 0.0, &mut expect);
-        let mut c = vec![0.0; n * n];
-        dsyrk(n, 2.0, &a, 0.0, &mut c);
-        assert_close(&c, &expect, 1e-9);
-        // Result is symmetric.
-        for i in 0..n {
-            for j in 0..n {
-                assert!((c[at(n, i, j)] - c[at(n, j, i)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn dtrmm_matches_explicit_multiply() {
-        let n = 11;
-        let u = upper_mat(n, 6);
-        let b0 = rand_mat(n, 7);
-        let mut expect = vec![0.0; n * n];
-        dgemm_naive(n, 1.0, &b0, &u, 0.0, &mut expect);
-        let mut b = b0;
-        dtrmm_ru(n, &mut b, &u);
-        assert_close(&b, &expect, 1e-9);
-    }
-
-    #[test]
-    fn dtrsm_inverts_dtrmm() {
-        let n = 19;
-        let u = upper_mat(n, 8);
-        let original = rand_mat(n, 9);
-        let mut b = original.clone();
-        dtrmm_ru(n, &mut b, &u); // B = X·U
-        dtrsm_ru(n, &mut b, &u); // solve X back
-        assert_close(&b, &original, 1e-7);
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! The twelve BLAS kernels of Table 2, implemented for real.
+//! Table 2's BLAS workloads, as far as the profiler traces them.
 //!
-//! * [`level1`] — daxpy, dcopy, dscal, dswap (vector-vector, low reuse)
-//! * [`level2`] — dgemv (N/T), dtrmv, dtrsv (matrix-vector, medium reuse)
-//! * [`level3`] — dgemm, dsyrk, dtrmm(ru), dtrsm(ru) (matrix-matrix,
-//!   high reuse; blocked variants keep the working set LLC-resident,
-//!   exactly as the paper tunes its kernels)
+//! * [`level1`] — daxpy (vector-vector, low reuse)
+//! * [`level3`] — dgemm (matrix-matrix, high reuse)
 //!
-//! All matrices are dense, row-major, `n × n`, `f64`. The plain-slice
-//! functions are the reference implementations; [`level1::daxpy_traced`]
-//! and [`level3::dgemm_traced`] additionally replay daxpy and dgemm on
-//! instrumented buffers, emitting the load/store/loop-branch trace the
-//! profiler consumes (§2.4); the `model_vs_trace` integration test
-//! replays dgemm's through the functional cache.
+//! All matrices are dense, row-major, `n × n`, `f64`. Each kernel comes
+//! plain, the reference, and traced: [`level1::daxpy_traced`] and
+//! [`level3::dgemm_traced`] replay it on instrumented buffers, emitting
+//! the load/store/loop-branch trace the profiler consumes (§2.4); the
+//! `model_vs_trace` integration test replays dgemm's through the
+//! functional cache. The scheduler never runs these kernels:
+//! [`crate::spec`] describes all three BLAS workloads of Table 2 (the
+//! twelve kernels) by their progress periods.
 
 pub mod level1;
-pub mod level2;
 pub mod level3;
 
 /// Row-major index helper.

@@ -1,25 +1,21 @@
-//! Mini-app re-implementations of the five SPLASH-2 benchmarks the
-//! paper schedules (Table 2).
+//! Mini-app re-implementations of the SPLASH-2 kernels the profiler
+//! traces.
 //!
 //! Each app keeps the original's algorithmic skeleton and phase
-//! structure — which is what matters to a scheduler that gates on
-//! phase (progress-period) boundaries — at trace-friendly input sizes:
+//! structure at trace-friendly input sizes:
 //!
-//! * [`water`] — molecular dynamics: `water_nsquared` (all-pairs
-//!   forces, high reuse) and `water_spatial` (cell lists, low reuse).
+//! * [`water`] — molecular dynamics, the n² variant (all-pairs forces,
+//!   high reuse): plain and traced, the traced run bracketing each
+//!   phase with a loop id so the profiler can map detected periods back
+//!   to code (Fig 12).
 //! * [`ocean`] — red-black SOR relaxation of a square grid
-//!   (`ocean_cp`'s multigrid relax step).
-//! * [`raytrace`] — a sphere-scene ray caster (high reuse of scene
-//!   data per ray).
-//! * [`volrend`] — volume rendering by ray casting through a voxel
-//!   grid.
+//!   (`ocean_cp`'s multigrid relax step): plain and traced (Fig 12).
+//! * [`raytrace`] — a sphere-scene ray caster (high reuse of scene data
+//!   per ray), plain only; the `raytrace_demo` example renders with it.
 //!
-//! Every app exposes `run` (plain, returns a physical checksum used by
-//! correctness tests) and `run_traced` (instrumented per §2.4, with
-//! per-phase loop ids so the profiler can map detected periods back to
-//! code structure).
+//! The scheduler never runs these apps: [`crate::spec`] describes all
+//! five SPLASH-2 workloads of Table 2 by their progress periods.
 
 pub mod ocean;
 pub mod raytrace;
-pub mod volrend;
 pub mod water;

@@ -8,9 +8,6 @@
 //! the paper's high-reuse classification), Lambertian shading, one
 //! bounce of shadow rays.
 
-#![allow(clippy::needless_range_loop)] // ray loops index geometry and scene in parallel
-
-use crate::trace::{AddressSpace, TraceRecorder};
 use rda_simcore::Xoshiro256;
 
 /// A scene sphere.
@@ -146,70 +143,6 @@ pub fn render(p: &RaytraceParams) -> f64 {
     acc / (p.size * p.size) as f64
 }
 
-/// Loop ids emitted by the traced renderer.
-pub mod loops {
-    /// Per-scanline loop.
-    pub const SCANLINE: u32 = 30;
-}
-
-/// Traced render: scene spheres live in an instrumented buffer
-/// (4 doubles each: centre + radius; albedo folded into radius sign
-/// handling is avoided by a parallel untraced albedo list — geometry is
-/// the hot, reused data). Returns the mean intensity.
-pub fn render_traced(p: &RaytraceParams, rec: &TraceRecorder) -> f64 {
-    let scene = make_scene(p);
-    let mut space = AddressSpace::new();
-    let mut geom = space.alloc(p.spheres * 4, rec);
-    for (k, s) in scene.iter().enumerate() {
-        geom.init(k * 4, s.c[0]);
-        geom.init(k * 4 + 1, s.c[1]);
-        geom.init(k * 4 + 2, s.c[2]);
-        geom.init(k * 4 + 3, s.r);
-    }
-    let origin = [0.0, 0.0, 0.0];
-    let mut acc = 0.0;
-    for py in 0..p.size {
-        for px in 0..p.size {
-            let x = (px as f64 + 0.5) / p.size as f64 * 2.0 - 1.0;
-            let y = (py as f64 + 0.5) / p.size as f64 * 2.0 - 1.0;
-            let mut dir = [x, y, 1.5];
-            let norm = dot(&dir, &dir).sqrt().recip();
-            for d in dir.iter_mut() {
-                *d *= norm;
-            }
-            // Nearest hit over the traced geometry.
-            let mut best: Option<(f64, usize)> = None;
-            for k in 0..p.spheres {
-                let s = Sphere {
-                    c: [geom.get(k * 4), geom.get(k * 4 + 1), geom.get(k * 4 + 2)],
-                    r: geom.get(k * 4 + 3),
-                    albedo: scene[k].albedo,
-                };
-                if let Some(t) = hit(&s, &origin, &dir) {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, k));
-                    }
-                }
-            }
-            acc += match best {
-                None => 0.05,
-                Some((t, k)) => {
-                    let s = &scene[k];
-                    let pnt = [dir[0] * t, dir[1] * t, dir[2] * t];
-                    let mut n = [pnt[0] - s.c[0], pnt[1] - s.c[1], pnt[2] - s.c[2]];
-                    let inv = 1.0 / s.r;
-                    for v in n.iter_mut() {
-                        *v *= inv;
-                    }
-                    0.05 + s.albedo * dot(&n, &LIGHT).max(0.0)
-                }
-            };
-        }
-        rec.loop_branch(loops::SCANLINE);
-    }
-    acc / (p.size * p.size) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,33 +180,5 @@ mod tests {
         let t = hit(&s, &[0.0, 0.0, 0.0], &[0.0, 0.0, 1.0]).unwrap();
         assert!((t - 2.5).abs() < 1e-12);
         assert!(hit(&s, &[0.0, 0.0, 0.0], &[0.0, 0.0, -1.0]).is_none());
-    }
-
-    #[test]
-    fn traced_render_reuses_geometry_heavily() {
-        let p = RaytraceParams::test_small();
-        let rec = TraceRecorder::new();
-        render_traced(&p, &rec);
-        let t = rec.take();
-        let ops = t.memory_ops();
-        let distinct: std::collections::HashSet<u64> = t
-            .records()
-            .iter()
-            .filter_map(|r| r.address())
-            .collect();
-        // Reuse ratio = accesses per distinct address: rays × spheres
-        // scans make this large — the "high reuse" classification.
-        let reuse = ops as f64 / distinct.len() as f64;
-        assert!(reuse > 100.0, "reuse ratio only {reuse}");
-    }
-
-    #[test]
-    fn traced_mean_close_to_plain() {
-        // The traced renderer skips shadow rays, so the images differ,
-        // but both must see the same geometry (non-background content).
-        let p = RaytraceParams::test_small();
-        let rec = TraceRecorder::new();
-        let traced = render_traced(&p, &rec);
-        assert!(traced > 0.051);
     }
 }

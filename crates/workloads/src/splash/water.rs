@@ -1,13 +1,11 @@
-//! Water: molecular dynamics on water-like point molecules.
+//! Water: molecular dynamics on water-like point molecules, SPLASH-2's
+//! n-squared variant.
 //!
-//! Two variants, as in SPLASH-2:
-//!
-//! * **n-squared** — every pair of molecules within a cutoff interacts
-//!   (`O(N²)` scans). Each molecule's state is re-read `N−1` times per
-//!   timestep: *high* temporal reuse, the paper's flagship beneficiary.
-//! * **spatial** — molecules are binned into cells and only neighbour
-//!   cells interact: each molecule is touched a constant number of
-//!   times per step, *low* reuse.
+//! Every pair of molecules within a cutoff interacts (`O(N²)` scans).
+//! Each molecule's state is re-read `N−1` times per timestep: *high*
+//! temporal reuse, the paper's flagship beneficiary. (The cell-list
+//! water-spatial variant, *low* reuse, exists only as its Table 2
+//! progress periods in [`crate::spec::water_sp`].)
 //!
 //! The per-molecule state is 36 doubles (position/velocity/force and
 //! two predictor-corrector derivative triples for three atoms' worth of
@@ -169,68 +167,6 @@ impl WaterSim {
         self.kinetic_energy()
     }
 
-    /// Run spatial (cell-list) dynamics for `steps`.
-    pub fn run_spatial(&mut self, steps: usize, cells_per_dim: usize) -> f64 {
-        assert!(cells_per_dim >= 1);
-        for _ in 0..steps {
-            self.predict();
-            self.interf_spatial(cells_per_dim);
-            self.correct();
-        }
-        self.kinetic_energy()
-    }
-
-    fn interf_spatial(&mut self, m: usize) {
-        for f in self.force.iter_mut() {
-            *f = [0.0; 3];
-        }
-        // Bin molecules into an m³ grid.
-        let cell_of = |p: &[f64; 3]| {
-            let c = |x: f64| (((x * m as f64) as usize).min(m - 1)) as i64;
-            (c(p[0]), c(p[1]), c(p[2]))
-        };
-        // BTreeMap so the force accumulation below visits cells in a
-        // fixed order — f64 addition is not associative, and the sweep
-        // runner's bit-identical-digest guarantee needs a fixed sum
-        // order.
-        let mut cells: std::collections::BTreeMap<(i64, i64, i64), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for i in 0..self.n {
-            cells.entry(cell_of(&self.pos[i])).or_default().push(i);
-        }
-        let wrap = |x: i64| ((x % m as i64) + m as i64) % m as i64;
-        for (&(cx, cy, cz), members) in &cells {
-            for dz in -1..=1 {
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        let key = (wrap(cx + dx), wrap(cy + dy), wrap(cz + dz));
-                        let Some(neigh) = cells.get(&key) else { continue };
-                        for &i in members {
-                            for &j in neigh {
-                                if j <= i {
-                                    continue;
-                                }
-                                let dr = [
-                                    Self::min_image(self.pos[i][0], self.pos[j][0]),
-                                    Self::min_image(self.pos[i][1], self.pos[j][1]),
-                                    Self::min_image(self.pos[i][2], self.pos[j][2]),
-                                ];
-                                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                                if r2 < self.cutoff2 {
-                                    let f = Self::pair_force(&dr, r2);
-                                    for d in 0..3 {
-                                        self.force[i][d] += f[d];
-                                        self.force[j][d] -= f[d];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Total kinetic energy `Σ ½|v|²`.
     pub fn kinetic_energy(&self) -> f64 {
         self.vel
@@ -382,24 +318,6 @@ mod tests {
         let a = WaterSim::new(&p).run_nsquared(2);
         let b = WaterSim::new(&p).run_nsquared(2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn spatial_approximates_nsquared_with_fine_cells() {
-        // With cutoff <= 1/m, neighbour cells cover all interactions, so
-        // spatial and n² give identical physics.
-        let p = WaterParams {
-            molecules: 80,
-            steps: 2,
-            cutoff: 0.24,
-            seed: 3,
-        };
-        let e_n2 = WaterSim::new(&p).run_nsquared(p.steps);
-        let e_sp = WaterSim::new(&p).run_spatial(p.steps, 4);
-        assert!(
-            (e_n2 - e_sp).abs() < 1e-9,
-            "cell list diverged: {e_n2} vs {e_sp}"
-        );
     }
 
     #[test]
