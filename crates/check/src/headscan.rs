@@ -1,8 +1,7 @@
 //! The waitlist drain's head-scan property.
 //!
 //! Both engines re-admit waiters through the one shared drain, which
-//! gates each entry on its *stored accounted demand* and its layer
-//! instead of re-deriving either from the record store.
+//! fits each waiter by its record's accounted demand and layer.
 //! [`headscan_prediction`] re-implements the classical head scan from
 //! [`Snapshot`] data alone, with its own statement of Algorithm 1 and of
 //! the layer reservations, and demands the drain wake exactly the

@@ -23,9 +23,10 @@
 //! A hit only marks the call fast: Algorithm 1 admits either way.
 
 use crate::topo_model::usage_limit;
+use rda_core::registry::PpRecord;
 use rda_core::{
-    AgeOutcome, BeginOutcome, DemandAudit, EndOutcome, PpId, PpSnap, RdaConfig, RdaError,
-    ResourceKind, Snapshot,
+    AgeOutcome, BeginOutcome, DemandAudit, EndOutcome, PpId, RdaConfig, RdaError, ResourceKind,
+    Snapshot,
 };
 use rda_sched::ProcessId;
 use rda_sim::TopoCall;
@@ -134,7 +135,7 @@ pub struct FastPathModel {
 }
 
 /// The live period `pp` of a snapshot (periods are in id order).
-fn period(snap: &Snapshot, pp: PpId) -> Option<&PpSnap> {
+fn period(snap: &Snapshot, pp: PpId) -> Option<&PpRecord> {
     let i = snap.periods.binary_search_by_key(&pp, |p| p.id).ok()?;
     Some(&snap.periods[i])
 }

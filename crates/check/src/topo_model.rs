@@ -27,9 +27,10 @@
 #![allow(clippy::needless_range_loop)] // node/layer loops index several recomputed books at once
 
 use crate::model::Effect;
+use rda_core::registry::PpRecord;
 use rda_core::{
-    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, PpSnap, RdaError, RdaStats,
-    ResourceKind, ShedPolicy, Snapshot, TopoConfig, WaitSnap, KIND_COUNT,
+    Demand, DemandAudit, LayerId, NodeId, PolicyKind, PpId, RdaError, RdaStats, ResourceKind,
+    ShedPolicy, Snapshot, TopoConfig, WaitSnap, KIND_COUNT,
 };
 use rda_sched::ProcessId;
 use rda_sim::TopoCall;
@@ -721,7 +722,7 @@ impl TopoRefModel {
             periods: self
                 .periods
                 .iter()
-                .map(|(&id, r)| PpSnap {
+                .map(|(&id, r)| PpRecord {
                     id: PpId(id),
                     process: r.process,
                     site: rda_core::SiteId(r.site),

@@ -10,7 +10,7 @@
 //!   the process run, or waitlist it (the caller leaves the process's
 //!   threads blocked).
 //! * **`pp_end`** — remove the period from the registry, release its
-//!   demand from the resource monitor, then walk the waitlist FIFO
+//!   demand from the books, then walk the waitlist FIFO
 //!   admitting every period that now fits (the caller wakes those
 //!   processes).
 //!
@@ -55,14 +55,13 @@ use crate::config::RdaConfig;
 use crate::error::RdaError;
 use crate::fastpath::FastPathCache;
 use crate::layer::LayerId;
-use crate::monitor::ResourceMonitor;
 use crate::policy::PolicyKind;
 use crate::progress::ProgressMonitor;
 use crate::registry::PpRecord;
 use crate::rules;
 use crate::snapshot::Snapshot;
 use crate::topology::{Demand, NodeId, ResourceKind, KIND_COUNT};
-use crate::waitlist::{Drain, WaitEntry};
+use crate::waitlist::Drain;
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use rda_trace::{EventKind, TraceEvent, TraceResource, TraceSink};
@@ -178,7 +177,7 @@ pub struct RdaExtension {
     /// and the trace sink.
     progress: ProgressMonitor,
     /// Bumped by every call that can mutate the books (registry,
-    /// monitor, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
+    /// LLC row, waitlist) — [`Self::pp_begin`], [`Self::pp_end`],
     /// [`Self::process_exit`], [`Self::age_waitlist`]. Callers running
     /// a per-step [`Self::check_invariants`] sweep can skip
     /// re-checking while the epoch is unchanged: the check is a pure
@@ -187,11 +186,16 @@ pub struct RdaExtension {
     books_epoch: u64,
 }
 
-/// The scalar engine's books — the resource monitor's LLC row — and
-/// the fast-path cache that memoises decisions on them.
+/// The scalar engine's books — the resource monitor's one row, the LLC
+/// (its capacity is [`RdaConfig::llc_capacity`]) — and the fast-path
+/// cache that memoises decisions on them.
 #[derive(Debug, Clone)]
 struct ScalarBooks {
-    monitor: ResourceMonitor,
+    /// Nominal LLC usage: what Algorithm 1 reads.
+    usage: u64,
+    /// The overflow bucket of aged and degraded admissions, which
+    /// Algorithm 1 does not read.
+    overflow: u64,
     fastpath: FastPathCache,
     /// The policy's usage limit on the LLC, computed once so the hot
     /// path does no float arithmetic (DESIGN.md §10).
@@ -211,7 +215,8 @@ impl RdaExtension {
     pub fn new(cfg: RdaConfig) -> Self {
         let capacity = Demand::llc(cfg.llc_capacity).amounts;
         let books = ScalarBooks {
-            monitor: ResourceMonitor::new(cfg.llc_capacity),
+            usage: 0,
+            overflow: 0,
             fastpath: FastPathCache::new(cfg.min_eval_interval_cycles),
             limit: cfg.policy.usage_limit(cfg.llc_capacity),
         };
@@ -263,12 +268,12 @@ impl RdaExtension {
     /// Current nominally tracked LLC usage (what Algorithm 1 sees;
     /// excludes the overflow bucket).
     pub fn usage(&self) -> u64 {
-        self.books.monitor.usage()
+        self.books.usage
     }
 
     /// Demand held by aged (overflow-admitted) periods.
     pub fn overflow_usage(&self) -> u64 {
-        self.books.monitor.overflow()
+        self.books.overflow
     }
 
     /// Number of live periods (admitted + waitlisted) in the registry.
@@ -307,7 +312,7 @@ impl RdaExtension {
     /// differential oracle can compare memoisation state too.
     pub fn fastpath_digest(&self) -> u64 {
         let (policy, b) = (self.cfg.policy, &self.books);
-        let capacity = b.monitor.capacity();
+        let capacity = self.cfg.llc_capacity;
         (b.fastpath).digest(|amount| {
             b.limit
                 .saturating_sub(policy.effective_demand(amount, capacity))
@@ -334,7 +339,7 @@ impl RdaExtension {
             return Ok(BeginOutcome::Bypass);
         }
         let books = &mut self.books;
-        let capacity = books.monitor.capacity();
+        let capacity = self.cfg.llc_capacity;
         let payload = (TraceResource::Llc, demand.amount);
         let mut ev = self.progress.begin(process, site, payload, now);
 
@@ -356,7 +361,7 @@ impl RdaExtension {
         let accounted = policy.effective_demand(audited, capacity);
         // Wrap guard: accounting this demand must not wrap the usage
         // word.
-        if books.monitor.usage().checked_add(accounted).is_none() {
+        if books.usage.checked_add(accounted).is_none() {
             return Err(self.progress.reject_overflow(ev, LLC, audited));
         }
         // Fast path: a repeat entry of a recently validated site while
@@ -367,7 +372,7 @@ impl RdaExtension {
                 process,
                 site,
                 audited,
-                books.monitor.usage(),
+                books.usage,
                 books.limit.saturating_sub(accounted),
                 now,
             );
@@ -382,14 +387,13 @@ impl RdaExtension {
             accounted: Demand::llc(accounted),
             admitted: true,
             overflow: false,
-            begun_at: now,
         };
         // Algorithm 1.
-        if fast || rules::fits(books.limit, 0, books.monitor.usage(), accounted) {
+        if fast || rules::fits(books.limit, 0, books.usage, accounted) {
             if accounted > books.limit {
                 self.progress.stats.oversized_admits += 1;
             }
-            books.monitor.increment_load(accounted);
+            books.usage += accounted;
             let pp = self.progress.registry.insert(|id| PpRecord { id, ..proto });
             self.progress.stats.admitted += 1;
             if fast {
@@ -406,10 +410,7 @@ impl RdaExtension {
             return Ok(BeginOutcome::Run { pp, fast });
         }
 
-        let degrade = || {
-            let fits = books.monitor.increment_overflow(accounted);
-            fits.then_some(()).ok_or(LLC)
-        };
+        let degrade = || books.age(0, &proto).then_some(()).ok_or(LLC);
         (self.progress).park(self.cfg.overload, proto, ev, now, degrade)
     }
 
@@ -515,13 +516,13 @@ impl RdaExtension {
 
     /// Monotonic counter of book mutations (see the field doc). An
     /// unchanged value between two observations means the registry,
-    /// monitor, and waitlist are bit-identical to the last look, so a
+    /// LLC row, and waitlist are bit-identical to the last look, so a
     /// previously passing [`Self::check_invariants`] still holds.
     pub fn books_epoch(&self) -> u64 {
         self.books_epoch
     }
 
-    /// Internal consistency: the monitor's two buckets equal the
+    /// Internal consistency: the LLC row's two buckets equal the
     /// registry's accounted sums, and the waitlist agrees with the
     /// registry record by record. Any violation is a scheduler bug —
     /// never an application bug — reported as a typed
@@ -532,34 +533,39 @@ impl RdaExtension {
     }
 }
 
-/// The one node's books; Algorithm 1 reads the accounted LLC demand
-/// each entry stores. They report one layer, whose ledger is the
+/// The one node's books; Algorithm 1 reads the accounted LLC demand of
+/// each waiter's record. They report one layer, whose ledger is the
 /// nominal book, and hold nothing but the LLC.
 impl Drain for ScalarBooks {
-    fn fits(&self, _n: usize, entry: &WaitEntry, _rec: &PpRecord) -> bool {
-        rules::fits(self.limit, 0, self.monitor.usage(), llc(&entry.accounted))
+    fn fits(&self, _n: usize, rec: &PpRecord) -> bool {
+        rules::fits(self.limit, 0, self.usage, llc(&rec.accounted))
     }
 
-    fn admit(&mut self, _n: usize, entry: &WaitEntry, rec: &PpRecord, now: SimTime) -> bool {
-        self.monitor.increment_load(llc(&entry.accounted));
+    fn admit(&mut self, _n: usize, rec: &PpRecord, now: SimTime) -> bool {
+        self.usage += llc(&rec.accounted);
         (self.fastpath).store_run(rec.process, rec.site, llc(&rec.declared), now);
         true
     }
 
-    fn age(&mut self, _n: usize, entry: &WaitEntry) -> bool {
-        self.monitor.increment_overflow(llc(&entry.accounted))
+    fn age(&mut self, _n: usize, rec: &PpRecord) -> bool {
+        let Some(sum) = self.overflow.checked_add(llc(&rec.accounted)) else {
+            return false;
+        };
+        self.overflow = sum;
+        true
     }
 
-    fn release(&mut self, record: &PpRecord) {
-        if record.overflow {
-            self.monitor.decrement_overflow(llc(&record.accounted));
+    fn release(&mut self, rec: &PpRecord) {
+        let a = llc(&rec.accounted);
+        if rec.overflow {
+            self.overflow -= a;
         } else {
-            self.monitor.decrement_load(llc(&record.accounted));
+            self.usage -= a;
         }
     }
 
     fn held(&self, _n: usize) -> [[u64; KIND_COUNT]; 2] {
-        [self.monitor.usage(), self.monitor.overflow()].map(|a| Demand::llc(a).amounts)
+        [self.usage, self.overflow].map(|a| Demand::llc(a).amounts)
     }
 
     fn ledger(&self, l: usize, n: usize) -> Option<[u64; KIND_COUNT]> {
@@ -573,6 +579,7 @@ mod tests {
     use crate::api::mb;
     use crate::config::{DemandAudit, ShedPolicy};
     use crate::error::InvariantKind;
+    use crate::waitlist::WaitEntry;
     use rda_machine::{MachineConfig, ReuseLevel};
 
     fn ext(policy: PolicyKind) -> RdaExtension {
@@ -1230,7 +1237,6 @@ mod tests {
             .waitlist
             .push(WaitEntry {
                 pp: next,
-                accounted: Demand::llc(1),
                 enqueued_at: t(0),
             })
             .unwrap();
@@ -1295,7 +1301,7 @@ mod tests {
     #[test]
     fn book_audit_reports_a_corrupted_nominal_book() {
         let mut e = audited_state();
-        e.books.monitor.increment_load(1);
+        e.books.usage += 1;
         let sum = mb(10.0) + mb(2.0);
         let want = violation(InvariantKind::UsageMismatch, sum, sum + 1);
         assert_eq!(e.check_invariants(), Err(want));
@@ -1304,7 +1310,7 @@ mod tests {
     #[test]
     fn book_audit_reports_a_corrupted_overflow_book() {
         let mut e = audited_state();
-        assert!(e.books.monitor.increment_overflow(1));
+        e.books.overflow += 1;
         let want = violation(InvariantKind::OverflowMismatch, mb(8.0), mb(8.0) + 1);
         assert_eq!(e.check_invariants(), Err(want));
     }

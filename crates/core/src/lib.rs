@@ -26,11 +26,13 @@
 //!   validating ends, the breaker's and bounded gate's verdicts,
 //!   reclaiming exits, the drain with its aging, shedding and expiry,
 //!   the breaker ticks, the book audit and the snapshot;
-//! * the **resource monitor** — the books each engine keeps: the
-//!   scalar engine's [`monitor::ResourceMonitor`] row, the summed
-//!   demand on the LLC, the one resource Algorithm 1 gates, and the
-//!   topology engine's per-node × kind books with their layer ledgers.
-//!   The progress monitor reaches them only through [`waitlist::Drain`];
+//! * the **resource monitor** — the load table of books each engine
+//!   keeps: the scalar engine's `ScalarBooks`, one row holding the
+//!   nominal and overflow demand on the LLC, the one resource
+//!   Algorithm 1 gates, and the topology engine's `NodeBooks`, per
+//!   node × kind with their layer ledgers. Capacities are read from
+//!   the configuration. The progress monitor reaches the books only
+//!   through [`waitlist::Drain`];
 //! * the **scheduling predicate** — Algorithm 1, which decides
 //!   run-or-pause from the resource's usage, the new demand, and a
 //!   reconfigurable [`policy`] (RDA:Strict / RDA:Compromise). It is the
@@ -64,7 +66,6 @@ pub mod error;
 pub mod extension;
 pub mod fastpath;
 pub mod layer;
-pub mod monitor;
 pub mod policy;
 mod progress;
 pub mod registry;
@@ -80,6 +81,6 @@ pub use error::{InvariantKind, RdaError};
 pub use extension::{AgeOutcome, BeginOutcome, EndOutcome, RdaExtension, RdaStats};
 pub use layer::{LayerId, LayerSet, LayerSpec};
 pub use policy::PolicyKind;
-pub use snapshot::{PpSnap, Snapshot, WaitSnap};
+pub use snapshot::{Snapshot, WaitSnap};
 pub use topo::{TopoConfig, TopoExtension};
 pub use topology::{Demand, NodeId, ResourceKind, SpecError, TopoSpec, KIND_COUNT};

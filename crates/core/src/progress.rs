@@ -19,8 +19,11 @@
 //! arithmetic on them) and the admission decision. The monitor reaches
 //! the books only through [`Drain`]: the fit test, the admit, age and
 //! release accounting, and reads of each node's books and each layer's
-//! ledger. An engine's shell is therefore the same whatever its node
-//! count; only its books and placement differ.
+//! ledger. A waiter's demand is kept once, in its [`PpRecord`]: the
+//! drain hands the books the record it looks up before each fit and
+//! each aging, and the snapshot reads each waiter's demand from it. An
+//! engine's shell is therefore the same whatever its node count; only
+//! its books and placement differ.
 
 use crate::api::{PpId, SiteId};
 use crate::config::{BreakerConfig, OverloadConfig};
@@ -59,7 +62,8 @@ pub(crate) fn placed(mut ev: TraceEvent, kind: EventKind, pp: PpId, rec: &PpReco
 }
 
 /// A trace event about waitlist entry `w` on node `n` leaving the queue
-/// at `now`, attributed to its owner when the record is known.
+/// at `now`, attributed to its owner, with its demand, when the record
+/// is known.
 fn waiter_event(
     kind: EventKind,
     n: usize,
@@ -72,9 +76,9 @@ fn waiter_event(
     if let Some(rec) = rec {
         ev.process = rec.process.0;
         ev.site = rec.site.0;
+        (ev.resource, ev.amount) = primary(&rec.accounted);
     }
     ev.pp = w.pp.0;
-    (ev.resource, ev.amount) = primary(&w.accounted);
     ev.wait_cycles = now.cycles().saturating_sub(w.enqueued_at.cycles());
     ev
 }
@@ -82,8 +86,7 @@ fn waiter_event(
 /// What the monitor keeps about one node.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Node {
-    /// The periods waiting for this node; entries hold accounted
-    /// demand vectors.
+    /// The periods waiting for this node, in queue order.
     pub(crate) waitlist: Waitlist,
     /// Set when the last exit reclaimed a period here, or the last
     /// deadline pass expired a waiter here: the node is drained next.
@@ -299,7 +302,6 @@ impl ProgressMonitor {
         });
         if let Err(e) = self.nodes[n].waitlist.push(WaitEntry {
             pp,
-            accounted: rec.accounted,
             enqueued_at: now,
         }) {
             // A freshly allocated id cannot already be waitlisted; if
@@ -496,7 +498,7 @@ impl ProgressMonitor {
                     self.stats.desyncs += 1;
                     continue;
                 };
-                if !books.fits(n, &head, &rec) || !books.admit(n, &head, &rec, now) {
+                if !books.fits(n, &rec) || !books.admit(n, &rec, now) {
                     break;
                 }
                 self.nodes[n].waitlist.pop();
@@ -520,7 +522,7 @@ impl ProgressMonitor {
                 self.stats.desyncs += 1;
                 continue;
             };
-            if books.age(n, &aged) {
+            if books.age(n, &rec) {
                 if let Some(r) = self.registry.get_mut(aged.pp) {
                     r.admitted = true;
                     r.overflow = true;
@@ -621,7 +623,8 @@ impl ProgressMonitor {
             .map(|(i, b)| ((i, b, l), sums[b][i], held[b][i]))
     }
 
-    /// The engine's [`Snapshot`], reading its `books` node by node.
+    /// The engine's [`Snapshot`], reading its `books` node by node and
+    /// each waiter's demand from its record.
     pub(crate) fn snapshot(&self, books: &impl Drain) -> Snapshot {
         let nodes = 0..self.nodes.len();
         Snapshot {
@@ -632,13 +635,14 @@ impl ProgressMonitor {
                     (node.waitlist.iter())
                         .map(|e| WaitSnap {
                             pp: e.pp,
-                            accounted: e.accounted,
+                            accounted: (self.registry.get(e.pp))
+                                .map_or(Demand::ZERO, |rec| rec.accounted),
                             enqueued_cycles: e.enqueued_at.cycles(),
                         })
                         .collect()
                 })
                 .collect(),
-            periods: self.registry.iter().map(PpRecord::snap).collect(),
+            periods: self.registry.iter().copied().collect(),
             stats: self.stats,
             allocated: self.registry.allocated(),
         }

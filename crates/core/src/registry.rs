@@ -8,7 +8,10 @@
 //! record type, [`PpRecord`]: the topology
 //! [`crate::topo::TopoExtension`] fills in the layer, node and demand
 //! vectors, the scalar [`crate::extension::RdaExtension`] layer 0,
-//! node 0 and LLC-only vectors.
+//! node 0 and LLC-only vectors. A record is the one copy of its
+//! period's facts: the waitlist drain fits each waiter by its record's
+//! accounted demand, and the [`crate::snapshot::Snapshot`] reports the
+//! records themselves.
 //!
 //! # Representation
 //!
@@ -30,10 +33,8 @@
 
 use crate::api::{PpId, SiteId};
 use crate::layer::LayerId;
-use crate::snapshot::PpSnap;
 use crate::topology::{Demand, NodeId};
 use rda_sched::ProcessId;
-use rda_simcore::SimTime;
 
 /// A live period of either engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,25 +60,6 @@ pub struct PpRecord {
     /// accounted in the node's overflow bucket rather than the nominal
     /// books.
     pub overflow: bool,
-    /// When `pp_begin` processed the period.
-    pub begun_at: SimTime,
-}
-
-impl PpRecord {
-    /// The record as a [`crate::snapshot::Snapshot`] reports it.
-    pub fn snap(&self) -> PpSnap {
-        PpSnap {
-            id: self.id,
-            process: self.process,
-            site: self.site,
-            layer: self.layer,
-            node: self.node,
-            declared: self.declared,
-            accounted: self.accounted,
-            admitted: self.admitted,
-            overflow: self.overflow,
-        }
-    }
 }
 
 /// Sentinel in the id→slot index for ids whose period has completed.
@@ -305,7 +287,6 @@ mod tests {
             accounted: Demand::llc(accounted),
             admitted,
             overflow: false,
-            begun_at: SimTime::ZERO,
         }
     }
 

@@ -5,9 +5,11 @@
 //! *observable-state equivalence* after every event. [`Snapshot`]
 //! defines exactly what "observable" means, for both engines: per node,
 //! the nominal and overflow books per resource kind and the waitlist in
-//! queue order (including enqueue times, which drive aging); every live
-//! period record with its layer, node and demand vectors; the activity
-//! counters; and the id allocator position. The topology engine
+//! queue order (including enqueue times, which drive aging, and each
+//! waiter's accounted demand, read from its record as the drain reads
+//! it); every live period's [`PpRecord`] with its layer, node and
+//! demand vectors; the activity counters; and the id allocator
+//! position. The topology engine
 //! ([`crate::topo::TopoExtension`]) fills every field; the scalar
 //! engine ([`crate::extension::RdaExtension`]) reports one node, layer
 //! 0 and LLC-only vectors, which is exactly what the topology engine
@@ -21,42 +23,18 @@
 //! uses for state-space pruning and what a topology traffic run pins as
 //! its final state.
 
-use crate::api::{PpId, SiteId};
+use crate::api::PpId;
 use crate::extension::RdaStats;
-use crate::layer::LayerId;
-use crate::topology::{Demand, NodeId, KIND_COUNT};
-use rda_sched::ProcessId;
+use crate::registry::PpRecord;
+use crate::topology::{Demand, KIND_COUNT};
 use rda_simcore::Fnv1a64;
-
-/// One live period, as observable from outside the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PpSnap {
-    /// The period id.
-    pub id: PpId,
-    /// Owning process.
-    pub process: ProcessId,
-    /// Static site.
-    pub site: SiteId,
-    /// The owning layer.
-    pub layer: LayerId,
-    /// The placed (or pinned) node.
-    pub node: NodeId,
-    /// Declared (post-audit) demand vector.
-    pub declared: Demand,
-    /// Accounted demand vector.
-    pub accounted: Demand,
-    /// Running (`true`) or waitlisted (`false`).
-    pub admitted: bool,
-    /// Accounted in the degraded overflow bucket (aged admission).
-    pub overflow: bool,
-}
 
 /// One waitlist entry, as observable from outside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitSnap {
     /// The waiting period.
     pub pp: PpId,
-    /// Its accounted demand vector.
+    /// Its accounted demand vector, from its record.
     pub accounted: Demand,
     /// Enqueue time in cycles (drives aging).
     pub enqueued_cycles: u64,
@@ -74,8 +52,8 @@ pub struct Snapshot {
     pub overflow: Vec<[u64; KIND_COUNT]>,
     /// Waitlist contents front-to-back per node.
     pub waitlists: Vec<Vec<WaitSnap>>,
-    /// Every live period, in id order.
-    pub periods: Vec<PpSnap>,
+    /// Every live period's record, in id order.
+    pub periods: Vec<PpRecord>,
     /// Activity counters (the fast-path counters stay zero in the
     /// topology engine).
     pub stats: RdaStats,

@@ -57,7 +57,7 @@ use crate::registry::PpRecord;
 use crate::rules;
 use crate::snapshot::Snapshot;
 use crate::topology::{Demand, NodeId, ResourceKind, TopoSpec, KIND_COUNT};
-use crate::waitlist::{Drain, WaitEntry};
+use crate::waitlist::Drain;
 use rda_sched::ProcessId;
 use rda_simcore::SimTime;
 use rda_trace::{EventKind, TraceEvent, TraceSink, NO_NODE};
@@ -327,7 +327,6 @@ impl TopoExtension {
             accounted: Demand::ZERO,
             admitted: false,
             overflow: false,
-            begun_at: now,
         };
 
         // Placement: least-occupied feasible node, ties to the lowest
@@ -552,21 +551,21 @@ fn wraps(book: &[u64; KIND_COUNT], acc: &Demand) -> Option<ResourceKind> {
         .find(|&k| book[k.index()].checked_add(acc.get(k)).is_none())
 }
 
-/// The books of node `n`: every component of a waiter is fitted
-/// against its layer's limits.
+/// The books of node `n`: every component of a waiter's record is
+/// fitted against its layer's limits.
 impl Drain for NodeBooks {
-    fn fits(&self, n: usize, w: &WaitEntry, rec: &PpRecord) -> bool {
-        matches!(self.node_admittable(n, rec.layer, &w.accounted), Ok(true))
+    fn fits(&self, n: usize, rec: &PpRecord) -> bool {
+        matches!(self.node_admittable(n, rec.layer, &rec.accounted), Ok(true))
     }
 
-    fn admit(&mut self, n: usize, w: &WaitEntry, rec: &PpRecord, _now: SimTime) -> bool {
+    fn admit(&mut self, n: usize, rec: &PpRecord, _now: SimTime) -> bool {
         // A wrapping per-layer ledger leaves the head parked; aging can
         // still degrade it into the (checked) overflow bucket.
-        self.account_nominal(n, rec.layer, &w.accounted).is_ok()
+        self.account_nominal(n, rec.layer, &rec.accounted).is_ok()
     }
 
-    fn age(&mut self, n: usize, w: &WaitEntry) -> bool {
-        self.account_overflow(n, &w.accounted).is_ok()
+    fn age(&mut self, n: usize, rec: &PpRecord) -> bool {
+        self.account_overflow(n, &rec.accounted).is_ok()
     }
 
     fn release(&mut self, rec: &PpRecord) {
@@ -597,6 +596,7 @@ mod tests {
     use super::*;
     use crate::config::ShedPolicy;
     use crate::error::InvariantKind;
+    use crate::waitlist::WaitEntry;
 
     fn t(cycles: u64) -> SimTime {
         SimTime::from_cycles(cycles)
@@ -871,7 +871,6 @@ mod tests {
             .waitlist
             .push(WaitEntry {
                 pp: next,
-                accounted: Demand::llc(1),
                 enqueued_at: t(0),
             })
             .unwrap();

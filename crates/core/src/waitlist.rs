@@ -6,11 +6,13 @@
 //! waitlist is FIFO: the longest-waiting period is re-evaluated first,
 //! which bounds waiting time and keeps admission order deterministic.
 //!
-//! Both admission engines queue on this one type, and an entry stores
-//! the accounted demand vector: their progress monitor keeps one
-//! waitlist per node, LLC-only vectors on the scalar
-//! [`crate::extension::RdaExtension`]'s one node, full vectors on each
-//! NUMA node of the topology [`crate::topo::TopoExtension`].
+//! Both admission engines queue on this one type: their progress
+//! monitor keeps one waitlist per node, the scalar
+//! [`crate::extension::RdaExtension`]'s one node and each NUMA node of
+//! the topology [`crate::topo::TopoExtension`]. An entry holds only the
+//! period id and its enqueue time; the period's demand stays in its
+//! [`PpRecord`], and the drain fits each waiter by its record's
+//! accounted demand.
 //!
 //! Two robustness mechanisms live here beyond the paper:
 //!
@@ -26,8 +28,8 @@
 //! the engines' shared progress monitor: the drain with its aging, and
 //! the deadline pass. An engine takes part in it only through
 //! [`Drain`], the monitor's one view of its books: the fit test, the
-//! admit, age and release accounting, and the reads the breakers, the
-//! invariant audit and the snapshot make.
+//! admit, age and release accounting of a waiter's record, and the
+//! reads the breakers, the invariant audit and the snapshot make.
 //!
 //! # Representation
 //!
@@ -40,17 +42,15 @@
 use crate::api::PpId;
 use crate::error::RdaError;
 use crate::registry::PpRecord;
-use crate::topology::{Demand, KIND_COUNT};
+use crate::topology::KIND_COUNT;
 use rda_simcore::SimTime;
 use std::collections::VecDeque;
 
-/// One waitlisted period.
+/// One waitlisted period; its demand is in its record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitEntry {
     /// The denied period.
     pub pp: PpId,
-    /// Its accounted demand vector (for quick re-evaluation).
-    pub accounted: Demand,
     /// When the period was enqueued (for aging).
     pub enqueued_at: SimTime,
 }
@@ -165,21 +165,22 @@ impl Waitlist {
 }
 
 /// An engine's books as the progress monitor sees them, node `n` by
-/// node: the monitor decides which waiter to try and does the registry,
-/// counter and trace bookkeeping; the books answer the fit test,
-/// account an admission or a release, and report their contents to the
-/// breakers, the invariant audit and the snapshot. Books of one node
-/// and one layer (the scalar engine's) report node 0 and layer 0.
+/// node: the monitor decides which waiter to try, looks up its record
+/// and does the registry, counter and trace bookkeeping; the books
+/// answer the fit test, account an admission or a release, and report
+/// their contents to the breakers, the invariant audit and the
+/// snapshot. Books of one node and one layer (the scalar engine's)
+/// report node 0 and layer 0.
 pub trait Drain {
-    /// Whether `entry`, queued on node `n`, fits the nominal books now
-    /// (Algorithm 1).
-    fn fits(&self, n: usize, entry: &WaitEntry, rec: &PpRecord) -> bool;
-    /// Account a fitting `entry` nominally on node `n`; `false`
+    /// Whether the waiter `rec`, queued on node `n`, fits the nominal
+    /// books now (Algorithm 1).
+    fn fits(&self, n: usize, rec: &PpRecord) -> bool;
+    /// Account a fitting waiter `rec` nominally on node `n`; `false`
     /// (nothing accounted) leaves it parked because a book would wrap.
-    fn admit(&mut self, n: usize, entry: &WaitEntry, rec: &PpRecord, now: SimTime) -> bool;
-    /// Account an aged `entry` into node `n`'s overflow bucket; `false`
-    /// (nothing accounted) when the bucket would wrap.
-    fn age(&mut self, n: usize, entry: &WaitEntry) -> bool;
+    fn admit(&mut self, n: usize, rec: &PpRecord, now: SimTime) -> bool;
+    /// Account an aged waiter `rec` into node `n`'s overflow bucket;
+    /// `false` (nothing accounted) when the bucket would wrap.
+    fn age(&mut self, n: usize, rec: &PpRecord) -> bool;
     /// Release a completed or reclaimed admitted record's demand from
     /// the books of its node it was accounted in.
     fn release(&mut self, rec: &PpRecord);
@@ -195,16 +196,24 @@ pub trait Drain {
 mod tests {
     use super::*;
 
-    fn e(id: u64, demand: u64) -> WaitEntry {
-        e_at(id, demand, 0)
+    fn e(id: u64) -> WaitEntry {
+        e_at(id, 0)
     }
 
-    fn e_at(id: u64, demand: u64, cycles: u64) -> WaitEntry {
+    fn e_at(id: u64, cycles: u64) -> WaitEntry {
         WaitEntry {
             pp: PpId(id),
-            accounted: Demand::llc(demand),
             enqueued_at: SimTime::from_cycles(cycles),
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn record_and_entry_sizes_are_pinned() {
+        // Each fact about a period is kept once: the entry holds only
+        // what the queue orders by, the record its demand.
+        assert_eq!(std::mem::size_of::<PpRecord>(), 80);
+        assert_eq!(std::mem::size_of::<WaitEntry>(), 16);
     }
 
     #[test]
@@ -213,9 +222,9 @@ mod tests {
         // each keeps its own FIFO order.
         let mut llc = Waitlist::new();
         let mut other = Waitlist::new();
-        llc.push(e(1, 10)).unwrap();
-        llc.push(e(2, 20)).unwrap();
-        other.push(e(3, 30)).unwrap();
+        llc.push(e(1)).unwrap();
+        llc.push(e(2)).unwrap();
+        other.push(e(3)).unwrap();
         assert_eq!(llc.pop().unwrap().pp, PpId(1));
         assert_eq!(llc.pop().unwrap().pp, PpId(2));
         assert_eq!(llc.pop(), None);
@@ -224,16 +233,11 @@ mod tests {
 
     #[test]
     fn emptiness_spans_resources() {
-        // An entry whose demand lies on any resource of the vector
-        // makes the queue non-empty.
+        // An entry makes the queue non-empty whatever resources its
+        // record demands: the queue holds no demand.
         let mut w = Waitlist::new();
         assert!(w.is_empty());
-        w.push(WaitEntry {
-            pp: PpId(9),
-            accounted: Demand::new(0, 1, 0),
-            enqueued_at: SimTime::from_cycles(0),
-        })
-        .unwrap();
+        w.push(e(9)).unwrap();
         assert!(!w.is_empty());
         w.pop();
         assert!(w.is_empty());
@@ -242,8 +246,8 @@ mod tests {
     #[test]
     fn double_push_is_a_typed_error() {
         let mut w = Waitlist::new();
-        w.push(e(1, 10)).unwrap();
-        assert_eq!(w.push(e(1, 10)), Err(RdaError::DoubleWaitlist(PpId(1))));
+        w.push(e(1)).unwrap();
+        assert_eq!(w.push(e(1)), Err(RdaError::DoubleWaitlist(PpId(1))));
         // The rejected duplicate must not have been enqueued.
         assert_eq!(w.len(), 1);
     }
@@ -251,7 +255,7 @@ mod tests {
     #[test]
     fn front_does_not_remove() {
         let mut w = Waitlist::new();
-        w.push(e(1, 10)).unwrap();
+        w.push(e(1)).unwrap();
         assert_eq!(w.front().unwrap().pp, PpId(1));
         assert_eq!(w.len(), 1);
     }
@@ -259,9 +263,9 @@ mod tests {
     #[test]
     fn cancel_mid_queue() {
         let mut w = Waitlist::new();
-        w.push(e(1, 10)).unwrap();
-        w.push(e(2, 20)).unwrap();
-        w.push(e(3, 30)).unwrap();
+        w.push(e(1)).unwrap();
+        w.push(e(2)).unwrap();
+        w.push(e(3)).unwrap();
         assert!(w.cancel(PpId(2)));
         assert!(!w.cancel(PpId(2)));
         let order: Vec<PpId> = w.iter().map(|x| x.pp).collect();
@@ -269,14 +273,11 @@ mod tests {
     }
 
     #[test]
-    fn entries_carry_any_accounted_demand() {
-        // The topology engine queues demand vectors on the same type.
+    fn expired_entry_leaves_unchanged() {
+        // An entry is its period id and enqueue stamp, whichever engine
+        // queued it; it leaves the queue as it entered.
         let mut w = Waitlist::new();
-        let entry = WaitEntry {
-            pp: PpId(4),
-            accounted: Demand::new(1, 2, 3),
-            enqueued_at: SimTime::from_cycles(5),
-        };
+        let entry = e_at(4, 5);
         w.push(entry).unwrap();
         assert_eq!(w.pop_expired(SimTime::from_cycles(9), 4), Some(entry));
         assert!(w.is_empty());
@@ -285,9 +286,9 @@ mod tests {
     #[test]
     fn expiry_drains_only_the_aged_prefix() {
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 0)).unwrap();
-        w.push(e_at(2, 10, 500)).unwrap();
-        w.push(e_at(3, 10, 900)).unwrap();
+        w.push(e_at(1, 0)).unwrap();
+        w.push(e_at(2, 500)).unwrap();
+        w.push(e_at(3, 900)).unwrap();
         let now = SimTime::from_cycles(1000);
         // Timeout 400: entries enqueued at 0 and 500 have expired.
         assert!(w.has_expired(now, Some(400)));
@@ -307,8 +308,8 @@ mod tests {
         // force-admit strictly oldest-first (by enqueue time, i.e.
         // longest wait), not queue-position-first.
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 500)).unwrap();
-        w.push(e_at(2, 10, 100)).unwrap();
+        w.push(e_at(1, 500)).unwrap();
+        w.push(e_at(2, 100)).unwrap();
         let now = SimTime::from_cycles(1_200);
         // Timeout 1000: only the entry enqueued at 100 (waited 1100)
         // has expired; the queue head (enqueued 500, waited 700) has
@@ -324,17 +325,17 @@ mod tests {
     #[test]
     fn oldest_reports_minimum_enqueue_time_not_queue_head() {
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 500)).unwrap();
-        w.push(e_at(2, 10, 100)).unwrap();
+        w.push(e_at(1, 500)).unwrap();
+        w.push(e_at(2, 100)).unwrap();
         assert_eq!(w.oldest(), Some(SimTime::from_cycles(100)));
     }
 
     #[test]
     fn oldest_cache_survives_removal_of_the_minimum() {
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 300)).unwrap();
-        w.push(e_at(2, 10, 100)).unwrap();
-        w.push(e_at(3, 10, 200)).unwrap();
+        w.push(e_at(1, 300)).unwrap();
+        w.push(e_at(2, 100)).unwrap();
+        w.push(e_at(3, 200)).unwrap();
         assert_eq!(w.oldest(), Some(SimTime::from_cycles(100)));
         // Removing the minimal entry forces a rescan: 200 is next.
         assert!(w.cancel(PpId(2)));
@@ -349,9 +350,9 @@ mod tests {
     #[test]
     fn ties_on_the_minimum_stamp_pop_in_queue_order() {
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 100)).unwrap();
-        w.push(e_at(2, 10, 100)).unwrap();
-        w.push(e_at(3, 10, 100)).unwrap();
+        w.push(e_at(1, 100)).unwrap();
+        w.push(e_at(2, 100)).unwrap();
+        w.push(e_at(3, 100)).unwrap();
         let now = SimTime::from_cycles(500);
         assert_eq!(w.pop_expired(now, 100).unwrap().pp, PpId(1));
         assert_eq!(w.pop_expired(now, 100).unwrap().pp, PpId(2));
@@ -361,7 +362,7 @@ mod tests {
     #[test]
     fn expiry_boundary_is_inclusive() {
         let mut w = Waitlist::new();
-        w.push(e_at(1, 10, 100)).unwrap();
+        w.push(e_at(1, 100)).unwrap();
         // Exactly `timeout` cycles of waiting counts as expired.
         assert!(w.pop_expired(SimTime::from_cycles(300), 200).is_some());
     }
@@ -371,12 +372,12 @@ mod tests {
         let mut w = Waitlist::new();
         let n = 25u64;
         for i in 0..n {
-            w.push(e_at(i, 10 + i, i)).unwrap();
+            w.push(e_at(i, i)).unwrap();
         }
         assert_eq!(w.len(), n as usize);
         assert_eq!(w.oldest(), Some(SimTime::from_cycles(0)));
         // Duplicate detection holds anywhere in a long queue.
-        assert!(w.push(e_at(3, 1, 1)).is_err());
+        assert!(w.push(e_at(3, 1)).is_err());
         // Mid-queue cancellation keeps the relative order of the rest.
         assert!(w.cancel(PpId(16)));
         let order: Vec<u64> = w.iter().map(|x| x.pp.0).collect();

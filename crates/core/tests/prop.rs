@@ -226,7 +226,6 @@ proptest! {
                     let stamp = stamp as u64;
                     w.push(WaitEntry {
                         pp: PpId(next),
-                        accounted: rda_core::Demand::llc(1),
                         enqueued_at: SimTime::from_cycles(stamp),
                     })
                     .expect("fresh ids never collide");

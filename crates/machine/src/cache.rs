@@ -59,10 +59,16 @@ impl SetAssocCache {
     /// Build a cache of `capacity_bytes` with `assoc`-way sets and
     /// `line_bytes` lines. Capacity must divide evenly into sets.
     pub fn new(capacity_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(assoc > 0);
         let lines = capacity_bytes / line_bytes;
-        assert!(lines >= assoc as u64 && lines.is_multiple_of(assoc as u64), "capacity/assoc mismatch");
+        assert!(
+            lines >= assoc as u64 && lines.is_multiple_of(assoc as u64),
+            "capacity/assoc mismatch"
+        );
         // Modulo set indexing: real LLCs (e.g. the E5-2420's 20-way,
         // 12288-set L3) do not have power-of-two set counts.
         let num_sets = lines / assoc as u64;
@@ -229,7 +235,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = tiny(); // 16 sets → set stride = 16*64 = 1024
-        // Five distinct tags mapping to set 0 in a 4-way set.
+                            // Five distinct tags mapping to set 0 in a 4-way set.
         let addrs: Vec<u64> = (0..5).map(|i| i * 1024).collect();
         for &a in &addrs[..4] {
             assert_eq!(c.access(a), Outcome::Miss);
@@ -330,8 +336,7 @@ mod tests {
         }
         let after = h.stats().l1;
         let new_accesses = after.accesses - before.accesses - 100_000;
-        let new_misses_core0 = after.misses - before.misses
-            - (h.l1[1].stats().misses); // core1's stream missed everywhere
+        let new_misses_core0 = after.misses - before.misses - (h.l1[1].stats().misses); // core1's stream missed everywhere
         assert_eq!(new_accesses, 256);
         assert_eq!(new_misses_core0, 0, "core 0's private L1 was disturbed");
     }
@@ -339,7 +344,7 @@ mod tests {
     #[test]
     fn shared_llc_contention_is_visible() {
         let cfg = MachineConfig::small_test(); // 4 MiB LLC
-        // Solo: one core loops over 3 MiB (fits LLC).
+                                               // Solo: one core loops over 3 MiB (fits LLC).
         let ws_lines = (3 * 1024 * 1024) / 64;
         let walk = |h: &mut CacheHierarchy, core: usize, base: u64| {
             for i in 0..ws_lines {

@@ -1,6 +1,5 @@
 //! Machine configuration (the paper's Table 1).
 
-
 /// One kibibyte.
 pub const KIB: u64 = 1024;
 /// One mebibyte.
@@ -36,9 +35,6 @@ pub struct MachineConfig {
     pub l2_assoc: usize,
     /// LLC associativity.
     pub llc_assoc: usize,
-    /// Cycles to service an L1 hit (already covered by base CPI; kept
-    /// for the functional hierarchy's latency accounting).
-    pub l1_hit_cycles: u64,
     /// Additional cycles for an L2 hit.
     pub l2_hit_cycles: u64,
     /// Additional cycles for an LLC hit.
@@ -77,7 +73,6 @@ impl MachineConfig {
             l1_assoc: 8,
             l2_assoc: 8,
             llc_assoc: 20,
-            l1_hit_cycles: 4,
             l2_hit_cycles: 12,
             llc_hit_cycles: 40,
             dram_cycles: 220,
@@ -133,7 +128,9 @@ impl MachineConfig {
             }
             let lines = bytes / self.line_bytes;
             if lines == 0 || !lines.is_multiple_of(assoc as u64) {
-                return Err(format!("{name} capacity not divisible into {assoc}-way sets"));
+                return Err(format!(
+                    "{name} capacity not divisible into {assoc}-way sets"
+                ));
             }
         }
         if !(self.l1_bytes <= self.l2_bytes && self.l2_bytes <= self.llc_bytes) {
@@ -159,10 +156,22 @@ impl MachineConfig {
                 self.freq_hz / 1e9
             ),
         ]);
-        t.add_row(vec!["L1-Data".into(), format!("{} KBytes", self.l1_bytes / KIB)]);
-        t.add_row(vec!["L2-Private".into(), format!("{} KBytes", self.l2_bytes / KIB)]);
-        t.add_row(vec!["L3-Shared".into(), format!("{} KBytes", self.llc_bytes / KIB)]);
-        t.add_row(vec!["Main Memory".into(), format!("{} GiB", self.dram_bytes / GIB)]);
+        t.add_row(vec![
+            "L1-Data".into(),
+            format!("{} KBytes", self.l1_bytes / KIB),
+        ]);
+        t.add_row(vec![
+            "L2-Private".into(),
+            format!("{} KBytes", self.l2_bytes / KIB),
+        ]);
+        t.add_row(vec![
+            "L3-Shared".into(),
+            format!("{} KBytes", self.llc_bytes / KIB),
+        ]);
+        t.add_row(vec![
+            "Main Memory".into(),
+            format!("{} GiB", self.dram_bytes / GIB),
+        ]);
         t.add_row(vec![
             "DRAM peak bandwidth".into(),
             format!("{:.1} GB/s", self.dram_peak_bw / 1e9),
@@ -227,7 +236,14 @@ mod tests {
     #[test]
     fn table_contains_the_paper_numbers() {
         let s = MachineConfig::xeon_e5_2420().to_table();
-        for needle in ["12 cores", "1.90 GHz", "32 KBytes", "256 KBytes", "15360 KBytes", "16 GiB"] {
+        for needle in [
+            "12 cores",
+            "1.90 GHz",
+            "32 KBytes",
+            "256 KBytes",
+            "15360 KBytes",
+            "16 GiB",
+        ] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
     }

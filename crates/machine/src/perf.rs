@@ -245,8 +245,7 @@ impl PerfModel {
     /// (see [`Self::rates_prelude`]).
     fn rates_eval(&self, pre: &RatesPrelude, dram_cycles: f64) -> SegmentRates {
         let dram_stall = dram_cycles / self.params.mlp;
-        let beyond_l2 = (pre.h3 * self.cfg.llc_hit_cycles as f64
-            + (1.0 - pre.h3) * dram_stall)
+        let beyond_l2 = (pre.h3 * self.cfg.llc_hit_cycles as f64 + (1.0 - pre.h3) * dram_stall)
             * (1.0 - pre.cover);
         let stall_per_memop =
             pre.m1 * (pre.h2 * self.cfg.l2_hit_cycles as f64 + (1.0 - pre.h2) * beyond_l2);
@@ -466,7 +465,11 @@ mod tests {
         let share = m.llc_share(p.ws_bytes, total);
         let fit = m.rates(&p, p.ws_bytes);
         let thrash = m.rates(&p, share);
-        assert!(thrash.cpi / fit.cpi > 1.4, "slowdown {}", thrash.cpi / fit.cpi);
+        assert!(
+            thrash.cpi / fit.cpi > 1.4,
+            "slowdown {}",
+            thrash.cpi / fit.cpi
+        );
     }
 
     #[test]
@@ -518,7 +521,12 @@ mod tests {
         let crowd: Vec<_> = (0..12).map(|_| (p, share)).collect();
         let crowded = m.solve_corun(&crowd);
         assert_eq!(crowded.len(), 12);
-        assert!(crowded[0].cpi > solo_cpi * 1.5, "crowded {} solo {}", crowded[0].cpi, solo_cpi);
+        assert!(
+            crowded[0].cpi > solo_cpi * 1.5,
+            "crowded {} solo {}",
+            crowded[0].cpi,
+            solo_cpi
+        );
         // All identical entries get identical rates.
         for r in &crowded {
             assert!((r.cpi - crowded[0].cpi).abs() < 1e-9);
@@ -577,8 +585,17 @@ mod tests {
         let cases: Vec<Vec<(AccessProfile, u64)>> = vec![
             vec![(a, MIB)],
             vec![(a, MIB); 12],
-            vec![(a, MIB), (b, 2 * MIB), (a, MIB), (c, MIB), (b, 2 * MIB), (a, 3 * MIB)],
-            (0..48).map(|i| ([a, b, c][i % 3], MIB * (1 + (i % 4) as u64))).collect(),
+            vec![
+                (a, MIB),
+                (b, 2 * MIB),
+                (a, MIB),
+                (c, MIB),
+                (b, 2 * MIB),
+                (a, 3 * MIB),
+            ],
+            (0..48)
+                .map(|i| ([a, b, c][i % 3], MIB * (1 + (i % 4) as u64)))
+                .collect(),
             (0..80).map(|_| (a, MIB)).collect(), // beyond the dedup buffer
         ];
         for entries in cases {

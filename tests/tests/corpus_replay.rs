@@ -59,8 +59,7 @@ fn every_corpus_trace_replays_without_divergence() {
     for path in corpus_files() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc =
-            TraceDoc::parse(&text).unwrap_or_else(|e| panic!("{name}: parse failed: {e}"));
+        let doc = TraceDoc::parse(&text).unwrap_or_else(|e| panic!("{name}: parse failed: {e}"));
         assert!(!doc.events.is_empty(), "{name}: no events");
         // The serializer must be able to re-emit what it parsed.
         let reparsed = TraceDoc::parse(&doc.to_text())
@@ -103,7 +102,10 @@ fn draining_corpus_traces_end_idle() {
 #[test]
 fn every_topo_corpus_trace_replays_without_divergence_and_ends_idle() {
     let files = topo_corpus_files();
-    assert!(files.len() >= 3, "the topology corpus has its three scenarios");
+    assert!(
+        files.len() >= 3,
+        "the topology corpus has its three scenarios"
+    );
     for path in files {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -137,7 +139,12 @@ fn every_scalar_corpus_trace_replays_through_the_topology_oracle() {
         assert_eq!(report.steps, doc.events.len(), "{name} (lifted)");
         let scalar = replay(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (step, (s, t)) in scalar.effects.iter().zip(&report.effects).enumerate() {
-            assert_eq!(without_fast(s), *t, "{name}, step {step}: {:?}", doc.events[step]);
+            assert_eq!(
+                without_fast(s),
+                *t,
+                "{name}, step {step}: {:?}",
+                doc.events[step]
+            );
         }
         let mut want = scalar.final_snapshot;
         want.stats = decided(want.stats);

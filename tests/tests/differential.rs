@@ -72,10 +72,13 @@ fn recorded_faulty_simulation_replays_clean_through_the_model() {
         let mut sim = SystemSim::new(faulty_cfg(policy).with_rda_trace(), spec);
         sim.run().unwrap_or_else(|e| panic!("{policy}: {e}"));
         let doc = doc_from_calls(sim.rda().config().clone(), sim.rda_calls());
-        assert!(doc.events.len() > 10, "{policy}: trace too small to mean much");
+        assert!(
+            doc.events.len() > 10,
+            "{policy}: trace too small to mean much"
+        );
         // The .trace text format must round-trip the recorded run.
-        let reparsed = rda_check::TraceDoc::parse(&doc.to_text())
-            .unwrap_or_else(|e| panic!("{policy}: {e}"));
+        let reparsed =
+            rda_check::TraceDoc::parse(&doc.to_text()).unwrap_or_else(|e| panic!("{policy}: {e}"));
         assert_eq!(reparsed, doc);
         let report = replay(&doc).unwrap_or_else(|e| panic!("{policy}: {e}"));
         assert_eq!(
@@ -171,13 +174,12 @@ fn double_waitlist_rejection_is_pure() {
     let mut wl = Waitlist::new();
     let entry = WaitEntry {
         pp: PpId(7),
-        accounted: Demand::llc(123),
         enqueued_at: SimTime::from_cycles(5),
     };
     wl.push(entry).unwrap();
     assert_eq!(
         wl.push(WaitEntry {
-            accounted: Demand::llc(456), // even with different metadata
+            enqueued_at: SimTime::from_cycles(9), // even with different metadata
             ..entry
         }),
         Err(RdaError::DoubleWaitlist(PpId(7)))
@@ -278,7 +280,6 @@ mod registry_differential {
     use rda_core::registry::{reference::BTreeRegistry, PpRecord, PpRegistry};
     use rda_core::{Demand, LayerId, NodeId, PpId, SiteId};
     use rda_sched::ProcessId;
-    use rda_simcore::SimTime;
 
     /// The period a `Register` op begins.
     #[derive(Debug, Clone, Copy)]
@@ -289,7 +290,6 @@ mod registry_differential {
         declared: u64,
         accounted: u64,
         admitted: bool,
-        at: u64,
     }
 
     /// One step of a schedule. Id-bearing ops pick from the ids ever
@@ -317,16 +317,15 @@ mod registry_differential {
 
     fn arb_period() -> impl Strategy<Value = Period> {
         let who = (0u32..6, 0u32..4, any::<bool>(), 1u64..200);
-        let what = (0u64..50_000_000, any::<bool>(), 0u64..1_000_000);
+        let what = (0u64..50_000_000, any::<bool>());
         (who, what).prop_map(
-            |((process, site, layer, declared), (accounted, admitted, at))| Period {
+            |((process, site, layer, declared), (accounted, admitted))| Period {
                 process,
                 site,
                 layer,
                 declared,
                 accounted,
                 admitted,
-                at,
             },
         )
     }
@@ -352,7 +351,6 @@ mod registry_differential {
             accounted: Demand::new(p.accounted, p.declared, 0),
             admitted: p.admitted,
             overflow: false,
-            begun_at: SimTime::from_cycles(p.at),
         }
     }
 

@@ -123,7 +123,10 @@ fn full_stack_runs_are_reproducible() {
     let a = run_policy(&spec, PolicyKind::Strict);
     let b = run_policy(&spec, PolicyKind::Strict);
     assert_eq!(a.result.measurement.counters, b.result.measurement.counters);
-    assert_eq!(a.result.measurement.wall_secs, b.result.measurement.wall_secs);
+    assert_eq!(
+        a.result.measurement.wall_secs,
+        b.result.measurement.wall_secs
+    );
     assert_eq!(a.result.rda, b.result.rda);
 }
 

@@ -237,12 +237,9 @@ fn edge_rate_sweeps_are_thread_count_invariant() {
 fn moderate_faults_do_not_collapse_throughput() {
     let specs = all_workloads();
     let spec = &specs[0];
-    let clean = SystemSim::new(
-        SimConfig::paper_default(PolicyKind::Strict),
-        spec,
-    )
-    .run()
-    .unwrap();
+    let clean = SystemSim::new(SimConfig::paper_default(PolicyKind::Strict), spec)
+        .run()
+        .unwrap();
     let faulty = SystemSim::new(faulty_cfg(PolicyKind::Strict, 0.1, 42), spec)
         .run()
         .unwrap();

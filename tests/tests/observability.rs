@@ -156,7 +156,11 @@ fn traced_sweeps_are_digest_neutral_and_thread_invariant() {
     // And the traces themselves are a pure function of the cell, not of
     // the thread count.
     for (s, p) in traced_serial.records.iter().zip(&traced_parallel.records) {
-        assert_eq!(s.result.trace, p.result.trace, "cell #{} trace diverged", s.index);
+        assert_eq!(
+            s.result.trace, p.result.trace,
+            "cell #{} trace diverged",
+            s.index
+        );
     }
 }
 
@@ -235,11 +239,7 @@ fn faulty_sweep_export_loads_as_chrome_trace_format() {
 fn schema_of(doc: &Json) -> Json {
     let keys_of = |j: &Json| -> Json {
         match j {
-            Json::Obj(map) => Json::Arr(
-                map.keys()
-                    .map(|k| Json::Str(k.clone()))
-                    .collect(),
-            ),
+            Json::Obj(map) => Json::Arr(map.keys().map(|k| Json::Str(k.clone())).collect()),
             _ => Json::Arr(vec![]),
         }
     };
@@ -285,10 +285,7 @@ fn schema_of(doc: &Json) -> Json {
 fn export_schema_matches_the_golden_snapshot() {
     let (_, doc) = faulty_export();
     let schema = schema_of(&doc).to_string_pretty();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/corpus/trace_schema.json"
-    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/trace_schema.json");
     if std::env::var_os("UPDATE_TRACE_SCHEMA").is_some() {
         std::fs::write(path, &schema).unwrap();
         return;
@@ -431,21 +428,42 @@ fn both_engines_emit_pinned_event_streams() {
         ("lifted end_while_waitlisted.trace", 0x09455b4853e2aaa6),
         ("scalar exit_reclaims_all.trace", 0x8464e017dff52c59),
         ("lifted exit_reclaims_all.trace", 0x6de6626916e4dd20),
-        ("scalar fast_oversized_readmission.trace", 0x0c9b26227d7093f0),
-        ("lifted fast_oversized_readmission.trace", 0x2f756cea8c4488d1),
+        (
+            "scalar fast_oversized_readmission.trace",
+            0x0c9b26227d7093f0,
+        ),
+        (
+            "lifted fast_oversized_readmission.trace",
+            0x2f756cea8c4488d1,
+        ),
         ("scalar golden_sweep.trace", 0xae237567e2ed8dab),
         ("lifted golden_sweep.trace", 0x9ef8a5a178e427e3),
-        ("scalar memo_lookup_past_the_wrap_guard.trace", 0x226116a7cd693165),
-        ("lifted memo_lookup_past_the_wrap_guard.trace", 0x85d39d762fb88ac1),
+        (
+            "scalar memo_lookup_past_the_wrap_guard.trace",
+            0x226116a7cd693165,
+        ),
+        (
+            "lifted memo_lookup_past_the_wrap_guard.trace",
+            0x85d39d762fb88ac1,
+        ),
         ("scalar overflow_bucket_wrap.trace", 0x7a659ec010e8eff1),
         ("lifted overflow_bucket_wrap.trace", 0xd0cd6dc01d54fce8),
-        ("scalar overload_shed_expire_breaker.trace", 0xa1cc360cb786aa1e),
-        ("lifted overload_shed_expire_breaker.trace", 0x88af88755558b852),
+        (
+            "scalar overload_shed_expire_breaker.trace",
+            0xa1cc360cb786aa1e,
+        ),
+        (
+            "lifted overload_shed_expire_breaker.trace",
+            0x88af88755558b852,
+        ),
         ("scalar unknown_end.trace", 0x48f0846dfdbb1319),
         ("lifted unknown_end.trace", 0x4b26b13e0de03978),
         ("vector layers_capacity_guarantee.trace", 0xddaa6da633aca737),
         ("vector single_node_compat.trace", 0x9ef8a5a178e427e3),
-        ("vector topology_two_node_spillover.trace", 0x46495ac5e1ccfa6f),
+        (
+            "vector topology_two_node_spillover.trace",
+            0x46495ac5e1ccfa6f,
+        ),
         ("scalar overload RejectNewest", 0x091f6028ece4b34b),
         ("vector overload RejectNewest", 0x6a84e8ccabc6255a),
         ("scalar overload RejectOldest", 0x44951ebc18976ea4),
@@ -493,12 +511,21 @@ fn both_engines_emit_pinned_event_streams() {
             .run(seed);
         let doc = doc_from_calls(rda, &run.calls.expect("record_calls was set"));
         let scalar = scalar_event_report(&doc.cfg, &doc.events);
-        assert_eq!(scalar.dropped_events, 0, "{policy:?}: the event ring wrapped");
+        assert_eq!(
+            scalar.dropped_events, 0,
+            "{policy:?}: the event ring wrapped"
+        );
         scalar_facets.extend(scalar.events.iter().map(event_facet));
-        got.push((format!("scalar overload {policy:?}"), event_stream_digest(&scalar)));
+        got.push((
+            format!("scalar overload {policy:?}"),
+            event_stream_digest(&scalar),
+        ));
 
-        let latency = LayerSpec::new("latency", PolicyKind::Strict)
-            .with_guarantee(Demand::new(4 << 20, 1_500, 64 << 20));
+        let latency = LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::new(
+            4 << 20,
+            1_500,
+            64 << 20,
+        ));
         let layers = LayerSet::new(vec![LayerSpec::new("batch", PolicyKind::Strict), latency]);
         let topo = TopoConfig::new(TopoSpec::uniform(1, 15_360 << 10, 6_000, 1 << 30), layers)
             .with_waitlist_timeout_cycles(40_000_000)
@@ -512,9 +539,15 @@ fn both_engines_emit_pinned_event_streams() {
             .run(seed);
         let cfg = run.config.expect("record_calls was set");
         let vector = vector_event_report(&cfg, &run.calls.expect("record_calls was set"));
-        assert_eq!(vector.dropped_events, 0, "{policy:?}: the event ring wrapped");
+        assert_eq!(
+            vector.dropped_events, 0,
+            "{policy:?}: the event ring wrapped"
+        );
         vector_facets.extend(vector.events.iter().map(event_facet));
-        got.push((format!("vector overload {policy:?}"), event_stream_digest(&vector)));
+        got.push((
+            format!("vector overload {policy:?}"),
+            event_stream_digest(&vector),
+        ));
     }
     for facet in [
         "Shed/WaitlistFull/period",
@@ -527,8 +560,14 @@ fn both_engines_emit_pinned_event_streams() {
         "Reject/DoubleEnd/period",
         "Exit/reclaim",
     ] {
-        assert!(scalar_facets.contains(facet), "scalar cells never record {facet}: {scalar_facets:?}");
-        assert!(vector_facets.contains(facet), "vector cells never record {facet}: {vector_facets:?}");
+        assert!(
+            scalar_facets.contains(facet),
+            "scalar cells never record {facet}: {scalar_facets:?}"
+        );
+        assert!(
+            vector_facets.contains(facet),
+            "vector cells never record {facet}: {vector_facets:?}"
+        );
     }
 
     let table: String = got
@@ -536,5 +575,8 @@ fn both_engines_emit_pinned_event_streams() {
         .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
         .collect();
     let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-    assert_eq!(got, want, "event streams moved; the streams now read:\n{table}");
+    assert_eq!(
+        got, want,
+        "event streams moved; the streams now read:\n{table}"
+    );
 }

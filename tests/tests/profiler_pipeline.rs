@@ -118,18 +118,19 @@ fn reuse_classification_separates_blas_levels() {
     let rec = TraceRecorder::new();
     rda_workloads::blas::level1::daxpy_traced(20_000, 2.0, &rec);
     let w_daxpy = windowize(&rec.take(), &wcfg(5_000));
-    let daxpy_reuse =
-        w_daxpy.iter().map(|w| w.reuse_ratio).sum::<f64>() / w_daxpy.len() as f64;
+    let daxpy_reuse = w_daxpy.iter().map(|w| w.reuse_ratio).sum::<f64>() / w_daxpy.len() as f64;
 
     let rec = TraceRecorder::new();
     dgemm_traced(40, &rec);
     // dgemm's reuse distance for B is one full (k, j) tile: the window
     // must cover several i-rows (~3.2 k ops each) to observe it.
     let w_dgemm = windowize(&rec.take(), &wcfg(20_000));
-    let dgemm_reuse =
-        w_dgemm.iter().map(|w| w.reuse_ratio).sum::<f64>() / w_dgemm.len() as f64;
+    let dgemm_reuse = w_dgemm.iter().map(|w| w.reuse_ratio).sum::<f64>() / w_dgemm.len() as f64;
 
     assert_eq!(ReuseLevel::from_reuse_ratio(daxpy_reuse), ReuseLevel::Low);
-    assert!(dgemm_reuse > 3.0 * daxpy_reuse, "{dgemm_reuse} vs {daxpy_reuse}");
+    assert!(
+        dgemm_reuse > 3.0 * daxpy_reuse,
+        "{dgemm_reuse} vs {daxpy_reuse}"
+    );
     assert_ne!(ReuseLevel::from_reuse_ratio(dgemm_reuse), ReuseLevel::Low);
 }

@@ -61,11 +61,8 @@ fn build_spec(procs: Vec<(u8, Vec<ArbPhase>)>) -> WorkloadSpec {
 }
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
-    prop::collection::vec(
-        (1u8..4, prop::collection::vec(arb_phase(), 1..4)),
-        1..6,
-    )
-    .prop_map(build_spec)
+    prop::collection::vec((1u8..4, prop::collection::vec(arb_phase(), 1..4)), 1..6)
+        .prop_map(build_spec)
 }
 
 fn policies() -> [PolicyKind; 4] {

@@ -30,26 +30,26 @@ const SHED_POLICIES: [ShedPolicy; 3] = [
 fn two_node_three_resource(shed: ShedPolicy) -> TopoConfig {
     let layers = LayerSet::new(vec![
         LayerSpec::new("batch", PolicyKind::Strict),
-        LayerSpec::new("latency", PolicyKind::Strict)
-            .with_guarantee(Demand::new(4 << 20, 1_000, 64 << 20)),
+        LayerSpec::new("latency", PolicyKind::Strict).with_guarantee(Demand::new(
+            4 << 20,
+            1_000,
+            64 << 20,
+        )),
     ]);
-    TopoConfig::new(
-        TopoSpec::uniform(2, 15_360 << 10, 6_000, 1 << 30),
-        layers,
-    )
-    .with_waitlist_timeout_cycles(40_000_000)
-    .with_overload(OverloadConfig {
-        waitlist_cap: 8,
-        shed_policy: shed,
-        deadline_cycles: Some(30_000_000),
-        breaker: Some(BreakerConfig {
-            high_water: 14 << 20,
-            low_water: 8 << 20,
-            trip_after: 3,
-            recover_after: 3,
-            shed_min_demand: 1 << 20,
-        }),
-    })
+    TopoConfig::new(TopoSpec::uniform(2, 15_360 << 10, 6_000, 1 << 30), layers)
+        .with_waitlist_timeout_cycles(40_000_000)
+        .with_overload(OverloadConfig {
+            waitlist_cap: 8,
+            shed_policy: shed,
+            deadline_cycles: Some(30_000_000),
+            breaker: Some(BreakerConfig {
+                high_water: 14 << 20,
+                low_water: 8 << 20,
+                trip_after: 3,
+                recover_after: 3,
+                shed_min_demand: 1 << 20,
+            }),
+        })
 }
 
 /// Traffic whose demand vectors touch all three resource kinds.
@@ -91,8 +91,8 @@ fn recorded_topo_overload_fault_schedules_replay_with_zero_divergence() {
             cfg: result.config.expect("the run reports its configuration"),
             events: result.calls.expect("record_calls retains the schedule"),
         };
-        let report = rda_check::replay_topo(&doc)
-            .unwrap_or_else(|d| panic!("{shed:?}: diverged: {d}"));
+        let report =
+            rda_check::replay_topo(&doc).unwrap_or_else(|d| panic!("{shed:?}: diverged: {d}"));
         assert_eq!(report.steps, doc.events.len(), "{shed:?}");
         assert!(
             report.final_snapshot.is_idle(),
