@@ -32,12 +32,7 @@ pub enum Json {
 impl Json {
     /// Build an object from `(key, value)` pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// The value at `key` if this is an object containing it.
@@ -554,7 +549,16 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "[] []"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "[] []",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -621,19 +625,22 @@ mod tests {
         // At the limit: parses fine, both containers.
         let arrays = format!("{}0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&arrays).is_ok());
-        let objects = format!(
-            "{}0{}",
-            "{\"k\":".repeat(MAX_DEPTH),
-            "}".repeat(MAX_DEPTH)
-        );
+        let objects = format!("{}0{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
         assert!(Json::parse(&objects).is_ok());
 
         // One past the limit: typed error pointing at the offending
         // opening bracket.
-        let too_deep = format!("{}0{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let too_deep = format!(
+            "{}0{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         let err = Json::parse_checked(&too_deep).expect_err("must reject");
         assert_eq!(err.offset, MAX_DEPTH, "offset of the 129th '['");
-        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_DEPTH} levels")
+        );
         assert_eq!(
             err.to_string(),
             format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
@@ -648,7 +655,10 @@ mod tests {
         // levels, past the limit.
         let mixed = "[{\"a\":".repeat(65) + "0";
         let err = Json::parse_checked(&mixed).expect_err("must reject");
-        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_DEPTH} levels")
+        );
     }
 
     #[test]

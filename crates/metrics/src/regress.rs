@@ -47,17 +47,6 @@ pub enum FitError {
     },
 }
 
-impl FitError {
-    /// Size of the sample set the fit was attempted on.
-    pub fn sample_count(self) -> usize {
-        match self {
-            FitError::Empty => 0,
-            FitError::SinglePoint => 1,
-            FitError::ZeroVariance { n } | FitError::NonPositiveX { n } => n,
-        }
-    }
-}
-
 impl fmt::Display for FitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -124,10 +113,7 @@ fn fit_transformed(points: &[(f64, f64)], f: impl Fn(f64) -> f64) -> Result<Fit,
     if sxx == 0.0 {
         return Err(FitError::ZeroVariance { n });
     }
-    let sxy: f64 = points
-        .iter()
-        .map(|&(x, y)| (f(x) - mx) * (y - my))
-        .sum();
+    let sxy: f64 = points.iter().map(|&(x, y)| (f(x) - mx) * (y - my)).sum();
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
 
@@ -136,7 +122,11 @@ fn fit_transformed(points: &[(f64, f64)], f: impl Fn(f64) -> f64) -> Result<Fit,
         .map(|&(x, y)| (y - (intercept + slope * f(x))).powi(2))
         .sum();
     let ss_tot: f64 = points.iter().map(|&(_, y)| (y - my).powi(2)).sum();
-    let r_squared = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
+    let r_squared = if ss_tot == 0.0 {
+        1.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
 
     Ok(Fit {
         intercept,
@@ -207,11 +197,6 @@ mod tests {
             log_fit(&[(-1.0, 1.0), (1.0, 2.0)]),
             Err(FitError::NonPositiveX { n: 2 })
         );
-        // Every error reports the sample-set size it failed on.
-        assert_eq!(FitError::Empty.sample_count(), 0);
-        assert_eq!(FitError::SinglePoint.sample_count(), 1);
-        assert_eq!(FitError::ZeroVariance { n: 3 }.sample_count(), 3);
-        assert_eq!(FitError::NonPositiveX { n: 4 }.sample_count(), 4);
     }
 
     #[test]

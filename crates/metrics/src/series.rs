@@ -78,10 +78,7 @@ impl FigureData {
 
     /// Value for (series, category) if present.
     pub fn get(&self, series: &str, category: &str) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|s| s.name == series)?
-            .get(category)
+        self.series.iter().find(|s| s.name == series)?.get(category)
     }
 
     /// The union of category labels, in first-seen order.
@@ -115,7 +112,13 @@ impl FigureData {
             }
             t.add_row(row);
         }
-        format!("{} — {} [{}]\n{}", self.id, self.title, self.unit, t.render())
+        format!(
+            "{} — {} [{}]\n{}",
+            self.id,
+            self.title,
+            self.unit,
+            t.render()
+        )
     }
 
     /// Encode as a [`Json`](crate::Json) tree:
@@ -140,10 +143,7 @@ impl FigureData {
                                         s.points
                                             .iter()
                                             .map(|(c, v)| {
-                                                Json::Arr(vec![
-                                                    Json::Str(c.clone()),
-                                                    Json::Num(*v),
-                                                ])
+                                                Json::Arr(vec![Json::Str(c.clone()), Json::Num(*v)])
                                             })
                                             .collect(),
                                     ),
@@ -195,14 +195,19 @@ mod tests {
     #[test]
     fn categories_in_first_seen_order() {
         let f = fig();
-        assert_eq!(f.categories(), vec!["BLAS-1".to_string(), "BLAS-3".to_string()]);
+        assert_eq!(
+            f.categories(),
+            vec!["BLAS-1".to_string(), "BLAS-3".to_string()]
+        );
     }
 
     #[test]
     fn text_table_contains_all_cells() {
         let f = fig();
         let txt = f.to_text_table();
-        for needle in ["Figure 7", "BLAS-1", "BLAS-3", "Default", "Strict", "104", "120"] {
+        for needle in [
+            "Figure 7", "BLAS-1", "BLAS-3", "Default", "Strict", "104", "120",
+        ] {
             assert!(txt.contains(needle), "missing {needle} in:\n{txt}");
         }
     }
@@ -224,11 +229,17 @@ mod tests {
         assert_eq!(doc.get("id").and_then(|v| v.as_str()), Some("Figure 7"));
         let series = doc.get("series").and_then(|s| s.as_arr()).unwrap();
         let name = |s: &crate::Json| s.get("name").and_then(|n| n.as_str()).unwrap().to_string();
-        assert_eq!(series.iter().map(name).collect::<Vec<_>>(), ["Default", "Strict"]);
+        assert_eq!(
+            series.iter().map(name).collect::<Vec<_>>(),
+            ["Default", "Strict"]
+        );
         let points = series[0].get("points").and_then(|p| p.as_arr()).unwrap();
         let point = |p: &crate::Json| {
             let pair = p.as_arr().unwrap();
-            (pair[0].as_str().unwrap().to_string(), pair[1].as_f64().unwrap())
+            (
+                pair[0].as_str().unwrap().to_string(),
+                pair[1].as_f64().unwrap(),
+            )
         };
         let want = [("BLAS-1".to_string(), 100.0), ("BLAS-3".to_string(), 200.0)];
         assert_eq!(points.iter().map(point).collect::<Vec<_>>(), want);

@@ -99,8 +99,15 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         // All data starts of column 2 align.
-        let col2 = |line: &str| line.find("bbbb").or_else(|| line.find('1')).or_else(|| line.find("22"));
-        let positions: Vec<usize> = [lines[0], lines[2], lines[3]].iter().filter_map(|l| col2(l)).collect();
+        let col2 = |line: &str| {
+            line.find("bbbb")
+                .or_else(|| line.find('1'))
+                .or_else(|| line.find("22"))
+        };
+        let positions: Vec<usize> = [lines[0], lines[2], lines[3]]
+            .iter()
+            .filter_map(|l| col2(l))
+            .collect();
         assert!(positions.windows(2).all(|w| w[0] == w[1]), "{s}");
     }
 

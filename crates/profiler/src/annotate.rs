@@ -96,10 +96,7 @@ mod tests {
     #[test]
     fn periods_without_loop_anchor_are_dropped() {
         let nest = dgemm_loop_nest();
-        let anns = annotate(
-            &[period(None, 100, 5.0), period(Some(77), 100, 5.0)],
-            &nest,
-        );
+        let anns = annotate(&[period(None, 100, 5.0), period(Some(77), 100, 5.0)], &nest);
         assert!(anns.is_empty());
     }
 }

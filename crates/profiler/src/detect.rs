@@ -63,13 +63,15 @@ fn similar(a: &WindowStats, b: &WindowStats, tol: f64) -> bool {
             (x - y).abs() / m
         }
     };
-    rel(a.wss_bytes as f64, b.wss_bytes as f64) <= tol
-        && rel(a.reuse_ratio, b.reuse_ratio) <= tol
+    rel(a.wss_bytes as f64, b.wss_bytes as f64) <= tol && rel(a.reuse_ratio, b.reuse_ratio) <= tol
 }
 
 /// Run the detector over a window sequence.
 pub fn detect_periods(windows: &[WindowStats], cfg: &DetectorConfig) -> Vec<DetectedPeriod> {
-    assert!(cfg.min_windows >= 2, "a repetition needs at least 2 windows");
+    assert!(
+        cfg.min_windows >= 2,
+        "a repetition needs at least 2 windows"
+    );
     let mut out = Vec::new();
     let mut i = 0;
     while i + cfg.min_windows <= windows.len() {
@@ -177,7 +179,14 @@ mod tests {
     #[test]
     fn jitter_within_tolerance_stays_one_period() {
         let ws: Vec<WindowStats> = (0..8)
-            .map(|i| win(i, 100 + (i as u64 % 2) * 10, 8.0 + (i % 2) as f64 * 0.5, Some(1)))
+            .map(|i| {
+                win(
+                    i,
+                    100 + (i as u64 % 2) * 10,
+                    8.0 + (i % 2) as f64 * 0.5,
+                    Some(1),
+                )
+            })
             .collect();
         let periods = detect_periods(&ws, &cfg());
         assert_eq!(periods.len(), 1);
@@ -219,7 +228,9 @@ mod tests {
         ws.extend((8..12).map(|i| win(i, 100, 8.0, Some(1))));
         let periods = detect_periods(&ws, &cfg());
         assert_eq!(periods.len(), 3);
-        assert!(periods.windows(2).all(|p| p[0].end_window < p[1].start_window));
+        assert!(periods
+            .windows(2)
+            .all(|p| p[0].end_window < p[1].start_window));
     }
 
     #[test]

@@ -75,22 +75,6 @@ impl LoopNest {
         Some(cur)
     }
 
-    /// All declared loops on the path from `id` to its root, inner to
-    /// outer.
-    pub fn ancestry(&self, id: u32) -> Vec<u32> {
-        let mut path = Vec::new();
-        if !self.parent.contains_key(&id) {
-            return path;
-        }
-        let mut cur = id;
-        path.push(cur);
-        while let Some(&Some(p)) = self.parent.get(&cur) {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
     /// Number of declared loops.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -141,8 +125,6 @@ mod tests {
         let nest = dgemm_loop_nest();
         assert_eq!(nest.depth(0), 0);
         assert_eq!(nest.depth(2), 2);
-        assert_eq!(nest.ancestry(2), vec![2, 1, 0]);
-        assert!(nest.ancestry(42).is_empty());
     }
 
     #[test]

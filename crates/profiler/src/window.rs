@@ -77,10 +77,10 @@ pub fn windowize(trace: &MemoryTrace, cfg: &WindowConfig) -> Vec<WindowStats> {
     let mut index = 0usize;
 
     let flush = |counts: &mut HashMap<u64, u32>,
-                     loops: &mut HashMap<u32, u64>,
-                     ops: &mut usize,
-                     index: &mut usize,
-                     out: &mut Vec<WindowStats>| {
+                 loops: &mut HashMap<u32, u64>,
+                 ops: &mut usize,
+                 index: &mut usize,
+                 out: &mut Vec<WindowStats>| {
         let distinct = counts.len() as u64;
         let hot = counts
             .values()

@@ -102,9 +102,7 @@ pub fn wss_study(
     measurements
         .into_iter()
         .enumerate()
-        .map(|(rank, m)| {
-            WssSeries::from_measurements(format!("{label_prefix} PP{}", rank + 1), m)
-        })
+        .map(|(rank, m)| WssSeries::from_measurements(format!("{label_prefix} PP{}", rank + 1), m))
         .collect()
 }
 

@@ -381,7 +381,12 @@ impl CfsScheduler {
                 .max_by_key(|&(_, l)| l)
                 .unwrap();
             let (idlest, imin) = (0..self.cfg.cores)
-                .map(|c| (c, load(&self.queues[c]) + usize::from(self.running[c].is_some())))
+                .map(|c| {
+                    (
+                        c,
+                        load(&self.queues[c]) + usize::from(self.running[c].is_some()),
+                    )
+                })
                 .min_by_key(|&(_, l)| l)
                 .unwrap();
             if busiest == idlest || bmax < imin + 2 {
@@ -411,13 +416,19 @@ impl CfsScheduler {
                 TaskState::Runnable => {
                     let core = self.queued_core[idx]
                         .ok_or_else(|| format!("{} runnable but not queued", t.id))?;
-                    if !self.queues[core].iter().any(|(v, id)| id == t.id && v == t.vruntime) {
+                    if !self.queues[core]
+                        .iter()
+                        .any(|(v, id)| id == t.id && v == t.vruntime)
+                    {
                         return Err(format!("{} missing from queue {core}", t.id));
                     }
                 }
                 TaskState::Running(core) => {
                     if self.running[core] != Some(t.id) {
-                        return Err(format!("{} claims core {core} but isn't running there", t.id));
+                        return Err(format!(
+                            "{} claims core {core} but isn't running there",
+                            t.id
+                        ));
                     }
                 }
                 TaskState::Blocked | TaskState::Finished => {
@@ -568,7 +579,11 @@ mod tests {
         let ids = spawn_wake(&mut s, 2);
         // Run task A long enough to build up vruntime; B sleeps.
         let _a = s.pick_next(0).unwrap();
-        let b = if s.running_on(0) == Some(ids[0]) { ids[1] } else { ids[0] };
+        let b = if s.running_on(0) == Some(ids[0]) {
+            ids[1]
+        } else {
+            ids[0]
+        };
         s.block(b);
         for _ in 0..50 {
             s.charge(0, 10_000);
@@ -684,10 +699,7 @@ mod tests {
             CfsScheduler::try_new(zero_gran).unwrap_err(),
             SchedConfigError::ZeroGranularity
         );
-        assert_eq!(
-            SchedConfigError::NoCores.to_string(),
-            "cores must be > 0"
-        );
+        assert_eq!(SchedConfigError::NoCores.to_string(), "cores must be > 0");
     }
 
     #[test]

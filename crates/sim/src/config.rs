@@ -12,9 +12,6 @@ pub struct SimConfig {
     pub machine: MachineConfig,
     /// Scheduling policy under test.
     pub policy: PolicyKind,
-    /// When set, record a [`crate::system::TimelineSample`] every this
-    /// many cycles (core utilisation, LLC pressure, waitlist depth).
-    pub sample_every: Option<SimDuration>,
     /// Seed of the deterministic timeslice-jitter stream. The sweep
     /// runner derives one per run from its root seed
     /// (`SplitMix64::derive_stream`) so replicated runs observe
@@ -37,11 +34,13 @@ pub struct SimConfig {
     /// differential checking against the reference model.
     pub record_rda_calls: bool,
     /// Observability: when set, a [`rda_trace::TraceSink`] with the
-    /// default capacities ([`rda_trace::TraceConfig::default`]) is
-    /// installed in the RDA extension, the run samples LLC occupancy
-    /// every simulated tick, and [`crate::system::RunResult::trace`]
-    /// carries the frozen [`rda_trace::TraceReport`]. Off by default;
-    /// tracing is digest-neutral (it never feeds back into scheduling).
+    /// default event capacity ([`rda_trace::TraceConfig::default`]) is
+    /// installed in the RDA extension, the run records its occupancy
+    /// track (the books and busy cores in force over each step, kept as
+    /// change points from cycle 0 to the final instant), and
+    /// [`crate::system::RunResult::trace`] carries the frozen
+    /// [`rda_trace::TraceReport`]. Off by default; tracing is
+    /// digest-neutral (it never feeds back into scheduling).
     pub trace: bool,
 }
 
@@ -56,7 +55,6 @@ impl SimConfig {
         SimConfig {
             machine: MachineConfig::xeon_e5_2420(),
             policy,
-            sample_every: None,
             jitter_seed: DEFAULT_JITTER_SEED,
             demand_audit: DemandAudit::Trust,
             waitlist_timeout: None,
@@ -64,12 +62,6 @@ impl SimConfig {
             record_rda_calls: false,
             trace: false,
         }
-    }
-
-    /// Enable timeline sampling at the given period in milliseconds.
-    pub fn with_sampling_ms(mut self, ms: f64) -> Self {
-        self.sample_every = Some(SimDuration::from_micros(ms * 1e3, self.machine.freq_hz));
-        self
     }
 
     /// Use the given timeslice-jitter seed.
@@ -129,7 +121,7 @@ mod tests {
     #[test]
     fn trace_builders_set_capacities() {
         // The flag is the whole setting: `SystemSim::new` installs a
-        // sink with `TraceConfig::default()`'s capacities. Tracing and
+        // sink with `TraceConfig::default()`'s event capacity. Tracing and
         // the call log are independent.
         let c = SimConfig::paper_default(PolicyKind::Strict).with_trace();
         assert!(c.trace);

@@ -35,8 +35,6 @@ pub struct RunResult {
     pub sched: SchedStats,
     /// Per-process completion times (seconds).
     pub finish_secs: Vec<f64>,
-    /// Periodic samples (empty unless `SimConfig::sample_every` set).
-    pub timeline: Vec<TimelineSample>,
     /// Frozen observability trace (`None` unless [`SimConfig::trace`]
     /// was set). Deliberately **excluded from [`Self::digest`]**: the
     /// digest certifies scheduling behaviour, and tracing must be able
@@ -101,37 +99,10 @@ pub enum RdaCall {
     },
 }
 
-/// One periodic observation of system state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineSample {
-    /// Sample time, seconds.
-    pub t_secs: f64,
-    /// Cores executing a thread.
-    pub busy_cores: usize,
-    /// Threads runnable or running.
-    pub active_threads: usize,
-    /// Summed working sets of the distinct processes on-CPU, bytes.
-    pub running_pressure_bytes: u64,
-    /// Summed accounted demand of admitted progress periods, bytes.
-    pub admitted_demand_bytes: u64,
-    /// Progress periods waiting on the LLC waitlist.
-    pub waitlisted: usize,
-}
-
 impl RunResult {
-    /// Mean busy-core fraction over the timeline (NaN without
-    /// sampling).
-    pub fn mean_utilization(&self, cores: usize) -> f64 {
-        let n = self.timeline.len();
-        if n == 0 {
-            return f64::NAN;
-        }
-        self.timeline.iter().map(|s| s.busy_cores).sum::<usize>() as f64 / (n * cores) as f64
-    }
-
     /// A platform-stable 64-bit digest over every observable field of
     /// the run: counters, energy, wall-clock, extension and scheduler
-    /// activity, per-process finish times, and the full timeline.
+    /// activity, and per-process finish times.
     ///
     /// Two runs are behaviourally identical iff their digests match;
     /// the sweep runner uses this to prove serial and multi-threaded
@@ -194,15 +165,9 @@ impl RunResult {
         for &t in &self.finish_secs {
             h.write_f64(t);
         }
-        h.write_usize(self.timeline.len());
-        for s in &self.timeline {
-            h.write_f64(s.t_secs)
-                .write_usize(s.busy_cores)
-                .write_usize(s.active_threads)
-                .write_u64(s.running_pressure_bytes)
-                .write_u64(s.admitted_demand_bytes)
-                .write_usize(s.waitlisted);
-        }
+        // A zero word where an earlier layout folded a sample count, so
+        // the pinned digests hold.
+        h.write_u64(0);
         h.finish()
     }
 }
@@ -315,8 +280,6 @@ pub struct SystemSim {
     /// which hides the cross-process cache interference the paper
     /// measures.
     jitter: SplitMix64,
-    next_sample: SimTime,
-    timeline: Vec<TimelineSample>,
     /// Pre-expanded fault schedule (empty unless `SimConfig::faults`).
     faults: FaultPlan,
     /// RDA call log (kept only when `SimConfig::record_rda_calls`).
@@ -582,8 +545,6 @@ impl SystemSim {
             next_rebalance: SimTime::ZERO + rebalance_period,
             unfinished: spec.processes.len(),
             jitter: SplitMix64::new(cfg.jitter_seed),
-            next_sample: cfg.sample_every.map_or(SimTime::MAX, |d| SimTime::ZERO + d),
-            timeline: Vec::new(),
             faults,
             calls: CallLog(cfg.record_rda_calls.then(Vec::new)),
             scratch_running: Vec::new(),
@@ -876,9 +837,10 @@ impl SystemSim {
         Ok(())
     }
 
-    /// Record an LLC occupancy sample into the trace sink, one per
-    /// simulated tick (no-op when tracing is off — the reads below are
-    /// never even issued).
+    /// Record the occupancy in force from now on into the trace sink:
+    /// the books and `busy_cores` running threads (no-op when tracing
+    /// is off — the reads below are never even issued). The sink keeps
+    /// only the change points.
     fn sample_occupancy(&mut self, busy_cores: usize) {
         if self.rda.trace().is_none() {
             return;
@@ -896,41 +858,6 @@ impl SystemSim {
         }
     }
 
-    /// Take every periodic sample due before `end`. Nothing the
-    /// timeline records changes before `end`, so each sample reads the
-    /// state now, and sampling never splits a step: a sampled run is
-    /// the unsampled run plus its timeline.
-    fn sample_until(&mut self, end: SimTime) {
-        while self.next_sample < end {
-            self.take_sample(self.next_sample);
-            // Finite `next_sample` means sampling is on; even a zero
-            // period moves on.
-            let every = self.cfg.sample_every.unwrap().cycles().max(1);
-            self.next_sample += SimDuration::from_cycles(every);
-        }
-    }
-
-    fn take_sample(&mut self, at: SimTime) {
-        let running: Vec<TaskId> = self.sched.running_tasks().map(|(_, t)| t).collect();
-        let mut seen: Vec<usize> = Vec::new();
-        let mut pressure = 0u64;
-        for tid in &running {
-            let p = self.threads[tid.0 as usize].proc;
-            if !self.procs[p].finished && !seen.contains(&p) {
-                seen.push(p);
-                pressure += self.phase_profile[p].ws_bytes;
-            }
-        }
-        self.timeline.push(TimelineSample {
-            t_secs: at.as_secs(self.cfg.machine.freq_hz),
-            busy_cores: running.len(),
-            active_threads: self.sched.active_tasks().count(),
-            running_pressure_bytes: pressure,
-            admitted_demand_bytes: self.rda.usage(),
-            waitlisted: self.rda.waitlist_len(),
-        });
-    }
-
     /// Execute the workload to completion.
     pub fn run(&mut self) -> Result<RunResult, String> {
         let freq = self.cfg.machine.freq_hz;
@@ -945,6 +872,7 @@ impl SystemSim {
             let mut running = std::mem::take(&mut self.scratch_running);
             running.clear();
             running.extend(self.sched.running_tasks());
+            self.sample_occupancy(running.len());
             if running.is_empty() {
                 self.scratch_running = running;
                 // Every unfinished process is paused on a waitlist. The
@@ -955,11 +883,9 @@ impl SystemSim {
                     return Err("no runnable threads: scheduling deadlock".into());
                 };
                 if deadline > self.now {
-                    self.sample_until(deadline);
                     self.now = deadline;
                 }
                 self.apply_aging();
-                self.sample_occupancy(0);
                 self.check_books()?;
                 continue;
             }
@@ -1077,7 +1003,6 @@ impl SystemSim {
                 dt = dt.min(self.slice_end[core].since(self.now).cycles().max(1));
                 min_slice = min_slice.min(self.slice_end[core]);
             }
-            self.sample_until(self.now + SimDuration::from_cycles(dt));
 
             // --- advance all running threads by dt ---
             // Completion detection happens inline (the finished set is
@@ -1149,7 +1074,6 @@ impl SystemSim {
                 self.next_rebalance = self.now + self.rebalance_period;
             }
             self.apply_aging();
-            self.sample_occupancy(running.len());
             self.scratch_running = running;
             self.check_books()?;
         }
@@ -1162,6 +1086,7 @@ impl SystemSim {
         self.counters.waitlisted = rs.paused;
         self.counters.migrations = self.sched.stats().migrations;
         self.check_books()?;
+        self.sample_occupancy(0);
 
         Ok(RunResult {
             measurement: Measurement {
@@ -1176,7 +1101,6 @@ impl SystemSim {
                 .iter()
                 .map(|p| p.finish_time.as_secs(freq))
                 .collect(),
-            timeline: std::mem::take(&mut self.timeline),
             trace: self.rda.take_trace().map(|s| s.into_report()),
         })
     }
@@ -1347,55 +1271,108 @@ mod tests {
         assert!(r_big.measurement.wall_secs <= r_small.measurement.wall_secs * 1.05);
     }
 
+    /// Busy cores over `cores`, weighted by how long each change point
+    /// holds; the last sample marks the end of the run.
+    fn utilization(track: &[rda_trace::OccupancySample], cores: u32) -> f64 {
+        let busy: u64 = track
+            .windows(2)
+            .map(|w| u64::from(w[0].busy_cores) * (w[1].t_cycles - w[0].t_cycles))
+            .sum();
+        let span = track[track.len() - 1].t_cycles - track[0].t_cycles;
+        busy as f64 / (span as f64 * f64::from(cores))
+    }
+
     #[test]
     fn timeline_sampling_observes_the_policy_ceiling() {
-        // 8 × 4 MB tracked processes under strict: the sampled admitted
-        // demand must never exceed the LLC, and the waitlist must be
-        // visibly non-empty early in the run.
+        // 8 × 4 MB tracked processes under strict: the occupancy track's
+        // admitted demand must never exceed the LLC, and the waitlist
+        // must be visibly non-empty early in the run.
         let spec = tiny_workload(8, 1, 4.0, 30_000_000);
-        let cfg = SimConfig::paper_default(rda_core::PolicyKind::Strict).with_sampling_ms(1.0);
+        let cfg = SimConfig::paper_default(rda_core::PolicyKind::Strict).with_trace();
         let llc = cfg.machine.llc_bytes;
         let r = SystemSim::new(cfg, &spec).run().unwrap();
-        assert!(r.timeline.len() > 5, "samples: {}", r.timeline.len());
-        for s in &r.timeline {
+        let track = r.trace.expect("trace enabled").occupancy;
+        for s in &track {
             assert!(
-                s.admitted_demand_bytes <= llc,
-                "strict ceiling violated at t={}: {} B",
-                s.t_secs,
-                s.admitted_demand_bytes
+                s.usage <= llc,
+                "strict ceiling violated at cycle {}: {} B",
+                s.t_cycles,
+                s.usage
             );
-            assert!(s.running_pressure_bytes <= s.admitted_demand_bytes);
             assert!(s.busy_cores <= 12);
         }
-        assert!(r.timeline.iter().any(|s| s.waitlisted > 0));
-        let util = r.mean_utilization(12);
+        assert!(track.iter().any(|s| s.waitlisted > 0));
+        let util = utilization(&track, 12);
         assert!(util > 0.0 && util <= 1.0, "utilization {util}");
     }
 
     #[test]
     fn sampling_leaves_the_run_unchanged() {
-        // Sampling reads the state between events; were it to split a
-        // step, the per-step truncations would move the counters.
+        // The track is recorded between events; were recording to split
+        // a step, the per-step truncations would move the counters.
         let spec = tiny_workload(8, 1, 4.0, 30_000_000);
         for policy in [
             rda_core::PolicyKind::DefaultOnly,
             rda_core::PolicyKind::Strict,
         ] {
             let plain = run(policy, &spec);
-            let cfg = SimConfig::paper_default(policy).with_sampling_ms(1.0);
-            let mut sampled = SystemSim::new(cfg, &spec).run().unwrap();
-            assert!(sampled.timeline.len() > 5, "{policy}");
-            sampled.timeline.clear();
-            assert_eq!(sampled.digest(), plain.digest(), "{policy}");
+            let cfg = SimConfig::paper_default(policy).with_trace();
+            let traced = SystemSim::new(cfg, &spec).run().unwrap();
+            let track = &traced.trace.as_ref().expect("trace enabled").occupancy;
+            assert!(track.len() >= 2, "{policy}: the run's start and end");
+            assert_eq!(traced.digest(), plain.digest(), "{policy}");
         }
     }
 
     #[test]
-    fn timeline_empty_without_sampling() {
-        let spec = tiny_workload(2, 1, 1.0, 5_000_000);
-        let r = run(rda_core::PolicyKind::Strict, &spec);
-        assert!(r.timeline.is_empty());
-        assert!(r.mean_utilization(12).is_nan());
+    fn occupancy_track_covers_a_long_run() {
+        // Three 1-thread processes alternate 3 000 tracked 6 MB periods
+        // with untracked gaps on a 15 MB LLC: strict admits two at a
+        // time and the books move at nearly every step. Each step
+        // records at most one sample besides the final one, so the run
+        // takes more steps than the 8 192 a per-tick ring of that size
+        // would keep.
+        let phases: Vec<Phase> = (0..3_000)
+            .flat_map(|_| {
+                [
+                    Phase::tracked(
+                        "work",
+                        200_000,
+                        mb(6.0),
+                        ReuseLevel::High,
+                        rda_core::SiteId(0),
+                    ),
+                    Phase::untracked("gap", 50_000, mb(0.1), ReuseLevel::Low),
+                ]
+            })
+            .collect();
+        let spec = WorkloadSpec {
+            name: "long".into(),
+            processes: (0..3)
+                .map(|_| ProcessProgram {
+                    threads: 1,
+                    phases: phases.clone(),
+                })
+                .collect(),
+        };
+        let cfg = SimConfig::paper_default(rda_core::PolicyKind::Strict).with_trace();
+        let (llc, freq) = (cfg.machine.llc_bytes, cfg.machine.freq_hz);
+        let r = SystemSim::new(cfg, &spec).run().unwrap();
+        assert!(r.rda.paused > 0, "strict must make periods wait");
+        let track = r.trace.expect("trace enabled").occupancy;
+        assert!(track.len() - 1 > 8_192, "{} change points", track.len());
+        assert_eq!(track[0].t_cycles, 0);
+        let last = track[track.len() - 1];
+        assert_eq!(
+            SimTime::from_cycles(last.t_cycles).as_secs(freq),
+            r.measurement.wall_secs,
+            "the track ends at the run's final instant"
+        );
+        assert_eq!(
+            (last.usage, last.overflow, last.waitlisted, last.busy_cores),
+            (0, 0, 0, 0)
+        );
+        assert!(track.iter().all(|s| s.usage <= llc));
     }
 
     #[test]

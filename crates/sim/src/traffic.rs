@@ -38,8 +38,8 @@
 //!   multi-component audits, least-loaded placement, per-node
 //!   waitlists and breakers, and cross-layer capacity guarantees. With
 //!   [`TopoTrafficConfig::sample_occupancy`] set, the run installs a
-//!   [`TraceSink`] and samples **per-node** occupancy on every control
-//!   tick.
+//!   [`TraceSink`] and records **per-node** occupancy on every control
+//!   tick; the sink keeps each node's change points.
 //! * [`TrafficResult`] and [`TopoTrafficResult`] carry goodput, a
 //!   log-2 sojourn histogram (p50/p95/p99 end-to-end latency including
 //!   queueing and retries), every [`rda_core::RdaStats`] counter, and
@@ -434,7 +434,8 @@ pub struct TopoTrafficConfig {
     pub age_tick_cycles: u64,
     /// Retain the exact [`TopoCall`] sequence for differential replay.
     pub record_calls: bool,
-    /// Install a trace sink and sample per-node occupancy every tick.
+    /// Install a trace sink and record per-node occupancy every tick
+    /// (kept as each node's change points).
     pub sample_occupancy: bool,
 }
 
@@ -892,7 +893,8 @@ impl Admission for TopoExtension {
         self.note_retry(process, site, kind, now);
     }
 
-    /// With a trace sink installed, sample every node's occupancy.
+    /// With a trace sink installed, record every node's occupancy; the
+    /// sink keeps only the samples that differ from the node's last.
     fn tick(&mut self, now: SimTime, in_service: usize) {
         if self.trace().is_none() {
             return;
@@ -1568,7 +1570,7 @@ mod tests {
                 busiest.is_some_and(|b| 4 * u64::from(b) < r.arrivals),
                 "{busiest:?}"
             );
-            assert_eq!(trace.occupancy.len(), 434);
+            assert_eq!(trace.occupancy.len(), 271);
             assert_eq!(r.digest(), 0xc262_e050_a748_53ba);
         }
 

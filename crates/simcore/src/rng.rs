@@ -135,14 +135,6 @@ impl Xoshiro256 {
         let mag = (-2.0 * u1.ln()).sqrt();
         mu + sigma * mag * (2.0 * std::f64::consts::PI * u2).cos()
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -244,16 +236,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.05, "sd {}", var.sqrt());
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Xoshiro256::new(5);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>(), "shuffle left input unchanged");
     }
 }

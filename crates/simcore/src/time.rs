@@ -206,7 +206,10 @@ mod tests {
 
     #[test]
     fn saturating_add_clamps_at_max() {
-        assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_cycles(1)), SimTime::MAX);
+        assert_eq!(
+            SimTime::MAX.saturating_add(SimDuration::from_cycles(1)),
+            SimTime::MAX
+        );
     }
 
     #[test]

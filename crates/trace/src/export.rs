@@ -6,7 +6,8 @@
 //! in `ui.perfetto.dev` or `chrome://tracing`. Progress periods map to
 //! async nestable spans (`ph:"b"`/`"e"`, keyed by `cat` + `id`), the
 //! waitlist residency of a period to a nested `wait` span, occupancy
-//! samples to counter tracks (`ph:"C"`), and begin/exit/reject events
+//! change points to counter tracks (`ph:"C"`, each value holding until
+//! the track's next one), and begin/exit/reject events
 //! to instants (`ph:"i"`). Timestamps are microseconds, converted from
 //! logical cycles at the machine's clock frequency.
 
@@ -51,7 +52,10 @@ fn event_args(ev: &TraceEvent) -> Json {
         ("amount", num(ev.amount)),
         ("fast", Json::Bool(ev.fast)),
     ];
-    if matches!(ev.kind, EventKind::Resume | EventKind::Age | EventKind::Expire) {
+    if matches!(
+        ev.kind,
+        EventKind::Resume | EventKind::Age | EventKind::Expire
+    ) {
         pairs.push(("wait_cycles", num(ev.wait_cycles)));
     }
     if matches!(ev.kind, EventKind::Reject | EventKind::Shed) {
@@ -124,13 +128,7 @@ fn push_event(out: &mut Vec<Json>, run: &LabeledReport<'_>, ev: &TraceEvent, fre
                 close.push(("args", event_args(ev)));
                 out.push(Json::obj(close));
             }
-            let mut pairs = base(
-                "b",
-                format!("pp@site{}", ev.site),
-                "pp",
-                pid,
-                ts,
-            );
+            let mut pairs = base("b", format!("pp@site{}", ev.site), "pp", pid, ts);
             pairs.push(("id", pp_json(ev.pp)));
             pairs.push(("args", event_args(ev)));
             out.push(Json::obj(pairs));
@@ -159,11 +157,14 @@ pub fn chrome_trace_document(runs: &[LabeledReport<'_>], freq_hz: f64) -> Json {
     let mut events = Vec::new();
     for run in runs {
         // Name the run's track group.
-        let mut meta = base("M", "process_name".to_string(), "__metadata", run.pid, num(0));
-        meta.push((
-            "args",
-            Json::obj([("name", Json::Str(run.label.clone()))]),
-        ));
+        let mut meta = base(
+            "M",
+            "process_name".to_string(),
+            "__metadata",
+            run.pid,
+            num(0),
+        );
+        meta.push(("args", Json::obj([("name", Json::Str(run.label.clone()))])));
         events.push(Json::obj(meta));
 
         for ev in &run.report.events {
@@ -187,7 +188,13 @@ pub fn chrome_trace_document(runs: &[LabeledReport<'_>], freq_hz: f64) -> Json {
                 Json::obj([("usage", num(s.usage)), ("overflow", num(s.overflow))]),
             ));
             events.push(Json::obj(llc));
-            let mut sys = base("C", sched_name, "occupancy", run.pid, us(s.t_cycles, freq_hz));
+            let mut sys = base(
+                "C",
+                sched_name,
+                "occupancy",
+                run.pid,
+                us(s.t_cycles, freq_hz),
+            );
             sys.push((
                 "args",
                 Json::obj([
@@ -250,12 +257,13 @@ pub fn render_text(label: &str, report: &TraceReport, freq_hz: f64) -> String {
         for node in nodes {
             let per: Vec<_> = report.occupancy.iter().filter(|s| s.node == node).collect();
             let peak = per.iter().map(|s| s.usage + s.overflow).max().unwrap_or(0);
-            let last = per.last().expect("non-empty by construction");
+            let Some(last) = per.last() else {
+                continue;
+            };
             out.push_str(&format!(
-                "  occupancy[node{}]: {} samples ({} dropped), peak {} B, final {} B (+{} B overflow)\n",
+                "  occupancy[node{}]: {} change points, peak {} B, final {} B (+{} B overflow)\n",
                 node,
                 per.len(),
-                report.dropped_occupancy,
                 peak,
                 last.usage,
                 last.overflow
@@ -286,7 +294,10 @@ pub fn render_text(label: &str, report: &TraceReport, freq_hz: f64) -> String {
         if ev.fast {
             line.push_str(" fast");
         }
-        if matches!(ev.kind, EventKind::Resume | EventKind::Age | EventKind::Expire) {
+        if matches!(
+            ev.kind,
+            EventKind::Resume | EventKind::Age | EventKind::Expire
+        ) {
             line.push_str(&format!(" waited={}cy", ev.wait_cycles));
         }
         if ev.kind == EventKind::Reject
@@ -415,6 +426,6 @@ mod tests {
         assert!(text.contains("wait cycles: samples 1"));
         assert!(text.contains("reason=demand_overflow"));
         assert!(text.contains("waited=750cy"));
-        assert!(text.contains("occupancy[node0]: 1 samples"));
+        assert!(text.contains("occupancy[node0]: 1 change points"));
     }
 }

@@ -8,17 +8,19 @@
 //! over time — is invisible. This crate records the missing event
 //! stream without perturbing the simulation:
 //!
-//! * [`TraceSink`] — a **bounded, allocation-free** per-run recorder:
-//!   fixed-capacity ring buffers (oldest events overwritten, drops
-//!   counted) for scheduling events and occupancy samples, plus derived
-//!   instruments that never drop — a log₂ waitlist-residency histogram
-//!   ([`Log2Hist`]) and predicate-outcome counters
+//! * [`TraceSink`] — the per-run recorder: a fixed-capacity event ring
+//!   (oldest events overwritten, drops counted, no allocation once
+//!   built), each node's occupancy track kept as change points over the
+//!   whole run (a sample is kept only when the node's state moved), and
+//!   derived instruments that never drop — a log₂ waitlist-residency
+//!   histogram ([`Log2Hist`]) and predicate-outcome counters
 //!   ([`PredicateCounts`]).
 //! * [`TraceEvent`] — one begin/admit/pause/resume/age/end/exit/reject
 //!   event with a logical-cycle timestamp and pid/pp/resource/demand
 //!   payload.
-//! * [`TraceReport`] — the frozen end-of-run view: events, occupancy
-//!   timeline, and wait-cycle summary percentiles (p50/p95/max).
+//! * [`TraceReport`] — the frozen end-of-run view: events, the
+//!   occupancy change points, and wait-cycle summary percentiles
+//!   (p50/p95/max).
 //! * [`chrome_trace_document`] — a Chrome trace-event (Perfetto)
 //!   exporter built on the workspace's hand-rolled
 //!   [`rda_metrics::Json`], and [`render_text`] for a human-readable
@@ -31,6 +33,10 @@
 //! behaviour — run digests are byte-identical with tracing on or off.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod event;
 pub mod export;

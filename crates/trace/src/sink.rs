@@ -4,29 +4,31 @@ use crate::event::{EventKind, TraceEvent};
 use crate::hist::Log2Hist;
 use crate::ring::Ring;
 
-/// Capacity limits for a [`TraceSink`]'s ring buffers.
+/// Capacity of a [`TraceSink`]'s event ring.
 ///
-/// Both buffers are allocated once at construction; recording is
-/// allocation-free thereafter. When a buffer fills, the oldest entries
-/// are overwritten and counted as dropped.
+/// The ring is allocated once at construction; recording an event is
+/// allocation-free thereafter. When it fills, the oldest events are
+/// overwritten and counted as dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Maximum scheduling events retained (newest win).
     pub event_capacity: usize,
-    /// Maximum occupancy samples retained (newest win).
-    pub occupancy_capacity: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             event_capacity: 16_384,
-            occupancy_capacity: 8_192,
         }
     }
 }
 
-/// One sample of LLC occupancy, taken per simulated tick.
+/// One change point of a node's occupancy track.
+///
+/// The sink keeps a sample only when its node's state (`usage`,
+/// `overflow`, `waitlisted`, `busy_cores`) differs from that node's
+/// previous sample, so each sample holds from `t_cycles` until the
+/// node's next one: the track is a step function over the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccupancySample {
     /// Logical timestamp in simulated cycles.
@@ -40,14 +42,21 @@ pub struct OccupancySample {
     pub overflow: u64,
     /// Periods parked on the LLC waitlist.
     pub waitlisted: u32,
-    /// Cores executing a runnable thread this tick.
+    /// Cores executing a runnable thread (for a traffic run, requests
+    /// in service).
     pub busy_cores: u32,
+}
+
+/// Whether two samples record the same state, time aside.
+fn same_state(a: &OccupancySample, b: &OccupancySample) -> bool {
+    (a.node, a.usage, a.overflow, a.waitlisted, a.busy_cores)
+        == (b.node, b.usage, b.overflow, b.waitlisted, b.busy_cores)
 }
 
 /// Predicate-outcome and lifecycle counters.
 ///
-/// Unlike the ring buffers these never drop: they are exact totals for
-/// the whole run even when the event ring wrapped.
+/// Unlike the event ring these never drop: they are exact totals for
+/// the whole run even when the ring wrapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredicateCounts {
     /// `pp_begin` calls observed.
@@ -114,10 +123,9 @@ pub struct TraceReport {
     pub events: Vec<TraceEvent>,
     /// Events overwritten because the ring was full.
     pub dropped_events: u64,
-    /// Retained occupancy samples, oldest → newest.
+    /// Every node's occupancy change points over the whole run,
+    /// oldest → newest, the nodes' tracks interleaved.
     pub occupancy: Vec<OccupancySample>,
-    /// Occupancy samples overwritten because the ring was full.
-    pub dropped_occupancy: u64,
     /// Exact lifecycle totals for the whole run.
     pub counts: PredicateCounts,
     /// Waitlist-residency percentiles.
@@ -126,25 +134,29 @@ pub struct TraceReport {
     pub wait_buckets: Vec<WaitBucket>,
 }
 
-/// Bounded, allocation-free per-run event recorder.
+/// Per-run event and occupancy recorder.
 ///
 /// Created from a [`TraceConfig`], fed by the RDA extension (events)
-/// and the system simulator (occupancy samples), and frozen into a
+/// and the simulators (occupancy samples), and frozen into a
 /// [`TraceReport`] at end of run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSink {
     events: Ring<TraceEvent>,
-    occupancy: Ring<OccupancySample>,
+    occupancy: Vec<OccupancySample>,
+    /// Each node's latest kept sample, in first-seen order.
+    last: Vec<OccupancySample>,
     wait_hist: Log2Hist,
     counts: PredicateCounts,
 }
 
 impl TraceSink {
-    /// A fresh sink with buffers sized by `cfg` (allocated up front).
+    /// A fresh sink with its event ring sized by `cfg` (allocated up
+    /// front).
     pub fn new(cfg: TraceConfig) -> Self {
         TraceSink {
             events: Ring::new(cfg.event_capacity),
-            occupancy: Ring::new(cfg.occupancy_capacity),
+            occupancy: Vec::new(),
+            last: Vec::new(),
             wait_hist: Log2Hist::new(),
             counts: PredicateCounts::default(),
         }
@@ -193,8 +205,16 @@ impl TraceSink {
         self.events.push(ev);
     }
 
-    /// Record one occupancy sample (allocation-free).
+    /// Record one node's occupancy at `sample.t_cycles`. The sample is
+    /// kept only when it differs from that node's last kept one (time
+    /// aside), so a caller may record every tick and the track still
+    /// holds one sample per change.
     pub fn record_occupancy(&mut self, sample: OccupancySample) {
+        match self.last.iter_mut().find(|s| s.node == sample.node) {
+            Some(last) if same_state(last, &sample) => return,
+            Some(last) => *last = sample,
+            None => self.last.push(sample),
+        }
         self.occupancy.push(sample);
     }
 
@@ -208,13 +228,12 @@ impl TraceSink {
         &self.counts
     }
 
-    /// Freeze the current state into a [`TraceReport`].
-    pub fn report(&self) -> TraceReport {
+    /// Consume the sink, freezing it into a [`TraceReport`].
+    pub fn into_report(self) -> TraceReport {
         TraceReport {
             events: self.events.to_vec(),
             dropped_events: self.events.dropped(),
-            occupancy: self.occupancy.to_vec(),
-            dropped_occupancy: self.occupancy.dropped(),
+            occupancy: self.occupancy,
             counts: self.counts,
             wait: WaitSummary {
                 samples: self.wait_hist.count(),
@@ -233,17 +252,14 @@ impl TraceSink {
                 .collect(),
         }
     }
-
-    /// Consume the sink, freezing it into a [`TraceReport`].
-    pub fn into_report(self) -> TraceReport {
-        self.report()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{EventKind, TraceEvent};
+    use proptest::prelude::*;
+    use rda_simcore::Xoshiro256;
 
     fn ev(t: u64, kind: EventKind) -> TraceEvent {
         TraceEvent::at(t, kind)
@@ -251,10 +267,7 @@ mod tests {
 
     #[test]
     fn counts_track_every_kind_even_after_wrap() {
-        let mut sink = TraceSink::new(TraceConfig {
-            event_capacity: 4,
-            occupancy_capacity: 2,
-        });
+        let mut sink = TraceSink::new(TraceConfig { event_capacity: 4 });
         sink.record(ev(1, EventKind::Begin));
         let mut fast = ev(2, EventKind::Admit);
         fast.fast = true;
@@ -278,9 +291,18 @@ mod tests {
             (c.begins, c.fast_admits, c.slow_admits, c.pauses),
             (1, 1, 0, 1)
         );
-        assert_eq!((c.resumes, c.aged, c.ends, c.exits, c.rejects), (1, 1, 1, 1, 1));
         assert_eq!(
-            (c.shed, c.expired, c.retried, c.breaker_trips, c.breaker_resets),
+            (c.resumes, c.aged, c.ends, c.exits, c.rejects),
+            (1, 1, 1, 1, 1)
+        );
+        assert_eq!(
+            (
+                c.shed,
+                c.expired,
+                c.retried,
+                c.breaker_trips,
+                c.breaker_resets
+            ),
             (0, 0, 0, 0, 0)
         );
         assert_eq!(report.wait.samples, 2, "histogram never drops");
@@ -303,33 +325,82 @@ mod tests {
         let report = sink.into_report();
         let c = report.counts;
         assert_eq!(
-            (c.shed, c.expired, c.retried, c.breaker_trips, c.breaker_resets),
+            (
+                c.shed,
+                c.expired,
+                c.retried,
+                c.breaker_trips,
+                c.breaker_resets
+            ),
             (1, 1, 1, 1, 1)
         );
         assert_eq!(report.wait.samples, 1, "expiry ends a waitlist residency");
         assert_eq!(report.wait.max, 12);
     }
 
-    #[test]
-    fn occupancy_ring_is_bounded() {
-        let mut sink = TraceSink::new(TraceConfig {
-            event_capacity: 1,
-            occupancy_capacity: 2,
-        });
-        for t in 0..5u64 {
-            sink.record_occupancy(OccupancySample {
-                t_cycles: t,
-                node: 0,
-                usage: t * 10,
-                overflow: 0,
-                waitlisted: 0,
-                busy_cores: 1,
-            });
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every node's tick series, recorded with runs of repeats,
+        /// comes back exactly from the change points: at each input
+        /// tick the node's last kept sample at or before it is the
+        /// input, and no kept sample repeats its predecessor.
+        #[test]
+        fn occupancy_track_expands_to_every_recorded_tick(
+            nodes in 1u32..5,
+            ticks in 1u64..300,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256::new(seed);
+            let mut state: Vec<OccupancySample> = (0..nodes)
+                .map(|node| OccupancySample {
+                    t_cycles: 0,
+                    node,
+                    usage: 0,
+                    overflow: 0,
+                    waitlisted: 0,
+                    busy_cores: 0,
+                })
+                .collect();
+            let mut input = Vec::new();
+            let mut sink = TraceSink::new(TraceConfig::default());
+            for t in 0..ticks {
+                let first = rng.next_below(u64::from(nodes)) as u32;
+                for k in 0..nodes {
+                    let s = &mut state[((first + k) % nodes) as usize];
+                    s.t_cycles = t;
+                    // Few values, so most ticks repeat and a fresh draw
+                    // sometimes lands on the held state.
+                    match rng.next_below(8) {
+                        0 => s.usage = rng.next_below(3) << 20,
+                        1 => s.overflow = rng.next_below(2) << 20,
+                        2 => s.waitlisted = rng.next_below(3) as u32,
+                        3 => s.busy_cores = rng.next_below(3) as u32,
+                        _ => {}
+                    }
+                    input.push(*s);
+                    sink.record_occupancy(*s);
+                }
+            }
+            let track = sink.into_report().occupancy;
+            for want in &input {
+                let got = track
+                    .iter()
+                    .rev()
+                    .find(|s| s.node == want.node && s.t_cycles <= want.t_cycles);
+                prop_assert_eq!(
+                    got.map(|s| OccupancySample { t_cycles: want.t_cycles, ..*s }),
+                    Some(*want)
+                );
+            }
+            for node in 0..nodes {
+                let per: Vec<_> = track.iter().filter(|s| s.node == node).collect();
+                prop_assert_eq!(per[0].t_cycles, 0);
+                for pair in per.windows(2) {
+                    prop_assert!(pair[0].t_cycles < pair[1].t_cycles);
+                    prop_assert!(!same_state(pair[0], pair[1]), "{:?}", pair);
+                }
+            }
         }
-        let report = sink.report();
-        assert_eq!(report.occupancy.len(), 2);
-        assert_eq!(report.dropped_occupancy, 3);
-        assert_eq!(report.occupancy[0].t_cycles, 3);
-        assert_eq!(report.occupancy[1].t_cycles, 4);
     }
 }

@@ -11,8 +11,8 @@
 //!   simulator executes (a process = a sequence of phases, each
 //!   optionally bracketed by a progress period).
 //! * [`blas`] — daxpy and dgemm, each plain and traced.
-//! * [`splash`] — SPLASH-2 mini-apps: water-nsquared and ocean-cp's
-//!   relaxation, plain and traced, and raytrace's renderer.
+//! * [`splash`] — SPLASH-2 mini-apps: water-nsquared (traced),
+//!   ocean-cp's relaxation (plain and traced), and raytrace's renderer.
 //! * [`trace`] — the PIN stand-in: a memory-trace recorder and the
 //!   [`trace::TracedBuf`] instrumented buffer the kernels run on.
 //!

@@ -160,9 +160,10 @@ mod tests {
     fn totals_account_threads_and_phases() {
         let p = program();
         assert_eq!(p.total_instructions(), 2 * (1000 + 10 + 2000));
-        let expected_flops = 2 * (p.phases[0].flops_per_thread()
-            + p.phases[1].flops_per_thread()
-            + p.phases[2].flops_per_thread());
+        let expected_flops = 2
+            * (p.phases[0].flops_per_thread()
+                + p.phases[1].flops_per_thread()
+                + p.phases[2].flops_per_thread());
         assert_eq!(p.total_flops(), expected_flops);
     }
 

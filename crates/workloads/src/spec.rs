@@ -18,10 +18,10 @@
 //! times with short untracked synchronisation phases in between
 //! (progress periods must not contain blocking synchronisation, §3.4).
 
-use rda_metrics::TextTable;
 use crate::phases::{Phase, ProcessProgram, WorkloadSpec};
 use rda_core::{mb, SiteId};
 use rda_machine::ReuseLevel;
+use rda_metrics::TextTable;
 
 /// Instructions per BLAS level-1/2 kernel invocation.
 const BLAS12_INSTR: u64 = 150_000_000;
@@ -34,7 +34,13 @@ const SYNC_INSTR: u64 = 2_000_000;
 /// Timesteps a SPLASH process executes.
 const SPLASH_TIMESTEPS: usize = 4;
 
-fn blas_workload(name: &str, procs: usize, ws_mb: &[f64], reuse: ReuseLevel, instr: u64) -> WorkloadSpec {
+fn blas_workload(
+    name: &str,
+    procs: usize,
+    ws_mb: &[f64],
+    reuse: ReuseLevel,
+    instr: u64,
+) -> WorkloadSpec {
     let processes = (0..procs)
         .map(|i| {
             let ws = mb(ws_mb[i % ws_mb.len()]);
@@ -269,11 +275,11 @@ mod tests {
 
     #[test]
     fn working_sets_match_table2() {
-        assert_eq!(blas3().declared_working_sets(), vec![mb(1.6), mb(2.4), mb(3.2)]);
         assert_eq!(
-            water_nsq().declared_working_sets(),
-            vec![mb(3.6), mb(3.7)]
+            blas3().declared_working_sets(),
+            vec![mb(1.6), mb(2.4), mb(3.2)]
         );
+        assert_eq!(water_nsq().declared_working_sets(), vec![mb(3.6), mb(3.7)]);
         assert_eq!(raytrace().declared_working_sets(), vec![mb(5.1), mb(5.2)]);
     }
 
@@ -318,7 +324,13 @@ mod tests {
     fn table2_renders_all_rows() {
         let s = table2();
         for name in [
-            "BLAS-1", "BLAS-2", "BLAS-3", "Water_sp", "Water_nsq", "Ocean_cp", "Raytrace",
+            "BLAS-1",
+            "BLAS-2",
+            "BLAS-3",
+            "Water_sp",
+            "Water_nsq",
+            "Ocean_cp",
+            "Raytrace",
             "Volrend",
         ] {
             assert!(s.contains(name), "missing {name}:\n{s}");

@@ -5,9 +5,9 @@
 //! structure at trace-friendly input sizes:
 //!
 //! * [`water`] — molecular dynamics, the n² variant (all-pairs forces,
-//!   high reuse): plain and traced, the traced run bracketing each
-//!   phase with a loop id so the profiler can map detected periods back
-//!   to code (Fig 12).
+//!   high reuse): traced only, the run bracketing each phase with a
+//!   loop id so the profiler can map detected periods back to code
+//!   (Fig 12).
 //! * [`ocean`] — red-black SOR relaxation of a square grid
 //!   (`ocean_cp`'s multigrid relax step): plain and traced (Fig 12).
 //! * [`raytrace`] — a sphere-scene ray caster (high reuse of scene data

@@ -194,10 +194,7 @@ mod tests {
         let mut sim = OceanSim::new(&p);
         let before = sim.residual();
         let after = sim.run(p.iterations);
-        assert!(
-            after < before * 0.2,
-            "no convergence: {before} → {after}"
-        );
+        assert!(after < before * 0.2, "no convergence: {before} → {after}");
     }
 
     #[test]
@@ -221,7 +218,10 @@ mod tests {
 
     #[test]
     fn working_set_matches_grid_size() {
-        let p = OceanParams { n: 512, ..OceanParams::test_small() };
+        let p = OceanParams {
+            n: 512,
+            ..OceanParams::test_small()
+        };
         let sim = OceanSim::new(&p);
         assert_eq!(sim.working_set_bytes(), 2 * 512 * 512 * 8);
     }
@@ -232,11 +232,8 @@ mod tests {
         let n = 18;
         run_traced(n, 1.5, &rec);
         let t = rec.take();
-        let distinct: std::collections::HashSet<u64> = t
-            .records()
-            .iter()
-            .filter_map(|r| r.address())
-            .collect();
+        let distinct: std::collections::HashSet<u64> =
+            t.records().iter().filter_map(|r| r.address()).collect();
         // Interior of u (read+written) + f (read) + boundary reads.
         assert!(distinct.len() > (n - 2) * (n - 2));
         use crate::trace::TraceRecord;

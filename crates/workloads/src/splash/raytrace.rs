@@ -111,11 +111,7 @@ fn trace_ray(scene: &[Sphere], origin: &[f64; 3], dir: &[f64; 3]) -> f64 {
     }
     let ndotl = dot(&n, &LIGHT).max(0.0);
     // Shadow ray: any occluder toward the light?
-    let shadow_origin = [
-        p[0] + n[0] * 1e-4,
-        p[1] + n[1] * 1e-4,
-        p[2] + n[2] * 1e-4,
-    ];
+    let shadow_origin = [p[0] + n[0] * 1e-4, p[1] + n[1] * 1e-4, p[2] + n[2] * 1e-4];
     let occluded = scene
         .iter()
         .any(|o| hit(o, &shadow_origin, &LIGHT).is_some());

@@ -14,8 +14,8 @@
 //! Table 2 working sets.
 //!
 //! Timestep phases (each a progress-period candidate): `predict` →
-//! `interf` (forces) → `correct`. The traced variant brackets each with
-//! a distinct loop id so the profiler can find them.
+//! `interf` (forces) → `correct`. The run is traced only: it brackets
+//! each phase with a distinct loop id so the profiler can find them.
 
 #![allow(clippy::needless_range_loop)] // forces (i, j, d) loops that index several arrays at once
 
@@ -25,165 +25,28 @@ use rda_simcore::Xoshiro256;
 /// Doubles of state per molecule.
 pub const DOUBLES_PER_MOL: usize = 36;
 
-/// Simulation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct WaterParams {
-    /// Number of molecules.
-    pub molecules: usize,
-    /// Timesteps to integrate.
-    pub steps: usize,
-    /// Interaction cutoff radius (in box units; the box is 1³).
-    pub cutoff: f64,
-    /// RNG seed for the initial configuration.
-    pub seed: u64,
-}
-
-impl WaterParams {
-    /// A small, fast configuration for tests.
-    pub fn test_small() -> Self {
-        WaterParams {
-            molecules: 64,
-            steps: 2,
-            cutoff: 0.5,
-            seed: 42,
-        }
-    }
-}
-
-/// Plain (untraced) state: structure-of-arrays for positions,
-/// velocities, forces, and auxiliary derivative state.
-pub struct WaterSim {
-    n: usize,
-    cutoff2: f64,
-    pos: Vec<[f64; 3]>,
-    vel: Vec<[f64; 3]>,
-    force: Vec<[f64; 3]>,
-    /// Auxiliary per-molecule state (fills out the 288-byte record).
-    aux: Vec<[f64; 27]>,
-}
-
 const DT: f64 = 1e-3;
 
-impl WaterSim {
-    /// Initialise a random configuration.
-    pub fn new(p: &WaterParams) -> Self {
-        let mut rng = Xoshiro256::new(p.seed);
-        let n = p.molecules;
-        let pos = (0..n)
-            .map(|_| [rng.next_f64(), rng.next_f64(), rng.next_f64()])
-            .collect();
-        let vel = (0..n)
-            .map(|_| {
-                [
-                    rng.next_gaussian(0.0, 0.05),
-                    rng.next_gaussian(0.0, 0.05),
-                    rng.next_gaussian(0.0, 0.05),
-                ]
-            })
-            .collect();
-        WaterSim {
-            n,
-            cutoff2: p.cutoff * p.cutoff,
-            pos,
-            vel,
-            force: vec![[0.0; 3]; n],
-            aux: vec![[0.0; 27]; n],
-        }
-    }
+/// Lennard-Jones-flavoured pair force within the cutoff. The magnitude
+/// is capped symmetrically (same cap for both partners), which
+/// preserves Newton's third law while keeping the integrator stable at
+/// close approach.
+fn pair_force(dr: &[f64; 3], r2: f64) -> [f64; 3] {
+    let inv = 1.0 / (r2 + 1e-4);
+    let inv3 = inv * inv * inv;
+    let mag = (24.0 * inv3 * (2.0 * inv3 - 1.0) * inv).clamp(-1e3, 1e3);
+    [dr[0] * mag, dr[1] * mag, dr[2] * mag]
+}
 
-    fn predict(&mut self) {
-        for i in 0..self.n {
-            for d in 0..3 {
-                self.pos[i][d] += self.vel[i][d] * DT;
-                // Periodic box.
-                self.pos[i][d] -= self.pos[i][d].floor();
-            }
-        }
+/// Minimum-image separation along one axis of the unit periodic box.
+fn min_image(a: f64, b: f64) -> f64 {
+    let mut d = a - b;
+    if d > 0.5 {
+        d -= 1.0;
+    } else if d < -0.5 {
+        d += 1.0;
     }
-
-    /// Lennard-Jones-flavoured pair force within the cutoff. The
-    /// magnitude is capped symmetrically (same cap for both partners),
-    /// which preserves Newton's third law while keeping the integrator
-    /// stable at close approach.
-    fn pair_force(dr: &[f64; 3], r2: f64) -> [f64; 3] {
-        let inv = 1.0 / (r2 + 1e-4);
-        let inv3 = inv * inv * inv;
-        let mag = (24.0 * inv3 * (2.0 * inv3 - 1.0) * inv).clamp(-1e3, 1e3);
-        [dr[0] * mag, dr[1] * mag, dr[2] * mag]
-    }
-
-    fn min_image(a: f64, b: f64) -> f64 {
-        let mut d = a - b;
-        if d > 0.5 {
-            d -= 1.0;
-        } else if d < -0.5 {
-            d += 1.0;
-        }
-        d
-    }
-
-    fn interf_nsquared(&mut self) {
-        for f in self.force.iter_mut() {
-            *f = [0.0; 3];
-        }
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let dr = [
-                    Self::min_image(self.pos[i][0], self.pos[j][0]),
-                    Self::min_image(self.pos[i][1], self.pos[j][1]),
-                    Self::min_image(self.pos[i][2], self.pos[j][2]),
-                ];
-                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                if r2 < self.cutoff2 {
-                    let f = Self::pair_force(&dr, r2);
-                    for d in 0..3 {
-                        self.force[i][d] += f[d];
-                        self.force[j][d] -= f[d];
-                    }
-                }
-            }
-        }
-    }
-
-    fn correct(&mut self) {
-        for i in 0..self.n {
-            for d in 0..3 {
-                self.vel[i][d] += self.force[i][d] * DT;
-                // Keep the system tame for long runs.
-                self.vel[i][d] = self.vel[i][d].clamp(-1.0, 1.0);
-                self.aux[i][d % 27] += self.force[i][d].abs() * 1e-6;
-            }
-        }
-    }
-
-    /// Run n-squared dynamics for `steps`; returns total kinetic energy
-    /// (a stable checksum).
-    pub fn run_nsquared(&mut self, steps: usize) -> f64 {
-        for _ in 0..steps {
-            self.predict();
-            self.interf_nsquared();
-            self.correct();
-        }
-        self.kinetic_energy()
-    }
-
-    /// Total kinetic energy `Σ ½|v|²`.
-    pub fn kinetic_energy(&self) -> f64 {
-        self.vel
-            .iter()
-            .map(|v| 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-            .sum()
-    }
-
-    /// Number of molecules.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the system is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
+    d
 }
 
 /// Loop ids emitted by the traced run (profiler anchors).
@@ -235,13 +98,13 @@ pub fn run_nsquared_traced(molecules: usize, cutoff: f64, rec: &TraceRecorder) -
             let bj = j * DOUBLES_PER_MOL;
             let pj = [state.get(bj), state.get(bj + 1), state.get(bj + 2)];
             let dr = [
-                WaterSim::min_image(pi[0], pj[0]),
-                WaterSim::min_image(pi[1], pj[1]),
-                WaterSim::min_image(pi[2], pj[2]),
+                min_image(pi[0], pj[0]),
+                min_image(pi[1], pj[1]),
+                min_image(pi[2], pj[2]),
             ];
             let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
             if r2 < cutoff2 {
-                let f = WaterSim::pair_force(&dr, r2);
+                let f = pair_force(&dr, r2);
                 for d in 0..3 {
                     let fi = state.get(bi + 6 + d) + f[d];
                     state.set(bi + 6 + d, fi);
@@ -273,51 +136,20 @@ mod tests {
 
     #[test]
     fn forces_balance_by_newtons_third_law() {
-        let mut sim = WaterSim::new(&WaterParams {
-            molecules: 50,
-            steps: 0,
-            cutoff: 0.6,
-            seed: 1,
-        });
-        sim.interf_nsquared();
-        let f: [f64; 3] = sim.force.iter().fold([0.0; 3], |mut acc, v| {
-            for d in 0..3 {
-                acc[d] += v[d];
-            }
-            acc
-        });
-        let scale: f64 = sim
-            .force
-            .iter()
-            .map(|v| v[0].abs() + v[1].abs() + v[2].abs())
-            .sum::<f64>()
-            .max(1.0);
-        for d in 0..3 {
-            assert!(
-                f[d].abs() / scale < 1e-12,
-                "net force component {d} = {} (scale {scale})",
-                f[d]
-            );
+        // The pair force is odd in the separation, so each pair adds
+        // equal and opposite forces to its two molecules.
+        let mut rng = Xoshiro256::new(1);
+        for _ in 0..1_000 {
+            let dr = [
+                rng.next_range_f64(-0.5, 0.5),
+                rng.next_range_f64(-0.5, 0.5),
+                rng.next_range_f64(-0.5, 0.5),
+            ];
+            let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+            let f = pair_force(&dr, r2);
+            let g = pair_force(&[-dr[0], -dr[1], -dr[2]], r2);
+            assert_eq!(g, [-f[0], -f[1], -f[2]], "dr = {dr:?}");
         }
-    }
-
-    #[test]
-    fn positions_stay_in_the_periodic_box() {
-        let mut sim = WaterSim::new(&WaterParams::test_small());
-        sim.run_nsquared(3);
-        for p in &sim.pos {
-            for d in 0..3 {
-                assert!((0.0..1.0).contains(&p[d]));
-            }
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let p = WaterParams::test_small();
-        let a = WaterSim::new(&p).run_nsquared(2);
-        let b = WaterSim::new(&p).run_nsquared(2);
-        assert_eq!(a, b);
     }
 
     #[test]

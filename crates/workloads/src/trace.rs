@@ -96,13 +96,19 @@ impl TraceRecorder {
     /// Record a load.
     #[inline]
     pub fn load(&self, addr: u64) {
-        self.trace.borrow_mut().records.push(TraceRecord::Load(addr));
+        self.trace
+            .borrow_mut()
+            .records
+            .push(TraceRecord::Load(addr));
     }
 
     /// Record a store.
     #[inline]
     pub fn store(&self, addr: u64) {
-        self.trace.borrow_mut().records.push(TraceRecord::Store(addr));
+        self.trace
+            .borrow_mut()
+            .records
+            .push(TraceRecord::Store(addr));
     }
 
     /// Record a loop back-edge for static loop `loop_id`.

@@ -35,8 +35,7 @@ fn recommend(spec: &WorkloadSpec, machine: &MachineConfig) -> PolicyKind {
     if tracked.is_empty() {
         return PolicyKind::DefaultOnly;
     }
-    let mean_ws: u64 =
-        tracked.iter().map(|&(w, _)| w).sum::<u64>() / tracked.len() as u64;
+    let mean_ws: u64 = tracked.iter().map(|&(w, _)| w).sum::<u64>() / tracked.len() as u64;
     let max_reuse = tracked.iter().map(|&(_, r)| r).max().unwrap();
     let distinct_corunners = spec.num_processes().min(machine.cores);
     let pressure = mean_ws * distinct_corunners as u64;
@@ -59,7 +58,10 @@ fn recommend(spec: &WorkloadSpec, machine: &MachineConfig) -> PolicyKind {
 
 fn main() {
     let machine = MachineConfig::xeon_e5_2420();
-    println!("{:<10} {:>22}   {:>22}   verdict", "workload", "recommended", "best simulated");
+    println!(
+        "{:<10} {:>22}   {:>22}   verdict",
+        "workload", "recommended", "best simulated"
+    );
     println!("{}", "-".repeat(78));
     let mut hits = 0;
     let mut total = 0;

@@ -42,7 +42,11 @@ fn main() {
         line_bytes: 64,
     };
     let windows = windowize(&trace, &wcfg);
-    println!("{} windows of {} memory ops", windows.len(), wcfg.window_ops);
+    println!(
+        "{} windows of {} memory ops",
+        windows.len(),
+        wcfg.window_ops
+    );
     for w in windows.iter().take(3) {
         println!(
             "  window {:>3}: footprint {:>6} B  WSS {:>6} B  reuse {:>5.1}  loop {:?}",

@@ -16,7 +16,11 @@ use rda_simcore::SimTime;
 
 fn main() {
     let machine = MachineConfig::xeon_e5_2420();
-    println!("machine: {} cores, {} KB shared LLC\n", machine.cores, machine.llc_bytes / 1024);
+    println!(
+        "machine: {} cores, {} KB shared LLC\n",
+        machine.cores,
+        machine.llc_bytes / 1024
+    );
 
     // The RDA extension with the paper's strict policy.
     let mut rda = RdaExtension::new(RdaConfig::for_machine(&machine, PolicyKind::Strict));
@@ -33,10 +37,21 @@ fn main() {
         }
         other => panic!("an idle cache must admit: {other:?}"),
     };
-    println!("    LLC load is now {:.1} MB", rda.usage() as f64 / 1e6 * 0.95367);
+    println!(
+        "    LLC load is now {:.1} MB",
+        rda.usage() as f64 / 1e6 * 0.95367
+    );
 
     // A second process wants 7 MB — still fits (6.3 + 7 < 15).
-    let p1 = match rda.pp_begin(ProcessId(1), SiteId(0), PpDemand::llc(mb(7.0), ReuseLevel::High), t(10)).unwrap() {
+    let p1 = match rda
+        .pp_begin(
+            ProcessId(1),
+            SiteId(0),
+            PpDemand::llc(mb(7.0), ReuseLevel::High),
+            t(10),
+        )
+        .unwrap()
+    {
         BeginOutcome::Run { pp, .. } => {
             println!("P1: pp_begin(LLC, MB(7.0), HIGH) → RUN   ({pp})");
             pp
@@ -45,7 +60,15 @@ fn main() {
     };
 
     // A third wants 5 MB — 6.3 + 7 + 5 > 15.36: the predicate pauses it.
-    match rda.pp_begin(ProcessId(2), SiteId(0), PpDemand::llc(mb(5.0), ReuseLevel::High), t(20)).unwrap() {
+    match rda
+        .pp_begin(
+            ProcessId(2),
+            SiteId(0),
+            PpDemand::llc(mb(5.0), ReuseLevel::High),
+            t(20),
+        )
+        .unwrap()
+    {
         BeginOutcome::Pause { pp, .. } => {
             println!("P2: pp_begin(LLC, MB(5.0), HIGH) → PAUSE ({pp}) — waitlisted");
         }
@@ -73,11 +96,21 @@ fn main() {
         processes: (0..6)
             .map(|_| ProcessProgram {
                 threads: 4,
-                phases: vec![Phase::tracked("hot", 30_000_000, mb(6.0), ReuseLevel::High, SiteId(0))],
+                phases: vec![Phase::tracked(
+                    "hot",
+                    30_000_000,
+                    mb(6.0),
+                    ReuseLevel::High,
+                    SiteId(0),
+                )],
             })
             .collect(),
     };
-    for policy in [PolicyKind::DefaultOnly, PolicyKind::Strict, PolicyKind::compromise_default()] {
+    for policy in [
+        PolicyKind::DefaultOnly,
+        PolicyKind::Strict,
+        PolicyKind::compromise_default(),
+    ] {
         let r = SystemSim::new(SimConfig::paper_default(policy), &spec)
             .run()
             .expect("run");

@@ -23,7 +23,10 @@ fn main() {
         seed: 20180813, // ICPP 2018, August 13
     };
     let mean = render(&params);
-    println!("rendered {0}×{0} frame, mean intensity {mean:.3}", params.size);
+    println!(
+        "rendered {0}×{0} frame, mean intensity {mean:.3}",
+        params.size
+    );
     ascii_preview(&params);
 
     // The scheduling experiment.

@@ -24,7 +24,11 @@ fn main() {
         "paused".into(),
     ]);
     for spec in [spec::blas1(), spec::blas2(), spec::blas3()] {
-        eprintln!("scheduling {} ({} processes)…", spec.name, spec.num_processes());
+        eprintln!(
+            "scheduling {} ({} processes)…",
+            spec.name,
+            spec.num_processes()
+        );
         for policy in paper_policies() {
             let run = run_policy(&spec, policy);
             let m = &run.result.measurement;

@@ -20,6 +20,7 @@
 
 use rda_check::{replay, replay_lifted, replay_topo, TopoDoc, TraceDoc};
 use rda_integration::{decided, without_fast};
+use rda_simcore::Xoshiro256;
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -173,4 +174,159 @@ fn single_node_compat_trace_matches_the_lifted_golden_sweep() {
         "hand-written compat trace and lifted golden sweep must be bit-identical"
     );
     assert!(lifted.final_snapshot.is_idle());
+}
+
+/// Words a mutation may put in place of another: every keyword both
+/// dialects know, so mutants reach past the first refusal, numbers at
+/// and past the edges of their types, and `mb` amounts.
+const TOKENS: [&str; 40] = [
+    "begin",
+    "vbegin",
+    "end",
+    "exit",
+    "age",
+    "retry",
+    "policy",
+    "llc",
+    "membw",
+    "dram",
+    "interval",
+    "audit",
+    "trust",
+    "clamp",
+    "reject",
+    "timeout",
+    "none",
+    "overload",
+    "deadline",
+    "breaker",
+    "reject_newest",
+    "reject_oldest",
+    "degrade",
+    "node",
+    "layer",
+    "assign",
+    "guarantee",
+    "default",
+    "strict",
+    "compromise",
+    "partitioned",
+    "0",
+    "1",
+    "0.5",
+    "1e308",
+    "NaN",
+    "inf",
+    "4294967296",
+    "18446744073709551615",
+    "1.5mb",
+];
+
+/// One malformed variant of `lines`: a line dropped, duplicated or
+/// truncated, or one word replaced by a random token, `-1` or
+/// `18446744073709551616` (one past `u64::MAX`).
+fn mutate(lines: &[&str], rng: &mut Xoshiro256) -> String {
+    let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    let i = rng.next_below(out.len() as u64) as usize;
+    match rng.next_below(4) {
+        0 => {
+            out.remove(i);
+        }
+        1 => out.insert(i, out[i].clone()),
+        2 => {
+            let cuts: Vec<usize> = out[i].char_indices().map(|(at, _)| at).collect();
+            if let Some(&at) = cuts.get(rng.next_below(cuts.len().max(1) as u64) as usize) {
+                out[i].truncate(at);
+            }
+        }
+        _ => {
+            let mut words: Vec<String> = out[i].split_whitespace().map(String::from).collect();
+            if !words.is_empty() {
+                let w = rng.next_below(words.len() as u64) as usize;
+                let shift = rng.next_below(64);
+                words[w] = match rng.next_below(4) {
+                    0 => "-1".to_string(),
+                    1 => "18446744073709551616".to_string(),
+                    2 => (rng.next_u64() >> shift).to_string(),
+                    _ => TOKENS[rng.next_below(TOKENS.len() as u64) as usize].to_string(),
+                };
+                out[i] = words.join(" ");
+            }
+        }
+    }
+    out.join("\n")
+}
+
+/// Parse `text`; a document the reader accepts must come back unchanged
+/// through `to_text` and `parse`, and a refusal must name a line of
+/// `text`. Returns whether the reader accepted it.
+fn parses_cleanly<D: PartialEq + std::fmt::Debug>(
+    text: &str,
+    parse: fn(&str) -> Result<D, String>,
+    to_text: fn(&D) -> String,
+) -> Result<bool, String> {
+    let doc = match parse(text) {
+        Ok(doc) => doc,
+        Err(e) => {
+            let line = e
+                .strip_prefix("line ")
+                .and_then(|rest| rest.split(':').next())
+                .and_then(|n| n.parse::<usize>().ok());
+            return match line {
+                Some(n) if (1..=text.lines().count()).contains(&n) => Ok(false),
+                _ => Err(format!("refusal names no line of the input: {e}")),
+            };
+        }
+    };
+    let again = parse(&to_text(&doc)).map_err(|e| format!("written form refused: {e}"))?;
+    if again != doc {
+        return Err(format!("round trip changed {doc:?} into {again:?}"));
+    }
+    Ok(true)
+}
+
+/// Malformed input: every committed corpus trace, mutated a few hundred
+/// times (seeded), goes to its dialect's reader. Neither reader may
+/// panic, every accepted document round-trips, and every refusal is a
+/// line-numbered error.
+#[test]
+fn mutated_corpus_traces_are_refused_or_round_trip() {
+    let mut rng = Xoshiro256::new(0x7ace_f022);
+    let files = corpus_files()
+        .into_iter()
+        .map(|p| (p, false))
+        .chain(topo_corpus_files().into_iter().map(|p| (p, true)));
+    let (mut accepted, mut refused) = (0, 0);
+    for (path, topo) in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for _ in 0..300 {
+            let mut mutant = mutate(&lines, &mut rng);
+            for _ in 0..rng.next_below(3) {
+                let again: Vec<&str> = mutant.lines().collect();
+                if !again.is_empty() {
+                    mutant = mutate(&again, &mut rng);
+                }
+            }
+            let outcome = std::panic::catch_unwind(|| {
+                if topo {
+                    parses_cleanly(&mutant, TopoDoc::parse, TopoDoc::to_text)
+                } else {
+                    parses_cleanly(&mutant, TraceDoc::parse, TraceDoc::to_text)
+                }
+            });
+            match outcome {
+                Ok(Ok(true)) => accepted += 1,
+                Ok(Ok(false)) => refused += 1,
+                Ok(Err(e)) => panic!("{name}: {e}\n--- input ---\n{mutant}"),
+                Err(_) => panic!("{name}: the reader panicked\n--- input ---\n{mutant}"),
+            }
+        }
+    }
+    // Both outcomes must be common, or the mutations test nothing.
+    assert!(
+        accepted > 500 && refused > 500,
+        "{accepted} accepted, {refused} refused"
+    );
 }
